@@ -42,7 +42,7 @@ use serde::Serialize;
 use ethpos_state::attestations::synthetic_branch_root;
 use ethpos_state::backend::{ClassSpec, StateBackend};
 use ethpos_state::{DenseState, ParticipationFlags};
-use ethpos_stats::{seeded_rng, Binomial};
+use ethpos_stats::{seeded_rng, PreparedBinomial};
 use ethpos_types::{BranchId, ChainConfig, Checkpoint, Gwei, Root, Slot};
 use ethpos_validator::{BranchStatus, ByzantineSchedule};
 
@@ -784,32 +784,36 @@ pub struct MarkingPlan {
     pinned: Vec<(BranchId, Vec<usize>)>,
     /// Active churn groups, in creation order.
     churn: Vec<ChurnPlan>,
-    /// `positions[i][g]`: position of pinned branch `i` in churn group
-    /// `g`'s branch list (`None` when it does not churn there) —
-    /// precomputed at compile time so the per-epoch marking loop avoids
-    /// a linear scan per (branch, group).
-    positions: Vec<Vec<Option<usize>>>,
+    /// `laws[i][g]`: the count law of pinned branch `i` in churn group
+    /// `g` — `Binomial(·, marginal[position of i in g])`, `None` when the
+    /// branch does not churn there. Prepared at compile time so the
+    /// per-epoch marking loop neither scans the group's branch list nor
+    /// re-derives the per-`p` constants for every cohort.
+    laws: Vec<Vec<Option<PreparedBinomial>>>,
 }
 
 impl MarkingPlan {
-    /// Builds a plan, precomputing the branch → churn-group position
-    /// table.
+    /// Builds a plan, preparing the (branch, churn group) count laws.
     fn new(pinned: Vec<(BranchId, Vec<usize>)>, churn: Vec<ChurnPlan>) -> Self {
-        let positions = pinned
+        let laws = pinned
             .iter()
             .map(|(b, _)| {
                 churn
                     .iter()
-                    .map(|g| g.branches.iter().position(|x| x == b))
+                    .map(|g| {
+                        let position = g.branches.iter().position(|x| x == b)?;
+                        Some(PreparedBinomial::new(g.marginal[position]))
+                    })
                     .collect()
             })
             .collect();
         MarkingPlan {
             pinned,
             churn,
-            positions,
+            laws,
         }
     }
+
     /// The live branches, in id order.
     pub fn live_branches(&self) -> Vec<BranchId> {
         self.pinned.iter().map(|(b, _)| *b).collect()
@@ -1369,13 +1373,6 @@ impl<B: StateBackend> PartitionSim<B> {
         }
     }
 
-    fn byzantine_balance(state: &B) -> u64 {
-        state.snapshot().classes[BYZANTINE_CLASS]
-            .iter()
-            .map(|(member, count)| member.balance.as_u64() * count)
-            .sum()
-    }
-
     fn apply_ops(&mut self) {
         while self.step_idx < self.compiled.steps.len()
             && self.compiled.steps[self.step_idx].epoch == self.epoch
@@ -1413,7 +1410,8 @@ impl<B: StateBackend> PartitionSim<B> {
                             meta.healed_at_epoch = Some(self.epoch);
                             meta.final_finalized_epoch =
                                 state.finalized_checkpoint().epoch.as_u64();
-                            meta.final_byzantine_balance_gwei = Self::byzantine_balance(&state);
+                            meta.final_byzantine_balance_gwei =
+                                state.class_balance(BYZANTINE_CLASS).as_u64();
                         }
                     }
                 }
@@ -1456,14 +1454,13 @@ impl<B: StateBackend> PartitionSim<B> {
             for &class in pinned_classes {
                 state.mark_class(class, flags);
             }
-            for (group, position) in plan.churn.iter().zip(&plan.positions[idx]) {
-                let Some(position) = *position else { continue };
-                let p = group.marginal[position];
+            for (group, law) in plan.churn.iter().zip(&plan.laws[idx]) {
+                let Some(law) = law else { continue };
                 for &class in &group.classes {
                     state.mark_class_counted(class, flags, &mut |count| {
                         churn_stats.draws += 1;
                         churn_stats.members += count;
-                        Binomial::new(count, p).sample(rng)
+                        law.sample(count, rng)
                     });
                 }
             }
@@ -1471,24 +1468,28 @@ impl<B: StateBackend> PartitionSim<B> {
         }
 
         // 2. Adversary observation & decision over every live branch.
-        let statuses: Vec<BranchStatus> = self
-            .plan
-            .pinned
-            .iter()
-            .zip(&honest_attesting)
-            .map(|((b, _), honest)| {
-                let state = &self.branches[b];
-                BranchStatus {
-                    branch: *b,
-                    epoch,
-                    total_active_stake: state.total_active_balance().as_u64(),
-                    honest_active_stake: honest.as_u64(),
-                    byzantine_stake: state.class_stats(BYZANTINE_CLASS).active_stake.as_u64(),
-                    justified_epoch: state.current_justified_checkpoint().epoch.as_u64(),
-                    finalized_epoch: state.finalized_checkpoint().epoch.as_u64(),
-                }
-            })
-            .collect();
+        //    Step 3 cuts the epoch's stats from these same registry
+        //    reads: Byzantine marking touches only participation flags,
+        //    so one read per branch and epoch serves both.
+        let mut statuses: Vec<BranchStatus> = Vec::with_capacity(self.plan.pinned.len());
+        let mut ejected: Vec<(u64, u64)> = Vec::with_capacity(self.plan.pinned.len());
+        for ((b, _), honest) in self.plan.pinned.iter().zip(&honest_attesting) {
+            let state = &self.branches[b];
+            let byz = state.class_stats(BYZANTINE_CLASS);
+            let ejected_honest = (1..state.num_classes())
+                .map(|c| state.class_stats(c).exited)
+                .sum();
+            ejected.push((ejected_honest, byz.exited));
+            statuses.push(BranchStatus {
+                branch: *b,
+                epoch,
+                total_active_stake: state.total_active_balance().as_u64(),
+                honest_active_stake: honest.as_u64(),
+                byzantine_stake: byz.active_stake.as_u64(),
+                justified_epoch: state.current_justified_checkpoint().epoch.as_u64(),
+                finalized_epoch: state.finalized_checkpoint().epoch.as_u64(),
+            });
+        }
         let choice = self.schedule.participate(&statuses);
 
         // 3. Mark Byzantine participation and advance each branch one
@@ -1503,13 +1504,11 @@ impl<B: StateBackend> PartitionSim<B> {
             if byz_on {
                 state.mark_class(BYZANTINE_CLASS, self.flags);
             }
-            let byz = state.class_stats(BYZANTINE_CLASS);
-            let ejected_honest: u64 = (1..state.num_classes())
-                .map(|c| state.class_stats(c).exited)
-                .sum();
-            let total = state.total_active_balance().as_u64();
-            let attesting = honest_attesting[position].as_u64()
-                + if byz_on { byz.active_stake.as_u64() } else { 0 };
+            let total = statuses[position].total_active_stake;
+            let byzantine_stake = statuses[position].byzantine_stake;
+            let (ejected_honest, ejected_byzantine) = ejected[position];
+            let attesting =
+                honest_attesting[position].as_u64() + if byz_on { byzantine_stake } else { 0 };
 
             let root = synthetic_branch_root(b.as_u64(), epoch + 1);
             state.advance_epoch(Some(root));
@@ -1521,7 +1520,7 @@ impl<B: StateBackend> PartitionSim<B> {
                     0.0
                 },
                 byzantine_proportion: if total > 0 {
-                    byz.active_stake.as_u64() as f64 / total as f64
+                    byzantine_stake as f64 / total as f64
                 } else {
                     0.0
                 },
@@ -1529,7 +1528,7 @@ impl<B: StateBackend> PartitionSim<B> {
                 finalized_epoch: state.finalized_checkpoint().epoch.as_u64(),
                 total_active_stake: total,
                 ejected_honest: ejected_honest as usize,
-                ejected_byzantine: byz.exited as usize,
+                ejected_byzantine: ejected_byzantine as usize,
             });
             let parent = self.tips[b];
             self.monitor
@@ -1626,7 +1625,7 @@ impl<B: StateBackend> PartitionSim<B> {
         self.record_fragmentation();
         for (b, state) in &self.branches {
             let meta = &mut self.meta[b.as_usize()];
-            meta.final_byzantine_balance_gwei = Self::byzantine_balance(state);
+            meta.final_byzantine_balance_gwei = state.class_balance(BYZANTINE_CLASS).as_u64();
             meta.final_finalized_epoch = state.finalized_checkpoint().epoch.as_u64();
         }
         self.outcome.branches = self

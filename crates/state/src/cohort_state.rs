@@ -16,13 +16,41 @@
 //! clone-based [`ReferenceCohortState`](crate::ReferenceCohortState)).
 //!
 //! Cohorts **split** when a subgroup diverges — the only divergence
-//! source is participation sampling ([`StateBackend::mark_class_sampled`]
-//! marks part of a cohort, leaving the rest untouched) — and **merge**
-//! automatically whenever two groups arrive at the same state, because
-//! each chunk is kept sorted and run-length-merged. Deterministic
-//! schedules (the paper's §5.1/§5.2 scenarios, Fig. 2 cohorts) therefore
-//! keep `#cohorts == #classes` forever, making million-validator ×
-//! 5000-epoch runs interactive.
+//! source is participation sampling ([`StateBackend::mark_class_counted`]
+//! marks a drawn count of a cohort's members, leaving the rest untouched;
+//! the per-member [`StateBackend::mark_class_sampled`] splits the same
+//! way) — and **merge** automatically whenever two groups arrive at the
+//! same state, because each chunk is kept sorted and run-length-merged.
+//! Deterministic schedules (the paper's §5.1/§5.2 scenarios, Fig. 2
+//! cohorts) therefore keep `#cohorts == #classes` forever, making
+//! million-validator × 5000-epoch runs interactive.
+//!
+//! # What one epoch costs
+//!
+//! Under §5.3 churn in a leak every hit/miss history leaks to its own
+//! balance and a class fragments toward one cohort per member; the epoch
+//! is then linear in the cohort count `k`, not `k log k`:
+//!
+//! * **marking** (`mark_class_counted`) is one pass and no sort: a marked
+//!   state differs from its unmarked twin only in `current_flags`, the
+//!   last field of the ordering, so emitting `(unmarked, marked)` per
+//!   cohort of a sorted chunk keeps it sorted, merging equal neighbours
+//!   on the way. A chunk is rewritten only if some drawn member actually
+//!   changed. The sort is a fallback for a class already carrying
+//!   non-nested flags this epoch (the partition engine marks with one
+//!   flag set throughout, so it never fires there);
+//! * **one aggregate walk** (`epoch_aggregates`) yields every global sum
+//!   justification and the member updates read;
+//! * **one map pass** applies the six fused member-local steps, in place
+//!   when no fork shares the chunk; a chunk the step fixes is not written
+//!   and stays shared;
+//! * **one keyed sort**: the map is not monotone (penalties depend on
+//!   scores), so the chunk is re-sorted — by an LSD radix over 8-byte
+//!   `(balance offset, index)` keys, the full nine-field comparison only
+//!   inside groups of equal balance, and the resulting order applied to
+//!   the 64-byte runs in place. A chunk the map left sorted (every
+//!   compact one) skips it; chunks under 256 runs, or with balances
+//!   spread over more than 2⁴⁰ Gwei, take the comparison sort instead.
 //!
 //! # Copy-on-write forking
 //!
@@ -31,9 +59,10 @@
 //! epoch checkpoints — is O(#classes + #epochs/1024), not O(state):
 //!
 //! * each class chunk is an `Arc<Vec<(MemberState, u64)>>`; a mutation
-//!   replaces only the touched class's `Arc`, and an epoch step that
-//!   leaves a chunk bit-identical (e.g. a fully-exited class) keeps the
-//!   old allocation, so sibling branches go on sharing it;
+//!   unshares only the touched class's chunk (`Arc::make_mut`: a copy if
+//!   a fork still holds it, in place otherwise), and an epoch step that
+//!   leaves a chunk bit-identical (e.g. a fully-exited class) writes
+//!   nothing, so sibling branches go on sharing it;
 //! * the per-epoch checkpoint roots live in a [`PrefixVec`], which
 //!   freezes every full 1024-entry prefix block behind an `Arc`;
 //! * the slashings ring buffer is an `Arc<Vec<Gwei>>` mutated through
@@ -44,6 +73,7 @@
 //! aliasing unit tests below pin that post-fork mutations never leak into
 //! a sibling.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use ethpos_crypto::hash_u64;
@@ -60,43 +90,193 @@ use crate::prefix_vec::PrefixVec;
 use crate::rewards::integer_sqrt;
 use crate::validator::FAR_FUTURE_EPOCH;
 
+/// One cohort: a member state and how many members share it.
+type Run = (MemberState, u64);
+
 /// One class's cohorts: sorted, run-length-merged `(state, count)` runs
 /// behind shared storage.
-type Chunk = Arc<Vec<(MemberState, u64)>>;
+type Chunk = Arc<Vec<Run>>;
 
-/// Restores a chunk's canonical form: sorted by the [`MemberState`]
-/// ordering with equal adjacent states merged (summing counts) — the
-/// same normal form a `BTreeMap<(class, state), count>` would produce.
-fn canonicalize(runs: &mut Vec<(MemberState, u64)>) {
-    runs.sort_unstable_by_key(|run| run.0);
-    let mut write = 0;
-    for read in 0..runs.len() {
-        if write > 0 && runs[write - 1].0 == runs[read].0 {
-            runs[write - 1].1 += runs[read].1;
-        } else {
-            runs[write] = runs[read];
-            write += 1;
-        }
-    }
-    runs.truncate(write);
+/// Chunks shorter than this are sorted by comparison: the radix passes'
+/// fixed histogram cost only pays off on longer ones.
+const KEY_SORT_MIN_RUNS: usize = 256;
+/// Low bits of a sort key: the run's index in the unsorted chunk. The
+/// high `64 − KEY_INDEX_BITS` bits hold its balance offset.
+const KEY_INDEX_BITS: u32 = 24;
+const KEY_INDEX_MASK: u64 = (1 << KEY_INDEX_BITS) - 1;
+/// Digit width of one radix pass.
+const RADIX_BITS: u32 = 12;
+
+/// The key sort's double buffer, reused across the classes of one epoch.
+#[derive(Default)]
+struct SortKeys {
+    keys: Vec<u64>,
+    spare: Vec<u64>,
 }
 
-/// Maps every run of `chunk` through `f`, re-canonicalizes, and swaps in
-/// a fresh allocation — unless `f` fixes every state, in which case the
-/// existing `Arc` (and any sharing with sibling branches) is kept.
-fn transform_chunk(chunk: &mut Chunk, mut f: impl FnMut(&MemberState) -> MemberState) {
-    let mut changed = false;
-    let mut next: Vec<(MemberState, u64)> = Vec::with_capacity(chunk.len());
-    for &(m, count) in chunk.iter() {
-        let mapped = f(&m);
-        changed |= mapped != m;
-        next.push((mapped, count));
+/// Appends `run`, merging it into the last run when their states are
+/// equal. Returns `false` when `run` sorts *before* the last run, i.e.
+/// the push order broke the canonical order.
+#[inline]
+fn push_run(out: &mut Vec<Run>, run: Run) -> bool {
+    let order = match out.last_mut() {
+        Some(last) => {
+            let order = last.0.cmp(&run.0);
+            if order == Ordering::Equal {
+                last.1 += run.1;
+                return true;
+            }
+            order
+        }
+        None => Ordering::Less,
+    };
+    out.push(run);
+    order == Ordering::Less
+}
+
+/// Fills `keys.keys` with one `(balance − min) << KEY_INDEX_BITS | index`
+/// key per run, in canonical run order: an LSD radix sort on the balance
+/// offset (the first field of the [`MemberState`] ordering, and nearly
+/// always the deciding one), then the full comparison inside each group
+/// of equal balances. Moves 8-byte keys instead of 64-byte runs.
+///
+/// Returns `false`, keys unspecified, when the chunk is too short for
+/// the passes to pay off or its index or balance range overflows the
+/// key layout; the caller then sorts by comparison.
+fn sort_keys(runs: &[Run], keys: &mut SortKeys) -> bool {
+    if runs.len() < KEY_SORT_MIN_RUNS || runs.len() > KEY_INDEX_MASK as usize {
+        return false;
     }
-    if !changed {
+    let (min, max) = runs.iter().fold((u64::MAX, 0), |(lo, hi), (m, _)| {
+        (lo.min(m.balance.as_u64()), hi.max(m.balance.as_u64()))
+    });
+    let offset_bits = u64::BITS - (max - min).leading_zeros();
+    if offset_bits > u64::BITS - KEY_INDEX_BITS {
+        return false;
+    }
+    let SortKeys { keys, spare } = keys;
+    keys.clear();
+    keys.extend(
+        runs.iter()
+            .enumerate()
+            .map(|(i, (m, _))| (m.balance.as_u64() - min) << KEY_INDEX_BITS | i as u64),
+    );
+    spare.resize(keys.len(), 0);
+    let mut shift = KEY_INDEX_BITS;
+    while shift < KEY_INDEX_BITS + offset_bits {
+        let digit = |key: u64| (key >> shift) as usize & ((1 << RADIX_BITS) - 1);
+        let mut starts = [0u32; 1 << RADIX_BITS];
+        for &key in keys.iter() {
+            starts[digit(key)] += 1;
+        }
+        let mut seen = 0;
+        for start in starts.iter_mut() {
+            let count = *start;
+            *start = seen;
+            seen += count;
+        }
+        for &key in keys.iter() {
+            let slot = &mut starts[digit(key)];
+            spare[*slot as usize] = key;
+            *slot += 1;
+        }
+        std::mem::swap(keys, spare);
+        shift += RADIX_BITS;
+    }
+    for ties in keys.chunk_by_mut(|a, b| a >> KEY_INDEX_BITS == b >> KEY_INDEX_BITS) {
+        if ties.len() > 1 {
+            let state = |key: &u64| &runs[(key & KEY_INDEX_MASK) as usize].0;
+            ties.sort_unstable_by(|a, b| state(a).cmp(state(b)));
+        }
+    }
+    true
+}
+
+/// Moves `runs[keys[j] & KEY_INDEX_MASK]` to `runs[j]` for every `j`, in
+/// place, one permutation cycle at a time. Consumes the keys: a placed
+/// position's key is overwritten with the position itself.
+fn apply_order(runs: &mut [Run], keys: &mut [u64]) {
+    for start in 0..runs.len() {
+        let mut from = (keys[start] & KEY_INDEX_MASK) as usize;
+        if from == start {
+            continue;
+        }
+        let displaced = runs[start];
+        let mut at = start;
+        while from != start {
+            runs[at] = runs[from];
+            keys[at] = at as u64;
+            at = from;
+            from = (keys[at] & KEY_INDEX_MASK) as usize;
+        }
+        runs[at] = displaced;
+        keys[at] = at as u64;
+    }
+}
+
+/// Restores a chunk's canonical form in place: sorted by the
+/// [`MemberState`] ordering with equal adjacent states merged (summing
+/// counts) — the same normal form a `BTreeMap<(class, state), count>`
+/// would produce.
+///
+/// Already-sorted input (every compact chunk) costs the one merging
+/// pass; otherwise one keyed sort ([`sort_keys`]) applied in place, with
+/// the comparison sort as the branch for short chunks and wide balance
+/// ranges.
+fn canonicalize(runs: &mut Vec<Run>, keys: &mut SortKeys) {
+    if !runs.is_sorted_by(|a, b| a.0 <= b.0) {
+        if sort_keys(runs, keys) {
+            apply_order(runs, &mut keys.keys);
+        } else {
+            runs.sort_unstable_by_key(|run| run.0);
+        }
+    }
+    runs.dedup_by(|run, kept| {
+        let same = run.0 == kept.0;
+        if same {
+            kept.1 += run.1;
+        }
+        same
+    });
+}
+
+/// Maps every run of `chunk` through `f` and re-canonicalizes it, inside
+/// its own allocation when no fork shares it. If `f` fixes every state
+/// the chunk is not written at all, and the existing `Arc` (and any
+/// sharing with sibling branches) is kept.
+fn transform_chunk(
+    chunk: &mut Chunk,
+    keys: &mut SortKeys,
+    mut f: impl FnMut(&MemberState) -> MemberState,
+) {
+    let Some(first) = chunk.iter().position(|(m, _)| f(m) != *m) else {
         return;
+    };
+    let runs = Arc::make_mut(chunk);
+    for run in &mut runs[first..] {
+        run.0 = f(&run.0);
     }
-    canonicalize(&mut next);
-    *chunk = Arc::new(next);
+    canonicalize(runs, keys);
+}
+
+/// The participation flags in reward-weight order.
+const FLAG_INDICES: [u8; 3] = [
+    TIMELY_SOURCE_FLAG_INDEX,
+    TIMELY_TARGET_FLAG_INDEX,
+    TIMELY_HEAD_FLAG_INDEX,
+];
+
+/// The global sums of one epoch transition (see
+/// [`CohortState::epoch_aggregates`]).
+struct EpochAggregates {
+    /// Spec `get_total_active_balance` (increment-floored).
+    total_active: Gwei,
+    /// Spec `unslashed_participating_target_balance`, previous epoch.
+    previous_target: Gwei,
+    /// The same for the current epoch.
+    current_target: Gwei,
+    /// Participating increments per flag (unslashed, previous epoch).
+    participating_increments: [u64; 3],
 }
 
 /// Cohort-compressed beacon state: per-class `(state, count)` chunks plus
@@ -200,52 +380,59 @@ impl CohortState {
         self.epoch_roots.shared_blocks_with(&other.epoch_roots)
     }
 
-    /// Rebuilds every class chunk by transforming each cohort's member
-    /// state, merging cohorts that land on the same state. Chunks that
-    /// `f` leaves untouched keep their shared allocation.
-    fn transform(&mut self, mut f: impl FnMut(u32, &MemberState) -> MemberState) {
-        for (class, chunk) in self.chunks.iter_mut().enumerate() {
-            transform_chunk(chunk, |m| f(class as u32, m));
+    /// Sum of `count × effective balance` over the cohorts `select`
+    /// admits (u64, spec-width). The selection is a 0/1 factor, not a
+    /// branch: under churn the flags it reads are coin flips.
+    fn stake_where(&self, mut select: impl FnMut(&MemberState) -> bool) -> Gwei {
+        Gwei::new(
+            self.chunks
+                .iter()
+                .flat_map(|chunk| chunk.iter())
+                .map(|(m, count)| count * m.effective_balance.as_u64() * u64::from(select(m)))
+                .sum(),
+        )
+    }
+
+    /// Every global sum one epoch transition reads, from a single walk
+    /// over the cohorts. Justification leaves the chunks alone and every
+    /// member-local step preserves these sums (see below), so one walk
+    /// serves the whole epoch.
+    fn epoch_aggregates(&self) -> EpochAggregates {
+        let current_epoch = self.current_epoch();
+        let previous_epoch = self.previous_epoch();
+        let increment = self.config.effective_balance_increment.as_u64();
+        let mut total_active = 0u64;
+        let mut previous_target = 0u64;
+        let mut current_target = 0u64;
+        let mut participating_increments = [0u64; 3];
+        // Under churn the flags are coin flips, so the sums select with
+        // 0/1 factors instead of branches; effective balances sit on a
+        // staircase a sorted chunk climbs slowly, so one remembered
+        // quotient replaces nearly every `effective / increment` division.
+        let mut last_effective = (u64::MAX, 0);
+        for (m, count) in self.chunks.iter().flat_map(|chunk| chunk.iter()) {
+            let effective = m.effective_balance.as_u64();
+            if effective != last_effective.0 {
+                last_effective = (effective, effective / increment);
+            }
+            let stake = count * effective;
+            let increments = count * last_effective.1;
+            let active = m.is_active_at(current_epoch);
+            let voted = !m.slashed & m.is_active_at(previous_epoch);
+            total_active += stake * u64::from(active);
+            current_target +=
+                stake * u64::from(active & !m.slashed & m.current_flags.has_timely_target());
+            previous_target += stake * u64::from(voted & m.previous_flags.has_timely_target());
+            for (sum, flag) in participating_increments.iter_mut().zip(FLAG_INDICES) {
+                *sum += increments * u64::from(voted & m.previous_flags.has(flag));
+            }
         }
-    }
-
-    /// Sum of `count × f(member)` over all cohorts (u64, spec-width).
-    fn sum_over(&self, mut f: impl FnMut(&MemberState) -> u64) -> u64 {
-        self.chunks
-            .iter()
-            .flat_map(|chunk| chunk.iter())
-            .map(|(m, count)| count * f(m))
-            .sum()
-    }
-
-    /// Spec `get_total_active_balance` (increment-floored).
-    fn total_active_balance_inner(&self) -> Gwei {
-        let epoch = self.current_epoch();
-        let total = self.sum_over(|m| {
-            if m.is_active_at(epoch) {
-                m.effective_balance.as_u64()
-            } else {
-                0
-            }
-        });
-        Gwei::new(total).max(self.config.effective_balance_increment)
-    }
-
-    /// Spec `unslashed_participating_target_balance` for the previous or
-    /// current epoch.
-    fn target_balance(&self, epoch: Epoch, previous: bool) -> Gwei {
-        Gwei::new(self.sum_over(|m| {
-            let flags = if previous {
-                m.previous_flags
-            } else {
-                m.current_flags
-            };
-            if !m.slashed && m.is_active_at(epoch) && flags.has_timely_target() {
-                m.effective_balance.as_u64()
-            } else {
-                0
-            }
-        }))
+        EpochAggregates {
+            total_active: Gwei::new(total_active).max(self.config.effective_balance_increment),
+            previous_target: Gwei::new(previous_target),
+            current_target: Gwei::new(current_target),
+            participating_increments,
+        }
     }
 
     // ── epoch processing ────────────────────────────────────────────────
@@ -271,33 +458,34 @@ impl CohortState {
         // observation-only — the transition itself is identical on both
         // paths.
         let timer = stage_timer("cohort", self.current_epoch().as_u64() & 63 == 0);
+        let aggregates = self.epoch_aggregates();
         match timer {
             Some(mut t) => {
-                self.process_justification_and_finalization();
+                self.process_justification_and_finalization(&aggregates);
                 t.stage("justification");
-                self.process_member_updates();
+                self.process_member_updates(&aggregates);
                 t.stage("member_updates");
                 self.process_slashings_reset();
                 t.stage("slashings_reset");
             }
             None => {
-                self.process_justification_and_finalization();
-                self.process_member_updates();
+                self.process_justification_and_finalization(&aggregates);
+                self.process_member_updates(&aggregates);
                 self.process_slashings_reset();
             }
         }
     }
 
-    fn process_justification_and_finalization(&mut self) {
+    fn process_justification_and_finalization(&mut self, aggregates: &EpochAggregates) {
         let current_epoch = self.current_epoch();
         // Spec: skip the first two epochs.
         if current_epoch.as_u64() <= 1 {
             return;
         }
         let previous_epoch = self.previous_epoch();
-        let total = self.total_active_balance_inner();
-        let previous_target = self.target_balance(previous_epoch, true);
-        let current_target = self.target_balance(current_epoch, false);
+        let total = aggregates.total_active;
+        let previous_target = aggregates.previous_target;
+        let current_target = aggregates.current_target;
         let prev_root = self.epoch_roots[previous_epoch.as_u64() as usize];
         let curr_root = self.epoch_roots[current_epoch.as_u64() as usize];
 
@@ -337,7 +525,7 @@ impl CohortState {
     /// The six member-local epoch steps (inactivity, rewards & penalties,
     /// registry, slashings, effective balance, flag rotation), fused into
     /// one chunk rebuild per class.
-    fn process_member_updates(&mut self) {
+    fn process_member_updates(&mut self, aggregates: &EpochAggregates) {
         let current_epoch = self.current_epoch();
         let previous_epoch = self.previous_epoch();
 
@@ -352,7 +540,7 @@ impl CohortState {
 
         // ── reward & penalty aggregates (all invariant under the
         //    score-only inactivity writes) ──
-        let total_active = self.total_active_balance_inner().as_u64();
+        let total_active = aggregates.total_active.as_u64();
         let increment = self.config.effective_balance_increment.as_u64();
         let total_increments = (total_active / increment).max(1);
         let base_per_increment = {
@@ -363,31 +551,12 @@ impl CohortState {
         let leak_denominator =
             self.config.inactivity_score_bias * self.config.inactivity_penalty_quotient;
         let paper_semantics = self.config.paper_inactivity_penalties;
-        let flag_indices = [
-            TIMELY_SOURCE_FLAG_INDEX,
-            TIMELY_TARGET_FLAG_INDEX,
-            TIMELY_HEAD_FLAG_INDEX,
-        ];
         let weights = [
             self.config.timely_source_weight,
             self.config.timely_target_weight,
             self.config.timely_head_weight,
         ];
-        // Participating increments per flag (unslashed, previous epoch).
-        let mut participating_increments = [0u64; 3];
-        for chunk in &self.chunks {
-            for (m, count) in chunk.iter() {
-                if m.slashed || !m.is_active_at(previous_epoch) {
-                    continue;
-                }
-                for (k, &flag) in flag_indices.iter().enumerate() {
-                    if m.previous_flags.has(flag) {
-                        participating_increments[k] +=
-                            count * (m.effective_balance.as_u64() / increment);
-                    }
-                }
-            }
-        }
+        let participating_increments = aggregates.participating_increments;
 
         // ── registry aggregates ──
         let ejection_balance = self.config.ejection_balance;
@@ -412,7 +581,7 @@ impl CohortState {
             Gwei::new(hysteresis_increment.as_u64() * self.config.hysteresis_upward_multiplier);
         let max_effective = self.config.max_effective_balance;
 
-        self.transform(|_, m| {
+        let step = |m: &MemberState| {
             let mut m = *m;
             if settle_previous {
                 let eligible = m.is_active_at(previous_epoch)
@@ -436,7 +605,7 @@ impl CohortState {
                     let base_reward = increments_i * base_per_increment;
                     let mut reward = 0u64;
                     let mut penalty = 0u64;
-                    for (k, &flag) in flag_indices.iter().enumerate() {
+                    for (k, flag) in FLAG_INDICES.into_iter().enumerate() {
                         let participated = !m.slashed && m.previous_flags.has(flag);
                         if participated {
                             if !in_leak {
@@ -499,7 +668,65 @@ impl CohortState {
             m.previous_flags = m.current_flags;
             m.current_flags = ParticipationFlags::EMPTY;
             m
-        });
+        };
+        let mut keys = SortKeys::default();
+        for chunk in &mut self.chunks {
+            transform_chunk(chunk, &mut keys, &step);
+        }
+    }
+
+    /// Splits every active cohort of `class` into `drawn(count, active)`
+    /// members that get `flags` and the rest that keep their state
+    /// (`drawn` is called for exited cohorts too, its answer ignored).
+    ///
+    /// One linear pass, no sort: a marked state differs from its
+    /// unmarked twin only in `current_flags`, the *last* field of the
+    /// canonical ordering, and only upwards — so pushing `(unmarked,
+    /// marked)` per cohort of a sorted chunk yields a sorted chunk, with
+    /// equal neighbours merged on the way. The one exception is a class
+    /// already carrying non-nested flags this epoch (two cohorts equal up
+    /// to `current_flags` whose unions with `flags` swap order); the push
+    /// notices and the chunk is re-canonicalized.
+    fn mark_split(
+        &mut self,
+        class: usize,
+        flags: ParticipationFlags,
+        mut drawn: impl FnMut(u64, bool) -> u64,
+    ) {
+        let epoch = self.current_epoch();
+        let chunk = &mut self.chunks[class];
+        // A fragmented chunk is mostly singleton cohorts, which cannot
+        // split, so a quarter over its length holds the result; amortized
+        // growth covers the short compact phase, where every cohort
+        // splits in two. (Reserving a half, or one slot per cohort of two
+        // or more, measured 4–8 % more peak RSS on `churn_leak`.)
+        let mut next: Vec<Run> = Vec::with_capacity(chunk.len() + chunk.len() / 4 + 1);
+        let mut changed = false;
+        let mut in_order = true;
+        for &(m, count) in chunk.iter() {
+            let active = m.is_active_at(epoch);
+            let drawn = drawn(count, active);
+            let marked = MemberState {
+                current_flags: m.current_flags.union(flags),
+                ..m
+            };
+            if !active || drawn == 0 || marked == m {
+                in_order &= push_run(&mut next, (m, count));
+                continue;
+            }
+            changed = true;
+            if drawn < count {
+                in_order &= push_run(&mut next, (m, count - drawn));
+            }
+            in_order &= push_run(&mut next, (marked, drawn));
+        }
+        if !changed {
+            return;
+        }
+        if !in_order {
+            canonicalize(&mut next, &mut SortKeys::default());
+        }
+        *chunk = Arc::new(next);
     }
 
     fn process_slashings_reset(&mut self) {
@@ -577,11 +804,16 @@ impl StateBackend for CohortState {
     }
 
     fn total_active_balance(&self) -> Gwei {
-        self.total_active_balance_inner()
+        let epoch = self.current_epoch();
+        self.stake_where(|m| m.is_active_at(epoch))
+            .max(self.config.effective_balance_increment)
     }
 
     fn current_target_balance(&self) -> Gwei {
-        self.target_balance(self.current_epoch(), false)
+        let epoch = self.current_epoch();
+        self.stake_where(|m| {
+            !m.slashed & m.is_active_at(epoch) & m.current_flags.has_timely_target()
+        })
     }
 
     fn num_classes(&self) -> usize {
@@ -613,7 +845,7 @@ impl StateBackend for CohortState {
 
     fn mark_class(&mut self, class: usize, flags: ParticipationFlags) {
         let epoch = self.current_epoch();
-        transform_chunk(&mut self.chunks[class], |m| {
+        transform_chunk(&mut self.chunks[class], &mut SortKeys::default(), |m| {
             if m.is_active_at(epoch) {
                 MemberState {
                     current_flags: m.current_flags.union(flags),
@@ -631,36 +863,12 @@ impl StateBackend for CohortState {
         flags: ParticipationFlags,
         draw: &mut dyn FnMut() -> bool,
     ) {
-        let epoch = self.current_epoch();
-        let chunk = &mut self.chunks[class];
-        let mut next: Vec<(MemberState, u64)> = Vec::with_capacity(chunk.len() + 1);
-        for &(m, count) in chunk.iter() {
-            // Consume one draw per member — exited members included, so
-            // a caller feeding both partition branches from one shared
-            // membership buffer stays index-aligned (see the trait doc).
-            let drawn = (0..count).filter(|_| draw()).count();
-            let drawn = drawn as u64;
-            if !m.is_active_at(epoch) {
-                next.push((m, count));
-                continue;
-            }
-            // Split the cohort: `drawn` members get the flags, the rest
-            // keep their state. Equal results re-merge on canonicalize.
-            if drawn > 0 {
-                let marked = MemberState {
-                    current_flags: m.current_flags.union(flags),
-                    ..m
-                };
-                next.push((marked, drawn));
-            }
-            if drawn < count {
-                next.push((m, count - drawn));
-            }
-        }
-        canonicalize(&mut next);
-        if next != **chunk {
-            *chunk = Arc::new(next);
-        }
+        // One draw per member — exited members included, so a caller
+        // feeding both partition branches from one shared membership
+        // buffer stays index-aligned (see the trait doc).
+        self.mark_split(class, flags, |count, _| {
+            (0..count).filter(|_| draw()).count() as u64
+        });
     }
 
     fn mark_class_counted(
@@ -669,34 +877,15 @@ impl StateBackend for CohortState {
         flags: ParticipationFlags,
         sample: &mut dyn FnMut(u64) -> u64,
     ) {
-        let epoch = self.current_epoch();
-        let chunk = &mut self.chunks[class];
-        let mut next: Vec<(MemberState, u64)> = Vec::with_capacity(chunk.len() + 1);
-        for &(m, count) in chunk.iter() {
-            // Exited cohorts consume no draw (trait contract): the
-            // stream is one count draw per *active* cohort.
-            if !m.is_active_at(epoch) {
-                next.push((m, count));
-                continue;
+        // Exited cohorts consume no draw (trait contract): the stream is
+        // one count draw per *active* cohort.
+        self.mark_split(class, flags, |count, active| {
+            if active {
+                sample(count).min(count)
+            } else {
+                0
             }
-            let drawn = sample(count).min(count);
-            // Split the cohort: `drawn` members get the flags, the rest
-            // keep their state. Equal results re-merge on canonicalize.
-            if drawn > 0 {
-                let marked = MemberState {
-                    current_flags: m.current_flags.union(flags),
-                    ..m
-                };
-                next.push((marked, drawn));
-            }
-            if drawn < count {
-                next.push((m, count - drawn));
-            }
-        }
-        canonicalize(&mut next);
-        if next != **chunk {
-            *chunk = Arc::new(next);
-        }
+        });
     }
 
     fn advance_epoch(&mut self, next_checkpoint_root: Option<Root>) {
@@ -896,6 +1085,70 @@ mod tests {
         assert_eq!(cohort.current_target_balance(), Gwei::from_eth_u64(5 * 32));
     }
 
+    fn flag_set(indices: &[u8]) -> ParticipationFlags {
+        let mut flags = ParticipationFlags::EMPTY;
+        for &index in indices {
+            flags.set(index);
+        }
+        flags
+    }
+
+    #[test]
+    fn counted_marking_over_non_nested_flags_falls_back_to_canonicalize() {
+        // Two cohorts equal up to `current_flags` — {target} < {source,
+        // head} — marked with {head}: the unions swap order ({target,
+        // head} > {source, head}), so the sort-free push order breaks and
+        // the chunk must be re-canonicalized. The clone-based reference
+        // backend, which sorts unconditionally, is the oracle.
+        let classes = [full(12)];
+        let mut cohort = CohortState::from_classes(ChainConfig::minimal(), &classes);
+        let mut reference =
+            crate::ReferenceCohortState::from_classes(ChainConfig::minimal(), &classes);
+        let target = flag_set(&[TIMELY_TARGET_FLAG_INDEX]);
+        let source_head = flag_set(&[TIMELY_SOURCE_FLAG_INDEX, TIMELY_HEAD_FLAG_INDEX]);
+        let head = flag_set(&[TIMELY_HEAD_FLAG_INDEX]);
+        // {∅: 12} → {∅: 6, target: 6} → {target: 6, source+head: 6} → split
+        // both by 3 under {head}.
+        let script: [(ParticipationFlags, &[u64]); 3] =
+            [(target, &[6]), (source_head, &[6, 0]), (head, &[3, 3])];
+        for (flags, draws) in script {
+            let mut a = draws.iter().copied();
+            let mut b = draws.iter().copied();
+            cohort.mark_class_counted(0, flags, &mut |_| a.next().unwrap());
+            reference.mark_class_counted(0, flags, &mut |_| b.next().unwrap());
+        }
+        let runs = &cohort.snapshot().classes[0];
+        let current: Vec<_> = runs.iter().map(|(m, c)| (m.current_flags, *c)).collect();
+        assert_eq!(
+            current,
+            vec![(target, 3), (source_head, 6), (target.union(head), 3)]
+        );
+        assert_eq!(cohort.snapshot(), reference.snapshot());
+    }
+
+    #[test]
+    fn counted_marking_that_draws_nobody_keeps_the_chunk_shared() {
+        let mut parent = CohortState::from_classes(ChainConfig::minimal(), &[full(10), full(6)]);
+        parent.mark_class_counted(0, ParticipationFlags::all(), &mut |_| 4);
+        let mut fork = parent.clone();
+        let mut calls = 0;
+        fork.mark_class_counted(0, ParticipationFlags::all(), &mut |_| {
+            calls += 1;
+            0
+        });
+        // The unmarked cohort was offered a draw, yet nothing was
+        // written: both chunks are still the parent's allocations.
+        assert_eq!(calls, 2);
+        assert_eq!(parent.shared_chunks(&fork), 2);
+        // Drawing members that already carry the flags writes nothing
+        // either.
+        fork.mark_class_counted(0, ParticipationFlags::all(), &mut |count| count);
+        assert_eq!(parent.shared_chunks(&fork), 1);
+        let marked = fork.clone();
+        fork.mark_class_counted(0, ParticipationFlags::all(), &mut |count| count);
+        assert_eq!(marked.shared_chunks(&fork), 2);
+    }
+
     #[test]
     fn class_floor_reads_smallest_member() {
         let classes = [full(4), full(2)];
@@ -987,5 +1240,63 @@ mod tests {
         let mut c = b.clone();
         c.advance_epoch(None);
         assert_ne!(a, c);
+    }
+
+    // ── canonical form ──────────────────────────────────────────────────
+
+    /// The definition `canonicalize` must match: comparison-sort the
+    /// runs, then merge equal neighbours.
+    fn sort_then_merge(mut runs: Vec<Run>) -> Vec<Run> {
+        runs.sort_unstable();
+        let mut merged: Vec<Run> = Vec::new();
+        for (m, count) in runs {
+            match merged.last_mut() {
+                Some(last) if last.0 == m => last.1 += count,
+                _ => merged.push((m, count)),
+            }
+        }
+        merged
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Random runs with heavy balance ties, below and above the
+        /// key-sort length threshold, at three balance spacings: 1 Gwei
+        /// (one radix pass), ~1 ETH (every pass) and ~2³⁹ Gwei (a range
+        /// whose top bits the key layout would drop — the comparison
+        /// branch).
+        #[test]
+        fn canonicalize_is_sort_then_merge_adjacent(
+            raw in proptest::collection::vec((0u64..40, 0u64..5, 0u8..8, 1u64..4), 0..700),
+            spacing in 0usize..3,
+            presorted in 0u8..4,
+        ) {
+            let spacing = [1u64, 1_000_000_007, (1 << 39) + 12_345][spacing];
+            let base = CohortState::from_classes(ChainConfig::minimal(), &[full(1)])
+                .class_floor(0)
+                .unwrap();
+            let mut runs: Vec<Run> = raw
+                .iter()
+                .map(|&(step, score, flags, count)| {
+                    let member = MemberState {
+                        balance: Gwei::new(16_000_000_000 + step * spacing),
+                        inactivity_score: score,
+                        previous_flags: flag_set(
+                            &FLAG_INDICES.into_iter().filter(|i| flags >> i & 1 == 1).collect::<Vec<_>>(),
+                        ),
+                        ..base
+                    };
+                    (member, count)
+                })
+                .collect();
+            if presorted == 0 {
+                // The early exit: sorted input, neighbours still unmerged.
+                runs.sort_unstable();
+            }
+            let expected = sort_then_merge(runs.clone());
+            canonicalize(&mut runs, &mut SortKeys::default());
+            proptest::prop_assert_eq!(runs, expected);
+        }
     }
 }

@@ -328,46 +328,71 @@ fn mid_run_ejection_is_bit_identical() {
 /// keep them **byte-identical** even as churn fragments the cohort
 /// structure over a leak. (The dense backend is only equal in law here:
 /// it consumes one singleton draw per member, a different stream.)
-#[test]
-fn counted_churn_keeps_cohort_and_reference_byte_identical() {
+///
+/// Returns the largest per-class cohort count the run reached.
+fn assert_counted_churn_matches_reference(classes: &[ClassSpec], epochs: u64, seed: u64) -> u64 {
     use ethpos_stats::{seeded_rng, Binomial};
     let config = ChainConfig::paper();
-    let classes = [
-        ClassSpec::full_stake(4, &config),
-        ClassSpec::full_stake(40, &config),
-        ClassSpec {
-            count: 9,
-            balance: Gwei::from_eth_f64(17.0),
-        },
-    ];
-    for seed in 0..8u64 {
-        let mut cohort = CohortState::from_classes(config.clone(), &classes);
-        let mut reference = ReferenceCohortState::from_classes(config.clone(), &classes);
-        let mut rng_a = seeded_rng(seed);
-        let mut rng_b = seeded_rng(seed);
-        for epoch in 0..48u64 {
-            // Class 0 pins; classes 1–2 churn at p = 0.45 — under-⅔
-            // participation, so the chain leaks and balances (hence
-            // cohort structures) fragment path-dependently.
-            cohort.mark_class(0, ParticipationFlags::all());
-            reference.mark_class(0, ParticipationFlags::all());
-            for class in [1usize, 2] {
-                cohort.mark_class_counted(class, ParticipationFlags::all(), &mut |count| {
-                    Binomial::new(count, 0.45).sample(&mut rng_a)
-                });
-                reference.mark_class_counted(class, ParticipationFlags::all(), &mut |count| {
-                    Binomial::new(count, 0.45).sample(&mut rng_b)
-                });
-            }
-            cohort.advance_epoch(None);
-            reference.advance_epoch(None);
-            assert_eq!(
-                cohort.snapshot(),
-                reference.snapshot(),
-                "seed {seed} epoch {epoch}"
-            );
+    let mut cohort = CohortState::from_classes(config.clone(), classes);
+    let mut reference = ReferenceCohortState::from_classes(config, classes);
+    let mut rng_a = seeded_rng(seed);
+    let mut rng_b = seeded_rng(seed);
+    let mut peak = 0;
+    for epoch in 0..epochs {
+        // Class 0 pins; the others churn at p = 0.45 — under-⅔
+        // participation, so the chain leaks and balances (hence cohort
+        // structures) fragment path-dependently.
+        cohort.mark_class(0, ParticipationFlags::all());
+        reference.mark_class(0, ParticipationFlags::all());
+        for class in 1..classes.len() {
+            cohort.mark_class_counted(class, ParticipationFlags::all(), &mut |count| {
+                Binomial::new(count, 0.45).sample(&mut rng_a)
+            });
+            reference.mark_class_counted(class, ParticipationFlags::all(), &mut |count| {
+                Binomial::new(count, 0.45).sample(&mut rng_b)
+            });
         }
-        assert!(cohort.num_cohorts() > 3, "churn should fragment cohorts");
+        cohort.advance_epoch(None);
+        reference.advance_epoch(None);
+        assert_eq!(
+            cohort.snapshot(),
+            reference.snapshot(),
+            "seed {seed} epoch {epoch}"
+        );
+        let frag = cohort.fragmentation().expect("cohort backend");
+        peak = peak.max(frag.max_cohorts_per_class);
+    }
+    peak
+}
+
+#[test]
+fn counted_churn_keeps_cohort_and_reference_byte_identical() {
+    let config = ChainConfig::paper();
+    let low = ClassSpec {
+        count: 9,
+        balance: Gwei::from_eth_f64(17.0),
+    };
+    for seed in 0..8u64 {
+        let classes = [
+            ClassSpec::full_stake(4, &config),
+            ClassSpec::full_stake(40, &config),
+            low,
+        ];
+        let peak = assert_counted_churn_matches_reference(&classes, 48, seed);
+        assert!(peak > 3, "churn should fragment cohorts");
+    }
+    // Past 256 cohorts in one class the exact backend re-sorts through
+    // radix keys applied in place, where the reference still comparison-
+    // sorts whole runs: 72 epochs at a size that crosses that threshold
+    // early and stays across it.
+    for seed in [3, 4] {
+        let classes = [
+            ClassSpec::full_stake(300, &config),
+            ClassSpec::full_stake(1500, &config),
+            low,
+        ];
+        let peak = assert_counted_churn_matches_reference(&classes, 72, seed);
+        assert!(peak > 512, "peak {peak}: the key sort was not reached");
     }
 }
 

@@ -70,10 +70,7 @@ impl Binomial {
     ///
     /// Panics unless `p ∈ [0, 1]`.
     pub fn new(n: u64, p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "binomial needs p in [0, 1], got {p}"
-        );
+        assert_probability(p);
         Binomial { n, p }
     }
 
@@ -92,36 +89,121 @@ impl Binomial {
     /// Degenerate parameters (`n = 0`, `p ∈ {0, 1}`) return without
     /// consuming randomness.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        if self.n == 0 || self.p <= 0.0 {
-            return 0;
-        }
-        if self.p >= 1.0 {
-            return self.n;
-        }
-        // Work in the p ≤ 1/2 half-plane (counts mirror under p ↔ q).
-        let flipped = self.p > 0.5;
-        let p = if flipped { 1.0 - self.p } else { self.p };
-        let k = if self.n as f64 * p < BINV_THRESHOLD {
-            binv(self.n, p, rng)
-        } else {
-            btpe(self.n, p, rng)
-        };
-        if flipped {
-            self.n - k
-        } else {
-            k
-        }
+        sample_count(self.n, self.p, binv_f0, rng)
     }
 }
 
-/// CDF inversion for small `n·p` (requires `0 < p ≤ 1/2`).
-fn binv<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
+fn assert_probability(p: f64) {
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "binomial needs p in [0, 1], got {p}"
+    );
+}
+
+/// The one sampling kernel behind [`Binomial`] and [`PreparedBinomial`]:
+/// degenerate cases, the `p ↔ q` mirror and the BINV/BTPE split.
+/// `f0(n, p)` supplies BINV's `f(0)` for the mirrored `p ≤ 1/2`.
+fn sample_count<R: Rng + ?Sized>(
+    n: u64,
+    p: f64,
+    f0: impl FnOnce(u64, f64) -> f64,
+    rng: &mut R,
+) -> u64 {
+    if n == 0 || p <= 0.0 {
+        return 0;
+    }
+    if p >= 1.0 {
+        return n;
+    }
+    // Work in the p ≤ 1/2 half-plane (counts mirror under p ↔ q).
+    let flipped = p > 0.5;
+    let p = if flipped { 1.0 - p } else { p };
+    let k = if n as f64 * p < BINV_THRESHOLD {
+        binv(n, p, f0(n, p), rng)
+    } else {
+        btpe(n, p, rng)
+    };
+    if flipped {
+        n - k
+    } else {
+        k
+    }
+}
+
+/// BINV's `f(0) = q^n` via `exp(n·ln1p(−p))` — exact to an ulp even when
+/// a direct powi would round through many multiplications.
+fn binv_f0(n: u64, p: f64) -> f64 {
+    (n as f64 * (-p).ln_1p()).exp()
+}
+
+/// Largest `n` (exclusive) a [`PreparedBinomial`] memoizes `f(0)` for.
+const F0_TABLE_MAX: usize = 256;
+
+/// A binomial law `Binomial(·, p)` prepared for many draws at one `p`
+/// and varying `n` — the shape of count-level churn, where every cohort
+/// of a class draws at the branch's marginal probability.
+///
+/// Draw-for-draw identical to `Binomial::new(n, p).sample(rng)`: the
+/// same kernel, the same uniforms consumed. Preparation memoizes BINV's
+/// `f(0)` (an `ln1p` and an `exp` per draw) for every small `n` the
+/// inversion regime can see, evaluated by the same expression and
+/// therefore to the same bits.
+///
+/// # Example
+///
+/// ```
+/// use ethpos_stats::{seeded_rng, Binomial, PreparedBinomial};
+///
+/// let law = PreparedBinomial::new(0.5);
+/// let (mut a, mut b) = (seeded_rng(7), seeded_rng(7));
+/// for n in [1, 3, 19, 4000] {
+///     assert_eq!(law.sample(n, &mut a), Binomial::new(n, 0.5).sample(&mut b));
+/// }
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct PreparedBinomial {
+    p: f64,
+    /// `f0[n]` for the mirrored `p`, for every `n` below both the BINV
+    /// regime's end and [`F0_TABLE_MAX`].
+    f0: Vec<f64>,
+}
+
+impl PreparedBinomial {
+    /// Prepares the law for success probability `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `p ∈ [0, 1]`.
+    pub fn new(p: f64) -> Self {
+        assert_probability(p);
+        let mirrored = if p > 0.5 { 1.0 - p } else { p };
+        let len = if mirrored > 0.0 {
+            ((BINV_THRESHOLD / mirrored).ceil() as usize).min(F0_TABLE_MAX)
+        } else {
+            0
+        };
+        PreparedBinomial {
+            p,
+            f0: (0..len as u64).map(|n| binv_f0(n, mirrored)).collect(),
+        }
+    }
+
+    /// Draws one exact count of `Binomial(n, p)`.
+    pub fn sample<R: Rng + ?Sized>(&self, n: u64, rng: &mut R) -> u64 {
+        let f0 = |n: u64, p: f64| match self.f0.get(n as usize) {
+            Some(&f0) => f0,
+            None => binv_f0(n, p),
+        };
+        sample_count(n, self.p, f0, rng)
+    }
+}
+
+/// CDF inversion for small `n·p` (requires `0 < p ≤ 1/2`); `f0` is
+/// [`binv_f0`]`(n, p)`.
+fn binv<R: Rng + ?Sized>(n: u64, p: f64, f0: f64, rng: &mut R) -> u64 {
     let q = 1.0 - p;
     let s = p / q;
     let a = (n + 1) as f64 * s;
-    // f(0) = q^n via exp(n·ln1p(−p)) — exact to an ulp even when a
-    // direct powi would round through many multiplications.
-    let f0 = (n as f64 * (-p).ln_1p()).exp();
     loop {
         let mut r = f0;
         let mut u: f64 = rng.random();
@@ -371,6 +453,44 @@ mod tests {
         assert_eq!(Binomial::new(17, 1.0).sample(&mut rng), 17);
         // The stream was not consumed.
         assert_eq!(rng.random::<u64>(), before);
+    }
+
+    /// The prepared law is the same sampler, not a sibling: on one RNG
+    /// stream it returns the same counts *and* leaves the stream in the
+    /// same place as `Binomial::new(n, p).sample` — across BINV (memoized
+    /// and beyond the table), BTPE, the mirrored half-plane and the
+    /// degenerate laws that consume nothing.
+    #[test]
+    fn prepared_law_matches_binomial_draw_for_draw() {
+        let sizes = (0..=200u64).chain([1_000, 1_000_000]);
+        // 0.01 keeps BINV going past the memo table (n·p < 10 up to 999).
+        let ps = [0.0, 0.01, 0.2, 0.5, 0.8, 1.0];
+        for (pi, &p) in ps.iter().enumerate() {
+            let law = PreparedBinomial::new(p);
+            let mut prepared = seeded_rng(100 + pi as u64);
+            let mut plain = seeded_rng(100 + pi as u64);
+            for n in sizes.clone() {
+                for _ in 0..3 {
+                    assert_eq!(
+                        law.sample(n, &mut prepared),
+                        Binomial::new(n, p).sample(&mut plain),
+                        "n={n} p={p}"
+                    );
+                }
+                assert_eq!(
+                    prepared.random::<u64>(),
+                    plain.random::<u64>(),
+                    "streams diverged after n={n} p={p}"
+                );
+            }
+        }
+        // Degenerate laws leave the stream untouched.
+        let mut rng = seeded_rng(1);
+        let mut probe = seeded_rng(1);
+        assert_eq!(PreparedBinomial::new(0.0).sample(17, &mut rng), 0);
+        assert_eq!(PreparedBinomial::new(1.0).sample(17, &mut rng), 17);
+        assert_eq!(PreparedBinomial::new(0.3).sample(0, &mut rng), 0);
+        assert_eq!(rng.random::<u64>(), probe.random::<u64>());
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub mod rootfind;
 pub mod seedseq;
 pub mod summary;
 
-pub use binomial::{conditional_probabilities, Binomial, Multinomial};
+pub use binomial::{conditional_probabilities, Binomial, Multinomial, PreparedBinomial};
 pub use distributions::{LogNormal, Normal};
 pub use erf::{erf, erfc, normal_cdf, normal_pdf};
 pub use quadrature::integrate_simpson;
