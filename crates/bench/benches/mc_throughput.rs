@@ -3,7 +3,7 @@
 //! The deterministic parallel harness (`ethpos_sim::ChunkPool` +
 //! per-chunk `SeedSequence` child RNGs) promises bit-identical results
 //! for any thread count; this bench measures what the extra threads buy.
-//! It first *verifies* the bit-identity on the benched configuration,
+//! It first *verifies* the bit-identity on both benched configurations,
 //! then times `run_bouncing_walks` and `run_two_branch_walks` at one
 //! worker and at one-per-hardware-thread.
 
@@ -48,6 +48,16 @@ fn bench(c: &mut Criterion) {
         threads,
         ..TwoBranchWalkConfig::default()
     };
+    let (one, wide) = (
+        run_two_branch_walks(&two_branch(1)),
+        run_two_branch_walks(&two_branch(n)),
+    );
+    assert_eq!(
+        (one.single_branch_breach, one.either_branch_breach),
+        (wide.single_branch_breach, wide.either_branch_breach),
+        "thread count changed the two-branch Monte Carlo"
+    );
+
     let mut g = c.benchmark_group("mc_throughput/two_branch_8192w_1500e");
     g.sample_size(10);
     g.bench_function("threads_1", |b| {

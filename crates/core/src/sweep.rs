@@ -16,15 +16,17 @@
 //!   and §5.2.2 (Eq. 10) for the same `(p0, β₀)`;
 //! * the Eq. 14 bouncing-viability check.
 //!
-//! Grid points fan onto the deterministic chunked thread pool
-//! ([`ethpos_sim::ChunkPool`]) and every point draws its Monte-Carlo
-//! seed from an order-insensitive [`SeedSequence`] child, so the whole
-//! sweep is **bit-identical for any `threads` value** (see
-//! `ARCHITECTURE.md`, "The determinism model").
+//! Every point draws its Monte-Carlo seed from an order-insensitive
+//! [`SeedSequence`] child, and the walker chunks of *all* points form one
+//! flat `(grid point, chunk)` task list on the deterministic chunked
+//! thread pool ([`ethpos_sim::ChunkPool`]) — a grid narrower than the
+//! pool still keeps every worker busy — so the whole sweep is
+//! **bit-identical for any `threads` value** (see `ARCHITECTURE.md`,
+//! "The determinism model").
 
 use serde::Serialize;
 
-use ethpos_sim::{run_two_branch_walks, ChunkPool, TwoBranchWalkConfig};
+use ethpos_sim::{ChunkPool, TwoBranchWalkConfig, TwoBranchWalkPlan, TwoBranchWalkResult};
 use ethpos_state::BackendKind;
 use ethpos_stats::SeedSequence;
 
@@ -233,11 +235,11 @@ impl SweepSpec {
 
     /// Runs the full grid and aggregates the rows.
     ///
-    /// Grid points are fanned onto the pool; each point's Monte Carlo
-    /// additionally shards its own walkers when there are more workers
-    /// than remaining points. Point `g`'s seed is child `g` of the root
-    /// [`SeedSequence`], so results depend only on `(seed, grid)` —
-    /// never on the thread count.
+    /// Point `g`'s Monte Carlo is seeded with child `g` of the root
+    /// [`SeedSequence`] and contributes its walker chunks to one flat
+    /// task list shared by all points, so results depend only on
+    /// `(seed, grid)` — never on the thread count — and the pool stays
+    /// packed whatever the grid's shape.
     ///
     /// # Panics
     ///
@@ -269,19 +271,42 @@ impl SweepSpec {
             .zip(&discrete_epochs)
             .map(|(&(beta0, p0, n), &t)| ((beta0.to_bits(), p0.to_bits(), n), t))
             .collect();
-        // Split the worker budget: across grid points first, and let each
-        // point's Monte Carlo use the leftover parallelism when the grid
-        // is narrower than the pool.
-        let inner_threads = (pool.threads() / points.len().min(pool.threads())).max(1);
-        let rows = pool.map(points.len(), |g| {
-            run_point(
-                &points[g],
-                self,
-                seq.child_seed(g as u64),
-                inner_threads,
-                &discrete,
-            )
+        // One flat (grid point, walker chunk) task list, point-major, so
+        // each point's chunk counts come back as one contiguous run.
+        let plans: Vec<TwoBranchWalkPlan> = points
+            .iter()
+            .zip(0u64..)
+            .map(|(point, g)| {
+                TwoBranchWalkPlan::new(&TwoBranchWalkConfig {
+                    p0: point.p0,
+                    beta0: point.beta0,
+                    walkers: point.walkers,
+                    epochs: self.epochs,
+                    seed: seq.child_seed(g),
+                    paper_semantics: point.semantics == PenaltySemantics::Paper,
+                    threads: self.threads,
+                })
+            })
+            .collect();
+        let tasks: Vec<(usize, usize)> = plans
+            .iter()
+            .enumerate()
+            .flat_map(|(g, plan)| (0..plan.chunks()).map(move |c| (g, c)))
+            .collect();
+        let counts = pool.map(tasks.len(), |t| {
+            let (g, c) = tasks[t];
+            plans[g].run_chunk(c)
         });
+        let mut rest = counts.as_slice();
+        let rows = points
+            .iter()
+            .zip(&plans)
+            .map(|(point, plan)| {
+                let (mine, others) = rest.split_at(plan.chunks());
+                rest = others;
+                run_point(point, self.epochs, plan.finish(mine), &discrete)
+            })
+            .collect();
         SweepResult {
             epochs: self.epochs,
             seed: self.seed,
@@ -312,27 +337,17 @@ fn parse_unit_interval(axis: &str, values: &[&str]) -> Result<Vec<f64>, String> 
         .collect()
 }
 
+/// Assembles the row of `point` from its finished Monte Carlo `mc`.
 fn run_point(
     point: &SweepPoint,
-    spec: &SweepSpec,
-    seed: u64,
-    threads: usize,
+    epochs: u64,
+    mc: TwoBranchWalkResult,
     discrete: &std::collections::HashMap<(u64, u64, usize), Option<u64>>,
 ) -> SweepRow {
-    let paper_semantics = point.semantics == PenaltySemantics::Paper;
-    let mc = run_two_branch_walks(&TwoBranchWalkConfig {
-        p0: point.p0,
-        beta0: point.beta0,
-        walkers: point.walkers,
-        epochs: spec.epochs,
-        seed,
-        paper_semantics,
-        threads,
-    });
     // The closed forms all assume the paper's Eq. 2 penalty; under spec
     // semantics only the Monte Carlo is meaningful.
-    let analytic_prob = paper_semantics.then(|| {
-        bouncing::BouncingLaw::new(point.p0).prob_exceed_third(point.beta0, spec.epochs as f64)
+    let analytic_prob = (point.semantics == PenaltySemantics::Paper).then(|| {
+        bouncing::BouncingLaw::new(point.p0).prob_exceed_third(point.beta0, epochs as f64)
     });
     // Discrete §5.2.1 protocol result, precomputed once per unique
     // (β0, p0, n) by `SweepSpec::run`.
@@ -515,6 +530,54 @@ mod tests {
         let one = run(1);
         for threads in [2, 3, 8] {
             assert_eq!(run(threads), one, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn flat_schedule_equals_per_point_runs() {
+        // Heterogeneous grid: points of one (partial) and three chunks,
+        // both kernels. Each row must be exactly what a stand-alone
+        // `run_two_branch_walks` of that point (seeded with the point's
+        // `SeedSequence` child) reports, whatever the pool width.
+        let spec = SweepSpec {
+            walkers: vec![100, 3000],
+            semantics: vec![PenaltySemantics::Paper, PenaltySemantics::Spec],
+            beta0: vec![1.0 / 3.0],
+            threads: 3,
+            ..tiny()
+        };
+        let result = spec.run();
+        assert_eq!(result.rows.len(), 4);
+        let seq = SeedSequence::new(spec.seed);
+        for (row, g) in result.rows.iter().zip(0u64..) {
+            let alone = ethpos_sim::run_two_branch_walks(&TwoBranchWalkConfig {
+                p0: row.p0,
+                beta0: row.beta0,
+                walkers: row.walkers,
+                epochs: spec.epochs,
+                seed: seq.child_seed(g),
+                paper_semantics: row.semantics == PenaltySemantics::Paper,
+                threads: 1,
+            });
+            assert_eq!(row.mc_single_branch, alone.single_branch_breach, "row {g}");
+            assert_eq!(row.mc_either_branch, alone.either_branch_breach, "row {g}");
+            assert_eq!(row.byzantine_stake, alone.byzantine_stake[0], "row {g}");
+        }
+        assert_eq!(
+            (result.rows[0].walkers, result.rows[1].walkers),
+            (100, 3000)
+        );
+        // β₀ = ⅓ splits the walkers, so a misrouted chunk would show.
+        assert!(result.rows.iter().all(|r| r.mc_single_branch > 0.0));
+        let json = result.to_json();
+        for threads in [1, 2, 8] {
+            let again = SweepSpec {
+                threads,
+                ..spec.clone()
+            }
+            .run()
+            .to_json();
+            assert_eq!(again, json, "threads {threads}");
         }
     }
 

@@ -64,5 +64,5 @@ pub use timeline_sample::{
 pub use view::View;
 pub use walk_mc::{
     run_bouncing_walks, run_two_branch_walks, BouncingWalkConfig, BouncingWalkResult,
-    TwoBranchWalkConfig, TwoBranchWalkResult,
+    TwoBranchChunkCounts, TwoBranchWalkConfig, TwoBranchWalkPlan, TwoBranchWalkResult,
 };

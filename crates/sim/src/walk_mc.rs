@@ -21,6 +21,28 @@
 //! satisfies `s_H < 2β₀/(1−β₀) · s_B(t)`, which is exactly
 //! `F(2β₀/(1−β₀)·s_B(t), t)` as the walker count grows.
 //!
+//! # The epoch kernel
+//!
+//! Both Monte Carlos advance a chunk of walkers with one
+//! structure-of-arrays kernel, `BranchView::step`. Per epoch the
+//! chunk's child RNG fills a draw buffer in walker order — one
+//! `next_u64` per walker, mapped to `[0, 1)` by the very expression
+//! `Rng::random_bool` compares against `p` — and one pass over
+//! `scores[]` / `stakes[]` applies the scalar `step_walker` rule with
+//! selects instead of branches. The coin flip is a 50 % mispredict when
+//! branched on; as a select the pass vectorizes, provided the penalty
+//! semantics and the side of `p` that counts as "active" are
+//! compile-time constants (hence the const generics).
+//!
+//! There is no `ejected` flag: an ejected walker *is* `stake == 0.0`.
+//! Live stakes never fall below 16.75, and a zero stake is a fixed point
+//! of the update for any score (`0 − score·0/2²⁶ = +0.0`, which is again
+//! below the threshold), so skipping ejected walkers — what the scalar
+//! rule does — and stepping them are the same thing. Draw order, the
+//! per-walker arithmetic and the merge order are those of the scalar
+//! loop, so every count, sum and final stake is **bit-identical** to it
+//! (the scalar loop survives in this module's tests as the oracle).
+//!
 //! # Parallel determinism
 //!
 //! Walkers are sharded into fixed chunks of [`WALKER_CHUNK`]; chunk `c`
@@ -30,6 +52,7 @@
 //! result is **bit-identical** for `threads = 1` and `threads = N` (the
 //! workspace-wide determinism model — see `ARCHITECTURE.md`).
 
+use rand::rngs::StdRng;
 use rand::Rng;
 use serde::Serialize;
 
@@ -129,7 +152,8 @@ const LEAK_DENOM: f64 = 67_108_864.0; // 2^26
 const EJECT_BELOW: f64 = 16.75; // 16 ETH effective + 0.75 ETH hysteresis
 const STAKE0: f64 = 32.0;
 
-/// Advances one (score, stake, ejected) walker by one epoch.
+/// Advances one (score, stake, ejected) walker by one epoch — the scalar
+/// rule the Byzantine trajectories use and [`BranchView::step`] batches.
 ///
 /// Spec order: the score updates first (+4 inactive / −1 active, floored),
 /// then the inactivity penalty `I·s/2²⁶` applies with the updated score —
@@ -160,32 +184,81 @@ fn step_walker(
     }
 }
 
-/// The deterministic semi-active Byzantine walker: stake at every
-/// recorded epoch (sampled *before* that epoch's update, like the honest
-/// statistics) plus the ejection epoch, if reached.
-fn byzantine_trajectory(config: &BouncingWalkConfig) -> (Vec<f64>, Option<u64>) {
-    let mut score = 0.0f64;
-    let mut stake = STAKE0;
-    let mut ejected = false;
-    let mut ejected_at = None;
-    let mut recorded = Vec::new();
-    for epoch in 0..config.epochs {
-        if epoch % config.record_every == 0 {
-            recorded.push(stake);
+/// One branch's view of a chunk of honest walkers, structure-of-arrays.
+/// `stakes[i] == 0.0` ⇔ walker `i` is ejected on this branch.
+struct BranchView {
+    scores: Vec<f64>,
+    stakes: Vec<f64>,
+}
+
+impl BranchView {
+    fn new(len: usize) -> Self {
+        BranchView {
+            scores: vec![0.0; len],
+            stakes: vec![STAKE0; len],
         }
-        let was_ejected = ejected;
+    }
+
+    /// [`step_walker`] for every walker at once, branch-free: walker `i`
+    /// is active iff `(draws[i] < p) == ACTIVE_BELOW`. `PAPER` and
+    /// `ACTIVE_BELOW` are const so that each instantiation is a
+    /// straight-line select chain the compiler vectorizes.
+    fn step<const PAPER: bool, const ACTIVE_BELOW: bool>(&mut self, draws: &[f64], p: f64) {
+        let walkers = self.scores.iter_mut().zip(self.stakes.iter_mut());
+        for ((score, stake), &draw) in walkers.zip(draws) {
+            let active = (draw < p) == ACTIVE_BELOW;
+            let next = if active {
+                (*score - 1.0).max(0.0)
+            } else {
+                *score + 4.0
+            };
+            *score = next;
+            // Spec semantics waive the penalty in attended epochs: charge
+            // score 0 there (`stake − 0·stake/2²⁶` is `stake`, bit for bit).
+            let charged = if PAPER || !active { next } else { 0.0 };
+            let left = *stake - charged * *stake / LEAK_DENOM;
+            *stake = if left < EJECT_BELOW { 0.0 } else { left };
+        }
+    }
+}
+
+/// Fills `draws` with the chunk's uniforms for one epoch, in walker
+/// order: `random::<f64>()` is the `(next_u64 >> 11) · 2⁻⁵³` that
+/// `random_bool(p)` compares against `p`.
+fn fill_draws(rng: &mut StdRng, draws: &mut [f64]) {
+    for draw in draws {
+        *draw = rng.random();
+    }
+}
+
+/// The deterministic semi-active Byzantine walker, seen from the branch
+/// it is active on at even (`active_on_even`) or at odd epochs. Calls
+/// `before(epoch, stake)` ahead of each epoch's update (where the honest
+/// statistics are sampled too); returns the stake at the horizon and the
+/// ejection epoch, if reached.
+fn byzantine_walk(
+    epochs: u64,
+    active_on_even: bool,
+    paper_semantics: bool,
+    mut before: impl FnMut(u64, f64),
+) -> (f64, Option<u64>) {
+    let (mut score, mut stake, mut ejected) = (0.0f64, STAKE0, false);
+    let mut ejected_at = None;
+    for epoch in 0..epochs {
+        before(epoch, stake);
+        let active = (epoch % 2 == 0) == active_on_even;
         step_walker(
             &mut score,
             &mut stake,
             &mut ejected,
-            epoch % 2 == 0,
-            config.paper_semantics,
+            active,
+            paper_semantics,
         );
-        if ejected && !was_ejected {
+        if ejected && ejected_at.is_none() {
             ejected_at = Some(epoch);
         }
     }
-    (recorded, ejected_at)
+    (stake, ejected_at)
 }
 
 /// Per-chunk partial statistics, merged in chunk order by the caller.
@@ -194,7 +267,7 @@ struct ChunkStats {
     below: Vec<u64>,
     /// Per recorded epoch: sum of stakes (ejected contribute 0).
     stake_sum: Vec<f64>,
-    /// Per recorded epoch: ejected walkers.
+    /// Per recorded epoch: ejected (zero-stake) walkers.
     ejected: Vec<u64>,
     /// Stakes at the horizon, in walker order.
     final_stakes: Vec<f64>,
@@ -203,7 +276,7 @@ struct ChunkStats {
 /// Runs one chunk of walkers over the full horizon with its own child
 /// RNG. `thresholds[r]` is the Eq. 24 stake threshold at recorded epoch
 /// `r` (precomputed from the deterministic Byzantine trajectory).
-fn run_chunk(
+fn run_chunk<const PAPER: bool>(
     config: &BouncingWalkConfig,
     seq: &SeedSequence,
     chunk: usize,
@@ -211,9 +284,8 @@ fn run_chunk(
 ) -> ChunkStats {
     let len = chunk_len(chunk, config.walkers);
     let mut rng = seq.child_rng(chunk as u64);
-    let mut scores = vec![0.0f64; len];
-    let mut stakes = vec![STAKE0; len];
-    let mut ejected = vec![false; len];
+    let mut view = BranchView::new(len);
+    let mut draws = vec![0.0f64; len];
     let records = thresholds.len();
     let mut stats = ChunkStats {
         below: Vec::with_capacity(records),
@@ -224,27 +296,19 @@ fn run_chunk(
     for epoch in 0..config.epochs {
         if epoch % config.record_every == 0 {
             let threshold = thresholds[stats.below.len()];
+            let stakes = &view.stakes;
             stats
                 .below
                 .push(stakes.iter().filter(|&&s| s < threshold).count() as u64);
             stats.stake_sum.push(stakes.iter().sum::<f64>());
             stats
                 .ejected
-                .push(ejected.iter().filter(|&&e| e).count() as u64);
+                .push(stakes.iter().filter(|&&s| s == 0.0).count() as u64);
         }
-        let p_on_a = branch_a_probability(config.p0, epoch);
-        for i in 0..len {
-            let active = rng.random_bool(p_on_a);
-            step_walker(
-                &mut scores[i],
-                &mut stakes[i],
-                &mut ejected[i],
-                active,
-                config.paper_semantics,
-            );
-        }
+        fill_draws(&mut rng, &mut draws);
+        view.step::<PAPER, true>(&draws, branch_a_probability(config.p0, epoch));
     }
-    stats.final_stakes = stakes;
+    stats.final_stakes = view.stakes;
     stats
 }
 
@@ -276,21 +340,38 @@ fn run_chunk(
 ///
 /// # Panics
 ///
-/// Panics if `p0` or `beta0` are outside `(0, 1)` or `walkers == 0`.
+/// Panics if `p0` or `beta0` are outside `(0, 1)`, `walkers == 0` or
+/// `record_every == 0`.
 pub fn run_bouncing_walks(config: &BouncingWalkConfig) -> BouncingWalkResult {
     assert!(config.p0 > 0.0 && config.p0 < 1.0, "p0 in (0,1)");
     assert!(config.beta0 > 0.0 && config.beta0 < 1.0, "beta0 in (0,1)");
     assert!(config.walkers > 0, "need walkers");
+    assert!(config.record_every > 0, "record_every must be positive");
 
     let m = config.walkers;
-    let (byz_stakes, byz_ejected_at) = byzantine_trajectory(config);
+    let mut byz_stakes = Vec::new();
+    let (_, byz_ejected_at) = byzantine_walk(
+        config.epochs,
+        true,
+        config.paper_semantics,
+        |epoch, stake| {
+            if epoch % config.record_every == 0 {
+                byz_stakes.push(stake);
+            }
+        },
+    );
     let threshold_factor = 2.0 * config.beta0 / (1.0 - config.beta0);
     let thresholds: Vec<f64> = byz_stakes.iter().map(|s| threshold_factor * s).collect();
 
     let seq = SeedSequence::new(config.seed);
     let chunks = m.div_ceil(WALKER_CHUNK);
-    let pool = ChunkPool::new(config.threads);
-    let parts = pool.map(chunks, |c| run_chunk(config, &seq, c, &thresholds));
+    let run_chunk = if config.paper_semantics {
+        run_chunk::<true>
+    } else {
+        run_chunk::<false>
+    };
+    let parts =
+        ChunkPool::new(config.threads).map(chunks, |c| run_chunk(config, &seq, c, &thresholds));
 
     // Merge in chunk order: fixed grouping ⇒ identical floating-point
     // sums for every thread count.
@@ -361,6 +442,98 @@ pub struct TwoBranchWalkResult {
     pub byzantine_stake: [f64; 2],
 }
 
+/// Breach counts of one walker chunk of a [`TwoBranchWalkPlan`].
+#[derive(Debug, Clone, Copy)]
+pub struct TwoBranchChunkCounts {
+    single: u64,
+    either: u64,
+}
+
+/// A two-branch walk split into its schedulable parts: the deterministic
+/// Byzantine trajectories (walked once, here), [`chunks`](Self::chunks)
+/// independent walker chunks, and the reduction of their counts. A
+/// caller with several Monte Carlos to run — [`run_two_branch_walks`]
+/// has one, a parameter sweep has one per grid point — puts all their
+/// chunks on one [`ChunkPool`] task list; the result depends only on
+/// the configuration, never on how the chunks were scheduled.
+#[derive(Debug, Clone)]
+pub struct TwoBranchWalkPlan {
+    config: TwoBranchWalkConfig,
+    byzantine_stake: [f64; 2],
+}
+
+impl TwoBranchWalkPlan {
+    /// Validates `config` and walks the Byzantine trajectories
+    /// (`config.threads` is the caller's to honour).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p0` or `beta0` are outside `(0, 1)` or `walkers == 0`.
+    pub fn new(config: &TwoBranchWalkConfig) -> Self {
+        assert!(config.p0 > 0.0 && config.p0 < 1.0, "p0 in (0,1)");
+        assert!(config.beta0 > 0.0 && config.beta0 < 1.0, "beta0 in (0,1)");
+        assert!(config.walkers > 0, "need walkers");
+
+        // Byzantine semi-active walkers as seen by each branch: active on
+        // A at even epochs, hence active on B at odd epochs.
+        let (epochs, paper) = (config.epochs, config.paper_semantics);
+        let byzantine_stake =
+            [true, false].map(|on_even| byzantine_walk(epochs, on_even, paper, |_, _| {}).0);
+        TwoBranchWalkPlan {
+            config: config.clone(),
+            byzantine_stake,
+        }
+    }
+
+    /// Number of walker chunks (independent tasks) of this run.
+    pub fn chunks(&self) -> usize {
+        self.config.walkers.div_ceil(WALKER_CHUNK)
+    }
+
+    /// Runs walker chunk `chunk` (`< self.chunks()`) to the horizon.
+    pub fn run_chunk(&self, chunk: usize) -> TwoBranchChunkCounts {
+        if self.config.paper_semantics {
+            self.run_chunk_as::<true>(chunk)
+        } else {
+            self.run_chunk_as::<false>(chunk)
+        }
+    }
+
+    fn run_chunk_as<const PAPER: bool>(&self, chunk: usize) -> TwoBranchChunkCounts {
+        let len = chunk_len(chunk, self.config.walkers);
+        let mut rng = SeedSequence::new(self.config.seed).child_rng(chunk as u64);
+        let mut draws = vec![0.0f64; len];
+        // One draw places a walker on A or on B: being active on A means
+        // being inactive on B, so the two views share the draw buffer.
+        let (mut a, mut b) = (BranchView::new(len), BranchView::new(len));
+        for epoch in 0..self.config.epochs {
+            let p_on_a = branch_a_probability(self.config.p0, epoch);
+            fill_draws(&mut rng, &mut draws);
+            a.step::<PAPER, true>(&draws, p_on_a);
+            b.step::<PAPER, false>(&draws, p_on_a);
+        }
+        let factor = 2.0 * self.config.beta0 / (1.0 - self.config.beta0);
+        let [on_a, on_b] = self.byzantine_stake.map(|s| factor * s);
+        let single = a.stakes.iter().filter(|&&s| s < on_a).count() as u64;
+        let pairs = a.stakes.iter().zip(&b.stakes);
+        let either = pairs.filter(|&(&sa, &sb)| sa < on_a || sb < on_b).count() as u64;
+        TwoBranchChunkCounts { single, either }
+    }
+
+    /// Reduces the counts of all [`chunks`](Self::chunks) chunks.
+    pub fn finish(&self, parts: &[TwoBranchChunkCounts]) -> TwoBranchWalkResult {
+        debug_assert_eq!(parts.len(), self.chunks());
+        let m = self.config.walkers as f64;
+        let single: u64 = parts.iter().map(|p| p.single).sum();
+        let either: u64 = parts.iter().map(|p| p.either).sum();
+        TwoBranchWalkResult {
+            single_branch_breach: single as f64 / m,
+            either_branch_breach: either as f64 / m,
+            byzantine_stake: self.byzantine_stake,
+        }
+    }
+}
+
 /// The two-branch refinement of §5.3, empirically: every walker is
 /// tracked from **both** branches' viewpoints (being active on A means
 /// being inactive on B, so the per-branch scores are anti-correlated)
@@ -386,60 +559,277 @@ pub struct TwoBranchWalkResult {
 ///
 /// Panics if `p0` or `beta0` are outside `(0, 1)` or `walkers == 0`.
 pub fn run_two_branch_walks(config: &TwoBranchWalkConfig) -> TwoBranchWalkResult {
-    assert!(config.p0 > 0.0 && config.p0 < 1.0, "p0 in (0,1)");
-    assert!(config.beta0 > 0.0 && config.beta0 < 1.0, "beta0 in (0,1)");
-    assert!(config.walkers > 0, "need walkers");
-
-    // Byzantine semi-active walkers as seen by each branch: active on A
-    // at even epochs, hence active on B at odd epochs.
-    let mut byz = [(0.0f64, STAKE0, false); 2];
-    for epoch in 0..config.epochs {
-        for (b, (score, stake, ejected)) in byz.iter_mut().enumerate() {
-            let active = (epoch % 2 == 0) == (b == 0);
-            step_walker(score, stake, ejected, active, config.paper_semantics);
-        }
-    }
-    let byz_stake = [byz[0].1, byz[1].1];
-    let factor = 2.0 * config.beta0 / (1.0 - config.beta0);
-    let thresholds = [factor * byz_stake[0], factor * byz_stake[1]];
-
-    let m = config.walkers;
-    let seq = SeedSequence::new(config.seed);
-    let chunks = m.div_ceil(WALKER_CHUNK);
-    let parts = ChunkPool::new(config.threads).map(chunks, |c| {
-        let len = chunk_len(c, m);
-        let mut rng = seq.child_rng(c as u64);
-        let mut walkers = vec![[(0.0f64, STAKE0, false); 2]; len];
-        for epoch in 0..config.epochs {
-            let p_on_a = branch_a_probability(config.p0, epoch);
-            for w in walkers.iter_mut() {
-                let on_a = rng.random_bool(p_on_a);
-                for (b, (score, stake, ejected)) in w.iter_mut().enumerate() {
-                    let active = on_a == (b == 0);
-                    step_walker(score, stake, ejected, active, config.paper_semantics);
-                }
-            }
-        }
-        let single = walkers.iter().filter(|w| w[0].1 < thresholds[0]).count() as u64;
-        let either = walkers
-            .iter()
-            .filter(|w| w[0].1 < thresholds[0] || w[1].1 < thresholds[1])
-            .count() as u64;
-        (single, either)
-    });
-
-    let single: u64 = parts.iter().map(|&(s, _)| s).sum();
-    let either: u64 = parts.iter().map(|&(_, e)| e).sum();
-    TwoBranchWalkResult {
-        single_branch_breach: single as f64 / m as f64,
-        either_branch_breach: either as f64 / m as f64,
-        byzantine_stake: byz_stake,
-    }
+    let plan = TwoBranchWalkPlan::new(config);
+    let parts = ChunkPool::new(config.threads).map(plan.chunks(), |c| plan.run_chunk(c));
+    plan.finish(&parts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The pre-kernel bouncing Monte Carlo, kept as the oracle: one
+    /// `random_bool` and one [`step_walker`] call per walker per epoch,
+    /// an explicit `ejected` flag per walker, chunks merged in order.
+    fn oracle_bouncing_walks(config: &BouncingWalkConfig) -> BouncingWalkResult {
+        let m = config.walkers;
+        let mut byz_stakes = Vec::new();
+        let (_, byzantine_ejected_at) = byzantine_walk(
+            config.epochs,
+            true,
+            config.paper_semantics,
+            |epoch, stake| {
+                if epoch % config.record_every == 0 {
+                    byz_stakes.push(stake);
+                }
+            },
+        );
+        let factor = 2.0 * config.beta0 / (1.0 - config.beta0);
+        let records = byz_stakes.len();
+        let (mut below, mut ejected_count) = (vec![0u64; records], vec![0u64; records]);
+        let mut stake_sum = vec![Vec::new(); records];
+        let mut final_stakes = Vec::new();
+        let seq = SeedSequence::new(config.seed);
+        for chunk in 0..m.div_ceil(WALKER_CHUNK) {
+            let len = chunk_len(chunk, m);
+            let mut rng = seq.child_rng(chunk as u64);
+            let mut scores = vec![0.0f64; len];
+            let mut stakes = vec![STAKE0; len];
+            let mut ejected = vec![false; len];
+            for epoch in 0..config.epochs {
+                if epoch % config.record_every == 0 {
+                    let r = (epoch / config.record_every) as usize;
+                    let threshold = factor * byz_stakes[r];
+                    below[r] += stakes.iter().filter(|&&s| s < threshold).count() as u64;
+                    stake_sum[r].push(stakes.iter().sum::<f64>());
+                    ejected_count[r] += ejected.iter().filter(|&&e| e).count() as u64;
+                }
+                let p_on_a = branch_a_probability(config.p0, epoch);
+                for i in 0..len {
+                    let active = rng.random_bool(p_on_a);
+                    step_walker(
+                        &mut scores[i],
+                        &mut stakes[i],
+                        &mut ejected[i],
+                        active,
+                        config.paper_semantics,
+                    );
+                }
+            }
+            final_stakes.extend(stakes);
+        }
+        let series = (0..records)
+            .map(|r| WalkEpochStats {
+                epoch: r as u64 * config.record_every,
+                prob_exceed_third: below[r] as f64 / m as f64,
+                mean_honest_stake: stake_sum[r].iter().sum::<f64>() / m as f64,
+                byzantine_stake: byz_stakes[r],
+                ejected_fraction: ejected_count[r] as f64 / m as f64,
+            })
+            .collect();
+        BouncingWalkResult {
+            series,
+            byzantine_ejected_at,
+            final_stakes,
+        }
+    }
+
+    /// The pre-kernel two-branch Monte Carlo (array-of-structs walkers,
+    /// both views stepped per draw), kept as the oracle.
+    fn oracle_two_branch_walks(config: &TwoBranchWalkConfig) -> TwoBranchWalkResult {
+        let mut byz = [(0.0f64, STAKE0, false); 2];
+        for epoch in 0..config.epochs {
+            for (b, (score, stake, ejected)) in byz.iter_mut().enumerate() {
+                let active = (epoch % 2 == 0) == (b == 0);
+                step_walker(score, stake, ejected, active, config.paper_semantics);
+            }
+        }
+        let byzantine_stake = [byz[0].1, byz[1].1];
+        let factor = 2.0 * config.beta0 / (1.0 - config.beta0);
+        let thresholds = byzantine_stake.map(|s| factor * s);
+        let m = config.walkers;
+        let seq = SeedSequence::new(config.seed);
+        let (mut single, mut either) = (0u64, 0u64);
+        for chunk in 0..m.div_ceil(WALKER_CHUNK) {
+            let mut rng = seq.child_rng(chunk as u64);
+            let mut walkers = vec![[(0.0f64, STAKE0, false); 2]; chunk_len(chunk, m)];
+            for epoch in 0..config.epochs {
+                let p_on_a = branch_a_probability(config.p0, epoch);
+                for w in walkers.iter_mut() {
+                    let on_a = rng.random_bool(p_on_a);
+                    for (b, (score, stake, ejected)) in w.iter_mut().enumerate() {
+                        step_walker(
+                            score,
+                            stake,
+                            ejected,
+                            on_a == (b == 0),
+                            config.paper_semantics,
+                        );
+                    }
+                }
+            }
+            for w in &walkers {
+                let on = [w[0].1 < thresholds[0], w[1].1 < thresholds[1]];
+                single += u64::from(on[0]);
+                either += u64::from(on[0] || on[1]);
+            }
+        }
+        TwoBranchWalkResult {
+            single_branch_breach: single as f64 / m as f64,
+            either_branch_breach: either as f64 / m as f64,
+            byzantine_stake,
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Field-for-field, bit-for-bit equality of two bouncing results.
+    fn assert_same_walks(kernel: &BouncingWalkResult, oracle: &BouncingWalkResult) {
+        assert_eq!(kernel.byzantine_ejected_at, oracle.byzantine_ejected_at);
+        assert_eq!(bits(&kernel.final_stakes), bits(&oracle.final_stakes));
+        assert_eq!(kernel.series.len(), oracle.series.len());
+        for (k, o) in kernel.series.iter().zip(&oracle.series) {
+            assert_eq!(k.epoch, o.epoch);
+            let fields = |s: &WalkEpochStats| {
+                bits(&[
+                    s.prob_exceed_third,
+                    s.mean_honest_stake,
+                    s.byzantine_stake,
+                    s.ejected_fraction,
+                ])
+            };
+            assert_eq!(fields(k), fields(o), "epoch {}", k.epoch);
+        }
+    }
+
+    fn assert_same_breaches(kernel: &TwoBranchWalkResult, oracle: &TwoBranchWalkResult) {
+        let fields = |r: &TwoBranchWalkResult| {
+            bits(&[
+                r.single_branch_breach,
+                r.either_branch_breach,
+                r.byzantine_stake[0],
+                r.byzantine_stake[1],
+            ])
+        };
+        assert_eq!(fields(kernel), fields(oracle));
+    }
+
+    const P0S: [f64; 3] = [0.2, 0.5, 0.8];
+    /// At β₀ = ⅓ the Eq. 24 threshold *is* the Byzantine stake, so the
+    /// breach counts split the walkers even after a handful of epochs;
+    /// away from it a short run only ever sees all-or-nothing counts.
+    const BETA0S: [f64; 3] = [0.3, 1.0 / 3.0, 0.36];
+    /// One walker, a sub-vector chunk, one short of / one past a full
+    /// chunk (odd vector tails), and three chunks with a partial last.
+    const WALKERS: [usize; 5] = [1, 3, 1023, 1025, 3000];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn bouncing_kernel_equals_scalar_oracle(
+            p0 in 0usize..3,
+            walkers in 0usize..5,
+            paper_semantics in any::<bool>(),
+            beta0 in 0usize..3,
+            epochs in 1u64..160,
+            record_every in 1u64..40,
+            seed in any::<u64>(),
+            threads in 1usize..4,
+        ) {
+            let config = BouncingWalkConfig {
+                p0: P0S[p0],
+                beta0: BETA0S[beta0],
+                walkers: WALKERS[walkers],
+                epochs,
+                seed,
+                record_every,
+                paper_semantics,
+                threads,
+            };
+            assert_same_walks(&run_bouncing_walks(&config), &oracle_bouncing_walks(&config));
+        }
+
+        #[test]
+        fn two_branch_kernel_equals_scalar_oracle(
+            p0 in 0usize..3,
+            walkers in 0usize..5,
+            paper_semantics in any::<bool>(),
+            beta0 in 0usize..3,
+            epochs in 1u64..160,
+            seed in any::<u64>(),
+            threads in 1usize..4,
+        ) {
+            let config = TwoBranchWalkConfig {
+                p0: P0S[p0],
+                beta0: BETA0S[beta0],
+                walkers: WALKERS[walkers],
+                epochs,
+                seed,
+                paper_semantics,
+                threads,
+            };
+            assert_same_breaches(
+                &run_two_branch_walks(&config),
+                &oracle_two_branch_walks(&config),
+            );
+        }
+    }
+
+    #[test]
+    fn kernel_equals_oracle_through_honest_ejections() {
+        // Honest walkers are ejected within ±150 epochs of the Byzantine
+        // ones (epoch 7610 under paper semantics at this seed, 10761 under
+        // spec), so these horizons exercise the kernel's "ejected ≡ zero
+        // stake, and zero is a fixed point" invariant: ejected walkers
+        // keep being stepped and must stay where the scalar rule froze
+        // them. Recording every epoch pins the epoch of each ejection
+        // through the stake sums. The two-branch horizon stops short of
+        // the Byzantine ejection, which would zero both thresholds.
+        for (paper_semantics, epochs, two_branch_epochs) in
+            [(true, 8000, 7600), (false, 11_300, 10_750)]
+        {
+            let config = BouncingWalkConfig {
+                beta0: 1.0 / 3.0,
+                walkers: 64,
+                epochs,
+                record_every: 1,
+                paper_semantics,
+                threads: 1,
+                ..BouncingWalkConfig::default()
+            };
+            let kernel = run_bouncing_walks(&config);
+            assert!(kernel.final_stakes.iter().all(|&s| s == 0.0));
+            assert_same_walks(&kernel, &oracle_bouncing_walks(&config));
+
+            let config = TwoBranchWalkConfig {
+                beta0: 1.0 / 3.0,
+                walkers: 64,
+                epochs: two_branch_epochs,
+                paper_semantics,
+                threads: 1,
+                ..TwoBranchWalkConfig::default()
+            };
+            let kernel = run_two_branch_walks(&config);
+            // Both views matter: some walker breaches on B alone.
+            assert!(kernel.either_branch_breach > kernel.single_branch_breach);
+            assert_same_breaches(&kernel, &oracle_two_branch_walks(&config));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "record_every must be positive")]
+    fn zero_record_every_is_rejected_up_front() {
+        run_bouncing_walks(&BouncingWalkConfig {
+            walkers: 10,
+            epochs: 10,
+            record_every: 0,
+            ..BouncingWalkConfig::default()
+        });
+    }
 
     #[test]
     fn beta_one_third_gives_probability_near_half() {
