@@ -4,6 +4,14 @@
 //! distinct fixed keys over the same input yields a 256-bit digest that is
 //! (for simulation purposes) collision-free and avalanche-complete. This
 //! replaces SHA-256 from the real protocol; see `DESIGN.md` §4.
+//!
+//! Two entry shapes, one digest: bytes go through the buffering
+//! [`Hasher`] (one [`siphash24`] pass per lane), while [`hash_u64`] — the
+//! synthetic checkpoint root every epoch-level branch takes every epoch —
+//! compresses its words into the four lanes directly. SipHash reads its
+//! input as little-endian 8-byte blocks, so a `u64` word is exactly the
+//! block its `to_le_bytes` would have produced and the two paths agree
+//! bit for bit (tested in both build profiles).
 
 use ethpos_types::Root;
 
@@ -88,69 +96,100 @@ pub fn hash_concat(a: &Root, b: &Root) -> Root {
 
 /// Hashes a sequence of `u64` words — convenient for hashing structured
 /// fixed-size records.
+///
+/// Equal to feeding the words to a [`Hasher`] through
+/// [`Hasher::update_u64`], without the byte buffer: a little-endian `u64`
+/// *is* one SipHash message block, so each word goes straight into the
+/// four lanes, side by side, and the final block is the byte length
+/// alone. This is the per-branch, per-epoch root of the epoch-level
+/// simulators, so it must not allocate.
 pub fn hash_u64(words: &[u64]) -> Root {
-    let mut h = Hasher::new();
-    for w in words {
-        h.update_u64(*w);
+    let mut lanes = LANE_KEYS.map(|(k0, k1)| SipLane::new(k0, k1));
+    // SipHash's final block carries `byte length mod 256` in its top byte.
+    let length_block = (words.len() as u64 * 8) << 56;
+    for &block in words.iter().chain([&length_block]) {
+        for lane in &mut lanes {
+            lane.absorb(block);
+        }
     }
-    h.finalize()
+    let mut out = [0u8; 32];
+    for (lane, bytes) in lanes.into_iter().zip(out.chunks_exact_mut(8)) {
+        bytes.copy_from_slice(&lane.finish().to_le_bytes());
+    }
+    Root::new(out)
+}
+
+/// The four-word state of one SipHash-2-4 lane.
+struct SipLane {
+    v0: u64,
+    v1: u64,
+    v2: u64,
+    v3: u64,
+}
+
+impl SipLane {
+    fn new(k0: u64, k1: u64) -> Self {
+        SipLane {
+            v0: 0x736f_6d65_7073_6575 ^ k0,
+            v1: 0x646f_7261_6e64_6f6d ^ k1,
+            v2: 0x6c79_6765_6e65_7261 ^ k0,
+            v3: 0x7465_6462_7974_6573 ^ k1,
+        }
+    }
+
+    #[inline(always)]
+    fn round(&mut self) {
+        self.v0 = self.v0.wrapping_add(self.v1);
+        self.v1 = self.v1.rotate_left(13);
+        self.v1 ^= self.v0;
+        self.v0 = self.v0.rotate_left(32);
+        self.v2 = self.v2.wrapping_add(self.v3);
+        self.v3 = self.v3.rotate_left(16);
+        self.v3 ^= self.v2;
+        self.v0 = self.v0.wrapping_add(self.v3);
+        self.v3 = self.v3.rotate_left(21);
+        self.v3 ^= self.v0;
+        self.v2 = self.v2.wrapping_add(self.v1);
+        self.v1 = self.v1.rotate_left(17);
+        self.v1 ^= self.v2;
+        self.v2 = self.v2.rotate_left(32);
+    }
+
+    /// Compresses one little-endian 8-byte message block (two rounds).
+    #[inline(always)]
+    fn absorb(&mut self, block: u64) {
+        self.v3 ^= block;
+        self.round();
+        self.round();
+        self.v0 ^= block;
+    }
+
+    /// Finalization (four rounds).
+    #[inline(always)]
+    fn finish(mut self) -> u64 {
+        self.v2 ^= 0xff;
+        for _ in 0..4 {
+            self.round();
+        }
+        self.v0 ^ self.v1 ^ self.v2 ^ self.v3
+    }
 }
 
 /// SipHash-2-4 with the given 128-bit key, per the reference
 /// specification (Aumasson & Bernstein).
 pub fn siphash24(k0: u64, k1: u64, data: &[u8]) -> u64 {
-    let mut v0 = 0x736f_6d65_7073_6575u64 ^ k0;
-    let mut v1 = 0x646f_7261_6e64_6f6du64 ^ k1;
-    let mut v2 = 0x6c79_6765_6e65_7261u64 ^ k0;
-    let mut v3 = 0x7465_6462_7974_6573u64 ^ k1;
-
-    macro_rules! sipround {
-        () => {
-            v0 = v0.wrapping_add(v1);
-            v1 = v1.rotate_left(13);
-            v1 ^= v0;
-            v0 = v0.rotate_left(32);
-            v2 = v2.wrapping_add(v3);
-            v3 = v3.rotate_left(16);
-            v3 ^= v2;
-            v0 = v0.wrapping_add(v3);
-            v3 = v3.rotate_left(21);
-            v3 ^= v0;
-            v2 = v2.wrapping_add(v1);
-            v1 = v1.rotate_left(17);
-            v1 ^= v2;
-            v2 = v2.rotate_left(32);
-        };
-    }
-
-    let len = data.len();
+    let mut lane = SipLane::new(k0, k1);
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
-        let m = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        v3 ^= m;
-        sipround!();
-        sipround!();
-        v0 ^= m;
+        lane.absorb(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
     }
-
     // final block: remaining bytes plus length in the top byte
     let rem = chunks.remainder();
     let mut last = [0u8; 8];
     last[..rem.len()].copy_from_slice(rem);
-    last[7] = (len & 0xff) as u8;
-    let m = u64::from_le_bytes(last);
-    v3 ^= m;
-    sipround!();
-    sipround!();
-    v0 ^= m;
-
-    v2 ^= 0xff;
-    sipround!();
-    sipround!();
-    sipround!();
-    sipround!();
-
-    v0 ^ v1 ^ v2 ^ v3
+    last[7] = (data.len() & 0xff) as u8;
+    lane.absorb(u64::from_le_bytes(last));
+    lane.finish()
 }
 
 #[cfg(test)]
@@ -192,6 +231,39 @@ mod tests {
         let mut seen = HashSet::new();
         for i in 0..10_000u64 {
             assert!(seen.insert(hash_u64(&[i])), "collision at {i}");
+        }
+    }
+
+    /// `hash_u64` feeds words to the lanes directly; the byte hasher is
+    /// its oracle. 32 words are 256 bytes, where the length byte wraps.
+    #[test]
+    fn hash_u64_equals_the_byte_path() {
+        for n in 0..40u64 {
+            let words: Vec<u64> = (0..n)
+                .map(|i| (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ n)
+                .collect();
+            let mut buffered = Hasher::new();
+            for w in &words {
+                buffered.update_u64(*w);
+            }
+            assert_eq!(hash_u64(&words), buffered.finalize(), "{n} words");
+        }
+    }
+
+    /// The digest is the four keyed lanes, each the reference-vector-tested
+    /// `siphash24`, at every remainder length and past the 64-byte mark.
+    #[test]
+    fn hash_is_the_four_siphash24_lanes() {
+        for n in 0..70usize {
+            let data: Vec<u8> = (0..n).map(|i| (i * 37 + 11) as u8).collect();
+            let root = hash(&data);
+            for (lane, (k0, k1)) in LANE_KEYS.into_iter().enumerate() {
+                assert_eq!(
+                    root.as_bytes()[lane * 8..][..8],
+                    siphash24(k0, k1, &data).to_le_bytes(),
+                    "{n} bytes, lane {lane}"
+                );
+            }
         }
     }
 

@@ -133,7 +133,7 @@ impl SearchSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `budget == 0` or an axis is out of domain
+    /// Panics if `budget == 0`, `epochs == 0` or an axis is out of domain
     /// (`β₀ ∉ (0, 1)`, `p0 ∉ [0, 1]`). The internal "no feasible
     /// candidate" assertion is unreachable from here: the grid's first
     /// entry is the non-slashable alternation corner, which every
@@ -322,6 +322,16 @@ mod tests {
         assert_eq!(frontier.evaluated, 10);
         // grid prefix is 10 − 10/4 = 8 candidates; 2 evolved
         assert!(frontier.best.conflict_epoch.is_some());
+    }
+
+    /// Regression: `epochs: 0` used to reach the two-branch engine and
+    /// die there on a bare index panic.
+    #[test]
+    #[should_panic(expected = "zero epoch horizon")]
+    fn zero_epoch_horizon_panics_with_a_message() {
+        let mut spec = tiny(Objective::Conflict);
+        spec.epochs = 0;
+        spec.run();
     }
 
     #[test]

@@ -196,6 +196,7 @@ pub struct EvalParams {
 /// under (shared by the plain path below and
 /// [`crate::prefix::PrefixMemo`]).
 pub(crate) fn sim_config(params: &EvalParams) -> TwoBranchConfig {
+    assert!(params.epochs > 0, "zero epoch horizon");
     let byzantine = (params.beta0 * params.n as f64).round() as usize;
     TwoBranchConfig {
         // Early-stop as soon as the objective's damage is decided: the
@@ -221,6 +222,10 @@ pub(crate) fn initial_byzantine_gwei(config: &TwoBranchConfig) -> u64 {
 /// search driver goes through [`crate::prefix::PrefixMemo`] instead,
 /// which is byte-identical (pinned by the `prefix_equivalence` tests)
 /// but shares work across candidates.
+///
+/// # Panics
+///
+/// Panics if `params.epochs == 0`.
 pub fn evaluate(params: &EvalParams, genome: Genome) -> Evaluation {
     let config = sim_config(params);
     let initial_gwei = initial_byzantine_gwei(&config);

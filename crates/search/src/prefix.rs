@@ -312,6 +312,10 @@ impl<B: StateBackend + Send + Sync> PrefixMemo<B> {
     /// constructed once and cloned per stream — the same class layout
     /// [`TwoBranchSim`] builds (class 0 Byzantine, classes 1 and 2 the
     /// honest halves of the fixed partition).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.epochs == 0`.
     pub fn new(params: &EvalParams) -> Self {
         let config = sim_config(params);
         let initial_gwei = initial_byzantine_gwei(&config);
@@ -372,13 +376,6 @@ impl<B: StateBackend + Send + Sync> PrefixMemo<B> {
     /// `pool`.
     pub fn evaluate_batch(&mut self, pool: &ChunkPool, genomes: &[Genome]) -> Vec<Evaluation> {
         self.stats.evaluations += genomes.len() as u64;
-        if self.config.max_epochs == 0 {
-            // Degenerate horizon: nothing to memoize, run the plain path.
-            let params = self.params;
-            return pool.map(genomes.len(), |i| {
-                crate::objective::evaluate(&params, genomes[i])
-            });
-        }
 
         // Phase A — extend every needed gene stream far enough to know
         // its first finalization epoch (the input of every stop rule).

@@ -209,7 +209,7 @@ impl TwoBranchSim<DenseState> {
     ///
     /// # Panics
     ///
-    /// Panics if `byzantine > n` or `p0 ∉ [0, 1]`.
+    /// Panics if `byzantine > n`, `p0 ∉ [0, 1]` or `max_epochs == 0`.
     pub fn new(config: TwoBranchConfig, schedule: Box<dyn ByzantineSchedule>) -> Self {
         TwoBranchSim::with_backend(config, schedule)
     }
@@ -221,9 +221,12 @@ impl<B: StateBackend> TwoBranchSim<B> {
     ///
     /// # Panics
     ///
-    /// Panics if `byzantine > n` or `p0 ∉ [0, 1]`.
+    /// Panics if `byzantine > n`, `p0 ∉ [0, 1]` or `max_epochs == 0` (the
+    /// two branches exist only once the epoch-0 split has been applied,
+    /// so a run that never steps has no two-branch outcome).
     pub fn with_backend(config: TwoBranchConfig, schedule: Box<dyn ByzantineSchedule>) -> Self {
         assert!(config.byzantine <= config.n, "byzantine > n");
+        assert!(config.max_epochs > 0, "zero epoch horizon");
         assert!(
             (0.0..=1.0).contains(&config.p0),
             "p0 must be in [0,1], got {}",
@@ -414,6 +417,15 @@ mod tests {
             serde_json::to_string(&dense.history).unwrap(),
             serde_json::to_string(&cohort.history).unwrap()
         );
+    }
+
+    /// Regression: a run that never stepped reached `convert` with the
+    /// genesis branch alone and died on a bare index panic.
+    #[test]
+    #[should_panic(expected = "zero epoch horizon")]
+    fn zero_epoch_horizon_is_rejected_up_front() {
+        let cfg = TwoBranchConfig::paper(120, 40, 0.5, 0);
+        let _ = TwoBranchSim::<CohortState>::with_backend(cfg, Box::new(DualActive));
     }
 
     /// The recorded traces witness the paper's attack schematics:

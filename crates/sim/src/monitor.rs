@@ -20,10 +20,52 @@
 //!    block tree — two roots the tree cannot relate (including roots the
 //!    monitor never saw a block for) are conflicting.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use ethpos_state::backend::StateBackend;
 use ethpos_types::{Checkpoint, Epoch, Root, Slot};
+
+/// A root as a table key: hashed by its leading 8 bytes, compared on all
+/// 32.
+///
+/// Block roots are hash output already (four SipHash lanes, see
+/// `ethpos_crypto::hashing`), so their first word is as good a table
+/// hash as a second pass over the 32 bytes would be — and these keys are
+/// the simulator's own synthetic roots, never outside input, so the
+/// collision hardening of the default hasher buys nothing here. A prefix
+/// collision only lengthens a probe: equality is the full root, so two
+/// roots sharing their first 8 bytes stay two blocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RootKey(Root);
+
+impl Hash for RootKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let prefix: [u8; 8] = self.0.as_bytes()[..8].try_into().expect("8 of 32 bytes");
+        state.write_u64(u64::from_le_bytes(prefix));
+    }
+}
+
+/// The hasher for [`RootKey`]: the prefix times one odd constant. The
+/// multiply spreads the prefix into the top bits the table tags buckets
+/// with, which also serves the small `Root::from_u64` labels of tests
+/// and fixtures, whose entropy sits in the low bits alone.
+#[derive(Debug, Clone, Copy, Default)]
+struct PrefixHasher(u64);
+
+impl Hasher for PrefixHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("RootKey hashes through write_u64 only");
+    }
+
+    fn write_u64(&mut self, prefix: u64) {
+        self.0 = prefix.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// A minimal append-only ancestry index: parent links plus depths, no
 /// weights or best-child bookkeeping. The monitor only ever asks "is
@@ -31,11 +73,12 @@ use ethpos_types::{Checkpoint, Epoch, Root, Slot};
 /// pays O(depth) *per insert* to maintain head links the monitor never
 /// reads — on the partition engine's unpruned multi-thousand-epoch
 /// chains that turned block observation quadratic. Here an insert is
-/// one hash-map write, and an ancestry query walks exactly the depth
+/// one parent lookup and one table entry, each a single multiply to hash
+/// (see [`RootKey`]), and an ancestry query walks exactly the depth
 /// difference.
 #[derive(Debug, Clone, Default)]
 struct AncestryIndex {
-    indices: HashMap<Root, u32>,
+    indices: HashMap<RootKey, u32, BuildHasherDefault<PrefixHasher>>,
     parents: Vec<u32>,
     depths: Vec<u32>,
 }
@@ -45,27 +88,28 @@ impl AncestryIndex {
     /// blocks with unknown parents are ignored (the monitor is an
     /// observer, not a validator).
     fn insert(&mut self, root: Root, parent: Option<Root>) {
-        if self.indices.contains_key(&root) {
-            return;
-        }
         let index = self.parents.len() as u32;
         let (parent_index, depth) = match parent {
             None => (index, 0),
-            Some(p) => match self.indices.get(&p) {
+            Some(p) => match self.indices.get(&RootKey(p)) {
                 Some(&pi) => (pi, self.depths[pi as usize] + 1),
                 None => return,
             },
         };
-        self.indices.insert(root, index);
-        self.parents.push(parent_index);
-        self.depths.push(depth);
+        if let Entry::Vacant(slot) = self.indices.entry(RootKey(root)) {
+            slot.insert(index);
+            self.parents.push(parent_index);
+            self.depths.push(depth);
+        }
     }
 
     /// True if `descendant` has `ancestor` on its root-ward path
     /// (inclusive). Unknown roots are related to nothing.
     fn is_descendant(&self, ancestor: &Root, descendant: &Root) -> bool {
-        let (Some(&a), Some(&start)) = (self.indices.get(ancestor), self.indices.get(descendant))
-        else {
+        let (Some(&a), Some(&start)) = (
+            self.indices.get(&RootKey(*ancestor)),
+            self.indices.get(&RootKey(*descendant)),
+        ) else {
             return false;
         };
         let target = self.depths[a as usize];
@@ -188,6 +232,89 @@ mod tests {
 
     fn r(v: u64) -> Root {
         Root::from_u64(v)
+    }
+
+    /// A root with the given leading word and a distinguishing tail byte.
+    fn prefixed(prefix: u64, tail: u8) -> Root {
+        let mut bytes = [tail; 32];
+        bytes[..8].copy_from_slice(&prefix.to_le_bytes());
+        Root::new(bytes)
+    }
+
+    #[test]
+    fn duplicates_and_unknown_parents_are_ignored() {
+        let mut tree = AncestryIndex::default();
+        tree.insert(r(0), None);
+        tree.insert(r(1), Some(r(0)));
+        tree.insert(r(2), Some(r(1)));
+        // A duplicate root keeps its first parent, even re-announced
+        // under another known one…
+        tree.insert(r(2), Some(r(0)));
+        assert_eq!(tree.parents.len(), 3);
+        assert!(tree.is_descendant(&r(1), &r(2)));
+        // …and a block whose parent was never seen is not recorded, so
+        // nothing can descend from it later.
+        tree.insert(r(8), Some(r(7)));
+        tree.insert(r(9), Some(r(8)));
+        assert_eq!(tree.parents.len(), 3);
+        assert!(!tree.is_descendant(&r(0), &r(8)));
+        assert!(!tree.is_descendant(&r(0), &r(9)));
+    }
+
+    #[test]
+    fn roots_sharing_their_first_eight_bytes_stay_distinct_blocks() {
+        // The table hashes the prefix only; equality is the whole root.
+        let (a, b) = (prefixed(7, 1), prefixed(7, 2));
+        let mut m = SafetyMonitor::new(r(0), 2);
+        m.observe_block(a, r(0), Slot::new(1));
+        m.observe_block(b, r(0), Slot::new(1)); // a fork, not a duplicate
+        m.observe_block(prefixed(9, 1), b, Slot::new(2));
+        assert_eq!(m.tree.parents.len(), 4);
+        assert!(m.tree.is_descendant(&b, &prefixed(9, 1)));
+        assert!(!m.tree.is_descendant(&a, &prefixed(9, 1)));
+        assert!(!m.tree.is_descendant(&a, &b));
+        m.observe_finalized(0, Checkpoint::new(Epoch::new(1), a));
+        m.observe_finalized(1, Checkpoint::new(Epoch::new(1), b));
+        assert!(m.is_violated(), "same-prefix siblings conflict");
+    }
+
+    #[test]
+    fn small_labels_relate_on_long_chains_and_clones_agree() {
+        // Two 8 k-block chains forking at genesis, keyed by the small
+        // `Root::from_u64` labels the fixtures use (entropy in the low
+        // bits only): chain A is the odd labels, chain B the even ones.
+        const BLOCKS: u64 = 8192;
+        let mut tree = AncestryIndex::default();
+        tree.insert(r(0), None);
+        for i in 1..=BLOCKS {
+            for label in [2 * i - 1, 2 * i] {
+                let parent = if i == 1 { 0 } else { label - 2 };
+                tree.insert(r(label), Some(r(parent)));
+            }
+        }
+        assert_eq!(tree.parents.len() as u64, 2 * BLOCKS + 1);
+        let clone = tree.clone();
+        // Pseudo-random pairs plus the chain ends: related iff same
+        // parity (or genesis) and in order — and the clone says the same.
+        let mut x = 1u64;
+        let mut pairs = vec![(0, 2 * BLOCKS), (1, 2 * BLOCKS - 1), (2, 2 * BLOCKS - 1)];
+        for _ in 0..4096 {
+            x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+            pairs.push(((x >> 20) % (2 * BLOCKS + 1), (x >> 40) % (2 * BLOCKS + 1)));
+        }
+        for (a, d) in pairs {
+            let related = a <= d && (a == 0 || a % 2 == d % 2);
+            assert_eq!(tree.is_descendant(&r(a), &r(d)), related, "{a} → {d}");
+            assert_eq!(
+                clone.is_descendant(&r(a), &r(d)),
+                related,
+                "clone {a} → {d}"
+            );
+        }
+        assert!(
+            !clone.is_descendant(&r(1), &r(2 * BLOCKS + 5)),
+            "unknown root"
+        );
     }
 
     #[test]

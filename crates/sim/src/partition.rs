@@ -43,7 +43,7 @@ use ethpos_state::attestations::synthetic_branch_root;
 use ethpos_state::backend::{ClassSpec, StateBackend};
 use ethpos_state::{DenseState, ParticipationFlags};
 use ethpos_stats::{seeded_rng, PreparedBinomial};
-use ethpos_types::{BranchId, ChainConfig, Checkpoint, Gwei, Root, Slot};
+use ethpos_types::{BranchId, ChainConfig, Checkpoint, Root, Slot};
 use ethpos_validator::{BranchStatus, ByzantineSchedule};
 
 use crate::monitor::SafetyMonitor;
@@ -1167,6 +1167,20 @@ pub struct PartitionSim<B: StateBackend = DenseState> {
     outcome: PartitionOutcome,
     fork_stats: ForkStats,
     churn_stats: ChurnStats,
+    scratch: StepScratch,
+}
+
+/// The working buffers of one [`PartitionSim::step`], an entry per live
+/// branch each, cleared and refilled every epoch so that a step
+/// allocates only on the epochs it records into the history.
+#[derive(Debug, Clone, Default)]
+struct StepScratch {
+    /// The adversary's view of each branch, read after honest marking.
+    statuses: Vec<BranchStatus>,
+    /// Exited `(honest, Byzantine)` members, from the same registry read.
+    ejected: Vec<(u64, u64)>,
+    stats: Vec<BranchEpochStats>,
+    byzantine_active: Vec<bool>,
 }
 
 impl<B: StateBackend> core::fmt::Debug for PartitionSim<B> {
@@ -1258,6 +1272,7 @@ impl<B: StateBackend> PartitionSim<B> {
             outcome,
             fork_stats: ForkStats::default(),
             churn_stats: ChurnStats::default(),
+            scratch: StepScratch::default(),
         })
     }
 
@@ -1434,21 +1449,34 @@ impl<B: StateBackend> PartitionSim<B> {
         let spe = self.config.chain.slots_per_epoch;
         let epoch = self.epoch;
 
-        // 1. Honest marking, per live branch in id order: pinned classes
-        //    whole, churned classes by per-cohort binomial count draws —
-        //    a cohort of `c` exchangeable members contributes
+        // 1. Per live branch in id order: honest marking — pinned classes
+        //    whole, churned classes by per-cohort binomial count draws (a
+        //    cohort of `c` exchangeable members contributes
         //    `Binomial(c, w_b/Σw)` attesters to branch `b`, at
-        //    O(#cohorts) draws per epoch instead of O(#members). The
-        //    draw order is a pure function of the plan (branches in id
-        //    order, churn groups in plan order, classes ascending,
-        //    cohorts in the backend's canonical order), so outputs are
-        //    byte-identical for any `--threads`.
+        //    O(#cohorts) draws per epoch instead of O(#members)) — then
+        //    the adversary's observation of that branch. The draw order
+        //    is a pure function of the plan (branches in id order, churn
+        //    groups in plan order, classes ascending, cohorts in the
+        //    backend's canonical order), so outputs are byte-identical
+        //    for any `--threads`. Step 3 cuts the epoch's stats from
+        //    these same registry reads: Byzantine marking touches only
+        //    participation flags, so one read per branch and epoch
+        //    serves both.
         let plan = &self.plan;
         let branches = &mut self.branches;
         let rng = &mut self.rng;
         let churn_stats = &mut self.churn_stats;
         let flags = self.flags;
-        let mut honest_attesting: Vec<Gwei> = Vec::with_capacity(plan.pinned.len());
+        let StepScratch {
+            statuses,
+            ejected,
+            stats,
+            byzantine_active,
+        } = &mut self.scratch;
+        statuses.clear();
+        ejected.clear();
+        stats.clear();
+        byzantine_active.clear();
         for (idx, (b, pinned_classes)) in plan.pinned.iter().enumerate() {
             let state = branches.get_mut(b).expect("live branch");
             for &class in pinned_classes {
@@ -1464,17 +1492,6 @@ impl<B: StateBackend> PartitionSim<B> {
                     });
                 }
             }
-            honest_attesting.push(state.current_target_balance());
-        }
-
-        // 2. Adversary observation & decision over every live branch.
-        //    Step 3 cuts the epoch's stats from these same registry
-        //    reads: Byzantine marking touches only participation flags,
-        //    so one read per branch and epoch serves both.
-        let mut statuses: Vec<BranchStatus> = Vec::with_capacity(self.plan.pinned.len());
-        let mut ejected: Vec<(u64, u64)> = Vec::with_capacity(self.plan.pinned.len());
-        for ((b, _), honest) in self.plan.pinned.iter().zip(&honest_attesting) {
-            let state = &self.branches[b];
             let byz = state.class_stats(BYZANTINE_CLASS);
             let ejected_honest = (1..state.num_classes())
                 .map(|c| state.class_stats(c).exited)
@@ -1484,31 +1501,31 @@ impl<B: StateBackend> PartitionSim<B> {
                 branch: *b,
                 epoch,
                 total_active_stake: state.total_active_balance().as_u64(),
-                honest_active_stake: honest.as_u64(),
+                honest_active_stake: state.current_target_balance().as_u64(),
                 byzantine_stake: byz.active_stake.as_u64(),
                 justified_epoch: state.current_justified_checkpoint().epoch.as_u64(),
                 finalized_epoch: state.finalized_checkpoint().epoch.as_u64(),
             });
         }
-        let choice = self.schedule.participate(&statuses);
+
+        // 2. Adversary decision over every live branch.
+        let choice = self.schedule.participate(statuses);
 
         // 3. Mark Byzantine participation and advance each branch one
         //    epoch under its own synthetic checkpoint root; feed the
         //    block chain to the safety monitor.
-        let mut stats: Vec<BranchEpochStats> = Vec::with_capacity(self.plan.pinned.len());
-        let mut byzantine_active: Vec<bool> = Vec::with_capacity(self.plan.pinned.len());
-        for (position, (b, _)) in self.plan.pinned.iter().enumerate() {
+        for (position, (b, _)) in plan.pinned.iter().enumerate() {
             let byz_on = choice.get(position);
             byzantine_active.push(byz_on);
-            let state = self.branches.get_mut(b).expect("live branch");
+            let state = branches.get_mut(b).expect("live branch");
             if byz_on {
-                state.mark_class(BYZANTINE_CLASS, self.flags);
+                state.mark_class(BYZANTINE_CLASS, flags);
             }
-            let total = statuses[position].total_active_stake;
-            let byzantine_stake = statuses[position].byzantine_stake;
+            let status = &statuses[position];
+            let total = status.total_active_stake;
+            let byzantine_stake = status.byzantine_stake;
             let (ejected_honest, ejected_byzantine) = ejected[position];
-            let attesting =
-                honest_attesting[position].as_u64() + if byz_on { byzantine_stake } else { 0 };
+            let attesting = status.honest_active_stake + if byz_on { byzantine_stake } else { 0 };
 
             let root = synthetic_branch_root(b.as_u64(), epoch + 1);
             state.advance_epoch(Some(root));
@@ -1584,8 +1601,8 @@ impl<B: StateBackend> PartitionSim<B> {
             self.outcome.history.push(PartitionEpochRecord {
                 epoch,
                 branches: self.plan.live_branches(),
-                stats,
-                byzantine_active,
+                stats: stats.clone(),
+                byzantine_active: byzantine_active.clone(),
             });
         }
 
@@ -1659,7 +1676,8 @@ impl<B: StateBackend> PartitionSim<B> {
 mod tests {
     use super::*;
     use ethpos_state::CohortState;
-    use ethpos_validator::{DualActive, RoundRobin, ThresholdSeeker};
+    use ethpos_types::Gwei;
+    use ethpos_validator::{BranchChoice, DualActive, RoundRobin, ThresholdSeeker};
 
     fn b(i: u32) -> BranchId {
         BranchId::new(i)
@@ -1854,6 +1872,139 @@ mod tests {
             serde_json::to_string(&dense).unwrap(),
             serde_json::to_string(&cohort).unwrap()
         );
+    }
+
+    /// Attests position `p` at epoch `e` unless 3 divides `e + p`.
+    #[derive(Debug, Clone)]
+    struct EveryThirdOff;
+
+    impl ByzantineSchedule for EveryThirdOff {
+        fn participate(&mut self, status: &[BranchStatus]) -> BranchChoice {
+            status
+                .iter()
+                .enumerate()
+                .filter(|(p, s)| !(s.epoch + *p as u64).is_multiple_of(3))
+                .fold(BranchChoice::NONE, |c, (p, _)| c.with(p))
+        }
+
+        fn name(&self) -> &'static str {
+            "every-third-off"
+        }
+
+        fn clone_box(&self) -> Box<dyn ByzantineSchedule> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// `step` keeps its per-branch observations in reused buffers and
+    /// copies them into the history only on recorded epochs. Every
+    /// recorded field is checked here against the branch states read
+    /// from outside the step — through a late split (the branch count
+    /// changes under the buffers), continuous finalization on branch 0
+    /// and, with the ejection floor raised to 31 ETH, ejections from
+    /// epoch ≈ 515 on — and a thinned history must be that same history
+    /// with the unrecorded epochs dropped.
+    fn assert_history_is_read_off_the_states<B: StateBackend>() {
+        const EPOCHS: u64 = 560;
+        let config = |record_every| PartitionConfig {
+            chain: ChainConfig {
+                ejection_balance: Gwei::from_eth_u64(31),
+                ..ChainConfig::paper()
+            },
+            stop_on_conflict: false,
+            record_every,
+            ..PartitionConfig::paper(
+                120,
+                24,
+                PartitionTimeline::new()
+                    .split(0, b(0), &[0.75, 0.25])
+                    .split(40, b(0), &[0.5, 0.5]),
+                EPOCHS,
+            )
+        };
+        let mut sim = PartitionSim::<B>::with_backend(config(1), Box::new(EveryThirdOff)).unwrap();
+        let mut ejections_seen = false;
+        for epoch in 0..EPOCHS {
+            // What the step is about to observe: registry reads are
+            // untouched by marking, and a child forked this epoch starts
+            // as a copy of branch 0.
+            let before: BTreeMap<BranchId, (u64, u64, u64, u64)> = sim
+                .live_branches()
+                .into_iter()
+                .map(|id| {
+                    let state = sim.branch(id);
+                    let honest_exited = (1..state.num_classes())
+                        .map(|c| state.class_stats(c).exited)
+                        .sum();
+                    let byz = state.class_stats(BYZANTINE_CLASS);
+                    let total = state.total_active_balance().as_u64();
+                    (
+                        id,
+                        (total, byz.active_stake.as_u64(), honest_exited, byz.exited),
+                    )
+                })
+                .collect();
+            sim.step();
+            let record = sim.outcome.history.last().expect("every epoch recorded");
+            assert_eq!(record.epoch, epoch);
+            assert_eq!(record.branches, sim.live_branches());
+            assert_eq!(record.branches.len(), if epoch < 40 { 2 } else { 3 });
+            assert_eq!(record.stats.len(), record.branches.len());
+            assert_eq!(record.byzantine_active.len(), record.branches.len());
+            for (p, id) in record.branches.iter().enumerate() {
+                let (total, byz_stake, honest_exited, byz_exited) =
+                    before.get(id).copied().unwrap_or(before[&b(0)]);
+                let stat = &record.stats[p];
+                let context = format!("epoch {epoch} branch {id}");
+                assert_eq!(
+                    record.byzantine_active[p],
+                    !(epoch + p as u64).is_multiple_of(3),
+                    "{context}"
+                );
+                assert_eq!(stat.total_active_stake, total, "{context}");
+                assert_eq!(
+                    stat.byzantine_proportion,
+                    byz_stake as f64 / total as f64,
+                    "{context}"
+                );
+                assert_eq!(stat.ejected_honest as u64, honest_exited, "{context}");
+                assert_eq!(stat.ejected_byzantine as u64, byz_exited, "{context}");
+                let state = sim.branch(*id);
+                let justified = state.current_justified_checkpoint().epoch.as_u64();
+                assert_eq!(stat.justified_epoch, justified, "{context}");
+                let finalized = state.finalized_checkpoint().epoch.as_u64();
+                assert_eq!(stat.finalized_epoch, finalized, "{context}");
+                ejections_seen |= honest_exited > 0;
+            }
+        }
+        assert!(
+            ejections_seen,
+            "the run must reach the raised ejection floor"
+        );
+        let full = sim.finish();
+        assert!(full.branches[0].final_finalized_epoch > 500);
+        let render = |record: &PartitionEpochRecord| serde_json::to_string(record).unwrap();
+        let thinned = PartitionSim::<B>::with_backend(config(7), Box::new(EveryThirdOff))
+            .unwrap()
+            .run();
+        assert_eq!(
+            thinned.history.iter().map(render).collect::<Vec<_>>(),
+            full.history
+                .iter()
+                .step_by(7)
+                .map(render)
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn recorded_history_is_read_off_the_states_cohort() {
+        assert_history_is_read_off_the_states::<CohortState>();
+    }
+
+    #[test]
+    fn recorded_history_is_read_off_the_states_dense() {
+        assert_history_is_read_off_the_states::<DenseState>();
     }
 
     /// Healing reunifies the honest population: after the heal the

@@ -55,16 +55,18 @@
 //! # Copy-on-write forking
 //!
 //! Every bulky component sits behind shared storage, so `clone()` — the
-//! operation behind a partition `Split` and behind the search driver's
-//! epoch checkpoints — is O(#classes + #epochs/1024), not O(state):
+//! operation behind a partition `Split`, the search driver's epoch
+//! checkpoints and every gene-stream extension — is O(#classes), whatever
+//! the population and however long the run:
 //!
 //! * each class chunk is an `Arc<Vec<(MemberState, u64)>>`; a mutation
 //!   unshares only the touched class's chunk (`Arc::make_mut`: a copy if
 //!   a fork still holds it, in place otherwise), and an epoch step that
 //!   leaves a chunk bit-identical (e.g. a fully-exited class) writes
 //!   nothing, so sibling branches go on sharing it;
-//! * the per-epoch checkpoint roots live in a [`PrefixVec`], which
-//!   freezes every full 1024-entry prefix block behind an `Arc`;
+//! * there is no per-epoch log: justification names only the previous
+//!   and the current epoch's checkpoint roots, so the state carries that
+//!   two-root window inline and nothing grows with the epoch count;
 //! * the slashings ring buffer is an `Arc<Vec<Gwei>>` mutated through
 //!   `Arc::make_mut` only when a value actually changes (the all-zero
 //!   ring that every run in this repo carries is never copied).
@@ -86,7 +88,6 @@ use crate::epoch_metrics::stage_timer;
 use crate::participation::{
     ParticipationFlags, TIMELY_HEAD_FLAG_INDEX, TIMELY_SOURCE_FLAG_INDEX, TIMELY_TARGET_FLAG_INDEX,
 };
-use crate::prefix_vec::PrefixVec;
 use crate::rewards::integer_sqrt;
 use crate::validator::FAR_FUTURE_EPOCH;
 
@@ -249,11 +250,16 @@ fn transform_chunk(
     keys: &mut SortKeys,
     mut f: impl FnMut(&MemberState) -> MemberState,
 ) {
-    let Some(first) = chunk.iter().position(|(m, _)| f(m) != *m) else {
+    // `f` runs once per run: the search hands over the state it stepped.
+    let Some((first, stepped)) = chunk.iter().enumerate().find_map(|(i, (m, _))| {
+        let stepped = f(m);
+        (stepped != *m).then_some((i, stepped))
+    }) else {
         return;
     };
     let runs = Arc::make_mut(chunk);
-    for run in &mut runs[first..] {
+    runs[first].0 = stepped;
+    for run in &mut runs[first + 1..] {
         run.0 = f(&run.0);
     }
     canonicalize(runs, keys);
@@ -326,8 +332,9 @@ pub struct CohortState {
     /// the 8192-entry ring dominated the epoch cost for small cohort
     /// counts.
     slashings_sum: Gwei,
-    /// Checkpoint root at the start of each epoch (index = epoch).
-    epoch_roots: PrefixVec<Root>,
+    /// Checkpoint roots at the start of the previous and the current
+    /// epoch — all of the root history justification reads.
+    epoch_roots: [Root; 2],
     genesis_root: Root,
 }
 
@@ -372,12 +379,6 @@ impl CohortState {
             .zip(&other.chunks)
             .filter(|(a, b)| Arc::ptr_eq(a, b))
             .count()
-    }
-
-    /// Number of frozen epoch-root blocks shared with `other` (see
-    /// [`PrefixVec::shared_blocks_with`]).
-    pub fn shared_epoch_root_blocks(&self, other: &CohortState) -> usize {
-        self.epoch_roots.shared_blocks_with(&other.epoch_roots)
     }
 
     /// Sum of `count × effective balance` over the cohorts `select`
@@ -486,8 +487,7 @@ impl CohortState {
         let total = aggregates.total_active;
         let previous_target = aggregates.previous_target;
         let current_target = aggregates.current_target;
-        let prev_root = self.epoch_roots[previous_epoch.as_u64() as usize];
-        let curr_root = self.epoch_roots[current_epoch.as_u64() as usize];
+        let [prev_root, curr_root] = self.epoch_roots;
 
         let old_previous_justified = self.previous_justified;
         let old_current_justified = self.current_justified;
@@ -782,7 +782,7 @@ impl StateBackend for CohortState {
             previous_justified: genesis_checkpoint,
             current_justified: genesis_checkpoint,
             finalized: genesis_checkpoint,
-            epoch_roots: std::iter::once(genesis_root).collect(),
+            epoch_roots: [genesis_root; 2],
             genesis_root,
         }
     }
@@ -892,9 +892,8 @@ impl StateBackend for CohortState {
         self.process_epoch();
         let spe = self.config.slots_per_epoch;
         self.slot = (self.current_epoch() + 1).start_slot(spe);
-        let carried = *self.epoch_roots.last().expect("never empty");
-        self.epoch_roots
-            .push(next_checkpoint_root.unwrap_or(carried));
+        let carried = self.epoch_roots[1];
+        self.epoch_roots = [carried, next_checkpoint_root.unwrap_or(carried)];
     }
 
     fn snapshot(&self) -> StateSnapshot {
@@ -1228,6 +1227,44 @@ mod tests {
         // The exited class's chunk is still the parent's allocation.
         assert!(parent.shared_chunks(&fork) >= 1);
         assert_eq!(parent.snapshot().classes[1], fork.snapshot().classes[1]);
+    }
+
+    #[test]
+    fn transform_chunk_steps_each_run_exactly_once() {
+        let base = CohortState::from_classes(ChainConfig::minimal(), &[full(1)])
+            .class_floor(0)
+            .unwrap();
+        let with_score = |score| MemberState {
+            inactivity_score: score,
+            ..base
+        };
+        let runs: Vec<Run> = (0..6).map(|score| (with_score(score), 1)).collect();
+        // A step that fixes scores below `first_changed` and bumps the
+        // rest by 10 (order-preserving, so the outcome is easy to state).
+        for first_changed in 0..=6u64 {
+            let mut chunk: Chunk = Arc::new(runs.clone());
+            let shared = chunk.clone();
+            let mut seen = Vec::new();
+            transform_chunk(&mut chunk, &mut SortKeys::default(), |m| {
+                seen.push(m.inactivity_score);
+                let bump = if m.inactivity_score >= first_changed {
+                    10
+                } else {
+                    0
+                };
+                with_score(m.inactivity_score + bump)
+            });
+            // Every run is offered to the step once, in order, as it was
+            // before the step — the first changed run is not re-stepped.
+            assert_eq!(seen, [0, 1, 2, 3, 4, 5], "first changed {first_changed}");
+            let scores: Vec<u64> = chunk.iter().map(|(m, _)| m.inactivity_score).collect();
+            let expected: Vec<u64> = (0..6)
+                .map(|s| if s >= first_changed { s + 10 } else { s })
+                .collect();
+            assert_eq!(scores, expected);
+            // Nothing changed ⇒ nothing written: still the shared allocation.
+            assert_eq!(Arc::ptr_eq(&chunk, &shared), first_changed == 6);
+        }
     }
 
     #[test]

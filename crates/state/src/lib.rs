@@ -48,7 +48,6 @@ pub mod epoch;
 pub(crate) mod epoch_metrics;
 pub mod error;
 pub mod participation;
-pub mod prefix_vec;
 pub mod reference;
 pub mod rewards;
 pub mod slashings;
@@ -62,6 +61,5 @@ pub use beacon_state::BeaconState;
 pub use cohort_state::CohortState;
 pub use error::StateError;
 pub use participation::ParticipationFlags;
-pub use prefix_vec::PrefixVec;
 pub use reference::ReferenceCohortState;
 pub use validator::{Validator, FAR_FUTURE_EPOCH};

@@ -18,13 +18,20 @@ use crate::participation::{
     TIMELY_HEAD_FLAG_INDEX, TIMELY_SOURCE_FLAG_INDEX, TIMELY_TARGET_FLAG_INDEX,
 };
 
-/// Integer square root (spec `integer_squareroot`).
+/// Integer square root (spec `integer_squareroot`): `⌊√n⌋` by Newton's
+/// iteration.
+///
+/// The spec seeds the iteration at `n`; any seed `≥ √n` descends
+/// monotonically to the same floor, so this one starts at
+/// `2^⌈bits(n)/2⌉` — a handful of divisions instead of one per two bits
+/// of `n`, once per state and epoch on the compressed backend.
 pub fn integer_sqrt(n: u64) -> u64 {
     if n == 0 {
         return 0;
     }
-    let mut x = n;
-    let mut y = x.div_ceil(2);
+    let bits = u64::BITS - n.leading_zeros();
+    let mut x = 1u64 << bits.div_ceil(2);
+    let mut y = (x + n / x) / 2;
     while y < x {
         x = y;
         y = (x + n / x) / 2;
@@ -177,12 +184,60 @@ mod tests {
         s.process_slots(next).unwrap();
     }
 
+    /// The spec's loop, seeded at `n`: the oracle for the seeded one.
+    fn integer_sqrt_spec(n: u64) -> u64 {
+        let mut x = n;
+        let mut y = x.div_ceil(2);
+        while y < x {
+            x = y;
+            y = (x + n / x) / 2;
+        }
+        x
+    }
+
+    /// `r = ⌊√n⌋` ⇔ `r² ≤ n < (r + 1)²`, and the spec loop agrees.
+    fn assert_floor_sqrt(n: u64) {
+        let r = integer_sqrt(n);
+        assert_eq!(r, integer_sqrt_spec(n), "sqrt({n})");
+        assert!(
+            r.checked_mul(r).is_some_and(|sq| sq <= n),
+            "sqrt({n}) = {r}"
+        );
+        assert!((r + 1).checked_mul(r + 1).is_none_or(|sq| sq > n));
+    }
+
     #[test]
     fn integer_sqrt_matches_float() {
         for n in [0u64, 1, 2, 3, 4, 15, 16, 17, 1 << 40, u64::MAX / 2] {
-            let r = integer_sqrt(n);
-            assert!(r * r <= n, "sqrt({n}) = {r}");
-            assert!((r + 1).checked_mul(r + 1).map(|sq| sq > n).unwrap_or(true));
+            assert_floor_sqrt(n);
+        }
+    }
+
+    #[test]
+    fn integer_sqrt_is_the_floor_at_every_seed_boundary() {
+        assert_floor_sqrt(u64::MAX);
+        for k in 0..64u32 {
+            // Around each power of two the seed's exponent steps.
+            for n in (1u64 << k).saturating_sub(2)..=(1u64 << k).saturating_add(2) {
+                assert_floor_sqrt(n);
+            }
+            // Around each perfect square the floor steps.
+            let r = (1u64 << (k / 2)) + u64::from(k) * 0x9e37 % (1 << (k / 2));
+            for n in r * r - 1..=r * r + 1 {
+                assert_floor_sqrt(n);
+            }
+        }
+        // The largest root, and the total stakes the simulators take it of.
+        let r = u64::from(u32::MAX);
+        for n in [r * r - 1, r * r, r * r + 1, 32_000_000_000 * 1_000_000] {
+            assert_floor_sqrt(n);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn integer_sqrt_equals_the_spec_loop(n in proptest::prelude::any::<u64>(), shift in 0u32..64) {
+            assert_floor_sqrt(n >> shift);
         }
     }
 

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use ethpos_sim::{PartitionConfig, PartitionSim, PartitionTimeline};
 use ethpos_state::backend::{ClassSpec, StateBackend};
 use ethpos_state::{CohortState, DenseState, ParticipationFlags, ReferenceCohortState};
-use ethpos_types::{BranchId, ChainConfig, Gwei};
+use ethpos_types::{BranchId, ChainConfig, Gwei, Root};
 use ethpos_validator::{BranchChoice, BranchStatus, ByzantineSchedule};
 
 /// Builds the two backends from the same class specs.
@@ -62,6 +62,42 @@ proptest! {
             dense.advance_epoch(None);
             cohort.advance_epoch(None);
             prop_assert_eq!(dense.snapshot(), cohort.snapshot(), "epoch {}", epoch);
+        }
+    }
+
+    /// Checkpoint roots: every epoch either names a fresh root or carries
+    /// the last one (`None`). `CohortState` keeps a two-root window where
+    /// the reference backend keeps the whole log and the dense backend
+    /// real block roots; the justified and finalized checkpoints — epoch
+    /// *and* root — must agree after every epoch. Stakes 3 : 1 : 2 make
+    /// the ⅔ target come and go with the schedules, so justification
+    /// skips epochs and finalization stalls and resumes.
+    #[test]
+    fn checkpoint_roots_match_the_root_logs(
+        named in any::<u64>(),
+        schedules in proptest::collection::vec(any::<u64>(), 3..4),
+        paper in any::<bool>(),
+    ) {
+        let config = if paper { ChainConfig::paper() } else { ChainConfig::minimal() };
+        let classes: Vec<ClassSpec> =
+            [3, 1, 2].iter().map(|&count| ClassSpec::full_stake(count, &config)).collect();
+        let (mut dense, mut cohort) = pair(&config, &classes);
+        let mut reference = ReferenceCohortState::from_classes(config.clone(), &classes);
+        for epoch in 0..48u64 {
+            for (c, schedule) in schedules.iter().enumerate() {
+                if schedule >> epoch & 1 == 1 {
+                    dense.mark_class(c, ParticipationFlags::all());
+                    cohort.mark_class(c, ParticipationFlags::all());
+                    reference.mark_class(c, ParticipationFlags::all());
+                }
+            }
+            let root = (named >> epoch & 1 == 1).then(|| Root::from_u64(1000 + epoch));
+            dense.advance_epoch(root);
+            cohort.advance_epoch(root);
+            reference.advance_epoch(root);
+            let snapshot = cohort.snapshot();
+            prop_assert_eq!(&snapshot, &reference.snapshot(), "reference, epoch {}", epoch);
+            prop_assert_eq!(&snapshot, &dense.snapshot(), "dense, epoch {}", epoch);
         }
     }
 
