@@ -408,10 +408,6 @@ impl ByzantineSchedule for ParamSchedule {
     fn name(&self) -> &'static str {
         "param-schedule"
     }
-
-    fn clone_box(&self) -> Box<dyn ByzantineSchedule> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -22,10 +22,13 @@
 //! * [`Frontier`] — the Pareto set of damage vs. cost, rendered as text
 //!   or JSON (the `ethpos-cli search` subcommand).
 //!
-//! Every candidate is one full two-branch run of the exact integer spec
-//! arithmetic; on the cohort-compressed backend a million-validator,
-//! 8000-epoch evaluation costs tens of milliseconds, which is what turns
-//! "search the attack space" into seconds of CPU (see `ARCHITECTURE.md`,
+//! Every candidate scores as one full two-branch run of the exact
+//! integer spec arithmetic ([`evaluate`]); on the cohort-compressed
+//! backend a million-validator, 8000-epoch evaluation costs a few
+//! milliseconds, and the drivers share that work across candidates
+//! through [`PrefixMemo`] — byte-identical, without building a
+//! two-branch simulator at all — which is what turns "search the attack
+//! space" into a fraction of a second of CPU (see `ARCHITECTURE.md`,
 //! "Attack search").
 //!
 //! # Quickstart

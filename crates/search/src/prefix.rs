@@ -1,5 +1,5 @@
-//! Prefix-memoized candidate evaluation: fork shared work instead of
-//! re-simulating it.
+//! Prefix-memoized candidate evaluation: continue from shared work
+//! instead of re-simulating it.
 //!
 //! Every candidate [`Genome`] of one search shares the same simulation
 //! parameters and differs only in its participation schedule. Under the
@@ -8,55 +8,80 @@
 //! coupling — conflict detection and the stop rules — is a pure function
 //! of both branches' per-epoch observables), and a genome's bits on a
 //! branch are a pure duty cycle until its dwell feedback (if any) first
-//! triggers. [`PrefixMemo`] exploits both facts:
+//! triggers. [`PrefixMemo`] exploits both facts, and never builds a
+//! two-branch simulator:
 //!
 //! * **Single-branch gene streams** — for each `(branch, DutyGene)` pair
-//!   it keeps one lazily extended single-branch run and its per-epoch
-//!   `EpochRec` observables. A dwell-free genome (or one whose dwell
-//!   never triggers) is *reconstructed* from its two streams without
-//!   ever building a two-branch simulator: every field of
-//!   [`TwoBranchOutcome`] that [`score`](crate::objective) reads is a
-//!   fold over the records, replayed in exactly the order the engine
-//!   would have produced it.
-//! * **Pair checkpoints** — for genomes whose dwell feedback triggers at
-//!   epoch `T`, the first evaluation of a duty pair records a full
-//!   [`TwoBranchSim`] clone frozen at `T` (the copy-on-write
-//!   [`CohortState`](ethpos_state::CohortState) makes the clone a
-//!   handful of `Arc` bumps). Every later dwell variant of the same pair
-//!   forks that checkpoint — clone, [`TwoBranchSim::set_schedule`],
-//!   continue — skipping the `T`-epoch shared prefix. The swap is exact:
-//!   before the trigger a dwell schedule emits its pure duty cycle and
-//!   its state machine sits in the initial `Free` state, identical for
-//!   every dwell length, and the fixed-partition engine never draws from
-//!   its RNG.
+//!   it keeps one lazily extended single-branch run, its per-epoch
+//!   `EpochRec` observables and a snapshot of the state entering every
+//!   256th epoch (`SNAPSHOT_STRIDE`). A dwell-free genome (or one whose
+//!   dwell never triggers) is *reconstructed* from its two streams:
+//!   every field of [`TwoBranchOutcome`] that
+//!   [`score`](crate::objective) reads is a fold over the records
+//!   (`OutcomeFold`), replayed in exactly the order the engine would
+//!   have produced it.
+//! * **Pair checkpoints and continuations** — for genomes whose dwell
+//!   feedback triggers at epoch `T`, the first evaluation of a duty pair
+//!   rebuilds the two branch states entering `T` from its streams'
+//!   snapshots (fewer than `SNAPSHOT_STRIDE` pure-duty re-steps each)
+//!   and caches them. Every dwell variant of the pair *continues* from a
+//!   clone of those states (a handful of `Arc` bumps on the
+//!   copy-on-write [`CohortState`](ethpos_state::CohortState)) under a
+//!   fresh [`ParamSchedule`], folding the continuation's records onto
+//!   the pair's stream fold below `T`. The hand-over is exact: before
+//!   the trigger a dwell schedule emits its pure duty cycle and its
+//!   state machine sits in the initial `Free` state, identical for every
+//!   dwell length, and the fixed-partition engine never draws from its
+//!   RNG.
 //!
-//! Both paths are **byte-identical** to from-genesis evaluation (pinned
-//! by this module's tests and the `prefix_equivalence` property tests):
-//! the memo changes where the numbers come from, never the numbers.
-//! [`SearchStats`] counts what was reconstructed, recorded and forked;
-//! the CLI reports it through the separate `--stats-out` artifact so
-//! frontier JSON stays byte-pinned.
+//! Streams and continuations run on the same `step_epoch` (observe →
+//! decide → advance), which mirrors the per-branch operations of
+//! [`ethpos_sim::PartitionSim::step`]; conflict is "both branches have
+//! finalized" and the stop rules are the engine's. Branch checkpoints
+//! are labelled `Root::from_u64(epoch)` rather than with the engine's
+//! hashed synthetic roots: no outcome field carries a root, and a
+//! stream shared by both branches of a symmetric split never had a
+//! meaningful branch id to hash.
+//!
+//! Both paths are **byte-identical** to from-genesis evaluation
+//! ([`evaluate`](crate::objective::evaluate), one full
+//! `TwoBranchSim` run — the independent oracle, pinned by this module's
+//! tests and the `prefix_equivalence` property tests): the memo changes
+//! where the numbers come from, never the numbers. [`SearchStats`]
+//! counts what was reconstructed, recorded and continued; the CLI
+//! reports it through the separate `--stats-out` artifact so frontier
+//! JSON stays byte-pinned.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Mutex;
 
 use serde::Serialize;
 
-use ethpos_sim::{ChunkPool, TwoBranchOutcome, TwoBranchSim};
-use ethpos_state::attestations::synthetic_branch_root;
+use ethpos_sim::{ChunkPool, TwoBranchConfig, TwoBranchOutcome};
 use ethpos_state::backend::{ClassSpec, StateBackend};
-use ethpos_state::participation::{
-    ParticipationFlags, TIMELY_HEAD_FLAG_INDEX, TIMELY_SOURCE_FLAG_INDEX, TIMELY_TARGET_FLAG_INDEX,
-};
+use ethpos_state::participation::ParticipationFlags;
+use ethpos_types::{BranchId, Root};
+use ethpos_validator::{BranchChoice, BranchStatus, ByzantineSchedule};
 
 use crate::genome::{DutyGene, Genome, ParamSchedule};
 use crate::objective::{initial_byzantine_gwei, score, sim_config, EvalParams, Evaluation};
 
 /// Most pair checkpoints kept alive at once (FIFO eviction). Each holds
-/// a full two-branch simulator clone; on the copy-on-write backend that
-/// is small, but the cap bounds the worst case. Eviction order is
-/// insertion order — a pure function of the evaluated genomes, so the
-/// cache contents (and with them every counter) are thread-invariant.
+/// two branch states; on the copy-on-write backend that is small, but
+/// the cap bounds the worst case. Eviction order is insertion order — a
+/// pure function of the evaluated genomes, so the cache contents (and
+/// with them every counter) are thread-invariant.
 const CHECKPOINT_CAP: usize = 256;
+
+/// A gene stream keeps the state entering every `SNAPSHOT_STRIDE`-th
+/// epoch, so the state entering any epoch it has run is at most
+/// `SNAPSHOT_STRIDE − 1` pure-duty re-steps away (32 snapshots over the
+/// default 8192-epoch horizon).
+const SNAPSHOT_STRIDE: u64 = 256;
+
+/// The Byzantine class of every search state (the layout
+/// [`ethpos_sim::PartitionSim`] builds).
+const BYZANTINE_CLASS: usize = 0;
 
 /// Work counters of one memoized search — the observability surface of
 /// prefix memoization. Serialized into the CLI's `--stats-out` artifact
@@ -65,28 +90,33 @@ const CHECKPOINT_CAP: usize = 256;
 pub struct SearchStats {
     /// Candidate evaluations requested.
     pub evaluations: u64,
-    /// Evaluations answered from gene streams alone (no two-branch
-    /// simulator built at all).
+    /// Evaluations answered from gene-stream records alone (no epoch
+    /// simulated for the candidate itself).
     pub reconstructed: u64,
-    /// Full runs that recorded a pair checkpoint on the way.
+    /// Evaluations that built their pair's checkpoint (the two branch
+    /// states entering the trigger epoch) before continuing from it.
     pub checkpoint_records: u64,
-    /// Evaluations forked from a pair checkpoint (the cache hits).
+    /// Evaluations continued from a cached pair checkpoint (the cache
+    /// hits).
     pub checkpoint_hits: u64,
-    /// Sum of the fork epochs over all checkpoint hits — with
+    /// Sum of the trigger epochs over all checkpoint hits — with
     /// `checkpoint_hits`, the mean prefix length skipped per hit.
     pub fork_epoch_sum: u64,
-    /// Deepest fork epoch of any checkpoint hit.
+    /// Deepest trigger epoch of any checkpoint hit.
     pub max_fork_epoch: u64,
-    /// Single-branch epochs simulated extending gene streams.
+    /// Single-branch epochs simulated: gene-stream extension plus the
+    /// pure-duty re-steps from a stream snapshot to a trigger epoch
+    /// (fewer than 256 per branch and checkpoint built).
     pub stream_epochs: u64,
-    /// Two-branch epochs simulated by recorders and forks (forks count
-    /// only the epochs after their fork point).
+    /// Two-branch epochs simulated by continuations: the epochs from the
+    /// trigger on, for checkpoint records and hits alike. Nothing below
+    /// a trigger is ever simulated pairwise.
     pub pair_epochs: u64,
 }
 
 impl SearchStats {
-    /// Fraction of evaluations that never built a simulator or forked
-    /// one mid-run (`0.0` when nothing was evaluated).
+    /// Fraction of evaluations answered without building a pair
+    /// checkpoint (`0.0` when nothing was evaluated).
     pub fn memoized_fraction(&self) -> f64 {
         if self.evaluations == 0 {
             return 0.0;
@@ -106,28 +136,31 @@ impl SearchStats {
             ),
             (
                 "ethpos_search_reconstructed_total",
-                "Evaluations answered from gene streams alone (no \
-                 two-branch simulator built).",
+                "Evaluations answered from gene-stream records alone (no \
+                 epoch simulated).",
                 self.reconstructed,
             ),
             (
                 "ethpos_search_checkpoint_records_total",
-                "Full runs that recorded a pair checkpoint on the way.",
+                "Evaluations that built their pair checkpoint from stream \
+                 snapshots.",
                 self.checkpoint_records,
             ),
             (
                 "ethpos_search_checkpoint_hits_total",
-                "Evaluations forked from a pair checkpoint (cache hits).",
+                "Evaluations continued from a cached pair checkpoint \
+                 (cache hits).",
                 self.checkpoint_hits,
             ),
             (
                 "ethpos_search_stream_epochs_total",
-                "Single-branch epochs simulated extending gene streams.",
+                "Single-branch epochs simulated extending gene streams or \
+                 re-stepping from their snapshots.",
                 self.stream_epochs,
             ),
             (
                 "ethpos_search_pair_epochs_total",
-                "Two-branch epochs simulated by recorders and forks.",
+                "Two-branch epochs simulated from a dwell trigger on.",
                 self.pair_epochs,
             ),
         ] {
@@ -136,9 +169,9 @@ impl SearchStats {
     }
 }
 
-/// Per-epoch observables of one single-branch gene stream — everything
-/// outcome reconstruction and trigger detection read. `*_post` fields
-/// are read after the epoch's `advance_epoch`, the rest before.
+/// Per-epoch observables of one branch — everything outcome
+/// reconstruction and trigger detection read. `*_post` fields are read
+/// after the epoch's `advance_epoch`, the rest before.
 #[derive(Debug, Clone, Copy)]
 struct EpochRec {
     /// Would the adversary's stake reach ⅔ on this branch this epoch
@@ -148,33 +181,188 @@ struct EpochRec {
     byz_active: u64,
     /// Total active effective balance (pre-advance, Gwei).
     total_active: u64,
+    /// Had the branch finalized beyond genesis after advancing?
+    finalized_post: bool,
     /// Had the whole Byzantine class exited after advancing?
     byz_all_exited_post: bool,
     /// Total actual Byzantine balance after advancing (Gwei).
     byz_balance_post: u64,
 }
 
+/// Simulates one epoch of `K` independent branch states under one
+/// adversary decision, mirroring the per-branch operations of
+/// [`ethpos_sim::PartitionSim::step`] in their exact order: mark each
+/// branch's pinned honest classes and read the adversary's view of it,
+/// let `decide` pick the branches the Byzantine class attests, then mark
+/// it there and advance every branch. Gene streams (`K = 1`, the duty
+/// bit) and dwell continuations (`K = 2`, a [`ParamSchedule`]) both run
+/// on this one function, so they cannot drift apart.
+fn step_epoch<B: StateBackend, const K: usize>(
+    mut branches: [(&mut B, &[usize]); K],
+    epoch: u64,
+    decide: impl FnOnce(&[BranchStatus; K]) -> BranchChoice,
+) -> (BranchChoice, [EpochRec; K]) {
+    let flags = ParticipationFlags::all();
+    let statuses: [BranchStatus; K] = core::array::from_fn(|i| {
+        let (state, honest) = &mut branches[i];
+        for &class in honest.iter() {
+            state.mark_class(class, flags);
+        }
+        BranchStatus {
+            branch: BranchId::new(i as u32),
+            epoch,
+            total_active_stake: state.total_active_balance().as_u64(),
+            honest_active_stake: state.current_target_balance().as_u64(),
+            byzantine_stake: state.class_stats(BYZANTINE_CLASS).active_stake.as_u64(),
+            justified_epoch: state.current_justified_checkpoint().epoch.as_u64(),
+            finalized_epoch: state.finalized_checkpoint().epoch.as_u64(),
+        }
+    });
+    let choice = decide(&statuses);
+    let records = core::array::from_fn(|i| {
+        let state = &mut *branches[i].0;
+        if choice.get(i) {
+            state.mark_class(BYZANTINE_CLASS, flags);
+        }
+        state.advance_epoch(Some(Root::from_u64(epoch + 1)));
+        let byz = state.class_stats(BYZANTINE_CLASS);
+        EpochRec {
+            reachable: statuses[i].two_thirds_reachable(),
+            byz_active: statuses[i].byzantine_stake,
+            total_active: statuses[i].total_active_stake,
+            finalized_post: state.finalized_checkpoint().epoch.as_u64() > 0,
+            byz_all_exited_post: byz.total > 0 && byz.exited == byz.total,
+            byz_balance_post: state.class_balance(BYZANTINE_CLASS).as_u64(),
+        }
+    });
+    (choice, records)
+}
+
+/// The [`TwoBranchOutcome`] of a run, folded epoch by epoch over both
+/// branches' [`EpochRec`]s — field for field what
+/// [`ethpos_sim::TwoBranchSim::run`] computes. Reconstruction folds
+/// stream records only; a dwell continuation starts from the pair's
+/// fold over the stream records below its trigger and pushes its own
+/// records from there on.
+#[derive(Debug, Clone, Copy, Default)]
+struct OutcomeFold {
+    byzantine_exceeds_third_epoch: [Option<u64>; 2],
+    max_byzantine_proportion: [f64; 2],
+    first_finalization_epoch: [Option<u64>; 2],
+    byzantine_exit_epoch: [Option<u64>; 2],
+    final_byzantine_balance_gwei: [u64; 2],
+    double_vote_epochs: u64,
+    epochs_run: u64,
+}
+
+impl OutcomeFold {
+    /// Folds in epoch `epoch` (the next one: epochs arrive in order).
+    fn push(&mut self, epoch: u64, records: [&EpochRec; 2], double_vote: bool) {
+        debug_assert_eq!(epoch, self.epochs_run);
+        for (b, r) in records.into_iter().enumerate() {
+            let proportion = if r.total_active > 0 {
+                r.byz_active as f64 / r.total_active as f64
+            } else {
+                0.0
+            };
+            self.max_byzantine_proportion[b] = self.max_byzantine_proportion[b].max(proportion);
+            if self.byzantine_exceeds_third_epoch[b].is_none() && proportion > 1.0 / 3.0 {
+                self.byzantine_exceeds_third_epoch[b] = Some(epoch);
+            }
+            if self.first_finalization_epoch[b].is_none() && r.finalized_post {
+                self.first_finalization_epoch[b] = Some(epoch);
+            }
+            if self.byzantine_exit_epoch[b].is_none() && r.byz_all_exited_post {
+                self.byzantine_exit_epoch[b] = Some(epoch);
+            }
+            self.final_byzantine_balance_gwei[b] = r.byz_balance_post;
+        }
+        self.double_vote_epochs += u64::from(double_vote);
+        self.epochs_run = epoch + 1;
+    }
+
+    fn finish(self) -> TwoBranchOutcome {
+        TwoBranchOutcome {
+            conflicting_finalization_epoch: conflict_epoch(self.first_finalization_epoch),
+            byzantine_exceeds_third_epoch: self.byzantine_exceeds_third_epoch,
+            max_byzantine_proportion: self.max_byzantine_proportion,
+            first_finalization_epoch: self.first_finalization_epoch,
+            byzantine_exit_epoch: self.byzantine_exit_epoch,
+            final_byzantine_balance_gwei: self.final_byzantine_balance_gwei,
+            double_vote_epochs: self.double_vote_epochs,
+            history: Vec::new(),
+            epochs_run: self.epochs_run,
+        }
+    }
+}
+
+/// The epoch of conflicting finalization, given each branch's first
+/// finalization epoch: both branches fork from genesis at epoch 0, so
+/// any two checkpoints finalized beyond it conflict.
+fn conflict_epoch(first_fin: [Option<u64>; 2]) -> Option<u64> {
+    match first_fin {
+        [Some(a), Some(b)] => Some(a.max(b)),
+        _ => None,
+    }
+}
+
+/// The epoch whose finalizations end a run under the engine's
+/// configured early-stop rules, given each branch's first finalization
+/// epoch so far (`None`: the run goes on, to the horizon if need be).
+fn stop_epoch(config: &TwoBranchConfig, first_fin: [Option<u64>; 2]) -> Option<u64> {
+    if config.stop_on_finalization {
+        first_fin.into_iter().flatten().min()
+    } else if config.stop_on_conflict {
+        conflict_epoch(first_fin)
+    } else {
+        None
+    }
+}
+
+/// One pure-duty epoch of a single branch state — the only way a gene
+/// stream's state (or a copy re-stepped from one of its snapshots)
+/// moves.
+fn duty_step<B: StateBackend>(
+    gene: DutyGene,
+    state: &mut B,
+    epoch: u64,
+    honest: &[usize],
+) -> EpochRec {
+    let on = gene.active(epoch);
+    let (_, [record]) = step_epoch([(state, honest)], epoch, |_| BranchChoice::from([on]));
+    record
+}
+
 /// One memoized single-branch run: the branch state of a two-branch
 /// simulation whose adversary follows `gene` on this branch, extended
 /// lazily epoch by epoch.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct GeneStream<B: StateBackend> {
+    /// The stream table this run lives in (see [`PrefixMemo::slot`]).
     branch: usize,
     gene: DutyGene,
+    /// The honest classes pinned to this branch, marked every epoch.
+    honest: Vec<usize>,
     state: B,
     records: Vec<EpochRec>,
-    /// First epoch with `finalized_post > 0`, once known.
+    /// First epoch with `finalized_post`, once known.
     first_fin: Option<u64>,
+    /// `snapshots[k]` is the state entering epoch `k · stride`.
+    snapshots: Vec<B>,
+    stride: u64,
 }
 
 impl<B: StateBackend> GeneStream<B> {
-    fn new(branch: usize, gene: DutyGene, genesis: B) -> Self {
+    fn new(branch: usize, gene: DutyGene, honest: Vec<usize>, genesis: B, stride: u64) -> Self {
         GeneStream {
             branch,
             gene,
+            honest,
+            snapshots: vec![genesis.clone()],
             state: genesis,
             records: Vec::new(),
             first_fin: None,
+            stride,
         }
     }
 
@@ -183,95 +371,61 @@ impl<B: StateBackend> GeneStream<B> {
         self.records.len() as u64
     }
 
-    /// Runs epochs `len()..target`, mirroring the per-branch operations
-    /// of [`ethpos_sim::PartitionSim::step`] in their exact order: mark
-    /// the pinned honest class, read the adversary's observables, mark
-    /// the Byzantine class if the duty cycle is on, advance under the
-    /// branch's synthetic checkpoint root.
-    fn extend_to(&mut self, target: u64, flags: ParticipationFlags) {
-        let honest_class = 1 + self.branch;
+    /// Runs epochs `len()..target`.
+    fn extend_to(&mut self, target: u64) {
         for e in self.len()..target {
-            self.state.mark_class(honest_class, flags);
-            let honest = self.state.current_target_balance().as_u64();
-            let total = self.state.total_active_balance().as_u64();
-            let byz_active = self.state.class_stats(0).active_stake.as_u64();
-            let reachable = 3 * (honest as u128 + byz_active as u128) >= 2 * (total as u128);
-            if self.gene.active(e) {
-                self.state.mark_class(0, flags);
-            }
-            self.state
-                .advance_epoch(Some(synthetic_branch_root(self.branch as u64, e + 1)));
-            let finalized_post = self.state.finalized_checkpoint().epoch.as_u64();
-            let byz = self.state.class_stats(0);
-            self.records.push(EpochRec {
-                reachable,
-                byz_active,
-                total_active: total,
-                byz_all_exited_post: byz.total > 0 && byz.exited == byz.total,
-                byz_balance_post: self.state.class_balance(0).as_u64(),
-            });
-            if self.first_fin.is_none() && finalized_post > 0 {
+            let record = duty_step(self.gene, &mut self.state, e, &self.honest);
+            if self.first_fin.is_none() && record.finalized_post {
                 self.first_fin = Some(e);
+            }
+            self.records.push(record);
+            if (e + 1) % self.stride == 0 {
+                self.snapshots.push(self.state.clone());
             }
         }
     }
 
     /// Extends until the first finalization epoch is known (or the
     /// horizon is reached) — enough to compute any pair's stop epoch.
-    fn extend_until_fin(&mut self, max_epochs: u64, flags: ParticipationFlags) {
+    fn extend_until_fin(&mut self, max_epochs: u64) {
         while self.first_fin.is_none() && self.len() < max_epochs {
             let target = (self.len() + 64).min(max_epochs);
-            self.extend_to(target, flags);
+            self.extend_to(target);
         }
     }
+
+    /// The state entering `epoch ≤ len()`: the nearest snapshot at or
+    /// below it, re-stepped under the duty cycle.
+    fn state_at(&self, epoch: u64) -> B {
+        let from = epoch / self.stride;
+        let mut state = self.snapshots[from as usize].clone();
+        for e in from * self.stride..epoch {
+            duty_step(self.gene, &mut state, e, &self.honest);
+        }
+        state
+    }
+}
+
+/// The first epoch a pair's dwell feedback triggers (both branches
+/// ⅔-reachable), and the pair's outcome fold over the epochs below it —
+/// where every dwell variant's continuation starts.
+#[derive(Debug, Clone, Copy)]
+struct Trigger {
+    epoch: u64,
+    prefix: OutcomeFold,
 }
 
 /// The stop analysis of one duty pair: where the engine's early-stop
 /// rules end a pure-duty run of the pair, and what that run's outcome
 /// reconstructs to.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct StopInfo {
-    /// First epoch the dwell feedback would trigger (both branches
-    /// ⅔-reachable), if it happens before the stop epoch
+    /// The dwell trigger, if one comes before the stop epoch
     /// (`outcome.epochs_run`).
-    trigger: Option<u64>,
+    trigger: Option<Trigger>,
     /// The reconstructed pure-duty outcome (shared by the dwell-free
     /// genome of the pair and every dwell variant that never triggers).
     outcome: TwoBranchOutcome,
-}
-
-/// A two-branch simulator frozen at a dwell trigger epoch, ready to be
-/// forked for any dwell variant of its duty pair.
-#[derive(Debug, Clone)]
-struct PairCheckpoint<B: StateBackend> {
-    sim: TwoBranchSim<B>,
-    trigger: u64,
-}
-
-/// How one genome of a batch gets its outcome.
-enum Plan {
-    /// Streams only: the outcome index into the pair's [`StopInfo`].
-    Reconstruct([DutyGene; 2]),
-    /// Result of `tasks[i]` in a simulator phase.
-    Task(usize),
-}
-
-/// A unit of two-branch simulation work (phases D/E of a batch).
-enum RunTask<B: StateBackend> {
-    /// Run `genome` from genesis, cloning a checkpoint at `trigger`.
-    Record {
-        genome: Genome,
-        pair: [DutyGene; 2],
-        trigger: u64,
-    },
-    /// Fork `sim` (already cloned from the checkpoint cache) at
-    /// `trigger` and continue under `genome`. Boxed so the task vector
-    /// stays small — `Record` is a few words.
-    Fork {
-        genome: Genome,
-        sim: Box<TwoBranchSim<B>>,
-        trigger: u64,
-    },
 }
 
 /// The memo: gene streams, pair stop analyses and pair checkpoints
@@ -283,15 +437,19 @@ enum RunTask<B: StateBackend> {
 /// counters are bit-identical for any worker-thread count.
 pub struct PrefixMemo<B: StateBackend> {
     params: EvalParams,
-    config: ethpos_sim::TwoBranchConfig,
+    config: TwoBranchConfig,
     initial_gwei: u64,
-    flags: ParticipationFlags,
     genesis: B,
+    /// Per branch, the state classes the compiled plan pins to it.
+    honest: [Vec<usize>; 2],
     /// Equal-sized honest classes: both branches share `streams[0]`.
     symmetric: bool,
+    /// [`SNAPSHOT_STRIDE`] (tests shorten it).
+    stride: u64,
     streams: [BTreeMap<DutyGene, GeneStream<B>>; 2],
     duty_stops: BTreeMap<[DutyGene; 2], StopInfo>,
-    checkpoints: BTreeMap<[DutyGene; 2], PairCheckpoint<B>>,
+    /// Per pair, the two branch states entering its trigger epoch.
+    checkpoints: BTreeMap<[DutyGene; 2], [B; 2]>,
     checkpoint_order: VecDeque<[DutyGene; 2]>,
     stats: SearchStats,
 }
@@ -310,8 +468,8 @@ impl<B: StateBackend> core::fmt::Debug for PrefixMemo<B> {
 impl<B: StateBackend + Send + Sync> PrefixMemo<B> {
     /// Builds the memo for one search's parameters. The genesis state is
     /// constructed once and cloned per stream — the same class layout
-    /// [`TwoBranchSim`] builds (class 0 Byzantine, classes 1 and 2 the
-    /// honest halves of the fixed partition).
+    /// [`ethpos_sim::TwoBranchSim`] builds (class 0 Byzantine, then the
+    /// non-empty honest sides of the fixed partition).
     ///
     /// # Panics
     ///
@@ -324,29 +482,38 @@ impl<B: StateBackend + Send + Sync> PrefixMemo<B> {
             .timeline()
             .compile(n_honest)
             .expect("the two-branch timeline always compiles");
-        let classes: Vec<ClassSpec> = std::iter::once(config.byzantine as u64)
+        let sizes: Vec<u64> = std::iter::once(config.byzantine as u64)
             .chain(compiled.honest_classes().iter().copied())
-            .map(|count| ClassSpec::full_stake(count, &config.chain))
+            .collect();
+        let classes: Vec<ClassSpec> = sizes
+            .iter()
+            .map(|&count| ClassSpec::full_stake(count, &config.chain))
             .collect();
         let genesis = B::from_classes(config.chain.clone(), &classes);
-        // At p0 = 0.5 the two honest classes are the same size, and a
-        // gene's single-branch observables depend only on the marked
-        // class *sizes* (the synthetic root's branch id never feeds back
-        // into balances or finalization) — so both branches can share
-        // one stream per gene, halving the stream work.
-        let hc = compiled.honest_classes();
-        let symmetric = hc.len() == 2 && hc[0] == hc[1];
-        let mut flags = ParticipationFlags::EMPTY;
-        flags.set(TIMELY_SOURCE_FLAG_INDEX);
-        flags.set(TIMELY_TARGET_FLAG_INDEX);
-        flags.set(TIMELY_HEAD_FLAG_INDEX);
+        // The compiler elides empty classes (a lone honest validator, or
+        // none at all), so which classes a branch marks comes from the
+        // compiled plan, never from the branch id.
+        let plan = compiled.steps()[0].plan();
+        let honest = [0, 1].map(|b| {
+            plan.pinned_classes(BranchId::new(b))
+                .expect("the epoch-0 split makes both branches live")
+                .to_vec()
+        });
+        // When both branches pin classes of the same sizes (p0 = 0.5 on
+        // an even honest count), a gene's single-branch observables are
+        // the same on either — they depend only on the marked class
+        // *sizes* — so both branches can share one stream per gene,
+        // halving the stream work.
+        let pinned_sizes = |b: usize| honest[b].iter().map(|&c| sizes[c]).collect::<Vec<_>>();
+        let symmetric = pinned_sizes(0) == pinned_sizes(1);
         PrefixMemo {
             params: *params,
             config,
             initial_gwei,
-            flags,
             genesis,
+            honest,
             symmetric,
+            stride: SNAPSHOT_STRIDE,
             streams: [BTreeMap::new(), BTreeMap::new()],
             duty_stops: BTreeMap::new(),
             checkpoints: BTreeMap::new(),
@@ -370,9 +537,14 @@ impl<B: StateBackend + Send + Sync> PrefixMemo<B> {
         }
     }
 
+    /// The streams standing in for the two branches of `pair`.
+    fn pair_streams(&self, pair: [DutyGene; 2]) -> [&GeneStream<B>; 2] {
+        [0, 1].map(|b| &self.streams[self.slot(b)][&pair[b]])
+    }
+
     /// Evaluates a batch of candidates, byte-identical to calling
     /// [`crate::objective::evaluate`] on each, sharding the simulation
-    /// work (stream extension, checkpoint recording, forked runs) over
+    /// work (stream extension, checkpoint building, continuations) over
     /// `pool`.
     pub fn evaluate_batch(&mut self, pool: &ChunkPool, genomes: &[Genome]) -> Vec<Evaluation> {
         self.stats.evaluations += genomes.len() as u64;
@@ -422,169 +594,74 @@ impl<B: StateBackend + Send + Sync> PrefixMemo<B> {
             }
         }
 
-        // Phase C — classify each genome: reconstruct from streams, fork
-        // an existing checkpoint, or run in full (recording a checkpoint
-        // for the pair's later dwell variants). `pending` genomes wait
-        // for a checkpoint recorded earlier in this same batch.
-        let mut plans: Vec<Plan> = Vec::with_capacity(genomes.len());
-        let mut tasks: Vec<RunTask<B>> = Vec::new();
-        let mut pending: Vec<(usize, Genome, [DutyGene; 2], u64)> = Vec::new();
-        let mut recording: BTreeSet<[DutyGene; 2]> = BTreeSet::new();
-        for (gi, genome) in genomes.iter().enumerate() {
-            let pair = genome.duty;
-            let trigger = self.duty_stops[&pair].trigger;
-            let plan = match (genome.dwell, trigger) {
-                (0, _) | (_, None) => Plan::Reconstruct(pair),
-                (_, Some(t)) => {
-                    if let Some(cp) = self.checkpoints.get(&pair) {
-                        self.stats.checkpoint_hits += 1;
-                        self.stats.fork_epoch_sum += cp.trigger;
-                        self.stats.max_fork_epoch = self.stats.max_fork_epoch.max(cp.trigger);
-                        tasks.push(RunTask::Fork {
-                            genome: *genome,
-                            sim: Box::new(cp.sim.clone()),
-                            trigger: cp.trigger,
-                        });
-                        Plan::Task(tasks.len() - 1)
-                    } else if recording.insert(pair) {
-                        tasks.push(RunTask::Record {
-                            genome: *genome,
-                            pair,
-                            trigger: t,
-                        });
-                        Plan::Task(tasks.len() - 1)
-                    } else {
-                        pending.push((gi, *genome, pair, t));
-                        Plan::Task(usize::MAX) // patched in phase E
-                    }
-                }
-            };
-            plans.push(plan);
-        }
-
-        // Phase D — recorders and ready forks in parallel; cache updates
-        // in task order on this thread.
-        let mut outcomes: Vec<Option<TwoBranchOutcome>> = Vec::new();
-        {
-            let config = &self.config;
-            let results = pool.map(tasks.len(), |i| match &tasks[i] {
-                RunTask::Record {
-                    genome, trigger, ..
-                } => {
-                    let mut sim = TwoBranchSim::<B>::with_backend(
-                        config.clone(),
-                        Box::new(ParamSchedule::new(*genome)),
-                    );
-                    while sim.current_epoch() < *trigger && sim.step() {}
-                    let checkpoint = sim.clone();
-                    while sim.step() {}
-                    (sim.finish(), Some(checkpoint))
-                }
-                RunTask::Fork { genome, sim, .. } => {
-                    let mut sim = sim.clone();
-                    sim.set_schedule(Box::new(ParamSchedule::new(*genome)));
-                    while sim.step() {}
-                    (sim.finish(), None)
-                }
-            });
-            for (task, (outcome, checkpoint)) in tasks.iter().zip(results) {
-                match task {
-                    RunTask::Record { pair, trigger, .. } => {
-                        self.stats.checkpoint_records += 1;
-                        self.stats.pair_epochs += outcome.epochs_run;
-                        self.insert_checkpoint(
-                            *pair,
-                            PairCheckpoint {
-                                sim: checkpoint.expect("recorders return a checkpoint"),
-                                trigger: *trigger,
-                            },
-                        );
-                    }
-                    RunTask::Fork { trigger, .. } => {
-                        self.stats.pair_epochs += outcome.epochs_run - trigger;
-                    }
-                }
-                outcomes.push(Some(outcome));
+        // Phase C — classify each genome: reconstructed from its streams,
+        // or a dwell variant to continue from its pair's checkpoint;
+        // note the pairs whose checkpoint is not cached, in first-use
+        // order.
+        let runs: Vec<usize> = (0..genomes.len())
+            .filter(|&gi| genomes[gi].dwell > 0 && self.trigger(genomes[gi].duty).is_some())
+            .collect();
+        let mut missing: Vec<[DutyGene; 2]> = Vec::new();
+        for &gi in &runs {
+            let pair = genomes[gi].duty;
+            if !self.checkpoints.contains_key(&pair) && !missing.contains(&pair) {
+                missing.push(pair);
             }
         }
 
-        // Phase E — forks that waited on a phase-D recorder. A pair
-        // evicted from the cache within this very batch (> CHECKPOINT_CAP
-        // pairs in one batch) falls back to a full run.
-        if !pending.is_empty() {
-            let mut forks: Vec<(usize, RunTask<B>)> = Vec::new();
-            for &(gi, genome, pair, trigger) in &pending {
-                let task = match self.checkpoints.get(&pair) {
-                    Some(cp) => {
-                        self.stats.checkpoint_hits += 1;
-                        self.stats.fork_epoch_sum += cp.trigger;
-                        self.stats.max_fork_epoch = self.stats.max_fork_epoch.max(cp.trigger);
-                        RunTask::Fork {
-                            genome,
-                            sim: Box::new(cp.sim.clone()),
-                            trigger: cp.trigger,
-                        }
-                    }
-                    None => RunTask::Record {
-                        genome,
-                        pair,
-                        trigger,
-                    },
-                };
-                forks.push((gi, task));
-            }
-            let config = &self.config;
-            let results = pool.map(forks.len(), |i| match &forks[i].1 {
-                RunTask::Record { genome, .. } => {
-                    let sim = TwoBranchSim::<B>::with_backend(
-                        config.clone(),
-                        Box::new(ParamSchedule::new(*genome)),
-                    );
-                    sim.run()
-                }
-                RunTask::Fork { genome, sim, .. } => {
-                    let mut sim = sim.clone();
-                    sim.set_schedule(Box::new(ParamSchedule::new(*genome)));
-                    while sim.step() {}
-                    sim.finish()
-                }
-            });
-            for ((gi, task), outcome) in forks.iter().zip(results) {
-                match task {
-                    RunTask::Record { .. } => self.stats.pair_epochs += outcome.epochs_run,
-                    RunTask::Fork { trigger, .. } => {
-                        self.stats.pair_epochs += outcome.epochs_run - trigger;
-                    }
-                }
-                outcomes.push(Some(outcome));
-                plans[*gi] = Plan::Task(outcomes.len() - 1);
+        // Phase D — build the missing checkpoints, then run every
+        // continuation from a clone of its pair's, both in parallel.
+        let this = &*self;
+        let built = pool.map(missing.len(), |i| this.build_checkpoint(missing[i]));
+        let mut fresh: BTreeMap<[DutyGene; 2], [B; 2]> =
+            missing.iter().copied().zip(built).collect();
+        let outcomes = pool.map(runs.len(), |i| {
+            let genome = genomes[runs[i]];
+            let checkpoint = fresh
+                .get(&genome.duty)
+                .unwrap_or_else(|| &this.checkpoints[&genome.duty]);
+            this.continue_from(checkpoint.clone(), genome)
+        });
+
+        // Phase E — count the work and cache the new checkpoints, on
+        // this thread in genome order: a pair's first dwell variant
+        // built its checkpoint, every other one hit the cache.
+        let mut outcome_of: Vec<Option<&TwoBranchOutcome>> = vec![None; genomes.len()];
+        for (&gi, outcome) in runs.iter().zip(&outcomes) {
+            outcome_of[gi] = Some(outcome);
+            let pair = genomes[gi].duty;
+            let trigger = self.trigger(pair).expect("only triggered pairs run").epoch;
+            self.stats.pair_epochs += outcome.epochs_run - trigger;
+            if let Some(states) = fresh.remove(&pair) {
+                self.stats.checkpoint_records += 1;
+                // `state_at`'s re-steps, on both branches.
+                self.stats.stream_epochs += 2 * (trigger % self.stride);
+                self.insert_checkpoint(pair, states);
+            } else {
+                self.stats.checkpoint_hits += 1;
+                self.stats.fork_epoch_sum += trigger;
+                self.stats.max_fork_epoch = self.stats.max_fork_epoch.max(trigger);
             }
         }
 
-        // Phase F — assemble, in genome order.
+        // Phase F — score, in genome order.
         genomes
             .iter()
-            .zip(&mut plans)
-            .map(|(genome, plan)| {
-                let owned;
-                let outcome: &TwoBranchOutcome = match plan {
-                    Plan::Reconstruct(pair) => {
-                        self.stats.reconstructed += 1;
-                        &self.duty_stops[pair].outcome
-                    }
-                    Plan::Task(i) => {
-                        owned = outcomes[*i].take().expect("each task result used once");
-                        &owned
-                    }
-                };
+            .zip(outcome_of)
+            .map(|(genome, outcome)| {
+                let outcome = outcome.unwrap_or_else(|| {
+                    self.stats.reconstructed += 1;
+                    &self.duty_stops[&genome.duty].outcome
+                });
                 score(&self.params, *genome, self.initial_gwei, outcome)
             })
             .collect()
     }
 
     /// Extends a set of streams in parallel (creating missing ones from
-    /// the genesis template). `until_fin` additionally extends each
-    /// stream until its first finalization epoch is known.
+    /// the genesis template), each moved into its task and back.
+    /// `until_fin` additionally extends each stream until its first
+    /// finalization epoch is known.
     fn extend_streams(
         &mut self,
         pool: &ChunkPool,
@@ -592,31 +669,38 @@ impl<B: StateBackend + Send + Sync> PrefixMemo<B> {
         until_fin: bool,
     ) {
         let max_epochs = self.config.max_epochs;
-        let flags = self.flags;
-        let mut work: Vec<GeneStream<B>> = Vec::new();
+        // Each stream sits in a cell until its task takes it.
+        let mut work: Vec<Mutex<Option<GeneStream<B>>>> = Vec::new();
         let mut goals: Vec<u64> = Vec::new();
         for (b, gene, target) in targets {
-            let stream = self.streams[b]
-                .remove(&gene)
-                .unwrap_or_else(|| GeneStream::new(b, gene, self.genesis.clone()));
+            let stream = self.streams[b].remove(&gene).unwrap_or_else(|| {
+                let honest = self.honest[b].clone();
+                GeneStream::new(b, gene, honest, self.genesis.clone(), self.stride)
+            });
             let done = stream.len() >= target && (!until_fin || stream.first_fin.is_some());
             if done || stream.len() >= max_epochs {
                 self.streams[b].insert(gene, stream);
                 continue;
             }
-            work.push(stream);
+            work.push(Mutex::new(Some(stream)));
             goals.push(target.min(max_epochs));
         }
         let extended = pool.map(work.len(), |i| {
-            let mut s = work[i].clone();
-            s.extend_to(goals[i], flags);
+            let mut s = work[i]
+                .lock()
+                .expect("no task panics holding the lock")
+                .take()
+                .expect("each task index runs once");
+            let before = s.len();
+            s.extend_to(goals[i]);
             if until_fin {
-                s.extend_until_fin(max_epochs, flags);
+                s.extend_until_fin(max_epochs);
             }
-            s
+            let grown = s.len() - before;
+            (s, grown)
         });
-        for (old, s) in work.iter().zip(extended) {
-            self.stats.stream_epochs += s.len() - old.len();
+        for (s, grown) in extended {
+            self.stats.stream_epochs += grown;
             self.streams[s.branch].insert(s.gene, s);
         }
     }
@@ -624,85 +708,73 @@ impl<B: StateBackend + Send + Sync> PrefixMemo<B> {
     /// The stop epoch of a pure-duty run of `pair` — where the engine's
     /// configured early-stop rules end it (`epochs_run`).
     fn pair_stop(&self, pair: [DutyGene; 2]) -> u64 {
-        let max = self.config.max_epochs;
-        let f0 = self.streams[self.slot(0)][&pair[0]].first_fin;
-        let f1 = self.streams[self.slot(1)][&pair[1]].first_fin;
-        if self.config.stop_on_finalization {
-            match f0.iter().chain(f1.iter()).min() {
-                Some(&f) => f + 1,
-                None => max,
-            }
-        } else if self.config.stop_on_conflict {
-            match (f0, f1) {
-                (Some(a), Some(b)) => a.max(b) + 1,
-                _ => max,
-            }
-        } else {
-            max
-        }
+        let first_fin = self.pair_streams(pair).map(|s| s.first_fin);
+        stop_epoch(&self.config, first_fin).map_or(self.config.max_epochs, |f| f + 1)
     }
 
-    /// Reconstructs the pure-duty outcome and trigger epoch of `pair`
-    /// from its two streams — field for field what
-    /// [`TwoBranchSim::run`] computes, folded over the records.
+    /// Reconstructs the pure-duty outcome of `pair` from its two
+    /// streams, noting the trigger epoch (and the fold below it) on the
+    /// way.
     fn analyze_pair(&self, pair: [DutyGene; 2]) -> StopInfo {
         let stop = self.pair_stop(pair);
-        let streams = [
-            &self.streams[self.slot(0)][&pair[0]],
-            &self.streams[self.slot(1)][&pair[1]],
-        ];
-        let fin = [streams[0].first_fin, streams[1].first_fin];
+        let streams = self.pair_streams(pair);
         debug_assert!(streams.iter().all(|s| s.len() >= stop));
-
-        let trigger = (0..stop).find(|&e| {
-            streams[0].records[e as usize].reachable && streams[1].records[e as usize].reachable
-        });
-
-        let conflicting_finalization_epoch = match (fin[0], fin[1]) {
-            (Some(a), Some(b)) if a.max(b) < stop => Some(a.max(b)),
-            _ => None,
-        };
-        let mut byzantine_exceeds_third_epoch = [None, None];
-        let mut max_byzantine_proportion = [0.0f64; 2];
-        let mut byzantine_exit_epoch = [None, None];
-        for b in 0..2 {
-            for e in 0..stop {
-                let r = &streams[b].records[e as usize];
-                let proportion = if r.total_active > 0 {
-                    r.byz_active as f64 / r.total_active as f64
-                } else {
-                    0.0
-                };
-                max_byzantine_proportion[b] = max_byzantine_proportion[b].max(proportion);
-                if byzantine_exceeds_third_epoch[b].is_none() && proportion > 1.0 / 3.0 {
-                    byzantine_exceeds_third_epoch[b] = Some(e);
-                }
-                if byzantine_exit_epoch[b].is_none() && r.byz_all_exited_post {
-                    byzantine_exit_epoch[b] = Some(e);
-                }
+        let records = streams.map(|s| &s.records[..stop as usize]);
+        let mut fold = OutcomeFold::default();
+        let mut trigger = None;
+        for e in 0..stop {
+            let at = [&records[0][e as usize], &records[1][e as usize]];
+            if trigger.is_none() && at[0].reachable && at[1].reachable {
+                trigger = Some(Trigger {
+                    epoch: e,
+                    prefix: fold,
+                });
             }
+            fold.push(e, at, pair[0].active(e) && pair[1].active(e));
         }
-        let outcome = TwoBranchOutcome {
-            conflicting_finalization_epoch,
-            byzantine_exceeds_third_epoch,
-            max_byzantine_proportion,
-            first_finalization_epoch: [fin[0].filter(|&f| f < stop), fin[1].filter(|&f| f < stop)],
-            byzantine_exit_epoch,
-            final_byzantine_balance_gwei: [
-                streams[0].records[stop as usize - 1].byz_balance_post,
-                streams[1].records[stop as usize - 1].byz_balance_post,
-            ],
-            double_vote_epochs: (0..stop)
-                .filter(|&e| pair[0].active(e) && pair[1].active(e))
-                .count() as u64,
-            history: Vec::new(),
-            epochs_run: stop,
-        };
-        StopInfo { trigger, outcome }
+        StopInfo {
+            trigger,
+            outcome: fold.finish(),
+        }
     }
 
-    fn insert_checkpoint(&mut self, pair: [DutyGene; 2], checkpoint: PairCheckpoint<B>) {
-        if self.checkpoints.insert(pair, checkpoint).is_none() {
+    /// The dwell trigger of an analyzed `pair`.
+    fn trigger(&self, pair: [DutyGene; 2]) -> Option<&Trigger> {
+        self.duty_stops[&pair].trigger.as_ref()
+    }
+
+    /// The checkpoint of a triggered `pair`: the two branch states
+    /// entering its trigger epoch, rebuilt from its streams' snapshots.
+    fn build_checkpoint(&self, pair: [DutyGene; 2]) -> [B; 2] {
+        let at = self.trigger(pair).expect("only triggered pairs run").epoch;
+        self.pair_streams(pair).map(|s| s.state_at(at))
+    }
+
+    /// Continues `genome`'s pair from its checkpoint `states` under the
+    /// genome's full schedule, until the engine's stop rules (or the
+    /// horizon) end the run.
+    fn continue_from(&self, mut states: [B; 2], genome: Genome) -> TwoBranchOutcome {
+        let start = self.trigger(genome.duty).expect("only triggered pairs run");
+        let honest = self.pair_streams(genome.duty).map(|s| s.honest.as_slice());
+        let mut schedule = ParamSchedule::new(genome);
+        let mut fold = start.prefix;
+        let [s0, s1] = &mut states;
+        for e in start.epoch..self.config.max_epochs {
+            let (choice, records) = step_epoch(
+                [(&mut *s0, honest[0]), (&mut *s1, honest[1])],
+                e,
+                |statuses| schedule.participate(statuses),
+            );
+            fold.push(e, [&records[0], &records[1]], choice.is_double_vote());
+            if stop_epoch(&self.config, fold.first_finalization_epoch).is_some() {
+                break;
+            }
+        }
+        fold.finish()
+    }
+
+    fn insert_checkpoint(&mut self, pair: [DutyGene; 2], states: [B; 2]) {
+        if self.checkpoints.insert(pair, states).is_none() {
             self.checkpoint_order.push_back(pair);
             if self.checkpoint_order.len() > CHECKPOINT_CAP {
                 let evicted = self.checkpoint_order.pop_front().expect("non-empty");
@@ -718,9 +790,34 @@ mod tests {
     use crate::objective::{evaluate, Objective};
     use ethpos_state::{BackendKind, CohortState, DenseState};
 
+    /// The snapshot strides every memo ≡ `evaluate()` comparison runs
+    /// at. The last two put the `late_trigger` params' trigger epoch
+    /// *just after* a snapshot (one re-step) and *just before* one (the
+    /// longest re-step run, from genesis); at strides 1, 2 and 7 it
+    /// lands *on* a snapshot (518 = 2 · 7 · 37), at 64 and 256 six past.
+    const STRIDES: [u64; 7] = [
+        1,
+        2,
+        7,
+        64,
+        SNAPSHOT_STRIDE,
+        LATE_TRIGGER - 1,
+        LATE_TRIGGER + 1,
+    ];
+
+    impl<B: StateBackend + Send + Sync> PrefixMemo<B> {
+        fn with_stride(params: &EvalParams, stride: u64) -> Self {
+            PrefixMemo {
+                stride,
+                ..PrefixMemo::new(params)
+            }
+        }
+    }
+
+    /// β₀ = ⅓: ⅔ is reachable on both branches from epoch 0.
     fn params(objective: Objective) -> EvalParams {
         EvalParams {
-            n: 120,
+            n: 30,
             beta0: 1.0 / 3.0,
             p0: 0.5,
             epochs: 60,
@@ -729,23 +826,70 @@ mod tests {
         }
     }
 
+    /// 16 of 50 validators Byzantine, 17 honest per branch: ⅔ becomes
+    /// reachable only once the inactive half's effective balance takes
+    /// its first 1-ETH step, at epoch 518 (`LATE_TRIGGER`).
+    fn late_trigger(objective: Objective) -> EvalParams {
+        EvalParams {
+            n: 50,
+            beta0: 0.32,
+            epochs: 540,
+            ..params(objective)
+        }
+    }
+
+    const LATE_TRIGGER: u64 = 518;
+
+    /// Feeds `batches` to one memo per stride, comparing every
+    /// evaluation with the from-genesis reference, and returns the
+    /// default-stride counters (all but `stream_epochs` are
+    /// stride-invariant, which is asserted too).
+    fn assert_batches_match_plain<B: StateBackend + Send + Sync>(
+        params: &EvalParams,
+        batches: &[&[Genome]],
+    ) -> SearchStats {
+        let pool = ChunkPool::new(1);
+        let mut want: BTreeMap<Genome, String> = BTreeMap::new();
+        let mut all_stats = Vec::new();
+        for stride in STRIDES {
+            let mut memo = PrefixMemo::<B>::with_stride(params, stride);
+            for batch in batches {
+                let memoized = memo.evaluate_batch(&pool, batch);
+                for (genome, got) in batch.iter().zip(&memoized) {
+                    let want = want.entry(*genome).or_insert_with(|| {
+                        serde_json::to_string(&evaluate(params, *genome)).unwrap()
+                    });
+                    assert_eq!(
+                        &serde_json::to_string(got).unwrap(),
+                        want,
+                        "genome {} at stride {stride}",
+                        genome.label()
+                    );
+                }
+            }
+            all_stats.push(memo.stats());
+        }
+        let last = *all_stats.last().unwrap();
+        for stats in all_stats {
+            let same_streams = SearchStats {
+                stream_epochs: last.stream_epochs,
+                ..stats
+            };
+            assert_eq!(same_streams, last, "only re-steps depend on the stride");
+        }
+        last
+    }
+
     fn assert_batch_matches_plain<B: StateBackend + Send + Sync>(
         params: &EvalParams,
         genomes: &[Genome],
     ) -> SearchStats {
-        let pool = ChunkPool::new(1);
-        let mut memo = PrefixMemo::<B>::new(params);
-        let memoized = memo.evaluate_batch(&pool, genomes);
-        for (genome, got) in genomes.iter().zip(&memoized) {
-            let want = evaluate(params, *genome);
-            assert_eq!(
-                serde_json::to_string(got).unwrap(),
-                serde_json::to_string(&want).unwrap(),
-                "genome {}",
-                genome.label()
-            );
-        }
-        memo.stats()
+        assert_batches_match_plain::<B>(params, &[genomes])
+    }
+
+    /// The dwell-free genome of `pair` and its dwell variants 1..=4.
+    fn dwell_variants(duty: [DutyGene; 2]) -> Vec<Genome> {
+        (0..=4u8).map(|dwell| Genome { duty, dwell }).collect()
     }
 
     #[test]
@@ -760,26 +904,44 @@ mod tests {
             let dense = assert_batch_matches_plain::<DenseState>(&p, &genomes);
             let cohort = assert_batch_matches_plain::<CohortState>(&p, &genomes);
             assert_eq!(dense, cohort, "{objective:?} counters");
+            assert_batch_matches_plain::<CohortState>(&late_trigger(objective), &genomes);
         }
     }
 
     #[test]
     fn dwell_variants_fork_one_checkpoint() {
         // β0 = ⅓ makes ⅔ reachable immediately: every dwell variant of
-        // the alternation pair triggers and the first one records the
+        // the alternation pair triggers and the first one builds the
         // pair checkpoint for the rest.
-        let genomes: Vec<Genome> = (0..=4u8)
-            .map(|dwell| Genome {
-                duty: Genome::THRESHOLD_SEEKER.duty,
-                dwell,
-            })
-            .collect();
+        let genomes = dwell_variants(Genome::THRESHOLD_SEEKER.duty);
         let stats =
             assert_batch_matches_plain::<CohortState>(&params(Objective::Conflict), &genomes);
         assert_eq!(stats.evaluations, 5);
         assert_eq!(stats.reconstructed, 1, "dwell 0 reconstructs");
-        assert_eq!(stats.checkpoint_records, 1, "first dwell variant records");
-        assert_eq!(stats.checkpoint_hits, 3, "remaining variants fork");
+        assert_eq!(stats.checkpoint_records, 1, "first dwell variant builds");
+        assert_eq!(stats.checkpoint_hits, 3, "remaining variants continue");
+        assert_eq!(stats.fork_epoch_sum, 0, "the trigger is epoch 0");
+    }
+
+    #[test]
+    fn late_trigger_variants_simulate_only_the_epochs_past_it() {
+        let genomes = dwell_variants(Genome::THRESHOLD_SEEKER.duty);
+        for objective in Objective::all() {
+            let p = late_trigger(objective);
+            let cohort = assert_batch_matches_plain::<CohortState>(&p, &genomes);
+            // 518-epoch dense prefixes are slow unoptimized: one
+            // objective carries the dense side.
+            if objective == Objective::Conflict {
+                let dense = assert_batch_matches_plain::<DenseState>(&p, &genomes);
+                assert_eq!(dense, cohort, "{objective:?} counters");
+            }
+            assert_eq!(cohort.checkpoint_records, 1);
+            assert_eq!(cohort.checkpoint_hits, 3);
+            assert_eq!(cohort.fork_epoch_sum, 3 * LATE_TRIGGER);
+            // Four continuations, none longer than trigger → horizon.
+            assert!(cohort.pair_epochs <= 4 * (p.epochs - LATE_TRIGGER));
+            assert!(cohort.pair_epochs >= 4);
+        }
     }
 
     #[test]
@@ -793,12 +955,129 @@ mod tests {
         let second = memo.evaluate_batch(&pool, &genomes);
         assert_eq!(memo.stats().stream_epochs, streamed, "streams are reused");
         assert_eq!(memo.stats().checkpoint_records, 1);
-        assert_eq!(memo.stats().checkpoint_hits, 1, "second batch forks");
+        assert_eq!(memo.stats().checkpoint_hits, 1, "second batch continues");
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(
                 serde_json::to_string(a).unwrap(),
                 serde_json::to_string(b).unwrap()
             );
+        }
+    }
+
+    /// One memo serving several batches (the driver's usage pattern):
+    /// later batches reuse streams and continue from checkpoints built
+    /// by earlier ones — or wait, within one batch, for a checkpoint
+    /// built by an earlier genome of it.
+    #[test]
+    fn multi_batch_reuse_matches_plain_evaluation() {
+        let duty = Genome::THRESHOLD_SEEKER.duty;
+        let variant = |dwell| Genome { duty, dwell };
+        let batches: [&[Genome]; 3] = [
+            &[variant(0), variant(1), variant(3)],
+            &[variant(2), Genome::DUAL_ACTIVE],
+            &[variant(1), variant(4)],
+        ];
+        let early = params(Objective::Conflict);
+        let dense = assert_batches_match_plain::<DenseState>(&early, &batches);
+        assert_eq!(
+            dense,
+            assert_batches_match_plain::<CohortState>(&early, &batches)
+        );
+        for objective in [Objective::Conflict, Objective::Proportion] {
+            let p = late_trigger(objective);
+            let stats = assert_batches_match_plain::<CohortState>(&p, &batches);
+            assert_eq!(stats.checkpoint_records, 1);
+            assert_eq!(stats.checkpoint_hits, 4);
+            assert_eq!(stats.reconstructed, 2);
+        }
+    }
+
+    /// `p0 = 0.3`: the honest classes differ in size, so each branch
+    /// runs its own streams and a continuation must hand each branch
+    /// the state (and the marked class) of its own stream.
+    #[test]
+    fn asymmetric_partition_matches_plain_evaluation() {
+        let mirrored = [DutyGene::alternating(1), DutyGene::alternating(0)];
+        let mut genomes = dwell_variants(Genome::THRESHOLD_SEEKER.duty);
+        genomes.extend(dwell_variants(mirrored));
+        genomes.extend(dwell_variants([DutyGene::ON, DutyGene::alternating(0)]));
+        for objective in Objective::all() {
+            // β0 = 0.6: both the 0.3 and the 0.7 side reach ⅔ at once.
+            let p = EvalParams {
+                p0: 0.3,
+                beta0: 0.6,
+                ..params(objective)
+            };
+            let dense = assert_batch_matches_plain::<DenseState>(&p, &genomes);
+            let cohort = assert_batch_matches_plain::<CohortState>(&p, &genomes);
+            assert_eq!(dense, cohort, "{objective:?} counters");
+            assert_eq!(cohort.checkpoint_records, 3, "{objective:?}");
+        }
+    }
+
+    /// 17 of 50 validators Byzantine, 16 honest on branch 0 and 17 on
+    /// branch 1: branch 1 can reach ⅔ from genesis, branch 0 only at
+    /// `LATE_TRIGGER` — so by then the two branch states have diverged,
+    /// and under an always-on gene branch 1 has finalized (and the pair
+    /// double-voted) *below* the trigger, which a continuation must
+    /// inherit from the stream fold.
+    #[test]
+    fn asymmetric_late_trigger_inherits_the_prefix_fold() {
+        let alternating = Genome::THRESHOLD_SEEKER.duty;
+        let pairs = [
+            alternating,
+            [alternating[1], alternating[0]],
+            [alternating[0], DutyGene::ON],
+            [DutyGene::ON, DutyGene::ON],
+        ];
+        let genomes: Vec<Genome> = pairs.into_iter().flat_map(dwell_variants).collect();
+        for objective in [Objective::Conflict, Objective::Proportion] {
+            let p = EvalParams {
+                beta0: 0.34,
+                p0: 0.485,
+                ..late_trigger(objective)
+            };
+            assert!(!PrefixMemo::<CohortState>::new(&p).symmetric);
+            let stats = assert_batch_matches_plain::<CohortState>(&p, &genomes);
+            assert_eq!(stats.checkpoint_records, 4, "{objective:?}");
+            assert_eq!(stats.fork_epoch_sum, 4 * 3 * LATE_TRIGGER, "{objective:?}");
+            if objective == Objective::Conflict {
+                let dual_dwell = Genome {
+                    duty: [DutyGene::ON, DutyGene::ON],
+                    dwell: 2,
+                };
+                assert_batch_matches_plain::<DenseState>(&p, &[dual_dwell]);
+            }
+        }
+    }
+
+    /// Regression: the timeline compiler elides empty honest classes, so
+    /// with one honest validator (or none) "class 1 + branch" does not
+    /// exist and marking it died on an index out of bounds.
+    #[test]
+    fn degenerate_populations_match_plain_evaluation() {
+        let mut genomes = dwell_variants(Genome::THRESHOLD_SEEKER.duty);
+        genomes.push(Genome::DUAL_ACTIVE);
+        for objective in Objective::all() {
+            // One Byzantine and one honest validator: branch 1 is empty.
+            let lone = EvalParams {
+                n: 2,
+                beta0: 0.3,
+                ..params(objective)
+            };
+            // No honest validator at all: both branches are empty.
+            let none = EvalParams {
+                n: 12,
+                beta0: 0.99,
+                ..params(objective)
+            };
+            for p in [lone, none] {
+                let dense = assert_batch_matches_plain::<DenseState>(&p, &genomes);
+                let cohort = assert_batch_matches_plain::<CohortState>(&p, &genomes);
+                assert_eq!(dense, cohort, "{objective:?} counters");
+            }
+            assert!(!PrefixMemo::<CohortState>::new(&lone).symmetric);
+            assert!(PrefixMemo::<CohortState>::new(&none).symmetric);
         }
     }
 
@@ -816,6 +1095,58 @@ mod tests {
         );
         assert_eq!(stats.reconstructed, 2);
         assert_eq!(stats.checkpoint_records, 0);
+        assert_eq!(stats.pair_epochs, 0);
+    }
+
+    /// `state_at(e)` is the state a stream freshly extended to `e` is
+    /// in — on a snapshot, one past it, one short of the next, and at
+    /// the stream's own tip.
+    fn assert_state_at_matches_a_fresh_stream<B: StateBackend + Send + Sync>() {
+        let memo = PrefixMemo::<B>::new(&params(Objective::Proportion));
+        let gene = DutyGene {
+            period: 3,
+            on: 1,
+            phase: 1,
+        };
+        let new_stream = |stride| {
+            let honest = memo.honest[0].clone();
+            GeneStream::new(0, gene, honest, memo.genesis.clone(), stride)
+        };
+        for (stride, len) in [(8u64, 20u64), (8, 24), (1, 5), (SNAPSHOT_STRIDE, 20)] {
+            let mut stream = new_stream(stride);
+            stream.extend_to(len);
+            assert_eq!(stream.snapshots.len() as u64, len / stride + 1);
+            for e in [0, 1, stride - 1, stride, len] {
+                let e = e.min(len);
+                let mut fresh = new_stream(stride);
+                fresh.extend_to(e);
+                assert_eq!(
+                    stream.state_at(e).snapshot(),
+                    fresh.state.snapshot(),
+                    "epoch {e} at stride {stride}, length {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn state_at_matches_a_fresh_stream_on_both_backends() {
+        assert_state_at_matches_a_fresh_stream::<CohortState>();
+        assert_state_at_matches_a_fresh_stream::<DenseState>();
+    }
+
+    #[test]
+    fn late_trigger_is_at_epoch_518_and_counts_its_resteps() {
+        let p = late_trigger(Objective::Conflict);
+        let mut memo = PrefixMemo::<CohortState>::new(&p);
+        memo.evaluate_batch(&ChunkPool::new(1), &[Genome::SEMI_ACTIVE]);
+        let trigger = memo.duty_stops[&Genome::SEMI_ACTIVE.duty].trigger.unwrap();
+        assert_eq!(trigger.epoch, LATE_TRIGGER);
+        assert_eq!(memo.stats().checkpoint_records, 1);
+        // 518 − 512 re-steps on each branch.
+        let resteps = 2 * (LATE_TRIGGER % SNAPSHOT_STRIDE);
+        let extended: u64 = memo.streams[0].values().map(GeneStream::len).sum();
+        assert_eq!(memo.stats().stream_epochs, extended + resteps);
     }
 
     #[test]

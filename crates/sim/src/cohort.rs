@@ -191,7 +191,6 @@ pub struct TwoBranchOutcome {
 /// );
 /// assert!(dense.conflicting_finalization_epoch.unwrap() < 10);
 /// ```
-#[derive(Clone)]
 pub struct TwoBranchSim<B: StateBackend = DenseState> {
     inner: PartitionSim<B>,
 }
@@ -262,31 +261,6 @@ impl<B: StateBackend> TwoBranchSim<B> {
     /// Runs the simulation.
     pub fn run(self) -> TwoBranchOutcome {
         Self::convert(self.inner.run())
-    }
-
-    /// Simulates one epoch; returns `false` once the run is over. Manual
-    /// stepping is what lets a driver checkpoint (clone) the simulator at
-    /// epoch boundaries mid-run.
-    pub fn step(&mut self) -> bool {
-        self.inner.step()
-    }
-
-    /// Finalizes a manually stepped run (see [`TwoBranchSim::step`]) into
-    /// its outcome — byte-identical to what [`TwoBranchSim::run`] would
-    /// have produced.
-    pub fn finish(self) -> TwoBranchOutcome {
-        Self::convert(self.inner.finish())
-    }
-
-    /// The epoch the next [`TwoBranchSim::step`] call will simulate.
-    pub fn current_epoch(&self) -> u64 {
-        self.inner.current_epoch()
-    }
-
-    /// Replaces the Byzantine schedule (see
-    /// [`PartitionSim::set_schedule`] for the prefix-match contract).
-    pub fn set_schedule(&mut self, schedule: Box<dyn ByzantineSchedule>) {
-        self.inner.set_schedule(schedule);
     }
 
     /// Runs the simulation and additionally captures the final

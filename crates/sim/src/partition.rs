@@ -1149,7 +1149,6 @@ struct BranchMeta {
 /// assert_eq!((v.branch_a, v.branch_b), (BranchId::new(1), BranchId::new(2)));
 /// assert_eq!(out.branches[0].first_finalization_epoch, None);
 /// ```
-#[derive(Clone)]
 pub struct PartitionSim<B: StateBackend = DenseState> {
     config: PartitionConfig,
     compiled: CompiledTimeline,
@@ -1274,16 +1273,6 @@ impl<B: StateBackend> PartitionSim<B> {
             churn_stats: ChurnStats::default(),
             scratch: StepScratch::default(),
         })
-    }
-
-    /// Replaces the Byzantine schedule — the fork half of checkpointed
-    /// evaluation: clone a simulator frozen mid-run, swap in a schedule
-    /// whose decisions match the original's on every epoch already
-    /// simulated, and continue. The caller owns that prefix-match
-    /// guarantee (the search driver proves it by replaying the recorded
-    /// statuses; see `ethpos_search::prefix`).
-    pub fn set_schedule(&mut self, schedule: Box<dyn ByzantineSchedule>) {
-        self.schedule = schedule;
     }
 
     /// Fork counters accumulated so far (see [`ForkStats`]).
@@ -1889,10 +1878,6 @@ mod tests {
 
         fn name(&self) -> &'static str {
             "every-third-off"
-        }
-
-        fn clone_box(&self) -> Box<dyn ByzantineSchedule> {
-            Box::new(self.clone())
         }
     }
 

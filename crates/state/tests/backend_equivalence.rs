@@ -212,10 +212,6 @@ impl ByzantineSchedule for BitSchedule {
     fn name(&self) -> &'static str {
         "bit-schedule"
     }
-
-    fn clone_box(&self) -> Box<dyn ByzantineSchedule> {
-        Box::new(BitSchedule(self.0))
-    }
 }
 
 /// Builds a random-but-valid partition timeline with k ≤ 4 branches:

@@ -177,11 +177,8 @@ impl<const N: usize> PartialEq<[bool; N]> for BranchChoice {
 /// The number of live branches can change between epochs when the
 /// partition timeline splits or heals.
 ///
-/// Schedules are `Send + Sync` plain data and must be able to clone
-/// themselves behind the trait object ([`clone_box`](Self::clone_box)):
-/// a simulation is checkpointed by cloning it whole — schedule state
-/// included — so a forked run resumes with exactly the decision state
-/// the original had at the checkpoint epoch.
+/// Schedules are `Send + Sync` plain data, so a simulation can run on
+/// any worker thread.
 pub trait ByzantineSchedule: core::fmt::Debug + Send + Sync {
     /// Decides on which of the observed branches the Byzantine validators
     /// attest at this epoch.
@@ -189,17 +186,6 @@ pub trait ByzantineSchedule: core::fmt::Debug + Send + Sync {
 
     /// Strategy name for reports.
     fn name(&self) -> &'static str;
-
-    /// Clones the schedule behind the trait object (the standard
-    /// `clone_box` pattern; every implementation is
-    /// `Box::new(self.clone())`).
-    fn clone_box(&self) -> Box<dyn ByzantineSchedule>;
-}
-
-impl Clone for Box<dyn ByzantineSchedule> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 // ─── §5.2.1: slashable dual voting ──────────────────────────────────────
@@ -217,10 +203,6 @@ impl ByzantineSchedule for DualActive {
 
     fn name(&self) -> &'static str {
         "dual-active (slashable)"
-    }
-
-    fn clone_box(&self) -> Box<dyn ByzantineSchedule> {
-        Box::new(self.clone())
     }
 }
 
@@ -328,10 +310,6 @@ impl ByzantineSchedule for SemiActive {
     fn name(&self) -> &'static str {
         "semi-active (non-slashable)"
     }
-
-    fn clone_box(&self) -> Box<dyn ByzantineSchedule> {
-        Box::new(self.clone())
-    }
 }
 
 // ─── §5.2.3: exceed the one-third threshold ─────────────────────────────
@@ -379,10 +357,6 @@ impl ByzantineSchedule for ThresholdSeeker {
 
     fn name(&self) -> &'static str {
         "threshold-seeker (β > 1/3)"
-    }
-
-    fn clone_box(&self) -> Box<dyn ByzantineSchedule> {
-        Box::new(self.clone())
     }
 }
 
@@ -493,10 +467,6 @@ impl ByzantineSchedule for RoundRobin {
     fn name(&self) -> &'static str {
         "round-robin (k-branch semi-active)"
     }
-
-    fn clone_box(&self) -> Box<dyn ByzantineSchedule> {
-        Box::new(self.clone())
-    }
 }
 
 // ─── §5.3: probabilistic bouncing ───────────────────────────────────────
@@ -566,10 +536,6 @@ impl ByzantineSchedule for Bouncing {
 
     fn name(&self) -> &'static str {
         "probabilistic bouncing"
-    }
-
-    fn clone_box(&self) -> Box<dyn ByzantineSchedule> {
-        Box::new(self.clone())
     }
 }
 
