@@ -117,9 +117,10 @@ impl GoldenScenario {
 
     /// Whether the dense and cohort backends produce identical fixtures
     /// for this scenario. True for every fixed-partition scenario; the
-    /// churn scenario consumes its Bernoulli stream in backend order, so
-    /// only its dense rendering is pinned (see
-    /// `ethpos_state::backend::StateBackend::mark_class_sampled`).
+    /// churn scenario consumes its draw stream in backend order (one
+    /// draw per member on the dense backend, one count per cohort on the
+    /// cohort backend), so only its dense rendering is pinned (see
+    /// `ethpos_state::backend::StateBackend::mark_class_counted`).
     pub fn backend_agnostic(&self) -> bool {
         self.membership == MembershipModel::FixedPartition
     }

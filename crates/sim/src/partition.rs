@@ -1481,17 +1481,14 @@ impl<B: StateBackend> PartitionSim<B> {
                     });
                 }
             }
-            let byz = state.class_stats(BYZANTINE_CLASS);
-            let ejected_honest = (1..state.num_classes())
-                .map(|c| state.class_stats(c).exited)
-                .sum();
-            ejected.push((ejected_honest, byz.exited));
+            let seen = state.observe(BYZANTINE_CLASS);
+            ejected.push((seen.exited_elsewhere, seen.class.exited));
             statuses.push(BranchStatus {
                 branch: *b,
                 epoch,
-                total_active_stake: state.total_active_balance().as_u64(),
-                honest_active_stake: state.current_target_balance().as_u64(),
-                byzantine_stake: byz.active_stake.as_u64(),
+                total_active_stake: seen.total_active.as_u64(),
+                honest_active_stake: seen.current_target.as_u64(),
+                byzantine_stake: seen.class.active_stake.as_u64(),
                 justified_epoch: state.current_justified_checkpoint().epoch.as_u64(),
                 finalized_epoch: state.finalized_checkpoint().epoch.as_u64(),
             });

@@ -92,6 +92,21 @@ pub struct ClassStats {
     pub active_stake: Gwei,
 }
 
+/// Everything the partition engine reads off a branch between marking
+/// its honest classes and the adversary's decision (see
+/// [`StateBackend::observe`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BranchObservation {
+    /// [`StateBackend::class_stats`] of the observed class.
+    pub class: ClassStats,
+    /// Exited members of every *other* class.
+    pub exited_elsewhere: u64,
+    /// [`StateBackend::total_active_balance`].
+    pub total_active: Gwei,
+    /// [`StateBackend::current_target_balance`].
+    pub current_target: Gwei,
+}
+
 /// The full per-validator state minus identity — the unit of cohort
 /// compression and the entry type of [`StateSnapshot`] runs.
 ///
@@ -227,6 +242,22 @@ pub trait StateBackend: Sized + Clone {
     /// Aggregate statistics of one class.
     fn class_stats(&self, class: usize) -> ClassStats;
 
+    /// [`class_stats`](StateBackend::class_stats) of `class`, the exited
+    /// members of all other classes, and the two global balances, as one
+    /// read. The default composes the separate reads; a backend whose
+    /// reads each walk the registry overrides it with a single walk.
+    fn observe(&self, class: usize) -> BranchObservation {
+        BranchObservation {
+            class: self.class_stats(class),
+            exited_elsewhere: (0..self.num_classes())
+                .filter(|&c| c != class)
+                .map(|c| self.class_stats(c).exited)
+                .sum(),
+            total_active: self.total_active_balance(),
+            current_target: self.current_target_balance(),
+        }
+    }
+
     /// The smallest member state of `class` under the canonical
     /// [`MemberState`] ordering (`None` for an empty class). For a
     /// homogeneous class this *is* the per-member state, which is how the
@@ -236,27 +267,6 @@ pub trait StateBackend: Sized + Clone {
     /// Merges `flags` into the current-epoch participation of every
     /// **active** member of `class`.
     fn mark_class(&mut self, class: usize, flags: ParticipationFlags);
-
-    /// Merges `flags` into a sampled subset of the active members of
-    /// `class`: `draw` is called exactly once per **member** of the
-    /// class (active or exited, in backend order), and active members
-    /// whose draw returns `true` are marked.
-    ///
-    /// Drawing for exited members keeps the draw stream aligned with
-    /// the member count, so a caller can feed two partition branches the
-    /// same membership buffer (one branch the draws, the other their
-    /// complement) and — on the dense backend, where backend order is
-    /// index order on both branches — every member attests on exactly
-    /// one branch. The cohort backend consumes draws in cohort order,
-    /// which preserves the per-branch marginal law but (once the two
-    /// branches' cohort structures diverge) not the per-member joint
-    /// coupling; per-epoch cost is O(#members), not O(#cohorts).
-    fn mark_class_sampled(
-        &mut self,
-        class: usize,
-        flags: ParticipationFlags,
-        draw: &mut dyn FnMut() -> bool,
-    );
 
     /// Merges `flags` into a *count-sampled* subset of the active
     /// members of `class`: `sample` is called exactly once per **cohort
@@ -272,20 +282,20 @@ pub trait StateBackend: Sized + Clone {
     /// epoch instead of O(#members). The dense backend treats every
     /// member as a singleton cohort (`sample(1)` per active member, in
     /// index order), preserving the per-validator reference semantics
-    /// for differential testing. Like [`mark_class_sampled`] on the
-    /// cohort backend, count draws preserve each branch's marginal law
-    /// but not a per-member joint coupling across branches.
+    /// for differential testing. Count draws preserve each branch's
+    /// marginal law but not a per-member joint coupling across branches.
     ///
     /// The canonical cohort order is sorted [`MemberState`] order, which
     /// both cohort backends share — so the exact and reference cohort
     /// backends consume identical draw streams and stay byte-equal.
     ///
-    /// [`mark_class_sampled`]: StateBackend::mark_class_sampled
+    /// The sampler is a type parameter so the count law inlines into the
+    /// marking pass (a churned branch-epoch draws once per cohort).
     fn mark_class_counted(
         &mut self,
         class: usize,
         flags: ParticipationFlags,
-        sample: &mut dyn FnMut(u64) -> u64,
+        sample: &mut impl FnMut(u64) -> u64,
     );
 
     /// Runs full spec epoch processing and advances to the first slot of
@@ -353,6 +363,26 @@ impl DenseState {
     /// The index range owned by `class`.
     pub fn class_range(&self, class: usize) -> core::ops::Range<usize> {
         self.bounds[class]..self.bounds[class + 1]
+    }
+
+    /// Per-member marking, the oracle the equivalence tests hold
+    /// count-level marking against: `draw` is called once per member of
+    /// `class` in index order (exited members included), and the active
+    /// members whose draw returns `true` get `flags`.
+    pub fn mark_class_sampled(
+        &mut self,
+        class: usize,
+        flags: ParticipationFlags,
+        draw: &mut dyn FnMut() -> bool,
+    ) {
+        let epoch = self.state.current_epoch();
+        for i in self.class_range(class) {
+            let take = draw();
+            if take && self.state.validators()[i].is_active_at(epoch) {
+                self.state
+                    .merge_current_participation(ValidatorIndex::from(i), flags);
+            }
+        }
     }
 
     fn member(&self, i: usize) -> MemberState {
@@ -444,29 +474,11 @@ impl StateBackend for DenseState {
         }
     }
 
-    fn mark_class_sampled(
-        &mut self,
-        class: usize,
-        flags: ParticipationFlags,
-        draw: &mut dyn FnMut() -> bool,
-    ) {
-        let epoch = self.state.current_epoch();
-        for i in self.class_range(class) {
-            // One draw per member, exited members included (trait
-            // contract: the stream is aligned with the member count).
-            let take = draw();
-            if take && self.state.validators()[i].is_active_at(epoch) {
-                self.state
-                    .merge_current_participation(ValidatorIndex::from(i), flags);
-            }
-        }
-    }
-
     fn mark_class_counted(
         &mut self,
         class: usize,
         flags: ParticipationFlags,
-        sample: &mut dyn FnMut(u64) -> u64,
+        sample: &mut impl FnMut(u64) -> u64,
     ) {
         let epoch = self.state.current_epoch();
         for i in self.class_range(class) {

@@ -17,10 +17,9 @@
 //!
 //! Cohorts **split** when a subgroup diverges — the only divergence
 //! source is participation sampling ([`StateBackend::mark_class_counted`]
-//! marks a drawn count of a cohort's members, leaving the rest untouched;
-//! the per-member [`StateBackend::mark_class_sampled`] splits the same
-//! way) — and **merge** automatically whenever two groups arrive at the
-//! same state, because each chunk is kept sorted and run-length-merged.
+//! marks a drawn count of a cohort's members, leaving the rest
+//! untouched) — and **merge** automatically whenever two groups arrive at
+//! the same state, because each chunk is kept sorted and run-length-merged.
 //! Deterministic schedules (the paper's §5.1/§5.2 scenarios, Fig. 2
 //! cohorts) therefore keep `#cohorts == #classes` forever, making
 //! million-validator × 5000-epoch runs interactive.
@@ -29,28 +28,33 @@
 //!
 //! Under §5.3 churn in a leak every hit/miss history leaks to its own
 //! balance and a class fragments toward one cohort per member; the epoch
-//! is then linear in the cohort count `k`, not `k log k`:
+//! is then linear in the cohort count `k`, not `k log k`, and rewrites
+//! the 64-byte runs of a fragmented chunk three times — mark, map,
+//! gather — around one aggregate walk (`epoch_aggregates`: every global
+//! sum justification and the member updates read) and the
+//! radix passes over 8-byte keys:
 //!
-//! * **marking** (`mark_class_counted`) is one pass and no sort: a marked
+//! * **mark** (`mark_class_counted`): one pass, no comparison. A marked
 //!   state differs from its unmarked twin only in `current_flags`, the
-//!   last field of the ordering, so emitting `(unmarked, marked)` per
-//!   cohort of a sorted chunk keeps it sorted, merging equal neighbours
-//!   on the way. A chunk is rewritten only if some drawn member actually
-//!   changed. The sort is a fallback for a class already carrying
-//!   non-nested flags this epoch (the partition engine marks with one
-//!   flag set throughout, so it never fires there);
-//! * **one aggregate walk** (`epoch_aggregates`) yields every global sum
-//!   justification and the member updates read;
-//! * **one map pass** applies the six fused member-local steps, in place
-//!   when no fork shares the chunk; a chunk the step fixes is not written
-//!   and stays shared;
-//! * **one keyed sort**: the map is not monotone (penalties depend on
-//!   scores), so the chunk is re-sorted — by an LSD radix over 8-byte
-//!   `(balance offset, index)` keys, the full nine-field comparison only
-//!   inside groups of equal balance, and the resulting order applied to
-//!   the 64-byte runs in place. A chunk the map left sorted (every
-//!   compact one) skips it; chunks under 256 runs, or with balances
-//!   spread over more than 2⁴⁰ Gwei, take the comparison sort instead.
+//!   last field of the ordering, so in a chunk whose runs all carry empty
+//!   current flags — all the partition engine ever marks — emitting
+//!   `(unmarked, marked)` per cohort keeps the chunk sorted with nothing
+//!   to merge. A chunk is rewritten only if some drawn member actually
+//!   changed. `canonicalize` still runs on the result when the pass saw
+//!   a run already carrying flags this epoch (unions of non-nested flag
+//!   sets can tie or swap order);
+//! * **map**: the six fused member-local steps, in place when no fork
+//!   shares the chunk; a chunk the step fixes is not written and stays
+//!   shared. The map is not monotone (penalties depend on scores), so the
+//!   pass also hands the balances it produces to the keyed sort, which
+//!   turns them into `(balance offset, index)` keys and orders those by
+//!   LSD radix. A chunk whose balances come out strictly increasing is
+//!   done there; one under 256 runs (every compact one), or with balances
+//!   spread over more than 2⁴⁰ Gwei, is sorted by comparison instead;
+//! * **gather**: the runs are written in key order into one output
+//!   buffer, with the nine-field comparison and the merge confined to
+//!   groups of equal balance — the only place two runs can tie or merge —
+//!   and the buffer is swapped for the chunk's own.
 //!
 //! # Copy-on-write forking
 //!
@@ -75,14 +79,14 @@
 //! aliasing unit tests below pin that post-fork mutations never leak into
 //! a sibling.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use ethpos_crypto::hash_u64;
 use ethpos_types::{ChainConfig, Checkpoint, Epoch, Gwei, Root, Slot};
 
 use crate::backend::{
-    ClassSpec, ClassStats, Fragmentation, MemberState, StateBackend, StateSnapshot,
+    BranchObservation, ClassSpec, ClassStats, Fragmentation, MemberState, StateBackend,
+    StateSnapshot,
 };
 use crate::epoch_metrics::stage_timer;
 use crate::participation::{
@@ -108,137 +112,165 @@ const KEY_INDEX_MASK: u64 = (1 << KEY_INDEX_BITS) - 1;
 /// Digit width of one radix pass.
 const RADIX_BITS: u32 = 12;
 
-/// The key sort's double buffer, reused across the classes of one epoch.
+/// The keyed sort's buffers, reused across the classes of one epoch.
 #[derive(Default)]
-struct SortKeys {
+struct SortScratch {
+    /// One entry per run of the chunk being sorted: its balance as
+    /// [`load`](SortScratch::load)ed, its `(balance − lo) <<
+    /// KEY_INDEX_BITS | index` key once [`sort`](SortScratch::sort) ran.
     keys: Vec<u64>,
     spare: Vec<u64>,
+    /// The gather's output buffer; swapped with the chunk's own.
+    gathered: Vec<Run>,
+    /// Smallest and largest balance loaded.
+    lo: u64,
+    hi: u64,
+    /// Every balance loaded exceeded all before it.
+    ascending: bool,
 }
 
-/// Appends `run`, merging it into the last run when their states are
-/// equal. Returns `false` when `run` sorts *before* the last run, i.e.
-/// the push order broke the canonical order.
-#[inline]
-fn push_run(out: &mut Vec<Run>, run: Run) -> bool {
-    let order = match out.last_mut() {
-        Some(last) => {
-            let order = last.0.cmp(&run.0);
-            if order == Ordering::Equal {
-                last.1 += run.1;
-                return true;
+impl SortScratch {
+    /// True if a chunk of `len` runs takes the keyed sort: the radix
+    /// passes' fixed histogram cost only pays off on longer chunks, and
+    /// the run index has to fit the key.
+    fn takes(len: usize) -> bool {
+        (KEY_SORT_MIN_RUNS..=KEY_INDEX_MASK as usize).contains(&len)
+    }
+
+    /// Records the balances of a chunk's runs, in run order.
+    #[inline]
+    fn load(&mut self, balances: impl Iterator<Item = Gwei>) {
+        let (mut lo, mut hi, mut ascending) = (u64::MAX, 0, true);
+        self.keys.clear();
+        self.keys.extend(balances.enumerate().map(|(i, balance)| {
+            let balance = balance.as_u64();
+            ascending &= (i == 0) | (hi < balance);
+            lo = lo.min(balance);
+            hi = hi.max(balance);
+            balance
+        }));
+        (self.lo, self.hi, self.ascending) = (lo, hi, ascending);
+    }
+
+    /// Turns the loaded balances into keys ordered by balance, ties in
+    /// run order: an LSD radix sort on the balance offset (the first
+    /// field of the [`MemberState`] ordering, and nearly always the
+    /// deciding one) that moves 8-byte keys instead of 64-byte runs.
+    ///
+    /// Returns `false`, keys unspecified, when the balance range
+    /// overflows the key layout.
+    fn sort(&mut self) -> bool {
+        let offset_bits = u64::BITS - (self.hi - self.lo).leading_zeros();
+        if offset_bits > u64::BITS - KEY_INDEX_BITS {
+            return false;
+        }
+        let SortScratch {
+            keys, spare, lo, ..
+        } = self;
+        for (i, key) in keys.iter_mut().enumerate() {
+            *key = (*key - *lo) << KEY_INDEX_BITS | i as u64;
+        }
+        spare.resize(keys.len(), 0);
+        let mut shift = KEY_INDEX_BITS;
+        while shift < KEY_INDEX_BITS + offset_bits {
+            let digit = |key: u64| (key >> shift) as usize & ((1 << RADIX_BITS) - 1);
+            let mut starts = [0u32; 1 << RADIX_BITS];
+            for &key in keys.iter() {
+                starts[digit(key)] += 1;
             }
-            order
+            let mut seen = 0;
+            for start in starts.iter_mut() {
+                let count = *start;
+                *start = seen;
+                seen += count;
+            }
+            for &key in keys.iter() {
+                let slot = &mut starts[digit(key)];
+                spare[*slot as usize] = key;
+                *slot += 1;
+            }
+            std::mem::swap(keys, spare);
+            shift += RADIX_BITS;
         }
-        None => Ordering::Less,
-    };
-    out.push(run);
-    order == Ordering::Less
-}
-
-/// Fills `keys.keys` with one `(balance − min) << KEY_INDEX_BITS | index`
-/// key per run, in canonical run order: an LSD radix sort on the balance
-/// offset (the first field of the [`MemberState`] ordering, and nearly
-/// always the deciding one), then the full comparison inside each group
-/// of equal balances. Moves 8-byte keys instead of 64-byte runs.
-///
-/// Returns `false`, keys unspecified, when the chunk is too short for
-/// the passes to pay off or its index or balance range overflows the
-/// key layout; the caller then sorts by comparison.
-fn sort_keys(runs: &[Run], keys: &mut SortKeys) -> bool {
-    if runs.len() < KEY_SORT_MIN_RUNS || runs.len() > KEY_INDEX_MASK as usize {
-        return false;
-    }
-    let (min, max) = runs.iter().fold((u64::MAX, 0), |(lo, hi), (m, _)| {
-        (lo.min(m.balance.as_u64()), hi.max(m.balance.as_u64()))
-    });
-    let offset_bits = u64::BITS - (max - min).leading_zeros();
-    if offset_bits > u64::BITS - KEY_INDEX_BITS {
-        return false;
-    }
-    let SortKeys { keys, spare } = keys;
-    keys.clear();
-    keys.extend(
-        runs.iter()
-            .enumerate()
-            .map(|(i, (m, _))| (m.balance.as_u64() - min) << KEY_INDEX_BITS | i as u64),
-    );
-    spare.resize(keys.len(), 0);
-    let mut shift = KEY_INDEX_BITS;
-    while shift < KEY_INDEX_BITS + offset_bits {
-        let digit = |key: u64| (key >> shift) as usize & ((1 << RADIX_BITS) - 1);
-        let mut starts = [0u32; 1 << RADIX_BITS];
-        for &key in keys.iter() {
-            starts[digit(key)] += 1;
-        }
-        let mut seen = 0;
-        for start in starts.iter_mut() {
-            let count = *start;
-            *start = seen;
-            seen += count;
-        }
-        for &key in keys.iter() {
-            let slot = &mut starts[digit(key)];
-            spare[*slot as usize] = key;
-            *slot += 1;
-        }
-        std::mem::swap(keys, spare);
-        shift += RADIX_BITS;
-    }
-    for ties in keys.chunk_by_mut(|a, b| a >> KEY_INDEX_BITS == b >> KEY_INDEX_BITS) {
-        if ties.len() > 1 {
-            let state = |key: &u64| &runs[(key & KEY_INDEX_MASK) as usize].0;
-            ties.sort_unstable_by(|a, b| state(a).cmp(state(b)));
-        }
-    }
-    true
-}
-
-/// Moves `runs[keys[j] & KEY_INDEX_MASK]` to `runs[j]` for every `j`, in
-/// place, one permutation cycle at a time. Consumes the keys: a placed
-/// position's key is overwritten with the position itself.
-fn apply_order(runs: &mut [Run], keys: &mut [u64]) {
-    for start in 0..runs.len() {
-        let mut from = (keys[start] & KEY_INDEX_MASK) as usize;
-        if from == start {
-            continue;
-        }
-        let displaced = runs[start];
-        let mut at = start;
-        while from != start {
-            runs[at] = runs[from];
-            keys[at] = at as u64;
-            at = from;
-            from = (keys[at] & KEY_INDEX_MASK) as usize;
-        }
-        runs[at] = displaced;
-        keys[at] = at as u64;
+        true
     }
 }
 
-/// Restores a chunk's canonical form in place: sorted by the
-/// [`MemberState`] ordering with equal adjacent states merged (summing
-/// counts) — the same normal form a `BTreeMap<(class, state), count>`
-/// would produce.
-///
-/// Already-sorted input (every compact chunk) costs the one merging
-/// pass; otherwise one keyed sort ([`sort_keys`]) applied in place, with
-/// the comparison sort as the branch for short chunks and wide balance
-/// ranges.
-fn canonicalize(runs: &mut Vec<Run>, keys: &mut SortKeys) {
-    if !runs.is_sorted_by(|a, b| a.0 <= b.0) {
-        if sort_keys(runs, keys) {
-            apply_order(runs, &mut keys.keys);
+/// Sorts `runs` by the [`MemberState`] ordering and merges equal
+/// neighbours (summing counts) towards the front; returns the merged
+/// length. Strictly increasing input — every compact chunk, nearly every
+/// equal-balance group — costs the one checking pass.
+fn sort_and_merge(runs: &mut [Run]) -> usize {
+    if runs.is_sorted_by(|a, b| a.0 < b.0) {
+        return runs.len();
+    }
+    runs.sort_unstable_by_key(|run| run.0);
+    let mut kept = 0;
+    for i in 1..runs.len() {
+        if runs[i].0 == runs[kept].0 {
+            runs[kept].1 += runs[i].1;
         } else {
-            runs.sort_unstable_by_key(|run| run.0);
+            kept += 1;
+            runs[kept] = runs[i];
         }
     }
-    runs.dedup_by(|run, kept| {
-        let same = run.0 == kept.0;
-        if same {
-            kept.1 += run.1;
+    kept + 1
+}
+
+/// Writes `runs` into `out` in canonical form, given their `keys` in
+/// balance order: two runs can tie or merge only inside a group of equal
+/// balance, so each group is gathered, then ordered and merged on its
+/// own. Groups are short (balances collide across hit/miss histories, a
+/// handful of runs at a time) and the radix passes' stability leaves
+/// four in five already ordered.
+fn gather(runs: &[Run], keys: &[u64], out: &mut Vec<Run>) {
+    out.clear();
+    out.reserve(runs.len());
+    for group in keys.chunk_by(|a, b| a >> KEY_INDEX_BITS == b >> KEY_INDEX_BITS) {
+        let start = out.len();
+        out.extend(
+            group
+                .iter()
+                .map(|key| runs[(key & KEY_INDEX_MASK) as usize]),
+        );
+        if group.len() > 1 {
+            let merged = sort_and_merge(&mut out[start..]);
+            out.truncate(start + merged);
         }
-        same
-    });
+    }
+}
+
+/// Restores the canonical form of a chunk whose balances `scratch` has
+/// [`load`](SortScratch::load)ed.
+fn canonicalize_loaded(runs: &mut Vec<Run>, scratch: &mut SortScratch) {
+    // Strictly increasing balances: sorted, nothing to merge.
+    if scratch.ascending {
+        return;
+    }
+    if scratch.sort() {
+        gather(runs, &scratch.keys, &mut scratch.gathered);
+        std::mem::swap(runs, &mut scratch.gathered);
+    } else {
+        canonicalize_by_comparison(runs);
+    }
+}
+
+/// [`sort_and_merge`] over a whole chunk: the canonical form of chunks
+/// too short for the keyed sort or with balances too spread for its keys.
+fn canonicalize_by_comparison(runs: &mut Vec<Run>) {
+    let merged = sort_and_merge(runs);
+    runs.truncate(merged);
+}
+
+/// Restores a chunk's canonical form: sorted by the [`MemberState`]
+/// ordering with equal adjacent states merged (summing counts) — the
+/// same normal form a `BTreeMap<(class, state), count>` would produce.
+fn canonicalize(runs: &mut Vec<Run>, scratch: &mut SortScratch) {
+    if !SortScratch::takes(runs.len()) {
+        return canonicalize_by_comparison(runs);
+    }
+    scratch.load(runs.iter().map(|(m, _)| m.balance));
+    canonicalize_loaded(runs, scratch);
 }
 
 /// Maps every run of `chunk` through `f` and re-canonicalizes it, inside
@@ -247,7 +279,7 @@ fn canonicalize(runs: &mut Vec<Run>, keys: &mut SortKeys) {
 /// sharing with sibling branches) is kept.
 fn transform_chunk(
     chunk: &mut Chunk,
-    keys: &mut SortKeys,
+    scratch: &mut SortScratch,
     mut f: impl FnMut(&MemberState) -> MemberState,
 ) {
     // `f` runs once per run: the search hands over the state it stepped.
@@ -259,10 +291,20 @@ fn transform_chunk(
     };
     let runs = Arc::make_mut(chunk);
     runs[first].0 = stepped;
-    for run in &mut runs[first + 1..] {
-        run.0 = f(&run.0);
+    if !SortScratch::takes(runs.len()) {
+        for run in &mut runs[first + 1..] {
+            run.0 = f(&run.0);
+        }
+        return canonicalize_by_comparison(runs);
     }
-    canonicalize(runs, keys);
+    // The map pass hands the keyed sort the balances it holds anyway.
+    scratch.load(runs.iter_mut().enumerate().map(|(i, run)| {
+        if i > first {
+            run.0 = f(&run.0);
+        }
+        run.0.balance
+    }));
+    canonicalize_loaded(runs, scratch);
 }
 
 /// The participation flags in reward-weight order.
@@ -581,7 +623,12 @@ impl CohortState {
             Gwei::new(hysteresis_increment.as_u64() * self.config.hysteresis_upward_multiplier);
         let max_effective = self.config.max_effective_balance;
 
-        let step = |m: &MemberState| {
+        // Effective balances sit on a staircase a sorted chunk climbs
+        // slowly, so the base reward and the two flag penalties it fixes
+        // are remembered from one member to the next (as the aggregate
+        // walk remembers its quotient).
+        let mut last_effective = (u64::MAX, 0, [0; 2]);
+        let mut step = |m: &MemberState| {
             let mut m = *m;
             if settle_previous {
                 let eligible = m.is_active_at(previous_epoch)
@@ -601,8 +648,13 @@ impl CohortState {
                     m.inactivity_score = score;
 
                     // Rewards & penalties, reading the just-updated score.
-                    let increments_i = m.effective_balance.as_u64() / increment;
-                    let base_reward = increments_i * base_per_increment;
+                    let effective = m.effective_balance.as_u64();
+                    if effective != last_effective.0 {
+                        let base_reward = effective / increment * base_per_increment;
+                        let penalties = [0, 1].map(|k| base_reward * weights[k] / denominator);
+                        last_effective = (effective, base_reward, penalties);
+                    }
+                    let (_, base_reward, flag_penalties) = last_effective;
                     let mut reward = 0u64;
                     let mut penalty = 0u64;
                     for (k, flag) in FLAG_INDICES.into_iter().enumerate() {
@@ -615,7 +667,7 @@ impl CohortState {
                             }
                             // In a leak: no reward (paper §4).
                         } else if flag != TIMELY_HEAD_FLAG_INDEX {
-                            penalty += base_reward * weights[k] / denominator;
+                            penalty += flag_penalties[k];
                         }
                     }
                     let pays_inactivity = if paper_semantics {
@@ -669,64 +721,10 @@ impl CohortState {
             m.current_flags = ParticipationFlags::EMPTY;
             m
         };
-        let mut keys = SortKeys::default();
+        let mut scratch = SortScratch::default();
         for chunk in &mut self.chunks {
-            transform_chunk(chunk, &mut keys, &step);
+            transform_chunk(chunk, &mut scratch, &mut step);
         }
-    }
-
-    /// Splits every active cohort of `class` into `drawn(count, active)`
-    /// members that get `flags` and the rest that keep their state
-    /// (`drawn` is called for exited cohorts too, its answer ignored).
-    ///
-    /// One linear pass, no sort: a marked state differs from its
-    /// unmarked twin only in `current_flags`, the *last* field of the
-    /// canonical ordering, and only upwards — so pushing `(unmarked,
-    /// marked)` per cohort of a sorted chunk yields a sorted chunk, with
-    /// equal neighbours merged on the way. The one exception is a class
-    /// already carrying non-nested flags this epoch (two cohorts equal up
-    /// to `current_flags` whose unions with `flags` swap order); the push
-    /// notices and the chunk is re-canonicalized.
-    fn mark_split(
-        &mut self,
-        class: usize,
-        flags: ParticipationFlags,
-        mut drawn: impl FnMut(u64, bool) -> u64,
-    ) {
-        let epoch = self.current_epoch();
-        let chunk = &mut self.chunks[class];
-        // A fragmented chunk is mostly singleton cohorts, which cannot
-        // split, so a quarter over its length holds the result; amortized
-        // growth covers the short compact phase, where every cohort
-        // splits in two. (Reserving a half, or one slot per cohort of two
-        // or more, measured 4–8 % more peak RSS on `churn_leak`.)
-        let mut next: Vec<Run> = Vec::with_capacity(chunk.len() + chunk.len() / 4 + 1);
-        let mut changed = false;
-        let mut in_order = true;
-        for &(m, count) in chunk.iter() {
-            let active = m.is_active_at(epoch);
-            let drawn = drawn(count, active);
-            let marked = MemberState {
-                current_flags: m.current_flags.union(flags),
-                ..m
-            };
-            if !active || drawn == 0 || marked == m {
-                in_order &= push_run(&mut next, (m, count));
-                continue;
-            }
-            changed = true;
-            if drawn < count {
-                in_order &= push_run(&mut next, (m, count - drawn));
-            }
-            in_order &= push_run(&mut next, (marked, drawn));
-        }
-        if !changed {
-            return;
-        }
-        if !in_order {
-            canonicalize(&mut next, &mut SortKeys::default());
-        }
-        *chunk = Arc::new(next);
     }
 
     fn process_slashings_reset(&mut self) {
@@ -835,6 +833,40 @@ impl StateBackend for CohortState {
         stats
     }
 
+    fn observe(&self, class: usize) -> BranchObservation {
+        // One walk instead of the four the separate reads make; the
+        // selections are 0/1 factors as in `stake_where`.
+        let epoch = self.current_epoch();
+        let mut observed = ClassStats::default();
+        let (mut exited_elsewhere, mut total_active, mut current_target) = (0, 0, 0);
+        for (c, chunk) in self.chunks.iter().enumerate() {
+            let mut stats = ClassStats::default();
+            let mut target = 0;
+            for (m, count) in chunk.iter() {
+                let active = u64::from(m.is_active_at(epoch));
+                let stake = count * m.effective_balance.as_u64() * active;
+                stats.total += count;
+                stats.active += count * active;
+                stats.active_stake += Gwei::new(stake);
+                target += stake * u64::from(!m.slashed & m.current_flags.has_timely_target());
+            }
+            stats.exited = stats.total - stats.active;
+            total_active += stats.active_stake.as_u64();
+            current_target += target;
+            if c == class {
+                observed = stats;
+            } else {
+                exited_elsewhere += stats.exited;
+            }
+        }
+        BranchObservation {
+            class: observed,
+            exited_elsewhere,
+            total_active: Gwei::new(total_active).max(self.config.effective_balance_increment),
+            current_target: Gwei::new(current_target),
+        }
+    }
+
     fn class_floor(&self, class: usize) -> Option<MemberState> {
         // Chunks are sorted: the first run is the floor.
         self.chunks
@@ -845,7 +877,7 @@ impl StateBackend for CohortState {
 
     fn mark_class(&mut self, class: usize, flags: ParticipationFlags) {
         let epoch = self.current_epoch();
-        transform_chunk(&mut self.chunks[class], &mut SortKeys::default(), |m| {
+        transform_chunk(&mut self.chunks[class], &mut SortScratch::default(), |m| {
             if m.is_active_at(epoch) {
                 MemberState {
                     current_flags: m.current_flags.union(flags),
@@ -857,35 +889,64 @@ impl StateBackend for CohortState {
         });
     }
 
-    fn mark_class_sampled(
-        &mut self,
-        class: usize,
-        flags: ParticipationFlags,
-        draw: &mut dyn FnMut() -> bool,
-    ) {
-        // One draw per member — exited members included, so a caller
-        // feeding both partition branches from one shared membership
-        // buffer stays index-aligned (see the trait doc).
-        self.mark_split(class, flags, |count, _| {
-            (0..count).filter(|_| draw()).count() as u64
-        });
-    }
-
+    /// One linear pass, no comparison and no sort: a marked state
+    /// differs from its unmarked twin only in `current_flags`, the *last*
+    /// field of the canonical ordering, and only upwards. In a sorted,
+    /// merged chunk whose runs all carry empty current flags — all the
+    /// partition engine ever marks — the runs differ pairwise in an
+    /// earlier field, so pushing `(unmarked, marked)` per cohort keeps the
+    /// chunk sorted with nothing to merge. A class already carrying flags
+    /// this epoch can tie or swap order under the union (two cohorts equal
+    /// up to non-nested `current_flags`); the pass notices the flags and
+    /// the chunk is re-canonicalized.
     fn mark_class_counted(
         &mut self,
         class: usize,
         flags: ParticipationFlags,
-        sample: &mut dyn FnMut(u64) -> u64,
+        sample: &mut impl FnMut(u64) -> u64,
     ) {
-        // Exited cohorts consume no draw (trait contract): the stream is
-        // one count draw per *active* cohort.
-        self.mark_split(class, flags, |count, active| {
-            if active {
+        let epoch = self.current_epoch();
+        let chunk = &mut self.chunks[class];
+        // A fragmented chunk is mostly singleton cohorts, which cannot
+        // split, so a quarter over its length holds the result; amortized
+        // growth covers the short compact phase, where every cohort
+        // splits in two. (Reserving a half, or one slot per cohort of two
+        // or more, measured 4–8 % more peak RSS on `churn_leak`.)
+        let mut next: Vec<Run> = Vec::with_capacity(chunk.len() + chunk.len() / 4 + 1);
+        let mut changed = false;
+        let mut unflagged = true;
+        for &(m, count) in chunk.iter() {
+            unflagged &= m.current_flags == ParticipationFlags::EMPTY;
+            let marked_flags = m.current_flags.union(flags);
+            // Exited cohorts consume no draw (trait contract): the stream
+            // is one count draw per *active* cohort.
+            let drawn = if m.is_active_at(epoch) {
                 sample(count).min(count)
             } else {
                 0
+            };
+            if drawn == 0 || marked_flags == m.current_flags {
+                next.push((m, count));
+                continue;
             }
-        });
+            changed = true;
+            if drawn < count {
+                next.push((m, count - drawn));
+            }
+            let marked = MemberState {
+                current_flags: marked_flags,
+                ..m
+            };
+            next.push((marked, drawn));
+        }
+        // A chunk is rewritten only if some drawn member actually changed.
+        if !changed {
+            return;
+        }
+        if !unflagged {
+            canonicalize(&mut next, &mut SortScratch::default());
+        }
+        *chunk = Arc::new(next);
     }
 
     fn advance_epoch(&mut self, next_checkpoint_root: Option<Root>) {
@@ -1002,6 +1063,29 @@ mod tests {
     }
 
     #[test]
+    fn single_flag_marking_matches_dense() {
+        // A member that misses exactly one of source / target pays that
+        // flag's penalty alone, so the two remembered penalties must be
+        // the right way round.
+        let classes = [full(8), full(8), full(4)];
+        let target = flag_set(&[TIMELY_TARGET_FLAG_INDEX]);
+        let source_head = flag_set(&[TIMELY_SOURCE_FLAG_INDEX, TIMELY_HEAD_FLAG_INDEX]);
+        for config in [ChainConfig::minimal(), ChainConfig::paper()] {
+            let mut dense = DenseState::from_classes(config.clone(), &classes);
+            let mut cohort = CohortState::from_classes(config, &classes);
+            for epoch in 0..12 {
+                for (class, flags) in [(0, target), (1, source_head)] {
+                    dense.mark_class(class, flags);
+                    cohort.mark_class(class, flags);
+                }
+                dense.advance_epoch(None);
+                cohort.advance_epoch(None);
+                assert_eq!(dense.snapshot(), cohort.snapshot(), "epoch {epoch}");
+            }
+        }
+    }
+
+    #[test]
     fn genesis_ejection_boundary_matches_dense() {
         // 16.5 ETH snaps to a 16-ETH effective balance at genesis, which
         // is at the ejection threshold: the class exits at epoch 1.
@@ -1023,11 +1107,7 @@ mod tests {
     #[test]
     fn sampled_marking_splits_and_merges_cohorts() {
         let mut cohort = CohortState::from_classes(ChainConfig::minimal(), &[full(10)]);
-        let mut i = 0;
-        cohort.mark_class_sampled(0, ParticipationFlags::all(), &mut || {
-            i += 1;
-            i % 2 == 0
-        });
+        cohort.mark_class_counted(0, ParticipationFlags::all(), &mut |_| 5);
         assert_eq!(cohort.num_cohorts(), 2); // split: 5 marked, 5 not
         let marked_stake = cohort.current_target_balance();
         assert_eq!(marked_stake, Gwei::from_eth_u64(5 * 32));
@@ -1148,6 +1228,71 @@ mod tests {
         assert_eq!(marked.shared_chunks(&fork), 2);
     }
 
+    /// The four separate reads [`StateBackend::observe`] fuses.
+    fn four_reads(state: &CohortState, class: usize) -> BranchObservation {
+        BranchObservation {
+            class: state.class_stats(class),
+            exited_elsewhere: (0..state.num_classes())
+                .filter(|&c| c != class)
+                .map(|c| state.class_stats(c).exited)
+                .sum(),
+            total_active: state.total_active_balance(),
+            current_target: state.current_target_balance(),
+        }
+    }
+
+    #[test]
+    fn fused_observation_equals_the_four_separate_reads() {
+        // Class 2 starts at the ejection threshold and exits at epoch 1,
+        // so "exited elsewhere" is nonzero from every other class's seat.
+        let low = ClassSpec {
+            count: 4,
+            balance: Gwei::from_eth_f64(16.5),
+        };
+        let classes = [full(40), full(300), low];
+        let target_only = flag_set(&[TIMELY_TARGET_FLAG_INDEX]);
+        // Compact: whole-class marking keeps one cohort per class.
+        let mut compact = CohortState::from_classes(ChainConfig::minimal(), &classes);
+        // Fragmented: class 1 is count-marked by a fixed pseudo-random
+        // sequence in a leak, so its hit/miss histories leak apart.
+        let mut fragmented = compact.clone();
+        let mut x = 9u64;
+        for epoch in 0..40 {
+            compact.mark_class(0, ParticipationFlags::all());
+            fragmented.mark_class(0, target_only);
+            fragmented.mark_class_counted(1, ParticipationFlags::all(), &mut |count| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 33) % (count + 1)
+            });
+            for state in [&compact, &fragmented] {
+                for class in 0..classes.len() {
+                    assert_eq!(
+                        state.observe(class),
+                        four_reads(state, class),
+                        "epoch {epoch} class {class}"
+                    );
+                }
+            }
+            compact.advance_epoch(None);
+            fragmented.advance_epoch(None);
+        }
+        assert_eq!(compact.num_cohorts(), 3);
+        assert!(
+            fragmented.num_cohorts() > 100,
+            "{}",
+            fragmented.num_cohorts()
+        );
+        // And the read is of the state, not of zeros.
+        fragmented.mark_class(0, target_only);
+        fragmented.mark_class_counted(1, target_only, &mut |count| count / 2);
+        let seen = fragmented.observe(0);
+        assert_eq!(seen.exited_elsewhere, 4);
+        assert!(seen.current_target > seen.class.active_stake);
+        assert!(seen.total_active > seen.current_target);
+    }
+
     #[test]
     fn class_floor_reads_smallest_member() {
         let classes = [full(4), full(2)];
@@ -1245,7 +1390,7 @@ mod tests {
             let mut chunk: Chunk = Arc::new(runs.clone());
             let shared = chunk.clone();
             let mut seen = Vec::new();
-            transform_chunk(&mut chunk, &mut SortKeys::default(), |m| {
+            transform_chunk(&mut chunk, &mut SortScratch::default(), |m| {
                 seen.push(m.inactivity_score);
                 let bump = if m.inactivity_score >= first_changed {
                     10
@@ -1327,12 +1472,30 @@ mod tests {
                     (member, count)
                 })
                 .collect();
+            // One equal-balance group above the random ones, in every
+            // case: six runs arriving out of order, two pairs of which
+            // merge inside the group.
+            let tied = |score, count| {
+                let member = MemberState {
+                    balance: Gwei::new(16_000_000_000 + 40 * spacing),
+                    inactivity_score: score,
+                    ..base
+                };
+                (member, count)
+            };
+            let at = runs.len() / 2;
+            runs.splice(at..at, [tied(3, 1), tied(1, 2), tied(2, 4)]);
+            runs.extend([tied(1, 8), tied(0, 16), tied(3, 32)]);
             if presorted == 0 {
                 // The early exit: sorted input, neighbours still unmerged.
                 runs.sort_unstable();
             }
             let expected = sort_then_merge(runs.clone());
-            canonicalize(&mut runs, &mut SortKeys::default());
+            canonicalize(&mut runs, &mut SortScratch::default());
+            proptest::prop_assert_eq!(
+                &runs[runs.len() - 4..],
+                [tied(0, 16), tied(1, 10), tied(2, 4), tied(3, 33)]
+            );
             proptest::prop_assert_eq!(runs, expected);
         }
     }

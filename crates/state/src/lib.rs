@@ -54,8 +54,8 @@ pub mod slashings;
 pub mod validator;
 
 pub use backend::{
-    BackendKind, ClassSpec, ClassStats, DenseState, Fragmentation, MemberState, StateBackend,
-    StateSnapshot,
+    BackendKind, BranchObservation, ClassSpec, ClassStats, DenseState, Fragmentation, MemberState,
+    StateBackend, StateSnapshot,
 };
 pub use beacon_state::BeaconState;
 pub use cohort_state::CohortState;

@@ -530,48 +530,11 @@ impl StateBackend for ReferenceCohortState {
         });
     }
 
-    fn mark_class_sampled(
-        &mut self,
-        class: usize,
-        flags: ParticipationFlags,
-        draw: &mut dyn FnMut() -> bool,
-    ) {
-        let epoch = self.current_epoch();
-        let mut next: BTreeMap<CohortKey, u64> = BTreeMap::new();
-        for ((c, m), &count) in &self.cohorts {
-            if *c as usize != class {
-                *next.entry((*c, *m)).or_insert(0) += count;
-                continue;
-            }
-            // Consume one draw per member — exited members included, so
-            // a caller feeding both partition branches from one shared
-            // membership buffer stays index-aligned (see the trait doc).
-            let drawn = (0..count).filter(|_| draw()).count() as u64;
-            if !m.is_active_at(epoch) {
-                *next.entry((*c, *m)).or_insert(0) += count;
-                continue;
-            }
-            // Split the cohort: `drawn` members get the flags, the rest
-            // keep their state. Equal results re-merge via the map key.
-            if drawn > 0 {
-                let marked = MemberState {
-                    current_flags: m.current_flags.union(flags),
-                    ..*m
-                };
-                *next.entry((*c, marked)).or_insert(0) += drawn;
-            }
-            if drawn < count {
-                *next.entry((*c, *m)).or_insert(0) += count - drawn;
-            }
-        }
-        self.cohorts = next;
-    }
-
     fn mark_class_counted(
         &mut self,
         class: usize,
         flags: ParticipationFlags,
-        sample: &mut dyn FnMut(u64) -> u64,
+        sample: &mut impl FnMut(u64) -> u64,
     ) {
         let epoch = self.current_epoch();
         let mut next: BTreeMap<CohortKey, u64> = BTreeMap::new();
@@ -734,11 +697,7 @@ mod tests {
     #[test]
     fn sampled_marking_splits_and_merges_cohorts() {
         let mut cohort = ReferenceCohortState::from_classes(ChainConfig::minimal(), &[full(10)]);
-        let mut i = 0;
-        cohort.mark_class_sampled(0, ParticipationFlags::all(), &mut || {
-            i += 1;
-            i % 2 == 0
-        });
+        cohort.mark_class_counted(0, ParticipationFlags::all(), &mut |_| 5);
         assert_eq!(cohort.num_cohorts(), 2); // split: 5 marked, 5 not
         let marked_stake = cohort.current_target_balance();
         assert_eq!(marked_stake, Gwei::from_eth_u64(5 * 32));

@@ -121,7 +121,9 @@ proptest! {
             dense.mark_class_sampled(c, ParticipationFlags::all(), &mut dense_draw);
             let mut j = 0u64;
             let mut cohort_draw = || { j += 1; pattern >> (j % 64) & 1 == 1 };
-            cohort.mark_class_sampled(c, ParticipationFlags::all(), &mut cohort_draw);
+            cohort.mark_class_counted(c, ParticipationFlags::all(), &mut |count| {
+                (0..count).filter(|_| cohort_draw()).count() as u64
+            });
         }
         for epoch in 0..epochs {
             dense.advance_epoch(None);
@@ -460,9 +462,13 @@ fn sampled_split_at_the_hysteresis_edge_ejects_only_the_idle_half() {
         // toward the 16.75-ETH edge.
         if cohort.class_stats(1).active == 10 {
             let mut i = 0u32;
-            cohort.mark_class_sampled(1, ParticipationFlags::all(), &mut || {
-                i += 1;
-                i > 5
+            cohort.mark_class_counted(1, ParticipationFlags::all(), &mut |count| {
+                (0..count)
+                    .filter(|_| {
+                        i += 1;
+                        i > 5
+                    })
+                    .count() as u64
             });
         } else {
             // The idle sub-cohort has been ejected: keep the survivors

@@ -89,7 +89,7 @@ impl Binomial {
     /// Degenerate parameters (`n = 0`, `p ∈ {0, 1}`) return without
     /// consuming randomness.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        sample_count(self.n, self.p, binv_f0, rng)
+        sample_count(self.n, self.p, rng)
     }
 }
 
@@ -100,15 +100,10 @@ fn assert_probability(p: f64) {
     );
 }
 
-/// The one sampling kernel behind [`Binomial`] and [`PreparedBinomial`]:
-/// degenerate cases, the `p ↔ q` mirror and the BINV/BTPE split.
-/// `f0(n, p)` supplies BINV's `f(0)` for the mirrored `p ≤ 1/2`.
-fn sample_count<R: Rng + ?Sized>(
-    n: u64,
-    p: f64,
-    f0: impl FnOnce(u64, f64) -> f64,
-    rng: &mut R,
-) -> u64 {
+/// The sampling kernel behind [`Binomial`] (and [`PreparedBinomial`]
+/// beyond its table): degenerate cases, the `p ↔ q` mirror and the
+/// BINV/BTPE split.
+fn sample_count<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     if n == 0 || p <= 0.0 {
         return 0;
     }
@@ -119,7 +114,7 @@ fn sample_count<R: Rng + ?Sized>(
     let flipped = p > 0.5;
     let p = if flipped { 1.0 - p } else { p };
     let k = if n as f64 * p < BINV_THRESHOLD {
-        binv(n, p, f0(n, p), rng)
+        binv(n, p, rng)
     } else {
         btpe(n, p, rng)
     };
@@ -130,24 +125,57 @@ fn sample_count<R: Rng + ?Sized>(
     }
 }
 
-/// BINV's `f(0) = q^n` via `exp(n·ln1p(−p))` — exact to an ulp even when
-/// a direct powi would round through many multiplications.
-fn binv_f0(n: u64, p: f64) -> f64 {
-    (n as f64 * (-p).ln_1p()).exp()
+/// BINV's `f(0), f(1), …` for `Binomial(n, p)`, `0 < p ≤ 1/2`: the ratio
+/// recurrence `f(x+1) = f(x)·(a/(x+1) − s)` both the inversion walk and
+/// the [`PreparedBinomial`] table step through, so the two hold the same
+/// bits.
+fn binv_terms(n: u64, p: f64) -> impl Iterator<Item = f64> {
+    let q = 1.0 - p;
+    let s = p / q;
+    let a = (n + 1) as f64 * s;
+    // `f(0) = q^n` via `exp(n·ln1p(−p))` — exact to an ulp even when a
+    // direct powi would round through many multiplications.
+    let mut r = (n as f64 * (-p).ln_1p()).exp();
+    // Each step's factor is applied only when the walk asks for the next
+    // term, so a draw that stops at `x` pays `x` divisions, not `x + 1`.
+    (0..=BINV_MAX_X.min(n)).map(move |x| {
+        if x > 0 {
+            r *= a / x as f64 - s;
+        }
+        r
+    })
 }
 
-/// Largest `n` (exclusive) a [`PreparedBinomial`] memoizes `f(0)` for.
-const F0_TABLE_MAX: usize = 256;
+/// One inversion pass over `terms`: the first `x` whose cumulative mass
+/// exceeds `u`, or `None` when `u` lands beyond the last term (the tail
+/// past [`BINV_MAX_X`], or the rounding gap under 1) — the draw then
+/// restarts with a fresh uniform rather than walking the far tail.
+#[inline]
+fn invert(terms: impl Iterator<Item = f64>, mut u: f64) -> Option<u64> {
+    for (x, r) in terms.enumerate() {
+        if u < r {
+            return Some(x as u64);
+        }
+        u -= r;
+    }
+    None
+}
+
+/// Largest `n` (exclusive) a [`PreparedBinomial`] tabulates a row for:
+/// cohorts under §5.3 churn split down to a handful of members within a
+/// few epochs, and a triangular table this size (16 KiB) stays cached.
+const ROW_TABLE_MAX: u64 = 64;
 
 /// A binomial law `Binomial(·, p)` prepared for many draws at one `p`
 /// and varying `n` — the shape of count-level churn, where every cohort
 /// of a class draws at the branch's marginal probability.
 ///
 /// Draw-for-draw identical to `Binomial::new(n, p).sample(rng)`: the
-/// same kernel, the same uniforms consumed. Preparation memoizes BINV's
-/// `f(0)` (an `ln1p` and an `exp` per draw) for every small `n` the
-/// inversion regime can see, evaluated by the same expression and
-/// therefore to the same bits.
+/// same counts, the same uniforms consumed. Preparation tabulates, for
+/// every small `n` of the inversion regime, the terms BINV would step
+/// through (`binv_terms` — the same recurrence, therefore the same
+/// bits), so a draw is the inversion walk with neither the `ln1p`/`exp`
+/// of `f(0)` nor a division per step.
 ///
 /// # Example
 ///
@@ -163,9 +191,12 @@ const F0_TABLE_MAX: usize = 256;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedBinomial {
     p: f64,
-    /// `f0[n]` for the mirrored `p`, for every `n` below both the BINV
-    /// regime's end and [`F0_TABLE_MAX`].
-    f0: Vec<f64>,
+    /// Row `n` — the `n + 1` BINV terms of `Binomial(n, min(p, 1 − p))`
+    /// — starts at `n·(n+1)/2`, for `n` in `0..tabulated`.
+    rows: Vec<f64>,
+    /// Rows held: every `n` below both the BINV regime's end and
+    /// [`ROW_TABLE_MAX`]; zero for the degenerate laws.
+    tabulated: u64,
 }
 
 impl PreparedBinomial {
@@ -177,45 +208,45 @@ impl PreparedBinomial {
     pub fn new(p: f64) -> Self {
         assert_probability(p);
         let mirrored = if p > 0.5 { 1.0 - p } else { p };
-        let len = if mirrored > 0.0 {
-            ((BINV_THRESHOLD / mirrored).ceil() as usize).min(F0_TABLE_MAX)
+        let tabulated = if mirrored > 0.0 {
+            (0..ROW_TABLE_MAX)
+                .take_while(|&n| n as f64 * mirrored < BINV_THRESHOLD)
+                .count() as u64
         } else {
             0
         };
         PreparedBinomial {
             p,
-            f0: (0..len as u64).map(|n| binv_f0(n, mirrored)).collect(),
+            rows: (0..tabulated)
+                .flat_map(|n| binv_terms(n, mirrored))
+                .collect(),
+            tabulated,
         }
     }
 
     /// Draws one exact count of `Binomial(n, p)`.
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, n: u64, rng: &mut R) -> u64 {
-        let f0 = |n: u64, p: f64| match self.f0.get(n as usize) {
-            Some(&f0) => f0,
-            None => binv_f0(n, p),
-        };
-        sample_count(n, self.p, f0, rng)
+        // `n = 0` consumes nothing; the degenerate laws tabulate nothing.
+        if n == 0 || n >= self.tabulated {
+            return sample_count(n, self.p, rng);
+        }
+        let start = (n * (n + 1) / 2) as usize;
+        let row = &self.rows[start..=start + n as usize];
+        loop {
+            if let Some(k) = invert(row.iter().copied(), rng.random()) {
+                return if self.p > 0.5 { n - k } else { k };
+            }
+        }
     }
 }
 
-/// CDF inversion for small `n·p` (requires `0 < p ≤ 1/2`); `f0` is
-/// [`binv_f0`]`(n, p)`.
-fn binv<R: Rng + ?Sized>(n: u64, p: f64, f0: f64, rng: &mut R) -> u64 {
-    let q = 1.0 - p;
-    let s = p / q;
-    let a = (n + 1) as f64 * s;
+/// CDF inversion for small `n·p` (requires `0 < p ≤ 1/2`).
+fn binv<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     loop {
-        let mut r = f0;
-        let mut u: f64 = rng.random();
-        for x in 0..=BINV_MAX_X.min(n) {
-            if u < r {
-                return x;
-            }
-            u -= r;
-            r *= a / (x + 1) as f64 - s;
+        if let Some(k) = invert(binv_terms(n, p), rng.random()) {
+            return k;
         }
-        // Tail overflow (u landed beyond the cap): restart with a fresh
-        // uniform rather than walking the far tail.
     }
 }
 
@@ -457,13 +488,13 @@ mod tests {
 
     /// The prepared law is the same sampler, not a sibling: on one RNG
     /// stream it returns the same counts *and* leaves the stream in the
-    /// same place as `Binomial::new(n, p).sample` — across BINV (memoized
+    /// same place as `Binomial::new(n, p).sample` — across BINV (tabulated
     /// and beyond the table), BTPE, the mirrored half-plane and the
     /// degenerate laws that consume nothing.
     #[test]
     fn prepared_law_matches_binomial_draw_for_draw() {
         let sizes = (0..=200u64).chain([1_000, 1_000_000]);
-        // 0.01 keeps BINV going past the memo table (n·p < 10 up to 999).
+        // 0.01 keeps BINV going past the row table (n·p < 10 up to 999).
         let ps = [0.0, 0.01, 0.2, 0.5, 0.8, 1.0];
         for (pi, &p) in ps.iter().enumerate() {
             let law = PreparedBinomial::new(p);
@@ -491,6 +522,97 @@ mod tests {
         assert_eq!(PreparedBinomial::new(1.0).sample(17, &mut rng), 17);
         assert_eq!(PreparedBinomial::new(0.3).sample(0, &mut rng), 0);
         assert_eq!(rng.random::<u64>(), probe.random::<u64>());
+    }
+
+    /// An RNG that replays scripted `u64`s, then a seeded stream.
+    struct Scripted {
+        script: Vec<u64>,
+        then: rand::rngs::StdRng,
+        served: usize,
+    }
+
+    impl Scripted {
+        fn new(script: &[u64]) -> Self {
+            Scripted {
+                script: script.to_vec(),
+                then: seeded_rng(3),
+                served: 0,
+            }
+        }
+    }
+
+    impl rand::RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            self.served += 1;
+            match self.script.get(self.served - 1) {
+                Some(&scripted) => scripted,
+                None => self.then.next_u64(),
+            }
+        }
+    }
+
+    /// The tabulated rows against the inversion walk they replace, draw
+    /// for draw and stream position for stream position: every table row
+    /// and the first size past the table, both half-planes — on seeded
+    /// streams, and on scripted uniforms that start at the top of `[0, 1)`
+    /// so the walk runs off the end of the row (the terms sum to a hair
+    /// under 1) and both samplers must take the restart branch.
+    #[test]
+    fn tabulated_rows_match_the_inversion_walk_restart_included() {
+        // Restarts seen on tabulated rows, per half-plane.
+        let mut restarts = [0, 0];
+        // `(p, rows tabulated)`: every `n < 64` with `n·min(p, 1 − p) < 10`
+        // as the sampler evaluates it — `1 − 0.8` rounds to just under 0.2,
+        // so that law keeps `n = 50` in the inversion regime.
+        let laws = [
+            (0.01, 64),
+            (0.2, 50),
+            (0.3, 34),
+            (0.5, 20),
+            (0.7, 34),
+            (0.8, 51),
+        ];
+        for (pi, &(p, tabulated)) in laws.iter().enumerate() {
+            let law = PreparedBinomial::new(p);
+            assert_eq!(law.tabulated, tabulated, "p={p}");
+            assert_eq!(
+                law.rows.len() as u64,
+                law.tabulated * (law.tabulated + 1) / 2
+            );
+            let mut prepared = seeded_rng(500 + pi as u64);
+            let mut plain = seeded_rng(500 + pi as u64);
+            for n in 0..=ROW_TABLE_MAX {
+                for _ in 0..64 {
+                    assert_eq!(
+                        law.sample(n, &mut prepared),
+                        Binomial::new(n, p).sample(&mut plain),
+                        "n={n} p={p}"
+                    );
+                }
+                assert_eq!(
+                    prepared.random::<u64>(),
+                    plain.random::<u64>(),
+                    "streams diverged after n={n} p={p}"
+                );
+                // u = 1 − 2⁻⁵³, then 1 − 2⁻⁵², 1 − 3·2⁻⁵³.
+                let script = [u64::MAX, u64::MAX - (1 << 11), u64::MAX - (2 << 11)];
+                let mut a = Scripted::new(&script);
+                let mut b = Scripted::new(&script);
+                assert_eq!(
+                    law.sample(n, &mut a),
+                    Binomial::new(n, p).sample(&mut b),
+                    "scripted n={n} p={p}"
+                );
+                assert_eq!(a.served, b.served, "scripted stream position n={n} p={p}");
+                if n > 0 && n < law.tabulated && a.served > 1 {
+                    restarts[usize::from(p > 0.5)] += 1;
+                }
+            }
+        }
+        assert!(
+            restarts[0] > 0 && restarts[1] > 0,
+            "the restart branch went unexercised: {restarts:?}"
+        );
     }
 
     #[test]
