@@ -3,8 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ethpos_sim::{
-    run_single_branch, Behavior, SlotSim, SlotSimConfig, TwoBranchConfig, TwoBranchSim,
+    run_single_branch_on, Behavior, SlotSim, SlotSimConfig, TwoBranchConfig, TwoBranchSim,
 };
+use ethpos_state::DenseState;
 use ethpos_types::ChainConfig;
 use ethpos_validator::DualActive;
 use std::hint::black_box;
@@ -34,19 +35,20 @@ fn bench(c: &mut Criterion) {
     g.finish();
 
     // Ablation: paper vs spec penalty semantics over 2000 epochs.
-    let behaviors: Vec<Behavior> = {
+    // One validator per class, per-validator on the dense backend.
+    let classes: Vec<(Behavior, u64)> = {
         let mut v = vec![Behavior::Active, Behavior::SemiActive, Behavior::Inactive];
         v.extend(std::iter::repeat_n(Behavior::Inactive, 7));
-        v
+        v.into_iter().map(|b| (b, 1)).collect()
     };
-    let paper = run_single_branch(ChainConfig::paper(), &behaviors, 2000);
+    let paper = run_single_branch_on::<DenseState>(ChainConfig::paper(), &classes, 2000);
     let spec = {
         let cfg = ChainConfig {
             base_reward_factor: 0,
             paper_inactivity_penalties: false,
             ..ChainConfig::mainnet()
         };
-        run_single_branch(cfg, &behaviors, 2000)
+        run_single_branch_on::<DenseState>(cfg, &classes, 2000)
     };
     eprintln!(
         "ablation (semi-active stake at t = 2000): paper-semantics {:.3} ETH, \
@@ -58,9 +60,9 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("leak_10val_2000epochs", |b| {
         b.iter(|| {
-            black_box(run_single_branch(
+            black_box(run_single_branch_on::<DenseState>(
                 ChainConfig::paper(),
-                black_box(&behaviors),
+                black_box(&classes),
                 2000,
             ))
         })

@@ -71,11 +71,6 @@ impl DutyGene {
         u64::from(self.on) > (epoch + u64::from(self.phase)) % u64::from(self.period)
     }
 
-    /// Fraction of epochs this gene is active.
-    pub fn duty_fraction(&self) -> f64 {
-        f64::from(self.on) / f64::from(self.period)
-    }
-
     /// Canonical form: constant genes (`on == 0` or `on == period`)
     /// collapse to [`DutyGene::OFF`] / [`DutyGene::ON`], and the phase is
     /// reduced modulo the period.

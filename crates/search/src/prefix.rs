@@ -12,14 +12,13 @@
 //! two-branch simulator:
 //!
 //! * **Single-branch gene streams** — for each `(branch, DutyGene)` pair
-//!   it keeps one lazily extended single-branch run, its per-epoch
-//!   `EpochRec` observables and a snapshot of the state entering every
-//!   256th epoch (`SNAPSHOT_STRIDE`). A dwell-free genome (or one whose
-//!   dwell never triggers) is *reconstructed* from its two streams:
-//!   every field of [`TwoBranchOutcome`] that
-//!   [`score`](crate::objective) reads is a fold over the records
-//!   (`OutcomeFold`), replayed in exactly the order the engine would
-//!   have produced it.
+//!   it keeps one lazily extended single-branch run, the branch's running
+//!   [`BranchFold`], the per-epoch `EpochRec` observables the fold does
+//!   not keep, and a snapshot of the state entering every 256th epoch
+//!   (`SNAPSHOT_STRIDE`). A dwell-free genome (or one whose dwell never
+//!   triggers) is *reconstructed* from its two streams: its
+//!   [`TwoBranchOutcome`] is both streams' folds cut at the pair's stop
+//!   epoch, plus the pair's double-vote count (`OutcomeFold`).
 //! * **Pair checkpoints and continuations** — for genomes whose dwell
 //!   feedback triggers at epoch `T`, the first evaluation of a duty pair
 //!   rebuilds the two branch states entering `T` from its streams'
@@ -27,21 +26,22 @@
 //!   and caches them. Every dwell variant of the pair *continues* from a
 //!   clone of those states (a handful of `Arc` bumps on the
 //!   copy-on-write [`CohortState`](ethpos_state::CohortState)) under a
-//!   fresh [`ParamSchedule`], folding the continuation's records onto
-//!   the pair's stream fold below `T`. The hand-over is exact: before
-//!   the trigger a dwell schedule emits its pure duty cycle and its
-//!   state machine sits in the initial `Free` state, identical for every
-//!   dwell length, and the fixed-partition engine never draws from its
-//!   RNG.
+//!   fresh [`ParamSchedule`], folding its epochs onto the pair's stream
+//!   folds cut at `T`. The hand-over is exact: before the trigger a
+//!   dwell schedule emits its pure duty cycle and its state machine sits
+//!   in the initial `Free` state, identical for every dwell length, and
+//!   the fixed-partition engine never draws from its RNG.
 //!
-//! Streams and continuations run on the same `step_epoch` (observe →
-//! decide → advance), which mirrors the per-branch operations of
-//! [`ethpos_sim::PartitionSim::step`]; conflict is "both branches have
-//! finalized" and the stop rules are the engine's. Branch checkpoints
-//! are labelled `Root::from_u64(epoch)` rather than with the engine's
-//! hashed synthetic roots: no outcome field carries a root, and a
-//! stream shared by both branches of a symmetric split never had a
-//! meaningful branch id to hash.
+//! Streams and continuations move their branches with the per-branch
+//! [`kernel`] (observe → decide → advance → fold), the functions
+//! [`ethpos_sim::PartitionSim::step`] composes too. What is the memo's
+//! own is the snapshots, the fold cut at the trigger, and the stop
+//! rules: conflict is "both branches have finalized", and the early
+//! stops are the engine's. Branch checkpoints are labelled
+//! `Root::from_u64(epoch + 1)` rather than with the engine's hashed
+//! synthetic roots: no outcome field carries a root, and a stream
+//! shared by both branches of a symmetric split never had a meaningful
+//! branch id to hash.
 //!
 //! Both paths are **byte-identical** to from-genesis evaluation
 //! ([`evaluate`](crate::objective::evaluate), one full
@@ -57,11 +57,11 @@ use std::sync::Mutex;
 
 use serde::Serialize;
 
+use ethpos_sim::kernel::{self, BranchEpochStats, BranchFold, BYZANTINE_CLASS};
 use ethpos_sim::{ChunkPool, TwoBranchConfig, TwoBranchOutcome};
-use ethpos_state::backend::{ClassSpec, StateBackend};
-use ethpos_state::participation::ParticipationFlags;
+use ethpos_state::backend::StateBackend;
 use ethpos_types::{BranchId, Root};
-use ethpos_validator::{BranchChoice, BranchStatus, ByzantineSchedule};
+use ethpos_validator::ByzantineSchedule;
 
 use crate::genome::{DutyGene, Genome, ParamSchedule};
 use crate::objective::{initial_byzantine_gwei, score, sim_config, EvalParams, Evaluation};
@@ -78,10 +78,6 @@ const CHECKPOINT_CAP: usize = 256;
 /// `SNAPSHOT_STRIDE − 1` pure-duty re-steps away (32 snapshots over the
 /// default 8192-epoch horizon).
 const SNAPSHOT_STRIDE: u64 = 256;
-
-/// The Byzantine class of every search state (the layout
-/// [`ethpos_sim::PartitionSim`] builds).
-const BYZANTINE_CLASS: usize = 0;
 
 /// Work counters of one memoized search — the observability surface of
 /// prefix memoization. Serialized into the CLI's `--stats-out` artifact
@@ -169,130 +165,65 @@ impl SearchStats {
     }
 }
 
-/// Per-epoch observables of one branch — everything outcome
-/// reconstruction and trigger detection read. `*_post` fields are read
-/// after the epoch's `advance_epoch`, the rest before.
+/// Per-epoch observables of one stream that its running [`BranchFold`]
+/// does not keep — what trigger detection and cutting the fold at any
+/// epoch read.
 #[derive(Debug, Clone, Copy)]
 struct EpochRec {
     /// Would the adversary's stake reach ⅔ on this branch this epoch
-    /// (the dwell trigger input, pre-advance)?
+    /// (the dwell trigger input, read before the advance)?
     reachable: bool,
-    /// Active Byzantine effective balance (pre-advance, Gwei).
-    byz_active: u64,
-    /// Total active effective balance (pre-advance, Gwei).
-    total_active: u64,
-    /// Had the branch finalized beyond genesis after advancing?
-    finalized_post: bool,
-    /// Had the whole Byzantine class exited after advancing?
-    byz_all_exited_post: bool,
-    /// Total actual Byzantine balance after advancing (Gwei).
-    byz_balance_post: u64,
+    /// The fold's running maximum Byzantine proportion after this epoch.
+    max_byzantine_proportion: f64,
+    /// Total actual Byzantine balance after this epoch (Gwei).
+    byz_balance: u64,
 }
 
-/// Simulates one epoch of `K` independent branch states under one
-/// adversary decision, mirroring the per-branch operations of
-/// [`ethpos_sim::PartitionSim::step`] in their exact order: mark each
-/// branch's pinned honest classes and read the adversary's view of it,
-/// let `decide` pick the branches the Byzantine class attests, then mark
-/// it there and advance every branch. Gene streams (`K = 1`, the duty
-/// bit) and dwell continuations (`K = 2`, a [`ParamSchedule`]) both run
-/// on this one function, so they cannot drift apart.
-fn step_epoch<B: StateBackend, const K: usize>(
-    mut branches: [(&mut B, &[usize]); K],
+/// The memo's checkpoint root for the advance of `epoch` — the label of
+/// epoch `epoch + 1`'s checkpoint.
+fn label(epoch: u64) -> Root {
+    Root::from_u64(epoch + 1)
+}
+
+/// One pure-duty epoch of a single branch state — the only way a gene
+/// stream's state (or a copy re-stepped from one of its snapshots)
+/// moves. Returns whether ⅔ was reachable, and the epoch's stats.
+fn duty_step<B: StateBackend>(
+    gene: DutyGene,
+    state: &mut B,
     epoch: u64,
-    decide: impl FnOnce(&[BranchStatus; K]) -> BranchChoice,
-) -> (BranchChoice, [EpochRec; K]) {
-    let flags = ParticipationFlags::all();
-    let statuses: [BranchStatus; K] = core::array::from_fn(|i| {
-        let (state, honest) = &mut branches[i];
-        for &class in honest.iter() {
-            state.mark_class(class, flags);
-        }
-        BranchStatus {
-            branch: BranchId::new(i as u32),
-            epoch,
-            total_active_stake: state.total_active_balance().as_u64(),
-            honest_active_stake: state.current_target_balance().as_u64(),
-            byzantine_stake: state.class_stats(BYZANTINE_CLASS).active_stake.as_u64(),
-            justified_epoch: state.current_justified_checkpoint().epoch.as_u64(),
-            finalized_epoch: state.finalized_checkpoint().epoch.as_u64(),
-        }
-    });
-    let choice = decide(&statuses);
-    let records = core::array::from_fn(|i| {
-        let state = &mut *branches[i].0;
-        if choice.get(i) {
-            state.mark_class(BYZANTINE_CLASS, flags);
-        }
-        state.advance_epoch(Some(Root::from_u64(epoch + 1)));
-        let byz = state.class_stats(BYZANTINE_CLASS);
-        EpochRec {
-            reachable: statuses[i].two_thirds_reachable(),
-            byz_active: statuses[i].byzantine_stake,
-            total_active: statuses[i].total_active_stake,
-            finalized_post: state.finalized_checkpoint().epoch.as_u64() > 0,
-            byz_all_exited_post: byz.total > 0 && byz.exited == byz.total,
-            byz_balance_post: state.class_balance(BYZANTINE_CLASS).as_u64(),
-        }
-    });
-    (choice, records)
+    honest: &[usize],
+) -> (bool, BranchEpochStats) {
+    let (status, ejected) = kernel::observe(state, BranchId::GENESIS, epoch, honest, &[], |_, _| 0);
+    let stats = kernel::advance(state, &status, ejected, gene.active(epoch), label(epoch));
+    (status.two_thirds_reachable(), stats)
 }
 
-/// The [`TwoBranchOutcome`] of a run, folded epoch by epoch over both
-/// branches' [`EpochRec`]s — field for field what
-/// [`ethpos_sim::TwoBranchSim::run`] computes. Reconstruction folds
-/// stream records only; a dwell continuation starts from the pair's
-/// fold over the stream records below its trigger and pushes its own
-/// records from there on.
-#[derive(Debug, Clone, Copy, Default)]
+/// A pair's outcome so far: both branches' folds plus the pair-level
+/// counts. Reconstruction cuts it from the two streams at the pair's
+/// stop epoch; a dwell continuation starts from the cut at its trigger
+/// and pushes its own epochs from there on.
+#[derive(Debug, Clone, Copy)]
 struct OutcomeFold {
-    byzantine_exceeds_third_epoch: [Option<u64>; 2],
-    max_byzantine_proportion: [f64; 2],
-    first_finalization_epoch: [Option<u64>; 2],
-    byzantine_exit_epoch: [Option<u64>; 2],
-    final_byzantine_balance_gwei: [u64; 2],
+    branches: [BranchFold; 2],
     double_vote_epochs: u64,
     epochs_run: u64,
 }
 
 impl OutcomeFold {
-    /// Folds in epoch `epoch` (the next one: epochs arrive in order).
-    fn push(&mut self, epoch: u64, records: [&EpochRec; 2], double_vote: bool) {
-        debug_assert_eq!(epoch, self.epochs_run);
-        for (b, r) in records.into_iter().enumerate() {
-            let proportion = if r.total_active > 0 {
-                r.byz_active as f64 / r.total_active as f64
-            } else {
-                0.0
-            };
-            self.max_byzantine_proportion[b] = self.max_byzantine_proportion[b].max(proportion);
-            if self.byzantine_exceeds_third_epoch[b].is_none() && proportion > 1.0 / 3.0 {
-                self.byzantine_exceeds_third_epoch[b] = Some(epoch);
-            }
-            if self.first_finalization_epoch[b].is_none() && r.finalized_post {
-                self.first_finalization_epoch[b] = Some(epoch);
-            }
-            if self.byzantine_exit_epoch[b].is_none() && r.byz_all_exited_post {
-                self.byzantine_exit_epoch[b] = Some(epoch);
-            }
-            self.final_byzantine_balance_gwei[b] = r.byz_balance_post;
-        }
-        self.double_vote_epochs += u64::from(double_vote);
-        self.epochs_run = epoch + 1;
+    fn first_fin(&self) -> [Option<u64>; 2] {
+        self.branches.map(|f| f.first_finalization_epoch)
     }
 
-    fn finish(self) -> TwoBranchOutcome {
-        TwoBranchOutcome {
-            conflicting_finalization_epoch: conflict_epoch(self.first_finalization_epoch),
-            byzantine_exceeds_third_epoch: self.byzantine_exceeds_third_epoch,
-            max_byzantine_proportion: self.max_byzantine_proportion,
-            first_finalization_epoch: self.first_finalization_epoch,
-            byzantine_exit_epoch: self.byzantine_exit_epoch,
-            final_byzantine_balance_gwei: self.final_byzantine_balance_gwei,
-            double_vote_epochs: self.double_vote_epochs,
-            history: Vec::new(),
-            epochs_run: self.epochs_run,
-        }
+    fn finish(self, final_byzantine_balance_gwei: [u64; 2]) -> TwoBranchOutcome {
+        TwoBranchOutcome::from_folds(
+            conflict_epoch(self.first_fin()),
+            self.branches,
+            final_byzantine_balance_gwei,
+            self.double_vote_epochs,
+            Vec::new(),
+            self.epochs_run,
+        )
     }
 }
 
@@ -319,20 +250,6 @@ fn stop_epoch(config: &TwoBranchConfig, first_fin: [Option<u64>; 2]) -> Option<u
     }
 }
 
-/// One pure-duty epoch of a single branch state — the only way a gene
-/// stream's state (or a copy re-stepped from one of its snapshots)
-/// moves.
-fn duty_step<B: StateBackend>(
-    gene: DutyGene,
-    state: &mut B,
-    epoch: u64,
-    honest: &[usize],
-) -> EpochRec {
-    let on = gene.active(epoch);
-    let (_, [record]) = step_epoch([(state, honest)], epoch, |_| BranchChoice::from([on]));
-    record
-}
-
 /// One memoized single-branch run: the branch state of a two-branch
 /// simulation whose adversary follows `gene` on this branch, extended
 /// lazily epoch by epoch.
@@ -345,8 +262,8 @@ struct GeneStream<B: StateBackend> {
     honest: Vec<usize>,
     state: B,
     records: Vec<EpochRec>,
-    /// First epoch with `finalized_post`, once known.
-    first_fin: Option<u64>,
+    /// The branch's fold over every epoch run so far.
+    fold: BranchFold,
     /// `snapshots[k]` is the state entering epoch `k · stride`.
     snapshots: Vec<B>,
     stride: u64,
@@ -361,7 +278,7 @@ impl<B: StateBackend> GeneStream<B> {
             snapshots: vec![genesis.clone()],
             state: genesis,
             records: Vec::new(),
-            first_fin: None,
+            fold: BranchFold::default(),
             stride,
         }
     }
@@ -374,11 +291,13 @@ impl<B: StateBackend> GeneStream<B> {
     /// Runs epochs `len()..target`.
     fn extend_to(&mut self, target: u64) {
         for e in self.len()..target {
-            let record = duty_step(self.gene, &mut self.state, e, &self.honest);
-            if self.first_fin.is_none() && record.finalized_post {
-                self.first_fin = Some(e);
-            }
-            self.records.push(record);
+            let (reachable, stats) = duty_step(self.gene, &mut self.state, e, &self.honest);
+            self.fold.push(e, &stats, &self.state);
+            self.records.push(EpochRec {
+                reachable,
+                max_byzantine_proportion: self.fold.max_byzantine_proportion,
+                byz_balance: self.state.class_balance(BYZANTINE_CLASS).as_u64(),
+            });
             if (e + 1) % self.stride == 0 {
                 self.snapshots.push(self.state.clone());
             }
@@ -388,9 +307,23 @@ impl<B: StateBackend> GeneStream<B> {
     /// Extends until the first finalization epoch is known (or the
     /// horizon is reached) — enough to compute any pair's stop epoch.
     fn extend_until_fin(&mut self, max_epochs: u64) {
-        while self.first_fin.is_none() && self.len() < max_epochs {
+        while self.fold.first_finalization_epoch.is_none() && self.len() < max_epochs {
             let target = (self.len() + 64).min(max_epochs);
             self.extend_to(target);
+        }
+    }
+
+    /// The fold over the epochs below `end ≤ len()`: the first epochs
+    /// from `end` on dropped, the running maximum as it stood at `end`.
+    fn fold_before(&self, end: u64) -> BranchFold {
+        let before = |first: Option<u64>| first.filter(|&e| e < end);
+        BranchFold {
+            byzantine_exceeds_third_epoch: before(self.fold.byzantine_exceeds_third_epoch),
+            max_byzantine_proportion: end.checked_sub(1).map_or(0.0, |last| {
+                self.records[last as usize].max_byzantine_proportion
+            }),
+            first_finalization_epoch: before(self.fold.first_finalization_epoch),
+            byzantine_exit_epoch: before(self.fold.byzantine_exit_epoch),
         }
     }
 
@@ -467,9 +400,8 @@ impl<B: StateBackend> core::fmt::Debug for PrefixMemo<B> {
 
 impl<B: StateBackend + Send + Sync> PrefixMemo<B> {
     /// Builds the memo for one search's parameters. The genesis state is
-    /// constructed once and cloned per stream — the same class layout
-    /// [`ethpos_sim::TwoBranchSim`] builds (class 0 Byzantine, then the
-    /// non-empty honest sides of the fixed partition).
+    /// the compiled two-branch timeline's, built once and cloned per
+    /// stream.
     ///
     /// # Panics
     ///
@@ -482,14 +414,7 @@ impl<B: StateBackend + Send + Sync> PrefixMemo<B> {
             .timeline()
             .compile(n_honest)
             .expect("the two-branch timeline always compiles");
-        let sizes: Vec<u64> = std::iter::once(config.byzantine as u64)
-            .chain(compiled.honest_classes().iter().copied())
-            .collect();
-        let classes: Vec<ClassSpec> = sizes
-            .iter()
-            .map(|&count| ClassSpec::full_stake(count, &config.chain))
-            .collect();
-        let genesis = B::from_classes(config.chain.clone(), &classes);
+        let genesis = compiled.genesis(&config.chain, config.byzantine as u64);
         // The compiler elides empty classes (a lone honest validator, or
         // none at all), so which classes a branch marks comes from the
         // compiled plan, never from the branch id.
@@ -504,7 +429,8 @@ impl<B: StateBackend + Send + Sync> PrefixMemo<B> {
         // the same on either — they depend only on the marked class
         // *sizes* — so both branches can share one stream per gene,
         // halving the stream work.
-        let pinned_sizes = |b: usize| honest[b].iter().map(|&c| sizes[c]).collect::<Vec<_>>();
+        let sizes = compiled.honest_classes();
+        let pinned_sizes = |b: usize| honest[b].iter().map(|&c| sizes[c - 1]).collect::<Vec<_>>();
         let symmetric = pinned_sizes(0) == pinned_sizes(1);
         PrefixMemo {
             params: *params,
@@ -677,7 +603,8 @@ impl<B: StateBackend + Send + Sync> PrefixMemo<B> {
                 let honest = self.honest[b].clone();
                 GeneStream::new(b, gene, honest, self.genesis.clone(), self.stride)
             });
-            let done = stream.len() >= target && (!until_fin || stream.first_fin.is_some());
+            let done = stream.len() >= target
+                && (!until_fin || stream.fold.first_finalization_epoch.is_some());
             if done || stream.len() >= max_epochs {
                 self.streams[b].insert(gene, stream);
                 continue;
@@ -708,7 +635,9 @@ impl<B: StateBackend + Send + Sync> PrefixMemo<B> {
     /// The stop epoch of a pure-duty run of `pair` — where the engine's
     /// configured early-stop rules end it (`epochs_run`).
     fn pair_stop(&self, pair: [DutyGene; 2]) -> u64 {
-        let first_fin = self.pair_streams(pair).map(|s| s.first_fin);
+        let first_fin = self
+            .pair_streams(pair)
+            .map(|s| s.fold.first_finalization_epoch);
         stop_epoch(&self.config, first_fin).map_or(self.config.max_epochs, |f| f + 1)
     }
 
@@ -719,22 +648,23 @@ impl<B: StateBackend + Send + Sync> PrefixMemo<B> {
         let stop = self.pair_stop(pair);
         let streams = self.pair_streams(pair);
         debug_assert!(streams.iter().all(|s| s.len() >= stop));
-        let records = streams.map(|s| &s.records[..stop as usize]);
-        let mut fold = OutcomeFold::default();
-        let mut trigger = None;
-        for e in 0..stop {
-            let at = [&records[0][e as usize], &records[1][e as usize]];
-            if trigger.is_none() && at[0].reachable && at[1].reachable {
-                trigger = Some(Trigger {
-                    epoch: e,
-                    prefix: fold,
-                });
-            }
-            fold.push(e, at, pair[0].active(e) && pair[1].active(e));
-        }
+        let fold_before = |end: u64| OutcomeFold {
+            branches: streams.map(|s| s.fold_before(end)),
+            double_vote_epochs: (0..end)
+                .filter(|&e| pair[0].active(e) && pair[1].active(e))
+                .count() as u64,
+            epochs_run: end,
+        };
+        let trigger = (0..stop)
+            .find(|&e| streams.iter().all(|s| s.records[e as usize].reachable))
+            .map(|epoch| Trigger {
+                epoch,
+                prefix: fold_before(epoch),
+            });
+        let last = stop as usize - 1;
         StopInfo {
             trigger,
-            outcome: fold.finish(),
+            outcome: fold_before(stop).finish(streams.map(|s| s.records[last].byz_balance)),
         }
     }
 
@@ -758,19 +688,28 @@ impl<B: StateBackend + Send + Sync> PrefixMemo<B> {
         let honest = self.pair_streams(genome.duty).map(|s| s.honest.as_slice());
         let mut schedule = ParamSchedule::new(genome);
         let mut fold = start.prefix;
-        let [s0, s1] = &mut states;
         for e in start.epoch..self.config.max_epochs {
-            let (choice, records) = step_epoch(
-                [(&mut *s0, honest[0]), (&mut *s1, honest[1])],
-                e,
-                |statuses| schedule.participate(statuses),
-            );
-            fold.push(e, [&records[0], &records[1]], choice.is_double_vote());
-            if stop_epoch(&self.config, fold.first_finalization_epoch).is_some() {
+            let seen: [_; 2] = core::array::from_fn(|b| {
+                let branch = BranchId::new(b as u32);
+                kernel::observe(&mut states[b], branch, e, honest[b], &[], |_, _| 0)
+            });
+            let choice = schedule.participate(&seen.map(|(status, _)| status));
+            for (b, (status, ejected)) in seen.iter().enumerate() {
+                let stats =
+                    kernel::advance(&mut states[b], status, *ejected, choice.get(b), label(e));
+                fold.branches[b].push(e, &stats, &states[b]);
+            }
+            fold.double_vote_epochs += u64::from(choice.is_double_vote());
+            fold.epochs_run = e + 1;
+            if stop_epoch(&self.config, fold.first_fin()).is_some() {
                 break;
             }
         }
-        fold.finish()
+        fold.finish(
+            states
+                .each_ref()
+                .map(|s| s.class_balance(BYZANTINE_CLASS).as_u64()),
+        )
     }
 
     fn insert_checkpoint(&mut self, pair: [DutyGene; 2], states: [B; 2]) {
@@ -1147,6 +1086,70 @@ mod tests {
         let resteps = 2 * (LATE_TRIGGER % SNAPSHOT_STRIDE);
         let extended: u64 = memo.streams[0].values().map(GeneStream::len).sum();
         assert_eq!(memo.stats().stream_epochs, extended + resteps);
+    }
+
+    /// An always-on stream of the β₀ = ⅓ params: 10 honest + 10
+    /// Byzantine of 30 validators reach ⅔ from genesis.
+    fn finalizing_stream(memo: &PrefixMemo<CohortState>, epochs: u64) -> GeneStream<CohortState> {
+        let honest = memo.honest[0].clone();
+        let mut stream = GeneStream::new(0, DutyGene::ON, honest, memo.genesis.clone(), 8);
+        stream.extend_to(epochs);
+        stream
+    }
+
+    /// The stream's first finalization is the epoch whose *advance*
+    /// finalized: the state entering it had not finalized, the state
+    /// leaving it has.
+    #[test]
+    fn stream_fold_reads_finalization_after_the_advance() {
+        let memo = PrefixMemo::<CohortState>::new(&params(Objective::Proportion));
+        let stream = finalizing_stream(&memo, 16);
+        let e = stream
+            .fold
+            .first_finalization_epoch
+            .expect("⅔ from genesis");
+        assert_eq!(stream.state_at(e).finalized_checkpoint().epoch.as_u64(), 0);
+        assert!(stream.state_at(e + 1).finalized_checkpoint().epoch.as_u64() > 0);
+    }
+
+    /// Memo checkpoints carry the epoch label: the advance of epoch `e`
+    /// is given `Root::from_u64(e + 1)`, the root of epoch `e + 1`'s
+    /// checkpoint.
+    #[test]
+    fn stream_checkpoints_are_labelled_by_epoch() {
+        let memo = PrefixMemo::<CohortState>::new(&params(Objective::Proportion));
+        let state = finalizing_stream(&memo, 16).state;
+        for checkpoint in [
+            state.current_justified_checkpoint(),
+            state.finalized_checkpoint(),
+        ] {
+            assert!(checkpoint.epoch.as_u64() > 0);
+            assert_eq!(checkpoint.root, Root::from_u64(checkpoint.epoch.as_u64()));
+        }
+    }
+
+    /// At β₀ = ⅓ exactly the dual-active Byzantine proportion sits *at*
+    /// ⅓ for the whole run: that is its maximum, and it never exceeds ⅓.
+    #[test]
+    fn reconstruction_never_counts_a_proportion_of_exactly_a_third() {
+        let mut memo = PrefixMemo::<CohortState>::new(&params(Objective::Proportion));
+        memo.evaluate_batch(&ChunkPool::new(1), &[Genome::DUAL_ACTIVE]);
+        let outcome = &memo.duty_stops[&Genome::DUAL_ACTIVE.duty].outcome;
+        assert_eq!(outcome.epochs_run, 60);
+        assert_eq!(outcome.max_byzantine_proportion, [1.0 / 3.0; 2]);
+        assert_eq!(outcome.byzantine_exceeds_third_epoch, [None; 2]);
+    }
+
+    /// Without Byzantine validators the class never "exits".
+    #[test]
+    fn empty_byzantine_class_never_exits() {
+        let p = EvalParams {
+            beta0: 0.0,
+            ..params(Objective::Proportion)
+        };
+        let memo = &mut PrefixMemo::<CohortState>::new(&p);
+        let evaluations = memo.evaluate_batch(&ChunkPool::new(1), &[Genome::SEMI_ACTIVE]);
+        assert_eq!(evaluations[0].byzantine_exit_epoch, [None; 2]);
     }
 
     #[test]

@@ -9,30 +9,27 @@
 //! [`ethpos_validator::ByzantineSchedule`].
 //!
 //! [`TwoBranchSim`] predates the partition engine; it is kept as the
-//! two-branch API every paper scenario, search objective and test drives
-//! — its configuration compiles to the obvious timeline (a fixed or
-//! churn split of the genesis branch at epoch 0) and its
-//! [`TwoBranchOutcome`] is assembled from the engine's per-branch
-//! outcome. The translation is **byte-exact**: the engine marks, draws,
-//! advances and records in the same order the historical two-branch loop
-//! did, so every experiment JSON and search frontier produced before the
-//! refactor is reproduced bit-for-bit (pinned by the golden-snapshot
-//! corpus under `tests/golden/`).
+//! two-branch API the paper scenarios and the search's from-genesis
+//! oracle (`ethpos_search::evaluate`) drive — its configuration compiles
+//! to the obvious timeline (a fixed or churn split of the genesis branch
+//! at epoch 0) and its [`TwoBranchOutcome`] is assembled from the
+//! engine's per-branch folds by [`TwoBranchOutcome::from_folds`], the
+//! constructor the search's prefix memo uses too. The translation is
+//! **byte-exact**: the engine marks, draws, advances and records in the
+//! same order the historical two-branch loop did, so every experiment
+//! JSON and search frontier produced before the refactor is reproduced
+//! bit-for-bit (pinned by the golden-snapshot corpus under
+//! `tests/golden/`).
 //!
 //! Validators are addressed by **behaviour class**, never individually:
 //! class 0 is the Byzantine cohort; under
 //! [`MembershipModel::FixedPartition`] classes 1 and 2 are the honest
 //! validators pinned to branch 0 / branch 1, while under
 //! [`MembershipModel::RandomEachEpoch`] class 1 is the whole honest set,
-//! re-sampled onto a branch every epoch. Class-level addressing is what
-//! lets the same driver run on the dense per-validator [`DenseState`]
-//! (the reference path) or the compressed
-//! [`CohortState`](ethpos_state::CohortState) — at a million validators
-//! the two produce identical results, and for the deterministic
-//! fixed-partition scenarios the cohort backend gets there orders of
-//! magnitude faster (O(#cohorts) per epoch). The random membership model
-//! draws one bit per honest validator per epoch on either backend, so
-//! there it trims constants, not the asymptotics.
+//! whose attesters each branch draws per cohort every epoch. Class-level
+//! addressing is what lets the same driver run on the dense
+//! per-validator [`DenseState`] (the reference path) or the compressed
+//! [`CohortState`](ethpos_state::CohortState) at O(#cohorts) per epoch.
 //!
 //! Branch checkpoint roots are synthetic but branch-distinct, so the
 //! states' own justification/finalization machinery runs unmodified and
@@ -46,9 +43,8 @@ use ethpos_state::DenseState;
 use ethpos_types::{BranchId, ChainConfig};
 use ethpos_validator::ByzantineSchedule;
 
-use crate::partition::{PartitionConfig, PartitionSim, PartitionTimeline};
-
-pub use crate::partition::BranchEpochStats;
+use crate::kernel::{BranchEpochStats, BranchFold};
+use crate::partition::{PartitionConfig, PartitionOutcome, PartitionSim, PartitionTimeline};
 
 /// How honest validators map to branches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,6 +159,31 @@ pub struct TwoBranchOutcome {
     pub epochs_run: u64,
 }
 
+impl TwoBranchOutcome {
+    /// Assembles an outcome from the two branches' lifetime folds, their
+    /// closing Byzantine balances and the run-level counts.
+    pub fn from_folds(
+        conflicting_finalization_epoch: Option<u64>,
+        folds: [BranchFold; 2],
+        final_byzantine_balance_gwei: [u64; 2],
+        double_vote_epochs: u64,
+        history: Vec<EpochRecord>,
+        epochs_run: u64,
+    ) -> Self {
+        TwoBranchOutcome {
+            conflicting_finalization_epoch,
+            byzantine_exceeds_third_epoch: folds.map(|f| f.byzantine_exceeds_third_epoch),
+            max_byzantine_proportion: folds.map(|f| f.max_byzantine_proportion),
+            first_finalization_epoch: folds.map(|f| f.first_finalization_epoch),
+            byzantine_exit_epoch: folds.map(|f| f.byzantine_exit_epoch),
+            final_byzantine_balance_gwei,
+            double_vote_epochs,
+            history,
+            epochs_run,
+        }
+    }
+}
+
 /// The two-branch simulator: the paper's partition scenarios, executed
 /// by the k-branch partition engine over a two-branch timeline.
 ///
@@ -248,16 +269,6 @@ impl<B: StateBackend> TwoBranchSim<B> {
         TwoBranchSim { inner }
     }
 
-    /// Read access to a branch state (0 or 1).
-    pub fn branch(&self, b: usize) -> &B {
-        self.inner.branch(BranchId::new(b as u32))
-    }
-
-    /// The configured Byzantine count.
-    pub fn byzantine_count(&self) -> usize {
-        self.inner.byzantine_count()
-    }
-
     /// Runs the simulation.
     pub fn run(self) -> TwoBranchOutcome {
         Self::convert(self.inner.run())
@@ -278,35 +289,25 @@ impl<B: StateBackend> TwoBranchSim<B> {
     /// Projects the engine's k-branch outcome onto the historical
     /// two-branch shape (branch ids 0 and 1 are the only branches a
     /// two-branch timeline ever creates).
-    fn convert(outcome: crate::partition::PartitionOutcome) -> TwoBranchOutcome {
-        let per_branch = |f: &dyn Fn(&crate::partition::BranchOutcome) -> Option<u64>| {
-            [f(&outcome.branches[0]), f(&outcome.branches[1])]
-        };
-        TwoBranchOutcome {
-            conflicting_finalization_epoch: outcome.conflicting_finalization_epoch,
-            byzantine_exceeds_third_epoch: per_branch(&|b| b.byzantine_exceeds_third_epoch),
-            max_byzantine_proportion: [
-                outcome.branches[0].max_byzantine_proportion,
-                outcome.branches[1].max_byzantine_proportion,
-            ],
-            first_finalization_epoch: per_branch(&|b| b.first_finalization_epoch),
-            byzantine_exit_epoch: per_branch(&|b| b.byzantine_exit_epoch),
-            final_byzantine_balance_gwei: [
-                outcome.branches[0].final_byzantine_balance_gwei,
-                outcome.branches[1].final_byzantine_balance_gwei,
-            ],
-            double_vote_epochs: outcome.double_vote_epochs,
-            history: outcome
-                .history
-                .into_iter()
-                .map(|r| EpochRecord {
-                    epoch: r.epoch,
-                    branch: [r.stats[0], r.stats[1]],
-                    byzantine_active: [r.byzantine_active[0], r.byzantine_active[1]],
-                })
-                .collect(),
-            epochs_run: outcome.epochs_run,
-        }
+    fn convert(outcome: PartitionOutcome) -> TwoBranchOutcome {
+        let branches = [&outcome.branches[0], &outcome.branches[1]];
+        let history = outcome
+            .history
+            .into_iter()
+            .map(|r| EpochRecord {
+                epoch: r.epoch,
+                branch: [r.stats[0], r.stats[1]],
+                byzantine_active: [r.byzantine_active[0], r.byzantine_active[1]],
+            })
+            .collect();
+        TwoBranchOutcome::from_folds(
+            outcome.conflicting_finalization_epoch,
+            branches.map(|b| b.fold()),
+            branches.map(|b| b.final_byzantine_balance_gwei),
+            outcome.double_vote_epochs,
+            history,
+            outcome.epochs_run,
+        )
     }
 }
 

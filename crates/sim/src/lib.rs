@@ -7,6 +7,9 @@
 //!   and attestations over the simulated network, one fork-choice view per
 //!   partition (plus the omniscient adversary). Used for healthy-chain
 //!   runs, short-horizon partition scenarios, and attack traces.
+//! * [`kernel`] — the **per-branch epoch kernel** every epoch-level
+//!   engine composes: observe a branch, advance it under a caller-chosen
+//!   root, fold its lifetime outcome.
 //! * [`partition`] — **epoch-level k-branch** simulation: drives one
 //!   [`ethpos_state::backend::StateBackend`] per live branch of a
 //!   declarative [`PartitionTimeline`] (splits, heals, churn hooks) with
@@ -36,6 +39,7 @@
 
 pub mod cohort;
 pub mod engine;
+pub mod kernel;
 pub mod monitor;
 pub mod partition;
 pub mod pool;
@@ -44,19 +48,16 @@ pub mod timeline_sample;
 pub mod view;
 pub mod walk_mc;
 
-pub use cohort::{
-    BranchEpochStats, EpochRecord, MembershipModel, TwoBranchConfig, TwoBranchOutcome, TwoBranchSim,
-};
+pub use cohort::{EpochRecord, MembershipModel, TwoBranchConfig, TwoBranchOutcome, TwoBranchSim};
 pub use engine::{run_slot_sims, SlotByzMode, SlotSim, SlotSimConfig, SlotSimReport};
+pub use kernel::BranchEpochStats;
 pub use monitor::SafetyMonitor;
 pub use partition::{
     BranchOutcome, ChurnStats, ForkStats, PartitionConfig, PartitionEpochRecord, PartitionOutcome,
     PartitionSim, PartitionTimeline, SafetyViolation, TimelineAction, TimelineError, TimelineEvent,
 };
 pub use pool::ChunkPool;
-pub use single_branch::{
-    run_single_branch, run_single_branch_on, Behavior, ClassTrajectory, StakeTrajectory,
-};
+pub use single_branch::{run_single_branch_on, Behavior, ClassTrajectory};
 pub use timeline_sample::{
     branch_slots, event_count, merge_tail_weights, sample_timeline, soften_weights,
     two_branch_only, without_event,

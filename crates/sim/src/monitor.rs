@@ -218,11 +218,6 @@ impl SafetyMonitor {
     pub fn is_violated(&self) -> bool {
         self.violation.is_some()
     }
-
-    /// Each view's best-known finalized checkpoint.
-    pub fn finalized(&self) -> &[Checkpoint] {
-        &self.finalized
-    }
 }
 
 #[cfg(test)]

@@ -25,9 +25,9 @@
 //! cohort-compressed backend keeps its O(#classes) epoch cost at a
 //! million validators.
 //!
-//! [`PartitionSim`] drives one [`StateBackend`] per live branch with the
-//! exact integer spec arithmetic (the same marking/advance surface the
-//! two-branch simulator used — `TwoBranchSim` is now a thin two-branch
+//! [`PartitionSim`] moves one [`StateBackend`] per live branch through
+//! each epoch with the per-branch [`kernel`] (the exact
+//! integer spec arithmetic — `TwoBranchSim` is a thin two-branch
 //! timeline over this engine), hands every live branch's
 //! [`BranchStatus`] to a [`ByzantineSchedule`], and watches **all**
 //! branch pairs for conflicting finalization through
@@ -41,16 +41,13 @@ use serde::Serialize;
 
 use ethpos_state::attestations::synthetic_branch_root;
 use ethpos_state::backend::{ClassSpec, StateBackend};
-use ethpos_state::{DenseState, ParticipationFlags};
+use ethpos_state::DenseState;
 use ethpos_stats::{seeded_rng, PreparedBinomial};
 use ethpos_types::{BranchId, ChainConfig, Checkpoint, Root, Slot};
 use ethpos_validator::{BranchStatus, ByzantineSchedule};
 
+use crate::kernel::{self, BranchEpochStats, BranchFold, BYZANTINE_CLASS};
 use crate::monitor::SafetyMonitor;
-
-/// Class index of the Byzantine cohort (classes `1..` are the honest
-/// leaf classes of the compiled timeline).
-const BYZANTINE_CLASS: usize = 0;
 
 // ─── Timeline ───────────────────────────────────────────────────────────
 
@@ -747,6 +744,17 @@ impl CompiledTimeline {
     pub fn steps(&self) -> &[CompiledStep] {
         &self.steps
     }
+
+    /// The genesis state of this layout: the Byzantine class
+    /// ([`BYZANTINE_CLASS`]) of `byzantine` members, then the honest
+    /// classes, every member at full stake.
+    pub fn genesis<B: StateBackend>(&self, chain: &ChainConfig, byzantine: u64) -> B {
+        let classes: Vec<ClassSpec> = std::iter::once(byzantine)
+            .chain(self.honest_classes.iter().copied())
+            .map(|count| ClassSpec::full_stake(count, chain))
+            .collect();
+        B::from_classes(chain.clone(), &classes)
+    }
 }
 
 /// One phase boundary: the structural ops applied when `epoch` begins
@@ -764,11 +772,6 @@ impl CompiledStep {
         self.epoch
     }
 
-    /// The structural operations, in event order.
-    pub fn ops(&self) -> &[StepOp] {
-        &self.ops
-    }
-
     /// The marking plan in force from this step on.
     pub fn plan(&self) -> &MarkingPlan {
         &self.plan
@@ -784,33 +787,35 @@ pub struct MarkingPlan {
     pinned: Vec<(BranchId, Vec<usize>)>,
     /// Active churn groups, in creation order.
     churn: Vec<ChurnPlan>,
-    /// `laws[i][g]`: the count law of pinned branch `i` in churn group
-    /// `g` — `Binomial(·, marginal[position of i in g])`, `None` when the
-    /// branch does not churn there. Prepared at compile time so the
-    /// per-epoch marking loop neither scans the group's branch list nor
-    /// re-derives the per-`p` constants for every cohort.
-    laws: Vec<Vec<Option<PreparedBinomial>>>,
+    /// `churned[i]`: the churned classes pinned branch `i` draws
+    /// attesters from, in draw order (churn groups in plan order, classes
+    /// ascending), each with its count law `Binomial(·, marginal[position
+    /// of i in the group])`. Prepared at compile time so the per-epoch
+    /// marking loop neither scans a group's branch list nor re-derives
+    /// the per-`p` constants for every cohort.
+    churned: Vec<Vec<(usize, PreparedBinomial)>>,
 }
 
 impl MarkingPlan {
-    /// Builds a plan, preparing the (branch, churn group) count laws.
+    /// Builds a plan, preparing the (branch, churned class) count laws.
     fn new(pinned: Vec<(BranchId, Vec<usize>)>, churn: Vec<ChurnPlan>) -> Self {
-        let laws = pinned
+        let churned = pinned
             .iter()
             .map(|(b, _)| {
-                churn
-                    .iter()
-                    .map(|g| {
-                        let position = g.branches.iter().position(|x| x == b)?;
-                        Some(PreparedBinomial::new(g.marginal[position]))
-                    })
-                    .collect()
+                let mut classes = Vec::new();
+                for g in &churn {
+                    if let Some(position) = g.branches.iter().position(|x| x == b) {
+                        let law = PreparedBinomial::new(g.marginal[position]);
+                        classes.extend(g.classes.iter().map(|&c| (c, law.clone())));
+                    }
+                }
+                classes
             })
             .collect();
         MarkingPlan {
             pinned,
             churn,
-            laws,
+            churned,
         }
     }
 
@@ -897,28 +902,6 @@ impl PartitionConfig {
     }
 }
 
-/// Per-branch metrics captured at the end of an epoch.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct BranchEpochStats {
-    /// Active-stake ratio of this epoch's attesters (honest + Byzantine if
-    /// they attested) over the total active stake — the paper's Eq. 5/8/10
-    /// ratio.
-    pub active_ratio: f64,
-    /// Byzantine proportion of the total active stake — the paper's
-    /// Eq. 11 β(t).
-    pub byzantine_proportion: f64,
-    /// Justified epoch of the branch state.
-    pub justified_epoch: u64,
-    /// Finalized epoch of the branch state.
-    pub finalized_epoch: u64,
-    /// Total active effective stake (Gwei).
-    pub total_active_stake: u64,
-    /// Number of ejected (exited) honest validators.
-    pub ejected_honest: usize,
-    /// Number of ejected (exited) Byzantine validators.
-    pub ejected_byzantine: usize,
-}
-
 /// One recorded epoch of a partition run.
 #[derive(Debug, Clone, Serialize)]
 pub struct PartitionEpochRecord {
@@ -971,6 +954,18 @@ pub struct BranchOutcome {
     pub final_byzantine_balance_gwei: u64,
     /// The branch's finalized epoch at the end of its life.
     pub final_finalized_epoch: u64,
+}
+
+impl BranchOutcome {
+    /// The lifetime fold these fields were copied from.
+    pub(crate) fn fold(&self) -> BranchFold {
+        BranchFold {
+            byzantine_exceeds_third_epoch: self.byzantine_exceeds_third_epoch,
+            max_byzantine_proportion: self.max_byzantine_proportion,
+            first_finalization_epoch: self.first_finalization_epoch,
+            byzantine_exit_epoch: self.byzantine_exit_epoch,
+        }
+    }
 }
 
 /// Counters describing the fork (`Split`) activity of one run — the
@@ -1090,7 +1085,7 @@ impl ChurnStats {
 }
 
 /// Result of a partition-timeline run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct PartitionOutcome {
     /// First epoch at which two branches held conflicting finalized
     /// checkpoints — the paper's Safety loss №1, generalized to any
@@ -1115,10 +1110,7 @@ pub struct PartitionOutcome {
 struct BranchMeta {
     created_at_epoch: u64,
     healed_at_epoch: Option<u64>,
-    byzantine_exceeds_third_epoch: Option<u64>,
-    max_byzantine_proportion: f64,
-    first_finalization_epoch: Option<u64>,
-    byzantine_exit_epoch: Option<u64>,
+    fold: BranchFold,
     final_byzantine_balance_gwei: u64,
     final_finalized_epoch: u64,
 }
@@ -1154,7 +1146,6 @@ pub struct PartitionSim<B: StateBackend = DenseState> {
     compiled: CompiledTimeline,
     schedule: Box<dyn ByzantineSchedule>,
     rng: rand::rngs::StdRng,
-    flags: ParticipationFlags,
     branches: BTreeMap<BranchId, B>,
     monitor: SafetyMonitor,
     tips: BTreeMap<BranchId, Root>,
@@ -1229,46 +1220,22 @@ impl<B: StateBackend> PartitionSim<B> {
         assert!(config.byzantine <= config.n, "byzantine > n");
         let n_honest = (config.n - config.byzantine) as u64;
         let compiled = config.timeline.compile(n_honest)?;
-        let classes: Vec<ClassSpec> = std::iter::once(config.byzantine as u64)
-            .chain(compiled.honest_classes.iter().copied())
-            .map(|count| ClassSpec::full_stake(count, &config.chain))
-            .collect();
-        let genesis = B::from_classes(config.chain.clone(), &classes);
+        let genesis: B = compiled.genesis(&config.chain, config.byzantine as u64);
         let genesis_root = genesis.finalized_checkpoint().root;
-        let monitor = SafetyMonitor::new(genesis_root, 1);
-        let mut branches = BTreeMap::new();
-        branches.insert(BranchId::GENESIS, genesis);
-        let mut tips = BTreeMap::new();
-        tips.insert(BranchId::GENESIS, genesis_root);
-        let mut flags = ParticipationFlags::EMPTY;
-        flags.set(ethpos_state::participation::TIMELY_SOURCE_FLAG_INDEX);
-        flags.set(ethpos_state::participation::TIMELY_TARGET_FLAG_INDEX);
-        flags.set(ethpos_state::participation::TIMELY_HEAD_FLAG_INDEX);
-        let rng = seeded_rng(config.seed);
-        let meta = vec![BranchMeta::default()];
-        let outcome = PartitionOutcome {
-            conflicting_finalization_epoch: None,
-            violation: None,
-            branches: Vec::new(),
-            double_vote_epochs: 0,
-            history: Vec::new(),
-            epochs_run: 0,
-        };
         Ok(PartitionSim {
+            rng: seeded_rng(config.seed),
             config,
             compiled,
             schedule,
-            rng,
-            flags,
-            branches,
-            monitor,
-            tips,
+            branches: BTreeMap::from([(BranchId::GENESIS, genesis)]),
+            monitor: SafetyMonitor::new(genesis_root, 1),
+            tips: BTreeMap::from([(BranchId::GENESIS, genesis_root)]),
             plan: MarkingPlan::default(),
             step_idx: 0,
             epoch: 0,
             finished: false,
-            meta,
-            outcome,
+            meta: vec![BranchMeta::default()],
+            outcome: PartitionOutcome::default(),
             fork_stats: ForkStats::default(),
             churn_stats: ChurnStats::default(),
             scratch: StepScratch::default(),
@@ -1283,12 +1250,6 @@ impl<B: StateBackend> PartitionSim<B> {
     /// Churn-draw counters accumulated so far (see [`ChurnStats`]).
     pub fn churn_stats(&self) -> ChurnStats {
         self.churn_stats
-    }
-
-    /// True once the run is over (horizon reached or a stop condition
-    /// fired).
-    pub fn is_finished(&self) -> bool {
-        self.finished
     }
 
     /// The current epoch (the next one [`PartitionSim::step`] will
@@ -1312,16 +1273,6 @@ impl<B: StateBackend> PartitionSim<B> {
         self.branches
             .get(&branch)
             .unwrap_or_else(|| panic!("branch {branch} is not live"))
-    }
-
-    /// The configured Byzantine count.
-    pub fn byzantine_count(&self) -> usize {
-        self.config.byzantine
-    }
-
-    /// The safety monitor's view of the system.
-    pub fn monitor(&self) -> &SafetyMonitor {
-        &self.monitor
     }
 
     /// Publishes per-branch fragmentation gauges and (when tracing)
@@ -1435,27 +1386,22 @@ impl<B: StateBackend> PartitionSim<B> {
         }
         let _span = ethpos_obs::span_with("sim", || format!("epoch {}", self.epoch));
         self.apply_ops();
-        let spe = self.config.chain.slots_per_epoch;
         let epoch = self.epoch;
 
-        // 1. Per live branch in id order: honest marking — pinned classes
-        //    whole, churned classes by per-cohort binomial count draws (a
-        //    cohort of `c` exchangeable members contributes
+        // 1. Per live branch in id order: `kernel::observe` — pinned
+        //    classes whole, churned classes by per-cohort binomial count
+        //    draws (a cohort of `c` exchangeable members contributes
         //    `Binomial(c, w_b/Σw)` attesters to branch `b`, at
-        //    O(#cohorts) draws per epoch instead of O(#members)) — then
-        //    the adversary's observation of that branch. The draw order
-        //    is a pure function of the plan (branches in id order, churn
-        //    groups in plan order, classes ascending, cohorts in the
-        //    backend's canonical order), so outputs are byte-identical
-        //    for any `--threads`. Step 3 cuts the epoch's stats from
-        //    these same registry reads: Byzantine marking touches only
-        //    participation flags, so one read per branch and epoch
-        //    serves both.
+        //    O(#cohorts) draws per epoch instead of O(#members)), then
+        //    the adversary's view of the branch. The draw order is a pure
+        //    function of the plan (branches in id order, churn groups in
+        //    plan order, classes ascending, cohorts in the backend's
+        //    canonical order), so outputs are byte-identical for any
+        //    `--threads`.
         let plan = &self.plan;
         let branches = &mut self.branches;
         let rng = &mut self.rng;
         let churn_stats = &mut self.churn_stats;
-        let flags = self.flags;
         let StepScratch {
             statuses,
             ejected,
@@ -1466,109 +1412,42 @@ impl<B: StateBackend> PartitionSim<B> {
         ejected.clear();
         stats.clear();
         byzantine_active.clear();
-        for (idx, (b, pinned_classes)) in plan.pinned.iter().enumerate() {
+        for ((b, pinned), churned) in plan.pinned.iter().zip(&plan.churned) {
             let state = branches.get_mut(b).expect("live branch");
-            for &class in pinned_classes {
-                state.mark_class(class, flags);
-            }
-            for (group, law) in plan.churn.iter().zip(&plan.laws[idx]) {
-                let Some(law) = law else { continue };
-                for &class in &group.classes {
-                    state.mark_class_counted(class, flags, &mut |count| {
-                        churn_stats.draws += 1;
-                        churn_stats.members += count;
-                        law.sample(count, rng)
-                    });
-                }
-            }
-            let seen = state.observe(BYZANTINE_CLASS);
-            ejected.push((seen.exited_elsewhere, seen.class.exited));
-            statuses.push(BranchStatus {
-                branch: *b,
-                epoch,
-                total_active_stake: seen.total_active.as_u64(),
-                honest_active_stake: seen.current_target.as_u64(),
-                byzantine_stake: seen.class.active_stake.as_u64(),
-                justified_epoch: state.current_justified_checkpoint().epoch.as_u64(),
-                finalized_epoch: state.finalized_checkpoint().epoch.as_u64(),
-            });
+            let (status, exited) =
+                kernel::observe(state, *b, epoch, pinned, churned, |law, count| {
+                    churn_stats.draws += 1;
+                    churn_stats.members += count;
+                    law.sample(count, rng)
+                });
+            statuses.push(status);
+            ejected.push(exited);
         }
 
         // 2. Adversary decision over every live branch.
         let choice = self.schedule.participate(statuses);
 
-        // 3. Mark Byzantine participation and advance each branch one
-        //    epoch under its own synthetic checkpoint root; feed the
-        //    block chain to the safety monitor.
+        // 3. Per live branch: advance one epoch under its own synthetic
+        //    checkpoint root, fold the branch outcome, and feed the safety
+        //    monitor the new block and the branch's finalized checkpoint
+        //    (checked against every branch pair — healed branches
+        //    included).
         for (position, (b, _)) in plan.pinned.iter().enumerate() {
             let byz_on = choice.get(position);
             byzantine_active.push(byz_on);
             let state = branches.get_mut(b).expect("live branch");
-            if byz_on {
-                state.mark_class(BYZANTINE_CLASS, flags);
-            }
-            let status = &statuses[position];
-            let total = status.total_active_stake;
-            let byzantine_stake = status.byzantine_stake;
-            let (ejected_honest, ejected_byzantine) = ejected[position];
-            let attesting = status.honest_active_stake + if byz_on { byzantine_stake } else { 0 };
-
             let root = synthetic_branch_root(b.as_u64(), epoch + 1);
-            state.advance_epoch(Some(root));
-
-            stats.push(BranchEpochStats {
-                active_ratio: if total > 0 {
-                    attesting as f64 / total as f64
-                } else {
-                    0.0
-                },
-                byzantine_proportion: if total > 0 {
-                    byzantine_stake as f64 / total as f64
-                } else {
-                    0.0
-                },
-                justified_epoch: state.current_justified_checkpoint().epoch.as_u64(),
-                finalized_epoch: state.finalized_checkpoint().epoch.as_u64(),
-                total_active_stake: total,
-                ejected_honest: ejected_honest as usize,
-                ejected_byzantine: ejected_byzantine as usize,
-            });
-            let parent = self.tips[b];
-            self.monitor
-                .observe_block(root, parent, Slot::new((epoch + 1) * spe));
-            self.tips.insert(*b, root);
+            let stat = kernel::advance(state, &statuses[position], ejected[position], byz_on, root);
+            self.meta[b.as_usize()].fold.push(epoch, &stat, state);
+            stats.push(stat);
+            let parent = self.tips.insert(*b, root).expect("live branch has a tip");
+            let slot = Slot::new((epoch + 1) * self.config.chain.slots_per_epoch);
+            self.monitor.observe_block(root, parent, slot);
+            self.monitor.observe_backend(b.as_usize(), state);
         }
         self.outcome.epochs_run = epoch + 1;
         if choice.is_double_vote() {
             self.outcome.double_vote_epochs += 1;
-        }
-
-        // 4. Per-branch outcome monitors.
-        for (position, (b, _)) in self.plan.pinned.iter().enumerate() {
-            let stat = &stats[position];
-            let meta = &mut self.meta[b.as_usize()];
-            meta.max_byzantine_proportion =
-                meta.max_byzantine_proportion.max(stat.byzantine_proportion);
-            if meta.byzantine_exceeds_third_epoch.is_none() && stat.byzantine_proportion > 1.0 / 3.0
-            {
-                meta.byzantine_exceeds_third_epoch = Some(epoch);
-            }
-            if meta.first_finalization_epoch.is_none() && stat.finalized_epoch > 0 {
-                meta.first_finalization_epoch = Some(epoch);
-            }
-            if meta.byzantine_exit_epoch.is_none() {
-                let byz = self.branches[b].class_stats(BYZANTINE_CLASS);
-                if byz.total > 0 && byz.exited == byz.total {
-                    meta.byzantine_exit_epoch = Some(epoch);
-                }
-            }
-        }
-
-        // 5. Safety: every live branch's finalized checkpoint, checked
-        //    against every branch pair — healed branches included.
-        for (b, _) in &self.plan.pinned {
-            self.monitor
-                .observe_backend(b.as_usize(), &self.branches[b]);
         }
         if self.outcome.conflicting_finalization_epoch.is_none() {
             if let Some((a, b, ca, cb)) = self.monitor.violation() {
@@ -1582,7 +1461,7 @@ impl<B: StateBackend> PartitionSim<B> {
             }
         }
 
-        // 6. History.
+        // 4. History.
         if epoch.is_multiple_of(self.config.record_every) {
             self.outcome.history.push(PartitionEpochRecord {
                 epoch,
@@ -1597,7 +1476,7 @@ impl<B: StateBackend> PartitionSim<B> {
             self.record_fragmentation();
         }
 
-        // 7. Stop conditions.
+        // 5. Stop conditions.
         if self.config.stop_on_conflict && self.outcome.conflicting_finalization_epoch.is_some() {
             self.finished = true;
         }
@@ -1605,7 +1484,7 @@ impl<B: StateBackend> PartitionSim<B> {
             && self
                 .meta
                 .iter()
-                .any(|m| m.first_finalization_epoch.is_some())
+                .any(|m| m.fold.first_finalization_epoch.is_some())
         {
             self.finished = true;
         }
@@ -1639,10 +1518,10 @@ impl<B: StateBackend> PartitionSim<B> {
                 branch: BranchId::new(i as u32),
                 created_at_epoch: m.created_at_epoch,
                 healed_at_epoch: m.healed_at_epoch,
-                byzantine_exceeds_third_epoch: m.byzantine_exceeds_third_epoch,
-                max_byzantine_proportion: m.max_byzantine_proportion,
-                first_finalization_epoch: m.first_finalization_epoch,
-                byzantine_exit_epoch: m.byzantine_exit_epoch,
+                byzantine_exceeds_third_epoch: m.fold.byzantine_exceeds_third_epoch,
+                max_byzantine_proportion: m.fold.max_byzantine_proportion,
+                first_finalization_epoch: m.fold.first_finalization_epoch,
+                byzantine_exit_epoch: m.fold.byzantine_exit_epoch,
                 final_byzantine_balance_gwei: m.final_byzantine_balance_gwei,
                 final_finalized_epoch: m.final_finalized_epoch,
             })

@@ -6,17 +6,20 @@
 //! curve with the spec's exact integer arithmetic.
 //!
 //! [`run_single_branch_on`] is generic over the [`StateBackend`]: on the
-//! dense backend it is the O(n·epochs) reference; on
+//! dense backend with classes of one member each it is the
+//! per-validator O(n·epochs) reference; on
 //! [`ethpos_state::CohortState`] the same schedule costs O(#classes) per
 //! epoch, which is what lets the Figure 2 cross-check run at the paper's
-//! true million-validator population. [`run_single_branch`] keeps the
-//! original per-validator API on the dense backend.
+//! true million-validator population.
+//!
+//! Its loop marks the classes a fixed behaviour schedule says attest and
+//! advances with `advance_epoch(None)`: there is no adversary deciding
+//! from an observed status and no checkpoint root to choose, so it is
+//! the one epoch loop that does not go through the per-branch
+//! [`kernel`](crate::kernel).
 
 use ethpos_state::backend::{ClassSpec, StateBackend};
-use ethpos_state::participation::{
-    TIMELY_HEAD_FLAG_INDEX, TIMELY_SOURCE_FLAG_INDEX, TIMELY_TARGET_FLAG_INDEX,
-};
-use ethpos_state::{DenseState, ParticipationFlags};
+use ethpos_state::ParticipationFlags;
 use ethpos_types::ChainConfig;
 
 /// Per-epoch participation behaviour of a validator class (paper §4.3).
@@ -39,19 +42,6 @@ impl Behavior {
             Behavior::Inactive => false,
         }
     }
-}
-
-/// The stake trajectory of one validator across the run.
-#[derive(Debug, Clone)]
-pub struct StakeTrajectory {
-    /// The behaviour simulated.
-    pub behavior: Behavior,
-    /// Balance in Gwei at the start of each epoch (index = epoch).
-    pub balance_gwei: Vec<u64>,
-    /// Inactivity score at the start of each epoch.
-    pub inactivity_score: Vec<u64>,
-    /// First epoch at which the validator was ejected, if any.
-    pub ejected_at: Option<u64>,
 }
 
 /// The per-member stake trajectory of one behaviour class (every member
@@ -104,10 +94,7 @@ pub fn run_single_branch_on<B: StateBackend>(
         .map(|&(_, count)| ClassSpec::full_stake(count, &config))
         .collect();
     let mut state = B::from_classes(config, &specs);
-    let mut all_flags = ParticipationFlags::EMPTY;
-    all_flags.set(TIMELY_SOURCE_FLAG_INDEX);
-    all_flags.set(TIMELY_TARGET_FLAG_INDEX);
-    all_flags.set(TIMELY_HEAD_FLAG_INDEX);
+    let all_flags = ParticipationFlags::all();
 
     let mut trajectories: Vec<ClassTrajectory> = classes
         .iter()
@@ -146,49 +133,27 @@ pub fn run_single_branch_on<B: StateBackend>(
     trajectories
 }
 
-/// Runs a single branch with one validator per entry of `behaviors` on
-/// the dense reference backend and returns each validator's stake
-/// trajectory (the original per-validator API).
-///
-/// Note: with mixed behaviours in one registry, justification stays
-/// unreachable as long as the active cohort is below ⅔ of the stake —
-/// callers picking `behaviors` decide whether the leak persists. For the
-/// Figure 2 reproduction use one validator per behaviour plus enough
-/// `Inactive` filler to keep the chain from finalizing.
-pub fn run_single_branch(
-    config: ChainConfig,
-    behaviors: &[Behavior],
-    epochs: u64,
-) -> Vec<StakeTrajectory> {
-    let classes: Vec<(Behavior, u64)> = behaviors.iter().map(|&b| (b, 1)).collect();
-    run_single_branch_on::<DenseState>(config, &classes, epochs)
-        .into_iter()
-        .map(|t| StakeTrajectory {
-            behavior: t.behavior,
-            balance_gwei: t.balance_gwei,
-            inactivity_score: t.inactivity_score,
-            ejected_at: t.ejected_at,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ethpos_state::CohortState;
+    use ethpos_state::{CohortState, DenseState};
     use ethpos_types::Gwei;
 
-    fn mainnet_mix() -> Vec<Behavior> {
-        // one of each tracked behaviour + inactive filler so the active
-        // cohort stays far below 2/3 (leak persists)
+    /// One validator per class: one of each tracked behaviour + inactive
+    /// filler so the active cohort stays far below 2/3 (leak persists).
+    fn mainnet_mix() -> Vec<(Behavior, u64)> {
         let mut v = vec![Behavior::Active, Behavior::SemiActive, Behavior::Inactive];
         v.extend(std::iter::repeat_n(Behavior::Inactive, 7));
-        v
+        v.into_iter().map(|b| (b, 1)).collect()
+    }
+
+    fn per_validator(config: ChainConfig, epochs: u64) -> Vec<ClassTrajectory> {
+        run_single_branch_on::<DenseState>(config, &mainnet_mix(), epochs)
     }
 
     #[test]
     fn active_validator_keeps_stake_during_leak() {
-        let t = run_single_branch(ChainConfig::mainnet(), &mainnet_mix(), 200);
+        let t = per_validator(ChainConfig::mainnet(), 200);
         let active = &t[0];
         // During the leak active validators get neither rewards nor
         // penalties (paper: constant stake). The handful of pre-leak
@@ -204,7 +169,7 @@ mod tests {
 
     #[test]
     fn inactive_decays_faster_than_semi_active() {
-        let t = run_single_branch(ChainConfig::paper(), &mainnet_mix(), 500);
+        let t = per_validator(ChainConfig::paper(), 500);
         let semi = *t[1].balance_gwei.last().unwrap();
         let inactive = *t[2].balance_gwei.last().unwrap();
         assert!(
@@ -220,7 +185,7 @@ mod tests {
         // 32·exp(−10⁶/2²⁵) ≈ 32·0.9706 ≈ 31.06 ETH. The spec's integer
         // arithmetic with effective-balance hysteresis tracks this within
         // ~2%.
-        let t = run_single_branch(ChainConfig::paper(), &mainnet_mix(), 1000);
+        let t = per_validator(ChainConfig::paper(), 1000);
         let inactive_eth = *t[2].balance_gwei.last().unwrap() as f64 / 1e9;
         let paper = 32.0 * (-(1000.0f64 * 1000.0) / 2f64.powi(25)).exp();
         let rel = (inactive_eth - paper).abs() / paper;
@@ -232,7 +197,7 @@ mod tests {
 
     #[test]
     fn inactivity_scores_match_paper_rates() {
-        let t = run_single_branch(ChainConfig::paper(), &mainnet_mix(), 100);
+        let t = per_validator(ChainConfig::paper(), 100);
         // Paper: inactive score grows 4/epoch, semi-active 3 per 2 epochs.
         // The leak starts after min_epochs_to_inactivity_penalty; scores
         // before it are clamped by the recovery rate.
@@ -250,7 +215,7 @@ mod tests {
         // Paper Figure 2: inactive validators ejected at epoch 4685 (the
         // continuous model's own root is 4660.6; the spec's hysteresis
         // makes the discrete value land slightly later). Accept 4600–4750.
-        let t = run_single_branch(ChainConfig::paper(), &mainnet_mix(), 4800);
+        let t = per_validator(ChainConfig::paper(), 4800);
         let ej = t[2].ejected_at.expect("inactive validator must be ejected");
         assert!(
             (4600..=4750).contains(&ej),
@@ -264,7 +229,7 @@ mod tests {
     /// per-validator reference trajectories value-for-value.
     #[test]
     fn class_runner_matches_per_validator_reference() {
-        let reference = run_single_branch(ChainConfig::paper(), &mainnet_mix(), 300);
+        let reference = per_validator(ChainConfig::paper(), 300);
         let classes = [
             (Behavior::Active, 1),
             (Behavior::SemiActive, 1),

@@ -202,9 +202,12 @@ impl Fragmentation {
 /// The epoch-transition surface shared by the dense and cohort state
 /// representations.
 ///
-/// The contract mirrors how the simulators drive a branch: mark the
-/// classes that attest this epoch (behind the scenes this sets Altair
-/// participation flags on every *active* member), then
+/// The contract is what the per-branch epoch kernel
+/// (`ethpos_sim::kernel`, which every epoch-level engine composes) does
+/// with a branch: mark the classes that attest this epoch (behind the
+/// scenes this sets Altair participation flags on every *active*
+/// member), read the adversary's view with
+/// [`observe`](StateBackend::observe), then
 /// [`advance_epoch`](StateBackend::advance_epoch) to run the full spec
 /// epoch processing and enter the next epoch.
 ///

@@ -12,9 +12,10 @@ use ethpos::core::experiments::{run_experiment, simulated, Experiment};
 use ethpos::core::scenarios::{bouncing, semi_active, slashing, threshold};
 use ethpos::core::stake_model::StakeBehavior;
 use ethpos::sim::{
-    run_bouncing_walks, run_single_branch, Behavior, BouncingWalkConfig, TwoBranchConfig,
+    run_bouncing_walks, run_single_branch_on, Behavior, BouncingWalkConfig, TwoBranchConfig,
     TwoBranchSim,
 };
+use ethpos::state::DenseState;
 use ethpos::types::ChainConfig;
 use ethpos::validator::ThresholdSeeker;
 
@@ -30,12 +31,13 @@ fn main() {
     println!("=== ethpos full reproduction ===\n");
 
     // ── Fig. 2: stake trajectories & ejection epochs ────────────────────
-    let behaviors = {
+    // One validator per class, per-validator on the dense backend.
+    let classes: Vec<(Behavior, u64)> = {
         let mut v = vec![Behavior::Active, Behavior::SemiActive, Behavior::Inactive];
         v.extend(std::iter::repeat_n(Behavior::Inactive, 7));
-        v
+        v.into_iter().map(|b| (b, 1)).collect()
     };
-    let fig2 = run_single_branch(ChainConfig::paper(), &behaviors, 8000);
+    let fig2 = run_single_branch_on::<DenseState>(ChainConfig::paper(), &classes, 8000);
     println!("Fig. 2 — ejection epochs (paper / closed form / simulated):");
     println!(
         "  inactive    : 4685 / {:.0} / {}",
@@ -135,7 +137,7 @@ fn main() {
         paper_inactivity_penalties: false,
         ..ChainConfig::mainnet()
     };
-    let spec = run_single_branch(spec_cfg, &behaviors, 8000);
+    let spec = run_single_branch_on::<DenseState>(spec_cfg, &classes, 8000);
     println!("\nAblation — inactivity-penalty semantics (semi-active validator):");
     println!(
         "  stake at t = 4000: paper-semantics {:.2} ETH (model 26.76), spec-semantics {:.2} ETH",

@@ -4,10 +4,21 @@
 use ethpos::core::stake_model::StakeBehavior;
 use ethpos::network::NetworkConfig;
 use ethpos::sim::{
-    run_single_branch, Behavior, SlotSim, SlotSimConfig, TwoBranchConfig, TwoBranchSim,
+    run_single_branch_on, Behavior, ClassTrajectory, SlotSim, SlotSimConfig, TwoBranchConfig,
+    TwoBranchSim,
 };
+use ethpos::state::DenseState;
 use ethpos::types::{ChainConfig, Slot};
 use ethpos::validator::DualActive;
+
+/// One validator per behaviour (plus inactive filler keeping the branch
+/// from finalizing), per-validator on the dense backend.
+fn figure2_mix(epochs: u64) -> Vec<ClassTrajectory> {
+    let mut classes = vec![Behavior::Active, Behavior::SemiActive, Behavior::Inactive];
+    classes.extend(std::iter::repeat_n(Behavior::Inactive, 7));
+    let classes: Vec<(Behavior, u64)> = classes.into_iter().map(|b| (b, 1)).collect();
+    run_single_branch_on::<DenseState>(ChainConfig::paper(), &classes, epochs)
+}
 
 /// Slot-level and cohort engines agree on the supermajority-partition
 /// outcome: the 70% branch finalizes, the 30% branch does not (within a
@@ -40,12 +51,7 @@ fn slot_and_cohort_agree_on_supermajority_partition() {
 /// stake model within 1% over 3000 epochs for both decaying behaviours.
 #[test]
 fn cohort_tracks_continuous_stake_model() {
-    let behaviors = {
-        let mut v = vec![Behavior::Active, Behavior::SemiActive, Behavior::Inactive];
-        v.extend(std::iter::repeat_n(Behavior::Inactive, 7));
-        v
-    };
-    let discrete = run_single_branch(ChainConfig::paper(), &behaviors, 3000);
+    let discrete = figure2_mix(3000);
     for (idx, model) in [(1, StakeBehavior::SemiActive), (2, StakeBehavior::Inactive)] {
         for &t in &[1000u64, 2000, 3000] {
             let sim_eth = discrete[idx].balance_gwei[t as usize] as f64 / 1e9;
@@ -76,12 +82,7 @@ fn finalization_cliff_near_one_third() {
 /// Ejection epochs measured by the cohort engine vs closed forms.
 #[test]
 fn ejection_epochs_cross_engine() {
-    let behaviors = {
-        let mut v = vec![Behavior::Active, Behavior::SemiActive, Behavior::Inactive];
-        v.extend(std::iter::repeat_n(Behavior::Inactive, 7));
-        v
-    };
-    let t = run_single_branch(ChainConfig::paper(), &behaviors, 8000);
+    let t = figure2_mix(8000);
     let inactive_ej = t[2].ejected_at.expect("inactive ejected") as f64;
     let semi_ej = t[1].ejected_at.expect("semi-active ejected") as f64;
     let inactive_model = StakeBehavior::Inactive.ejection_epoch().unwrap();
