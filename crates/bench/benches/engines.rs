@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ethpos_sim::{
-    run_single_branch_on, Behavior, SlotSim, SlotSimConfig, TwoBranchConfig, TwoBranchSim,
+    run_single_branch_on, Behavior, PartitionConfig, PartitionSim, PartitionTimeline, SlotSim,
+    SlotSimConfig,
 };
 use ethpos_state::DenseState;
 use ethpos_types::ChainConfig;
@@ -24,12 +25,12 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("two_branch_600val_500epochs", |b| {
         b.iter(|| {
-            let cfg = TwoBranchConfig {
+            let cfg = PartitionConfig {
                 stop_on_conflict: false,
                 record_every: u64::MAX,
-                ..TwoBranchConfig::paper(600, 0, 0.5, 500)
+                ..PartitionConfig::paper(600, 0, PartitionTimeline::two_branch(0.5), 500)
             };
-            black_box(TwoBranchSim::new(cfg, Box::new(DualActive)).run())
+            black_box(PartitionSim::new(cfg, Box::new(DualActive)).unwrap().run())
         })
     });
     g.finish();

@@ -698,7 +698,7 @@ fn chaos_smoke(mc: &McConfig) -> ExperimentOutput {
 pub mod simulated {
     use super::*;
     use ethpos_sim::{
-        run_single_branch_on, Behavior, MembershipModel, TwoBranchConfig, TwoBranchSim,
+        run_single_branch_on, Behavior, PartitionConfig, PartitionSim, PartitionTimeline,
     };
     use ethpos_state::{CohortState, DenseState, StateBackend};
     use ethpos_validator::{ByzantineSchedule, DualActive, SemiActive};
@@ -773,16 +773,17 @@ pub mod simulated {
         max_epochs: u64,
     ) -> Option<u64> {
         let byz = (beta0 * n as f64).round() as usize;
-        let cfg = TwoBranchConfig {
+        let cfg = PartitionConfig {
             record_every: u64::MAX,
-            ..TwoBranchConfig::paper(n, byz, p0, max_epochs)
+            ..PartitionConfig::paper(n, byz, PartitionTimeline::two_branch(p0), max_epochs)
         };
         let schedule: Box<dyn ByzantineSchedule> = if slashable {
             Box::new(DualActive)
         } else {
             Box::new(SemiActive::new())
         };
-        TwoBranchSim::<B>::with_backend(cfg, schedule)
+        PartitionSim::<B>::with_backend(cfg, schedule)
+            .expect("the two-branch timeline compiles")
             .run()
             .conflicting_finalization_epoch
     }
@@ -900,22 +901,6 @@ pub mod simulated {
             ]);
         }
         table
-    }
-
-    /// Bouncing-attack membership model smoke: runs the two-branch sim
-    /// with per-epoch random membership and reports max β per branch.
-    pub fn bouncing_two_branch(beta0: f64, n: usize, epochs: u64, seed: u64) -> [f64; 2] {
-        use ethpos_validator::ThresholdSeeker;
-        let byz = (beta0 * n as f64).round() as usize;
-        let cfg = TwoBranchConfig {
-            membership: MembershipModel::RandomEachEpoch,
-            stop_on_conflict: false,
-            seed,
-            record_every: u64::MAX,
-            ..TwoBranchConfig::paper(n, byz, 0.5, epochs)
-        };
-        let out = TwoBranchSim::new(cfg, Box::new(ThresholdSeeker::new())).run();
-        out.max_byzantine_proportion
     }
 }
 

@@ -1,14 +1,14 @@
 //! The golden-snapshot corpus: pinned end states for the five paper
 //! scenarios.
 //!
-//! Each scenario runs the two-branch simulator at a small, fast registry
-//! size and renders a JSON fixture holding the full [`TwoBranchOutcome`]
-//! **and** the final run-length-encoded [`StateSnapshot`] of both
-//! branches. The fixtures are committed under `tests/golden/`; the
-//! workspace test `golden_snapshots.rs` re-runs every scenario on both
-//! backends and compares byte-for-byte — so a refactor of the simulation
-//! stack diffs against pinned *state*, not just summary numbers (this is
-//! how the partition-engine rewrite proved `TwoBranchSim` byte-exact).
+//! Each scenario runs [`PartitionSim`] over its two-branch timeline at a
+//! small, fast registry size and renders a JSON fixture holding the full
+//! [`TwoBranchOutcome`] **and** the final run-length-encoded
+//! [`StateSnapshot`] of both branches. The fixtures are committed under
+//! `tests/golden/`; the workspace test `golden_snapshots.rs` re-runs every
+//! scenario on both backends and compares byte-for-byte — so a refactor
+//! of the simulation stack diffs against pinned *state*, not just summary
+//! numbers.
 //!
 //! Regenerate after an intentional behaviour change with
 //! `ethpos-cli --regen-golden tests/golden` (or `REGEN_GOLDEN=1 cargo
@@ -17,9 +17,10 @@
 
 use serde::Serialize;
 
-use ethpos_sim::{MembershipModel, TwoBranchConfig, TwoBranchOutcome, TwoBranchSim};
+use ethpos_sim::{PartitionConfig, PartitionSim, PartitionTimeline, TwoBranchOutcome};
 use ethpos_state::backend::{StateBackend, StateSnapshot};
 use ethpos_state::{BackendKind, CohortState, DenseState};
+use ethpos_types::BranchId;
 
 use crate::partition::StrategyKind;
 
@@ -37,8 +38,8 @@ pub struct GoldenScenario {
     pub byzantine: usize,
     /// Honest split.
     pub p0: f64,
-    /// Membership model.
-    pub membership: MembershipModel,
+    /// Re-draw the honest split every epoch (§5.3) instead of pinning it.
+    pub churn: bool,
     /// Adversary strategy.
     pub strategy: StrategyKind,
     /// Epoch horizon.
@@ -58,13 +59,17 @@ impl GoldenScenario {
     }
 
     /// The two-branch configuration of this scenario.
-    pub fn config(&self) -> TwoBranchConfig {
-        TwoBranchConfig {
-            membership: self.membership,
+    pub fn config(&self) -> PartitionConfig {
+        let timeline = if self.churn {
+            PartitionTimeline::two_branch_churn(self.p0)
+        } else {
+            PartitionTimeline::two_branch(self.p0)
+        };
+        PartitionConfig {
             seed: self.seed,
             stop_on_conflict: self.stop_on_conflict,
             record_every: self.record_every,
-            ..TwoBranchConfig::paper(self.n, self.byzantine, self.p0, self.epochs)
+            ..PartitionConfig::paper(self.n, self.byzantine, timeline, self.epochs)
         }
     }
 
@@ -78,7 +83,11 @@ impl GoldenScenario {
     }
 
     fn run_on<B: StateBackend>(&self) -> (TwoBranchOutcome, [StateSnapshot; 2]) {
-        TwoBranchSim::<B>::with_backend(self.config(), self.strategy.build()).run_with_snapshots()
+        let mut sim = PartitionSim::<B>::with_backend(self.config(), self.strategy.build())
+            .expect("the two-branch timeline compiles");
+        while sim.step() {}
+        let snapshots = [0, 1].map(|b| sim.branch(BranchId::new(b)).snapshot());
+        (sim.finish().into_two_branch(), snapshots)
     }
 
     /// Renders the fixture JSON (dense reference backend). The fixture
@@ -122,7 +131,7 @@ impl GoldenScenario {
     /// cohort backend), so only its dense rendering is pinned (see
     /// `ethpos_state::backend::StateBackend::mark_class_counted`).
     pub fn backend_agnostic(&self) -> bool {
-        self.membership == MembershipModel::FixedPartition
+        !self.churn
     }
 }
 
@@ -183,7 +192,7 @@ pub fn scenarios() -> Vec<GoldenScenario> {
             n: 120,
             byzantine: 0,
             p0: 0.5,
-            membership: MembershipModel::FixedPartition,
+            churn: false,
             strategy: StrategyKind::DualActive,
             epochs: 800,
             seed: 0,
@@ -196,7 +205,7 @@ pub fn scenarios() -> Vec<GoldenScenario> {
             n: 1200,
             byzantine: 396,
             p0: 0.5,
-            membership: MembershipModel::FixedPartition,
+            churn: false,
             strategy: StrategyKind::DualActive,
             epochs: 800,
             seed: 0,
@@ -209,7 +218,7 @@ pub fn scenarios() -> Vec<GoldenScenario> {
             n: 1200,
             byzantine: 396,
             p0: 0.5,
-            membership: MembershipModel::FixedPartition,
+            churn: false,
             strategy: StrategyKind::SemiActive,
             epochs: 1200,
             seed: 0,
@@ -222,7 +231,7 @@ pub fn scenarios() -> Vec<GoldenScenario> {
             n: 120,
             byzantine: 36,
             p0: 0.5,
-            membership: MembershipModel::FixedPartition,
+            churn: false,
             strategy: StrategyKind::ThresholdSeeker,
             epochs: 600,
             seed: 0,
@@ -235,7 +244,7 @@ pub fn scenarios() -> Vec<GoldenScenario> {
             n: 300,
             byzantine: 100,
             p0: 0.5,
-            membership: MembershipModel::RandomEachEpoch,
+            churn: true,
             strategy: StrategyKind::ThresholdSeeker,
             epochs: 400,
             seed: 9,

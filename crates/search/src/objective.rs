@@ -1,8 +1,8 @@
 //! Damage objectives: what the adversary maximizes, and what it pays.
 //!
-//! Each candidate [`Genome`] is evaluated by one full
-//! [`TwoBranchSim`] run (dense or
-//! cohort-compressed backend, exact integer spec arithmetic). An
+//! Each candidate [`Genome`] is evaluated by one full [`PartitionSim`]
+//! run over the two-branch timeline (dense or cohort-compressed backend,
+//! exact integer spec arithmetic). An
 //! [`Objective`] turns the run's [`TwoBranchOutcome`] into a scalar
 //! **damage** (higher = worse for the network) and every evaluation is
 //! paired with the adversary's **cost** in ETH:
@@ -17,7 +17,7 @@
 
 use serde::Serialize;
 
-use ethpos_sim::{TwoBranchConfig, TwoBranchOutcome, TwoBranchSim};
+use ethpos_sim::{PartitionConfig, PartitionSim, PartitionTimeline, TwoBranchOutcome};
 use ethpos_state::{BackendKind, CohortState, DenseState};
 
 use crate::genome::{Genome, ParamSchedule};
@@ -195,10 +195,11 @@ pub struct EvalParams {
 /// The simulator configuration every candidate of one search runs
 /// under (shared by the plain path below and
 /// [`crate::prefix::PrefixMemo`]).
-pub(crate) fn sim_config(params: &EvalParams) -> TwoBranchConfig {
+pub(crate) fn sim_config(params: &EvalParams) -> PartitionConfig {
     assert!(params.epochs > 0, "zero epoch horizon");
     let byzantine = (params.beta0 * params.n as f64).round() as usize;
-    TwoBranchConfig {
+    let timeline = PartitionTimeline::two_branch(params.p0);
+    PartitionConfig {
         // Early-stop as soon as the objective's damage is decided: the
         // conflict objective needs both branches finalized, the delay
         // horizon just the first finalization; the proportion objective
@@ -206,13 +207,13 @@ pub(crate) fn sim_config(params: &EvalParams) -> TwoBranchConfig {
         stop_on_conflict: params.objective == Objective::Conflict,
         stop_on_finalization: params.objective == Objective::NonSlashableHorizon,
         record_every: u64::MAX,
-        ..TwoBranchConfig::paper(params.n, byzantine, params.p0, params.epochs)
+        ..PartitionConfig::paper(params.n, byzantine, timeline, params.epochs)
     }
 }
 
 /// Genesis stake of the Byzantine class (`ClassSpec::full_stake`):
 /// derived from the protocol constants, not hard-coded.
-pub(crate) fn initial_byzantine_gwei(config: &TwoBranchConfig) -> u64 {
+pub(crate) fn initial_byzantine_gwei(config: &PartitionConfig) -> u64 {
     config.byzantine as u64 * config.chain.max_effective_balance.as_u64()
 }
 
@@ -231,10 +232,15 @@ pub fn evaluate(params: &EvalParams, genome: Genome) -> Evaluation {
     let initial_gwei = initial_byzantine_gwei(&config);
     let schedule = Box::new(ParamSchedule::new(genome));
     let outcome = match params.backend {
-        BackendKind::Dense => TwoBranchSim::<DenseState>::with_backend(config, schedule).run(),
-        BackendKind::Cohort => TwoBranchSim::<CohortState>::with_backend(config, schedule).run(),
+        BackendKind::Dense => {
+            PartitionSim::<DenseState>::with_backend(config, schedule).map(PartitionSim::run)
+        }
+        BackendKind::Cohort => {
+            PartitionSim::<CohortState>::with_backend(config, schedule).map(PartitionSim::run)
+        }
     };
-    score(params, genome, initial_gwei, &outcome)
+    let outcome = outcome.expect("the two-branch timeline compiles");
+    score(params, genome, initial_gwei, &outcome.into_two_branch())
 }
 
 /// Scores a finished run (split out so tests can score synthetic

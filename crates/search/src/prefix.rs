@@ -44,8 +44,8 @@
 //! branch id to hash.
 //!
 //! Both paths are **byte-identical** to from-genesis evaluation
-//! ([`evaluate`](crate::objective::evaluate), one full
-//! `TwoBranchSim` run — the independent oracle, pinned by this module's
+//! ([`evaluate`](crate::objective::evaluate), one full two-branch
+//! `PartitionSim` run — the independent oracle, pinned by this module's
 //! tests and the `prefix_equivalence` property tests): the memo changes
 //! where the numbers come from, never the numbers. [`SearchStats`]
 //! counts what was reconstructed, recorded and continued; the CLI
@@ -58,7 +58,7 @@ use std::sync::Mutex;
 use serde::Serialize;
 
 use ethpos_sim::kernel::{self, BranchEpochStats, BranchFold, BYZANTINE_CLASS};
-use ethpos_sim::{ChunkPool, TwoBranchConfig, TwoBranchOutcome};
+use ethpos_sim::{ChunkPool, PartitionConfig, TwoBranchOutcome};
 use ethpos_state::backend::StateBackend;
 use ethpos_types::{BranchId, Root};
 use ethpos_validator::ByzantineSchedule;
@@ -240,7 +240,7 @@ fn conflict_epoch(first_fin: [Option<u64>; 2]) -> Option<u64> {
 /// The epoch whose finalizations end a run under the engine's
 /// configured early-stop rules, given each branch's first finalization
 /// epoch so far (`None`: the run goes on, to the horizon if need be).
-fn stop_epoch(config: &TwoBranchConfig, first_fin: [Option<u64>; 2]) -> Option<u64> {
+fn stop_epoch(config: &PartitionConfig, first_fin: [Option<u64>; 2]) -> Option<u64> {
     if config.stop_on_finalization {
         first_fin.into_iter().flatten().min()
     } else if config.stop_on_conflict {
@@ -370,7 +370,7 @@ struct StopInfo {
 /// counters are bit-identical for any worker-thread count.
 pub struct PrefixMemo<B: StateBackend> {
     params: EvalParams,
-    config: TwoBranchConfig,
+    config: PartitionConfig,
     initial_gwei: u64,
     genesis: B,
     /// Per branch, the state classes the compiled plan pins to it.
@@ -411,7 +411,7 @@ impl<B: StateBackend + Send + Sync> PrefixMemo<B> {
         let initial_gwei = initial_byzantine_gwei(&config);
         let n_honest = (config.n - config.byzantine) as u64;
         let compiled = config
-            .timeline()
+            .timeline
             .compile(n_honest)
             .expect("the two-branch timeline always compiles");
         let genesis = compiled.genesis(&config.chain, config.byzantine as u64);

@@ -9,8 +9,8 @@
 //! [`BranchFold::push`]", composed three ways:
 //!
 //! * [`PartitionSim::step`](crate::PartitionSim::step) — k live branches
-//!   with churn draws and the safety monitor, which
-//!   [`TwoBranchSim`](crate::TwoBranchSim) and the paper scenarios drive;
+//!   with churn draws and the safety monitor, which the paper scenarios
+//!   drive over their two-branch timelines;
 //! * the search memo's gene streams — one branch under a duty cycle;
 //! * the search memo's dwell continuations — two branches under a full
 //!   schedule.

@@ -26,14 +26,19 @@
 //! million validators.
 //!
 //! [`PartitionSim`] moves one [`StateBackend`] per live branch through
-//! each epoch with the per-branch [`kernel`] (the exact
-//! integer spec arithmetic — `TwoBranchSim` is a thin two-branch
-//! timeline over this engine), hands every live branch's
-//! [`BranchStatus`] to a [`ByzantineSchedule`], and watches **all**
-//! branch pairs for conflicting finalization through
-//! [`SafetyMonitor`] — ancestry-aware, so a branch forked after a heal
-//! only conflicts with checkpoints outside its inherited prefix, and a
-//! healed branch's final checkpoints keep convicting later conflicts.
+//! each epoch with the per-branch [`kernel`] (the exact integer spec
+//! arithmetic), hands every live branch's [`BranchStatus`] to a
+//! [`ByzantineSchedule`], and watches **all** branch pairs for
+//! conflicting finalization through [`SafetyMonitor`] — ancestry-aware,
+//! so a branch forked after a heal only conflicts with checkpoints
+//! outside its inherited prefix, and a healed branch's final checkpoints
+//! keep convicting later conflicts.
+//!
+//! It is the only epoch-level simulator: the paper's partition scenarios
+//! are the [`PartitionTimeline::two_branch`] and
+//! [`PartitionTimeline::two_branch_churn`] timelines, and
+//! [`PartitionOutcome::into_two_branch`] projects their outcome onto the
+//! byte-pinned [`TwoBranchOutcome`] shape.
 
 use std::collections::BTreeMap;
 
@@ -53,7 +58,8 @@ mod timeline;
 
 pub use compile::{ChurnPlan, CompiledStep, CompiledTimeline, MarkingPlan, StepOp};
 pub use outcome::{
-    BranchOutcome, ChurnStats, ForkStats, PartitionEpochRecord, PartitionOutcome, SafetyViolation,
+    BranchOutcome, ChurnStats, EpochRecord, ForkStats, PartitionEpochRecord, PartitionOutcome,
+    SafetyViolation, TwoBranchOutcome,
 };
 pub use timeline::{PartitionTimeline, TimelineAction, TimelineError, TimelineEvent};
 
@@ -187,7 +193,7 @@ impl PartitionSim<DenseState> {
     ///
     /// # Panics
     ///
-    /// Panics if `byzantine > n`.
+    /// Panics if `byzantine > n` or `record_every == 0`.
     pub fn new(
         config: PartitionConfig,
         schedule: Box<dyn ByzantineSchedule>,
@@ -206,12 +212,13 @@ impl<B: StateBackend> PartitionSim<B> {
     ///
     /// # Panics
     ///
-    /// Panics if `byzantine > n`.
+    /// Panics if `byzantine > n` or `record_every == 0`.
     pub fn with_backend(
         config: PartitionConfig,
         schedule: Box<dyn ByzantineSchedule>,
     ) -> Result<Self, TimelineError> {
         assert!(config.byzantine <= config.n, "byzantine > n");
+        assert!(config.record_every > 0, "record_every must be positive");
         let n_honest = (config.n - config.byzantine) as u64;
         let compiled = config.timeline.compile(n_honest)?;
         let genesis: B = compiled.genesis(&config.chain, config.byzantine as u64);
@@ -682,6 +689,18 @@ mod tests {
         assert!((marginal[0] - 0.25).abs() < 1e-12);
         assert!((marginal[1] - 0.25).abs() < 1e-12);
         assert!((marginal[2] - 0.5).abs() < 1e-12);
+    }
+
+    /// `record_every = 0` used to record epoch 0 alone (`is_multiple_of(0)`
+    /// holds only at 0); it is rejected up front, like the walk engines do.
+    #[test]
+    #[should_panic(expected = "record_every must be positive")]
+    fn zero_record_every_is_rejected_up_front() {
+        let config = PartitionConfig {
+            record_every: 0,
+            ..PartitionConfig::paper(120, 40, PartitionTimeline::two_branch(0.5), 10)
+        };
+        let _ = PartitionSim::new(config, Box::new(DualActive));
     }
 
     /// A 3-way even split with no Byzantine validators: no branch can

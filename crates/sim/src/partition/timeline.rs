@@ -84,11 +84,6 @@ impl TimelineError {
     pub fn new(msg: impl Into<String>) -> Self {
         TimelineError(msg.into())
     }
-
-    /// The human-readable reason.
-    pub fn message(&self) -> &str {
-        &self.0
-    }
 }
 
 impl core::fmt::Display for TimelineError {

@@ -16,7 +16,10 @@
 //! advances with `advance_epoch(None)`: there is no adversary deciding
 //! from an observed status and no checkpoint root to choose, so it is
 //! the one epoch loop that does not go through the per-branch
-//! [`kernel`](crate::kernel).
+//! [`kernel`](crate::kernel). It also records per-class trajectories,
+//! which [`PartitionSim`](crate::PartitionSim) does not, so it stays a
+//! free function rather than a `PartitionSim` constructor: folding it in
+//! would make the runner branch on its caller.
 
 use ethpos_state::backend::{ClassSpec, StateBackend};
 use ethpos_state::ParticipationFlags;

@@ -11,7 +11,7 @@
 //! ```
 
 use ethpos::core::scenarios::honest;
-use ethpos::sim::{TwoBranchConfig, TwoBranchSim};
+use ethpos::sim::{PartitionConfig, PartitionSim, PartitionTimeline};
 use ethpos::validator::DualActive;
 
 fn main() {
@@ -32,11 +32,14 @@ fn main() {
         honest::conflicting_finalization_epoch(p0)
     );
 
-    let cfg = TwoBranchConfig {
+    let cfg = PartitionConfig {
         record_every: 250,
-        ..TwoBranchConfig::paper(600, 0, p0, 5000)
+        ..PartitionConfig::paper(600, 0, PartitionTimeline::two_branch(p0), 5000)
     };
-    let outcome = TwoBranchSim::new(cfg, Box::new(DualActive)).run();
+    let outcome = PartitionSim::new(cfg, Box::new(DualActive))
+        .expect("the two-branch timeline compiles")
+        .run()
+        .into_two_branch();
 
     println!("discrete two-branch simulation (600 validators):");
     println!("epoch   ratio(b0)  ratio(b1)  fin(b0)  fin(b1)");

@@ -12,8 +12,8 @@ use ethpos::core::experiments::{run_experiment, simulated, Experiment};
 use ethpos::core::scenarios::{bouncing, semi_active, slashing, threshold};
 use ethpos::core::stake_model::StakeBehavior;
 use ethpos::sim::{
-    run_bouncing_walks, run_single_branch_on, Behavior, BouncingWalkConfig, TwoBranchConfig,
-    TwoBranchSim,
+    run_bouncing_walks, run_single_branch_on, Behavior, BouncingWalkConfig, PartitionConfig,
+    PartitionSim, PartitionTimeline,
 };
 use ethpos::state::DenseState;
 use ethpos::types::ChainConfig;
@@ -92,12 +92,16 @@ fn main() {
         threshold::min_beta0_for_third(0.5)
     );
     for beta0 in [0.22f64, 0.25, 0.30] {
-        let cfg = TwoBranchConfig {
+        let byzantine = (beta0 * 1200.0).round() as usize;
+        let cfg = PartitionConfig {
             stop_on_conflict: false,
             record_every: u64::MAX,
-            ..TwoBranchConfig::paper(1200, (beta0 * 1200.0).round() as usize, 0.5, 4800)
+            ..PartitionConfig::paper(1200, byzantine, PartitionTimeline::two_branch(0.5), 4800)
         };
-        let out = TwoBranchSim::new(cfg, Box::new(ThresholdSeeker::new())).run();
+        let out = PartitionSim::new(cfg, Box::new(ThresholdSeeker::new()))
+            .expect("the two-branch timeline compiles")
+            .run()
+            .into_two_branch();
         println!(
             "  β0 = {beta0}: Eq.13 β_max = {:.4}, simulated max β = {:.4}, crossed 1/3: {}",
             threshold::beta_max(0.5, beta0),

@@ -10,7 +10,7 @@
 //! ```
 
 use ethpos::core::scenarios::threshold;
-use ethpos::sim::{TwoBranchConfig, TwoBranchSim};
+use ethpos::sim::{PartitionConfig, PartitionSim, PartitionTimeline};
 use ethpos::validator::ThresholdSeeker;
 
 fn main() {
@@ -48,12 +48,15 @@ fn main() {
     let n = 1200usize;
     let byz = (beta0 * n as f64).round() as usize;
     println!("\ndiscrete two-branch simulation (n = {n}, {byz} Byzantine):");
-    let cfg = TwoBranchConfig {
+    let cfg = PartitionConfig {
         stop_on_conflict: false,
         record_every: 500,
-        ..TwoBranchConfig::paper(n, byz, 0.5, 4800)
+        ..PartitionConfig::paper(n, byz, PartitionTimeline::two_branch(0.5), 4800)
     };
-    let out = TwoBranchSim::new(cfg, Box::new(ThresholdSeeker::new())).run();
+    let out = PartitionSim::new(cfg, Box::new(ThresholdSeeker::new()))
+        .expect("the two-branch timeline compiles")
+        .run()
+        .into_two_branch();
     for rec in &out.history {
         println!(
             "  epoch {:>5}: β(b0) = {:.4}, ejected honest = {}",

@@ -4,8 +4,8 @@
 use ethpos::core::stake_model::StakeBehavior;
 use ethpos::network::NetworkConfig;
 use ethpos::sim::{
-    run_single_branch_on, Behavior, ClassTrajectory, SlotSim, SlotSimConfig, TwoBranchConfig,
-    TwoBranchSim,
+    run_single_branch_on, Behavior, ClassTrajectory, PartitionConfig, PartitionSim,
+    PartitionTimeline, SlotSim, SlotSimConfig,
 };
 use ethpos::state::DenseState;
 use ethpos::types::{ChainConfig, Slot};
@@ -32,19 +32,21 @@ fn slot_and_cohort_agree_on_supermajority_partition() {
     let slot_report = SlotSim::new(cfg).run();
 
     // cohort level (same proportions)
-    let cohort_cfg = TwoBranchConfig {
+    let cohort_cfg = PartitionConfig {
         stop_on_conflict: false,
         record_every: 1,
         chain: ChainConfig::minimal(),
-        ..TwoBranchConfig::paper(10, 0, 0.7, 10)
+        ..PartitionConfig::paper(10, 0, PartitionTimeline::two_branch(0.7), 10)
     };
-    let cohort = TwoBranchSim::new(cohort_cfg, Box::new(DualActive)).run();
+    let cohort = PartitionSim::new(cohort_cfg, Box::new(DualActive))
+        .unwrap()
+        .run();
     let last = cohort.history.last().expect("history recorded");
 
     assert!(slot_report.finalized[0].epoch.as_u64() > 0);
     assert_eq!(slot_report.finalized[1].epoch.as_u64(), 0);
-    assert!(last.branch[0].finalized_epoch > 0);
-    assert_eq!(last.branch[1].finalized_epoch, 0);
+    assert!(last.stats[0].finalized_epoch > 0);
+    assert_eq!(last.stats[1].finalized_epoch, 0);
 }
 
 /// The cohort engine's integer arithmetic tracks the paper's continuous
@@ -70,11 +72,11 @@ fn cohort_tracks_continuous_stake_model() {
 /// from the β₀ = 0.2 value.
 #[test]
 fn finalization_cliff_near_one_third() {
-    let cfg = TwoBranchConfig {
+    let cfg = PartitionConfig {
         record_every: u64::MAX,
-        ..TwoBranchConfig::paper(300, 100, 0.5, 100) // β0 = 1/3 exactly
+        ..PartitionConfig::paper(300, 100, PartitionTimeline::two_branch(0.5), 100) // β0 = 1/3 exactly
     };
-    let out = TwoBranchSim::new(cfg, Box::new(DualActive)).run();
+    let out = PartitionSim::new(cfg, Box::new(DualActive)).unwrap().run();
     let t = out.conflicting_finalization_epoch.expect("immediate");
     assert!(t < 10, "β0 = 1/3 must finalize almost immediately, got {t}");
 }

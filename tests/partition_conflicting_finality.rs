@@ -2,20 +2,29 @@
 //! the paper's headline Safety violation — at both simulation levels.
 
 use ethpos::network::NetworkConfig;
-use ethpos::sim::{SlotByzMode, SlotSim, SlotSimConfig, TwoBranchConfig, TwoBranchSim};
+use ethpos::sim::{
+    PartitionConfig, PartitionOutcome, PartitionSim, PartitionTimeline, SlotByzMode, SlotSim,
+    SlotSimConfig,
+};
 use ethpos::types::Slot;
 use ethpos::validator::DualActive;
+
+/// The honest-only two-branch run at split `p0`, recording every
+/// `record_every` epochs.
+fn honest_split(p0: f64, record_every: u64) -> PartitionOutcome {
+    let cfg = PartitionConfig {
+        record_every,
+        ..PartitionConfig::paper(600, 0, PartitionTimeline::two_branch(p0), 5000)
+    };
+    PartitionSim::new(cfg, Box::new(DualActive)).unwrap().run()
+}
 
 /// The full §5.1 run: honest validators split 50/50, leak until both
 /// branches finalize. Paper: epoch 4686; the discrete protocol (1-ETH
 /// effective-balance staircase) lands within ~1%.
 #[test]
 fn honest_even_split_finalizes_conflicting_around_4686() {
-    let cfg = TwoBranchConfig {
-        record_every: 1000,
-        ..TwoBranchConfig::paper(600, 0, 0.5, 5000)
-    };
-    let out = TwoBranchSim::new(cfg, Box::new(DualActive)).run();
+    let out = honest_split(0.5, 1000);
     let t = out
         .conflicting_finalization_epoch
         .expect("partition must end in conflicting finalization");
@@ -29,16 +38,12 @@ fn honest_even_split_finalizes_conflicting_around_4686() {
 /// p0 = 0.6 ⇒ epoch ≈ 3107), the smaller side only at ejection.
 #[test]
 fn asymmetric_split_slower_branch_binds() {
-    let cfg = TwoBranchConfig {
-        record_every: 250,
-        ..TwoBranchConfig::paper(600, 0, 0.6, 5000)
-    };
-    let out = TwoBranchSim::new(cfg, Box::new(DualActive)).run();
+    let out = honest_split(0.6, 250);
     // Branch 0 (60 %) finalizes around epoch 3107.
     let b0_finalized_at = out
         .history
         .iter()
-        .find(|r| r.branch[0].finalized_epoch > 0)
+        .find(|r| r.stats[0].finalized_epoch > 0)
         .map(|r| r.epoch)
         .expect("branch 0 must finalize");
     assert!(

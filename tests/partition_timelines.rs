@@ -98,8 +98,8 @@ fn partition_reports_are_byte_identical_across_backends() {
 }
 
 /// A two-branch timeline through the partition CLI surface equals the
-/// legacy `TwoBranchSim` behaviour: same conflict epoch as the golden
-/// §5.2.1 fixture's 519.
+/// library's two-branch run: same conflict epoch as the golden §5.2.1
+/// fixture's 519.
 #[test]
 fn partition_subsumes_the_two_branch_scenario() {
     let scenario = ethpos::core::partition::resolve_scenario(
@@ -111,17 +111,17 @@ fn partition_subsumes_the_two_branch_scenario() {
     .unwrap();
     let out = run_scenario(&scenario, 1200, BackendKind::Cohort, 0);
     assert_eq!(out.conflicting_finalization_epoch, Some(519));
-    use ethpos::sim::{TwoBranchConfig, TwoBranchSim};
-    let legacy = TwoBranchSim::<CohortState>::with_backend(
-        TwoBranchConfig {
+    let library = PartitionSim::<CohortState>::with_backend(
+        PartitionConfig {
             record_every: u64::MAX,
-            ..TwoBranchConfig::paper(1200, 396, 0.5, 800)
+            ..PartitionConfig::paper(1200, 396, PartitionTimeline::two_branch(0.5), 800)
         },
         Box::new(DualActive),
     )
+    .unwrap()
     .run();
     assert_eq!(
-        legacy.conflicting_finalization_epoch,
+        library.conflicting_finalization_epoch,
         out.conflicting_finalization_epoch
     );
 }

@@ -11,7 +11,9 @@
 
 use ethpos::core::experiments::{run_experiment_with, simulated, Experiment, McConfig};
 use ethpos::core::BackendKind;
-use ethpos::sim::{run_single_branch_on, SafetyMonitor, TwoBranchConfig, TwoBranchSim};
+use ethpos::sim::{
+    run_single_branch_on, PartitionConfig, PartitionSim, PartitionTimeline, SafetyMonitor,
+};
 use ethpos::state::backend::StateBackend;
 use ethpos::state::CohortState;
 use ethpos::types::ChainConfig;
@@ -97,11 +99,13 @@ fn experiment_outputs_are_byte_identical_across_backends() {
 /// conflicting finalization is immediate (Table 2's "< 1 epoch" regime).
 #[test]
 fn immediate_conflict_at_one_million_validators() {
-    let cfg = TwoBranchConfig {
+    let cfg = PartitionConfig {
         record_every: u64::MAX,
-        ..TwoBranchConfig::paper(1_000_000, 400_000, 0.5, 40)
+        ..PartitionConfig::paper(1_000_000, 400_000, PartitionTimeline::two_branch(0.5), 40)
     };
-    let outcome = TwoBranchSim::<CohortState>::with_backend(cfg, Box::new(DualActive)).run();
+    let outcome = PartitionSim::<CohortState>::with_backend(cfg, Box::new(DualActive))
+        .unwrap()
+        .run();
     assert!(outcome.conflicting_finalization_epoch.expect("conflict") < 10);
 }
 

@@ -3,21 +3,29 @@
 
 use ethpos::core::scenarios::{bouncing, threshold};
 use ethpos::sim::{
-    run_bouncing_walks, BouncingWalkConfig, MembershipModel, TwoBranchConfig, TwoBranchSim,
+    run_bouncing_walks, BouncingWalkConfig, PartitionConfig, PartitionSim, PartitionTimeline,
+    TwoBranchOutcome,
 };
 use ethpos::validator::ThresholdSeeker;
+
+/// A ThresholdSeeker run of `config`, in the two-branch shape.
+fn threshold_seeker(config: PartitionConfig) -> TwoBranchOutcome {
+    PartitionSim::new(config, Box::new(ThresholdSeeker::new()))
+        .unwrap()
+        .run()
+        .into_two_branch()
+}
 
 /// §5.2.3 with β₀ = 0.25 (above the 0.2421 bound): the discrete run's β
 /// exceeds ⅓ on both branches at the honest-inactive ejection cliff.
 #[test]
 fn threshold_breach_above_bound_succeeds() {
     assert!(threshold::beta_max(0.5, 0.25) > 1.0 / 3.0);
-    let cfg = TwoBranchConfig {
+    let out = threshold_seeker(PartitionConfig {
         stop_on_conflict: false,
         record_every: 2000,
-        ..TwoBranchConfig::paper(1200, 300, 0.5, 4800) // β0 = 0.25
-    };
-    let out = TwoBranchSim::new(cfg, Box::new(ThresholdSeeker::new())).run();
+        ..PartitionConfig::paper(1200, 300, PartitionTimeline::two_branch(0.5), 4800) // β0 = 0.25
+    });
     for b in 0..2 {
         let e = out.byzantine_exceeds_third_epoch[b]
             .unwrap_or_else(|| panic!("β must cross 1/3 on branch {b}"));
@@ -40,12 +48,11 @@ fn threshold_breach_above_bound_succeeds() {
 #[test]
 fn threshold_breach_below_bound_fails() {
     assert!(threshold::beta_max(0.5, 0.22) < 1.0 / 3.0);
-    let cfg = TwoBranchConfig {
+    let out = threshold_seeker(PartitionConfig {
         stop_on_conflict: false,
         record_every: 2000,
-        ..TwoBranchConfig::paper(1200, 264, 0.5, 4800) // β0 = 0.22
-    };
-    let out = TwoBranchSim::new(cfg, Box::new(ThresholdSeeker::new())).run();
+        ..PartitionConfig::paper(1200, 264, PartitionTimeline::two_branch(0.5), 4800) // β0 = 0.22
+    });
     assert_eq!(out.byzantine_exceeds_third_epoch, [None, None]);
     assert!(out.max_byzantine_proportion[0] > 0.25); // it did grow
     assert!(out.max_byzantine_proportion[0] < 1.0 / 3.0);
@@ -88,14 +95,12 @@ fn bouncing_eq24_tracks_monte_carlo() {
 /// thousand epochs.
 #[test]
 fn bouncing_two_branch_protocol_run() {
-    let cfg = TwoBranchConfig {
-        membership: MembershipModel::RandomEachEpoch,
+    let out = threshold_seeker(PartitionConfig {
         stop_on_conflict: false,
         seed: 7,
         record_every: 500,
-        ..TwoBranchConfig::paper(600, 200, 0.5, 3000) // β0 = 1/3
-    };
-    let out = TwoBranchSim::new(cfg, Box::new(ThresholdSeeker::new())).run();
+        ..PartitionConfig::paper(600, 200, PartitionTimeline::two_branch_churn(0.5), 3000) // β0 = 1/3
+    });
     // With β0 = 1/3 exactly, symmetry puts each branch above 1/3 about
     // half the time once penalties differentiate the cohorts.
     assert!(
