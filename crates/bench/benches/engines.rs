@@ -3,8 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ethpos_sim::{
-    run_single_branch_on, Behavior, PartitionConfig, PartitionSim, PartitionTimeline, SlotSim,
-    SlotSimConfig,
+    run_single_branch_on, Behavior, PartitionConfig, PartitionSim, PartitionTimeline,
 };
 use ethpos_state::DenseState;
 use ethpos_types::ChainConfig;
@@ -12,14 +11,6 @@ use ethpos_validator::DualActive;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    // Slot-level engine: healthy chain throughput.
-    let mut g = c.benchmark_group("engines/slot_level");
-    g.sample_size(10);
-    g.bench_function("healthy_16val_10epochs", |b| {
-        b.iter(|| black_box(SlotSim::new(SlotSimConfig::healthy(16, 10 * 8)).run()))
-    });
-    g.finish();
-
     // Cohort engine: two branches, 600 validators, 500 epochs.
     let mut g = c.benchmark_group("engines/cohort");
     g.sample_size(10);

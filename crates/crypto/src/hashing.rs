@@ -3,7 +3,8 @@
 //! SipHash-2-4 is a well-studied keyed PRF; running four lanes with
 //! distinct fixed keys over the same input yields a 256-bit digest that is
 //! (for simulation purposes) collision-free and avalanche-complete. This
-//! replaces SHA-256 from the real protocol; see `DESIGN.md` §4.
+//! replaces SHA-256 from the real protocol; see `ARCHITECTURE.md`,
+//! "Deliberate simplifications".
 //!
 //! Two entry shapes, one digest: bytes go through the buffering
 //! [`Hasher`] (one [`siphash24`] pass per lane), while [`hash_u64`] — the

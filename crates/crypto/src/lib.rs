@@ -1,33 +1,19 @@
-//! Simulated cryptography for the Ethereum PoS reproduction.
+//! Hashing for the Ethereum PoS reproduction.
 //!
-//! The paper's system model only assumes that *"digital signatures cannot
-//! be forged"* and uses them for validator identification and equivocation
-//! evidence. None of the measured quantities (stake trajectories,
-//! finalization epochs, Byzantine proportions) depend on real pairing
-//! cryptography, so this crate substitutes BLS12-381 with deterministic
-//! constructions that preserve the *interface and semantics* a consensus
-//! client relies on:
+//! None of the paper's measured quantities (stake trajectories,
+//! finalization epochs, Byzantine proportions) depend on real
+//! cryptography, and the simulators build no blocks or signatures. What
+//! they do need is a deterministic 256-bit hash: [`hash`] (and the
+//! word-level [`hash_u64`]) built from four independently keyed
+//! SipHash-2-4 lanes, used for genesis and synthetic checkpoint roots and
+//! for the proposer lottery's randomness.
 //!
-//! * a 256-bit hash built from four independently keyed SipHash-2-4 lanes
-//!   ([`hash`]), used for block roots and randomness seeds;
-//! * deterministic key pairs ([`Keypair`]) derived from a validator index;
-//! * signature tags ([`sign`], [`verify`]) binding signer and message, so
-//!   equivocations are detectable and attributable exactly like with real
-//!   signatures;
-//! * aggregation ([`AggregateSignature`]) mirroring BLS aggregate
-//!   semantics for attestation processing.
-//!
-//! The substitution is documented in `DESIGN.md` (§4).
+//! The substitution for SHA-256 is documented in `ARCHITECTURE.md`,
+//! "Deliberate simplifications".
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod aggregate;
 pub mod hashing;
-pub mod keys;
-pub mod signature;
 
-pub use aggregate::AggregateSignature;
 pub use hashing::{hash, hash_concat, hash_u64, Hasher};
-pub use keys::{Keypair, PublicKey, SecretKey};
-pub use signature::{sign, sign_root, verify, verify_root, SigningDomain};

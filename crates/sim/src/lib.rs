@@ -1,12 +1,9 @@
 //! Simulators for the Ethereum PoS inactivity-leak reproduction.
 //!
-//! Four engines at different fidelity/horizon trade-offs, cross-validated
-//! against each other (see the workspace integration tests):
+//! Three engines, each cross-validated against the paper's closed forms
+//! (see the workspace integration tests). All of them reason per epoch,
+//! as the paper does; none builds blocks or simulates message delivery.
 //!
-//! * [`engine`] — **slot-level** discrete-event simulation: real blocks
-//!   and attestations over the simulated network, one fork-choice view per
-//!   partition (plus the omniscient adversary). Used for healthy-chain
-//!   runs, short-horizon partition scenarios, and attack traces.
 //! * [`partition`] — **epoch-level k-branch** simulation, the one
 //!   epoch-level simulator: [`PartitionSim`] drives one
 //!   [`ethpos_state::backend::StateBackend`] per live branch of a
@@ -29,24 +26,21 @@
 //! with per-chunk [`ethpos_stats::SeedSequence`] child RNGs, so results
 //! are **bit-identical for any thread count** (see `ARCHITECTURE.md`).
 //!
-//! [`monitor::SafetyMonitor`] watches all views/branches for conflicting
+//! [`monitor::SafetyMonitor`] watches all branches for conflicting
 //! finalized checkpoints — a Safety violation is an *observed result*, not
 //! an assertion failure.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod engine;
 pub mod kernel;
 pub mod monitor;
 pub mod partition;
 pub mod pool;
 pub mod single_branch;
 pub mod timeline_sample;
-pub mod view;
 pub mod walk_mc;
 
-pub use engine::{run_slot_sims, SlotByzMode, SlotSim, SlotSimConfig, SlotSimReport};
 pub use kernel::BranchEpochStats;
 pub use monitor::SafetyMonitor;
 pub use partition::{
@@ -60,7 +54,6 @@ pub use timeline_sample::{
     branch_slots, event_count, merge_tail_weights, sample_timeline, soften_weights,
     two_branch_only, without_event,
 };
-pub use view::View;
 pub use walk_mc::{
     run_bouncing_walks, run_two_branch_walks, BouncingWalkConfig, BouncingWalkResult,
     TwoBranchChunkCounts, TwoBranchWalkConfig, TwoBranchWalkPlan, TwoBranchWalkResult,

@@ -42,8 +42,7 @@
 
 use std::collections::BTreeMap;
 
-use ethpos_state::attestations::synthetic_branch_root;
-use ethpos_state::backend::StateBackend;
+use ethpos_state::backend::{synthetic_branch_root, StateBackend};
 use ethpos_state::DenseState;
 use ethpos_stats::seeded_rng;
 use ethpos_types::{BranchId, ChainConfig, Root, Slot};

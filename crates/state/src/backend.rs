@@ -25,6 +25,7 @@
 
 use serde::Serialize;
 
+use ethpos_crypto::hash_u64;
 use ethpos_types::{ChainConfig, Checkpoint, Epoch, Gwei, Root, Slot, ValidatorIndex};
 
 use crate::beacon_state::BeaconState;
@@ -197,6 +198,14 @@ impl Fragmentation {
             self.cohorts as f64 / self.classes as f64
         }
     }
+}
+
+/// The synthetic root labelling checkpoint `epoch` on branch
+/// `branch_id` — what an epoch-level engine passes to
+/// [`advance_epoch`](StateBackend::advance_epoch), since it builds no
+/// blocks.
+pub fn synthetic_branch_root(branch_id: u64, epoch: u64) -> Root {
+    hash_u64(&[0x6272_616e_6368, branch_id, epoch]) // "branch"
 }
 
 /// The epoch-transition surface shared by the dense and cohort state
@@ -639,6 +648,12 @@ mod tests {
                 .block_root_at_epoch_start(Epoch::new(2)),
             root
         );
+    }
+
+    #[test]
+    fn synthetic_branch_roots_differ_by_branch_and_epoch() {
+        assert_ne!(synthetic_branch_root(0, 5), synthetic_branch_root(1, 5));
+        assert_ne!(synthetic_branch_root(0, 5), synthetic_branch_root(0, 6));
     }
 
     #[test]

@@ -288,24 +288,14 @@ impl BeaconState {
 
     /// Marks `index` with `flags` for the current epoch (merging).
     ///
-    /// Simulation hook used by the cohort simulator; block processing sets
-    /// the same flags through attestation validation.
+    /// Simulation hook: the simulators mark participation directly
+    /// instead of processing attestations.
     pub fn merge_current_participation(
         &mut self,
         index: ValidatorIndex,
         flags: ParticipationFlags,
     ) {
         let f = &mut self.current_epoch_participation[index.as_usize()];
-        *f = f.union(flags);
-    }
-
-    /// Marks `index` with `flags` for the previous epoch (merging).
-    pub fn merge_previous_participation(
-        &mut self,
-        index: ValidatorIndex,
-        flags: ParticipationFlags,
-    ) {
-        let f = &mut self.previous_epoch_participation[index.as_usize()];
         *f = f.union(flags);
     }
 
@@ -332,7 +322,7 @@ impl BeaconState {
             }
             self.slot = self.slot.next();
             // Missed-slot semantics: carry the previous block root forward;
-            // process_block overwrites it if a block arrives at this slot.
+            // `set_block_root` installs a branch's checkpoint root.
             let last = self.latest_block_root();
             self.block_roots.push(last);
         }
@@ -380,12 +370,6 @@ impl BeaconState {
 
     pub(crate) fn slashings_sum(&self) -> Gwei {
         self.slashings.iter().copied().sum()
-    }
-
-    pub(crate) fn record_block_root(&mut self, root: Root) {
-        let idx = self.slot.as_u64() as usize;
-        debug_assert!(idx < self.block_roots.len());
-        self.block_roots[idx] = root;
     }
 }
 

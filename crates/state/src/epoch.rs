@@ -182,8 +182,8 @@ impl BeaconState {
     /// A validator whose effective balance has decayed to
     /// `EJECTION_BALANCE` (16 ETH — actual balance below 16.75 ETH) is
     /// exited at the next epoch. Exit-queue churn is intentionally not
-    /// modelled (see DESIGN.md §4): the paper treats ejection as
-    /// immediate.
+    /// modelled (see `ARCHITECTURE.md`, "Deliberate simplifications"):
+    /// the paper treats ejection as immediate.
     pub fn process_registry_updates(&mut self) {
         let current_epoch = self.current_epoch();
         let ejection_balance = self.config().ejection_balance;

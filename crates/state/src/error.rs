@@ -2,18 +2,11 @@
 
 use core::fmt;
 
-use ethpos_types::{Epoch, Slot};
+use ethpos_types::Slot;
 
-/// Errors returned by block/attestation/state processing.
+/// Errors returned by state processing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StateError {
-    /// A block was applied to a state at a different slot.
-    SlotMismatch {
-        /// Slot of the state.
-        state_slot: Slot,
-        /// Slot of the block.
-        block_slot: Slot,
-    },
     /// Tried to rewind the state (`process_slots` target below state slot).
     SlotRegression {
         /// Slot of the state.
@@ -21,53 +14,14 @@ pub enum StateError {
         /// Requested target slot.
         target: Slot,
     },
-    /// The block's parent root does not match the state's latest root.
-    ParentRootMismatch,
-    /// An attestation's target epoch is neither the current nor the
-    /// previous epoch of the state.
-    AttestationTargetOutOfRange {
-        /// The offending target epoch.
-        target: Epoch,
-        /// Current epoch of the state.
-        current: Epoch,
-    },
-    /// An attestation's source checkpoint does not match the state's
-    /// justified checkpoint for that epoch.
-    AttestationSourceMismatch,
-    /// An attestation references a validator index outside the registry.
-    UnknownValidator(u64),
-    /// An attestation's signature tag failed verification.
-    BadSignature,
-    /// Attester-slashing evidence whose attestations do not conflict.
-    InvalidSlashingEvidence,
-    /// A block was proposed by a validator that is not active or slashed.
-    BadProposer(u64),
 }
 
 impl fmt::Display for StateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StateError::SlotMismatch {
-                state_slot,
-                block_slot,
-            } => write!(f, "block at {block_slot} applied to state at {state_slot}"),
             StateError::SlotRegression { state_slot, target } => {
                 write!(f, "cannot advance state at {state_slot} back to {target}")
             }
-            StateError::ParentRootMismatch => write!(f, "block parent root mismatch"),
-            StateError::AttestationTargetOutOfRange { target, current } => write!(
-                f,
-                "attestation target {target} out of range for current {current}"
-            ),
-            StateError::AttestationSourceMismatch => {
-                write!(f, "attestation source does not match justified checkpoint")
-            }
-            StateError::UnknownValidator(i) => write!(f, "unknown validator index {i}"),
-            StateError::BadSignature => write!(f, "signature verification failed"),
-            StateError::InvalidSlashingEvidence => {
-                write!(f, "attester slashing evidence does not conflict")
-            }
-            StateError::BadProposer(i) => write!(f, "invalid proposer {i}"),
         }
     }
 }

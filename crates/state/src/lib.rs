@@ -7,23 +7,24 @@
 //! * the [`BeaconState`] container: validator registry, balances,
 //!   inactivity scores, participation flags, justification bits,
 //!   checkpoints;
-//! * per-slot advancement and block/attestation processing;
+//! * per-slot advancement with a per-slot root log, and participation
+//!   marking in place of attestation processing;
 //! * per-epoch processing, in spec order: justification & finalization
 //!   (Casper FFG's four finalization rules), inactivity-score updates
 //!   (paper Eq. 1), attestation rewards and penalties (suppressed during a
 //!   leak), **inactivity penalties** (paper Eq. 2, `I·s / 2²⁶`), registry
 //!   updates (ejection at 16 ETH effective balance), correlation slashing
 //!   penalties, and effective-balance hysteresis;
-//! * attester-slashing processing (Casper double/surround vote evidence);
+//! * slashing (`slash_validator`: the immediate penalty and exit);
 //! * the [`backend`] abstraction over the epoch-transition surface, with
 //!   the dense per-validator reference ([`DenseState`]) and the exact
 //!   cohort-compressed representation ([`CohortState`]) that makes
 //!   million-validator simulations O(#cohorts) per epoch.
 //!
-//! Deliberate simplifications (documented in `DESIGN.md` §4): deposits,
-//! voluntary exits, exit-queue churn, sync committees and execution
-//! payloads are omitted — none of them participates in the paper's
-//! analysis. Everything the inactivity leak touches is implemented with
+//! Deliberate simplifications (see `ARCHITECTURE.md`, "Deliberate
+//! simplifications"): blocks, attestations, deposits, voluntary exits,
+//! exit-queue churn, sync committees and execution payloads are
+//! omitted — none of them participates in the paper's analysis. Everything the inactivity leak touches is implemented with
 //! the spec's exact integer arithmetic.
 //!
 //! # Example
@@ -40,7 +41,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod attestations;
 pub mod backend;
 pub mod beacon_state;
 pub mod cohort_state;

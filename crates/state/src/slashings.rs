@@ -1,17 +1,15 @@
-//! Slashing: evidence processing, the initial penalty, and the epoch-wise
-//! correlation penalty.
+//! Slashing: the initial penalty and the epoch-wise correlation penalty.
 //!
 //! The paper's scenario 5.2.1 has Byzantine validators attest on both
 //! branches of a fork — a *double vote*. Once the partition heals and the
-//! evidence lands in a block, every indicted validator is slashed: ejected
+//! evidence is included, every indicted validator is slashed: ejected
 //! from the registry with an immediate penalty of `effective_balance/32`
 //! and a later correlation penalty scaled by how much stake was slashed in
 //! the surrounding window.
 
-use ethpos_types::{AttesterSlashing, Gwei, ValidatorIndex};
+use ethpos_types::{Gwei, ValidatorIndex};
 
 use crate::beacon_state::BeaconState;
-use crate::error::StateError;
 use crate::validator::FAR_FUTURE_EPOCH;
 
 impl BeaconState {
@@ -56,38 +54,6 @@ impl BeaconState {
         penalty
     }
 
-    /// Processes attester-slashing evidence (spec
-    /// `process_attester_slashing`): validates that the two attestations
-    /// conflict and slashes every still-slashable indicted validator.
-    ///
-    /// Returns the indices actually slashed.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::InvalidSlashingEvidence`] if the attestations do not
-    /// conflict under the Casper rules.
-    pub fn process_attester_slashing(
-        &mut self,
-        slashing: &AttesterSlashing,
-    ) -> Result<Vec<ValidatorIndex>, StateError> {
-        if !slashing.is_valid_evidence() {
-            return Err(StateError::InvalidSlashingEvidence);
-        }
-        let epoch = self.current_epoch();
-        let mut slashed = Vec::new();
-        for index in slashing.indicted_indices() {
-            let i = index.as_usize();
-            if i >= self.num_validators() {
-                return Err(StateError::UnknownValidator(index.as_u64()));
-            }
-            if self.validators()[i].is_slashable_at(epoch) {
-                self.slash_validator(index);
-                slashed.push(index);
-            }
-        }
-        Ok(slashed)
-    }
-
     /// Spec `process_slashings`: at the halfway point of a validator's
     /// withdrawability delay, applies the correlation penalty
     /// `eff × min(3·total_slashed, total_balance) / total_balance`
@@ -124,24 +90,10 @@ impl BeaconState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ethpos_types::attestation::{Attestation, AttestationData, Signature};
-    use ethpos_types::{ChainConfig, Checkpoint, Epoch, Root, Slot};
+    use ethpos_types::{ChainConfig, Epoch};
 
     fn state(n: usize) -> BeaconState {
         BeaconState::genesis(ChainConfig::minimal(), n)
-    }
-
-    fn att(indices: &[u64], head: u64, target_epoch: u64) -> Attestation {
-        Attestation::new(
-            indices.iter().map(|&i| i.into()).collect(),
-            AttestationData {
-                slot: Slot::new(target_epoch * 8),
-                beacon_block_root: Root::from_u64(head),
-                source: Checkpoint::new(Epoch::new(0), Root::from_u64(0)),
-                target: Checkpoint::new(Epoch::new(target_epoch), Root::from_u64(head)),
-            },
-            Signature(0),
-        )
     }
 
     #[test]
@@ -165,39 +117,6 @@ mod tests {
         let again = s.slash_validator(idx);
         assert_eq!(again, Gwei::ZERO);
         assert_eq!(s.balance(idx), Gwei::from_eth_u64(31));
-    }
-
-    #[test]
-    fn attester_slashing_slashes_intersection() {
-        let mut s = state(8);
-        let ev = AttesterSlashing::new(att(&[1, 2, 3], 10, 3), att(&[2, 3, 4], 11, 3));
-        let slashed = s.process_attester_slashing(&ev).unwrap();
-        assert_eq!(slashed, vec![2u64.into(), 3u64.into()]);
-        assert!(s.validators()[2].slashed);
-        assert!(s.validators()[3].slashed);
-        assert!(!s.validators()[1].slashed);
-        assert!(!s.validators()[4].slashed);
-    }
-
-    #[test]
-    fn invalid_evidence_is_rejected() {
-        let mut s = state(8);
-        let a = att(&[1, 2], 10, 3);
-        let ev = AttesterSlashing::new(a.clone(), a);
-        assert_eq!(
-            s.process_attester_slashing(&ev),
-            Err(StateError::InvalidSlashingEvidence)
-        );
-    }
-
-    #[test]
-    fn replayed_evidence_slashes_nobody_new() {
-        let mut s = state(8);
-        let ev = AttesterSlashing::new(att(&[1, 2], 10, 3), att(&[1, 2], 11, 3));
-        let first = s.process_attester_slashing(&ev).unwrap();
-        assert_eq!(first.len(), 2);
-        let second = s.process_attester_slashing(&ev).unwrap();
-        assert!(second.is_empty());
     }
 
     #[test]

@@ -10,8 +10,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::units::Gwei;
 
-/// Bundle of protocol constants used by the state transition, fork choice
-/// and the simulators.
+/// Bundle of protocol constants used by the state transition and the
+/// simulators.
 ///
 /// Use [`ChainConfig::mainnet`] for paper-faithful numbers, or
 /// [`ChainConfig::minimal`] for fast tests (shorter epochs).

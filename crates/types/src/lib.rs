@@ -2,9 +2,9 @@
 //!
 //! This crate provides the vocabulary shared by every other crate in the
 //! workspace: protocol time ([`Slot`], [`Epoch`]), stake denominations
-//! ([`Gwei`]), identifiers ([`ValidatorIndex`], [`Root`]), consensus
-//! messages ([`Attestation`], [`BeaconBlock`], [`Checkpoint`]) and the
-//! protocol constants bundle ([`ChainConfig`]).
+//! ([`Gwei`]), identifiers ([`ValidatorIndex`], [`Root`], [`BranchId`]),
+//! FFG [`Checkpoint`]s and the protocol constants bundle
+//! ([`ChainConfig`]).
 //!
 //! The types mirror the Ethereum consensus specification (Bellatrix era,
 //! the era analysed by the paper) closely enough that the state-transition
@@ -25,37 +25,28 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod attestation;
-pub mod block;
 pub mod branch;
 pub mod checkpoint;
 pub mod config;
 pub mod root;
-pub mod slashing;
 pub mod time;
 pub mod units;
 pub mod validator;
 
-pub use attestation::{Attestation, AttestationData};
-pub use block::{BeaconBlock, BeaconBlockBody, SignedBeaconBlock};
 pub use branch::BranchId;
 pub use checkpoint::Checkpoint;
 pub use config::ChainConfig;
 pub use root::Root;
-pub use slashing::AttesterSlashing;
 pub use time::{Epoch, Slot};
 pub use units::Gwei;
 pub use validator::ValidatorIndex;
 
 /// Convenient glob-import of the most frequently used types.
 pub mod prelude {
-    pub use crate::attestation::{Attestation, AttestationData};
-    pub use crate::block::{BeaconBlock, BeaconBlockBody, SignedBeaconBlock};
     pub use crate::branch::BranchId;
     pub use crate::checkpoint::Checkpoint;
     pub use crate::config::ChainConfig;
     pub use crate::root::Root;
-    pub use crate::slashing::AttesterSlashing;
     pub use crate::time::{Epoch, Slot};
     pub use crate::units::Gwei;
     pub use crate::validator::ValidatorIndex;

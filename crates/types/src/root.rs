@@ -19,8 +19,8 @@ impl Root {
 
     /// Builds a deterministic root from a `u64` label.
     ///
-    /// Handy for tests and synthetic fixtures; real block roots come from
-    /// `ethpos-crypto` hashing.
+    /// Handy for tests and synthetic fixtures; hashed roots come from
+    /// `ethpos_crypto`.
     pub fn from_u64(v: u64) -> Self {
         let mut bytes = [0u8; 32];
         bytes[..8].copy_from_slice(&v.to_le_bytes());

@@ -1,8 +1,7 @@
 //! Validator behaviours.
 //!
-//! * [`duties`] — who proposes which slot and who attests when (a seeded
-//!   lottery standing in for RANDAO);
-//! * [`honest`] — protocol-following proposer/attester message builders;
+//! * [`duties`] — who proposes which slot (a seeded lottery standing in
+//!   for RANDAO), which the §5.3 bouncing attack consults;
 //! * [`byzantine`] — the paper's adversarial strategies as *participation
 //!   schedules* over the live branches of a fork:
 //!   [`byzantine::DualActive`] (§5.2.1, slashable),
@@ -18,7 +17,6 @@
 
 pub mod byzantine;
 pub mod duties;
-pub mod honest;
 
 pub use byzantine::{
     Bouncing, BranchChoice, BranchStatus, ByzantineSchedule, DualActive, RoundRobin, SemiActive,

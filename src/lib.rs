@@ -6,14 +6,14 @@
 //!
 //! The workspace contains:
 //!
-//! * [`types`] — slots, epochs, Gwei, checkpoints, attestations, blocks;
-//! * [`crypto`] — simulated (model-faithful) signatures and hashing;
+//! * [`types`] — slots, epochs, Gwei, checkpoints, branch ids, configs;
+//! * [`crypto`] — the simulated 256-bit hash (SipHash lanes);
 //! * [`stats`] — erf, normal/log-normal laws, root finding, quadrature;
 //! * [`state`] — the beacon state transition with the inactivity leak;
-//! * [`forkchoice`] — proto-array LMD-GHOST;
-//! * [`network`] — partially synchronous simulated network with partitions;
-//! * [`validator`] — honest and Byzantine validator behaviours;
-//! * [`sim`] — slot-level and cohort epoch-level simulators;
+//! * [`validator`] — Byzantine participation schedules and the proposer
+//!   lottery;
+//! * [`sim`] — the epoch-level k-branch partition engine, single-branch
+//!   trajectories and the §5.3 Monte-Carlo walks;
 //! * [`core`] — the paper's analytical model and the five attack
 //!   scenarios, plus the experiment registry regenerating every table and
 //!   figure;
@@ -40,8 +40,6 @@
 
 pub use ethpos_core as core;
 pub use ethpos_crypto as crypto;
-pub use ethpos_forkchoice as forkchoice;
-pub use ethpos_network as network;
 pub use ethpos_obs as obs;
 pub use ethpos_search as search;
 pub use ethpos_server as server;

@@ -1,14 +1,13 @@
-//! Cross-validation of the three engines (slot-level, cohort, analytic)
-//! on overlapping scenarios.
+//! Cross-validation of the epoch-level engine against the paper's
+//! analytic model on overlapping scenarios.
 
 use ethpos::core::stake_model::StakeBehavior;
-use ethpos::network::NetworkConfig;
 use ethpos::sim::{
     run_single_branch_on, Behavior, ClassTrajectory, PartitionConfig, PartitionSim,
-    PartitionTimeline, SlotSim, SlotSimConfig,
+    PartitionTimeline,
 };
 use ethpos::state::DenseState;
-use ethpos::types::{ChainConfig, Slot};
+use ethpos::types::{BranchId, ChainConfig};
 use ethpos::validator::DualActive;
 
 /// One validator per behaviour (plus inactive filler keeping the branch
@@ -20,18 +19,10 @@ fn figure2_mix(epochs: u64) -> Vec<ClassTrajectory> {
     run_single_branch_on::<DenseState>(ChainConfig::paper(), &classes, epochs)
 }
 
-/// Slot-level and cohort engines agree on the supermajority-partition
-/// outcome: the 70% branch finalizes, the 30% branch does not (within a
-/// short horizon).
+/// A supermajority partition: the 70% branch finalizes, the 30% branch
+/// does not (within a short horizon).
 #[test]
-fn slot_and_cohort_agree_on_supermajority_partition() {
-    // slot level
-    let mut cfg = SlotSimConfig::healthy(10, 10 * 8);
-    cfg.network = NetworkConfig::partitioned(Slot::new(1_000_000));
-    cfg.honest_group = vec![0, 0, 0, 0, 0, 0, 0, 1, 1, 1];
-    let slot_report = SlotSim::new(cfg).run();
-
-    // cohort level (same proportions)
+fn supermajority_branch_finalizes_alone() {
     let cohort_cfg = PartitionConfig {
         stop_on_conflict: false,
         record_every: 1,
@@ -43,8 +34,6 @@ fn slot_and_cohort_agree_on_supermajority_partition() {
         .run();
     let last = cohort.history.last().expect("history recorded");
 
-    assert!(slot_report.finalized[0].epoch.as_u64() > 0);
-    assert_eq!(slot_report.finalized[1].epoch.as_u64(), 0);
     assert!(last.stats[0].finalized_epoch > 0);
     assert_eq!(last.stats[1].finalized_epoch, 0);
 }
@@ -67,9 +56,9 @@ fn cohort_tracks_continuous_stake_model() {
     }
 }
 
-/// Both finalization-time engines see the β₀ → ⅓ cliff: at β₀ = ⅓ the
-/// conflicting finalization is immediate (first possible epochs), far
-/// from the β₀ = 0.2 value.
+/// The β₀ → ⅓ cliff: at β₀ = ⅓ the conflicting finalization is
+/// immediate (first possible epochs), far from the β₀ = 0.2 value, and
+/// the safety monitor names the conflicting pair.
 #[test]
 fn finalization_cliff_near_one_third() {
     let cfg = PartitionConfig {
@@ -79,6 +68,13 @@ fn finalization_cliff_near_one_third() {
     let out = PartitionSim::new(cfg, Box::new(DualActive)).unwrap().run();
     let t = out.conflicting_finalization_epoch.expect("immediate");
     assert!(t < 10, "β0 = 1/3 must finalize almost immediately, got {t}");
+    let v = out.violation.expect("safety violation must be witnessed");
+    assert_eq!(
+        (v.branch_a, v.branch_b),
+        (BranchId::new(0), BranchId::new(1))
+    );
+    assert_ne!(v.checkpoint_a.root, v.checkpoint_b.root);
+    assert!(v.checkpoint_a.epoch.as_u64() > 0 && v.checkpoint_b.epoch.as_u64() > 0);
 }
 
 /// Ejection epochs measured by the cohort engine vs closed forms.

@@ -114,7 +114,7 @@ fn immediate_conflict_at_one_million_validators() {
 /// synthetic checkpoints trip the Property-4 violation.
 #[test]
 fn safety_monitor_observes_cohort_branches() {
-    use ethpos::state::attestations::synthetic_branch_root;
+    use ethpos::state::backend::synthetic_branch_root;
     use ethpos::state::backend::ClassSpec;
     use ethpos::state::ParticipationFlags;
 
