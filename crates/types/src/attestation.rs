@@ -19,8 +19,8 @@ use crate::validator::ValidatorIndex;
 
 /// Opaque signature tag.
 ///
-/// The workspace simulates signatures (`ethpos-crypto`); this type is the
-/// wire representation. Equality of tags models signature equality.
+/// Nothing in the workspace signs or verifies; this type is the wire
+/// representation. Equality of tags models signature equality.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]

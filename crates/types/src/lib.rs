@@ -3,7 +3,8 @@
 //! This crate provides the vocabulary shared by every other crate in the
 //! workspace: protocol time ([`Slot`], [`Epoch`]), stake denominations
 //! ([`Gwei`]), identifiers ([`ValidatorIndex`], [`Root`], [`BranchId`]),
-//! FFG [`Checkpoint`]s and the protocol constants bundle
+//! FFG [`Checkpoint`]s, the [`Attestation`] vote with its double- and
+//! surround-vote tests, and the protocol constants bundle
 //! ([`ChainConfig`]).
 //!
 //! The types mirror the Ethereum consensus specification (Bellatrix era,
@@ -25,6 +26,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod attestation;
 pub mod branch;
 pub mod checkpoint;
 pub mod config;
@@ -33,6 +35,7 @@ pub mod time;
 pub mod units;
 pub mod validator;
 
+pub use attestation::{Attestation, AttestationData};
 pub use branch::BranchId;
 pub use checkpoint::Checkpoint;
 pub use config::ChainConfig;

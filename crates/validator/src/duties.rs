@@ -1,4 +1,4 @@
-//! Duty scheduling: the proposer lottery.
+//! Duty scheduling: proposer lottery and attestation committees.
 //!
 //! The real protocol derives proposers from RANDAO; the simulation uses a
 //! seeded hash lottery with the same statistical property the paper's
@@ -64,6 +64,22 @@ impl ProposerLottery {
     }
 }
 
+/// The slot within `epoch` at which validator `index` attests: committees
+/// are spread round-robin over the epoch's slots (each validator attests
+/// exactly once per epoch, like the real protocol).
+pub fn attestation_slot(index: ValidatorIndex, epoch: Epoch, slots_per_epoch: u64) -> Slot {
+    epoch.start_slot(slots_per_epoch) + (index.as_u64() % slots_per_epoch)
+}
+
+/// The validators attesting at `slot` out of a registry of `n`.
+pub fn committee_at_slot(slot: Slot, n: usize, slots_per_epoch: u64) -> Vec<ValidatorIndex> {
+    let offset = slot.offset_in_epoch(slots_per_epoch);
+    (0..n as u64)
+        .filter(|i| i % slots_per_epoch == offset)
+        .map(ValidatorIndex::new)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,6 +134,21 @@ mod tests {
             (rate - expected).abs() < 0.02,
             "rate {rate} vs expected {expected}"
         );
+    }
+
+    #[test]
+    fn every_validator_attests_once_per_epoch() {
+        let n = 70usize;
+        let spe = 32;
+        let epoch = Epoch::new(3);
+        let mut seen = HashSet::new();
+        for slot in epoch.slots(spe) {
+            for v in committee_at_slot(slot, n, spe) {
+                assert!(seen.insert(v), "{v} attested twice");
+                assert_eq!(attestation_slot(v, epoch, spe), slot);
+            }
+        }
+        assert_eq!(seen.len(), n);
     }
 
     #[test]

@@ -1,49 +1,45 @@
-//! End-to-end: a healthy network finalizes steadily at slot level, and
-//! the run is deterministic.
+//! End-to-end: a healthy (unpartitioned) network finalizes steadily on the
+//! epoch-level engine, and the run is deterministic.
 
-use ethpos::sim::{SlotSim, SlotSimConfig};
-use ethpos::types::Epoch;
+use ethpos::sim::{PartitionConfig, PartitionOutcome, PartitionSim, PartitionTimeline};
+use ethpos::types::ChainConfig;
+use ethpos::validator::DualActive;
+
+/// `n` honest validators on one branch for `epochs` epochs, every epoch
+/// recorded.
+fn healthy(chain: ChainConfig, n: usize, epochs: u64) -> PartitionOutcome {
+    let cfg = PartitionConfig {
+        chain,
+        record_every: 1,
+        ..PartitionConfig::paper(n, 0, PartitionTimeline::new(), epochs)
+    };
+    PartitionSim::new(cfg, Box::new(DualActive)).unwrap().run()
+}
 
 #[test]
 fn healthy_chain_reaches_steady_finality() {
-    let report = SlotSim::new(SlotSimConfig::healthy(24, 16 * 8)).run();
-    assert!(report.safety_violation.is_none());
+    let out = healthy(ChainConfig::minimal(), 24, 16);
+    assert!(out.violation.is_none());
+    let last = out.history.last().expect("history recorded");
     // Steady state: finalization lags the clock by 2 epochs.
-    assert!(report.finalized[0].epoch >= Epoch::new(12));
+    assert!(last.stats[0].finalized_epoch >= 12);
     assert_eq!(
-        report.justified[0].epoch.as_u64(),
-        report.finalized[0].epoch.as_u64() + 1
+        last.stats[0].justified_epoch,
+        last.stats[0].finalized_epoch + 1
     );
 }
 
 #[test]
 fn runs_are_deterministic() {
-    let a = SlotSim::new(SlotSimConfig::healthy(16, 10 * 8)).run();
-    let b = SlotSim::new(SlotSimConfig::healthy(16, 10 * 8)).run();
-    assert_eq!(a.heads, b.heads);
-    assert_eq!(a.finalized, b.finalized);
-    assert_eq!(a.blocks_produced, b.blocks_produced);
-}
-
-#[test]
-fn different_seeds_change_proposers_not_safety() {
-    let mut cfg = SlotSimConfig::healthy(16, 10 * 8);
-    cfg.seed = 99;
-    let a = SlotSim::new(cfg).run();
-    let b = SlotSim::new(SlotSimConfig::healthy(16, 10 * 8)).run();
-    // different proposer schedules ⇒ different chains...
-    assert_ne!(a.heads, b.heads);
-    // ...but the protocol guarantees hold either way
-    assert!(a.safety_violation.is_none());
-    assert!(a.finalized[0].epoch >= Epoch::new(6));
+    let a = healthy(ChainConfig::minimal(), 16, 10);
+    let b = healthy(ChainConfig::minimal(), 16, 10);
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
 #[test]
 fn mainnet_sized_epochs_also_finalize() {
-    use ethpos::types::ChainConfig;
-    let mut cfg = SlotSimConfig::healthy(32, 6 * 32);
-    cfg.chain = ChainConfig::mainnet();
-    let report = SlotSim::new(cfg).run();
-    assert!(report.safety_violation.is_none());
-    assert!(report.finalized[0].epoch >= Epoch::new(2));
+    let out = healthy(ChainConfig::mainnet(), 32, 6);
+    assert!(out.violation.is_none());
+    let last = out.history.last().expect("history recorded");
+    assert!(last.stats[0].finalized_epoch >= 2);
 }

@@ -2,6 +2,7 @@
 //! the paper's headline Safety violation.
 
 use ethpos::sim::{PartitionConfig, PartitionOutcome, PartitionSim, PartitionTimeline};
+use ethpos::types::BranchId;
 use ethpos::validator::DualActive;
 
 /// The honest-only two-branch run at split `p0`, recording every
@@ -58,4 +59,27 @@ fn asymmetric_split_slower_branch_binds() {
     // Conflicting finalization still waits for the slow branch (ejection).
     let t = out.conflicting_finalization_epoch.expect("both finalize");
     assert!(t > 4500, "slow branch finalized too early: {t}");
+}
+
+/// Without Byzantine help an even split cannot finalize inside a short
+/// horizon. Availability holds, since both branches stay live and keep
+/// their honest half attesting, but Liveness is lost.
+#[test]
+fn availability_without_liveness_during_partition() {
+    let cfg = PartitionConfig {
+        record_every: 1,
+        ..PartitionConfig::paper(10, 0, PartitionTimeline::two_branch(0.5), 64)
+    };
+    let out = PartitionSim::new(cfg, Box::new(DualActive)).unwrap().run();
+    assert!(out.violation.is_none());
+    assert_eq!(out.history.len(), 64, "every epoch recorded");
+    for r in &out.history {
+        // Availability: both branches live, each with its honest half active.
+        assert_eq!(r.branches, [BranchId::new(0), BranchId::new(1)]);
+        for s in &r.stats {
+            assert_eq!(s.active_ratio, 0.5);
+            // Liveness lost: nothing justifies, so nothing finalizes.
+            assert_eq!((s.justified_epoch, s.finalized_epoch), (0, 0));
+        }
+    }
 }
