@@ -242,7 +242,10 @@ pub struct PartitionSpec {
     pub backend: BackendKind,
     /// RNG seed (consumed by churn timelines only).
     pub seed: u64,
-    /// Worker threads (`0` = one per hardware thread). Never changes the
+    /// Worker threads (`0` = one per hardware thread). Scenarios run
+    /// on them in parallel, and each scenario's simulator gets the
+    /// threads the batch leaves spare (`threads / scenarios`, at least
+    /// one) to advance its branches concurrently. Never changes the
     /// output bytes.
     pub threads: usize,
 }
@@ -309,10 +312,11 @@ impl PartitionSpec {
     pub fn run_with_stats(&self) -> (PartitionReport, PartitionStats) {
         let _span = ethpos_obs::span("partition", "partition batch");
         let pool = ChunkPool::new(self.threads);
+        let sim_threads = sim_threads(pool.threads(), self.scenarios.len());
         let results = pool.map(self.scenarios.len(), |i| {
             let scenario = &self.scenarios[i];
             let (outcome, fork, churn) =
-                run_scenario_with_stats(scenario, self.n, self.backend, self.seed);
+                run_scenario_with_stats(scenario, self.n, self.backend, self.seed, sim_threads);
             (PartitionRow::new(scenario, &outcome), fork, churn)
         });
         let mut stats = PartitionStats {
@@ -343,6 +347,13 @@ impl PartitionSpec {
     }
 }
 
+/// The threads each of `scenarios` simulators gets from a pool of
+/// `pool_threads`: the ones the scenario fan-out leaves spare, and at
+/// least one (an empty batch included).
+fn sim_threads(pool_threads: usize, scenarios: usize) -> usize {
+    (pool_threads / scenarios.max(1)).max(1)
+}
+
 /// Batch-level work counters of one partition run: every scenario's
 /// [`ForkStats`] and [`ChurnStats`], summed. Deliberately **not** part
 /// of [`PartitionReport`] — report JSON is byte-pinned by the golden
@@ -368,12 +379,14 @@ pub fn run_scenario(
     backend: BackendKind,
     seed: u64,
 ) -> PartitionOutcome {
-    run_scenario_with_stats(scenario, n, backend, seed).0
+    run_scenario_with_stats(scenario, n, backend, seed, 1).0
 }
 
-/// [`run_scenario`] plus the run's [`ForkStats`] and [`ChurnStats`].
-/// The outcome is identical — [`PartitionSim::run`] *is*
-/// step-to-exhaustion plus finish. Nothing is published to the global
+/// [`run_scenario`] plus the run's [`ForkStats`] and [`ChurnStats`],
+/// with the simulator advancing its branches on up to `threads` threads
+/// (see [`PartitionSim::set_threads`]). The outcome is identical —
+/// [`PartitionSim::run`] *is* step-to-exhaustion plus finish, and the
+/// thread count never changes it. Nothing is published to the global
 /// registry here; batch owners aggregate and publish once.
 ///
 /// # Panics
@@ -384,10 +397,13 @@ pub fn run_scenario_with_stats(
     n: usize,
     backend: BackendKind,
     seed: u64,
+    threads: usize,
 ) -> (PartitionOutcome, ForkStats, ChurnStats) {
     fn drive<B: ethpos_state::backend::StateBackend>(
         mut sim: PartitionSim<B>,
+        threads: usize,
     ) -> (PartitionOutcome, ForkStats, ChurnStats) {
+        sim.set_threads(threads);
         while sim.step() {}
         let fork = sim.fork_stats();
         let churn = sim.churn_stats();
@@ -408,10 +424,10 @@ pub fn run_scenario_with_stats(
     };
     let schedule = scenario.strategy.build();
     let result = match backend {
-        BackendKind::Dense => PartitionSim::<DenseState>::with_backend(config, schedule).map(drive),
-        BackendKind::Cohort => {
-            PartitionSim::<CohortState>::with_backend(config, schedule).map(drive)
-        }
+        BackendKind::Dense => PartitionSim::<DenseState>::with_backend(config, schedule)
+            .map(|sim| drive(sim, threads)),
+        BackendKind::Cohort => PartitionSim::<CohortState>::with_backend(config, schedule)
+            .map(|sim| drive(sim, threads)),
     };
     result.unwrap_or_else(|err| panic!("scenario `{}`: {err}", scenario.name))
 }
@@ -576,6 +592,47 @@ mod tests {
         let one = mk(1).run().to_json();
         let four = mk(4).run().to_json();
         assert_eq!(one, four);
+    }
+
+    /// A one-scenario churn batch hands its simulator the whole pool,
+    /// which advances the branches concurrently once they fragment: the
+    /// report and the counters stay the same at every thread count.
+    #[test]
+    fn one_churn_scenario_is_thread_invariant() {
+        let scenario =
+            resolve_scenario("churn@0:0=0.5,0.5", StrategyKind::DualActive, 0.2, 48).unwrap();
+        let mk = |threads| PartitionSpec {
+            scenarios: vec![scenario.clone()],
+            n: 4000,
+            threads,
+            ..PartitionSpec::smoke()
+        };
+        let (report, stats) = mk(1).run_with_stats();
+        assert!(stats.churn.draws > 0);
+        for threads in [2, 0] {
+            let (other, other_stats) = mk(threads).run_with_stats();
+            assert_eq!(other.to_json(), report.to_json(), "threads {threads}");
+            assert_eq!(other_stats, stats, "threads {threads}");
+        }
+    }
+
+    /// Each simulator gets the threads the scenario fan-out leaves
+    /// spare, and at least one.
+    #[test]
+    fn simulators_get_the_spare_threads() {
+        assert_eq!(sim_threads(2, 2), 1);
+        assert_eq!(sim_threads(3, 1), 3);
+        assert_eq!(sim_threads(8, 3), 2);
+        assert_eq!(sim_threads(2, 5), 1);
+        assert_eq!(sim_threads(2, 0), 2);
+        let empty = PartitionSpec {
+            scenarios: Vec::new(),
+            threads: 2,
+            ..PartitionSpec::smoke()
+        };
+        let (report, stats) = empty.run_with_stats();
+        assert!(report.rows.is_empty());
+        assert_eq!(stats.scenarios, 0);
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //! The caller owns every buffer and the checkpoint root of each advance
 //! (the partition engine hashes branch-distinct roots, the memo labels
 //! epochs).
+//!
+//! [`observe`] takes the caller's draws, so an engine calls it for its
+//! branches one at a time, in a fixed order. [`advance`] draws nothing
+//! and touches only its own branch, which lets `PartitionSim::step` run
+//! an epoch's advances concurrently; [`BranchFold::push`] then runs in
+//! branch-id order once they have all returned.
 
 use serde::Serialize;
 

@@ -50,6 +50,7 @@ use ethpos_validator::{BranchStatus, ByzantineSchedule};
 
 use crate::kernel::{self, BranchEpochStats, BranchFold, BYZANTINE_CLASS};
 use crate::monitor::SafetyMonitor;
+use crate::pool::ChunkPool;
 
 mod compile;
 mod outcome;
@@ -105,6 +106,19 @@ impl PartitionConfig {
     }
 }
 
+/// Live cohorts, summed over the live branches, from which
+/// [`PartitionSim::step`] advances its branches on separate threads
+/// (when it has more than one). A dense branch counts one cohort per
+/// registry member.
+///
+/// Measured on a 2-vCPU x86-64 container: a two-item
+/// [`ChunkPool::map_mut`] (one scoped spawn and join) costs ≈ 45 µs, and
+/// a fragmented churn epoch ≈ 130 ns per cohort, two thirds of it in the
+/// advances. Two equal branches therefore break even near 1 000
+/// cohorts; 2048 keeps a 2× margin, and compact epochs (the presets and
+/// the paper's two-branch runs, a handful of cohorts) never pay a spawn.
+const PARALLEL_ADVANCE_COHORTS: u64 = 2048;
+
 #[derive(Debug, Clone, Default)]
 struct BranchMeta {
     created_at_epoch: u64,
@@ -157,11 +171,13 @@ pub struct PartitionSim<B: StateBackend = DenseState> {
     fork_stats: ForkStats,
     churn_stats: ChurnStats,
     scratch: StepScratch,
+    pool: ChunkPool,
 }
 
 /// The working buffers of one [`PartitionSim::step`], an entry per live
 /// branch each, cleared and refilled every epoch so that a step
-/// allocates only on the epochs it records into the history.
+/// allocates only on the epochs it records into the history (and, for
+/// two small vectors, on those whose branches advance concurrently).
 #[derive(Debug, Clone, Default)]
 struct StepScratch {
     /// The adversary's view of each branch, read after honest marking.
@@ -239,7 +255,18 @@ impl<B: StateBackend> PartitionSim<B> {
             fork_stats: ForkStats::default(),
             churn_stats: ChurnStats::default(),
             scratch: StepScratch::default(),
+            pool: ChunkPool::new(1),
         })
+    }
+
+    /// Lets [`PartitionSim::step`] advance the live branches of an epoch
+    /// on up to `threads` threads (`0` = one per hardware thread; the
+    /// default is 1). Only epochs whose live branches hold at least a
+    /// few thousand cohorts between them do so. Never changes a result:
+    /// each advance depends only on its own branch, and every random
+    /// draw stays on the calling thread in a fixed order.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.pool = ChunkPool::new(threads);
     }
 
     /// Fork counters accumulated so far (see [`ForkStats`]).
@@ -400,6 +427,7 @@ impl<B: StateBackend> PartitionSim<B> {
         //    `--threads`.
         let plan = &self.plan;
         let branches = &mut self.branches;
+        debug_assert!(plan.pinned.iter().map(|(b, _)| b).eq(branches.keys()));
         let rng = &mut self.rng;
         let churn_stats = &mut self.churn_stats;
         let StepScratch {
@@ -427,19 +455,54 @@ impl<B: StateBackend> PartitionSim<B> {
         // 2. Adversary decision over every live branch.
         let choice = self.schedule.participate(statuses);
 
-        // 3. Per live branch: advance one epoch under its own synthetic
-        //    checkpoint root, fold the branch outcome, and feed the safety
-        //    monitor the new block and the branch's finalized checkpoint
-        //    (checked against every branch pair — healed branches
-        //    included).
+        // 3a. Per live branch: `kernel::advance` — the Byzantine mark
+        //     and the epoch transition under the branch's own synthetic
+        //     checkpoint root. An advance reads only its own branch and
+        //     what steps 1 and 2 left at its position, and draws nothing,
+        //     so once the live branches are fragmented enough to pay for a
+        //     thread (`heavy`) the advances run concurrently, each in its
+        //     own trace span, and come back in branch-id order. The cohort
+        //     count is read only when it can matter.
+        let n = self.config.n as u64;
+        let heavy = (self.pool.threads() > 1 || ethpos_obs::trace_enabled())
+            && branches.len() > 1
+            && branches
+                .values()
+                .map(|state| state.fragmentation().map_or(n, |f| f.cohorts))
+                .sum::<u64>()
+                >= PARALLEL_ADVANCE_COHORTS;
+        let advance = |position: usize, state: &mut B| {
+            let status = &statuses[position];
+            let _span = heavy.then(|| {
+                ethpos_obs::span_with("sim", || format!("advance branch {}", status.branch))
+            });
+            let root = synthetic_branch_root(status.branch.as_u64(), epoch + 1);
+            let byzantine = choice.get(position);
+            let stats = kernel::advance(state, status, ejected[position], byzantine, root);
+            (stats, root)
+        };
+        let advanced = if heavy && self.pool.threads() > 1 {
+            let mut lanes: Vec<&mut B> = branches.values_mut().collect();
+            self.pool
+                .map_mut(&mut lanes, |position, state| advance(position, state))
+        } else {
+            Vec::new()
+        };
+
+        // 3b. Per live branch, in id order once every advance is done (a
+        //     serial advance runs here, right before its own fold): fold
+        //     the branch outcome, and feed the safety monitor the new
+        //     block and the branch's finalized checkpoint (checked against
+        //     every branch pair — healed branches included).
         for (position, (b, _)) in plan.pinned.iter().enumerate() {
-            let byz_on = choice.get(position);
-            byzantine_active.push(byz_on);
             let state = branches.get_mut(b).expect("live branch");
-            let root = synthetic_branch_root(b.as_u64(), epoch + 1);
-            let stat = kernel::advance(state, &statuses[position], ejected[position], byz_on, root);
+            let (stat, root) = match advanced.get(position) {
+                Some(&done) => done,
+                None => advance(position, state),
+            };
             self.meta[b.as_usize()].fold.push(epoch, &stat, state);
             stats.push(stat);
+            byzantine_active.push(choice.get(position));
             let parent = self.tips.insert(*b, root).expect("live branch has a tip");
             let slot = Slot::new((epoch + 1) * self.config.chain.slots_per_epoch);
             self.monitor.observe_block(root, parent, slot);
@@ -540,6 +603,7 @@ impl<B: StateBackend> PartitionSim<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ethpos_state::backend::StateSnapshot;
     use ethpos_state::CohortState;
     use ethpos_types::Gwei;
     use ethpos_validator::{BranchChoice, DualActive, RoundRobin, ThresholdSeeker};
@@ -870,6 +934,94 @@ mod tests {
                 .map(render)
                 .collect::<Vec<_>>()
         );
+    }
+
+    /// Everything a run leaves behind: the outcome (as its JSON), both
+    /// counters and every live branch's closing snapshot.
+    type RunResult = (String, ForkStats, ChurnStats, Vec<StateSnapshot>);
+
+    /// Runs `config` under [`EveryThirdOff`] with the branch advances on
+    /// `threads` threads, checking each epoch's block roots. Also returns
+    /// how many epochs surely advanced concurrently (given threads): two
+    /// or more live branches holding [`PARALLEL_ADVANCE_COHORTS`] between
+    /// them before the epoch's marking, which only ever splits cohorts.
+    fn run_on_threads<B: StateBackend>(
+        config: &PartitionConfig,
+        threads: usize,
+    ) -> (RunResult, u64) {
+        let mut sim =
+            PartitionSim::<B>::with_backend(config.clone(), Box::new(EveryThirdOff)).unwrap();
+        sim.set_threads(threads);
+        let mut concurrent = 0;
+        loop {
+            let live = sim.live_branches();
+            let cohorts: u64 = live
+                .iter()
+                .map(|&id| {
+                    let frag = sim.branch(id).fragmentation();
+                    frag.map_or(config.n as u64, |f| f.cohorts)
+                })
+                .sum();
+            concurrent += u64::from(live.len() > 1 && cohorts >= PARALLEL_ADVANCE_COHORTS);
+            let more = sim.step();
+            // Every new block carries its own branch's root, also where
+            // ids and positions part.
+            for (id, tip) in &sim.tips {
+                let root = synthetic_branch_root(id.as_u64(), sim.current_epoch());
+                assert_eq!(*tip, root, "branch {id}");
+            }
+            if !more {
+                break;
+            }
+        }
+        let snapshots = sim
+            .live_branches()
+            .into_iter()
+            .map(|id| sim.branch(id).snapshot())
+            .collect();
+        let (fork, churn) = (sim.fork_stats(), sim.churn_stats());
+        let outcome = serde_json::to_string(&sim.finish()).unwrap();
+        ((outcome, fork, churn, snapshots), concurrent)
+    }
+
+    /// Advancing the live branches concurrently changes nothing: churned
+    /// timelines past the engage threshold — an even and a three-way
+    /// churn, and a split whose branch then churns while another heals
+    /// away (so branch ids and positions part) — give the same outcome,
+    /// counters and closing states at every thread count, on both
+    /// backends.
+    #[test]
+    fn branch_parallel_advance_is_bit_identical() {
+        fn check<B: StateBackend>(n: usize, epochs: u64) {
+            let timelines = [
+                PartitionTimeline::new().churn(0, b(0), &[0.5, 0.5]),
+                PartitionTimeline::new().churn(0, b(0), &[0.2, 0.3, 0.5]),
+                PartitionTimeline::new()
+                    .split(0, b(0), &[0.2, 0.2, 0.6])
+                    .churn(2, b(2), &[0.5, 0.5])
+                    .heal(epochs / 2, b(0), &[b(1)]),
+            ];
+            for timeline in timelines {
+                let spec = timeline.render();
+                let config = PartitionConfig {
+                    stop_on_conflict: false,
+                    seed: 7,
+                    ..PartitionConfig::paper(n, n / 5, timeline, epochs)
+                };
+                let (reference, concurrent) = run_on_threads::<B>(&config, 1);
+                assert!(reference.2.draws > 0, "`{spec}` draws nothing");
+                assert!(
+                    concurrent >= epochs / 2,
+                    "`{spec}`: only {concurrent} of {epochs} epochs past the threshold"
+                );
+                for threads in [2, 3, 8] {
+                    let (run, _) = run_on_threads::<B>(&config, threads);
+                    assert!(run == reference, "`{spec}` at {threads} threads");
+                }
+            }
+        }
+        check::<CohortState>(4000, 48);
+        check::<DenseState>(1200, 48);
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! chunky (thousands of walker-epochs each), so a single shared counter
 //! has no measurable contention and keeps the scheduling trivially
 //! auditable.
+//!
+//! [`ChunkPool::map_mut`] is the in-place variant for a handful of
+//! heavy items (one epoch's branch states): contiguous shares, the
+//! first on the calling thread, results again in item order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -191,6 +195,61 @@ impl ChunkPool {
         }
         results
     }
+
+    /// Runs `task(i, &mut items[i])` for every item, in place, and
+    /// returns the results in item order.
+    ///
+    /// The items are cut into up to `threads` contiguous shares: the
+    /// calling thread runs the first share inline while scoped threads
+    /// run the others, so two items on two threads cost one spawn. As
+    /// with [`ChunkPool::map`], the results and every item's final value
+    /// are a pure function of `task` — never of the thread count.
+    ///
+    /// Unlike [`ChunkPool::map`] this feeds none of the pool's metrics:
+    /// it serves fine-grained work inside a task whose time those
+    /// metrics already count (one epoch's branch advances inside a
+    /// partition scenario).
+    pub fn map_mut<I, T, F>(&self, items: &mut [I], task: F) -> Vec<T>
+    where
+        I: Send,
+        T: Send,
+        F: Fn(usize, &mut I) -> T + Sync,
+    {
+        let workers = self.threads.min(items.len());
+        if workers <= 1 {
+            return items
+                .iter_mut()
+                .enumerate()
+                .map(|(i, item)| task(i, item))
+                .collect();
+        }
+        let share = items.len().div_ceil(workers);
+        let task = &task;
+        let run = move |offset: usize, chunk: &mut [I]| -> Vec<T> {
+            chunk
+                .iter_mut()
+                .enumerate()
+                .map(|(i, item)| task(offset + i, item))
+                .collect()
+        };
+        std::thread::scope(|scope| {
+            let mut chunks = items.chunks_mut(share);
+            let first = chunks.next().expect("two or more items");
+            let others: Vec<_> = chunks
+                .enumerate()
+                .map(|(k, chunk)| scope.spawn(move || run((k + 1) * share, chunk)))
+                .collect();
+            let mut results = run(0, first);
+            for other in others {
+                results.extend(
+                    other
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
+            }
+            results
+        })
+    }
 }
 
 #[cfg(test)]
@@ -244,5 +303,45 @@ mod tests {
     fn more_threads_than_tasks_is_fine() {
         let out = ChunkPool::new(16).map(3, |i| i as u64 + 1);
         assert_eq!(out, vec![1, 2, 3]);
+    }
+
+    /// Every item is visited once with its own index, mutated in place,
+    /// and its result lands at its index — for any item and thread count,
+    /// including shares that do not divide the items evenly.
+    #[test]
+    fn map_mut_visits_each_item_once_in_item_order() {
+        for len in [0, 1, 2, 3, 5, 8, 13] {
+            let expected: Vec<(usize, u64)> = (0..len).map(|i| (i, 10 * i as u64 + 1)).collect();
+            for threads in [1, 2, 3, 4, 8, 16] {
+                let mut items: Vec<u64> = (0..len as u64).map(|i| 10 * i).collect();
+                let out = ChunkPool::new(threads).map_mut(&mut items, |i, item| {
+                    if i % 3 == 0 {
+                        std::thread::yield_now();
+                    }
+                    *item += 1;
+                    (i, *item)
+                });
+                assert_eq!(out, expected, "len {len}, threads {threads}");
+                let values: Vec<u64> = expected.iter().map(|&(_, v)| v).collect();
+                assert_eq!(items, values, "len {len}, threads {threads}");
+            }
+        }
+    }
+
+    /// The first share runs on the calling thread; the others do not.
+    #[test]
+    fn map_mut_runs_the_first_share_inline() {
+        let caller = std::thread::current().id();
+        let mut items = [0u8; 4];
+        let on_caller =
+            ChunkPool::new(2).map_mut(&mut items, |_, _| std::thread::current().id() == caller);
+        assert_eq!(on_caller, [true, true, false, false]);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 3")]
+    fn map_mut_propagates_a_worker_panic() {
+        let mut items = [0u8; 4];
+        ChunkPool::new(2).map_mut(&mut items, |i, _| assert_ne!(i, 3, "item {i}"));
     }
 }

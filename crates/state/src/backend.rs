@@ -222,7 +222,9 @@ pub fn synthetic_branch_root(branch_id: u64, epoch: u64) -> Root {
 ///
 /// Backends are `Clone` so a partition `Split` can fork a branch: the
 /// child branch starts from a bit-identical copy of the parent's state.
-pub trait StateBackend: Sized + Clone {
+/// They are `Send` so the partition engine can advance its branches on
+/// separate threads within one epoch.
+pub trait StateBackend: Sized + Clone + Send {
     /// Builds a genesis state from per-class sizes and balances. Class `c`
     /// of the backend corresponds to `classes[c]`.
     fn from_classes(config: ChainConfig, classes: &[ClassSpec]) -> Self;
@@ -343,9 +345,12 @@ pub trait StateBackend: Sized + Clone {
     }
 
     /// The backend's cohort-compression shape, or `None` for backends
-    /// without a cohort representation (the dense path). Purely
-    /// observational — feeds the `ethpos_cohorts*` gauges and the
-    /// fragmentation trace series; never consulted by the transition.
+    /// without a cohort representation (the dense path). Feeds the
+    /// `ethpos_cohorts*` gauges and the fragmentation trace series, and
+    /// the partition engine reads the cohort count to decide whether an
+    /// epoch's branch advances are worth a thread each. That is
+    /// scheduling only: the transition never reads it, so no output
+    /// depends on it.
     fn fragmentation(&self) -> Option<Fragmentation> {
         None
     }
