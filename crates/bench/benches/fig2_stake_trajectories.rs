@@ -6,11 +6,15 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ethpos_bench::print_experiment;
 use ethpos_core::experiments::{simulated, Experiment};
+use ethpos_state::BackendKind;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     print_experiment(Experiment::Fig2StakeTrajectories);
-    eprintln!("{}", simulated::fig2_discrete(8000).render_text());
+    eprintln!(
+        "{}",
+        simulated::fig2_discrete_at(8000, 10, BackendKind::Dense).render_text()
+    );
 
     c.bench_function("fig2/analytic_curves", |b| {
         b.iter(|| {
@@ -22,7 +26,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig2/discrete");
     g.sample_size(10);
     g.bench_function("simulate_8000_epochs", |b| {
-        b.iter(|| black_box(simulated::fig2_discrete(8000)))
+        b.iter(|| black_box(simulated::fig2_discrete_at(8000, 10, BackendKind::Dense)))
     });
     g.finish();
 }

@@ -718,13 +718,6 @@ pub mod simulated {
         ]
     }
 
-    /// Figure 2 via the discrete spec-arithmetic simulator: stake
-    /// trajectories + measured ejection epochs (10-validator reference
-    /// mix on the dense backend).
-    pub fn fig2_discrete(epochs: u64) -> ExperimentOutput {
-        fig2_discrete_at(epochs, 10, BackendKind::Dense)
-    }
-
     /// Figure 2 via the discrete simulator at registry size `n` on the
     /// chosen backend. On [`BackendKind::Cohort`] the million-validator
     /// population is interactive; the dense path is the O(n·epochs)

@@ -55,12 +55,6 @@ pub fn continuation_log_prob(beta0: f64, j: u32, k: u64) -> f64 {
     k as f64 * per_epoch.ln()
 }
 
-/// The continuation probability itself (may underflow to 0 for large `k`;
-/// use [`continuation_log_prob`] for the exponent).
-pub fn continuation_prob(beta0: f64, j: u32, k: u64) -> f64 {
-    continuation_log_prob(beta0, j, k).exp()
-}
-
 /// Parameters of the §5.3 score/stake laws.
 ///
 /// # Example

@@ -117,14 +117,12 @@ pub fn slashing_aftermath(n: usize, byzantine: usize) -> SlashingAftermath {
     use ethpos_state::participation::TIMELY_TARGET_FLAG_INDEX;
     let mut flags = ethpos_state::ParticipationFlags::EMPTY;
     flags.set(TIMELY_TARGET_FLAG_INDEX);
-    let spe = state.config().slots_per_epoch;
     let target = Epoch::new(vector / 2 + 1);
     while state.current_epoch() < target {
         for i in byzantine..n {
             state.merge_current_participation(ValidatorIndex::from(i), flags);
         }
-        let next = (state.current_epoch() + 1).start_slot(spe);
-        state.process_slots(next).expect("advance epoch");
+        state.advance_epoch(None);
     }
 
     let after: u64 = (0..byzantine)

@@ -58,11 +58,6 @@ impl Hasher {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a root to the input.
-    pub fn update_root(&mut self, r: &Root) {
-        self.buf.extend_from_slice(r.as_bytes());
-    }
-
     /// Produces the 256-bit digest.
     pub fn finalize(&self) -> Root {
         let mut out = [0u8; 32];
@@ -84,14 +79,6 @@ impl Default for Hasher {
 pub fn hash(bytes: &[u8]) -> Root {
     let mut h = Hasher::new();
     h.update(bytes);
-    h.finalize()
-}
-
-/// Hashes the concatenation of two roots (Merkle-style combine).
-pub fn hash_concat(a: &Root, b: &Root) -> Root {
-    let mut h = Hasher::new();
-    h.update_root(a);
-    h.update_root(b);
     h.finalize()
 }
 
@@ -218,13 +205,6 @@ mod tests {
     #[test]
     fn empty_input_hashes() {
         assert!(!hash(b"").is_zero());
-    }
-
-    #[test]
-    fn hash_concat_is_order_sensitive() {
-        let a = hash(b"a");
-        let b = hash(b"b");
-        assert_ne!(hash_concat(&a, &b), hash_concat(&b, &a));
     }
 
     #[test]

@@ -16,4 +16,4 @@
 
 pub mod hashing;
 
-pub use hashing::{hash, hash_concat, hash_u64, Hasher};
+pub use hashing::{hash, hash_u64, Hasher};

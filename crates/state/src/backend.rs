@@ -371,12 +371,6 @@ impl DenseState {
         &self.state
     }
 
-    /// Mutable access to the wrapped [`BeaconState`] (escape hatch for
-    /// drivers needing the full per-validator surface).
-    pub fn beacon_state_mut(&mut self) -> &mut BeaconState {
-        &mut self.state
-    }
-
     /// The index range owned by `class`.
     pub fn class_range(&self, class: usize) -> core::ops::Range<usize> {
         self.bounds[class]..self.bounds[class + 1]
@@ -510,14 +504,7 @@ impl StateBackend for DenseState {
     }
 
     fn advance_epoch(&mut self, next_checkpoint_root: Option<Root>) {
-        let spe = self.state.config().slots_per_epoch;
-        let next_start = (self.state.current_epoch() + 1).start_slot(spe);
-        self.state
-            .process_slots(next_start)
-            .expect("monotone epoch advancement");
-        if let Some(root) = next_checkpoint_root {
-            self.state.set_block_root(next_start, root);
-        }
+        self.state.advance_epoch(next_checkpoint_root);
     }
 
     fn class_balance(&self, class: usize) -> Gwei {
@@ -639,20 +626,10 @@ mod tests {
         let root = Root::from_u64(77);
         dense.advance_epoch(Some(root));
         assert_eq!(dense.current_epoch(), Epoch::new(1));
-        assert_eq!(
-            dense
-                .beacon_state()
-                .block_root_at_epoch_start(Epoch::new(1)),
-            root
-        );
+        assert_eq!(dense.beacon_state().epoch_roots()[1], root);
         // None carries the previous root forward (missed-slot semantics).
         dense.advance_epoch(None);
-        assert_eq!(
-            dense
-                .beacon_state()
-                .block_root_at_epoch_start(Epoch::new(2)),
-            root
-        );
+        assert_eq!(dense.beacon_state().epoch_roots(), [root; 2]);
     }
 
     #[test]

@@ -5,7 +5,6 @@ use serde::{Deserialize, Serialize};
 use ethpos_crypto::hash_u64;
 use ethpos_types::{ChainConfig, Checkpoint, Epoch, Gwei, Root, Slot, ValidatorIndex};
 
-use crate::error::StateError;
 use crate::participation::ParticipationFlags;
 use crate::validator::Validator;
 
@@ -18,6 +17,8 @@ use crate::validator::Validator;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BeaconState {
     config: ChainConfig,
+    /// First slot of the current epoch: the state moves one whole epoch
+    /// at a time ([`BeaconState::advance_epoch`]).
     slot: Slot,
     /// The validator registry.
     validators: Vec<Validator>,
@@ -34,9 +35,9 @@ pub struct BeaconState {
     finalized_checkpoint: Checkpoint,
     /// Ring buffer of slashed effective balance per epoch.
     slashings: Vec<Gwei>,
-    /// Latest block root at each slot (index = slot); missed slots repeat
-    /// the previous root, like spec `get_block_root_at_slot`.
-    block_roots: Vec<Root>,
+    /// Checkpoint roots at the start of the previous and the current
+    /// epoch — all of the root history justification reads.
+    epoch_roots: [Root; 2],
     genesis_root: Root,
 }
 
@@ -80,7 +81,7 @@ impl BeaconState {
             current_justified_checkpoint: genesis_checkpoint,
             finalized_checkpoint: genesis_checkpoint,
             slashings,
-            block_roots: vec![genesis_root],
+            epoch_roots: [genesis_root; 2],
             genesis_root,
         }
     }
@@ -92,7 +93,7 @@ impl BeaconState {
         &self.config
     }
 
-    /// Current slot.
+    /// Current slot (always an epoch start).
     pub fn slot(&self) -> Slot {
         self.slot
     }
@@ -179,16 +180,6 @@ impl BeaconState {
 
     // ── registry & balance queries ───────────────────────────────────────
 
-    /// Indices of validators active at `epoch`.
-    pub fn active_validator_indices(&self, epoch: Epoch) -> Vec<ValidatorIndex> {
-        self.validators
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_active_at(epoch))
-            .map(|(i, _)| ValidatorIndex::from(i))
-            .collect()
-    }
-
     /// Sum of effective balances of validators active in the current
     /// epoch, floored at one effective-balance increment (spec
     /// `get_total_active_balance`).
@@ -248,40 +239,13 @@ impl BeaconState {
         self.previous_epoch() - self.finalized_checkpoint.epoch
     }
 
-    // ── block roots ──────────────────────────────────────────────────────
+    // ── checkpoint roots ─────────────────────────────────────────────────
 
-    /// Latest block root at `slot` (spec `get_block_root_at_slot`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is in the future of this state.
-    pub fn block_root_at_slot(&self, slot: Slot) -> Root {
-        self.block_roots[slot.as_u64() as usize]
-    }
-
-    /// Checkpoint block root for `epoch` (spec `get_block_root`).
-    pub fn block_root_at_epoch_start(&self, epoch: Epoch) -> Root {
-        let slot = epoch.start_slot(self.config.slots_per_epoch);
-        let idx = (slot.as_u64() as usize).min(self.block_roots.len() - 1);
-        self.block_roots[idx]
-    }
-
-    /// The most recent block root known to the state.
-    pub fn latest_block_root(&self) -> Root {
-        *self.block_roots.last().expect("never empty")
-    }
-
-    /// Overrides the block root recorded for `slot`.
-    ///
-    /// Simulation hook: the cohort simulator uses this to install
-    /// synthetic per-branch checkpoint roots without building full blocks.
-    pub fn set_block_root(&mut self, slot: Slot, root: Root) {
-        let idx = slot.as_u64() as usize;
-        assert!(
-            idx < self.block_roots.len(),
-            "cannot set a future block root"
-        );
-        self.block_roots[idx] = root;
+    /// Checkpoint roots of the previous and the current epoch, in that
+    /// order (spec `get_block_root` for the two epochs justification
+    /// reads). Both are the genesis root at genesis.
+    pub fn epoch_roots(&self) -> [Root; 2] {
+        self.epoch_roots
     }
 
     // ── participation hooks ──────────────────────────────────────────────
@@ -299,34 +263,17 @@ impl BeaconState {
         *f = f.union(flags);
     }
 
-    // ── slot advancement ─────────────────────────────────────────────────
+    // ── epoch advancement ────────────────────────────────────────────────
 
-    /// Advances the state to `target`, running epoch processing at every
-    /// epoch boundary crossed (spec `process_slots`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateError::SlotRegression`] if `target < self.slot`.
-    pub fn process_slots(&mut self, target: Slot) -> Result<(), StateError> {
-        if target < self.slot {
-            return Err(StateError::SlotRegression {
-                state_slot: self.slot,
-                target,
-            });
-        }
-        while self.slot < target {
-            // End of an epoch: run epoch processing before entering the
-            // first slot of the next epoch.
-            if (self.slot.as_u64() + 1).is_multiple_of(self.config.slots_per_epoch) {
-                self.process_epoch();
-            }
-            self.slot = self.slot.next();
-            // Missed-slot semantics: carry the previous block root forward;
-            // `set_block_root` installs a branch's checkpoint root.
-            let last = self.latest_block_root();
-            self.block_roots.push(last);
-        }
-        Ok(())
+    /// Runs epoch processing and moves to the first slot of the next
+    /// epoch, recording `next_checkpoint_root` as that epoch's checkpoint
+    /// root. `None` carries the current root forward, as an epoch of
+    /// missed slots would.
+    pub fn advance_epoch(&mut self, next_checkpoint_root: Option<Root>) {
+        self.process_epoch();
+        self.slot = (self.current_epoch() + 1).start_slot(self.config.slots_per_epoch);
+        let carried = self.epoch_roots[1];
+        self.epoch_roots = [carried, next_checkpoint_root.unwrap_or(carried)];
     }
 
     // ── crate-internal mutators used by the processing modules ──────────
@@ -393,24 +340,39 @@ mod tests {
     }
 
     #[test]
-    fn process_slots_advances_and_fills_roots() {
+    fn advance_epoch_keeps_a_two_root_window() {
         let mut s = state(4);
-        s.process_slots(Slot::new(5)).unwrap();
-        assert_eq!(s.slot(), Slot::new(5));
-        // all roots equal genesis root (no blocks applied)
-        for slot in 0..=5 {
-            assert_eq!(s.block_root_at_slot(Slot::new(slot)), s.genesis_root());
-        }
-    }
+        let genesis = s.genesis_root();
+        assert_eq!(s.epoch_roots(), [genesis; 2]);
+        let spe = s.config().slots_per_epoch;
+        // `Some` installs the next epoch's root.
+        let r1 = Root::from_u64(1);
+        s.advance_epoch(Some(r1));
+        assert_eq!(s.slot(), Epoch::new(1).start_slot(spe));
+        assert_eq!(s.epoch_roots(), [genesis, r1]);
+        // `None` carries the current root, not the genesis root.
+        s.advance_epoch(None);
+        assert_eq!(s.slot(), Epoch::new(2).start_slot(spe));
+        assert_eq!(s.epoch_roots(), [r1, r1]);
+        let r3 = Root::from_u64(3);
+        s.advance_epoch(Some(r3));
+        assert_eq!(s.epoch_roots(), [r1, r3]);
 
-    #[test]
-    fn slot_regression_is_rejected() {
-        let mut s = state(4);
-        s.process_slots(Slot::new(3)).unwrap();
-        assert!(matches!(
-            s.process_slots(Slot::new(1)),
-            Err(StateError::SlotRegression { .. })
-        ));
+        // Justification reads the window. Everyone votes in epoch 3, so
+        // its pass justifies epoch 3 under the current root …
+        for i in 0..4u64 {
+            s.merge_current_participation(ValidatorIndex::new(i), ParticipationFlags::all());
+        }
+        let r4 = Root::from_u64(4);
+        s.advance_epoch(Some(r4));
+        let justified = Checkpoint::new(Epoch::new(3), r3);
+        assert_eq!(s.current_justified_checkpoint(), justified);
+        // … and the epoch-4 pass re-justifies epoch 3 from the previous
+        // epoch's votes, under the previous root (r3, not the current r4).
+        assert_eq!(s.epoch_roots(), [r3, r4]);
+        s.advance_epoch(None);
+        assert_eq!(s.justification_bits()[..2], [false, true]);
+        assert_eq!(s.current_justified_checkpoint(), justified);
     }
 
     #[test]
@@ -421,8 +383,7 @@ mod tests {
             .current_participation(ValidatorIndex::new(2))
             .has_timely_target());
         // crossing into epoch 1 rotates current → previous
-        s.process_slots(Epoch::new(1).start_slot(s.config().slots_per_epoch))
-            .unwrap();
+        s.advance_epoch(None);
         assert!(s
             .previous_participation(ValidatorIndex::new(2))
             .has_timely_target());

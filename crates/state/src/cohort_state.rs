@@ -590,8 +590,7 @@ impl CohortState {
             increment * factor / integer_sqrt(total_active).max(1)
         };
         let denominator = self.config.weight_denominator;
-        let leak_denominator =
-            self.config.inactivity_score_bias * self.config.inactivity_penalty_quotient;
+        let leak_denominator = self.config.inactivity_penalty_denominator();
         let paper_semantics = self.config.paper_inactivity_penalties;
         let weights = [
             self.config.timely_source_weight,

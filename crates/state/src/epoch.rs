@@ -21,19 +21,20 @@ use crate::validator::FAR_FUTURE_EPOCH;
 impl BeaconState {
     /// Runs full epoch processing (spec `process_epoch`).
     ///
-    /// Called automatically by [`BeaconState::process_slots`] when
-    /// crossing an epoch boundary; public so simulators driving the state
-    /// epoch-by-epoch can invoke it directly.
+    /// Called by [`BeaconState::advance_epoch`] before the state moves
+    /// to the next epoch.
     ///
     /// # Example
     ///
     /// ```
     /// use ethpos_state::BeaconState;
-    /// use ethpos_types::{ChainConfig, Slot};
+    /// use ethpos_types::ChainConfig;
     ///
     /// let mut state = BeaconState::genesis(ChainConfig::minimal(), 8);
     /// // Nobody attests: after 8 epochs the inactivity leak is active.
-    /// state.process_slots(Slot::new(8 * 8)).unwrap();
+    /// for _ in 0..8 {
+    ///     state.advance_epoch(None);
+    /// }
     /// assert!(state.is_in_inactivity_leak());
     /// ```
     pub fn process_epoch(&mut self) {
@@ -90,8 +91,7 @@ impl BeaconState {
         let total = self.total_active_balance();
         let previous_target = self.unslashed_participating_target_balance(previous_epoch);
         let current_target = self.unslashed_participating_target_balance(current_epoch);
-        let prev_root = self.block_root_at_epoch_start(previous_epoch);
-        let curr_root = self.block_root_at_epoch_start(current_epoch);
+        let [prev_root, curr_root] = self.epoch_roots();
 
         let (bits, previous_justified, current_justified, finalized) =
             self.justification_state_mut();
@@ -248,7 +248,7 @@ impl BeaconState {
 mod tests {
     use super::*;
     use crate::participation::TIMELY_TARGET_FLAG_INDEX;
-    use ethpos_types::{ChainConfig, Slot};
+    use ethpos_types::ChainConfig;
 
     fn state(n: usize) -> BeaconState {
         BeaconState::genesis(ChainConfig::minimal(), n)
@@ -266,8 +266,7 @@ mod tests {
     /// Advances one full epoch, marking all validators timely first.
     fn run_healthy_epoch(s: &mut BeaconState) {
         mark_all_timely(s);
-        let next = (s.current_epoch() + 1).start_slot(s.config().slots_per_epoch);
-        s.process_slots(next).unwrap();
+        s.advance_epoch(None);
     }
 
     #[test]
@@ -294,8 +293,7 @@ mod tests {
     fn no_participation_means_no_justification_and_leak_starts() {
         let mut s = state(16);
         for _ in 0..8 {
-            let next = (s.current_epoch() + 1).start_slot(s.config().slots_per_epoch);
-            s.process_slots(next).unwrap();
+            s.advance_epoch(None);
         }
         assert_eq!(s.current_justified_checkpoint().epoch, Epoch::new(0));
         assert_eq!(s.finalized_checkpoint().epoch, Epoch::new(0));
@@ -317,15 +315,13 @@ mod tests {
         for i in 0..5u64 {
             s.merge_current_participation(ValidatorIndex::from(i), f);
         }
-        let next = (s.current_epoch() + 1).start_slot(s.config().slots_per_epoch);
-        s.process_slots(next).unwrap();
+        s.advance_epoch(None);
         assert_eq!(s.current_justified_checkpoint().epoch, Epoch::new(2));
         // Epoch 4: exactly 6 of 9 (= 2/3) participates — justifies.
         for i in 0..6u64 {
             s.merge_current_participation(ValidatorIndex::from(i), f);
         }
-        let next = (s.current_epoch() + 1).start_slot(s.config().slots_per_epoch);
-        s.process_slots(next).unwrap();
+        s.advance_epoch(None);
         assert_eq!(s.current_justified_checkpoint().epoch, Epoch::new(4));
     }
 
@@ -334,15 +330,13 @@ mod tests {
         let mut s = state(8);
         // Reach a leak: 8 epochs without participation.
         for _ in 0..8 {
-            let next = (s.current_epoch() + 1).start_slot(s.config().slots_per_epoch);
-            s.process_slots(next).unwrap();
+            s.advance_epoch(None);
         }
         assert!(s.is_in_inactivity_leak());
         let score = s.inactivity_score(ValidatorIndex::new(0));
         assert!(score > 0, "score should have accumulated, got {score}");
         // One more idle epoch adds exactly BIAS (4) while in leak.
-        let next = (s.current_epoch() + 1).start_slot(s.config().slots_per_epoch);
-        s.process_slots(next).unwrap();
+        s.advance_epoch(None);
         assert_eq!(s.inactivity_score(ValidatorIndex::new(0)), score + 4);
     }
 
@@ -398,7 +392,9 @@ mod tests {
         s.validators_mut()[0].effective_balance = Gwei::from_eth_u64(15);
         s.process_registry_updates();
         let first_exit = s.validators()[0].exit_epoch;
-        s.process_slots(Slot::new(40)).unwrap();
+        for _ in 0..5 {
+            s.advance_epoch(None);
+        }
         s.process_registry_updates();
         assert_eq!(s.validators()[0].exit_epoch, first_exit);
     }
@@ -413,8 +409,7 @@ mod tests {
         run_healthy_epoch(&mut s); // at epoch 3: justified (2)
         assert_eq!(s.current_justified_checkpoint().epoch, Epoch::new(2));
         // Epoch 3 passes with NO participation: nothing new justified.
-        let next = (s.current_epoch() + 1).start_slot(s.config().slots_per_epoch);
-        s.process_slots(next).unwrap(); // at epoch 4
+        s.advance_epoch(None); // at epoch 4
         assert_eq!(s.current_justified_checkpoint().epoch, Epoch::new(2));
         assert_eq!(s.finalized_checkpoint().epoch, Epoch::new(0));
         // Epoch 4 fully participates: justify 4; the 2→4 gap prevents

@@ -7,8 +7,8 @@
 //! * the [`BeaconState`] container: validator registry, balances,
 //!   inactivity scores, participation flags, justification bits,
 //!   checkpoints;
-//! * per-slot advancement with a per-slot root log, and participation
-//!   marking in place of attestation processing;
+//! * epoch-at-a-time advancement over a two-root checkpoint window, and
+//!   participation marking in place of attestation processing;
 //! * per-epoch processing, in spec order: justification & finalization
 //!   (Casper FFG's four finalization rules), inactivity-score updates
 //!   (paper Eq. 1), attestation rewards and penalties (suppressed during a
@@ -46,7 +46,6 @@ pub mod beacon_state;
 pub mod cohort_state;
 pub mod epoch;
 pub(crate) mod epoch_metrics;
-pub mod error;
 pub mod participation;
 pub mod reference;
 pub mod rewards;
@@ -59,7 +58,6 @@ pub use backend::{
 };
 pub use beacon_state::BeaconState;
 pub use cohort_state::CohortState;
-pub use error::StateError;
 pub use participation::ParticipationFlags;
 pub use reference::ReferenceCohortState;
 pub use validator::{Validator, FAR_FUTURE_EPOCH};

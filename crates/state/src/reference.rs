@@ -261,8 +261,7 @@ impl ReferenceCohortState {
         };
         let denominator = self.config.weight_denominator;
         let in_leak = self.is_in_inactivity_leak();
-        let leak_denominator =
-            self.config.inactivity_score_bias * self.config.inactivity_penalty_quotient;
+        let leak_denominator = self.config.inactivity_penalty_denominator();
         let paper_semantics = self.config.paper_inactivity_penalties;
 
         let flag_indices = [

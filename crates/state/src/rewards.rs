@@ -114,8 +114,7 @@ impl BeaconState {
             self.config().timely_head_weight,
         ];
 
-        let leak_denominator =
-            self.config().inactivity_score_bias * self.config().inactivity_penalty_quotient;
+        let leak_denominator = self.config().inactivity_penalty_denominator();
 
         for (i, v) in self.validators().iter().enumerate() {
             let idx = ValidatorIndex::from(i);
@@ -177,11 +176,6 @@ mod tests {
 
     fn state(n: usize) -> BeaconState {
         BeaconState::genesis(ChainConfig::minimal(), n)
-    }
-
-    fn advance_one_epoch(s: &mut BeaconState) {
-        let next = (s.current_epoch() + 1).start_slot(s.config().slots_per_epoch);
-        s.process_slots(next).unwrap();
     }
 
     /// The spec's loop, seeded at `n`: the oracle for the seeded one.
@@ -256,10 +250,10 @@ mod tests {
         for i in 0..8u64 {
             s.merge_current_participation(ValidatorIndex::from(i), ParticipationFlags::all());
         }
-        advance_one_epoch(&mut s); // rotates flags, settles epoch 0
-        advance_one_epoch(&mut s); // settles epoch 1 deltas... rotated again
-                                   // After the first boundary, previous participation is full; the
-                                   // second boundary pays rewards for it (current_epoch = 1 then).
+        s.advance_epoch(None); // rotates flags, settles epoch 0
+        s.advance_epoch(None); // settles epoch 1 deltas... rotated again
+                               // After the first boundary, previous participation is full; the
+                               // second boundary pays rewards for it (current_epoch = 1 then).
         let b = s.balance(ValidatorIndex::new(0));
         assert!(
             b > Gwei::from_eth_u64(32),
@@ -270,8 +264,8 @@ mod tests {
     #[test]
     fn idle_validators_are_penalized() {
         let mut s = state(8);
-        advance_one_epoch(&mut s);
-        advance_one_epoch(&mut s);
+        s.advance_epoch(None);
+        s.advance_epoch(None);
         let b = s.balance(ValidatorIndex::new(0));
         assert!(
             b < Gwei::from_eth_u64(32),
@@ -284,7 +278,7 @@ mod tests {
         let mut s = state(8);
         // Drive into a leak with 8 idle epochs.
         for _ in 0..8 {
-            advance_one_epoch(&mut s);
+            s.advance_epoch(None);
         }
         assert!(s.is_in_inactivity_leak());
         // Now everyone participates fully for one epoch; during a leak the
@@ -293,7 +287,7 @@ mod tests {
         for i in 0..8u64 {
             s.merge_current_participation(ValidatorIndex::from(i), ParticipationFlags::all());
         }
-        advance_one_epoch(&mut s);
+        s.advance_epoch(None);
         let after = s.balance(ValidatorIndex::new(0));
         assert!(
             after <= before,
@@ -308,7 +302,7 @@ mod tests {
         // source+target penalties).
         let mut s = state(8);
         for _ in 0..10 {
-            advance_one_epoch(&mut s);
+            s.advance_epoch(None);
         }
         assert!(s.is_in_inactivity_leak());
         let idx = ValidatorIndex::new(0);
@@ -318,7 +312,7 @@ mod tests {
         let before = s.balance(idx);
         let base = s.base_reward(idx).as_u64();
         let flat = base * 14 / 64 + base * 26 / 64; // source + target penalties
-        advance_one_epoch(&mut s);
+        s.advance_epoch(None);
         // score has grown by 4 during the epoch we just processed
         let expected_inactivity =
             (eff.as_u64() as u128 * (score + 4) as u128 / (1u128 << 26)) as u64;
@@ -332,7 +326,7 @@ mod tests {
         let mut s = state(8);
         s.validators_mut()[3].exit_epoch = Epoch::new(0);
         for _ in 0..6 {
-            advance_one_epoch(&mut s);
+            s.advance_epoch(None);
         }
         assert_eq!(s.balance(ValidatorIndex::new(3)), Gwei::from_eth_u64(32));
     }

@@ -66,9 +66,9 @@ proptest! {
     }
 
     /// Checkpoint roots: every epoch either names a fresh root or carries
-    /// the last one (`None`). `CohortState` keeps a two-root window where
-    /// the reference backend keeps the whole log and the dense backend
-    /// real block roots; the justified and finalized checkpoints — epoch
+    /// the last one (`None`). `CohortState` and the dense backend keep a
+    /// two-root window where the reference backend keeps the whole log;
+    /// the justified and finalized checkpoints — epoch
     /// *and* root — must agree after every epoch. Stakes 3 : 1 : 2 make
     /// the ⅔ target come and go with the schedules, so justification
     /// skips epochs and finalization stalls and resumes.

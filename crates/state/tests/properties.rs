@@ -20,8 +20,7 @@ fn drive(state: &mut BeaconState, patterns: &[u16]) {
                 state.merge_current_participation(ValidatorIndex::from(v), flags);
             }
         }
-        let next = (state.current_epoch() + 1).start_slot(state.config().slots_per_epoch);
-        state.process_slots(next).expect("monotone");
+        state.advance_epoch(None);
     }
 }
 
@@ -43,8 +42,7 @@ proptest! {
                     state.merge_current_participation(ValidatorIndex::from(v), flags);
                 }
             }
-            let next = (state.current_epoch() + 1).start_slot(state.config().slots_per_epoch);
-            state.process_slots(next).unwrap();
+            state.advance_epoch(None);
             let j = state.current_justified_checkpoint().epoch.as_u64();
             let f = state.finalized_checkpoint().epoch.as_u64();
             prop_assert!(f <= j, "finalized {f} > justified {j}");
@@ -69,8 +67,7 @@ proptest! {
                     state.merge_current_participation(ValidatorIndex::from(v), flags);
                 }
             }
-            let next = (state.current_epoch() + 1).start_slot(state.config().slots_per_epoch);
-            state.process_slots(next).unwrap();
+            state.advance_epoch(None);
             for (v, (&now, &before)) in state.balances().iter().zip(&prev).enumerate() {
                 prop_assert!(now <= before, "validator {v} balance grew: {before} → {now}");
             }
@@ -123,8 +120,7 @@ proptest! {
                     state.merge_current_participation(ValidatorIndex::from(v), flags);
                 }
             }
-            let next = (state.current_epoch() + 1).start_slot(state.config().slots_per_epoch);
-            state.process_slots(next).unwrap();
+            state.advance_epoch(None);
         }
         prop_assert!(!state.is_in_inactivity_leak());
         if abstainers.len() >= 4 {

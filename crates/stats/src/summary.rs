@@ -71,15 +71,6 @@ impl Summary {
         self.max
     }
 
-    /// Standard error of the mean.
-    pub fn sem(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sd() / (self.n as f64).sqrt()
-        }
-    }
-
     /// Merges another accumulator into this one (parallel Welford).
     pub fn merge(&mut self, other: &Summary) {
         if other.n == 0 {

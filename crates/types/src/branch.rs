@@ -25,11 +25,6 @@ impl BranchId {
         BranchId(id)
     }
 
-    /// The id as `u32`.
-    pub const fn as_u32(&self) -> u32 {
-        self.0
-    }
-
     /// The id as `u64` (synthetic checkpoint roots are keyed on this).
     pub const fn as_u64(&self) -> u64 {
         self.0 as u64

@@ -93,12 +93,6 @@ pub struct ChainConfig {
     /// divergence this reproduction documents in EXPERIMENTS.md. The
     /// paper's tables/figures are regenerated with `true`.
     pub paper_inactivity_penalties: bool,
-
-    // ── fork choice ─────────────────────────────────────────────────────
-    /// Number of slots at the start of an epoch during which the justified
-    /// checkpoint may be updated — the `j` parameter of the probabilistic
-    /// bouncing attack (mainnet historical value: 8).
-    pub safe_slots_to_update_justified: u64,
 }
 
 impl ChainConfig {
@@ -129,7 +123,6 @@ impl ChainConfig {
             proposer_weight: 8,
             weight_denominator: 64,
             paper_inactivity_penalties: false,
-            safe_slots_to_update_justified: 8,
         }
     }
 

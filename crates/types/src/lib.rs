@@ -3,9 +3,7 @@
 //! This crate provides the vocabulary shared by every other crate in the
 //! workspace: protocol time ([`Slot`], [`Epoch`]), stake denominations
 //! ([`Gwei`]), identifiers ([`ValidatorIndex`], [`Root`], [`BranchId`]),
-//! FFG [`Checkpoint`]s, the [`Attestation`] vote with its double- and
-//! surround-vote tests, and the protocol constants bundle
-//! ([`ChainConfig`]).
+//! FFG [`Checkpoint`]s and the protocol constants bundle ([`ChainConfig`]).
 //!
 //! The types mirror the Ethereum consensus specification (Bellatrix era,
 //! the era analysed by the paper) closely enough that the state-transition
@@ -26,7 +24,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod attestation;
 pub mod branch;
 pub mod checkpoint;
 pub mod config;
@@ -35,7 +32,6 @@ pub mod time;
 pub mod units;
 pub mod validator;
 
-pub use attestation::{Attestation, AttestationData};
 pub use branch::BranchId;
 pub use checkpoint::Checkpoint;
 pub use config::ChainConfig;

@@ -5,7 +5,7 @@
 //! penalty accounting (including the inactivity leak) happen.
 
 use core::fmt;
-use core::ops::{Add, AddAssign, Sub};
+use core::ops::{Add, Sub};
 
 use serde::{Deserialize, Serialize};
 
@@ -46,32 +46,6 @@ impl Slot {
     pub const fn epoch(self, slots_per_epoch: u64) -> Epoch {
         Epoch(self.0 / slots_per_epoch)
     }
-
-    /// Returns this slot's offset within its epoch (`0..slots_per_epoch`).
-    pub const fn offset_in_epoch(self, slots_per_epoch: u64) -> u64 {
-        self.0 % slots_per_epoch
-    }
-
-    /// Returns `true` if this slot is the first slot of its epoch, i.e. a
-    /// checkpoint slot.
-    pub const fn is_epoch_start(self, slots_per_epoch: u64) -> bool {
-        self.0.is_multiple_of(slots_per_epoch)
-    }
-
-    /// The next slot.
-    pub const fn next(self) -> Slot {
-        Slot(self.0 + 1)
-    }
-
-    /// The previous slot, saturating at genesis.
-    pub const fn prev(self) -> Slot {
-        Slot(self.0.saturating_sub(1))
-    }
-
-    /// Saturating subtraction of a number of slots.
-    pub const fn saturating_sub(self, rhs: u64) -> Slot {
-        Slot(self.0.saturating_sub(rhs))
-    }
 }
 
 impl Epoch {
@@ -93,30 +67,9 @@ impl Epoch {
         Slot(self.0 * slots_per_epoch)
     }
 
-    /// Returns the last slot of this epoch.
-    pub const fn end_slot(self, slots_per_epoch: u64) -> Slot {
-        Slot(self.0 * slots_per_epoch + slots_per_epoch - 1)
-    }
-
-    /// The next epoch.
-    pub const fn next(self) -> Epoch {
-        Epoch(self.0 + 1)
-    }
-
     /// The previous epoch, saturating at genesis.
     pub const fn prev(self) -> Epoch {
         Epoch(self.0.saturating_sub(1))
-    }
-
-    /// Saturating subtraction of a number of epochs.
-    pub const fn saturating_sub(self, rhs: u64) -> Epoch {
-        Epoch(self.0.saturating_sub(rhs))
-    }
-
-    /// Iterates over the slots of this epoch, in order.
-    pub fn slots(self, slots_per_epoch: u64) -> impl Iterator<Item = Slot> {
-        let start = self.start_slot(slots_per_epoch).as_u64();
-        (start..start + slots_per_epoch).map(Slot)
     }
 }
 
@@ -139,19 +92,6 @@ impl Add<u64> for Slot {
     }
 }
 
-impl AddAssign<u64> for Slot {
-    fn add_assign(&mut self, rhs: u64) {
-        self.0 += rhs;
-    }
-}
-
-impl Sub<Slot> for Slot {
-    type Output = u64;
-    fn sub(self, rhs: Slot) -> u64 {
-        self.0 - rhs.0
-    }
-}
-
 impl Add<u64> for Epoch {
     type Output = Epoch;
     fn add(self, rhs: u64) -> Epoch {
@@ -159,28 +99,10 @@ impl Add<u64> for Epoch {
     }
 }
 
-impl AddAssign<u64> for Epoch {
-    fn add_assign(&mut self, rhs: u64) {
-        self.0 += rhs;
-    }
-}
-
 impl Sub<Epoch> for Epoch {
     type Output = u64;
     fn sub(self, rhs: Epoch) -> u64 {
         self.0 - rhs.0
-    }
-}
-
-impl From<u64> for Slot {
-    fn from(v: u64) -> Self {
-        Slot(v)
-    }
-}
-
-impl From<u64> for Epoch {
-    fn from(v: u64) -> Self {
-        Epoch(v)
     }
 }
 
@@ -200,45 +122,22 @@ mod tests {
     }
 
     #[test]
-    fn epoch_start_and_end_slots() {
-        assert_eq!(Epoch::new(0).start_slot(SPE), Slot::new(0));
-        assert_eq!(Epoch::new(0).end_slot(SPE), Slot::new(31));
-        assert_eq!(Epoch::new(3).start_slot(SPE), Slot::new(96));
-        assert_eq!(Epoch::new(3).end_slot(SPE), Slot::new(127));
-    }
-
-    #[test]
     fn epoch_start_slot_roundtrip() {
+        assert_eq!(Epoch::new(0).start_slot(SPE), Slot::new(0));
+        assert_eq!(Epoch::new(3).start_slot(SPE), Slot::new(96));
         for e in 0..100 {
             let epoch = Epoch::new(e);
             assert_eq!(epoch.start_slot(SPE).epoch(SPE), epoch);
-            assert!(epoch.start_slot(SPE).is_epoch_start(SPE));
         }
-    }
-
-    #[test]
-    fn offset_in_epoch() {
-        assert_eq!(Slot::new(0).offset_in_epoch(SPE), 0);
-        assert_eq!(Slot::new(33).offset_in_epoch(SPE), 1);
-        assert_eq!(Slot::new(63).offset_in_epoch(SPE), 31);
-    }
-
-    #[test]
-    fn epoch_slots_iterator_covers_epoch() {
-        let slots: Vec<Slot> = Epoch::new(2).slots(SPE).collect();
-        assert_eq!(slots.len(), 32);
-        assert_eq!(slots[0], Slot::new(64));
-        assert_eq!(slots[31], Slot::new(95));
-        assert!(slots.iter().all(|s| s.epoch(SPE) == Epoch::new(2)));
     }
 
     #[test]
     fn arithmetic() {
         assert_eq!(Slot::new(5) + 3, Slot::new(8));
-        assert_eq!(Slot::new(8) - Slot::new(5), 3);
-        assert_eq!(Epoch::new(5).next(), Epoch::new(6));
+        assert_eq!(Epoch::new(5) + 1, Epoch::new(6));
+        assert_eq!(Epoch::new(8) - Epoch::new(5), 3);
+        assert_eq!(Epoch::new(3).prev(), Epoch::new(2));
         assert_eq!(Epoch::new(0).prev(), Epoch::new(0));
-        assert_eq!(Slot::new(2).saturating_sub(10), Slot::new(0));
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl Gwei {
         Gwei(self.0.saturating_sub(rhs.0))
     }
 
-    /// Saturating addition.
-    pub const fn saturating_add(self, rhs: Gwei) -> Gwei {
-        Gwei(self.0.saturating_add(rhs.0))
-    }
-
     /// Integer division by a scalar (spec quotient semantics: truncating).
     pub const fn integer_div(self, divisor: u64) -> Gwei {
         Gwei(self.0 / divisor)

@@ -1,8 +1,7 @@
 //! Validator behaviours.
 //!
 //! * [`duties`] — who proposes which slot (a seeded lottery standing in
-//!   for RANDAO), which the §5.3 bouncing attack consults, and who attests
-//!   when (round-robin committees);
+//!   for RANDAO), which the §5.3 bouncing attack consults;
 //! * [`byzantine`] — the paper's adversarial strategies as *participation
 //!   schedules* over the live branches of a fork:
 //!   [`byzantine::DualActive`] (§5.2.1, slashable),

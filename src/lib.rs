@@ -6,13 +6,13 @@
 //!
 //! The workspace contains:
 //!
-//! * [`types`] — slots, epochs, Gwei, checkpoints, attestations, branch ids,
+//! * [`types`] — slots, epochs, Gwei, roots, checkpoints, branch ids,
 //!   configs;
 //! * [`crypto`] — the simulated 256-bit hash (SipHash lanes);
 //! * [`stats`] — erf, normal/log-normal laws, root finding, quadrature;
 //! * [`state`] — the beacon state transition with the inactivity leak;
-//! * [`validator`] — Byzantine participation schedules, the proposer
-//!   lottery and attestation committees;
+//! * [`validator`] — Byzantine participation schedules and the proposer
+//!   lottery;
 //! * [`sim`] — the epoch-level k-branch partition engine, single-branch
 //!   trajectories and the §5.3 Monte-Carlo walks;
 //! * [`core`] — the paper's analytical model and the five attack
