@@ -8,8 +8,7 @@
 //! `Content-Length`-framed bodies. No chunked encoding, no keep-alive,
 //! no TLS — callers needing those should put a reverse proxy in front.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, BufReader, Read};
 
 /// Hard cap on the header block (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -35,6 +34,9 @@ pub enum HttpError {
     Malformed(String),
     /// Body (declared or actual) above [`MAX_BODY_BYTES`] — answer 413.
     BodyTooLarge,
+    /// The socket's read timeout expired mid-request; nothing to
+    /// answer.
+    TimedOut,
     /// Socket-level failure; nothing to answer.
     Io(String),
 }
@@ -44,12 +46,30 @@ impl std::fmt::Display for HttpError {
         match self {
             HttpError::Malformed(msg) => write!(f, "malformed request: {msg}"),
             HttpError::BodyTooLarge => write!(f, "request body too large"),
+            HttpError::TimedOut => write!(f, "timed out"),
             HttpError::Io(msg) => write!(f, "i/o error: {msg}"),
         }
     }
 }
 
 impl std::error::Error for HttpError {}
+
+/// Whether a socket call gave up at its read or write timeout (Unix
+/// reports `WouldBlock`, Windows `TimedOut`).
+pub(crate) fn timed_out(error: &io::Error) -> bool {
+    matches!(
+        error.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+fn io_error(error: io::Error) -> HttpError {
+    if timed_out(&error) {
+        HttpError::TimedOut
+    } else {
+        HttpError::Io(error.to_string())
+    }
+}
 
 /// Reads one request off the stream.
 ///
@@ -68,7 +88,7 @@ pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
         let n = (&mut reader)
             .take(room)
             .read_until(b'\n', &mut head)
-            .map_err(|e| HttpError::Io(e.to_string()))?;
+            .map_err(io_error)?;
         if n == 0 {
             return Err(HttpError::Malformed("connection closed mid-head".into()));
         }
@@ -112,20 +132,10 @@ pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
         return Err(HttpError::BodyTooLarge);
     }
     let mut body = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| HttpError::Io(e.to_string()))?;
+    reader.read_exact(&mut body).map_err(io_error)?;
     let body =
         String::from_utf8(body).map_err(|_| HttpError::Malformed("body is not UTF-8".into()))?;
     Ok(Request { method, path, body })
-}
-
-/// Writes a `Connection: close` response, head and body in one write,
-/// and flushes it. I/O errors are swallowed: the peer hanging up
-/// mid-response is its problem, not the server's.
-pub fn write_response(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
-    let _ = stream.write_all(&response_bytes(status, content_type, body));
-    let _ = stream.flush();
 }
 
 /// A complete `Connection: close` response, head then body.
@@ -151,6 +161,7 @@ pub fn response_bytes(status: u16, content_type: &str, body: &str) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
     use std::net::{TcpListener, TcpStream};
 
     /// Round-trips raw bytes through a real socket pair and parses them.

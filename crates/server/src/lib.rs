@@ -55,7 +55,7 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{SocketAddr, TcpStream};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
     use std::time::{Duration, Instant};
 
     fn temp_cache_dir(tag: &str) -> String {
@@ -148,6 +148,17 @@ mod tests {
             assert!(Instant::now() < deadline, "job {job} never settled: {body}");
             std::thread::sleep(Duration::from_millis(10));
         }
+    }
+
+    /// The value of one series in a live scrape (0 while it is absent).
+    fn scrape(addr: SocketAddr, series: &str) -> u64 {
+        let (status, metrics) = get(addr, "/metrics");
+        assert_eq!(status, 200);
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+            .and_then(|v| v.parse::<u64>().ok())
+            .unwrap_or(0)
     }
 
     fn field_u64(body: &str, key: &str) -> u64 {
@@ -461,15 +472,7 @@ mod tests {
         let (addr, replies) = serve_over(&cache_dir, jobs::default_executor(), 1 << 20);
         let body = partition_request(606);
         let hash = seed_entry(&cache_dir, &body, "counted\n".into(), None);
-        let hits = || {
-            let (status, metrics) = get(addr, "/metrics");
-            assert_eq!(status, 200);
-            metrics
-                .lines()
-                .find_map(|l| l.strip_prefix("ethpos_server_cache_hits_total "))
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(0)
-        };
+        let hits = || scrape(addr, "ethpos_server_cache_hits_total");
         let before = hits();
         for _ in 0..=MEMO_HITS {
             let (status, reply) = post(addr, "/v1/jobs", &body);
@@ -479,6 +482,112 @@ mod tests {
         let counted = hits() - before;
         // One rendered hit, then the memo hits.
         assert!(counted > MEMO_HITS, "{counted}");
+        std::fs::remove_dir_all(&cache_dir).ok();
+    }
+
+    #[test]
+    fn idle_sockets_delay_healthz_by_one_timeout_at_most() {
+        let (addr, cache_dir) = start("idle", jobs::default_executor());
+        let dropped = "ethpos_server_dropped_connections_total{reason=\"timeout\"}";
+        let timeouts = || scrape(addr, dropped);
+        let before = timeouts();
+        // One more silent client than there are handlers: every handler
+        // waits on one, and the last queues ahead of the probe.
+        let mut idle: Vec<TcpStream> = (0..=server::HANDLERS)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        let sent = Instant::now();
+        let mut probe = TcpStream::connect(addr).expect("connect");
+        probe
+            .set_read_timeout(Some(3 * server::SOCKET_TIMEOUT))
+            .expect("client timeout");
+        probe
+            .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+            .expect("send");
+        let mut reply = String::new();
+        probe.read_to_string(&mut reply).expect("healthz answers");
+        let waited = sent.elapsed();
+        assert!(reply.ends_with("\r\n\r\nok\n"), "{reply}");
+        assert!(
+            waited < server::SOCKET_TIMEOUT + server::SOCKET_TIMEOUT / 2,
+            "{waited:?}"
+        );
+
+        // The server hung up on each silent client it had accepted, and
+        // counted every one.
+        for stream in &mut idle[..server::HANDLERS] {
+            stream
+                .set_read_timeout(Some(3 * server::SOCKET_TIMEOUT))
+                .expect("client timeout");
+            assert_eq!(stream.read(&mut [0; 1]).expect("closed"), 0);
+        }
+        let counted = timeouts() - before;
+        assert!(counted >= server::HANDLERS as u64, "{counted}");
+        std::fs::remove_dir_all(&cache_dir).ok();
+    }
+
+    #[test]
+    fn concurrent_identical_hits_all_get_the_memoized_reply() {
+        let cache_dir = temp_cache_dir("concurrent");
+        std::fs::remove_dir_all(&cache_dir).ok();
+        let (addr, replies) = serve_over(&cache_dir, jobs::default_executor(), 1 << 20);
+        let body = partition_request(607);
+        let hash = seed_entry(&cache_dir, &body, "hit \"many\"\n".repeat(4000), None);
+        let submit = post_request("/v1/jobs", &body);
+        let clients = 4 * server::HANDLERS;
+        let barrier = Barrier::new(clients);
+        // The first round races the renders of a cold entry, the second
+        // reads the memo.
+        for _ in 0..2 {
+            let hits: Vec<Vec<u8>> = std::thread::scope(|scope| {
+                let clients: Vec<_> = (0..clients)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            raw_exchange(addr, &submit)
+                        })
+                    })
+                    .collect();
+                clients
+                    .into_iter()
+                    .map(|client| client.join().expect("client"))
+                    .collect()
+            });
+            let memoized = replies.get(&hash).expect("memoized");
+            assert!(hits.iter().all(|hit| hit == memoized.as_ref()));
+        }
+        std::fs::remove_dir_all(&cache_dir).ok();
+    }
+
+    #[test]
+    fn a_client_hanging_up_mid_reply_leaves_the_handlers_serving() {
+        let cache_dir = temp_cache_dir("hang-up");
+        std::fs::remove_dir_all(&cache_dir).ok();
+        let (addr, _) = serve_over(&cache_dir, jobs::default_executor(), 1 << 20);
+        // 8 MiB: more than the kernel buffers for a peer that stops
+        // reading, so each write is still under way at the hang-up.
+        let document = "a long document line\n".repeat(400_000);
+        let hash = seed_entry(&cache_dir, &partition_request(608), document.clone(), None);
+        let fetch = format!("GET /v1/artifacts/{hash} HTTP/1.1\r\n\r\n");
+        for _ in 0..server::HANDLERS {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.write_all(fetch.as_bytes()).expect("send");
+            stream.read_exact(&mut [0; 1024]).expect("reply starts");
+        }
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(3 * server::SOCKET_TIMEOUT))
+            .expect("client timeout");
+        stream.write_all(fetch.as_bytes()).expect("send");
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw).expect("answered");
+        let raw = String::from_utf8(raw).expect("utf-8");
+        assert!(
+            raw.starts_with("HTTP/1.1 200 OK\r\n"),
+            "{:?}",
+            raw.lines().next()
+        );
+        assert!(raw.ends_with(&format!("\r\n\r\n{document}")));
         std::fs::remove_dir_all(&cache_dir).ok();
     }
 }

@@ -14,9 +14,21 @@
 //! Submissions are answered from the cache whenever possible: the body
 //! is canonicalized, hashed ([`JobRequest::request_hash`]) and looked
 //! up before any simulation work. Only a miss reaches the job queue.
-//! Connection handling is thread-per-connection — clients are few
-//! (curl, CI, a dashboard), requests are tiny, and the real work is
-//! serialized behind the single runner anyway.
+//!
+//! **Connections.** `HANDLERS` (2) threads each block in `accept()` and
+//! answer the connection they get inline: clients are few (curl, CI, a
+//! dashboard), requests are tiny, and the real work is serialized
+//! behind the single runner anyway, so no thread is spawned per
+//! connection. Every accepted socket gets `SOCKET_TIMEOUT` (2 s) on each
+//! read and write: a client that stalls that long is dropped, so a
+//! silent client holds a handler for one timeout at most. Dropped
+//! connections and failed accepts are counted in
+//! `ethpos_server_dropped_connections_total{reason}`. A reply that
+//! embeds a whole document (a first hit, a done job, an artifact) is
+//! built on a short-lived scoped thread: it allocates several times the
+//! document's size, and glibc gives each long-lived thread a malloc
+//! arena of its own, where those freed megabytes would stay resident
+//! once per handler.
 //!
 //! **The hit path.** The first hit of an entry renders its complete
 //! `200` response once into `HitReplies`, a memo bounded by
@@ -27,7 +39,9 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
 
 use ethpos_core::{JobRequest, RequestError};
 use serde_json::Value;
@@ -59,6 +73,23 @@ impl Default for ServerConfig {
         }
     }
 }
+
+/// Handler threads of [`Server::serve`], each accepting and answering
+/// one connection at a time. Each long-lived thread holds a glibc malloc
+/// arena, of which a process gets 8 per core; once all are held, the
+/// scoped threads that build document replies share them round-robin
+/// and leave freed megabytes in every one. At 4 handlers the five
+/// servers a benchmark process keeps got there on two cores and its
+/// `server_miss` peak RSS rose by a quarter; at 2 it rose 5 %.
+pub(crate) const HANDLERS: usize = 2;
+
+/// No-progress limit on every read and write of an accepted socket.
+pub(crate) const SOCKET_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Pause after a failed `accept()`, so `EMFILE` does not spin the loop.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+const TEXT: &str = "text/plain; charset=utf-8";
 
 /// Byte budget of the hit-reply memo: about seventy 0.9 MB paper documents.
 pub(crate) const HIT_REPLY_BUDGET: usize = 64 * 1024 * 1024;
@@ -161,22 +192,74 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Serves forever, one thread per connection.
+    /// Serves forever on `HANDLERS` threads: `HANDLERS − 1` spawned,
+    /// the last the caller's. Each blocks in `accept()` on its own
+    /// handle to the listening socket and answers the connection inline.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the listening socket cannot be duplicated for a
+    /// handler (the process is out of file descriptors at start-up).
     pub fn serve(&self) -> ! {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let cache = self.cache.clone();
-                    let queue = Arc::clone(&self.queue);
-                    let replies = Arc::clone(&self.replies);
-                    std::thread::spawn(move || handle_connection(stream, &cache, &queue, &replies));
-                }
-                // Accept errors (FD pressure, aborted handshakes) are
-                // transient; a resident service keeps listening.
-                Err(_) => continue,
+        for _ in 1..HANDLERS {
+            let listener = self
+                .listener
+                .try_clone()
+                .expect("a handler needs its own handle to the listening socket");
+            let cache = self.cache.clone();
+            let queue = Arc::clone(&self.queue);
+            let replies = Arc::clone(&self.replies);
+            std::thread::spawn(move || handle_forever(&listener, &cache, &queue, &replies));
+        }
+        handle_forever(&self.listener, &self.cache, &self.queue, &self.replies)
+    }
+}
+
+/// One handler: accepts a connection and answers it, forever.
+fn handle_forever(
+    listener: &TcpListener,
+    cache: &ArtifactCache,
+    queue: &JobQueue,
+    replies: &HitReplies,
+) -> ! {
+    loop {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                // A panic ends its connection, not the handler. The
+                // shared state recovers poisoned locks: no mutation
+                // under them can panic half-way.
+                let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+                    handle_connection(stream, cache, queue, replies);
+                }));
+            }
+            // Accept errors (FD pressure, aborted handshakes) are
+            // transient; a resident service keeps listening.
+            Err(_) => {
+                count_dropped("accept");
+                std::thread::sleep(ACCEPT_BACKOFF);
             }
         }
     }
+}
+
+/// Counts a connection the server gave up on, by `reason`.
+fn count_dropped(reason: &str) {
+    ethpos_obs::global()
+        .counter(
+            "ethpos_server_dropped_connections_total",
+            "Connections given up on: a read or write timed out, or accept() failed.",
+            &[("reason", reason)],
+        )
+        .inc();
+}
+
+/// Runs `reply` on a short-lived scoped thread. Replies that embed a
+/// whole document allocate several times its size; on a handler the
+/// freed megabytes would stay in that handler's glibc arena, while each
+/// new thread reuses the arena the last one released.
+fn on_scoped_thread<T: Send>(reply: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| scope.spawn(reply).join())
+        .unwrap_or_else(|payload| panic::resume_unwind(payload))
 }
 
 fn handle_connection(
@@ -185,6 +268,13 @@ fn handle_connection(
     queue: &JobQueue,
     replies: &HitReplies,
 ) {
+    // Without its timeouts a silent client could hold this handler forever.
+    let timeouts = stream
+        .set_read_timeout(Some(SOCKET_TIMEOUT))
+        .and_then(|()| stream.set_write_timeout(Some(SOCKET_TIMEOUT)));
+    if timeouts.is_err() {
+        return;
+    }
     let request = match http::read_request(&mut stream) {
         Ok(request) => request,
         Err(HttpError::BodyTooLarge) => {
@@ -193,6 +283,7 @@ fn handle_connection(
         Err(HttpError::Malformed(msg)) => {
             return respond_error(&mut stream, 400, &msg);
         }
+        Err(HttpError::TimedOut) => return count_dropped("timeout"),
         // The socket died; nothing to answer.
         Err(HttpError::Io(_)) => return,
     };
@@ -205,12 +296,12 @@ fn handle_connection(
         .inc();
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
-            http::write_response(&mut stream, 200, "text/plain; charset=utf-8", "ok\n");
+            send(&mut stream, &http::response_bytes(200, TEXT, "ok\n"));
         }
         ("GET", "/metrics") => {
             let body = ethpos_obs::global().render_prometheus();
             let content_type = "text/plain; version=0.0.4; charset=utf-8";
-            http::write_response(&mut stream, 200, content_type, &body);
+            send(&mut stream, &http::response_bytes(200, content_type, &body));
         }
         ("POST", "/v1/jobs") => submit_job(&mut stream, &request.body, cache, queue, replies),
         ("GET", path) if path.starts_with("/v1/jobs/") => {
@@ -254,23 +345,28 @@ fn submit_job(
     };
     let hash = request.request_hash();
     let registry = ethpos_obs::global();
-    let reply = replies.get(&hash).or_else(|| {
-        let document = cache.load_document(&hash)?;
-        let mut fields = vec![
-            ("cached".to_string(), Value::Bool(true)),
-            ("kind".to_string(), Value::String(request.kind().into())),
-            ("artifact".to_string(), Value::String(hash.clone())),
-            ("document".to_string(), Value::String(document)),
-        ];
-        push_stats(&mut fields, cache.load_stats(&hash));
-        let body = json_body(&Value::Object(fields));
-        // The response buffer itself is memoized: a copy into a fresh
-        // allocation would land above the render's freed buffers and
-        // keep them resident.
-        let reply = Arc::new(http::response_bytes(200, "application/json", &body));
-        replies.insert(&hash, &reply);
-        Some(reply)
-    });
+    let reply = match replies.get(&hash) {
+        Some(reply) => Some(reply),
+        // Only a committed entry has a document to render.
+        None if cache.contains(&hash) => on_scoped_thread(|| {
+            let document = cache.load_document(&hash)?;
+            let mut fields = vec![
+                ("cached".to_string(), Value::Bool(true)),
+                ("kind".to_string(), Value::String(request.kind().into())),
+                ("artifact".to_string(), Value::String(hash.clone())),
+                ("document".to_string(), Value::String(document)),
+            ];
+            push_stats(&mut fields, cache.load_stats(&hash));
+            let body = json_body(&Value::Object(fields));
+            // The response buffer itself is memoized: a copy into a
+            // fresh allocation would land above the render's freed
+            // buffers and keep them resident.
+            let reply = Arc::new(http::response_bytes(200, "application/json", &body));
+            replies.insert(&hash, &reply);
+            Some(reply)
+        }),
+        None => None,
+    };
     if let Some(reply) = reply {
         registry
             .counter(
@@ -279,8 +375,7 @@ fn submit_job(
                 &[],
             )
             .inc();
-        let _ = stream.write_all(&reply);
-        return;
+        return send(stream, &reply);
     }
     registry
         .counter(
@@ -335,10 +430,14 @@ fn job_status(stream: &mut TcpStream, id: &str, cache: &ArtifactCache, queue: &J
     ];
     match &snapshot.status {
         JobStatus::Done => {
-            if let Some(document) = cache.load_document(&snapshot.hash) {
-                fields.push(("document".to_string(), Value::String(document)));
-            }
-            push_stats(&mut fields, cache.load_stats(&snapshot.hash));
+            // A done job's reply embeds its document.
+            return on_scoped_thread(|| {
+                if let Some(document) = cache.load_document(&snapshot.hash) {
+                    fields.push(("document".to_string(), Value::String(document)));
+                }
+                push_stats(&mut fields, cache.load_stats(&snapshot.hash));
+                respond_json(stream, 200, Value::Object(fields));
+            });
         }
         JobStatus::Error(message) => {
             fields.push(("error".to_string(), Value::String(message.clone())));
@@ -350,12 +449,13 @@ fn job_status(stream: &mut TcpStream, id: &str, cache: &ArtifactCache, queue: &J
 
 /// `GET /v1/artifacts/<hash>`: the raw document bytes.
 fn artifact(stream: &mut TcpStream, hash: &str, cache: &ArtifactCache) {
-    match cache.load_document(hash) {
-        Some(document) => {
-            http::write_response(stream, 200, "text/plain; charset=utf-8", &document);
-        }
-        None => respond_error(stream, 404, "no such artifact"),
+    if !cache.contains(hash) {
+        return respond_error(stream, 404, "no such artifact");
     }
+    on_scoped_thread(|| match cache.load_document(hash) {
+        Some(document) => send(stream, &http::response_bytes(200, TEXT, &document)),
+        None => respond_error(stream, 404, "no such artifact"),
+    });
 }
 
 /// Attaches the stats side channel, re-parsed so the response embeds it
@@ -375,8 +475,19 @@ fn json_body(value: &Value) -> String {
     body
 }
 
+/// Writes a whole reply. A peer that hangs up is its own problem; one
+/// that stops reading for a whole timeout is dropped and counted.
+fn send(stream: &mut TcpStream, reply: &[u8]) {
+    if let Err(error) = stream.write_all(reply) {
+        if http::timed_out(&error) {
+            count_dropped("timeout");
+        }
+    }
+}
+
 fn respond_json(stream: &mut TcpStream, status: u16, value: Value) {
-    http::write_response(stream, status, "application/json", &json_body(&value));
+    let reply = http::response_bytes(status, "application/json", &json_body(&value));
+    send(stream, &reply);
 }
 
 fn respond_error(stream: &mut TcpStream, status: u16, message: &str) {
