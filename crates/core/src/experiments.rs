@@ -301,13 +301,13 @@ pub fn run_experiment_with(experiment: Experiment, mc: &McConfig) -> ExperimentO
         Experiment::Table2Slashable => {
             if let Some(n) = mc.validators {
                 out.tables
-                    .push(simulated::table2_cross_check(n, mc.backend));
+                    .push(simulated::table2_cross_check(n, mc.backend, mc.threads));
             }
         }
         Experiment::Table3NonSlashable => {
             if let Some(n) = mc.validators {
                 out.tables
-                    .push(simulated::table3_cross_check(n, mc.backend));
+                    .push(simulated::table3_cross_check(n, mc.backend, mc.threads));
             }
         }
         _ => {}
@@ -698,7 +698,7 @@ fn chaos_smoke(mc: &McConfig) -> ExperimentOutput {
 pub mod simulated {
     use super::*;
     use ethpos_sim::{
-        run_single_branch_on, Behavior, PartitionConfig, PartitionSim, PartitionTimeline,
+        run_single_branch_on, Behavior, ChunkPool, PartitionConfig, PartitionSim, PartitionTimeline,
     };
     use ethpos_state::{CohortState, DenseState, StateBackend};
     use ethpos_validator::{ByzantineSchedule, DualActive, SemiActive};
@@ -818,23 +818,34 @@ pub mod simulated {
 
     /// Table 2 cross-check: analytic vs simulated rows (dense backend).
     pub fn table2_simulated(n: usize, betas: &[f64]) -> Table {
-        cross_check_table(n, betas, true, BackendKind::Dense)
+        cross_check_table(n, betas, true, BackendKind::Dense, 1)
     }
 
     /// Table 2 cross-check (Eq. 9 vs the discrete protocol) at registry
     /// size `n` on the chosen backend, over the paper's β₀ rows that
-    /// finalize within the 5200-epoch horizon.
-    pub fn table2_cross_check(n: usize, backend: BackendKind) -> Table {
-        cross_check_table(n, &[0.33, 0.3, 0.25], true, backend)
+    /// finalize within the 5200-epoch horizon. The rows run on a
+    /// [`ChunkPool`] of `threads` workers (`0` = one per hardware
+    /// thread); the table is the same at any count.
+    pub fn table2_cross_check(n: usize, backend: BackendKind, threads: usize) -> Table {
+        cross_check_table(n, &[0.33, 0.3, 0.25], true, backend, threads)
     }
 
     /// Table 3 cross-check (Eq. 10 vs the discrete protocol) at registry
-    /// size `n` on the chosen backend.
-    pub fn table3_cross_check(n: usize, backend: BackendKind) -> Table {
-        cross_check_table(n, &[0.33, 0.3, 0.25], false, backend)
+    /// size `n` on the chosen backend, its rows on `threads` workers
+    /// like [`table2_cross_check`]'s.
+    pub fn table3_cross_check(n: usize, backend: BackendKind, threads: usize) -> Table {
+        cross_check_table(n, &[0.33, 0.3, 0.25], false, backend, threads)
     }
 
-    fn cross_check_table(n: usize, betas: &[f64], slashable: bool, backend: BackendKind) -> Table {
+    /// One independent two-branch run per β₀ row, mapped over the pool
+    /// and assembled in row order.
+    fn cross_check_table(
+        n: usize,
+        betas: &[f64],
+        slashable: bool,
+        backend: BackendKind,
+        threads: usize,
+    ) -> Table {
         let (eq, strategy) = if slashable {
             ("Eq. 9", "slashable")
         } else {
@@ -849,13 +860,15 @@ pub mod simulated {
             ),
             &["β0", "analytic t", "simulated t"],
         );
-        for &beta0 in betas {
+        let simulated = ChunkPool::new(threads).map(betas.len(), |row| {
+            conflicting_finalization_on(betas[row], 0.5, n, slashable, 5200, backend)
+        });
+        for (&beta0, sim) in betas.iter().zip(simulated) {
             let analytic = if slashable {
                 slashing::conflicting_finalization_epoch(0.5, beta0)
             } else {
                 semi_active::conflicting_finalization_epoch(0.5, beta0)
             };
-            let sim = conflicting_finalization_on(beta0, 0.5, n, slashable, 5200, backend);
             table.push_row(vec![
                 format!("{beta0}"),
                 format!("{analytic:.0}"),
@@ -918,6 +931,45 @@ mod tests {
         let text = out.render_text();
         for v in ["4685", "4066", "3622", "3107", "502"] {
             assert!(text.contains(v), "missing {v} in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn table2_and_table3_rows_are_byte_equal_at_any_thread_count() {
+        for e in [Experiment::Table2Slashable, Experiment::Table3NonSlashable] {
+            let at = |threads| {
+                let mc = McConfig {
+                    threads,
+                    validators: Some(1000),
+                    ..McConfig::default()
+                };
+                run_experiment_with(e, &mc).to_json()
+            };
+            let serial = at(1);
+            for threads in [2, 3] {
+                assert_eq!(at(threads), serial, "{} at {threads} threads", e.id());
+            }
+        }
+        // Row order: each row holds its own β₀'s run, and every run
+        // finalizes conflicting checkpoints within the horizon.
+        for slashable in [true, false] {
+            let table = if slashable {
+                simulated::table2_cross_check(1000, BackendKind::Cohort, 3)
+            } else {
+                simulated::table3_cross_check(1000, BackendKind::Cohort, 3)
+            };
+            for (row, beta0) in table.rows.iter().zip([0.33, 0.3, 0.25]) {
+                let sim = simulated::conflicting_finalization_on(
+                    beta0,
+                    0.5,
+                    1000,
+                    slashable,
+                    5200,
+                    BackendKind::Cohort,
+                );
+                let sim = sim.expect("conflicts within the horizon").to_string();
+                assert_eq!((&row[0], &row[2]), (&beta0.to_string(), &sim));
+            }
         }
     }
 

@@ -248,6 +248,43 @@ mod tests {
         std::fs::remove_dir_all(&cache_dir).ok();
     }
 
+    #[test]
+    fn a_one_mib_string_field_gets_its_400_while_healthz_answers() {
+        let (addr, cache_dir) = start("big-string", jobs::default_executor());
+        let head = r#"{"kind": "partition", "label": ""#;
+        let unit = "β₀ = 0.33 \\\"x\\\" ";
+        let fill = unit.repeat((http::MAX_BODY_BYTES - head.len() - 2) / unit.len());
+        let body = format!("{head}{fill}\"}}");
+        assert!(
+            body.len() <= http::MAX_BODY_BYTES && body.len() + unit.len() > http::MAX_BODY_BYTES
+        );
+        let started = Instant::now();
+        std::thread::scope(|scope| {
+            let big = scope.spawn(|| post(addr, "/v1/jobs", &body));
+            for _ in 0..10 {
+                let probe = Instant::now();
+                let (status, reply) = get(addr, "/healthz");
+                assert_eq!((status, reply.as_str()), (200, "ok\n"));
+                assert!(
+                    probe.elapsed() < server::SOCKET_TIMEOUT,
+                    "{:?}",
+                    probe.elapsed()
+                );
+            }
+            let (status, reply) = big.join().expect("client");
+            assert_eq!(status, 400, "{reply}");
+            assert!(reply.contains("\"error\""), "{reply}");
+        });
+        // A parser quadratic in the string's length took tens of
+        // seconds on this body.
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "{:?}",
+            started.elapsed()
+        );
+        std::fs::remove_dir_all(&cache_dir).ok();
+    }
+
     /// The acceptance property: a panicking in-process job leaves
     /// `GET /metrics` serving valid Prometheus exposition.
     #[test]

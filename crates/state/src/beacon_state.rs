@@ -38,7 +38,6 @@ pub struct BeaconState {
     /// Checkpoint roots at the start of the previous and the current
     /// epoch — all of the root history justification reads.
     epoch_roots: [Root; 2],
-    genesis_root: Root,
 }
 
 impl BeaconState {
@@ -82,7 +81,6 @@ impl BeaconState {
             finalized_checkpoint: genesis_checkpoint,
             slashings,
             epoch_roots: [genesis_root; 2],
-            genesis_root,
         }
     }
 
@@ -156,11 +154,6 @@ impl BeaconState {
     /// Justification bits (bit 0 = most recent epoch).
     pub fn justification_bits(&self) -> [bool; 4] {
         self.justification_bits
-    }
-
-    /// Genesis block root.
-    pub fn genesis_root(&self) -> Root {
-        self.genesis_root
     }
 
     /// The slashings ring buffer (slashed effective balance per epoch).
@@ -342,7 +335,7 @@ mod tests {
     #[test]
     fn advance_epoch_keeps_a_two_root_window() {
         let mut s = state(4);
-        let genesis = s.genesis_root();
+        let genesis = s.finalized_checkpoint().root;
         assert_eq!(s.epoch_roots(), [genesis; 2]);
         let spe = s.config().slots_per_epoch;
         // `Some` installs the next epoch's root.

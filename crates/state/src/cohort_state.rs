@@ -377,7 +377,6 @@ pub struct CohortState {
     /// Checkpoint roots at the start of the previous and the current
     /// epoch — all of the root history justification reads.
     epoch_roots: [Root; 2],
-    genesis_root: Root,
 }
 
 impl CohortState {
@@ -405,11 +404,6 @@ impl CohortState {
     /// True if the chain is in an inactivity leak.
     pub fn is_in_inactivity_leak(&self) -> bool {
         self.finality_delay() > self.config.min_epochs_to_inactivity_penalty
-    }
-
-    /// Genesis block root.
-    pub fn genesis_root(&self) -> Root {
-        self.genesis_root
     }
 
     /// Number of class chunks physically shared (same allocation) with
@@ -780,7 +774,6 @@ impl StateBackend for CohortState {
             current_justified: genesis_checkpoint,
             finalized: genesis_checkpoint,
             epoch_roots: [genesis_root; 2],
-            genesis_root,
         }
     }
 

@@ -72,7 +72,6 @@ pub struct ReferenceCohortState {
     slashings: Vec<Gwei>,
     /// Checkpoint root at the start of each epoch (index = epoch).
     epoch_roots: Vec<Root>,
-    genesis_root: Root,
 }
 
 impl ReferenceCohortState {
@@ -100,11 +99,6 @@ impl ReferenceCohortState {
     /// True if the chain is in an inactivity leak.
     pub fn is_in_inactivity_leak(&self) -> bool {
         self.finality_delay() > self.config.min_epochs_to_inactivity_penalty
-    }
-
-    /// Genesis block root.
-    pub fn genesis_root(&self) -> Root {
-        self.genesis_root
     }
 
     /// Rebuilds the cohort map by transforming every cohort's member
@@ -455,7 +449,6 @@ impl StateBackend for ReferenceCohortState {
             current_justified: genesis_checkpoint,
             finalized: genesis_checkpoint,
             epoch_roots: vec![genesis_root],
-            genesis_root,
         }
     }
 

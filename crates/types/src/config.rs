@@ -172,24 +172,6 @@ impl ChainConfig {
         let increment = self.effective_balance_increment.as_u64();
         Gwei::new(balance.as_u64() - balance.as_u64() % increment).min(self.max_effective_balance)
     }
-
-    /// Actual-balance threshold below which a validator's effective balance
-    /// has decayed to `ejection_balance` under downward hysteresis:
-    /// `ejection_balance + increment − increment × downward / quotient`,
-    /// i.e. 16 + 1 − 0.25 = **16.75 ETH** on mainnet — the ejection
-    /// constant quoted by the paper (§4.3).
-    pub fn ejection_actual_balance(&self) -> Gwei {
-        let downward_threshold = self.effective_balance_increment.mul_div(
-            self.hysteresis_downward_multiplier,
-            self.hysteresis_quotient,
-        );
-        self.ejection_balance + self.effective_balance_increment - downward_threshold
-    }
-
-    /// Seconds per epoch.
-    pub fn seconds_per_epoch(&self) -> u64 {
-        self.seconds_per_slot * self.slots_per_epoch
-    }
 }
 
 impl Default for ChainConfig {
@@ -209,20 +191,9 @@ mod tests {
     }
 
     #[test]
-    fn ejection_actual_balance_is_16_75_eth() {
-        let c = ChainConfig::mainnet();
-        assert_eq!(c.ejection_actual_balance(), Gwei::from_eth_f64(16.75));
-    }
-
-    #[test]
     fn minimal_differs_only_in_epoch_length() {
         let m = ChainConfig::minimal();
         assert_eq!(m.slots_per_epoch, 8);
         assert_eq!(m.inactivity_penalty_denominator(), 1 << 26);
-    }
-
-    #[test]
-    fn seconds_per_epoch_mainnet() {
-        assert_eq!(ChainConfig::mainnet().seconds_per_epoch(), 384); // 6 min 24 s
     }
 }
