@@ -1,61 +1,35 @@
 //! Argument parsing and rendering for `ethpos-cli`, split out of the
 //! binary so the logic is unit-testable.
 //!
-//! The CLI regenerates paper experiments through
-//! [`ethpos_core::experiments::run_experiment_with`]: each positional
-//! argument is an experiment id (`fig2` … `table3`) or `all`, and
-//! `--format` selects rendered text (default) or JSON. JSON output is
-//! always a single document: one object per selected experiment, wrapped
-//! in an array when more than one experiment is selected.
+//! Every run mode — the paper's experiments (positional ids or `all`),
+//! `sweep`, `search`, `partition` and `chaos` — is a [`JobRequest`]:
+//! [`parse_args`] writes the subcommand into `kind` and each request flag
+//! into the field of the same name (`--max-period` → `max_period`, each
+//! `--timeline` appended to `timelines`, each `--grid axis=v1,v2,…`
+//! replacing one sweep axis), then hands the object to
+//! [`JobRequest::from_json`], the one parser that knows which knobs a
+//! mode takes, their defaults and their valid values. A command line and
+//! the equivalent API request therefore have the same address and, run
+//! through [`JobRequest::execute`], the same bytes. `--threads` bounds
+//! the worker pool; by the workspace's determinism model it can change
+//! wall-clock time but never a single output byte. [`USAGE`] lists the
+//! modes and their flags.
 //!
-//! The `sweep` subcommand runs [`ethpos_core::sweep::SweepSpec`] grids
-//! instead of the paper's fixed parameters: `--grid axis=v1,v2,…`
-//! replaces an axis (`beta0`, `p0`, `walkers`, `validators`,
-//! `semantics`), and `--walkers` / `--epochs` / `--seed` set the scalar
-//! Monte-Carlo knobs. `--threads` bounds the worker pool everywhere; by
-//! the workspace's determinism model it can change wall-clock time but
-//! never a single output byte.
-//!
-//! `--validators N` switches on the discrete spec-arithmetic
-//! cross-checks at registry size `N` (fig2, table2, table3, and the
-//! sweep's `t_disc` column), and `--backend dense|cohort` picks the
-//! state representation they run on — the cohort-compressed backend
-//! makes `N = 1000000` interactive.
-//!
-//! The `search` subcommand runs the [`ethpos_search`] adversary-strategy
-//! search: `--objective` picks the damage metric, `--budget` the number
-//! of candidate evaluations, and the frontier report comes back as text
-//! or JSON — byte-identical for any `--threads` value, like everything
-//! else.
-//!
-//! The `partition` subcommand runs k-branch partition timelines
-//! ([`ethpos_core::partition`]): `--timeline` selects a preset
-//! (`three-branch`, `heal-resplit`) or a raw spec
-//! (`split@0:0=0.34,0.33,0.33; heal@400:0<-1`, repeatable for a batch),
-//! `--strategy`/`--beta0`/`--epochs` override the adversary and sizing,
-//! and the batch fans over the worker pool — byte-identical for any
-//! `--threads`.
-//!
-//! The `chaos` subcommand runs randomized campaigns
-//! ([`ethpos_core::chaos`]): `--budget` cases are sampled (timeline ×
-//! adversary × stake split), every run is checked against safety and
-//! liveness oracles derived from the paper's closed forms, and any
-//! unexpected violation is minimized by the timeline-aware shrinker
-//! before it is reported — byte-identical for any `--threads`.
-//!
-//! `--out <path>` (any mode) writes the document to a file instead of
-//! stdout, so CI jobs collect artifacts without shell redirection.
-//! `--regen-golden <dir>` rewrites the golden-snapshot corpus under
-//! `<dir>` (normally `tests/golden`, including the chaos replay corpus
-//! under `<dir>/chaos`) after an intentional behaviour change.
+//! The CLI itself decides only where the outputs go: `--out <path>`
+//! writes the document to a file instead of stdout, `--stats-out`
+//! (search and chaos) the work counters, `--metrics-out` / `--trace-out`
+//! the observability artifacts. `serve` runs the resident service
+//! ([`ethpos_server`]), and `--regen-golden <dir>` rewrites the
+//! golden-snapshot corpus under `<dir>` (normally `tests/golden`,
+//! including the chaos replay corpus under `<dir>/chaos`) after an
+//! intentional behaviour change.
 
 #![warn(missing_docs)]
 
-use ethpos_core::experiments::{Experiment, McConfig};
-use ethpos_core::partition::{self, PartitionSpec, StrategyKind};
-use ethpos_core::sweep::SweepSpec;
-use ethpos_core::{BackendKind, ChaosSpec, DocumentFormat, JobRequest};
-use ethpos_search::{Objective, SearchSpec};
+use ethpos_core::experiments::Experiment;
+use ethpos_core::request::SWEEP_AXES;
+use ethpos_core::JobRequest;
+use serde_json::Value;
 
 /// Usage text printed on `--help` and argument errors.
 pub const USAGE: &str = "\
@@ -160,15 +134,6 @@ OPTIONS:
     --list                  List experiment ids with their paper reference
     --help                  Show this help";
 
-/// Output format selected with `--format`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Format {
-    /// Rendered tables and series summaries.
-    Text,
-    /// The full experiment outputs (every series point) as JSON.
-    Json,
-}
-
 /// Exposition format selected with `--metrics-format`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricsFormat {
@@ -195,78 +160,20 @@ pub struct ObsOutputs {
     pub trace_out: Option<String>,
 }
 
-impl ObsOutputs {
-    /// True when neither output was requested.
-    pub fn is_empty(&self) -> bool {
-        self.metrics_out.is_none() && self.trace_out.is_none()
-    }
-}
-
 /// What one invocation should do.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Cli {
-    /// Run the selected experiments and print them.
-    Run {
-        /// Experiments in the order they will run.
-        experiments: Vec<Experiment>,
-        /// Selected output format.
-        format: Format,
-        /// Monte-Carlo sizing/seeding/threading for the simulation-backed
-        /// cross-checks (currently: the fig10 walker Monte Carlo).
-        mc: McConfig,
+    /// Run one request (an experiment list, `sweep`, `search`,
+    /// `partition` or `chaos`) and write its document.
+    Job {
+        /// The request, exactly as the service would parse the same
+        /// knobs from a JSON body (same address, same bytes). Boxed: it
+        /// dwarfs the other variants.
+        request: Box<JobRequest>,
         /// `--out` destination (stdout when absent).
         out: Option<String>,
-        /// Metrics/trace outputs (`--metrics-out`, `--trace-out`).
-        obs: ObsOutputs,
-    },
-    /// Run a parameter sweep (`sweep`).
-    Sweep {
-        /// The grid to evaluate.
-        spec: SweepSpec,
-        /// Selected output format.
-        format: Format,
-        /// `--out` destination (stdout when absent).
-        out: Option<String>,
-        /// Metrics/trace outputs (`--metrics-out`, `--trace-out`).
-        obs: ObsOutputs,
-    },
-    /// Run an adversary strategy search (`search`).
-    Search {
-        /// The search to run.
-        spec: SearchSpec,
-        /// Selected output format.
-        format: Format,
-        /// `--out` destination (stdout when absent).
-        out: Option<String>,
-        /// `--stats-out` destination for the prefix-memo work counters
-        /// (no artifact when absent; never part of the frontier
-        /// document).
-        stats_out: Option<String>,
-        /// Metrics/trace outputs (`--metrics-out`, `--trace-out`).
-        obs: ObsOutputs,
-    },
-    /// Run partition timelines (`partition`).
-    Partition {
-        /// The scenario batch to run.
-        spec: PartitionSpec,
-        /// Selected output format.
-        format: Format,
-        /// `--out` destination (stdout when absent).
-        out: Option<String>,
-        /// Metrics/trace outputs (`--metrics-out`, `--trace-out`).
-        obs: ObsOutputs,
-    },
-    /// Run a randomized chaos campaign (`chaos`).
-    Chaos {
-        /// The campaign to run.
-        spec: ChaosSpec,
-        /// Selected output format.
-        format: Format,
-        /// `--out` destination (stdout when absent).
-        out: Option<String>,
-        /// `--stats-out` destination for the campaign's fork and
-        /// churn-draw counters (no artifact when absent; never part of
-        /// the report document).
+        /// `--stats-out` destination for the work counters (search and
+        /// chaos; never part of the document).
         stats_out: Option<String>,
         /// Metrics/trace outputs (`--metrics-out`, `--trace-out`).
         obs: ObsOutputs,
@@ -292,41 +199,6 @@ pub enum Cli {
     Help,
 }
 
-impl Cli {
-    /// The `--out` destination, if one was given.
-    pub fn out(&self) -> Option<&str> {
-        match self {
-            Cli::Run { out, .. }
-            | Cli::Sweep { out, .. }
-            | Cli::Search { out, .. }
-            | Cli::Partition { out, .. }
-            | Cli::Chaos { out, .. } => out.as_deref(),
-            Cli::Serve { .. } | Cli::RegenGolden { .. } | Cli::List | Cli::Help => None,
-        }
-    }
-
-    /// The `--stats-out` destination, if one was given (search and
-    /// chaos only).
-    pub fn stats_out(&self) -> Option<&str> {
-        match self {
-            Cli::Search { stats_out, .. } | Cli::Chaos { stats_out, .. } => stats_out.as_deref(),
-            _ => None,
-        }
-    }
-
-    /// The observability outputs, if this is a run mode.
-    pub fn obs(&self) -> Option<&ObsOutputs> {
-        match self {
-            Cli::Run { obs, .. }
-            | Cli::Sweep { obs, .. }
-            | Cli::Search { obs, .. }
-            | Cli::Partition { obs, .. }
-            | Cli::Chaos { obs, .. } => Some(obs),
-            Cli::Serve { .. } | Cli::RegenGolden { .. } | Cli::List | Cli::Help => None,
-        }
-    }
-}
-
 /// A failed parse: the message to print before [`USAGE`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
@@ -334,641 +206,248 @@ pub enum CliError {
     Usage(String),
 }
 
-/// Flag values accumulated by the first parsing pass, before the mode
-/// (experiments vs sweep vs search) is known.
-#[derive(Debug, Default)]
-struct RawFlags {
-    format: Option<Format>,
-    threads: Option<usize>,
-    walkers: Option<usize>,
-    epochs: Option<u64>,
-    seed: Option<u64>,
-    validators: Option<usize>,
-    backend: Option<BackendKind>,
-    grids: Vec<String>,
-    objective: Option<Objective>,
-    budget: Option<usize>,
-    beta0: Option<f64>,
-    p0: Option<f64>,
-    max_period: Option<u8>,
-    timelines: Vec<String>,
-    strategy: Option<StrategyKind>,
-    regen_golden: Option<String>,
-    addr: Option<String>,
-    cache_dir: Option<String>,
-    out: Option<String>,
-    stats_out: Option<String>,
-    metrics_out: Option<String>,
-    metrics_format: Option<MetricsFormat>,
-    trace_out: Option<String>,
-}
+/// Flags written into the request field of the same name (`-` → `_`);
+/// a repeated flag replaces the earlier value.
+const REQUEST_FLAGS: [&str; 12] = [
+    "format",
+    "walkers",
+    "epochs",
+    "seed",
+    "validators",
+    "backend",
+    "objective",
+    "budget",
+    "beta0",
+    "p0",
+    "max-period",
+    "strategy",
+];
 
-impl RawFlags {
-    /// Assembles the `--metrics-out` / `--metrics-format` /
-    /// `--trace-out` trio, rejecting a format with nowhere to go.
-    fn obs_outputs(&self) -> Result<ObsOutputs, CliError> {
-        if self.metrics_format.is_some() && self.metrics_out.is_none() {
-            return Err(CliError::Usage(
-                "--metrics-format needs --metrics-out <path>".into(),
-            ));
-        }
-        Ok(ObsOutputs {
-            metrics_out: self.metrics_out.clone(),
-            metrics_format: self.metrics_format.unwrap_or_default(),
-            trace_out: self.trace_out.clone(),
-        })
-    }
-}
+/// The other flags: the repeatable `timeline` and `grid`, which become
+/// request arrays, and the invocation's own.
+const CLI_FLAGS: [&str; 11] = [
+    "timeline",
+    "grid",
+    "threads",
+    "out",
+    "stats-out",
+    "metrics-out",
+    "metrics-format",
+    "trace-out",
+    "addr",
+    "cache-dir",
+    "regen-golden",
+];
+
+const SUBCOMMANDS: [&str; 5] = ["sweep", "search", "partition", "chaos", "serve"];
 
 /// Parses command-line arguments (without the program name).
+///
+/// Every run mode becomes a request: the subcommand sets `kind`
+/// (`experiment` without one, the positional ids going into
+/// `experiments`), each request flag sets its field and
+/// [`JobRequest::from_json`] — the only per-mode parser — decides what
+/// the mode accepts. The CLI adds `"format": "text"` unless `--format`
+/// is given, and checks only what a request cannot know: where the
+/// outputs go, `serve`'s own flags and `--regen-golden`.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, CliError> {
-    let mut experiments = Vec::new();
-    let mut sweep = false;
-    let mut search = false;
-    let mut partition = false;
-    let mut chaos = false;
-    let mut serve = false;
-    let mut flags = RawFlags::default();
+    let usage = |msg: String| Err(CliError::Usage(msg));
+    let mut words = Vec::new();
+    let mut flags: Vec<(&str, String)> = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
-        // `--opt value` and `--opt=value` are both accepted.
-        let mut flag_value = |name: &str| -> Result<Option<String>, CliError> {
-            if arg == name {
-                return iter
-                    .next()
-                    .map(Some)
-                    .ok_or_else(|| CliError::Usage(format!("{name} needs a value")));
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(Cli::Help),
+            "--list" => return Ok(Cli::List),
+            word if !word.starts_with('-') => {
+                words.push(arg);
+                continue;
             }
-            if let Some(rest) = arg.strip_prefix(&format!("{name}=")) {
-                return Ok(Some(rest.to_string()));
-            }
-            Ok(None)
-        };
-        if let Some(value) = flag_value("--format")? {
-            flags.format = Some(parse_format(&value)?);
-        } else if let Some(value) = flag_value("--threads")? {
-            flags.threads = Some(parse_count("--threads", &value, true)?);
-        } else if let Some(value) = flag_value("--walkers")? {
-            flags.walkers = Some(parse_count("--walkers", &value, false)?);
-        } else if let Some(value) = flag_value("--epochs")? {
-            flags.epochs = Some(parse_count("--epochs", &value, false)? as u64);
-        } else if let Some(value) = flag_value("--seed")? {
-            flags.seed = Some(
-                value
-                    .parse::<u64>()
-                    .map_err(|_| CliError::Usage(format!("--seed `{value}` is not a u64")))?,
-            );
-        } else if let Some(value) = flag_value("--validators")? {
-            flags.validators = Some(parse_count("--validators", &value, false)?);
-        } else if let Some(value) = flag_value("--backend")? {
-            flags.backend = Some(BackendKind::from_id(&value).ok_or_else(|| {
-                CliError::Usage(format!(
-                    "unknown backend `{value}` (expected `dense` or `cohort`)"
-                ))
-            })?);
-        } else if let Some(value) = flag_value("--grid")? {
-            flags.grids.push(value);
-        } else if let Some(value) = flag_value("--objective")? {
-            flags.objective = Some(Objective::from_id(&value).ok_or_else(|| {
-                CliError::Usage(format!(
-                    "unknown objective `{value}` (expected conflict, proportion \
-                     or non-slashable-horizon)"
-                ))
-            })?);
-        } else if let Some(value) = flag_value("--budget")? {
-            flags.budget = Some(parse_count("--budget", &value, false)?);
-        } else if let Some(value) = flag_value("--beta0")? {
-            flags.beta0 = Some(parse_unit("--beta0", &value)?);
-        } else if let Some(value) = flag_value("--p0")? {
-            flags.p0 = Some(parse_unit("--p0", &value)?);
-        } else if let Some(value) = flag_value("--max-period")? {
-            let n = parse_count("--max-period", &value, false)?;
-            if n > 8 {
-                return Err(CliError::Usage(format!(
-                    "--max-period `{n}` is too fine (the exhaustive grid \
-                     grows combinatorially; use ≤ 8)"
-                )));
-            }
-            flags.max_period = Some(n as u8);
-        } else if let Some(value) = flag_value("--timeline")? {
-            flags.timelines.push(value);
-        } else if let Some(value) = flag_value("--strategy")? {
-            flags.strategy = Some(StrategyKind::from_id(&value).ok_or_else(|| {
-                CliError::Usage(format!(
-                    "unknown strategy `{value}` (expected dual-active, semi-active, \
-                     threshold-seeker, rotate or rotate-dwell)"
-                ))
-            })?);
-        } else if let Some(value) = flag_value("--regen-golden")? {
-            flags.regen_golden = Some(value);
-        } else if let Some(value) = flag_value("--addr")? {
-            flags.addr = Some(value);
-        } else if let Some(value) = flag_value("--cache-dir")? {
-            flags.cache_dir = Some(value);
-        } else if let Some(value) = flag_value("--out")? {
-            flags.out = Some(value);
-        } else if let Some(value) = flag_value("--stats-out")? {
-            flags.stats_out = Some(value);
-        } else if let Some(value) = flag_value("--metrics-out")? {
-            flags.metrics_out = Some(value);
-        } else if let Some(value) = flag_value("--metrics-format")? {
-            flags.metrics_format = Some(parse_metrics_format(&value)?);
-        } else if let Some(value) = flag_value("--trace-out")? {
-            flags.trace_out = Some(value);
-        } else {
-            match arg.as_str() {
-                "--help" | "-h" => return Ok(Cli::Help),
-                "--list" => return Ok(Cli::List),
-                other if other.starts_with('-') => {
-                    return Err(CliError::Usage(format!("unknown option `{other}`")));
-                }
-                "sweep" => sweep = true,
-                "search" => search = true,
-                "partition" => partition = true,
-                "chaos" => chaos = true,
-                "serve" => serve = true,
-                "all" => experiments.extend(Experiment::all()),
-                id => {
-                    let experiment = Experiment::from_id(id).ok_or_else(|| {
-                        CliError::Usage(format!(
-                            "unknown experiment `{id}` (try --list for the valid ids)"
-                        ))
-                    })?;
-                    experiments.push(experiment);
-                }
-            }
+            _ => {}
         }
+        // `--opt value` and `--opt=value` are both accepted.
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value.to_string())),
+            None => (arg.as_str(), None),
+        };
+        let known = name.strip_prefix("--").and_then(|name| {
+            REQUEST_FLAGS
+                .iter()
+                .chain(&CLI_FLAGS)
+                .find(|flag| **flag == name)
+        });
+        let Some(flag) = known else {
+            return usage(format!("unknown option `{arg}`"));
+        };
+        let Some(value) = inline.or_else(|| iter.next()) else {
+            return usage(format!("{name} needs a value"));
+        };
+        flags.push((*flag, value));
     }
-    if [sweep, search, partition, chaos, serve]
-        .iter()
-        .filter(|&&m| m)
-        .count()
-        > 1
-    {
-        return Err(CliError::Usage(
+    let last = |name: &str| {
+        flags
+            .iter()
+            .rev()
+            .find(|(flag, _)| *flag == name)
+            .map(|(_, value)| value.clone())
+    };
+    let (subcommands, experiments): (Vec<String>, Vec<String>) = words
+        .into_iter()
+        .partition(|word| SUBCOMMANDS.contains(&word.as_str()));
+    if subcommands.len() > 1 {
+        return usage(
             "`sweep`, `search`, `partition`, `chaos` and `serve` are different \
              subcommands"
                 .into(),
-        ));
+        );
     }
-    if !serve && (flags.addr.is_some() || flags.cache_dir.is_some()) {
-        return Err(CliError::Usage(
-            "--addr and --cache-dir are only valid with the `serve` subcommand".into(),
-        ));
+    let kind = subcommands.first().map_or("experiment", String::as_str);
+    let threads = last("threads")
+        .map(|value| value.parse::<usize>().map_err(|_| value))
+        .transpose()
+        .map_err(|value| {
+            CliError::Usage(format!("--threads `{value}` is not a non-negative integer"))
+        })?;
+    if kind != "serve" && (last("addr").is_some() || last("cache-dir").is_some()) {
+        return usage("--addr and --cache-dir are only valid with the `serve` subcommand".into());
     }
-    if let Some(dir) = flags.regen_golden {
-        if sweep || search || partition || chaos || serve || !experiments.is_empty() {
-            return Err(CliError::Usage(
-                "--regen-golden stands alone (it rewrites the fixture corpus)".into(),
-            ));
+    if let Some(dir) = last("regen-golden") {
+        if !subcommands.is_empty() || !experiments.is_empty() {
+            return usage("--regen-golden stands alone (it rewrites the fixture corpus)".into());
         }
         return Ok(Cli::RegenGolden { dir });
     }
-    if serve {
-        return build_serve(&experiments, flags);
-    }
-    if sweep {
-        return build_sweep(&experiments, flags);
-    }
-    if search {
-        return build_search(&experiments, flags);
-    }
-    if partition {
-        return build_partition(&experiments, flags);
-    }
-    if chaos {
-        return build_chaos(&experiments, flags);
-    }
-    build_run(experiments, flags)
-}
-
-fn build_partition(experiments: &[Experiment], flags: RawFlags) -> Result<Cli, CliError> {
-    if let Some(extra) = experiments.first() {
-        return Err(CliError::Usage(format!(
-            "`partition` cannot be combined with experiment ids (got `{}`)",
-            extra.id()
-        )));
-    }
-    if let Some(grid) = flags.grids.first() {
-        return Err(CliError::Usage(format!(
-            "--grid {grid} is only valid with the `sweep` subcommand"
-        )));
-    }
-    if flags.walkers.is_some() {
-        return Err(CliError::Usage(
-            "--walkers is a Monte-Carlo knob; `partition` runs one exact \
-             simulation per timeline"
-                .into(),
-        ));
-    }
-    for (name, valid_with, set) in [
-        ("--objective", "`search`", flags.objective.is_some()),
-        ("--budget", "`search` and `chaos`", flags.budget.is_some()),
-        ("--max-period", "`search`", flags.max_period.is_some()),
-        ("--p0", "`search`", flags.p0.is_some()),
-    ] {
-        if set {
-            return Err(CliError::Usage(format!(
-                "{name} is only valid with the {valid_with} subcommand(s) \
-                 (partition splits are set by the timeline weights)"
-            )));
+    if kind == "serve" {
+        if let Some(id) = experiments.first() {
+            return usage(format!(
+                "`serve` cannot be combined with experiment ids (got `{id}`) — \
+                 submit them to POST /v1/jobs instead"
+            ));
         }
-    }
-    reject_stats_out(&flags)?;
-    let strategy = flags.strategy.unwrap_or(StrategyKind::RotateDwell);
-    // Raw-timeline defaults live in core so the request API resolves
-    // identical scenarios (identical bytes, identical cache addresses).
-    let beta0 = flags.beta0.unwrap_or(partition::RAW_TIMELINE_BETA0);
-    let epochs = flags.epochs.unwrap_or(partition::RAW_TIMELINE_EPOCHS);
-    let mut scenarios = if flags.timelines.is_empty() {
-        partition::preset_scenarios()
-    } else {
-        flags
-            .timelines
+        // Every run-shaping and output flag belongs to a *request*, not to
+        // the service: the server takes them per-job from the JSON body and
+        // serves documents over HTTP, so a flag here could only be ignored.
+        if let Some((flag, _)) = flags
             .iter()
-            .map(|arg| {
-                partition::resolve_scenario(arg, strategy, beta0, epochs)
-                    .map_err(|err| CliError::Usage(err.to_string()))
-            })
-            .collect::<Result<Vec<_>, CliError>>()?
-    };
-    // Explicit flags override preset-carried knobs too, so
-    // `partition --timeline three-branch --beta0 0.3` means what it says.
-    for scenario in &mut scenarios {
-        if let Some(beta0) = flags.beta0 {
-            scenario.beta0 = beta0;
-        }
-        if let Some(epochs) = flags.epochs {
-            scenario.epochs = epochs;
-        }
-        if let Some(strategy) = flags.strategy {
-            scenario.strategy = strategy;
-        }
-        // After overrides: a strategy that cannot observe this timeline
-        // is a usage error, not a mid-run panic.
-        partition::validate_scenario(scenario).map_err(|err| CliError::Usage(err.to_string()))?;
-    }
-    let defaults = PartitionSpec::default();
-    let obs = flags.obs_outputs()?;
-    Ok(Cli::Partition {
-        spec: PartitionSpec {
-            scenarios,
-            n: flags.validators.unwrap_or(defaults.n),
-            backend: flags.backend.unwrap_or(defaults.backend),
-            seed: flags.seed.unwrap_or(defaults.seed),
-            threads: flags.threads.unwrap_or(defaults.threads),
-        },
-        format: flags.format.unwrap_or(Format::Text),
-        out: flags.out,
-        obs,
-    })
-}
-
-fn build_chaos(experiments: &[Experiment], flags: RawFlags) -> Result<Cli, CliError> {
-    if let Some(extra) = experiments.first() {
-        return Err(CliError::Usage(format!(
-            "`chaos` cannot be combined with experiment ids (got `{}`)",
-            extra.id()
-        )));
-    }
-    if let Some(grid) = flags.grids.first() {
-        return Err(CliError::Usage(format!(
-            "--grid {grid} is only valid with the `sweep` subcommand"
-        )));
-    }
-    if flags.walkers.is_some() {
-        return Err(CliError::Usage(
-            "--walkers is a Monte-Carlo knob; `chaos` sizes itself with --budget".into(),
-        ));
-    }
-    // The campaign samples its own stake splits and adversaries — the
-    // search/partition shape knobs have nothing to bind to.
-    for (name, set) in [
-        ("--objective", flags.objective.is_some()),
-        ("--max-period", flags.max_period.is_some()),
-        ("--p0", flags.p0.is_some()),
-        ("--beta0", flags.beta0.is_some()),
-    ] {
-        if set {
-            return Err(CliError::Usage(format!(
-                "{name} has no meaning under `chaos` (the campaign samples \
-                 stake splits and adversaries from --seed)"
-            )));
-        }
-    }
-    reject_partition_flags(&flags)?;
-    let mut spec = ChaosSpec::default();
-    if let Some(budget) = flags.budget {
-        spec.budget = budget as u64;
-    }
-    if let Some(seed) = flags.seed {
-        spec.seed = seed;
-    }
-    if let Some(epochs) = flags.epochs {
-        spec.max_epochs = epochs;
-    }
-    if let Some(n) = flags.validators {
-        spec.n = n;
-    }
-    if let Some(backend) = flags.backend {
-        spec.backend = backend;
-    }
-    if let Some(threads) = flags.threads {
-        spec.threads = threads;
-    }
-    let obs = flags.obs_outputs()?;
-    Ok(Cli::Chaos {
-        spec,
-        format: flags.format.unwrap_or(Format::Text),
-        out: flags.out,
-        stats_out: flags.stats_out,
-        obs,
-    })
-}
-
-fn build_serve(experiments: &[Experiment], flags: RawFlags) -> Result<Cli, CliError> {
-    if let Some(extra) = experiments.first() {
-        return Err(CliError::Usage(format!(
-            "`serve` cannot be combined with experiment ids (got `{}`) — \
-             submit them to POST /v1/jobs instead",
-            extra.id()
-        )));
-    }
-    // Every run-shaping and output flag belongs to a *request*, not to
-    // the service: the server takes them per-job from the JSON body and
-    // serves documents over HTTP, so a flag here could only be ignored.
-    for (name, set) in [
-        ("--format", flags.format.is_some()),
-        ("--walkers", flags.walkers.is_some()),
-        ("--epochs", flags.epochs.is_some()),
-        ("--seed", flags.seed.is_some()),
-        ("--validators", flags.validators.is_some()),
-        ("--backend", flags.backend.is_some()),
-        ("--grid", !flags.grids.is_empty()),
-        ("--objective", flags.objective.is_some()),
-        ("--budget", flags.budget.is_some()),
-        ("--beta0", flags.beta0.is_some()),
-        ("--p0", flags.p0.is_some()),
-        ("--max-period", flags.max_period.is_some()),
-        ("--timeline", !flags.timelines.is_empty()),
-        ("--strategy", flags.strategy.is_some()),
-        ("--out", flags.out.is_some()),
-        ("--stats-out", flags.stats_out.is_some()),
-        ("--metrics-out", flags.metrics_out.is_some()),
-        ("--metrics-format", flags.metrics_format.is_some()),
-        ("--trace-out", flags.trace_out.is_some()),
-    ] {
-        if set {
-            return Err(CliError::Usage(format!(
-                "{name} is a per-request knob; pass it in the JSON body of \
+            .find(|(flag, _)| !["addr", "cache-dir", "threads"].contains(flag))
+        {
+            return usage(format!(
+                "--{flag} is a per-request knob; pass it in the JSON body of \
                  POST /v1/jobs (`serve` only takes --addr, --cache-dir and \
                  --threads)"
-            )));
+            ));
         }
+        let defaults = ethpos_server::ServerConfig::default();
+        return Ok(Cli::Serve {
+            addr: last("addr").unwrap_or(defaults.addr),
+            cache_dir: last("cache-dir").unwrap_or(defaults.cache_dir),
+            threads: threads.unwrap_or(defaults.threads),
+        });
     }
-    let defaults = ethpos_server::ServerConfig::default();
-    Ok(Cli::Serve {
-        addr: flags.addr.unwrap_or(defaults.addr),
-        cache_dir: flags.cache_dir.unwrap_or(defaults.cache_dir),
-        threads: flags.threads.unwrap_or(defaults.threads),
-    })
-}
-
-/// Rejects the search-only flags (and the search/partition-shared
-/// `--beta0`) in plain-run and `sweep` modes (`hint` is appended to the
-/// error when the mode has an equivalent of its own).
-fn reject_search_flags(flags: &RawFlags, hint: &str) -> Result<(), CliError> {
-    for (name, valid_with, set) in [
-        ("--objective", "`search`", flags.objective.is_some()),
-        ("--budget", "`search` and `chaos`", flags.budget.is_some()),
-        ("--beta0", "`search` and `partition`", flags.beta0.is_some()),
-        ("--p0", "`search`", flags.p0.is_some()),
-        ("--max-period", "`search`", flags.max_period.is_some()),
-    ] {
-        if set {
-            return Err(CliError::Usage(format!(
-                "{name} is only valid with the {valid_with} subcommand(s){hint}"
-            )));
-        }
+    if last("stats-out").is_some() && !matches!(kind, "search" | "chaos") {
+        return usage("--stats-out is only valid with the `search` and `chaos` subcommands".into());
     }
-    Ok(())
-}
-
-/// Rejects `--stats-out` in the modes that produce no work-counter
-/// artifact.
-fn reject_stats_out(flags: &RawFlags) -> Result<(), CliError> {
-    if flags.stats_out.is_some() {
-        return Err(CliError::Usage(
-            "--stats-out is only valid with the `search` and `chaos` subcommands".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// Rejects the partition-only flags in non-`partition` modes.
-fn reject_partition_flags(flags: &RawFlags) -> Result<(), CliError> {
-    for (name, set) in [
-        ("--timeline", !flags.timelines.is_empty()),
-        ("--strategy", flags.strategy.is_some()),
-    ] {
-        if set {
-            return Err(CliError::Usage(format!(
-                "{name} is only valid with the `partition` subcommand"
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn build_run(mut experiments: Vec<Experiment>, flags: RawFlags) -> Result<Cli, CliError> {
-    if let Some(grid) = flags.grids.first() {
-        return Err(CliError::Usage(format!(
-            "--grid {grid} is only valid with the `sweep` subcommand"
-        )));
-    }
-    reject_search_flags(&flags, "")?;
-    reject_partition_flags(&flags)?;
-    reject_stats_out(&flags)?;
-    if experiments.is_empty() {
-        return Err(CliError::Usage("no experiment selected".into()));
-    }
-    // Order-preserving dedup: `ethpos-cli all fig2` runs fig2 once.
-    let mut seen = Vec::new();
-    experiments.retain(|e| {
-        let fresh = !seen.contains(e);
-        seen.push(*e);
-        fresh
-    });
-    let defaults = McConfig::default();
-    let obs = flags.obs_outputs()?;
-    Ok(Cli::Run {
-        experiments,
-        format: flags.format.unwrap_or(Format::Text),
-        mc: McConfig {
-            threads: flags.threads.unwrap_or(defaults.threads),
-            walkers: flags.walkers.unwrap_or(defaults.walkers),
-            epochs: flags.epochs.unwrap_or(defaults.epochs),
-            seed: flags.seed.unwrap_or(defaults.seed),
-            validators: flags.validators,
-            backend: flags.backend.unwrap_or(defaults.backend),
-        },
-        out: flags.out,
-        obs,
-    })
-}
-
-fn build_search(experiments: &[Experiment], flags: RawFlags) -> Result<Cli, CliError> {
-    if let Some(extra) = experiments.first() {
-        return Err(CliError::Usage(format!(
-            "`search` cannot be combined with experiment ids (got `{}`)",
-            extra.id()
-        )));
-    }
-    if let Some(grid) = flags.grids.first() {
-        return Err(CliError::Usage(format!(
-            "--grid {grid} is only valid with the `sweep` subcommand"
-        )));
-    }
-    if flags.walkers.is_some() {
-        return Err(CliError::Usage(
-            "--walkers is a Monte-Carlo knob; `search` sizes itself with --budget".into(),
-        ));
-    }
-    reject_partition_flags(&flags)?;
-    let mut spec = SearchSpec::new(flags.objective.unwrap_or(Objective::Conflict));
-    if let Some(beta0) = flags.beta0 {
-        spec.beta0 = beta0;
-    }
-    if let Some(p0) = flags.p0 {
-        spec.p0 = p0;
-    }
-    if let Some(n) = flags.validators {
-        spec.n = n;
-    }
-    if let Some(backend) = flags.backend {
-        spec.backend = backend;
-    }
-    if let Some(epochs) = flags.epochs {
-        spec.epochs = epochs;
-    }
-    if let Some(budget) = flags.budget {
-        spec.budget = budget;
-    }
-    if let Some(max_period) = flags.max_period {
-        spec.max_period = max_period;
-    }
-    if let Some(seed) = flags.seed {
-        spec.seed = seed;
-    }
-    if let Some(threads) = flags.threads {
-        spec.threads = threads;
-    }
-    let obs = flags.obs_outputs()?;
-    Ok(Cli::Search {
-        spec,
-        format: flags.format.unwrap_or(Format::Text),
-        out: flags.out,
-        stats_out: flags.stats_out,
-        obs,
-    })
-}
-
-fn build_sweep(experiments: &[Experiment], flags: RawFlags) -> Result<Cli, CliError> {
-    if let Some(extra) = experiments.first() {
-        return Err(CliError::Usage(format!(
-            "`sweep` cannot be combined with experiment ids (got `{}`)",
-            extra.id()
-        )));
-    }
-    reject_search_flags(&flags, " (sweep replaces axes with --grid axis=…)")?;
-    reject_partition_flags(&flags)?;
-    reject_stats_out(&flags)?;
-    let mut spec = SweepSpec::default();
-    if let Some(threads) = flags.threads {
-        spec.threads = threads;
-    }
-    if let Some(walkers) = flags.walkers {
-        spec.walkers = vec![walkers];
-    }
-    if let Some(epochs) = flags.epochs {
-        spec.epochs = epochs;
-    }
-    if let Some(seed) = flags.seed {
-        spec.seed = seed;
-    }
-    if let Some(validators) = flags.validators {
-        spec.validators = vec![validators];
-    }
-    if let Some(backend) = flags.backend {
-        spec.backend = backend;
-    }
-    // Grid directives come last so `--grid walkers=…` wins over
-    // `--walkers` regardless of flag order.
-    for grid in &flags.grids {
-        spec.apply_grid(grid).map_err(CliError::Usage)?;
-    }
-    let obs = flags.obs_outputs()?;
-    Ok(Cli::Sweep {
-        spec,
-        format: flags.format.unwrap_or(Format::Text),
-        out: flags.out,
-        obs,
-    })
-}
-
-fn parse_format(value: &str) -> Result<Format, CliError> {
-    match value {
-        "text" => Ok(Format::Text),
-        "json" => Ok(Format::Json),
-        other => Err(CliError::Usage(format!(
-            "unknown format `{other}` (expected `text` or `json`)"
-        ))),
-    }
-}
-
-fn parse_metrics_format(value: &str) -> Result<MetricsFormat, CliError> {
-    match value {
-        "prom" => Ok(MetricsFormat::Prometheus),
-        "json" => Ok(MetricsFormat::Json),
-        other => Err(CliError::Usage(format!(
-            "unknown metrics format `{other}` (expected `prom` or `json`)"
-        ))),
-    }
-}
-
-fn parse_unit(name: &str, value: &str) -> Result<f64, CliError> {
-    value
-        .parse::<f64>()
-        .ok()
-        .filter(|x| *x > 0.0 && *x < 1.0)
-        .ok_or_else(|| CliError::Usage(format!("{name} `{value}` is not a float in (0, 1)")))
-}
-
-fn parse_count(name: &str, value: &str, zero_ok: bool) -> Result<usize, CliError> {
-    value
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| zero_ok || n > 0)
-        .ok_or_else(|| {
-            CliError::Usage(format!(
-                "{name} `{value}` is not a {} integer",
-                if zero_ok { "non-negative" } else { "positive" }
+    let metrics_format = match last("metrics-format").as_deref() {
+        None | Some("prom") => MetricsFormat::Prometheus,
+        Some("json") => MetricsFormat::Json,
+        Some(other) => {
+            return usage(format!(
+                "unknown metrics format `{other}` (expected `prom` or `json`)"
             ))
-        })
+        }
+    };
+    if last("metrics-format").is_some() && last("metrics-out").is_none() {
+        return usage("--metrics-format needs --metrics-out <path>".into());
+    }
+
+    let mut fields = vec![
+        ("kind".to_string(), Value::String(kind.into())),
+        ("format".to_string(), Value::String("text".into())),
+    ];
+    if !experiments.is_empty() {
+        let ids = experiments.into_iter().map(Value::String).collect();
+        fields.push(("experiments".into(), Value::Array(ids)));
+    }
+    let mut timelines = Vec::new();
+    let mut grids = Vec::new();
+    for (flag, value) in &flags {
+        match *flag {
+            "timeline" => timelines.push(typed(value)),
+            "grid" => {
+                let Some((axis, values)) = value.split_once('=') else {
+                    return usage(format!("grid directive `{value}` is not `axis=v1,v2,…`"));
+                };
+                if !SWEEP_AXES.contains(&axis) {
+                    return usage(format!(
+                        "unknown grid axis `{axis}` (expected {})",
+                        SWEEP_AXES.join(", ")
+                    ));
+                }
+                let values = values.split(',').filter(|v| !v.is_empty()).map(typed);
+                grids.push((axis, Value::Array(values.collect())));
+            }
+            flag if REQUEST_FLAGS.contains(&flag) => {
+                set(&mut fields, &flag.replace('-', "_"), typed(value))
+            }
+            _ => {}
+        }
+    }
+    if !timelines.is_empty() {
+        set(&mut fields, "timelines", Value::Array(timelines));
+    }
+    // In a sweep, `--walkers N` / `--validators N` are one-point axes;
+    // grid directives come last so `--grid walkers=…` wins whatever the
+    // flag order.
+    if kind == "sweep" {
+        for (key, value) in fields.iter_mut() {
+            if key == "walkers" || key == "validators" {
+                *value = Value::Array(vec![std::mem::replace(value, Value::Null)]);
+            }
+        }
+    }
+    for (axis, values) in grids {
+        set(&mut fields, axis, values);
+    }
+    let mut request =
+        JobRequest::from_json(&Value::Object(fields)).map_err(|err| CliError::Usage(err.0))?;
+    if let Some(threads) = threads {
+        request.set_threads(threads);
+    }
+    Ok(Cli::Job {
+        request: Box::new(request),
+        out: last("out"),
+        stats_out: last("stats-out"),
+        obs: ObsOutputs {
+            metrics_out: last("metrics-out"),
+            metrics_format,
+            trace_out: last("trace-out"),
+        },
+    })
 }
 
-/// The `--stats-out` artifact of one invocation: destination path and
-/// rendered JSON contents.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StatsArtifact {
-    /// Where `--stats-out` asked the artifact to go.
-    pub path: String,
-    /// The work counters as pretty-printed JSON (newline-terminated).
-    pub json: String,
+/// Writes `value` into the request field `key`, replacing an earlier one.
+fn set(fields: &mut Vec<(String, Value)>, key: &str, value: Value) {
+    match fields.iter_mut().find(|(k, _)| k == key) {
+        Some((_, slot)) => *slot = value,
+        None => fields.push((key.into(), value)),
+    }
 }
 
-/// A generic side-channel artifact: destination path and rendered
-/// contents (Prometheus text, JSON snapshot or Chrome trace JSON).
+/// Types a flag value the way the JSON lexer types a number literal
+/// (`u64`, else `f64`), else as a string — so a flag carries the exact
+/// value the equivalent request body would.
+fn typed(value: &str) -> Value {
+    if let Ok(n) = value.parse::<u64>() {
+        Value::U64(n)
+    } else if let Ok(x) = value.parse::<f64>() {
+        Value::F64(x)
+    } else {
+        Value::String(value.into())
+    }
+}
+
+/// A side-channel artifact: destination path and rendered contents
+/// (work counters, Prometheus text, JSON snapshot or Chrome trace JSON).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Artifact {
     /// Destination path.
@@ -978,150 +457,84 @@ pub struct Artifact {
 }
 
 /// Everything one invocation produced: the main document plus the
-/// optional side-channel artifacts. The document bytes never depend on
-/// which artifacts were requested.
+/// side-channel artifacts it asked for. The document bytes never depend
+/// on which artifacts were requested.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunArtifacts {
-    /// The main document ([`run`]'s return value).
+    /// The main document (what stdout or `--out` receives).
     pub document: String,
-    /// The `--stats-out` artifact (search and chaos).
-    pub stats: Option<StatsArtifact>,
-    /// The `--metrics-out` artifact (any run mode).
-    pub metrics: Option<Artifact>,
-    /// The `--trace-out` artifact (any run mode).
-    pub trace: Option<Artifact>,
+    /// `--stats-out` (search, chaos), `--metrics-out` and `--trace-out`,
+    /// in that order, each present only when requested.
+    pub side_channels: Vec<Artifact>,
 }
 
-/// Executes a parsed invocation and returns everything to print.
-pub fn run(cli: &Cli) -> String {
-    run_with_stats(cli).0
-}
-
-/// [`run_with_stats`] plus the `--metrics-out` / `--trace-out`
-/// artifacts. Recording is enabled (process-globally) before the run
-/// iff the corresponding output was requested, and the registry /
-/// trace ring are rendered once the run is done. Instrumentation is
-/// observation-only: the document and `--stats-out` bytes are identical
-/// with and without it.
-pub fn run_full(cli: &Cli) -> RunArtifacts {
-    let obs = cli.obs().cloned().unwrap_or_default();
+/// Executes a parsed invocation and returns everything to write.
+///
+/// A job runs through [`JobRequest::execute`], the execution path
+/// `ethpos-server` shares. Metrics and tracing are enabled
+/// (process-globally) before the run iff their output was requested, and
+/// rendered once it is done; instrumentation is observation-only, so the
+/// document and `--stats-out` bytes are identical with and without it.
+pub fn run(cli: &Cli) -> RunArtifacts {
+    let document = |document: String| RunArtifacts {
+        document,
+        side_channels: Vec::new(),
+    };
+    let (request, stats_out, obs) = match cli {
+        Cli::Job {
+            request,
+            stats_out,
+            obs,
+            ..
+        } => (request, stats_out, obs),
+        Cli::Help => return document(format!("{USAGE}\n")),
+        Cli::List => {
+            let mut out = String::from("id       paper reference\n");
+            for e in Experiment::all() {
+                out.push_str(&format!("{:<8} {}\n", e.id(), e.title()));
+            }
+            return document(out);
+        }
+        // The binary routes these two through `ethpos_server` and
+        // [`regen_golden`] (so a failure exits non-zero); these arms keep
+        // `run` total for library callers.
+        Cli::Serve { addr, .. } => {
+            return document(format!(
+                "serve is a resident mode: run the `ethpos-cli` binary ({addr})\n"
+            ))
+        }
+        Cli::RegenGolden { dir } => {
+            return document(regen_golden(dir).unwrap_or_else(|err| format!("error: {err}\n")))
+        }
+    };
     if obs.metrics_out.is_some() {
         ethpos_obs::set_metrics_enabled(true);
     }
     if obs.trace_out.is_some() {
         ethpos_obs::set_trace_enabled(true);
     }
-    let (document, stats) = run_with_stats(cli);
-    let metrics = obs.metrics_out.map(|path| Artifact {
-        path,
-        contents: match obs.metrics_format {
-            MetricsFormat::Prometheus => ethpos_obs::global().render_prometheus(),
-            MetricsFormat::Json => ethpos_obs::global().render_json(),
-        },
-    });
-    let trace = obs.trace_out.map(|path| Artifact {
-        path,
-        contents: ethpos_obs::tracer().export_chrome_json(),
-    });
-    RunArtifacts {
-        document,
-        stats,
-        metrics,
-        trace,
-    }
-}
-
-/// [`run`] plus the `--stats-out` artifact when the invocation asked
-/// for one (search and chaos). The main document is byte-identical
-/// with and without `--stats-out` — the counters never leak into it.
-pub fn run_with_stats(cli: &Cli) -> (String, Option<StatsArtifact>) {
-    let Some(request) = job_request(cli) else {
-        return (run_plain(cli), None);
-    };
     let output = request.execute();
-    // Partition jobs carry stats too, but the CLI rejects --stats-out
-    // for them (`reject_stats_out`), so only search and chaos can have a
-    // destination here.
-    let stats = match (cli.stats_out(), output.stats) {
-        (Some(path), Some(json)) => Some(StatsArtifact {
-            path: path.to_string(),
-            json,
-        }),
-        _ => None,
-    };
-    (output.document, stats)
-}
-
-/// The [`JobRequest`] equivalent of a run-mode invocation (`None` for
-/// the non-run modes). This is the single execution path shared with
-/// `ethpos-server`: a command line and the equivalent API request
-/// canonicalize to the same request and produce byte-identical
-/// documents.
-pub fn job_request(cli: &Cli) -> Option<JobRequest> {
-    let doc = |format: Format| match format {
-        Format::Text => DocumentFormat::Text,
-        Format::Json => DocumentFormat::Json,
-    };
-    match cli {
-        Cli::Run {
-            experiments,
-            format,
-            mc,
-            ..
-        } => Some(JobRequest::Run {
-            experiments: experiments.clone(),
-            mc: *mc,
-            format: doc(*format),
-        }),
-        Cli::Sweep { spec, format, .. } => Some(JobRequest::Sweep {
-            spec: spec.clone(),
-            format: doc(*format),
-        }),
-        Cli::Search { spec, format, .. } => Some(JobRequest::Search {
-            spec: spec.clone(),
-            format: doc(*format),
-        }),
-        Cli::Partition { spec, format, .. } => Some(JobRequest::Partition {
-            spec: spec.clone(),
-            format: doc(*format),
-        }),
-        Cli::Chaos { spec, format, .. } => Some(JobRequest::Chaos {
-            spec: spec.clone(),
-            format: doc(*format),
-        }),
-        Cli::Serve { .. } | Cli::RegenGolden { .. } | Cli::List | Cli::Help => None,
-    }
-}
-
-/// The non-run modes of [`run`].
-fn run_plain(cli: &Cli) -> String {
-    match cli {
-        Cli::Help => format!("{USAGE}\n"),
-        Cli::List => {
-            let mut out = String::from("id       paper reference\n");
-            for e in Experiment::all() {
-                out.push_str(&format!("{:<8} {}\n", e.id(), e.title()));
-            }
-            out
-        }
-        Cli::Serve { addr, .. } => {
-            // The binary routes this variant through `ethpos_server`; this
-            // arm keeps `run` total for library callers.
-            format!("serve is a resident mode: run the `ethpos-cli` binary ({addr})\n")
-        }
-        Cli::RegenGolden { dir } => {
-            // The binary routes this variant through [`regen_golden`] so
-            // a failure exits non-zero; this arm keeps `run` total for
-            // library callers.
-            regen_golden(dir).unwrap_or_else(|err| format!("error: {err}\n"))
-        }
-        Cli::Run { .. }
-        | Cli::Sweep { .. }
-        | Cli::Search { .. }
-        | Cli::Partition { .. }
-        | Cli::Chaos { .. } => {
-            unreachable!("run modes are handled by `run_with_stats`")
-        }
+    // Partition jobs carry stats too, but `parse_args` rejects
+    // `--stats-out` for them, so only search and chaos get here.
+    let stats = stats_out.clone().zip(output.stats);
+    let metrics = obs
+        .metrics_out
+        .clone()
+        .map(|path| match obs.metrics_format {
+            MetricsFormat::Prometheus => (path, ethpos_obs::global().render_prometheus()),
+            MetricsFormat::Json => (path, ethpos_obs::global().render_json()),
+        });
+    let trace = obs
+        .trace_out
+        .clone()
+        .map(|path| (path, ethpos_obs::tracer().export_chrome_json()));
+    RunArtifacts {
+        document: output.document,
+        side_channels: [stats, metrics, trace]
+            .into_iter()
+            .flatten()
+            .map(|(path, contents)| Artifact { path, contents })
+            .collect(),
     }
 }
 
@@ -1146,10 +559,23 @@ pub fn regen_golden(dir: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ethpos_core::experiments::McConfig;
+    use ethpos_core::partition::{PartitionSpec, StrategyKind};
     use ethpos_core::stake_model::PenaltySemantics;
+    use ethpos_core::{BackendKind, ChaosSpec, DocumentFormat};
+    use ethpos_search::{Objective, SearchSpec};
+    use proptest::prelude::*;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The request of a job invocation (panics on anything else).
+    fn job(list: &[&str]) -> JobRequest {
+        match parse_args(args(list)) {
+            Ok(Cli::Job { request, .. }) => *request,
+            other => panic!("{list:?} parsed to {other:?}"),
+        }
     }
 
     #[test]
@@ -1158,33 +584,35 @@ mod tests {
             if e == Experiment::PartitionTimelines {
                 // The word `partition` is the full-size subcommand; the
                 // smoke experiment still runs through `all`.
-                assert!(matches!(
-                    parse_args(args(&["partition"])),
-                    Ok(Cli::Partition { .. })
-                ));
+                assert!(matches!(job(&["partition"]), JobRequest::Partition { .. }));
                 continue;
             }
             if e == Experiment::ChaosCampaign {
                 // Same shadowing for `chaos`.
-                assert!(matches!(
-                    parse_args(args(&["chaos"])),
-                    Ok(Cli::Chaos { .. })
-                ));
+                assert!(matches!(job(&["chaos"]), JobRequest::Chaos { .. }));
                 continue;
             }
             match parse_args(args(&[e.id()])) {
-                Ok(Cli::Run {
-                    experiments,
-                    format,
-                    mc,
+                Ok(Cli::Job {
+                    request,
                     out,
+                    stats_out,
                     obs,
                 }) => {
+                    let JobRequest::Run {
+                        experiments,
+                        format,
+                        mc,
+                    } = *request
+                    else {
+                        panic!("{}: not a run", e.id());
+                    };
                     assert_eq!(experiments, vec![e]);
                     assert_eq!(out, None);
-                    assert_eq!(format, Format::Text);
+                    assert_eq!(stats_out, None);
+                    assert_eq!(format, DocumentFormat::Text);
                     assert_eq!(mc, McConfig::default());
-                    assert!(obs.is_empty());
+                    assert_eq!(obs, ObsOutputs::default());
                 }
                 other => panic!("{}: parsed to {other:?}", e.id()),
             }
@@ -1193,8 +621,8 @@ mod tests {
 
     #[test]
     fn all_expands_in_paper_order() {
-        let Ok(Cli::Run { experiments, .. }) = parse_args(args(&["all"])) else {
-            panic!("`all` did not parse");
+        let JobRequest::Run { experiments, .. } = job(&["all"]) else {
+            panic!("`all` did not parse to a run");
         };
         assert_eq!(experiments, Experiment::all().to_vec());
     }
@@ -1213,13 +641,10 @@ mod tests {
     #[test]
     fn format_flag_both_spellings() {
         for argv in [
-            args(&["fig2", "--format", "json"]),
-            args(&["--format=json", "fig2"]),
+            &["fig2", "--format", "json"] as &[&str],
+            &["--format=json", "fig2"],
         ] {
-            let Ok(Cli::Run { format, .. }) = parse_args(argv) else {
-                panic!("format flag did not parse");
-            };
-            assert_eq!(format, Format::Json);
+            assert_eq!(job(argv).format(), DocumentFormat::Json);
         }
         assert!(matches!(
             parse_args(args(&["fig2", "--format", "yaml"])),
@@ -1238,15 +663,15 @@ mod tests {
 
     #[test]
     fn duplicate_selection_runs_once_even_when_not_adjacent() {
-        let Ok(Cli::Run { experiments, .. }) = parse_args(args(&["all", "fig2"])) else {
-            panic!("`all fig2` did not parse");
+        let JobRequest::Run { experiments, .. } = job(&["all", "fig2"]) else {
+            panic!("`all fig2` did not parse to a run");
         };
         assert_eq!(experiments, Experiment::all().to_vec());
     }
 
     #[test]
     fn mc_knobs_reach_the_config() {
-        let cli = parse_args(args(&[
+        let JobRequest::Run { mc, .. } = job(&[
             "fig10",
             "--threads=4",
             "--walkers",
@@ -1254,10 +679,8 @@ mod tests {
             "--epochs=500",
             "--seed",
             "7",
-        ]))
-        .unwrap();
-        let Cli::Run { mc, .. } = cli else {
-            panic!("not a run: {cli:?}");
+        ]) else {
+            panic!("not a run");
         };
         assert_eq!(
             mc,
@@ -1277,27 +700,22 @@ mod tests {
 
     #[test]
     fn validators_and_backend_reach_the_config() {
-        let cli = parse_args(args(&[
-            "fig2",
-            "--validators",
-            "1000000",
-            "--backend=cohort",
-        ]))
-        .unwrap();
-        let Cli::Run { mc, .. } = cli else {
-            panic!("not a run: {cli:?}");
+        let JobRequest::Run { mc, .. } =
+            job(&["fig2", "--validators", "1000000", "--backend=cohort"])
+        else {
+            panic!("not a run");
         };
         assert_eq!(mc.validators, Some(1_000_000));
         assert_eq!(mc.backend, BackendKind::Cohort);
-        let cli = parse_args(args(&["table2", "--validators=600", "--backend", "dense"])).unwrap();
-        let Cli::Run { mc, .. } = cli else {
-            panic!("not a run: {cli:?}");
+        let JobRequest::Run { mc, .. } = job(&["table2", "--validators=600", "--backend", "dense"])
+        else {
+            panic!("not a run");
         };
         assert_eq!(mc.validators, Some(600));
         assert_eq!(mc.backend, BackendKind::Dense);
         // defaults: cross-checks off, cohort backend
-        let Ok(Cli::Run { mc, .. }) = parse_args(args(&["fig2"])) else {
-            panic!("fig2 did not parse");
+        let JobRequest::Run { mc, .. } = job(&["fig2"]) else {
+            panic!("fig2 did not parse to a run");
         };
         assert_eq!(mc.validators, None);
         assert_eq!(mc.backend, BackendKind::Cohort);
@@ -1308,26 +726,22 @@ mod tests {
 
     #[test]
     fn sweep_accepts_validators_scalar_and_grid() {
-        let Ok(Cli::Sweep { spec, .. }) = parse_args(args(&[
-            "sweep",
-            "--validators",
-            "1200",
-            "--backend",
-            "cohort",
-        ])) else {
-            panic!("sweep did not parse");
+        let JobRequest::Sweep { spec, .. } =
+            job(&["sweep", "--validators", "1200", "--backend", "cohort"])
+        else {
+            panic!("not a sweep");
         };
         assert_eq!(spec.validators, vec![1200]);
         assert_eq!(spec.backend, BackendKind::Cohort);
         // the grid axis wins over the scalar, like walkers
-        let Ok(Cli::Sweep { spec, .. }) = parse_args(args(&[
+        let JobRequest::Sweep { spec, .. } = job(&[
             "sweep",
             "--grid",
             "validators=600,1000000",
             "--validators",
             "1200",
-        ])) else {
-            panic!("sweep did not parse");
+        ]) else {
+            panic!("not a sweep");
         };
         assert_eq!(spec.validators, vec![600, 1_000_000]);
     }
@@ -1346,7 +760,7 @@ mod tests {
             "json",
         ]))
         .unwrap();
-        let value: serde_json::Value = serde_json::from_str(&run(&cli)).unwrap();
+        let value: serde_json::Value = serde_json::from_str(&run(&cli).document).unwrap();
         let tables = value.get("tables").and_then(|v| v.as_array()).unwrap();
         assert_eq!(tables.len(), 2); // closed-form + discrete cross-check
         let text = serde_json::to_string(&tables[1]).unwrap();
@@ -1355,11 +769,13 @@ mod tests {
 
     #[test]
     fn sweep_parses_with_grid_directives() {
-        let cli = parse_args(args(&[
+        let JobRequest::Sweep { spec, format } = job(&[
             "sweep",
             "--grid",
             "beta0=0.3,0.32",
             "--grid=semantics=paper,spec",
+            "--grid",
+            "p0=0.6,",
             "--walkers",
             "500",
             "--epochs",
@@ -1367,17 +783,17 @@ mod tests {
             "--threads",
             "2",
             "--seed=9",
-        ]))
-        .unwrap();
-        let Cli::Sweep { spec, format, .. } = cli else {
-            panic!("not a sweep: {cli:?}");
+        ]) else {
+            panic!("not a sweep");
         };
-        assert_eq!(format, Format::Text);
+        assert_eq!(format, DocumentFormat::Text);
         assert_eq!(spec.beta0, vec![0.3, 0.32]);
         assert_eq!(
             spec.semantics,
             vec![PenaltySemantics::Paper, PenaltySemantics::Spec]
         );
+        // empty tokens are dropped
+        assert_eq!(spec.p0, vec![0.6]);
         assert_eq!(spec.walkers, vec![500]);
         assert_eq!(spec.epochs, 200);
         assert_eq!(spec.threads, 2);
@@ -1386,46 +802,47 @@ mod tests {
 
     #[test]
     fn grid_walkers_wins_over_scalar_walkers() {
-        let Ok(Cli::Sweep { spec, .. }) = parse_args(args(&[
-            "sweep",
-            "--grid",
-            "walkers=100,200",
-            "--walkers",
-            "5000",
-        ])) else {
-            panic!("sweep did not parse");
+        let JobRequest::Sweep { spec, .. } =
+            job(&["sweep", "--grid", "walkers=100,200", "--walkers", "5000"])
+        else {
+            panic!("not a sweep");
         };
         assert_eq!(spec.walkers, vec![100, 200]);
     }
 
     #[test]
     fn sweep_misuse_is_a_usage_error() {
-        // grid without sweep
-        assert!(matches!(
-            parse_args(args(&["fig2", "--grid", "beta0=0.3"])),
-            Err(CliError::Usage(_))
-        ));
-        // sweep with an experiment id
-        assert!(matches!(
-            parse_args(args(&["sweep", "fig2"])),
-            Err(CliError::Usage(_))
-        ));
-        // malformed directives surface the sweep parser's message
-        assert!(matches!(
-            parse_args(args(&["sweep", "--grid", "gamma=1"])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            parse_args(args(&["sweep", "--grid", "beta0=2"])),
-            Err(CliError::Usage(_))
-        ));
+        for bad in [
+            // grid without sweep
+            &["fig2", "--grid", "beta0=0.3"] as &[&str],
+            // sweep with an experiment id
+            &["sweep", "fig2"],
+            // malformed directives: unknown axis, out-of-range and
+            // non-numeric values, zero or negative walkers, unknown
+            // semantics, an axis with no values, no `=`
+            &["sweep", "--grid", "gamma=1"],
+            &["sweep", "--grid", "beta0=2"],
+            &["sweep", "--grid", "beta0=1.5"],
+            &["sweep", "--grid", "beta0=zero"],
+            &["sweep", "--grid", "p0=0"],
+            &["sweep", "--grid", "walkers=0"],
+            &["sweep", "--grid", "walkers=-3"],
+            &["sweep", "--grid", "semantics=bellatrix"],
+            &["sweep", "--grid", "beta0="],
+            &["sweep", "--grid", "beta0=,"],
+            &["sweep", "--grid", "beta0"],
+        ] {
+            assert!(
+                matches!(parse_args(args(bad)), Err(CliError::Usage(_))),
+                "{bad:?} was accepted"
+            );
+        }
     }
 
     #[test]
     fn search_parses_with_objective_defaults() {
-        let Ok(Cli::Search {
-            spec,
-            format,
+        let Ok(Cli::Job {
+            request,
             out,
             stats_out,
             obs,
@@ -1433,16 +850,19 @@ mod tests {
         else {
             panic!("bare search did not parse");
         };
-        assert_eq!(format, Format::Text);
+        let JobRequest::Search { spec, format } = *request else {
+            panic!("not a search");
+        };
+        assert_eq!(format, DocumentFormat::Text);
         assert_eq!(out, None);
         assert_eq!(stats_out, None);
-        assert!(obs.is_empty());
+        assert_eq!(obs, ObsOutputs::default());
         assert_eq!(spec, SearchSpec::new(Objective::Conflict));
         // the delay objective switches β0 and the horizon
-        let Ok(Cli::Search { spec, .. }) =
-            parse_args(args(&["search", "--objective", "non-slashable-horizon"]))
+        let JobRequest::Search { spec, .. } =
+            job(&["search", "--objective", "non-slashable-horizon"])
         else {
-            panic!("search did not parse");
+            panic!("not a search");
         };
         assert_eq!(spec.objective, Objective::NonSlashableHorizon);
         assert_eq!(spec.beta0, 0.33);
@@ -1451,7 +871,7 @@ mod tests {
 
     #[test]
     fn search_knobs_reach_the_spec() {
-        let Ok(Cli::Search { spec, .. }) = parse_args(args(&[
+        let JobRequest::Search { spec, .. } = job(&[
             "search",
             "--objective=conflict",
             "--budget",
@@ -1469,8 +889,8 @@ mod tests {
             "--seed=5",
             "--threads",
             "3",
-        ])) else {
-            panic!("search did not parse");
+        ]) else {
+            panic!("not a search");
         };
         assert_eq!(spec.budget, 64);
         assert_eq!(spec.beta0, 0.25);
@@ -1507,20 +927,30 @@ mod tests {
 
     #[test]
     fn out_flag_is_captured_in_every_mode() {
-        let cli = parse_args(args(&["fig2", "--out", "a.json"])).unwrap();
-        assert_eq!(cli.out(), Some("a.json"));
-        let cli = parse_args(args(&["sweep", "--out=b.json"])).unwrap();
-        assert_eq!(cli.out(), Some("b.json"));
-        let cli = parse_args(args(&["search", "--out", "c.json"])).unwrap();
-        assert_eq!(cli.out(), Some("c.json"));
-        let cli = parse_args(args(&["chaos", "--out", "d.json"])).unwrap();
-        assert_eq!(cli.out(), Some("d.json"));
-        assert_eq!(parse_args(args(&["--list"])).unwrap().out(), None);
+        let out = |list: &[&str]| match parse_args(args(list)).unwrap() {
+            Cli::Job { out, .. } => out,
+            _ => None,
+        };
+        assert_eq!(out(&["fig2", "--out", "a.json"]).as_deref(), Some("a.json"));
+        assert_eq!(out(&["sweep", "--out=b.json"]).as_deref(), Some("b.json"));
+        assert_eq!(
+            out(&["search", "--out", "c.json"]).as_deref(),
+            Some("c.json")
+        );
+        assert_eq!(
+            out(&["chaos", "--out", "d.json"]).as_deref(),
+            Some("d.json")
+        );
+        assert_eq!(out(&["--list"]), None);
         assert!(parse_args(args(&["fig2", "--out"])).is_err());
     }
 
     #[test]
     fn obs_flags_are_captured_in_every_run_mode() {
+        let obs = |argv: Vec<String>| match parse_args(argv) {
+            Ok(Cli::Job { obs, .. }) => obs,
+            other => panic!("no obs: {other:?}"),
+        };
         for mode in [
             &["fig2"] as &[&str],
             &["sweep"],
@@ -1536,21 +966,19 @@ mod tests {
                 "--trace-out",
                 "t.json",
             ]));
-            let cli = parse_args(argv).unwrap();
-            let obs = cli.obs().unwrap_or_else(|| panic!("{mode:?}: no obs"));
+            let obs = obs(argv);
             assert_eq!(obs.metrics_out.as_deref(), Some("m.prom"));
             assert_eq!(obs.metrics_format, MetricsFormat::Json);
             assert_eq!(obs.trace_out.as_deref(), Some("t.json"));
         }
         // defaults: everything off, Prometheus exposition
-        let cli = parse_args(args(&["fig2", "--metrics-out", "m.prom"])).unwrap();
-        let obs = cli.obs().unwrap();
-        assert_eq!(obs.metrics_format, MetricsFormat::Prometheus);
-        assert_eq!(obs.trace_out, None);
-        assert!(!obs.is_empty());
+        let fig2 = obs(args(&["fig2", "--metrics-out", "m.prom"]));
+        assert_eq!(fig2.metrics_format, MetricsFormat::Prometheus);
+        assert_eq!(fig2.trace_out, None);
+        assert!(fig2.metrics_out.is_some());
         // trace alone is fine too
-        let cli = parse_args(args(&["partition", "--trace-out=t.json"])).unwrap();
-        assert_eq!(cli.obs().unwrap().metrics_out, None);
+        let partition = obs(args(&["partition", "--trace-out=t.json"]));
+        assert_eq!(partition.metrics_out, None);
     }
 
     #[test]
@@ -1578,8 +1006,8 @@ mod tests {
             Experiment::from_id("frontier"),
             Some(Experiment::AttackFrontier)
         );
-        let Ok(Cli::Run { experiments, .. }) = parse_args(args(&["all"])) else {
-            panic!("`all` did not parse");
+        let JobRequest::Run { experiments, .. } = job(&["all"]) else {
+            panic!("`all` did not parse to a run");
         };
         assert!(experiments.contains(&Experiment::AttackFrontier));
     }
@@ -1602,7 +1030,7 @@ mod tests {
             "json",
         ]))
         .unwrap();
-        let value: serde_json::Value = serde_json::from_str(&run(&cli)).unwrap();
+        let value: serde_json::Value = serde_json::from_str(&run(&cli).document).unwrap();
         assert_eq!(
             value.get("objective").and_then(|v| v.as_str()),
             Some("conflict")
@@ -1615,7 +1043,7 @@ mod tests {
     #[test]
     fn json_run_emits_one_valid_document() {
         let cli = parse_args(args(&["table2", "--format", "json"])).unwrap();
-        let out = run(&cli);
+        let out = run(&cli).document;
         let value: serde_json::Value = serde_json::from_str(&out).unwrap();
         assert_eq!(
             value.get("experiment").and_then(|v| v.as_str()),
@@ -1624,20 +1052,20 @@ mod tests {
         assert!(value.get("tables").is_some());
 
         let cli = parse_args(args(&["fig8", "table1", "--format", "json"])).unwrap();
-        let value: serde_json::Value = serde_json::from_str(&run(&cli)).unwrap();
+        let value: serde_json::Value = serde_json::from_str(&run(&cli).document).unwrap();
         let items = value.as_array().expect("array for multiple experiments");
         assert_eq!(items.len(), 2);
     }
 
     #[test]
     fn partition_parses_with_preset_defaults() {
-        let Ok(Cli::Partition {
-            spec, format, out, ..
-        }) = parse_args(args(&["partition"]))
-        else {
+        let Ok(Cli::Job { request, out, .. }) = parse_args(args(&["partition"])) else {
             panic!("bare partition did not parse");
         };
-        assert_eq!(format, Format::Text);
+        let JobRequest::Partition { spec, format } = *request else {
+            panic!("not a partition");
+        };
+        assert_eq!(format, DocumentFormat::Text);
         assert_eq!(out, None);
         assert_eq!(spec, PartitionSpec::default());
         assert_eq!(spec.n, 1_000_000);
@@ -1647,7 +1075,7 @@ mod tests {
 
     #[test]
     fn partition_knobs_reach_the_spec() {
-        let Ok(Cli::Partition { spec, .. }) = parse_args(args(&[
+        let JobRequest::Partition { spec, .. } = job(&[
             "partition",
             "--timeline",
             "three-branch",
@@ -1663,8 +1091,8 @@ mod tests {
             "--seed=4",
             "--threads",
             "2",
-        ])) else {
-            panic!("partition did not parse");
+        ]) else {
+            panic!("not a partition");
         };
         assert_eq!(spec.scenarios.len(), 2);
         // explicit flags override the preset's own knobs too
@@ -1728,13 +1156,13 @@ mod tests {
 
     #[test]
     fn semi_active_is_accepted_on_two_branch_timelines() {
-        let Ok(Cli::Partition { spec, .. }) = parse_args(args(&[
+        let JobRequest::Partition { spec, .. } = job(&[
             "partition",
             "--timeline",
             "split@0:0=0.5,0.5",
             "--strategy",
             "semi-active",
-        ])) else {
+        ]) else {
             panic!("two-branch semi-active did not parse");
         };
         assert_eq!(spec.scenarios[0].strategy, StrategyKind::SemiActive);
@@ -1752,7 +1180,7 @@ mod tests {
             "json",
         ]))
         .unwrap();
-        let value: serde_json::Value = serde_json::from_str(&run(&cli)).unwrap();
+        let value: serde_json::Value = serde_json::from_str(&run(&cli).document).unwrap();
         assert_eq!(value.get("n").and_then(|v| v.as_u64()), Some(3000));
         let rows = value.get("rows").and_then(|v| v.as_array()).unwrap();
         assert_eq!(rows.len(), 2);
@@ -1773,7 +1201,7 @@ mod tests {
                 dir: dir.to_str().unwrap().into()
             }
         );
-        let message = run(&cli);
+        let message = run(&cli).document;
         // five paper scenarios + the three chaos replay fixtures
         assert_eq!(message.lines().count(), 8, "{message}");
         for scenario in ethpos_core::golden::scenarios() {
@@ -1793,9 +1221,8 @@ mod tests {
 
     #[test]
     fn chaos_parses_with_defaults() {
-        let Ok(Cli::Chaos {
-            spec,
-            format,
+        let Ok(Cli::Job {
+            request,
             out,
             stats_out,
             obs,
@@ -1803,10 +1230,13 @@ mod tests {
         else {
             panic!("bare chaos did not parse");
         };
-        assert_eq!(format, Format::Text);
+        let JobRequest::Chaos { spec, format } = *request else {
+            panic!("not a chaos campaign");
+        };
+        assert_eq!(format, DocumentFormat::Text);
         assert_eq!(out, None);
         assert_eq!(stats_out, None);
-        assert!(obs.is_empty());
+        assert_eq!(obs, ObsOutputs::default());
         assert_eq!(spec, ChaosSpec::default());
         assert_eq!(spec.n, 1_000_000);
         assert_eq!(spec.backend, BackendKind::Cohort);
@@ -1816,7 +1246,7 @@ mod tests {
 
     #[test]
     fn chaos_knobs_reach_the_spec() {
-        let Ok(Cli::Chaos { spec, .. }) = parse_args(args(&[
+        let JobRequest::Chaos { spec, .. } = job(&[
             "chaos",
             "--budget",
             "64",
@@ -1828,8 +1258,8 @@ mod tests {
             "--backend=dense",
             "--threads",
             "2",
-        ])) else {
-            panic!("chaos did not parse");
+        ]) else {
+            panic!("not a chaos campaign");
         };
         assert_eq!(spec.budget, 64);
         assert_eq!(spec.seed, 9);
@@ -1882,7 +1312,7 @@ mod tests {
             "json",
         ]))
         .unwrap();
-        let value: serde_json::Value = serde_json::from_str(&run(&cli)).unwrap();
+        let value: serde_json::Value = serde_json::from_str(&run(&cli).document).unwrap();
         assert_eq!(value.get("budget").and_then(|v| v.as_u64()), Some(3));
         assert_eq!(value.get("seed").and_then(|v| v.as_u64()), Some(5));
         let rows = value.get("rows").and_then(|v| v.as_array()).unwrap();
@@ -1906,9 +1336,287 @@ mod tests {
             "json",
         ]))
         .unwrap();
-        let value: serde_json::Value = serde_json::from_str(&run(&cli)).unwrap();
+        let value: serde_json::Value = serde_json::from_str(&run(&cli).document).unwrap();
         assert_eq!(value.get("epochs").and_then(|v| v.as_u64()), Some(100));
         let rows = value.get("rows").and_then(|v| v.as_array()).unwrap();
         assert_eq!(rows.len(), 2);
+    }
+
+    /// The content addresses of command lines, pinned to the values the
+    /// per-mode CLI parser this one replaced produced: a cached artifact
+    /// must stay reachable from the same invocation.
+    #[test]
+    fn cli_request_addresses_are_pinned() {
+        for (argv, hash) in [
+            (
+                &["fig2"] as &[&str],
+                "b9347c185fa0a682c8f96ba2b5e5be459dd43b46b9331df06b327ea681e76086",
+            ),
+            (
+                &["sweep"],
+                "04de336d8ba2b56ee376c69a79abe06ff6810b42a7255b1d09bce9174c0f1793",
+            ),
+            (
+                &["search"],
+                "cb8ed1ce50bf5760ffc967965197beeace683100ab8979a3a881df4892ba30fa",
+            ),
+            (
+                &["partition"],
+                "c309e1020e5cd9029f080c731a998a74df5721989f94920761e584ffb730b34b",
+            ),
+            (
+                &["chaos"],
+                "bca957a68cbb6bc8508b7a01f4e4e18269e468ce1711fa83bf65f5a828faace3",
+            ),
+            (
+                &[
+                    "fig2",
+                    "table2",
+                    "all",
+                    "--walkers",
+                    "1000",
+                    "--epochs",
+                    "500",
+                    "--seed",
+                    "7",
+                    "--validators",
+                    "600",
+                    "--backend",
+                    "dense",
+                    "--format",
+                    "json",
+                ],
+                "1aa43ecd67c800332d5b96303d476dbd1425738a62e0a5274117a8b8f3c31f88",
+            ),
+            (
+                &[
+                    "sweep",
+                    "--grid",
+                    "beta0=0.3,0.32",
+                    "--grid=semantics=paper,spec",
+                    "--grid",
+                    "p0=0.5,0.6,",
+                    "--epochs",
+                    "200",
+                    "--seed=9",
+                    "--validators",
+                    "1200",
+                    "--backend",
+                    "dense",
+                    "--format",
+                    "json",
+                ],
+                "72d398e8150ac023be5723e4e2866903deabbc7dd2f2c48f775f3295a2c7721e",
+            ),
+            (
+                &["sweep", "--walkers", "100", "--grid", "walkers=200,300"],
+                "53f1acd198e54be3ad8f973f88b77fd066f7618d7d5e157b707d18f5f012ccb5",
+            ),
+            (
+                &["sweep", "--grid", "walkers=200,300", "--walkers", "100"],
+                "53f1acd198e54be3ad8f973f88b77fd066f7618d7d5e157b707d18f5f012ccb5",
+            ),
+            (
+                &[
+                    "sweep",
+                    "--walkers",
+                    "500",
+                    "--grid",
+                    "validators=600,1000000",
+                ],
+                "f3f5a1570eb03f23ef154206efa471ccc803ff40e89f1b16a756530a113e72ad",
+            ),
+            (
+                &[
+                    "search",
+                    "--objective",
+                    "non-slashable-horizon",
+                    "--budget",
+                    "64",
+                    "--beta0",
+                    "0.25",
+                    "--p0",
+                    "0.6",
+                    "--validators",
+                    "1200",
+                    "--backend",
+                    "dense",
+                    "--epochs",
+                    "700",
+                    "--max-period",
+                    "2",
+                    "--seed",
+                    "5",
+                    "--format",
+                    "json",
+                ],
+                "d8cb058339a96e557d2ed6e12995c151c1b270820a5b20d0a26d55d8eb2b7335",
+            ),
+            (
+                &[
+                    "partition",
+                    "--timeline",
+                    "three-branch",
+                    "--beta0",
+                    "0.3",
+                    "--strategy",
+                    "rotate",
+                ],
+                "23d420e7c2cd3e4a9581d8d418311d3ec3bcf767babcda3623b42cf22562de12",
+            ),
+            (
+                &[
+                    "partition",
+                    "--timeline",
+                    "split@0:0=0.5,0.5; heal@300:0<-1",
+                    "--timeline=heal-resplit",
+                    "--epochs",
+                    "700",
+                    "--validators",
+                    "3000",
+                    "--backend",
+                    "dense",
+                    "--seed",
+                    "4",
+                    "--format",
+                    "json",
+                ],
+                "cc47f6175536ca48c2cbde032273448c816499bc90fffdc4fad23c883fff49a5",
+            ),
+            (
+                &[
+                    "chaos",
+                    "--budget",
+                    "8",
+                    "--seed",
+                    "3",
+                    "--epochs",
+                    "256",
+                    "--validators",
+                    "2000",
+                    "--backend",
+                    "dense",
+                    "--format",
+                    "json",
+                ],
+                "37e234f9a772d37912c05c4d6417ab38eb28da1c052e98312deafa00b7db7666",
+            ),
+            // the last of a repeated flag wins
+            (
+                &["fig10", "--seed", "1", "--seed", "2"],
+                "a160a7a065ca352b0d79b0dbecf0ebbf6f577bed2357f82acacd31eaf04118bf",
+            ),
+            // `--threads` never reaches the address
+            (
+                &["partition", "--validators", "3000", "--threads", "1"],
+                "50129b2b3a78d21948d9bedf59acdebb832d990c345d12016846edc1dd3dc224",
+            ),
+            (
+                &["partition", "--validators", "3000", "--threads", "8"],
+                "50129b2b3a78d21948d9bedf59acdebb832d990c345d12016846edc1dd3dc224",
+            ),
+        ] {
+            assert_eq!(job(argv).request_hash(), hash, "{argv:?}");
+        }
+    }
+
+    /// The tables the never-panics property draws arguments from:
+    /// subcommands and ids, every flag, and values and timeline
+    /// fragments that probe the number and timeline parsers' edges.
+    const WORDS: &[&str] = &[
+        "sweep",
+        "search",
+        "partition",
+        "chaos",
+        "serve",
+        "all",
+        "fig2",
+        "table2",
+        "fig10",
+        "frontier",
+        "fig42",
+    ];
+    const FLAGS: &[&str] = &[
+        "--help",
+        "--list",
+        "--format",
+        "--walkers",
+        "--epochs",
+        "--seed",
+        "--validators",
+        "--backend",
+        "--objective",
+        "--budget",
+        "--beta0",
+        "--p0",
+        "--max-period",
+        "--strategy",
+        "--timeline",
+        "--grid",
+        "--threads",
+        "--out",
+        "--stats-out",
+        "--metrics-out",
+        "--metrics-format",
+        "--trace-out",
+        "--addr",
+        "--cache-dir",
+        "--regen-golden",
+        "--bogus",
+        "-x",
+    ];
+    const VALUES: &[&str] = &[
+        "2",
+        "64",
+        "0.3",
+        "0",
+        "-1",
+        "1e3",
+        "0.5",
+        "nan",
+        "inf",
+        "18446744073709551616",
+        "json",
+        "dense",
+        "rotate",
+        "semi-active",
+        "three-branch",
+        "beta0=0.3,nan",
+        "walkers=0,1e3",
+        "semantics=",
+        "x",
+        "",
+        "split@",
+        "heal@0:0<-",
+        "churn@0:0=1,",
+        "split@18446744073709551615:0=0.5,0.5",
+        "split@0:0=0.5,0.5; heal@18446744073709551615:0<-1",
+        "split@0:0=0.5,0.5; churn@18446744073709551615:1=0.5,0.5",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200_000))]
+        #[test]
+        fn parse_args_never_panics(picks in proptest::collection::vec(any::<u64>(), 0..8)) {
+            // The first pick is a word; each later one a word, a bare
+            // flag, `--flag=value` or `--flag value`, mostly the last
+            // two. About 1 vector in 2 700 gets past every earlier check
+            // to the timeline compiler, hence the case count.
+            let mut argv = Vec::new();
+            for (i, pick) in picks.into_iter().enumerate() {
+                let word = WORDS[pick as usize % WORDS.len()];
+                let flag = FLAGS[(pick >> 8) as usize % FLAGS.len()];
+                let value = VALUES[(pick >> 16) as usize % VALUES.len()];
+                match if i == 0 { 0 } else { (pick >> 24) % 8 } {
+                    0 => argv.push(word.to_string()),
+                    1 => argv.push(flag.to_string()),
+                    2 | 3 => argv.push(format!("{flag}={value}")),
+                    _ => argv.extend([flag.to_string(), value.to_string()]),
+                }
+            }
+            // `CliError::Usage` is the only error: returning at all means
+            // no panic.
+            let _ = parse_args(argv);
+        }
     }
 }

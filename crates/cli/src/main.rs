@@ -37,7 +37,7 @@
 
 use std::process::ExitCode;
 
-use ethpos_cli::{parse_args, regen_golden, run_full, Cli, CliError, USAGE};
+use ethpos_cli::{parse_args, regen_golden, run, Cli, CliError, USAGE};
 
 fn main() -> ExitCode {
     match parse_args(std::env::args().skip(1)) {
@@ -88,19 +88,20 @@ fn main() -> ExitCode {
             server.serve()
         }
         Ok(cli) => {
-            // Probe the destination up front so a typo'd path fails in
+            // Probe the destinations up front so a typo'd path fails in
             // milliseconds, not after a long simulation — without
             // truncating a pre-existing artifact (an interrupted run
             // must not destroy the previous good output).
-            let obs = cli.obs();
-            let obs_paths = obs
-                .into_iter()
-                .flat_map(|o| [o.metrics_out.as_deref(), o.trace_out.as_deref()]);
-            for path in [cli.out(), cli.stats_out()]
-                .into_iter()
-                .chain(obs_paths)
-                .flatten()
-            {
+            let (out, destinations) = match &cli {
+                Cli::Job {
+                    out,
+                    stats_out,
+                    obs,
+                    ..
+                } => (out, vec![out, stats_out, &obs.metrics_out, &obs.trace_out]),
+                _ => (&None, vec![]),
+            };
+            for path in destinations.into_iter().flatten() {
                 let probe = std::fs::OpenOptions::new()
                     .append(true)
                     .create(true)
@@ -110,8 +111,8 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            let artifacts = run_full(&cli);
-            match cli.out() {
+            let artifacts = run(&cli);
+            match out {
                 None => print!("{}", artifacts.document),
                 Some(path) => {
                     if let Err(err) = std::fs::write(path, &artifacts.document) {
@@ -121,18 +122,12 @@ fn main() -> ExitCode {
                     eprintln!("wrote {path}");
                 }
             }
-            let side_channels = artifacts
-                .stats
-                .map(|s| (s.path, s.json))
-                .into_iter()
-                .chain(artifacts.metrics.map(|a| (a.path, a.contents)))
-                .chain(artifacts.trace.map(|a| (a.path, a.contents)));
-            for (path, contents) in side_channels {
-                if let Err(err) = std::fs::write(&path, &contents) {
-                    eprintln!("error: cannot write `{path}`: {err}");
+            for artifact in artifacts.side_channels {
+                if let Err(err) = std::fs::write(&artifact.path, &artifact.contents) {
+                    eprintln!("error: cannot write `{}`: {err}", artifact.path);
                     return ExitCode::FAILURE;
                 }
-                eprintln!("wrote {path}");
+                eprintln!("wrote {}", artifact.path);
             }
             ExitCode::SUCCESS
         }

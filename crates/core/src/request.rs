@@ -3,14 +3,16 @@
 //!
 //! A [`JobRequest`] is one of the five run modes (`experiment`, `sweep`,
 //! `search`, `partition`, `chaos`) parsed from a JSON body into the
-//! existing spec types — the same types the CLI builds from flags, so a
-//! request and the equivalent command line produce **byte-identical
-//! documents**. Three properties make results cacheable forever:
+//! existing spec types. This is the only per-mode parser: `ethpos-cli`
+//! writes its flags into the fields of a request object and parses it
+//! here, so a request and the equivalent command line have the same
+//! address and produce **byte-identical documents**. Three properties
+//! make results cacheable forever:
 //!
-//! 1. **Strict parsing.** Unknown fields and malformed values are
-//!    errors, never silently ignored — otherwise two spellings of the
-//!    same request could hash differently (or worse, two different
-//!    requests identically).
+//! 1. **Strict parsing.** Unknown or repeated fields and malformed
+//!    values are errors, never silently ignored — otherwise two
+//!    spellings of the same request could hash differently (or worse,
+//!    two different requests identically).
 //! 2. **Canonicalization.** [`JobRequest::canonical_value`] renders the
 //!    *resolved* spec — defaults filled in, fields in a fixed order,
 //!    `threads` excluded (it never changes output bytes; see
@@ -43,6 +45,10 @@ use ethpos_state::BackendKind;
 /// golden-corpus regeneration, a renderer change — so every cached
 /// artifact keyed on the old behaviour is invalidated at once.
 pub const ARTIFACT_SALT: &str = "ethpos/artifact/v1";
+
+/// The axes a `sweep` request takes as arrays — the grid the CLI's
+/// `--grid axis=v1,v2,…` replaces one axis of.
+pub const SWEEP_AXES: [&str; 5] = ["beta0", "p0", "walkers", "semantics", "validators"];
 
 /// Output format of the rendered document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -152,8 +158,8 @@ impl JobRequest {
     /// # Errors
     ///
     /// Returns a [`RequestError`] on invalid JSON, a missing/unknown
-    /// `kind`, an unknown field, or a malformed value — the service
-    /// maps these to HTTP 400 without touching the cache.
+    /// `kind`, an unknown or repeated field, or a malformed value — the
+    /// service maps these to HTTP 400 without touching the cache.
     pub fn parse(body: &str) -> Result<JobRequest, RequestError> {
         let value: Value =
             serde_json::from_str(body).map_err(|e| RequestError(format!("invalid JSON: {e:?}")))?;
@@ -456,16 +462,23 @@ struct Obj<'a> {
 }
 
 impl Obj<'_> {
-    /// Rejects any field outside `allowed` — the strictness that makes
-    /// hashing sound (see the module docs).
+    /// Rejects any field outside `allowed`, and any repeated field
+    /// (`kind` included), which `Obj::get` would otherwise resolve to
+    /// its first value silently — the strictness that makes hashing
+    /// sound (see the module docs).
     fn check_fields(&self, allowed: &[&str]) -> Result<(), RequestError> {
-        for (key, _) in self.fields {
+        for (i, (key, _)) in self.fields.iter().enumerate() {
             if key != "kind" && !allowed.contains(&key.as_str()) {
                 return err(format!(
                     "unknown field `{key}` for kind `{}` (allowed: {})",
                     self.kind,
                     allowed.join(", ")
                 ));
+            }
+            // The keys before `i` are allowed and distinct, so this scan
+            // stays short however large the body.
+            if self.fields[..i].iter().any(|(k, _)| k == key) {
+                return err(format!("duplicate field `{key}`"));
             }
         }
         Ok(())
@@ -585,8 +598,7 @@ fn parse_run(obj: &Obj) -> Result<JobRequest, RequestError> {
             })?);
         }
     }
-    // Order-preserving dedup, exactly like the CLI: `["all", "fig2"]`
-    // runs fig2 once.
+    // Order-preserving dedup: `["all", "fig2"]` runs fig2 once.
     let mut seen = Vec::new();
     experiments.retain(|e| {
         let fresh = !seen.contains(e);
@@ -612,17 +624,7 @@ fn parse_run(obj: &Obj) -> Result<JobRequest, RequestError> {
 }
 
 fn parse_sweep(obj: &Obj) -> Result<JobRequest, RequestError> {
-    obj.check_fields(&[
-        "format",
-        "beta0",
-        "p0",
-        "walkers",
-        "semantics",
-        "validators",
-        "backend",
-        "epochs",
-        "seed",
-    ])?;
+    obj.check_fields(&[&["format"], &SWEEP_AXES[..], &["backend", "epochs", "seed"]].concat())?;
     let unit = |key: &'static str| {
         move |v: &Value| match v.as_f64() {
             Some(x) if x > 0.0 && x < 1.0 => Ok(x),
@@ -773,7 +775,8 @@ fn parse_partition(obj: &Obj) -> Result<JobRequest, RequestError> {
             })
             .collect::<Result<Vec<_>, _>>()?,
     };
-    // Explicit knobs override preset-carried ones, exactly like the CLI.
+    // Explicit knobs override preset-carried ones, so
+    // `--timeline three-branch --beta0 0.3` means what it says.
     for scenario in &mut scenarios {
         if let Some(beta0) = beta0 {
             scenario.beta0 = beta0;
@@ -915,6 +918,10 @@ mod tests {
             r#"{"kind": "partition", "timelines": ["split@0:0=0.5,0.5"], "strategy": "bogus"}"#,
             r#"{"kind": "chaos", "budget": 0}"#,
             r#"{"kind": "chaos", "oracle": {}}"#,
+            // a repeated key is never resolved silently
+            r#"{"kind":"chaos","budget":4,"budget":"x"}"#,
+            r#"{"kind":"chaos","kind":"teapot","budget":4}"#,
+            r#"{"kind":"experiment","experiments":["fig2"],"seed":1,"seed":-5}"#,
         ] {
             assert!(JobRequest::parse(body).is_err(), "accepted: {body}");
         }

@@ -48,8 +48,10 @@ use crate::stake_model::PenaltySemantics;
 /// ```
 /// use ethpos_core::sweep::SweepSpec;
 ///
-/// let mut spec = SweepSpec::smoke();
-/// spec.apply_grid("beta0=0.3,0.333").unwrap();
+/// let spec = SweepSpec {
+///     beta0: vec![0.3, 0.333],
+///     ..SweepSpec::smoke()
+/// };
 /// let result = spec.run();
 /// assert_eq!(result.rows.len(), 2);
 /// // The union breach rate dominates the single-branch rate everywhere.
@@ -120,75 +122,6 @@ impl SweepSpec {
         }
     }
 
-    /// Applies one `--grid axis=v1,v2,…` directive.
-    ///
-    /// Axes: `beta0`, `p0` (floats in (0, 1)), `walkers`, `validators`
-    /// (positive integers), `semantics` (`paper` / `spec`). Later
-    /// directives replace the axis wholesale.
-    ///
-    /// ```
-    /// use ethpos_core::stake_model::PenaltySemantics;
-    /// use ethpos_core::sweep::SweepSpec;
-    ///
-    /// let mut spec = SweepSpec::default();
-    /// spec.apply_grid("semantics=paper,spec").unwrap();
-    /// assert_eq!(
-    ///     spec.semantics,
-    ///     vec![PenaltySemantics::Paper, PenaltySemantics::Spec]
-    /// );
-    /// assert!(spec.apply_grid("gamma=1").is_err());
-    /// ```
-    pub fn apply_grid(&mut self, directive: &str) -> Result<(), String> {
-        let (axis, values) = directive
-            .split_once('=')
-            .ok_or_else(|| format!("grid directive `{directive}` is not `axis=v1,v2,…`"))?;
-        let values: Vec<&str> = values.split(',').filter(|v| !v.is_empty()).collect();
-        if values.is_empty() {
-            return Err(format!("grid axis `{axis}` has no values"));
-        }
-        match axis {
-            "beta0" => self.beta0 = parse_unit_interval(axis, &values)?,
-            "p0" => self.p0 = parse_unit_interval(axis, &values)?,
-            "walkers" => {
-                self.walkers = values
-                    .iter()
-                    .map(|v| {
-                        v.parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| format!("walkers value `{v}` is not a positive integer"))
-                    })
-                    .collect::<Result<_, _>>()?
-            }
-            "validators" => {
-                self.validators = values
-                    .iter()
-                    .map(|v| {
-                        v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                            format!("validators value `{v}` is not a positive integer")
-                        })
-                    })
-                    .collect::<Result<_, _>>()?
-            }
-            "semantics" => {
-                self.semantics = values
-                    .iter()
-                    .map(|v| {
-                        PenaltySemantics::from_id(v)
-                            .ok_or_else(|| format!("semantics `{v}` (expected `paper` or `spec`)"))
-                    })
-                    .collect::<Result<_, _>>()?
-            }
-            other => {
-                return Err(format!(
-                    "unknown grid axis `{other}` \
-                     (expected beta0, p0, walkers, validators or semantics)"
-                ))
-            }
-        }
-        Ok(())
-    }
-
     /// Number of grid points.
     pub fn len(&self) -> usize {
         self.beta0.len()
@@ -244,7 +177,7 @@ impl SweepSpec {
     /// # Panics
     ///
     /// Panics if the grid is empty or a value is outside its domain
-    /// (enforced earlier by [`SweepSpec::apply_grid`]).
+    /// (a `sweep` request rejects both when it is parsed).
     pub fn run(&self) -> SweepResult {
         assert!(!self.is_empty(), "empty sweep grid");
         let points = self.points();
@@ -323,18 +256,6 @@ struct SweepPoint {
     walkers: usize,
     semantics: PenaltySemantics,
     validators: Option<usize>,
-}
-
-fn parse_unit_interval(axis: &str, values: &[&str]) -> Result<Vec<f64>, String> {
-    values
-        .iter()
-        .map(|v| {
-            v.parse::<f64>()
-                .ok()
-                .filter(|x| *x > 0.0 && *x < 1.0)
-                .ok_or_else(|| format!("{axis} value `{v}` is not a float in (0, 1)"))
-        })
-        .collect()
 }
 
 /// Assembles the row of `point` from its finished Monte Carlo `mc`.
@@ -582,19 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_directives_replace_axes() {
-        let mut spec = SweepSpec::default();
-        spec.apply_grid("beta0=0.2,0.25").unwrap();
-        assert_eq!(spec.beta0, vec![0.2, 0.25]);
-        spec.apply_grid("walkers=100,200").unwrap();
-        assert_eq!(spec.walkers, vec![100, 200]);
-        spec.apply_grid("p0=0.6").unwrap();
-        assert_eq!(spec.p0, vec![0.6]);
-        spec.apply_grid("validators=1000,1000000").unwrap();
-        assert_eq!(spec.validators, vec![1000, 1_000_000]);
-    }
-
-    #[test]
     fn validators_axis_runs_the_discrete_cross_check() {
         let mut spec = tiny();
         spec.beta0 = vec![0.33];
@@ -632,26 +540,6 @@ mod tests {
         for threads in [2, 8] {
             assert_eq!(run(threads), one, "threads {threads}");
         }
-    }
-
-    #[test]
-    fn bad_grid_directives_are_rejected() {
-        let mut spec = SweepSpec::default();
-        for bad in [
-            "beta0",
-            "beta0=",
-            "beta0=1.5",
-            "beta0=zero",
-            "p0=0",
-            "walkers=0",
-            "walkers=-3",
-            "semantics=bellatrix",
-            "gamma=1",
-        ] {
-            assert!(spec.apply_grid(bad).is_err(), "`{bad}` was accepted");
-        }
-        // and the spec is unchanged by the failed directives
-        assert_eq!(spec, SweepSpec::default());
     }
 
     #[test]
