@@ -8,8 +8,9 @@
 //! [`ChaosSpec`] samples `budget` random **cases** — a
 //! [`PartitionTimeline`] × adversary ([`StrategyKind`] or a searchable
 //! [`Genome`]) × Byzantine stake β₀ — each from its own
-//! [`SeedSequence`] child, runs them on the [`ChunkPool`] (bytes never
-//! depend on the thread count) at populations up to 10⁶ on the cohort
+//! [`SeedSequence`] child, runs them on the [`ChunkPool`] heaviest
+//! predicted case first (bytes never depend on the thread count or the
+//! claim order) at populations up to 10⁶ on the cohort
 //! backend, and classifies every outcome against the paper's
 //! closed-form expectation model:
 //!
@@ -48,6 +49,7 @@ use rand::Rng;
 use serde::Serialize;
 
 use ethpos_search::{Genome, ParamSchedule};
+use ethpos_sim::partition::{CompiledTimeline, MarkingPlan};
 use ethpos_sim::{
     sample_timeline, two_branch_only, ChunkPool, ChurnStats, ForkStats, PartitionConfig,
     PartitionOutcome, PartitionSim, PartitionTimeline, TimelineAction,
@@ -368,14 +370,78 @@ impl ChaosSpec {
     /// artifact (report JSON is byte-pinned by the golden corpus).
     pub fn run_with_stats(&self) -> (ChaosReport, ChaosStats) {
         let _span = ethpos_obs::span("chaos", "chaos campaign");
-        let pool = ChunkPool::new(self.threads);
-        let cases = pool.map(self.budget as usize, |i| evaluate_case(self, i as u64));
+        let cases: Vec<ChaosCase> = (0..self.budget).map(|i| sample_case(self, i)).collect();
+        let order = self.claim_order(&cases);
+        let mut evaluated = ChunkPool::new(self.threads).map(order.len(), |claim| {
+            evaluate_case(self, &cases[order[claim]])
+        });
+        // Claim order is not result order: every result goes back to its
+        // case index before anything reads it.
+        evaluated.sort_unstable_by_key(|(row, _, _)| row.case.index);
+        self.assemble(&cases, evaluated)
+    }
+
+    /// The order the pool claims `cases` in: descending
+    /// [`ChaosSpec::predicted_cost`], ties in index order. Case cost is
+    /// heavy tailed (a churn case can outweigh the rest of the campaign),
+    /// so a heavy case claimed last leaves the other workers idle while
+    /// it runs alone; claimed first, it overlaps the light ones.
+    fn claim_order(&self, cases: &[ChaosCase]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..cases.len()).collect();
+        // Stable, so equal costs keep their index order.
+        order.sort_by_cached_key(|&i| std::cmp::Reverse(self.predicted_cost(&cases[i])));
+        order
+    }
+
+    /// A case's predicted cost from its shape alone, compared
+    /// lexicographically: churn work first, then plain work.
+    ///
+    /// Churn work is churned members × live branches × churning epochs
+    /// of the compiled timeline — the per-cohort count draws and the
+    /// fragmentation they cause dominate every churn case, so any churn
+    /// case outranks every churn-free one. Plain work is the main run's
+    /// branch-epochs plus, for a cross-checked case, the dense replica's
+    /// branch-epochs weighted by its population (a dense epoch walks
+    /// every validator; a pinned cohort epoch walks a handful of
+    /// cohorts).
+    fn predicted_cost(&self, case: &ChaosCase) -> (u64, u64) {
+        let compiled = compile_case(case);
+        let churn = phase_spans(&compiled, case.max_epochs)
+            .map(|(plan, epochs)| {
+                let members: u64 = plan.churn_groups().iter().map(|g| g.members).sum();
+                members * plan.live_branches().len() as u64 * epochs
+            })
+            .sum();
+        let mut plain = branch_epochs(&compiled, case.max_epochs);
+        if self.crosschecked(case) {
+            let replica_epochs = case.max_epochs.min(self.crosscheck.max_epochs);
+            plain += self.crosscheck.n as u64 * branch_epochs(&compiled, replica_epochs);
+        }
+        (churn, plain)
+    }
+
+    /// True when `case` goes through the dense/cohort cross-check: every
+    /// `crosscheck.every`-th index, churn cases excepted.
+    fn crosschecked(&self, case: &ChaosCase) -> bool {
+        self.crosscheck.every > 0
+            && case.index.is_multiple_of(self.crosscheck.every)
+            && !case.has_churn()
+    }
+
+    /// Folds the evaluated `cases`, in case-index order, into the report
+    /// and its stats, shrinking every unexpected violation on this
+    /// thread.
+    fn assemble(
+        &self,
+        cases: &[ChaosCase],
+        evaluated: Vec<(ChaosRow, ForkStats, ChurnStats)>,
+    ) -> (ChaosReport, ChaosStats) {
         let mut stats = ChaosStats {
             cases: self.budget,
             fork: ForkStats::default(),
             churn: ChurnStats::default(),
         };
-        let rows: Vec<ChaosRow> = cases
+        let rows: Vec<ChaosRow> = evaluated
             .into_iter()
             .map(|(row, fork, churn)| {
                 stats.fork.absorb(&fork);
@@ -385,7 +451,7 @@ impl ChaosSpec {
             .collect();
         let mut violations = Vec::new();
         for row in rows.iter().filter(|r| r.unexpected()) {
-            violations.push(shrink_violation(self, row));
+            violations.push(shrink_violation(self, &cases[row.case.index as usize], row));
         }
         let counts = Counts::tally(&rows);
         if ethpos_obs::metrics_enabled() {
@@ -549,7 +615,7 @@ pub fn run_case_with_stats(
         let churn = sim.churn_stats();
         (sim.finish(), fork, churn)
     }
-    let byzantine = (case.beta0 * case.n as f64).round() as usize;
+    let byzantine = byzantine_count(case);
     let config = PartitionConfig {
         chain: ChainConfig::paper(),
         n: case.n,
@@ -569,6 +635,43 @@ pub fn run_case_with_stats(
         }
     };
     result.unwrap_or_else(|err| panic!("chaos case {}: {err}", case.index))
+}
+
+/// The Byzantine registry size of a case: `round(β₀·n)`.
+fn byzantine_count(case: &ChaosCase) -> usize {
+    (case.beta0 * case.n as f64).round() as usize
+}
+
+/// The case's timeline compiled at the honest population its run
+/// compiles it at.
+fn compile_case(case: &ChaosCase) -> CompiledTimeline {
+    let honest = case.n.saturating_sub(byzantine_count(case)) as u64;
+    case.timeline
+        .compile(honest)
+        .unwrap_or_else(|err| panic!("chaos case {}: {err}", case.index))
+}
+
+/// Each phase's marking plan with the epochs it is in force within a
+/// `horizon`-epoch run (0 for a phase that starts past the horizon).
+fn phase_spans(
+    compiled: &CompiledTimeline,
+    horizon: u64,
+) -> impl Iterator<Item = (&MarkingPlan, u64)> {
+    let steps = compiled.steps();
+    steps.iter().enumerate().map(move |(k, step)| {
+        let end = steps
+            .get(k + 1)
+            .map_or(horizon, |next| next.epoch().min(horizon));
+        (step.plan(), end.saturating_sub(step.epoch()))
+    })
+}
+
+/// Live branches × epochs over a `horizon`-epoch run: how many branch
+/// states the engine advances.
+fn branch_epochs(compiled: &CompiledTimeline, horizon: u64) -> u64 {
+    phase_spans(compiled, horizon)
+        .map(|(plan, epochs)| plan.live_branches().len() as u64 * epochs)
+        .sum()
 }
 
 // ─── The expectation model ──────────────────────────────────────────────
@@ -975,15 +1078,13 @@ impl ChaosRow {
     }
 }
 
-fn evaluate_case(spec: &ChaosSpec, index: u64) -> (ChaosRow, ForkStats, ChurnStats) {
-    let _span = ethpos_obs::span_with("chaos", || format!("case {index}"));
-    let case = sample_case(spec, index);
-    let (outcome, fork, churn) = run_case_with_stats(&case, spec.backend);
-    let mut classification = classify(&case, &outcome, &spec.oracle);
-    let eligible = spec.crosscheck.every > 0 && index.is_multiple_of(spec.crosscheck.every);
-    let crosschecked = eligible && !case.has_churn();
+fn evaluate_case(spec: &ChaosSpec, case: &ChaosCase) -> (ChaosRow, ForkStats, ChurnStats) {
+    let _span = ethpos_obs::span_with("chaos", || format!("case {}", case.index));
+    let (outcome, fork, churn) = run_case_with_stats(case, spec.backend);
+    let mut classification = classify(case, &outcome, &spec.oracle);
+    let crosschecked = spec.crosschecked(case);
     if crosschecked {
-        if let Some(detail) = crosscheck_divergence(&case, &spec.crosscheck) {
+        if let Some(detail) = crosscheck_divergence(case, &spec.crosscheck) {
             classification = Classification {
                 verdict: "unexpected-divergence".into(),
                 detail,
@@ -1059,8 +1160,7 @@ pub struct ShrunkViolation {
     pub predicate_calls: u64,
 }
 
-fn shrink_violation(spec: &ChaosSpec, row: &ChaosRow) -> ShrunkViolation {
-    let case = sample_case(spec, row.case.index);
+fn shrink_violation(spec: &ChaosSpec, case: &ChaosCase, row: &ChaosRow) -> ShrunkViolation {
     let verdict = row.classification.verdict.clone();
     let backend = spec.backend;
     let oracle = spec.oracle;
@@ -1071,7 +1171,7 @@ fn shrink_violation(spec: &ChaosSpec, row: &ChaosRow) -> ShrunkViolation {
         let wanted = verdict.clone();
         Box::new(move |c: &ChaosCase| classify(c, &run_case(c, backend), &oracle).verdict == wanted)
     };
-    let result = shrink::shrink_case(&case, &mut *predicate, shrink::DEFAULT_STEP_BUDGET);
+    let result = shrink::shrink_case(case, &mut *predicate, shrink::DEFAULT_STEP_BUDGET);
     ShrunkViolation {
         verdict,
         detail: row.classification.detail.clone(),

@@ -285,6 +285,78 @@ fn campaign_report_is_thread_invariant() {
     assert_eq!(one, four);
 }
 
+/// The shape of the benchmark's chaos campaigns (budget 16, 128-epoch
+/// caps) at population `n`.
+fn ledger_spec(seed: u64, n: usize, threads: usize) -> ChaosSpec {
+    ChaosSpec {
+        budget: 16,
+        seed,
+        n,
+        max_epochs: 128,
+        threads,
+        ..ChaosSpec::default()
+    }
+}
+
+/// The pool claims cases longest-predicted-first, yet every result lands
+/// at its case index: the report and stats equal a plain index-order
+/// evaluation of the same cases at any thread count.
+#[test]
+fn cost_ordered_campaign_equals_index_order_evaluation() {
+    for seed in 1..=4 {
+        let spec = ledger_spec(seed, 2_000, 1);
+        let cases: Vec<ChaosCase> = (0..spec.budget).map(|i| sample_case(&spec, i)).collect();
+        let identity: Vec<usize> = (0..cases.len()).collect();
+        assert_ne!(spec.claim_order(&cases), identity, "seed {seed}");
+        let in_index_order = cases.iter().map(|c| evaluate_case(&spec, c)).collect();
+        let (report, stats) = spec.assemble(&cases, in_index_order);
+        for threads in [1, 2, 3] {
+            let (ordered, ordered_stats) = ChaosSpec {
+                threads,
+                ..spec.clone()
+            }
+            .run_with_stats();
+            assert_eq!(
+                ordered.to_json(),
+                report.to_json(),
+                "seed {seed}, threads {threads}"
+            );
+            assert_eq!(ordered_stats, stats, "seed {seed}, threads {threads}");
+        }
+    }
+}
+
+/// The cost model against the work the benchmark's four campaigns really
+/// do, counted (never timed): every churn case is claimed before every
+/// churn-free one, and the case with the most work — churn count draws
+/// plus branch-epochs run — is among the first two claims, so on two
+/// threads it starts at once.
+#[test]
+fn claim_order_starts_churn_and_the_heaviest_case_first() {
+    for seed in 1..=4 {
+        let spec = ledger_spec(seed, 10_000, 2);
+        let cases: Vec<ChaosCase> = (0..spec.budget).map(|i| sample_case(&spec, i)).collect();
+        let order = spec.claim_order(&cases);
+        let churn: Vec<bool> = order.iter().map(|&i| cases[i].has_churn()).collect();
+        assert!(churn.contains(&true), "seed {seed}: no churn case");
+        assert!(
+            churn.windows(2).all(|w| w[0] >= w[1]),
+            "seed {seed}: a churn-free case is claimed before a churn case: {order:?}"
+        );
+        let work = ChunkPool::new(spec.threads).map(cases.len(), |i| {
+            let (row, _, churn) = evaluate_case(&spec, &cases[i]);
+            churn.draws + branch_epochs(&compile_case(&cases[i]), row.epochs_run)
+        });
+        let heaviest = (0..work.len()).max_by_key(|&i| work[i]).expect("cases");
+        assert!(
+            order[..2].contains(&heaviest),
+            "seed {seed}: case {heaviest} does the most work ({}) but is claimed at {:?}",
+            work[heaviest],
+            order.iter().position(|&i| i == heaviest)
+        );
+    }
+}
+
 #[test]
 fn injected_grace_bug_is_caught_and_shrunk_end_to_end() {
     // Tighten the liveness grace to zero: the supermajority branch's

@@ -161,6 +161,7 @@ pub fn response_bytes(status: u16, content_type: &str, body: &str) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
 
@@ -264,6 +265,89 @@ mod tests {
             read_request(&mut over.as_bytes()),
             Err(HttpError::Malformed("head too large".into()))
         );
+    }
+
+    /// Pieces of junk lines: request-shaped fragments beside the raw
+    /// bytes the generator splices between them.
+    const PIECES: [&[u8]; 10] = [
+        b"GET ",
+        b"/v1/jobs",
+        b" HTTP/1.1",
+        b"\n",
+        b":",
+        b"content-length",
+        "\u{e9}\u{df}".as_bytes(),
+        b"\xff",
+        b"\xc3",
+        &[b'f'; 9000], // two of these overflow the head cap
+    ];
+    /// Declared body lengths, the cap's neighbours among them.
+    const LENGTHS: [&str; 8] = [
+        "0",
+        "4",
+        "1048576",
+        "1048577",
+        "18446744073709551616",
+        "-1",
+        " 4 ",
+        "4x",
+    ];
+
+    /// One junk line: pieces, where an index past [`PIECES`] stands for
+    /// its raw byte.
+    fn junk(line: &[(usize, u8)]) -> Vec<u8> {
+        line.iter()
+            .flat_map(|&(k, byte)| PIECES.get(k).map_or(vec![byte], |piece| piece.to_vec()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Whatever bytes arrive, the parser returns instead of
+        /// panicking, and a request it accepts keeps the body cap and an
+        /// upper-case method. Inputs are mostly request-shaped — a request
+        /// line, `Content-Length` headers, junk lines, a body, sometimes
+        /// one byte over the cap — so they reach every branch.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_parser(
+            start in 0usize..3,
+            first in proptest::collection::vec((0..2 * PIECES.len(), any::<u8>()), 0..6),
+            headers in proptest::collection::vec(
+                (
+                    0usize..4,
+                    0..LENGTHS.len(),
+                    proptest::collection::vec((0..2 * PIECES.len(), any::<u8>()), 0..4),
+                ),
+                0..4,
+            ),
+            body in proptest::collection::vec(0u8..136, 0..8),
+            over in 0u8..4,
+        ) {
+            let mut bytes = match start {
+                0 => b"POST /v1/jobs HTTP/1.1".to_vec(),
+                1 => b"get /healthz".to_vec(),
+                _ => junk(&first),
+            };
+            for (kind, length, line) in &headers {
+                bytes.extend_from_slice(b"\r\n");
+                match kind {
+                    0 => bytes.extend_from_slice(format!("Content-Length: {}", LENGTHS[*length]).as_bytes()),
+                    1 => bytes.extend_from_slice(format!("content-length:{}", LENGTHS[*length]).as_bytes()),
+                    2 => bytes.extend_from_slice(&[b"x-pad: ".as_slice(), &junk(line)].concat()),
+                    _ => bytes.extend_from_slice(&junk(line)),
+                }
+            }
+            bytes.extend_from_slice(b"\r\n\r\n");
+            bytes.extend_from_slice(&body);
+            if over == 0 {
+                bytes.resize(bytes.len() + MAX_BODY_BYTES + 1, b'b');
+            }
+            if let Ok(request) = read_request(&mut bytes.as_slice()) {
+                prop_assert!(request.body.len() <= MAX_BODY_BYTES);
+                prop_assert_eq!(request.method.to_uppercase(), request.method.clone());
+            }
+        }
     }
 
     #[test]

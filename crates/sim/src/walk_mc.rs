@@ -1005,6 +1005,69 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the bits of `xs`: one number for a whole result.
+    fn bits_digest(xs: impl IntoIterator<Item = f64>) -> u64 {
+        xs.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            x.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    /// The bits of a small run of each Monte Carlo, pinned as constants:
+    /// the debug suite and the release one (`cargo test --release -p
+    /// ethpos_sim`) check the same two values, so an optimized build
+    /// whose vectorized kernel rounds differently from the unoptimized
+    /// one fails in one of the two. 1 025 walkers on two threads take a
+    /// full chunk plus a one-walker tail; at β₀ = ⅓ the single-branch
+    /// breach count splits the walkers instead of reading all-or-nothing.
+    #[test]
+    fn small_runs_match_their_pinned_bits_in_every_profile() {
+        let bouncing = run_bouncing_walks(&BouncingWalkConfig {
+            beta0: 1.0 / 3.0,
+            walkers: 1025,
+            epochs: 600,
+            record_every: 150,
+            threads: 2,
+            ..BouncingWalkConfig::default()
+        });
+        assert_eq!(bouncing.byzantine_ejected_at, None);
+        let series = bouncing.series.iter().flat_map(|s| {
+            [
+                s.epoch as f64,
+                s.prob_exceed_third,
+                s.mean_honest_stake,
+                s.byzantine_stake,
+                s.ejected_fraction,
+            ]
+        });
+        let digest = bits_digest(series.chain(bouncing.final_stakes.iter().copied()));
+        assert_eq!(
+            digest, 0x132a_f579_554f_7d1d,
+            "bouncing walks: {digest:#018x}"
+        );
+
+        let two_branch = run_two_branch_walks(&TwoBranchWalkConfig {
+            beta0: 1.0 / 3.0,
+            walkers: 1025,
+            epochs: 600,
+            threads: 2,
+            ..TwoBranchWalkConfig::default()
+        });
+        assert!(two_branch.single_branch_breach > 0.0 && two_branch.single_branch_breach < 1.0);
+        let digest = bits_digest([
+            two_branch.single_branch_breach,
+            two_branch.either_branch_breach,
+            two_branch.byzantine_stake[0],
+            two_branch.byzantine_stake[1],
+        ]);
+        assert_eq!(
+            digest, 0xdb62_adb3_f753_806f,
+            "two-branch walks: {digest:#018x}"
+        );
+    }
+
     #[test]
     fn two_branch_union_bounds() {
         // The union is at least the single-branch rate and at most its
