@@ -693,8 +693,8 @@ fn chaos_smoke(mc: &McConfig) -> ExperimentOutput {
     }
 }
 
-/// Simulation-backed regenerations (slower; exercised by the bench
-/// harness and integration tests).
+/// Simulation-backed regenerations (slower; exercised by the experiment
+/// registry, the examples and the integration tests).
 pub mod simulated {
     use super::*;
     use ethpos_sim::{
@@ -802,23 +802,6 @@ pub mod simulated {
                 two_branch_outcome::<CohortState>(beta0, p0, n, slashable, max_epochs)
             }
         }
-    }
-
-    /// One Table 2/3 row measured on the dense two-branch simulator
-    /// (kept as the reference-path entry point).
-    pub fn conflicting_finalization_simulated(
-        beta0: f64,
-        p0: f64,
-        n: usize,
-        slashable: bool,
-        max_epochs: u64,
-    ) -> Option<u64> {
-        conflicting_finalization_on(beta0, p0, n, slashable, max_epochs, BackendKind::Dense)
-    }
-
-    /// Table 2 cross-check: analytic vs simulated rows (dense backend).
-    pub fn table2_simulated(n: usize, betas: &[f64]) -> Table {
-        cross_check_table(n, betas, true, BackendKind::Dense, 1)
     }
 
     /// Table 2 cross-check (Eq. 9 vs the discrete protocol) at registry

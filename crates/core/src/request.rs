@@ -232,6 +232,12 @@ impl JobRequest {
     /// in, fields in a fixed order, `threads` excluded. Two requests
     /// canonicalize identically iff they would produce the same
     /// document.
+    ///
+    /// This is the preimage of [`JobRequest::request_hash`], not a wire
+    /// format: [`JobRequest::from_json`] need not accept it (it rejects
+    /// the canonical form of every kind but `search`, e.g. `partition`'s
+    /// resolved `scenarios` and `chaos`'s oracle thresholds), and making
+    /// it re-parse would move every cache address.
     pub fn canonical_value(&self) -> Value {
         let mut fields: Vec<(String, Value)> = vec![
             ("kind".into(), Value::String(self.kind().into())),

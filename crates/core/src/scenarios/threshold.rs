@@ -20,8 +20,6 @@
 //! β_max ≥ ⅓ requires `β0 ≥ p0/(p0 + 2E)`; at `p0 = 0.5` the bound is
 //! **β0 = 0.2421** (paper Fig. 7).
 
-use serde::Serialize;
-
 use crate::stake_model::{inactive_stake, semi_active_stake, PAPER_EJECT_INACTIVE, STAKE_0};
 
 /// Eq. 11: the Byzantine stake proportion at epoch `t` on the branch with
@@ -65,43 +63,6 @@ pub fn min_beta0_for_third_both_branches(p0: f64) -> f64 {
     min_beta0_for_third(p0).max(min_beta0_for_third(1.0 - p0))
 }
 
-/// One point of the Figure 7 region scan.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct Fig7Point {
-    /// Honest proportion on branch 1.
-    pub p0: f64,
-    /// Initial Byzantine proportion.
-    pub beta0: f64,
-    /// β_max on branch 1.
-    pub beta_max_branch1: f64,
-    /// β_max on branch 2 (honest proportion 1−p0).
-    pub beta_max_branch2: f64,
-    /// Whether β_max ≥ ⅓ on both branches.
-    pub exceeds_on_both: bool,
-}
-
-/// Regenerates Figure 7: a grid scan of (p0, β0) marking where the
-/// Byzantine proportion can exceed ⅓ (per branch and on both).
-pub fn figure7_grid(p0_steps: usize, beta0_steps: usize) -> Vec<Fig7Point> {
-    let mut out = Vec::with_capacity(p0_steps * beta0_steps);
-    for i in 0..p0_steps {
-        let p0 = (i as f64 + 0.5) / p0_steps as f64;
-        for j in 0..beta0_steps {
-            let beta0 = (j as f64 + 0.5) / beta0_steps as f64 / 3.0; // β0 < 1/3
-            let b1 = beta_max(p0, beta0);
-            let b2 = beta_max(1.0 - p0, beta0);
-            out.push(Fig7Point {
-                p0,
-                beta0,
-                beta_max_branch1: b1,
-                beta_max_branch2: b2,
-                exceeds_on_both: b1 >= 1.0 / 3.0 && b2 >= 1.0 / 3.0,
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,27 +104,6 @@ mod tests {
         let at_half = min_beta0_for_third_both_branches(0.5);
         for p0 in [0.3, 0.4, 0.6, 0.7] {
             assert!(min_beta0_for_third_both_branches(p0) > at_half);
-        }
-    }
-
-    #[test]
-    fn figure7_grid_contains_the_paper_point() {
-        let grid = figure7_grid(40, 40);
-        // the paper highlights (p0, β0) = (0.5, 0.24): just below the
-        // bound on both branches
-        let near = grid
-            .iter()
-            .filter(|p| (p.p0 - 0.5).abs() < 0.02 && (p.beta0 - 0.245).abs() < 0.01)
-            .count();
-        assert!(near > 0);
-        // points with β0 ≥ 0.25 and p0 = 0.5 must exceed on both branches
-        for p in &grid {
-            if (p.p0 - 0.5).abs() < 0.02 && p.beta0 > 0.25 {
-                assert!(p.exceeds_on_both, "point {p:?}");
-            }
-            if p.beta0 < 0.2 {
-                assert!(!p.exceeds_on_both, "point {p:?}");
-            }
         }
     }
 }

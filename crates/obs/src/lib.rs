@@ -30,9 +30,9 @@
 //! Both halves start **disabled**: every instrumentation site first
 //! checks [`metrics_enabled`] / [`trace_enabled`] (one relaxed atomic
 //! load plus a predicted branch), so an uninstrumented run pays no
-//! measurable cost — the `obs_overhead` Criterion bench gates the hot
-//! cohort epoch loop. The CLI enables a half only when the matching
-//! output flag is present.
+//! measurable cost — the perf ledger's `obs.traced_overhead_share`
+//! measures what turning both halves on costs each workload. The CLI
+//! enables a half only when the matching output flag is present.
 //!
 //! # Example
 //!
@@ -52,7 +52,7 @@
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{duration_buckets, exponential_buckets, Counter, Gauge, Histogram, Registry};
+pub use metrics::{exponential_buckets, Counter, Gauge, Histogram, Registry};
 pub use trace::{Span, TraceEvent, Tracer};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -137,12 +137,6 @@ impl Histogram {
         }
     }
 
-    /// Records a duration in seconds.
-    #[inline]
-    pub fn observe_duration(&self, d: std::time::Duration) {
-        self.observe(d.as_secs_f64());
-    }
-
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -183,13 +177,6 @@ pub fn exponential_buckets(start: f64, factor: f64, count: usize) -> Vec<f64> {
         b *= factor;
     }
     v
-}
-
-/// The default duration bucketing used by the workspace's
-/// `*_seconds` histograms: 1 µs to ~67 s in 4× steps (long chaos cases
-/// land in the top buckets; anything slower overflows to `+Inf`).
-pub fn duration_buckets() -> Vec<f64> {
-    exponential_buckets(1e-6, 4.0, 14)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -613,9 +600,6 @@ mod tests {
     #[test]
     fn exponential_buckets_shape() {
         assert_eq!(exponential_buckets(1.0, 2.0, 4), vec![1.0, 2.0, 4.0, 8.0]);
-        let d = duration_buckets();
-        assert_eq!(d.len(), 14);
-        assert!(d[0] == 1e-6 && d[13] > 60.0);
     }
 
     #[test]
@@ -674,7 +658,7 @@ mod tests {
     fn concurrent_observations_are_all_counted() {
         let r = Registry::new();
         let c = r.counter("par_total", "P.", &[]);
-        let h = r.histogram("par_seconds", "P.", &[], &duration_buckets());
+        let h = r.histogram("par_seconds", "P.", &[], &[1e-6, 4e-6]);
         std::thread::scope(|s| {
             for _ in 0..8 {
                 let c = c.clone();

@@ -18,7 +18,7 @@ use ethpos_stats::SeedSequence;
 
 use crate::frontier::{fitness_cmp, Frontier, FrontierMeta};
 use crate::genome::Genome;
-use crate::objective::{evaluate, EvalParams, Evaluation, Objective};
+use crate::objective::{EvalParams, Evaluation, Objective};
 use crate::prefix::{PrefixMemo, SearchStats};
 
 /// One search: objective, attack parameters, evaluation budget,
@@ -118,12 +118,6 @@ impl SearchSpec {
             backend: self.backend,
             objective: self.objective,
         }
-    }
-
-    /// Evaluates one candidate under this search's parameters (no
-    /// archive, no budget — the unit the benchmarks time).
-    pub fn evaluate(&self, genome: Genome) -> Evaluation {
-        evaluate(&self.eval_params(), genome)
     }
 
     /// Runs the search: the coarse grid first (budget-truncated prefix

@@ -131,12 +131,6 @@ impl SearchStats {
                 self.evaluations,
             ),
             (
-                "ethpos_search_reconstructed_total",
-                "Evaluations answered from gene-stream records alone (no \
-                 epoch simulated).",
-                self.reconstructed,
-            ),
-            (
                 "ethpos_search_checkpoint_records_total",
                 "Evaluations that built their pair checkpoint from stream \
                  snapshots.",
@@ -147,17 +141,6 @@ impl SearchStats {
                 "Evaluations continued from a cached pair checkpoint \
                  (cache hits).",
                 self.checkpoint_hits,
-            ),
-            (
-                "ethpos_search_stream_epochs_total",
-                "Single-branch epochs simulated extending gene streams or \
-                 re-stepping from their snapshots.",
-                self.stream_epochs,
-            ),
-            (
-                "ethpos_search_pair_epochs_total",
-                "Two-branch epochs simulated from a dwell trigger on.",
-                self.pair_epochs,
             ),
         ] {
             registry.counter(name, help, &[]).add(value);

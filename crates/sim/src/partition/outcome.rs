@@ -125,13 +125,6 @@ impl ForkStats {
             )
             .add(self.fork_epoch_sum);
         registry
-            .gauge(
-                "ethpos_fork_max_epoch",
-                "Deepest epoch at which a fork happened.",
-                &[],
-            )
-            .set_max(self.max_fork_epoch as f64);
-        registry
             .counter(
                 "ethpos_fork_shared_chunks_total",
                 "Storage chunks freshly forked children physically shared \

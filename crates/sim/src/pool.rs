@@ -27,10 +27,7 @@ use std::time::Instant;
 /// Cached registry handles for the pool's series — looked up once per
 /// process, so the per-task cost is a couple of relaxed atomic RMWs.
 struct PoolMetrics {
-    maps: Arc<ethpos_obs::Counter>,
-    queued: Arc<ethpos_obs::Counter>,
     completed: Arc<ethpos_obs::Counter>,
-    task_seconds: Arc<ethpos_obs::Histogram>,
     busy_micros: Arc<ethpos_obs::Counter>,
     wall_micros: Arc<ethpos_obs::Counter>,
 }
@@ -46,26 +43,10 @@ impl PoolMetrics {
         Some(HANDLES.get_or_init(|| {
             let r = ethpos_obs::global();
             PoolMetrics {
-                maps: r.counter(
-                    "ethpos_chunk_pool_maps_total",
-                    "ChunkPool::map invocations.",
-                    &[],
-                ),
-                queued: r.counter(
-                    "ethpos_chunk_pool_tasks_queued_total",
-                    "Tasks submitted to the chunk pool.",
-                    &[],
-                ),
                 completed: r.counter(
                     "ethpos_chunk_pool_tasks_completed_total",
                     "Tasks the chunk pool finished.",
                     &[],
-                ),
-                task_seconds: r.histogram(
-                    "ethpos_chunk_pool_task_seconds",
-                    "Per-task wall-clock latency on the chunk pool.",
-                    &[],
-                    &ethpos_obs::duration_buckets(),
                 ),
                 busy_micros: r.counter(
                     "ethpos_chunk_pool_worker_busy_micros_total",
@@ -138,20 +119,14 @@ impl ChunkPool {
         // observation-only: task inputs, outputs and merge order never
         // depend on it, so instrumented runs stay byte-identical.
         let metrics = PoolMetrics::get();
-        let map_start = metrics.map(|m| {
-            m.maps.inc();
-            m.queued.add(tasks as u64);
-            Instant::now()
-        });
+        let map_start = metrics.map(|_| Instant::now());
         let run_one = |i: usize| {
             let _span = ethpos_obs::span_with("chunk", || format!("pool task {i}"));
             match metrics {
                 Some(m) => {
                     let t0 = Instant::now();
                     let out = task(i);
-                    let elapsed = t0.elapsed();
-                    m.task_seconds.observe_duration(elapsed);
-                    m.busy_micros.add(elapsed.as_micros() as u64);
+                    m.busy_micros.add(t0.elapsed().as_micros() as u64);
                     m.completed.inc();
                     out
                 }

@@ -489,10 +489,10 @@ impl CohortState {
         // Per-stage wall-clock timing, **sampled every 64th epoch**:
         // this is the workspace's hottest loop (~0.5 µs per epoch on
         // compressed states, so one timed epoch costs nearly as much as
-        // an untimed one); the 1-in-64 sample keeps the `obs_overhead`
-        // gate comfortably under 3% while the stage histograms stay
-        // representative (epoch 0 is always in the sample). Timing is
-        // observation-only — the transition itself is identical on both
+        // an untimed one); the 1-in-64 sample keeps the overhead within
+        // noise (the ledger's `obs.traced_overhead_share`) while the stage
+        // histograms stay representative (epoch 0 is always sampled).
+        // Timing is observation-only — the transition is the same on both
         // paths.
         let timer = stage_timer("cohort", self.current_epoch().as_u64() & 63 == 0);
         let aggregates = self.epoch_aggregates();

@@ -5,8 +5,8 @@
 //! every epoch (dense epochs cost µs–ms, the timer is noise), the
 //! cohort path times its three fused phases on a 1-in-64 epoch sample
 //! (its epochs cost ~0.5 µs, so even sparse timing is measurable — see
-//! the `obs_overhead` bench gate). Purely observational: timers never
-//! touch the transition's arithmetic or control flow.
+//! the perf ledger's `obs.traced_overhead_share`). Purely observational:
+//! timers never touch the transition's arithmetic or control flow.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;

@@ -14,7 +14,7 @@ use ethpos_sim::{PartitionConfig, PartitionSim, PartitionTimeline};
 use ethpos_state::backend::{ClassSpec, StateBackend};
 use ethpos_state::{CohortState, DenseState, ParticipationFlags, ReferenceCohortState};
 use ethpos_types::{BranchId, ChainConfig, Gwei, Root};
-use ethpos_validator::{BranchChoice, BranchStatus, ByzantineSchedule};
+use ethpos_validator::{BranchChoice, BranchStatus, ByzantineSchedule, DualActive};
 
 /// Builds the two backends from the same class specs.
 fn pair(config: &ChainConfig, classes: &[ClassSpec]) -> (DenseState, CohortState) {
@@ -498,4 +498,51 @@ fn sampled_split_at_the_hysteresis_edge_ejects_only_the_idle_half() {
             assert!(m.balance > Gwei::from_eth_f64(16.75), "{:?}", m.balance);
         }
     }
+}
+
+/// A two-branch churn partition (the §5.3 bouncing regime) drives the
+/// exact and the clone-based reference cohort backends through the
+/// partition engine's count-level draw path: both walk cohorts in
+/// canonical order, so they consume the same `PreparedBinomial` count
+/// stream and agree byte for byte, epoch by epoch and in the final
+/// report. The honest class fragments past the 256-cohort key-sort
+/// threshold, so the exact backend's radix re-sort is on the checked path.
+#[test]
+fn churn_partition_keeps_cohort_and_reference_byte_identical() {
+    let n = 600;
+    let config = || PartitionConfig {
+        stop_on_conflict: false,
+        stop_on_finalization: false,
+        record_every: u64::MAX,
+        ..PartitionConfig::paper(n, n / 3, PartitionTimeline::two_branch_churn(0.5), 96)
+    };
+    let mut cohort = PartitionSim::<CohortState>::with_backend(config(), Box::new(DualActive))
+        .expect("valid by construction");
+    let mut reference =
+        PartitionSim::<ReferenceCohortState>::with_backend(config(), Box::new(DualActive))
+            .expect("valid by construction");
+    let mut peak = 0;
+    loop {
+        let more = cohort.step();
+        assert_eq!(more, reference.step());
+        for branch in cohort.live_branches() {
+            let state = cohort.branch(branch);
+            assert_eq!(
+                state.snapshot(),
+                reference.branch(branch).snapshot(),
+                "branch {branch} at epoch {}",
+                cohort.current_epoch()
+            );
+            let frag = state.fragmentation().expect("cohort backend");
+            peak = peak.max(frag.max_cohorts_per_class);
+        }
+        if !more {
+            break;
+        }
+    }
+    assert!(peak > 256, "peak {peak}: the key sort was not reached");
+    assert_eq!(
+        serde_json::to_string(&cohort.finish()).unwrap(),
+        serde_json::to_string(&reference.finish()).unwrap()
+    );
 }

@@ -9,8 +9,10 @@
 //! cargo run --release --example byzantine_acceleration
 //! ```
 
-use ethpos::core::experiments::{run_experiment, simulated, Experiment};
+use ethpos::core::experiments::simulated::conflicting_finalization_on;
+use ethpos::core::experiments::{run_experiment, Experiment};
 use ethpos::core::scenarios::{semi_active, slashing};
+use ethpos::state::BackendKind;
 
 fn main() {
     println!(
@@ -37,7 +39,7 @@ fn main() {
 
     println!("\ncross-check on the discrete simulator (n = 1200, β0 = 0.33):");
     for (label, slashable) in [("slashable", true), ("non-slashable", false)] {
-        let t = simulated::conflicting_finalization_simulated(0.33, 0.5, 1200, slashable, 1500);
+        let t = conflicting_finalization_on(0.33, 0.5, 1200, slashable, 1500, BackendKind::Dense);
         println!(
             "  {label:<14} conflicting finalization at epoch {}",
             t.map(|t| t.to_string()).unwrap_or_else(|| "none".into())

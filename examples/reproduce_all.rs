@@ -8,14 +8,15 @@
 //!
 //! Pass `--json DIR` to also dump every experiment's full data as JSON.
 
-use ethpos::core::experiments::{run_experiment, simulated, Experiment};
+use ethpos::core::experiments::simulated::conflicting_finalization_on;
+use ethpos::core::experiments::{run_experiment, Experiment};
 use ethpos::core::scenarios::{bouncing, semi_active, slashing, threshold};
 use ethpos::core::stake_model::StakeBehavior;
 use ethpos::sim::{
     run_bouncing_walks, run_single_branch_on, Behavior, BouncingWalkConfig, PartitionConfig,
     PartitionSim, PartitionTimeline,
 };
-use ethpos::state::DenseState;
+use ethpos::state::{BackendKind, DenseState};
 use ethpos::types::ChainConfig;
 use ethpos::validator::ThresholdSeeker;
 
@@ -57,7 +58,7 @@ fn main() {
     );
 
     // ── §5.1: honest-only conflicting finalization ──────────────────────
-    let honest = simulated::conflicting_finalization_simulated(0.0, 0.5, 600, true, 5000);
+    let honest = conflicting_finalization_on(0.0, 0.5, 600, true, 5000, BackendKind::Dense);
     println!("\n§5.1 — conflicting finalization, honest only, p0 = 0.5:");
     println!("  paper 4686 / simulated {:?}", honest.unwrap());
 
@@ -76,8 +77,8 @@ fn main() {
         } else {
             556
         };
-        let s2 = simulated::conflicting_finalization_simulated(beta0, 0.5, 1200, true, 5000);
-        let s3 = simulated::conflicting_finalization_simulated(beta0, 0.5, 1200, false, 5000);
+        let s2 = conflicting_finalization_on(beta0, 0.5, 1200, true, 5000, BackendKind::Dense);
+        let s3 = conflicting_finalization_on(beta0, 0.5, 1200, false, 5000, BackendKind::Dense);
         println!(
             "  {beta0:<5}  {a2:<6.0}  {:<10}  {a3:<10.0}  {paper3:<8}  {}",
             s2.map(|t| t.to_string()).unwrap_or_else(|| "-".into()),

@@ -3,12 +3,12 @@
 //! frontier is a genuine Pareto set, and the whole report is
 //! thread-count invariant (the workspace determinism model).
 //!
-//! These runs are sized for debug-mode CI: capped horizons and coarse
-//! grids. The full-scale rediscovery (horizon ≈ 7652 at n = 10⁶ over
-//! 8192 epochs) runs in the release-mode `search-smoke` CI job and in
-//! `benches/attack_search.rs`.
+//! These searches are sized for debug-mode CI: capped horizons and
+//! coarse grids. The full-scale rediscovery (the search over n = 10⁶ and
+//! 8192 epochs) runs in the release-mode `search-smoke` CI job; the
+//! horizon of its winner is evaluated here on its own.
 
-use ethpos::search::{Genome, Objective, SearchSpec};
+use ethpos::search::{evaluate, Genome, Objective, SearchSpec};
 use ethpos::state::BackendKind;
 
 /// §5.2.1 rediscovered: with the conflict objective, the damage-optimal
@@ -85,6 +85,23 @@ fn horizon_search_rediscovers_semi_active_alternation() {
     // slashable candidates were seen and rejected by the objective
     assert!(frontier.infeasible > 0);
     assert!(frontier.rows.iter().all(|r| !r.slashable));
+}
+
+/// The alternation corner evaluated at the objective's full scale
+/// (n = 10⁶ on the cohort backend, 8192 epochs): its delay horizon sits
+/// next to the paper's Table 3 / Fig. 2 semi-active ejection at 7652
+/// (the discrete effective-balance staircase lands at 7657).
+#[test]
+fn alternation_horizon_at_one_million_validators() {
+    let params = SearchSpec::new(Objective::NonSlashableHorizon).eval_params();
+    assert_eq!((params.n, params.epochs), (1_000_000, 8192));
+    let horizon = evaluate(&params, Genome::THRESHOLD_SEEKER)
+        .horizon
+        .expect("honest branches finalize after ejection");
+    assert!(
+        (7645..=7670).contains(&horizon),
+        "alternation horizon {horizon}, expected ≈ 7652 (paper) / 7657 (discrete)"
+    );
 }
 
 /// The frontier JSON is byte-identical for any thread count — the same

@@ -1,8 +1,9 @@
 //! Cross-validation of Tables 2–3: the analytical model (Eq. 9 / Eq. 10)
 //! against the discrete two-branch protocol simulator.
 
-use ethpos::core::experiments::simulated::conflicting_finalization_simulated;
+use ethpos::core::experiments::simulated::conflicting_finalization_on;
 use ethpos::core::scenarios::{semi_active, slashing};
+use ethpos::state::BackendKind;
 
 /// Table 2 at β₀ = 0.2: Eq. 9 gives 3107. The discrete protocol counts
 /// *effective* balances in FFG (1-ETH floor quantization with hysteresis),
@@ -12,7 +13,7 @@ use ethpos::core::scenarios::{semi_active, slashing};
 #[test]
 fn table2_beta02_simulated_matches_analytic() {
     let analytic = slashing::conflicting_finalization_epoch(0.5, 0.2);
-    let sim = conflicting_finalization_simulated(0.2, 0.5, 1200, true, 3600)
+    let sim = conflicting_finalization_on(0.2, 0.5, 1200, true, 3600, BackendKind::Dense)
         .expect("must finalize conflicting branches") as f64;
     assert!(
         sim <= analytic + 10.0,
@@ -31,14 +32,14 @@ fn table2_beta02_simulated_matches_analytic() {
 #[test]
 fn table3_beta02_simulated_matches_analytic_and_orders() {
     let analytic = semi_active::conflicting_finalization_epoch(0.5, 0.2);
-    let semi = conflicting_finalization_simulated(0.2, 0.5, 1200, false, 3800)
+    let semi = conflicting_finalization_on(0.2, 0.5, 1200, false, 3800, BackendKind::Dense)
         .expect("must finalize conflicting branches");
     let rel = (semi as f64 - analytic).abs() / analytic;
     assert!(
         rel < 0.06,
         "simulated {semi} vs analytic {analytic:.0} (rel {rel:.4})"
     );
-    let dual = conflicting_finalization_simulated(0.2, 0.5, 1200, true, 3600).unwrap();
+    let dual = conflicting_finalization_on(0.2, 0.5, 1200, true, 3600, BackendKind::Dense).unwrap();
     assert!(
         semi > dual + 50,
         "separation must re-open at β0 = 0.2: semi {semi} vs dual {dual}"
@@ -59,8 +60,9 @@ fn beta_zero_rows_agree_with_honest_baseline() {
 /// stake ⇒ faster Safety loss), mirroring Fig. 6.
 #[test]
 fn simulated_finalization_time_decreases_with_beta() {
-    let t_02 = conflicting_finalization_simulated(0.2, 0.5, 600, true, 3600).unwrap();
-    let t_033 = conflicting_finalization_simulated(0.33, 0.5, 600, true, 1200).unwrap();
+    let t_02 = conflicting_finalization_on(0.2, 0.5, 600, true, 3600, BackendKind::Dense).unwrap();
+    let t_033 =
+        conflicting_finalization_on(0.33, 0.5, 600, true, 1200, BackendKind::Dense).unwrap();
     assert!(
         t_033 < t_02,
         "β0 = 0.33 ({t_033}) must finalize before β0 = 0.2 ({t_02})"
