@@ -2,18 +2,16 @@
 //! binary so the logic is unit-testable.
 //!
 //! Every run mode — the paper's experiments (positional ids or `all`),
-//! `sweep`, `search`, `partition` and `chaos` — is a [`JobRequest`]:
-//! [`parse_args`] writes the subcommand into `kind` and each request flag
-//! into the field of the same name (`--max-period` → `max_period`, each
-//! `--timeline` appended to `timelines`, each `--grid axis=v1,v2,…`
-//! replacing one sweep axis), then hands the object to
-//! [`JobRequest::from_json`], the one parser that knows which knobs a
-//! mode takes, their defaults and their valid values. A command line and
-//! the equivalent API request therefore have the same address and, run
-//! through [`JobRequest::execute`], the same bytes. `--threads` bounds
-//! the worker pool; by the workspace's determinism model it can change
-//! wall-clock time but never a single output byte. [`USAGE`] lists the
-//! modes and their flags.
+//! `sweep`, `search`, `partition` and `chaos` — is a [`JobRequest`],
+//! whose fields live in one table, [`MODES`]. [`parse_args`] takes its
+//! request flags from the table: it writes the subcommand into `kind` and
+//! each flag into the field of its name (`--max-period` → `max_period`,
+//! each `--timeline` appended to `timelines`, each `--grid axis=v1,v2,…`
+//! replacing one of `sweep`'s array fields), and [`JobRequest::from_json`]
+//! checks the object against the same rows; [`usage`] renders them. A
+//! command line and the equivalent API request so have the same address
+//! and, through [`JobRequest::execute`], the same bytes. `--threads`
+//! bounds the worker pool: it changes wall-clock time, never a byte.
 //!
 //! The CLI itself decides only where the outputs go: `--out <path>`
 //! writes the document to a file instead of stdout, `--stats-out`
@@ -27,12 +25,12 @@
 #![warn(missing_docs)]
 
 use ethpos_core::experiments::Experiment;
-use ethpos_core::request::SWEEP_AXES;
+use ethpos_core::request::{mode, Field, FieldType, Mode, FORMAT, MODES};
 use ethpos_core::JobRequest;
 use serde_json::Value;
 
-/// Usage text printed on `--help` and argument errors.
-pub const USAGE: &str = "\
+/// The literal part of [`usage`]: the modes and the CLI's own options.
+const USAGE_HEAD: &str = "\
 ethpos-cli — reproduce the tables and figures of
 'Byzantine Attacks Exploiting Penalties in Ethereum PoS' (DSN 2024)
 
@@ -47,83 +45,39 @@ USAGE:
     ethpos-cli --list
 
 ARGS:
-    EXPERIMENT    fig2 fig3 fig6 fig7 fig8 fig9 fig10 table1 table2 table3
-                  frontier partition, or `all` for every experiment in
-                  paper order
+    EXPERIMENT    a paper experiment (the ids under `experiment` below),
+                  or `all` for every experiment in paper order
     sweep         run a parameter grid (β0 × p0 × walkers × semantics)
                   over the §5.3 Monte Carlo and the §5.2 closed forms
-    search        search the adversary strategy space (duty-cycle genomes
-                  over both branches) for the worst-case damage-vs-cost
-                  Pareto frontier, evaluated on the exact discrete
-                  protocol
+    search        search duty-cycle adversary genomes over both branches
+                  for the worst-case damage-vs-cost Pareto frontier, on
+                  the exact discrete protocol
     partition     run k-branch partition timelines (splits, heals, churn)
                   the paper cannot express, at paper-true population
                   sizes on the cohort backend
-    chaos         run a randomized campaign (sampled timelines ×
-                  adversaries × stake splits) against safety/liveness
-                  oracles; unexpected violations are shrunk to minimal
-                  reproducers
-    serve         run the resident experiment service: a JSON API over
-                  every mode above, behind a content-addressed artifact
-                  cache (identical requests are answered byte-identically
-                  without re-simulating), with GET /metrics and
-                  GET /healthz
+    chaos         run sampled timelines × adversaries × stake splits
+                  against safety/liveness oracles, shrinking unexpected
+                  violations to minimal reproducers
+    serve         run the resident service: a JSON API over every mode
+                  above behind a content-addressed artifact cache (an
+                  identical request is answered without re-simulating),
+                  with GET /metrics and GET /healthz
 
-OPTIONS:
-    --format <text|json>    Output format [default: text]
+OPTIONS — the CLI's own; none changes a byte of a run's document:
     --out <path>            Write the document to a file instead of stdout
     --stats-out <path>      (search, chaos) also write the run's work
-                            counters (prefix-memo checkpoint hits, fork
-                            depths, churn count-draws per cohort) as a
-                            separate JSON artifact — the main document
-                            stays byte-identical
-    --metrics-out <path>    (any run mode) enable the metrics registry and
-                            write its exposition (chunk-pool throughput,
-                            per-stage epoch timings, cohort fragmentation
-                            gauges, per-mode work counters) at the end of
-                            the run — the main document stays
-                            byte-identical
+                            counters (prefix-memo hits, fork depths, churn
+                            draws) as JSON
+    --metrics-out <path>    Record metrics (pool throughput, epoch stage
+                            timings, cohort gauges, work counters) and
+                            write their exposition after the run
     --metrics-format <prom|json>
                             Exposition format of --metrics-out: Prometheus
                             text or a JSON snapshot [default: prom]
-    --trace-out <path>      (any run mode) enable span tracing and write a
-                            Chrome trace-event JSON (load it in
-                            chrome://tracing or Perfetto) at the end of
-                            the run — the main document stays
-                            byte-identical
+    --trace-out <path>      Record spans and write a Chrome trace-event
+                            JSON (chrome://tracing, Perfetto) after the run
     --threads <N>           Worker threads, 0 = all hardware threads
-                            [default: 0]; never changes the output bytes
-    --walkers <N>           Monte-Carlo walkers [default: 20000]
-    --epochs <N>            Monte-Carlo epoch horizon
-                            [default: 8000; sweep: 3000]
-    --seed <N>              Monte-Carlo root seed [default: 42; sweep: 11]
-    --validators <N>        Run the discrete protocol cross-checks (fig2,
-                            table2, table3; sweep: the t_disc column) at
-                            registry size N — spec scale (1000000) is
-                            interactive on the cohort backend
-    --backend <dense|cohort> State backend of the discrete cross-checks
-                            [default: cohort]; both produce identical
-                            results, dense is the O(n·epochs) reference
-    --grid <AXIS=V1,V2,..>  (sweep only, repeatable) replace a sweep axis:
-                            beta0, p0, walkers, validators,
-                            semantics (paper|spec)
-    --objective <ID>        (search) damage metric: conflict, proportion,
-                            non-slashable-horizon [default: conflict]
-    --budget <N>            (search, chaos) candidate / case count
-                            [default: 256]
-    --beta0 <X>             (search, partition) initial Byzantine
-                            proportion [default: mode-specific]
-    --p0 <X>                (search) honest split [default: 0.5]
-    --max-period <N>        (search) duty-period bound of the exhaustive
-                            grid [default: 3]
-    --timeline <SPEC>       (partition, repeatable) a preset name
-                            (three-branch, heal-resplit) or a raw spec:
-                            `;`-separated split@E:B=W1,W2,…
-                            churn@E:B=W1,W2,… heal@E:S<-B1+B2 events
-                            [default: both presets]
-    --strategy <ID>         (partition) adversary strategy for raw specs:
-                            dual-active, semi-active, threshold-seeker,
-                            rotate, rotate-dwell [default: rotate-dwell]
+                            [default: 0]
     --addr <HOST:PORT>      (serve) listen address [default: 127.0.0.1:4280;
                             port 0 picks a free port]
     --cache-dir <DIR>       (serve) artifact cache directory
@@ -132,7 +86,64 @@ OPTIONS:
                             (the five paper scenarios plus the chaos
                             replay corpus under <dir>/chaos) into <dir>
     --list                  List experiment ids with their paper reference
-    --help                  Show this help";
+    -h, --help              Show this help
+
+REQUEST FIELDS — each flag sets the request field of its name
+(`--max-period` sets `max_period`); a POST /v1/jobs body takes the same
+fields of each mode:
+";
+
+/// The usage text printed on `--help` and argument errors: the CLI's own
+/// options, then every mode's request fields rendered from [`MODES`].
+pub fn usage() -> String {
+    let mut out = USAGE_HEAD.to_string();
+    let common = ("any mode", std::slice::from_ref(&FORMAT));
+    for (kind, fields) in std::iter::once(common).chain(MODES.iter().map(|m| (m.kind, m.fields))) {
+        out.push_str(&format!("  {kind}:\n"));
+        for field in fields {
+            let (value, mut help) = (metavar(&field.ty), field.help.to_string());
+            let spelling = match field.ty {
+                _ if field.name == "experiments" => {
+                    help = format!("{help}; one of {}", value.replace('|', ", "));
+                    "EXPERIMENT...".to_string()
+                }
+                _ if field.name == "timelines" => format!("--timeline <{value}>..."),
+                FieldType::Array(_) if one_point_axis(kind, field.name) => {
+                    format!("--grid {0}=<{value}>,.. | --{0} <{value}>", field.name)
+                }
+                FieldType::Array(_) => format!("--grid {}=<{value}>,..", field.name),
+                _ => format!("--{} <{value}>", field.name.replace('_', "-")),
+            };
+            // The spelling, then the help word-wrapped from column 30.
+            let mut line = format!("    {spelling:<25}");
+            if spelling.chars().count() > 25 {
+                out.push_str(&format!("{line}\n"));
+                line = " ".repeat(29);
+            }
+            for word in help.split(' ') {
+                if line.chars().count() > 29 && line.chars().count() + word.chars().count() >= 78 {
+                    out.push_str(&format!("{line}\n"));
+                    line = " ".repeat(29);
+                }
+                line = format!("{line} {word}");
+            }
+            out.push_str(&format!("{line}\n"));
+        }
+    }
+    out
+}
+
+/// A field type's value placeholder.
+fn metavar(ty: &FieldType) -> String {
+    match *ty {
+        FieldType::Int(min, max) if max < u64::MAX => format!("{min}-{max}"),
+        FieldType::Int(..) => "N".into(),
+        FieldType::Unit => "X".into(),
+        FieldType::Id(_, ids) => ids().join("|"),
+        FieldType::Text => "SPEC".into(),
+        FieldType::Array(each) => metavar(each),
+    }
+}
 
 /// Exposition format selected with `--metrics-format`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -195,36 +206,20 @@ pub enum Cli {
     },
     /// Print the experiment table (`--list`).
     List,
-    /// Print [`USAGE`] (`--help`).
+    /// Print [`usage`] (`--help`).
     Help,
 }
 
-/// A failed parse: the message to print before [`USAGE`].
+/// A failed parse: the message to print before [`usage`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
     /// Unknown id, unknown flag or malformed option value.
     Usage(String),
 }
 
-/// Flags written into the request field of the same name (`-` → `_`);
-/// a repeated flag replaces the earlier value.
-const REQUEST_FLAGS: [&str; 12] = [
-    "format",
-    "walkers",
-    "epochs",
-    "seed",
-    "validators",
-    "backend",
-    "objective",
-    "budget",
-    "beta0",
-    "p0",
-    "max-period",
-    "strategy",
-];
-
-/// The other flags: the repeatable `timeline` and `grid`, which become
-/// request arrays, and the invocation's own.
+/// The CLI's own flags: the repeatable `timeline` and `grid`, which
+/// build request arrays, and the invocation's own. Every other flag
+/// names a request field ([`request_field`]).
 const CLI_FLAGS: [&str; 11] = [
     "timeline",
     "grid",
@@ -241,19 +236,37 @@ const CLI_FLAGS: [&str; 11] = [
 
 const SUBCOMMANDS: [&str; 5] = ["sweep", "search", "partition", "chaos", "serve"];
 
+/// The request field `--flag` sets: a non-array field of some mode, `_`
+/// spelled `-`. A repeated flag replaces the earlier value.
+fn request_field(flag: &str) -> Option<&'static str> {
+    let scalar = |f: &&Field| !matches!(f.ty, FieldType::Array(_));
+    let named = |f: &&Field| f.name.replace('_', "-") == flag;
+    let fields = MODES.iter().flat_map(Mode::all_fields);
+    fields.filter(scalar).find(named).map(|f| f.name)
+}
+
+/// In a sweep, a flag naming a knob of the `experiment` mode (whose
+/// Monte-Carlo configuration the sweep grids) sets a one-point axis.
+fn one_point_axis(kind: &str, name: &str) -> bool {
+    let field = |kind| mode(kind).and_then(|m| m.field(name));
+    kind == "sweep"
+        && field("experiment").is_some()
+        && field("sweep").is_some_and(|f| matches!(f.ty, FieldType::Array(_)))
+}
+
 /// Parses command-line arguments (without the program name).
 ///
 /// Every run mode becomes a request: the subcommand sets `kind`
 /// (`experiment` without one, the positional ids going into
 /// `experiments`), each request flag sets its field and
-/// [`JobRequest::from_json`] — the only per-mode parser — decides what
-/// the mode accepts. The CLI adds `"format": "text"` unless `--format`
-/// is given, and checks only what a request cannot know: where the
-/// outputs go, `serve`'s own flags and `--regen-golden`.
+/// [`JobRequest::from_json`] decides what the mode accepts. The CLI adds
+/// `"format": "text"` unless `--format` is given, and checks only what a
+/// request cannot know: where the outputs go, `serve`'s own flags and
+/// `--regen-golden`.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, CliError> {
     let usage = |msg: String| Err(CliError::Usage(msg));
     let mut words = Vec::new();
-    let mut flags: Vec<(&str, String)> = Vec::new();
+    let mut flags: Vec<(String, String)> = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -270,25 +283,22 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, CliErr
             Some((name, value)) => (name, Some(value.to_string())),
             None => (arg.as_str(), None),
         };
-        let known = name.strip_prefix("--").and_then(|name| {
-            REQUEST_FLAGS
-                .iter()
-                .chain(&CLI_FLAGS)
-                .find(|flag| **flag == name)
-        });
+        let known = name
+            .strip_prefix("--")
+            .filter(|name| CLI_FLAGS.contains(name) || request_field(name).is_some());
         let Some(flag) = known else {
             return usage(format!("unknown option `{arg}`"));
         };
         let Some(value) = inline.or_else(|| iter.next()) else {
             return usage(format!("{name} needs a value"));
         };
-        flags.push((*flag, value));
+        flags.push((flag.to_string(), value));
     }
     let last = |name: &str| {
         flags
             .iter()
             .rev()
-            .find(|(flag, _)| *flag == name)
+            .find(|(flag, _)| flag == name)
             .map(|(_, value)| value.clone())
     };
     let (subcommands, experiments): (Vec<String>, Vec<String>) = words
@@ -329,7 +339,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, CliErr
         // serves documents over HTTP, so a flag here could only be ignored.
         if let Some((flag, _)) = flags
             .iter()
-            .find(|(flag, _)| !["addr", "cache-dir", "threads"].contains(flag))
+            .find(|(flag, _)| !["addr", "cache-dir", "threads"].contains(&flag.as_str()))
         {
             return usage(format!(
                 "--{flag} is a per-request knob; pass it in the JSON body of \
@@ -371,40 +381,40 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, CliErr
     let mut timelines = Vec::new();
     let mut grids = Vec::new();
     for (flag, value) in &flags {
-        match *flag {
+        match flag.as_str() {
             "timeline" => timelines.push(typed(value)),
             "grid" => {
                 let Some((axis, values)) = value.split_once('=') else {
                     return usage(format!("grid directive `{value}` is not `axis=v1,v2,…`"));
                 };
-                if !SWEEP_AXES.contains(&axis) {
+                let sweep = mode("sweep").map_or(&[][..], |m| m.fields);
+                let axes = sweep.iter().filter(|f| matches!(f.ty, FieldType::Array(_)));
+                let axes: Vec<&str> = axes.map(|f| f.name).collect();
+                if !axes.contains(&axis) {
                     return usage(format!(
                         "unknown grid axis `{axis}` (expected {})",
-                        SWEEP_AXES.join(", ")
+                        axes.join(", ")
                     ));
                 }
                 let values = values.split(',').filter(|v| !v.is_empty()).map(typed);
                 grids.push((axis, Value::Array(values.collect())));
             }
-            flag if REQUEST_FLAGS.contains(&flag) => {
-                set(&mut fields, &flag.replace('-', "_"), typed(value))
+            flag => {
+                if let Some(field) = request_field(flag) {
+                    let value = match one_point_axis(kind, field) {
+                        true => Value::Array(vec![typed(value)]),
+                        false => typed(value),
+                    };
+                    set(&mut fields, field, value);
+                }
             }
-            _ => {}
         }
     }
     if !timelines.is_empty() {
         set(&mut fields, "timelines", Value::Array(timelines));
     }
-    // In a sweep, `--walkers N` / `--validators N` are one-point axes;
-    // grid directives come last so `--grid walkers=…` wins whatever the
-    // flag order.
-    if kind == "sweep" {
-        for (key, value) in fields.iter_mut() {
-            if key == "walkers" || key == "validators" {
-                *value = Value::Array(vec![std::mem::replace(value, Value::Null)]);
-            }
-        }
-    }
+    // Grid directives come last, so `--grid walkers=…` wins over
+    // `--walkers N` whatever the flag order.
     for (axis, values) in grids {
         set(&mut fields, axis, values);
     }
@@ -487,7 +497,7 @@ pub fn run(cli: &Cli) -> RunArtifacts {
             obs,
             ..
         } => (request, stats_out, obs),
-        Cli::Help => return document(format!("{USAGE}\n")),
+        Cli::Help => return document(usage() + "\n"),
         Cli::List => {
             let mut out = String::from("id       paper reference\n");
             for e in Experiment::all() {
@@ -901,6 +911,23 @@ mod tests {
         assert_eq!(spec.max_period, 2);
         assert_eq!(spec.seed, 5);
         assert_eq!(spec.threads, 3);
+    }
+
+    #[test]
+    fn lambda_flag_is_the_search_request_field() {
+        let cli = job(&["search", "--lambda", "4", "--format", "json"]);
+        let api = JobRequest::parse(r#"{"kind": "search", "lambda": 4}"#).unwrap();
+        assert_eq!(cli.request_hash(), api.request_hash());
+        let JobRequest::Search { spec, .. } = cli else {
+            panic!("not a search");
+        };
+        assert_eq!(spec.lambda, 4);
+        for bad in [
+            &["search", "--lambda", "0"] as &[&str],
+            &["chaos", "--lambda", "4"],
+        ] {
+            assert!(parse_args(args(bad)).is_err(), "{bad:?} was accepted");
+        }
     }
 
     #[test]
@@ -1520,6 +1547,111 @@ mod tests {
         }
     }
 
+    /// `--help` states the defaults each mode resolves to, and lists
+    /// exactly the flags `parse_args` takes. A default is checked in the
+    /// mode section it is listed under: spelling it out must leave the
+    /// address of the mode's minimal request unchanged (search at its
+    /// default objective, partition on a raw timeline).
+    #[test]
+    fn help_states_the_resolved_defaults_and_every_flag() {
+        let help = usage();
+        let hash = |argv: Vec<String>| match parse_args(argv.clone()) {
+            Ok(Cli::Job { request, .. }) => request.request_hash(),
+            other => panic!("{argv:?} parsed to {other:?}"),
+        };
+        let raw = ["--timeline", "split@0:0=0.5,0.5"];
+        // Each row of the request section, its continuation lines joined.
+        let (mut kind, mut rows) = ("", Vec::<(&str, String)>::new());
+        let section = help
+            .split("REQUEST FIELDS")
+            .nth(1)
+            .expect("a request section");
+        for line in section.lines() {
+            match line.len() - line.trim_start().len() {
+                2 => kind = line.trim().trim_end_matches(':'),
+                4 if !kind.is_empty() => rows.push((kind, line.trim().to_string())),
+                n if n > 4 && !rows.is_empty() => {
+                    let row = &mut rows.last_mut().expect("a row").1;
+                    *row = format!("{row} {}", line.trim());
+                }
+                _ => {}
+            }
+        }
+        let mut checked = Vec::new();
+        for (kind, row) in &rows {
+            let Some((_, default)) = row.split_once("[default: ") else {
+                continue;
+            };
+            let default = default.split([';', ']']).next().expect("a value");
+            let mut words = row.split_whitespace();
+            let flag = words.next().expect("a spelling");
+            let (drop_raw, added) = match flag {
+                "--grid" => {
+                    let axis = words
+                        .next()
+                        .and_then(|w| w.split_once('='))
+                        .expect("axis")
+                        .0;
+                    (false, vec![flag.to_string(), format!("{axis}={default}")])
+                }
+                "--timeline" => {
+                    let each = default.split(',').flat_map(|t| [flag, t]);
+                    (true, each.map(String::from).collect())
+                }
+                _ => (false, vec![flag.to_string(), default.to_string()]),
+            };
+            let kinds: Vec<&str> = match *kind {
+                "any mode" => MODES.iter().map(|m| m.kind).collect(),
+                kind => vec![kind],
+            };
+            for kind in kinds {
+                let base = match kind {
+                    "experiment" => args(&["fig2"]),
+                    "partition" if !drop_raw => args(&[&["partition"][..], &raw].concat()),
+                    kind => args(&[kind]),
+                };
+                let spelled = [base.clone(), added.clone()].concat();
+                assert_eq!(
+                    hash(base),
+                    hash(spelled.clone()),
+                    "--help's default: {spelled:?}"
+                );
+                checked.push(kind);
+            }
+        }
+        for m in &MODES {
+            assert!(
+                checked.contains(&m.kind),
+                "no default checked for {}",
+                m.kind
+            );
+        }
+
+        let unknown = |flag: &str| {
+            let parsed = parse_args(args(&[flag, "1"]));
+            matches!(parsed, Err(CliError::Usage(m)) if m.starts_with("unknown option"))
+        };
+        let word = |c: char| c.is_ascii_alphanumeric() || c == '-';
+        let listed: Vec<&str> = help
+            .split(|c| !word(c))
+            .filter(|w| w.starts_with("--") && w.len() > 2)
+            .collect();
+        for flag in &listed {
+            assert!(
+                !unknown(flag),
+                "--help lists {flag}, which parse_args rejects"
+            );
+        }
+        let fields = MODES.iter().flat_map(Mode::all_fields).map(|f| f.name);
+        let names = fields.chain(CLI_FLAGS).chain(["help", "list"]);
+        for flag in names.map(|name| format!("--{}", name.replace('_', "-"))) {
+            assert!(
+                unknown(&flag) || listed.contains(&flag.as_str()),
+                "{flag} is not in --help"
+            );
+        }
+    }
+
     /// The tables the never-panics property draws arguments from:
     /// subcommands and ids, every flag, and values and timeline
     /// fragments that probe the number and timeline parsers' edges.
@@ -1550,6 +1682,7 @@ mod tests {
         "--beta0",
         "--p0",
         "--max-period",
+        "--lambda",
         "--strategy",
         "--timeline",
         "--grid",

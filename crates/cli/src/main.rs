@@ -37,7 +37,7 @@
 
 use std::process::ExitCode;
 
-use ethpos_cli::{parse_args, regen_golden, run, Cli, CliError, USAGE};
+use ethpos_cli::{parse_args, regen_golden, run, usage, Cli, CliError};
 
 fn main() -> ExitCode {
     match parse_args(std::env::args().skip(1)) {
@@ -132,7 +132,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(CliError::Usage(msg)) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
+            eprintln!("error: {msg}\n\n{}", usage());
             ExitCode::from(2)
         }
     }

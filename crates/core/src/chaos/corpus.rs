@@ -18,7 +18,7 @@
 //! find→shrink→emit path) and one expected-attack exemplar pinned under
 //! the real oracle.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
 use ethpos_sim::PartitionTimeline;
@@ -122,22 +122,16 @@ fn field<'v>(value: &'v Value, key: &str) -> Result<&'v Value, String> {
         .ok_or_else(|| format!("missing field `{key}`"))
 }
 
-fn u64_field(value: &Value, key: &str) -> Result<u64, String> {
-    field(value, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field `{key}` is not a u64"))
-}
-
-fn f64_field(value: &Value, key: &str) -> Result<f64, String> {
-    field(value, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` is not a number"))
-}
-
 fn str_field<'v>(value: &'v Value, key: &str) -> Result<&'v str, String> {
     field(value, key)?
         .as_str()
         .ok_or_else(|| format!("field `{key}` is not a string"))
+}
+
+/// Decodes the object under `key` (a [`CaseRecord`] or the
+/// [`OracleParams`]).
+fn decode<T: Deserialize>(doc: &Value, key: &str) -> Result<T, String> {
+    T::from_value(field(doc, key)?).map_err(|e| e.to_string())
 }
 
 /// Decodes an in-memory [`CaseRecord`] back into a [`ChaosCase`].
@@ -155,38 +149,15 @@ fn case_from_record(record: &CaseRecord) -> Result<ChaosCase, String> {
     })
 }
 
-/// Decodes a [`CaseRecord`]-shaped JSON object back into a
-/// [`ChaosCase`].
-fn case_from_value(value: &Value) -> Result<ChaosCase, String> {
-    Ok(ChaosCase {
-        index: u64_field(value, "index")?,
-        timeline: PartitionTimeline::parse(str_field(value, "timeline")?)
-            .map_err(|e| format!("bad timeline spec: {e}"))?,
-        adversary: Adversary::parse(str_field(value, "adversary")?)
-            .ok_or_else(|| "bad adversary label".to_string())?,
-        beta0: f64_field(value, "beta0")?,
-        n: u64_field(value, "n")? as usize,
-        max_epochs: u64_field(value, "max_epochs")?,
-        engine_seed: u64_field(value, "engine_seed")?,
-    })
-}
-
 /// Parses a fixture document back from its committed JSON.
 pub fn parse_fixture(json: &str) -> Result<ReplayFixture, String> {
     let doc: Value = serde_json::from_str(json).map_err(|e| format!("bad fixture JSON: {e}"))?;
-    let oracle_value = field(&doc, "oracle")?;
     Ok(ReplayFixture {
         name: str_field(&doc, "name")?.to_string(),
-        case: case_from_value(field(&doc, "case")?)?,
+        case: case_from_record(&decode(&doc, "case")?)?,
         backend: BackendKind::from_id(str_field(&doc, "backend")?)
             .ok_or_else(|| "bad backend id".to_string())?,
-        oracle: OracleParams {
-            grace: f64_field(oracle_value, "grace")?,
-            rel_slack: f64_field(oracle_value, "rel_slack")?,
-            abs_slack: f64_field(oracle_value, "abs_slack")?,
-            margin: f64_field(oracle_value, "margin")?,
-            min_conflict_epoch: u64_field(oracle_value, "min_conflict_epoch")?,
-        },
+        oracle: decode(&doc, "oracle")?,
         verdict: str_field(&doc, "verdict")?.to_string(),
         conflict_epoch: match field(&doc, "conflict_epoch")? {
             v if v.is_null() => None,

@@ -46,7 +46,7 @@ pub mod corpus;
 pub mod shrink;
 
 use rand::Rng;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use ethpos_search::{Genome, ParamSchedule};
 use ethpos_sim::partition::{CompiledTimeline, MarkingPlan};
@@ -80,7 +80,7 @@ const PROBE: u64 = 1 << 20;
 
 /// The oracle thresholds — separated out so tests can *inject bugs*
 /// (tighten a bound) and watch the campaign catch and shrink them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OracleParams {
     /// Epochs allowed past any bound for discrete justify/finalize
     /// latency.
@@ -278,7 +278,7 @@ impl ChaosCase {
 }
 
 /// The flat, serializable form of a [`ChaosCase`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CaseRecord {
     /// Campaign index.
     pub index: u64,

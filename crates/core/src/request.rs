@@ -3,11 +3,14 @@
 //!
 //! A [`JobRequest`] is one of the five run modes (`experiment`, `sweep`,
 //! `search`, `partition`, `chaos`) parsed from a JSON body into the
-//! existing spec types. This is the only per-mode parser: `ethpos-cli`
-//! writes its flags into the fields of a request object and parses it
-//! here, so a request and the equivalent command line have the same
-//! address and produce **byte-identical documents**. Three properties
-//! make results cacheable forever:
+//! existing spec types. [`MODES`] is the one place a mode's fields live:
+//! each row names a field, its type with its valid range or id set, and a
+//! help line stating the mode's default. [`JobRequest::from_json`] checks
+//! a body against the rows before the mode reads it, and `ethpos-cli`
+//! derives its flags and `--help` from them, so a request and the
+//! equivalent command line have the same address and produce
+//! **byte-identical documents**. Three properties make results cacheable
+//! forever:
 //!
 //! 1. **Strict parsing.** Unknown or repeated fields and malformed
 //!    values are errors, never silently ignored — otherwise two
@@ -28,14 +31,15 @@
 //! its run modes through it, and `ethpos-server` caches its output
 //! under the request hash.
 
+use serde::Serialize;
 use serde_json::Value;
 
-use crate::experiments::{run_experiment_with, Experiment, McConfig};
-use crate::partition::{self, PartitionSpec, StrategyKind};
+use crate::experiments::{run_experiment_with, Experiment, ExperimentOutput, McConfig};
+use crate::partition::{self, PartitionReport, PartitionSpec, StrategyKind};
 use crate::stake_model::PenaltySemantics;
-use crate::sweep::SweepSpec;
-use crate::ChaosSpec;
-use ethpos_search::{Objective, SearchSpec};
+use crate::sweep::{SweepResult, SweepSpec};
+use crate::{ChaosReport, ChaosSpec};
+use ethpos_search::{Frontier, Objective, SearchSpec};
 use ethpos_state::BackendKind;
 
 /// Version salt mixed into every [`JobRequest::request_hash`].
@@ -45,10 +49,6 @@ use ethpos_state::BackendKind;
 /// golden-corpus regeneration, a renderer change — so every cached
 /// artifact keyed on the old behaviour is invalidated at once.
 pub const ARTIFACT_SALT: &str = "ethpos/artifact/v1";
-
-/// The axes a `sweep` request takes as arrays — the grid the CLI's
-/// `--grid axis=v1,v2,…` replaces one axis of.
-pub const SWEEP_AXES: [&str; 5] = ["beta0", "p0", "walkers", "semantics", "validators"];
 
 /// Output format of the rendered document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,6 +95,236 @@ impl std::error::Error for RequestError {}
 fn err<T>(msg: impl Into<String>) -> Result<T, RequestError> {
     Err(RequestError(msg.into()))
 }
+
+/// The JSON value a request field takes, with its valid range or id set.
+#[derive(Debug, Clone, Copy)]
+pub enum FieldType {
+    /// An integer in `.0..=.1`.
+    Int(u64, u64),
+    /// A float in the open unit interval (0, 1).
+    Unit,
+    /// One id of a set: what an id names (for messages) and the set.
+    Id(&'static str, fn() -> Vec<&'static str>),
+    /// A string the mode parses itself (a partition timeline).
+    Text,
+    /// A non-empty array of the inner type.
+    Array(&'static FieldType),
+}
+
+impl FieldType {
+    /// Checks `value` against the type; the error names the field.
+    fn check(&self, name: &str, value: &Value) -> Result<(), RequestError> {
+        let valid = match *self {
+            FieldType::Int(min, max) => value.as_u64().is_some_and(|n| (min..=max).contains(&n)),
+            FieldType::Unit => value.as_f64().is_some_and(|x| x > 0.0 && x < 1.0),
+            FieldType::Id(noun, ids) => match value.as_str() {
+                Some(id) if !ids().contains(&id) => {
+                    let ids = ids().join(", ");
+                    return err(format!("`{name}`: unknown {noun} `{id}` (expected {ids})"));
+                }
+                id => id.is_some(),
+            },
+            FieldType::Text => value.as_str().is_some(),
+            FieldType::Array(each) => match value.as_array() {
+                Some(items) if !items.is_empty() => {
+                    return items.iter().try_for_each(|item| each.check(name, item))
+                }
+                _ => false,
+            },
+        };
+        match valid {
+            true => Ok(()),
+            false => err(format!("`{name}` must be {}", self.describe())),
+        }
+    }
+
+    fn describe(&self) -> String {
+        match *self {
+            FieldType::Int(0, u64::MAX) => "a non-negative integer".into(),
+            FieldType::Int(1, u64::MAX) => "a positive integer".into(),
+            FieldType::Int(min, max) => format!("an integer in {min}..={max}"),
+            FieldType::Unit => "a float in (0, 1)".into(),
+            FieldType::Id(noun, _) => format!("a {noun} id (a string)"),
+            FieldType::Text => "a string".into(),
+            FieldType::Array(each) => format!("a non-empty array, each entry {}", each.describe()),
+        }
+    }
+}
+
+/// One request field: its name (the JSON key; `--name` on the command
+/// line, `_` spelled `-`), its type, and a help line stating the mode's
+/// default.
+#[derive(Debug, Clone, Copy)]
+pub struct Field {
+    /// The JSON key.
+    pub name: &'static str,
+    /// The value it takes.
+    pub ty: FieldType,
+    /// One line of help; a default is stated as `[default: V]`.
+    pub help: &'static str,
+}
+
+const fn field(name: &'static str, ty: FieldType, help: &'static str) -> Field {
+    Field { name, ty, help }
+}
+
+/// One run mode: its `kind` and its fields. The constructor reads a body
+/// whose fields the table has already checked.
+#[derive(Debug)]
+pub struct Mode {
+    /// The `kind` a request names the mode by.
+    pub kind: &'static str,
+    /// The mode's fields beside `kind` and [`FORMAT`].
+    pub fields: &'static [Field],
+    build: fn(&Fields<'_>, DocumentFormat) -> Result<JobRequest, RequestError>,
+}
+
+impl Mode {
+    /// Every field the mode takes besides `kind`: [`FORMAT`], then its own.
+    pub fn all_fields(&self) -> impl Iterator<Item = &'static Field> {
+        std::iter::once(&FORMAT).chain(self.fields)
+    }
+
+    /// The mode's field `name`.
+    pub fn field(&self, name: &str) -> Option<&'static Field> {
+        self.all_fields().find(|f| f.name == name)
+    }
+}
+
+/// The run mode a request of `kind` names.
+pub fn mode(kind: &str) -> Option<&'static Mode> {
+    MODES.iter().find(|m| m.kind == kind)
+}
+
+const COUNT: FieldType = FieldType::Int(1, u64::MAX);
+const COUNTS: FieldType = FieldType::Array(&COUNT);
+const SEED: FieldType = FieldType::Int(0, u64::MAX);
+const PERIOD: FieldType = FieldType::Int(1, 8);
+const UNIT: FieldType = FieldType::Unit;
+const UNITS: FieldType = FieldType::Array(&UNIT);
+const TIMELINES: FieldType = FieldType::Array(&FieldType::Text);
+const BACKEND: FieldType = FieldType::Id("backend", || {
+    vec![BackendKind::Dense.id(), BackendKind::Cohort.id()]
+});
+const EXPERIMENTS: FieldType = FieldType::Array(&FieldType::Id("experiment", || {
+    let ids = Experiment::all().map(|e| e.id());
+    ids.into_iter().chain(["all"]).collect()
+}));
+const SEMANTICS: FieldType = FieldType::Array(&FieldType::Id("semantics", || {
+    vec![PenaltySemantics::Paper.id(), PenaltySemantics::Spec.id()]
+}));
+const OBJECTIVE: FieldType =
+    FieldType::Id("objective", || Objective::all().map(|o| o.id()).to_vec());
+const STRATEGY: FieldType =
+    FieldType::Id("strategy", || StrategyKind::all().map(|s| s.id()).to_vec());
+
+/// The field every mode takes: the document format.
+pub const FORMAT: Field = field(
+    "format",
+    FieldType::Id("format", || {
+        vec![DocumentFormat::Text.id(), DocumentFormat::Json.id()]
+    }),
+    "document format (a request body defaults to json, the CLI to text)",
+);
+
+/// Every run mode's request fields: the one place a mode's field set,
+/// types, ranges and defaults are written down.
+pub const MODES: [Mode; 5] = [
+    Mode {
+        kind: "experiment",
+        build: experiment,
+        fields: &[
+            field(
+                "experiments",
+                EXPERIMENTS,
+                "the experiments to run, in order; `all` is every one (required)",
+            ),
+            field("walkers", COUNT, "Monte-Carlo walkers [default: 20000]"),
+            field("epochs", COUNT, "Monte-Carlo epoch horizon [default: 8000]"),
+            field("seed", SEED, "Monte-Carlo root seed [default: 42]"),
+            field(
+                "validators",
+                COUNT,
+                "registry size of the discrete cross-checks of fig2, table2 and table3, \
+                 which run only when it is given",
+            ),
+            field("backend", BACKEND, "state backend [default: cohort]"),
+        ],
+    },
+    Mode {
+        kind: "sweep",
+        build: sweep,
+        fields: &[
+            field("beta0", UNITS, "β0 values [default: 0.3,0.33,0.333]"),
+            field("p0", UNITS, "honest splits [default: 0.5]"),
+            field("walkers", COUNTS, "Monte-Carlo walkers [default: 20000]"),
+            field("semantics", SEMANTICS, "penalty semantics [default: paper]"),
+            field("validators", COUNTS, "t_disc registry sizes (default none)"),
+            field("backend", BACKEND, "state backend [default: cohort]"),
+            field("epochs", COUNT, "Monte-Carlo epoch horizon [default: 3000]"),
+            field("seed", SEED, "Monte-Carlo root seed [default: 11]"),
+        ],
+    },
+    Mode {
+        kind: "search",
+        build: search,
+        fields: &[
+            field("objective", OBJECTIVE, "damage metric [default: conflict]"),
+            field("validators", COUNT, "registry size [default: 1000000]"),
+            field(
+                "beta0",
+                UNIT,
+                "initial Byzantine proportion [default: 0.3; non-slashable-horizon: 0.33]",
+            ),
+            field("p0", UNIT, "honest split [default: 0.5]"),
+            field(
+                "epochs",
+                COUNT,
+                "epoch horizon [default: 5200; proportion, non-slashable-horizon: 8192]",
+            ),
+            field("backend", BACKEND, "state backend [default: cohort]"),
+            field("budget", COUNT, "candidate evaluations [default: 256]"),
+            field("max_period", PERIOD, "duty-period bound [default: 3]"),
+            field("lambda", COUNT, "offspring per generation [default: 16]"),
+            field("seed", SEED, "search seed [default: 1]"),
+        ],
+    },
+    Mode {
+        kind: "partition",
+        build: partition,
+        fields: &[
+            field(
+                "timelines",
+                TIMELINES,
+                "presets (three-branch, heal-resplit) or raw specs of `;`-separated \
+                 split@E:B=W1,W2,… churn@E:B=W1,W2,… heal@E:S<-B1+B2 events \
+                 [default: three-branch,heal-resplit]; a preset keeps its own strategy, \
+                 beta0 and epochs unless they are given",
+            ),
+            field("strategy", STRATEGY, "adversary [default: rotate-dwell]"),
+            field(
+                "beta0",
+                UNIT,
+                "initial Byzantine proportion [default: 0.33]",
+            ),
+            field("epochs", COUNT, "epoch horizon [default: 6000]"),
+            field("validators", COUNT, "registry size [default: 1000000]"),
+            field("backend", BACKEND, "state backend [default: cohort]"),
+            field("seed", SEED, "churn draw seed [default: 0]"),
+        ],
+    },
+    Mode {
+        kind: "chaos",
+        build: chaos,
+        fields: &[
+            field("budget", COUNT, "sampled cases [default: 256]"),
+            field("seed", SEED, "campaign root seed [default: 1]"),
+            field("validators", COUNT, "registry size [default: 1000000]"),
+            field("epochs", COUNT, "epoch cap of each case [default: 4096]"),
+            field("backend", BACKEND, "state backend [default: cohort]"),
+        ],
+    },
+];
 
 /// One canonicalized experiment request — the unit the service hashes,
 /// caches and executes.
@@ -166,34 +396,47 @@ impl JobRequest {
         JobRequest::from_json(&value)
     }
 
-    /// Parses an already-decoded JSON value (see [`JobRequest::parse`]).
+    /// Parses an already-decoded JSON value (see [`JobRequest::parse`]):
+    /// every field is checked against its [`MODES`] row, then the mode's
+    /// constructor reads the checked values.
     ///
     /// # Errors
     ///
     /// Same conditions as [`JobRequest::parse`].
     pub fn from_json(value: &Value) -> Result<JobRequest, RequestError> {
-        let fields = match value {
-            Value::Object(fields) => fields,
-            _ => return err("request body must be a JSON object"),
+        let Value::Object(fields) = value else {
+            return err("request body must be a JSON object");
         };
-        let kind = match value.get("kind").and_then(Value::as_str) {
-            Some(kind) => kind,
-            None => return err("missing `kind` (experiment, sweep, search, partition or chaos)"),
+        let kinds = || MODES.map(|m| m.kind).join(", ");
+        let Some(kind) = value.get("kind").and_then(Value::as_str) else {
+            return err(format!("missing `kind` ({})", kinds()));
         };
-        let obj = Obj { kind, fields };
-        match kind {
-            "experiment" => parse_run(&obj),
-            "sweep" => parse_sweep(&obj),
-            "search" => parse_search(&obj),
-            "partition" => parse_partition(&obj),
-            "chaos" => parse_chaos(&obj),
-            other => err(format!(
-                "unknown kind `{other}` (expected experiment, sweep, search, \
-                 partition or chaos)"
-            )),
+        let Some(mode) = mode(kind) else {
+            return err(format!("unknown kind `{kind}` (expected {})", kinds()));
+        };
+        for (i, (key, value)) in fields.iter().enumerate() {
+            match mode.field(key) {
+                Some(field) => field.ty.check(key, value)?,
+                None if key == "kind" => {}
+                None => {
+                    let names: Vec<_> = mode.all_fields().map(|f| f.name).collect();
+                    return err(format!(
+                        "unknown field `{key}` for kind `{kind}` (allowed: {})",
+                        names.join(", ")
+                    ));
+                }
+            }
+            // A repeated key (`kind` included) would otherwise resolve to
+            // its first value silently. The keys before `i` are known and
+            // distinct, so this scan stays short however large the body.
+            if fields[..i].iter().any(|(k, _)| k == key) {
+                return err(format!("duplicate field `{key}`"));
+            }
         }
+        let fields = Fields(fields);
+        let format = fields.id("format", DocumentFormat::from_id);
+        (mode.build)(&fields, format.unwrap_or_default())
     }
-
     /// The request's kind id (the `kind` field it parses from).
     pub fn kind(&self) -> &'static str {
         match self {
@@ -247,15 +490,8 @@ impl JobRequest {
             JobRequest::Run {
                 experiments, mc, ..
             } => {
-                fields.push((
-                    "experiments".into(),
-                    Value::Array(
-                        experiments
-                            .iter()
-                            .map(|e| Value::String(e.id().into()))
-                            .collect(),
-                    ),
-                ));
+                let ids = experiments.iter().map(|e| e.id());
+                fields.push(("experiments".into(), id_array(ids)));
                 fields.push(("walkers".into(), Value::U64(mc.walkers as u64)));
                 fields.push(("epochs".into(), Value::U64(mc.epochs)));
                 fields.push(("seed".into(), Value::U64(mc.seed)));
@@ -271,28 +507,10 @@ impl JobRequest {
             JobRequest::Sweep { spec, .. } => {
                 fields.push(("beta0".into(), f64_array(&spec.beta0)));
                 fields.push(("p0".into(), f64_array(&spec.p0)));
-                fields.push((
-                    "walkers".into(),
-                    Value::Array(spec.walkers.iter().map(|&w| Value::U64(w as u64)).collect()),
-                ));
-                fields.push((
-                    "semantics".into(),
-                    Value::Array(
-                        spec.semantics
-                            .iter()
-                            .map(|s| Value::String(s.id().into()))
-                            .collect(),
-                    ),
-                ));
-                fields.push((
-                    "validators".into(),
-                    Value::Array(
-                        spec.validators
-                            .iter()
-                            .map(|&n| Value::U64(n as u64))
-                            .collect(),
-                    ),
-                ));
+                fields.push(("walkers".into(), count_array(&spec.walkers)));
+                let semantics = spec.semantics.iter().map(|s| s.id());
+                fields.push(("semantics".into(), id_array(semantics)));
+                fields.push(("validators".into(), count_array(&spec.validators)));
                 fields.push(("backend".into(), Value::String(spec.backend.id().into())));
                 fields.push(("epochs".into(), Value::U64(spec.epochs)));
                 fields.push(("seed".into(), Value::U64(spec.seed)));
@@ -376,83 +594,66 @@ impl JobRequest {
     /// `ethpos-server`: document bytes depend only on the canonical
     /// form, never on the caller.
     pub fn execute(&self) -> JobOutput {
-        let pretty = |stats: String| Some(format!("{stats}\n"));
+        let format = self.format();
         match self {
             JobRequest::Run {
-                experiments,
-                mc,
-                format,
+                experiments, mc, ..
             } => {
-                let document = match format {
-                    DocumentFormat::Text => {
-                        let mut out = String::new();
-                        for e in experiments {
-                            out.push_str(&run_experiment_with(*e, mc).render_text());
-                            out.push('\n');
-                        }
-                        out
-                    }
-                    DocumentFormat::Json => {
-                        let outputs: Vec<String> = experiments
-                            .iter()
-                            .map(|e| run_experiment_with(*e, mc).to_json())
-                            .collect();
-                        match outputs.as_slice() {
-                            [single] => format!("{single}\n"),
-                            many => format!("[{}]\n", many.join(",\n")),
-                        }
+                let outputs: Vec<ExperimentOutput> = experiments
+                    .iter()
+                    .map(|e| run_experiment_with(*e, mc))
+                    .collect();
+                let text = |outputs: &Vec<ExperimentOutput>| {
+                    outputs.iter().map(|o| o.render_text() + "\n").collect()
+                };
+                let json = |outputs: &Vec<ExperimentOutput>| match outputs.as_slice() {
+                    [single] => single.to_json(),
+                    many => {
+                        let items: Vec<String> = many.iter().map(|o| o.to_json()).collect();
+                        format!("[{}]", items.join(",\n"))
                     }
                 };
-                JobOutput {
-                    document,
-                    stats: None,
-                }
+                output(format, outputs, text, json, None)
             }
-            JobRequest::Sweep { spec, format } => {
-                let result = spec.run();
-                let document = match format {
-                    DocumentFormat::Text => result.render_text(),
-                    DocumentFormat::Json => format!("{}\n", result.to_json()),
-                };
-                JobOutput {
-                    document,
-                    stats: None,
-                }
+            JobRequest::Sweep { spec, .. } => {
+                let (text, json) = (SweepResult::render_text, SweepResult::to_json);
+                output(format, spec.run(), text, json, None)
             }
-            JobRequest::Search { spec, format } => {
+            JobRequest::Search { spec, .. } => {
                 let (frontier, stats) = spec.run_with_stats();
-                let document = match format {
-                    DocumentFormat::Text => frontier.render_text(),
-                    DocumentFormat::Json => format!("{}\n", frontier.to_json()),
-                };
-                JobOutput {
-                    document,
-                    stats: pretty(serde_json::to_string_pretty(&stats).expect("serializable")),
-                }
+                let (text, json) = (Frontier::render_text, Frontier::to_json);
+                output(format, frontier, text, json, Some(&stats))
             }
-            JobRequest::Partition { spec, format } => {
+            JobRequest::Partition { spec, .. } => {
                 let (report, stats) = spec.run_with_stats();
-                let document = match format {
-                    DocumentFormat::Text => report.render_text(),
-                    DocumentFormat::Json => format!("{}\n", report.to_json()),
-                };
-                JobOutput {
-                    document,
-                    stats: pretty(serde_json::to_string_pretty(&stats).expect("serializable")),
-                }
+                let (text, json) = (PartitionReport::render_text, PartitionReport::to_json);
+                output(format, report, text, json, Some(&stats))
             }
-            JobRequest::Chaos { spec, format } => {
+            JobRequest::Chaos { spec, .. } => {
                 let (report, stats) = spec.run_with_stats();
-                let document = match format {
-                    DocumentFormat::Text => report.render_text(),
-                    DocumentFormat::Json => format!("{}\n", report.to_json()),
-                };
-                JobOutput {
-                    document,
-                    stats: pretty(serde_json::to_string_pretty(&stats).expect("serializable")),
-                }
+                let (text, json) = (ChaosReport::render_text, ChaosReport::to_json);
+                output(format, report, text, json, Some(&stats))
             }
         }
+    }
+}
+
+/// Every mode's output: the report as text or as one JSON line, and its
+/// work counters as pretty JSON.
+fn output<R>(
+    format: DocumentFormat,
+    report: R,
+    text: fn(&R) -> String,
+    json: fn(&R) -> String,
+    stats: Option<&dyn Serialize>,
+) -> JobOutput {
+    let pretty = |stats| serde_json::to_string_pretty(stats).expect("serializable") + "\n";
+    JobOutput {
+        document: match format {
+            DocumentFormat::Text => text(&report),
+            DocumentFormat::Json => json(&report) + "\n",
+        },
+        stats: stats.map(pretty),
     }
 }
 
@@ -460,392 +661,177 @@ fn f64_array(values: &[f64]) -> Value {
     Value::Array(values.iter().map(|&x| Value::F64(x)).collect())
 }
 
-/// One request object mid-parse: the kind (for error messages) and the
-/// raw field list (for strict unknown-field checking).
-struct Obj<'a> {
-    kind: &'a str,
-    fields: &'a [(String, Value)],
+fn count_array(values: &[usize]) -> Value {
+    Value::Array(values.iter().map(|&n| Value::U64(n as u64)).collect())
 }
 
-impl Obj<'_> {
-    /// Rejects any field outside `allowed`, and any repeated field
-    /// (`kind` included), which `Obj::get` would otherwise resolve to
-    /// its first value silently — the strictness that makes hashing
-    /// sound (see the module docs).
-    fn check_fields(&self, allowed: &[&str]) -> Result<(), RequestError> {
-        for (i, (key, _)) in self.fields.iter().enumerate() {
-            if key != "kind" && !allowed.contains(&key.as_str()) {
-                return err(format!(
-                    "unknown field `{key}` for kind `{}` (allowed: {})",
-                    self.kind,
-                    allowed.join(", ")
-                ));
-            }
-            // The keys before `i` are allowed and distinct, so this scan
-            // stays short however large the body.
-            if self.fields[..i].iter().any(|(k, _)| k == key) {
-                return err(format!("duplicate field `{key}`"));
-            }
-        }
-        Ok(())
+fn id_array<'a>(ids: impl Iterator<Item = &'a str>) -> Value {
+    Value::Array(ids.map(|id| Value::String(id.into())).collect())
+}
+
+/// A request body whose every field its mode's [`MODES`] row has
+/// checked: the constructors below only read values known to be valid.
+struct Fields<'a>(&'a [(String, Value)]);
+
+impl<'a> Fields<'a> {
+    fn get(&self, key: &str) -> Option<&'a Value> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    fn get(&self, key: &str) -> Option<&Value> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    fn u64(&self, key: &str) -> Option<u64> {
+        self.get(key).and_then(Value::as_u64)
     }
 
-    fn format(&self) -> Result<DocumentFormat, RequestError> {
-        match self.get("format") {
-            None => Ok(DocumentFormat::default()),
-            Some(v) => {
-                let id = v
-                    .as_str()
-                    .ok_or_else(|| RequestError("`format` must be a string".into()))?;
-                DocumentFormat::from_id(id)
-                    .ok_or_else(|| RequestError(format!("unknown format `{id}` (text or json)")))
-            }
-        }
+    fn usize(&self, key: &str) -> Option<usize> {
+        self.u64(key).map(|n| n as usize)
     }
 
-    fn u64_field(&self, key: &str) -> Result<Option<u64>, RequestError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => match v.as_u64() {
-                Some(n) => Ok(Some(n)),
-                None => err(format!("`{key}` must be a non-negative integer")),
-            },
-        }
+    fn f64(&self, key: &str) -> Option<f64> {
+        self.get(key).and_then(Value::as_f64)
     }
 
-    /// A positive integer field (`0` rejected).
-    fn count_field(&self, key: &str) -> Result<Option<u64>, RequestError> {
-        match self.u64_field(key)? {
-            Some(0) => err(format!("`{key}` must be positive")),
-            other => Ok(other),
-        }
+    fn id<T>(&self, key: &str, from_id: fn(&str) -> Option<T>) -> Option<T> {
+        self.get(key).and_then(Value::as_str).and_then(from_id)
     }
 
-    /// A float in the open unit interval (β₀ / p0 style knobs).
-    fn unit_field(&self, key: &str) -> Result<Option<f64>, RequestError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => match v.as_f64() {
-                Some(x) if x > 0.0 && x < 1.0 => Ok(Some(x)),
-                _ => err(format!("`{key}` must be a float in (0, 1)")),
-            },
-        }
-    }
-
-    fn str_field(&self, key: &str) -> Result<Option<&str>, RequestError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => match v.as_str() {
-                Some(s) => Ok(Some(s)),
-                None => err(format!("`{key}` must be a string")),
-            },
-        }
-    }
-
-    fn backend(&self) -> Result<Option<BackendKind>, RequestError> {
-        match self.str_field("backend")? {
-            None => Ok(None),
-            Some(id) => match BackendKind::from_id(id) {
-                Some(b) => Ok(Some(b)),
-                None => err(format!("unknown backend `{id}` (dense or cohort)")),
-            },
-        }
-    }
-
-    /// A non-empty array field, with each element converted by `each`.
-    fn array_field<T>(
-        &self,
-        key: &str,
-        each: impl Fn(&Value) -> Result<T, RequestError>,
-    ) -> Result<Option<Vec<T>>, RequestError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => {
-                let items = v
-                    .as_array()
-                    .ok_or_else(|| RequestError(format!("`{key}` must be an array")))?;
-                if items.is_empty() {
-                    return err(format!("`{key}` must not be empty"));
-                }
-                Ok(Some(items.iter().map(each).collect::<Result<Vec<T>, _>>()?))
-            }
-        }
+    fn array<T>(&self, key: &str, each: impl Fn(&'a Value) -> Option<T>) -> Option<Vec<T>> {
+        self.get(key)?.as_array()?.iter().map(each).collect()
     }
 }
 
-fn parse_run(obj: &Obj) -> Result<JobRequest, RequestError> {
-    obj.check_fields(&[
-        "format",
-        "experiments",
-        "walkers",
-        "epochs",
-        "seed",
-        "validators",
-        "backend",
-    ])?;
-    let ids = obj
-        .array_field("experiments", |v| {
-            v.as_str()
-                .map(String::from)
-                .ok_or_else(|| RequestError("`experiments` entries must be strings".into()))
-        })?
-        .ok_or_else(|| RequestError("missing `experiments` (ids, or [\"all\"])".into()))?;
-    let mut experiments = Vec::new();
-    for id in &ids {
-        if id == "all" {
-            experiments.extend(Experiment::all());
-        } else {
-            experiments.push(Experiment::from_id(id).ok_or_else(|| {
-                RequestError(format!("unknown experiment `{id}` (fig2 … table3, all)"))
-            })?);
-        }
-    }
+fn as_usize(value: &Value) -> Option<usize> {
+    value.as_u64().map(|n| n as usize)
+}
+
+fn experiment(obj: &Fields, format: DocumentFormat) -> Result<JobRequest, RequestError> {
+    let Some(ids) = obj.array("experiments", Value::as_str) else {
+        return err("missing `experiments` (ids, or [\"all\"])");
+    };
     // Order-preserving dedup: `["all", "fig2"]` runs fig2 once.
-    let mut seen = Vec::new();
-    experiments.retain(|e| {
-        let fresh = !seen.contains(e);
-        seen.push(*e);
-        fresh
-    });
-    let defaults = McConfig::default();
+    let mut experiments = Vec::new();
+    for id in ids {
+        let named = match id {
+            "all" => Experiment::all().to_vec(),
+            id => Experiment::from_id(id).into_iter().collect(),
+        };
+        for e in named {
+            if !experiments.contains(&e) {
+                experiments.push(e);
+            }
+        }
+    }
+    let d = McConfig::default();
     let mc = McConfig {
-        threads: defaults.threads,
-        walkers: obj
-            .count_field("walkers")?
-            .unwrap_or(defaults.walkers as u64) as usize,
-        epochs: obj.count_field("epochs")?.unwrap_or(defaults.epochs),
-        seed: obj.u64_field("seed")?.unwrap_or(defaults.seed),
-        validators: obj.count_field("validators")?.map(|n| n as usize),
-        backend: obj.backend()?.unwrap_or(defaults.backend),
+        walkers: obj.usize("walkers").unwrap_or(d.walkers),
+        epochs: obj.u64("epochs").unwrap_or(d.epochs),
+        seed: obj.u64("seed").unwrap_or(d.seed),
+        validators: obj.usize("validators"),
+        backend: obj.id("backend", BackendKind::from_id).unwrap_or(d.backend),
+        ..d
     };
     Ok(JobRequest::Run {
         experiments,
         mc,
-        format: obj.format()?,
+        format,
     })
 }
 
-fn parse_sweep(obj: &Obj) -> Result<JobRequest, RequestError> {
-    obj.check_fields(&[&["format"], &SWEEP_AXES[..], &["backend", "epochs", "seed"]].concat())?;
-    let unit = |key: &'static str| {
-        move |v: &Value| match v.as_f64() {
-            Some(x) if x > 0.0 && x < 1.0 => Ok(x),
-            _ => err(format!("`{key}` entries must be floats in (0, 1)")),
-        }
+fn sweep(obj: &Fields, format: DocumentFormat) -> Result<JobRequest, RequestError> {
+    let d = SweepSpec::default();
+    let spec = SweepSpec {
+        beta0: obj.array("beta0", Value::as_f64).unwrap_or(d.beta0),
+        p0: obj.array("p0", Value::as_f64).unwrap_or(d.p0),
+        walkers: obj.array("walkers", as_usize).unwrap_or(d.walkers),
+        semantics: obj
+            .array("semantics", |v| {
+                v.as_str().and_then(PenaltySemantics::from_id)
+            })
+            .unwrap_or(d.semantics),
+        validators: obj.array("validators", as_usize).unwrap_or(d.validators),
+        backend: obj.id("backend", BackendKind::from_id).unwrap_or(d.backend),
+        epochs: obj.u64("epochs").unwrap_or(d.epochs),
+        seed: obj.u64("seed").unwrap_or(d.seed),
+        ..d
     };
-    let counts = |key: &'static str| {
-        move |v: &Value| match v.as_u64() {
-            Some(n) if n > 0 => Ok(n as usize),
-            _ => err(format!("`{key}` entries must be positive integers")),
-        }
-    };
-    let mut spec = SweepSpec::default();
-    if let Some(beta0) = obj.array_field("beta0", unit("beta0"))? {
-        spec.beta0 = beta0;
-    }
-    if let Some(p0) = obj.array_field("p0", unit("p0"))? {
-        spec.p0 = p0;
-    }
-    if let Some(walkers) = obj.array_field("walkers", counts("walkers"))? {
-        spec.walkers = walkers;
-    }
-    if let Some(semantics) = obj.array_field("semantics", |v| {
-        v.as_str()
-            .and_then(PenaltySemantics::from_id)
-            .ok_or_else(|| RequestError("`semantics` entries must be `paper` or `spec`".into()))
-    })? {
-        spec.semantics = semantics;
-    }
-    if let Some(validators) = obj.array_field("validators", counts("validators"))? {
-        spec.validators = validators;
-    }
-    if let Some(backend) = obj.backend()? {
-        spec.backend = backend;
-    }
-    if let Some(epochs) = obj.count_field("epochs")? {
-        spec.epochs = epochs;
-    }
-    if let Some(seed) = obj.u64_field("seed")? {
-        spec.seed = seed;
-    }
-    Ok(JobRequest::Sweep {
-        spec,
-        format: obj.format()?,
-    })
+    Ok(JobRequest::Sweep { spec, format })
 }
 
-fn parse_search(obj: &Obj) -> Result<JobRequest, RequestError> {
-    obj.check_fields(&[
-        "format",
-        "objective",
-        "validators",
-        "beta0",
-        "p0",
-        "epochs",
-        "backend",
-        "budget",
-        "max_period",
-        "lambda",
-        "seed",
-    ])?;
-    let objective = match obj.str_field("objective")? {
-        None => Objective::Conflict,
-        Some(id) => Objective::from_id(id).ok_or_else(|| {
-            RequestError(format!(
-                "unknown objective `{id}` (conflict, proportion or \
-                 non-slashable-horizon)"
-            ))
-        })?,
+fn search(obj: &Fields, format: DocumentFormat) -> Result<JobRequest, RequestError> {
+    let objective = obj.id("objective", Objective::from_id);
+    let d = SearchSpec::new(objective.unwrap_or(Objective::Conflict));
+    let spec = SearchSpec {
+        n: obj.usize("validators").unwrap_or(d.n),
+        beta0: obj.f64("beta0").unwrap_or(d.beta0),
+        p0: obj.f64("p0").unwrap_or(d.p0),
+        epochs: obj.u64("epochs").unwrap_or(d.epochs),
+        backend: obj.id("backend", BackendKind::from_id).unwrap_or(d.backend),
+        budget: obj.usize("budget").unwrap_or(d.budget),
+        max_period: obj.u64("max_period").map_or(d.max_period, |p| p as u8),
+        lambda: obj.usize("lambda").unwrap_or(d.lambda),
+        seed: obj.u64("seed").unwrap_or(d.seed),
+        ..d
     };
-    let mut spec = SearchSpec::new(objective);
-    if let Some(beta0) = obj.unit_field("beta0")? {
-        spec.beta0 = beta0;
-    }
-    if let Some(p0) = obj.unit_field("p0")? {
-        spec.p0 = p0;
-    }
-    if let Some(n) = obj.count_field("validators")? {
-        spec.n = n as usize;
-    }
-    if let Some(backend) = obj.backend()? {
-        spec.backend = backend;
-    }
-    if let Some(epochs) = obj.count_field("epochs")? {
-        spec.epochs = epochs;
-    }
-    if let Some(budget) = obj.count_field("budget")? {
-        spec.budget = budget as usize;
-    }
-    if let Some(max_period) = obj.count_field("max_period")? {
-        if max_period > 8 {
-            return err("`max_period` is too fine (the exhaustive grid grows \
-                 combinatorially; use ≤ 8)");
-        }
-        spec.max_period = max_period as u8;
-    }
-    if let Some(lambda) = obj.count_field("lambda")? {
-        spec.lambda = lambda as usize;
-    }
-    if let Some(seed) = obj.u64_field("seed")? {
-        spec.seed = seed;
-    }
-    Ok(JobRequest::Search {
-        spec,
-        format: obj.format()?,
-    })
+    Ok(JobRequest::Search { spec, format })
 }
 
-fn parse_partition(obj: &Obj) -> Result<JobRequest, RequestError> {
-    obj.check_fields(&[
-        "format",
-        "timelines",
-        "strategy",
-        "beta0",
-        "epochs",
-        "validators",
-        "backend",
-        "seed",
-    ])?;
-    let strategy = match obj.str_field("strategy")? {
-        None => StrategyKind::RotateDwell,
-        Some(id) => StrategyKind::from_id(id).ok_or_else(|| {
-            RequestError(format!(
-                "unknown strategy `{id}` (dual-active, semi-active, \
-                 threshold-seeker, rotate or rotate-dwell)"
-            ))
-        })?,
-    };
-    let beta0 = obj.unit_field("beta0")?;
-    let epochs = obj.count_field("epochs")?;
-    let timelines = obj.array_field("timelines", |v| {
-        v.as_str()
-            .map(String::from)
-            .ok_or_else(|| RequestError("`timelines` entries must be strings".into()))
-    })?;
-    let mut scenarios = match timelines {
+/// The cross-field rules beside the table: a raw timeline takes the
+/// given knobs or the raw-spec defaults, a preset its own unless a knob
+/// is given, and the strategy must suit every timeline it runs on.
+fn partition(obj: &Fields, format: DocumentFormat) -> Result<JobRequest, RequestError> {
+    let strategy = obj.id("strategy", StrategyKind::from_id);
+    let beta0 = obj.f64("beta0");
+    let epochs = obj.u64("epochs");
+    let timeline_error = |e: ethpos_sim::TimelineError| RequestError(format!("`timelines`: {e}"));
+    let mut scenarios = match obj.array("timelines", Value::as_str) {
         None => partition::preset_scenarios(),
         Some(args) => args
-            .iter()
+            .into_iter()
             .map(|arg| {
                 partition::resolve_scenario(
                     arg,
-                    strategy,
+                    strategy.unwrap_or(StrategyKind::RotateDwell),
                     beta0.unwrap_or(partition::RAW_TIMELINE_BETA0),
                     epochs.unwrap_or(partition::RAW_TIMELINE_EPOCHS),
                 )
-                .map_err(|e| RequestError(e.to_string()))
+                .map_err(timeline_error)
             })
             .collect::<Result<Vec<_>, _>>()?,
     };
-    // Explicit knobs override preset-carried ones, so
-    // `--timeline three-branch --beta0 0.3` means what it says.
     for scenario in &mut scenarios {
-        if let Some(beta0) = beta0 {
-            scenario.beta0 = beta0;
-        }
-        if let Some(epochs) = epochs {
-            scenario.epochs = epochs;
-        }
-        if obj.get("strategy").is_some() {
-            scenario.strategy = strategy;
-        }
+        scenario.beta0 = beta0.unwrap_or(scenario.beta0);
+        scenario.epochs = epochs.unwrap_or(scenario.epochs);
+        scenario.strategy = strategy.unwrap_or(scenario.strategy);
         partition::validate_scenario(scenario).map_err(|e| RequestError(e.to_string()))?;
     }
-    let defaults = PartitionSpec::default();
+    let d = PartitionSpec::default();
     let spec = PartitionSpec {
         scenarios,
-        n: obj
-            .count_field("validators")?
-            .map(|n| n as usize)
-            .unwrap_or(defaults.n),
-        backend: obj.backend()?.unwrap_or(defaults.backend),
-        seed: obj.u64_field("seed")?.unwrap_or(defaults.seed),
-        threads: defaults.threads,
+        n: obj.usize("validators").unwrap_or(d.n),
+        backend: obj.id("backend", BackendKind::from_id).unwrap_or(d.backend),
+        seed: obj.u64("seed").unwrap_or(d.seed),
+        ..d
     };
-    Ok(JobRequest::Partition {
-        spec,
-        format: obj.format()?,
-    })
+    Ok(JobRequest::Partition { spec, format })
 }
 
-fn parse_chaos(obj: &Obj) -> Result<JobRequest, RequestError> {
-    obj.check_fields(&[
-        "format",
-        "budget",
-        "seed",
-        "validators",
-        "epochs",
-        "backend",
-    ])?;
-    let mut spec = ChaosSpec::default();
-    if let Some(budget) = obj.count_field("budget")? {
-        spec.budget = budget;
-    }
-    if let Some(seed) = obj.u64_field("seed")? {
-        spec.seed = seed;
-    }
-    if let Some(n) = obj.count_field("validators")? {
-        spec.n = n as usize;
-    }
-    if let Some(epochs) = obj.count_field("epochs")? {
-        spec.max_epochs = epochs;
-    }
-    if let Some(backend) = obj.backend()? {
-        spec.backend = backend;
-    }
-    Ok(JobRequest::Chaos {
-        spec,
-        format: obj.format()?,
-    })
+fn chaos(obj: &Fields, format: DocumentFormat) -> Result<JobRequest, RequestError> {
+    let d = ChaosSpec::default();
+    let spec = ChaosSpec {
+        budget: obj.u64("budget").unwrap_or(d.budget),
+        seed: obj.u64("seed").unwrap_or(d.seed),
+        n: obj.usize("validators").unwrap_or(d.n),
+        max_epochs: obj.u64("epochs").unwrap_or(d.max_epochs),
+        backend: obj.id("backend", BackendKind::from_id).unwrap_or(d.backend),
+        ..d
+    };
+    Ok(JobRequest::Chaos { spec, format })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
 
     fn parse(body: &str) -> JobRequest {
         JobRequest::parse(body).unwrap_or_else(|e| panic!("{body}: {e}"))
@@ -975,5 +961,181 @@ mod tests {
         let stats = out.stats.expect("partition jobs carry stats");
         let parsed: Value = serde_json::from_str(&stats).expect("stats JSON");
         assert_eq!(parsed.get("scenarios").and_then(Value::as_u64), Some(2));
+    }
+
+    /// Raw timelines with two live branches from epoch 0 on, so any
+    /// strategy (`semi-active` included) runs on them.
+    const TWO_BRANCH: [&str; 3] = [
+        "split@0:0=0.5,0.5",
+        "split@0:0=0.7,0.3",
+        "churn@0:0=0.5,0.5",
+    ];
+
+    /// Presets and raw timelines `semi-active` cannot observe.
+    const K_BRANCH: [&str; 3] = [
+        "three-branch",
+        "heal-resplit",
+        "split@0:0=0.5,0.5; heal@300:0<-1",
+    ];
+
+    fn pick<'a>(rng: &mut TestRng, items: &[&'a str]) -> &'a str {
+        items[rng.below(items.len() as u64) as usize]
+    }
+
+    /// A value of `ty` in its range: integers mostly small, sometimes
+    /// the range's ends.
+    fn valid(ty: &FieldType, rng: &mut TestRng) -> Value {
+        match *ty {
+            FieldType::Int(min, max) => Value::U64(match rng.below(4) {
+                0 => min,
+                1 => max,
+                _ => min + rng.below((max - min).min(9_999) + 1),
+            }),
+            FieldType::Unit => Value::F64((rng.below(999) + 1) as f64 / 1000.0),
+            FieldType::Id(_, ids) => Value::String(pick(rng, &ids()).into()),
+            FieldType::Text => {
+                let timelines = [TWO_BRANCH, K_BRANCH].concat();
+                Value::String(pick(rng, &timelines).into())
+            }
+            FieldType::Array(each) => {
+                let len = 1 + rng.below(3);
+                Value::Array((0..len).map(|_| valid(each, rng)).collect())
+            }
+        }
+    }
+
+    /// A valid request drawn from the table: a random subset of a random
+    /// mode's fields (`experiments` always, being required), each in
+    /// range. The one cross-field rule the rows cannot state is kept by
+    /// hand: `semi-active` only runs on two-branch timelines.
+    fn arbitrary_request(rng: &mut TestRng) -> Vec<(String, Value)> {
+        let mode = &MODES[rng.below(MODES.len() as u64) as usize];
+        let mut fields = vec![("kind".to_string(), Value::String(mode.kind.into()))];
+        for field in mode.all_fields() {
+            if field.name == "experiments" || rng.below(2) == 0 {
+                fields.push((field.name.into(), valid(&field.ty, rng)));
+            }
+        }
+        let semi_active = Value::String(StrategyKind::SemiActive.id().into());
+        if fields.contains(&("strategy".into(), semi_active)) {
+            fields.retain(|(key, _)| key != "timelines");
+            let timeline = Value::String(pick(rng, &TWO_BRANCH).into());
+            fields.push(("timelines".into(), Value::Array(vec![timeline])));
+        }
+        fields
+    }
+
+    /// The value that breaks `ty` the way `corruption` says: 0 out of
+    /// range, 1 of the wrong type.
+    fn broken(ty: &FieldType, corruption: u64) -> Value {
+        match (*ty, corruption) {
+            (FieldType::Int(0, u64::MAX), 0) => Value::I64(-1),
+            (FieldType::Int(0, max), 0) => Value::U64(max + 1),
+            (FieldType::Int(min, _), 0) => Value::U64(min - 1),
+            (FieldType::Unit, 0) => Value::F64(1.0),
+            (FieldType::Id(..), 0) => Value::String("bogus".into()),
+            (FieldType::Text, 0) => Value::String("gibberish".into()),
+            (FieldType::Array(_), 0) => Value::Array(Vec::new()),
+            (FieldType::Int(..) | FieldType::Unit, _) => Value::String("7".into()),
+            (FieldType::Id(..) | FieldType::Text, _) => Value::U64(7),
+            (FieldType::Array(each), _) => broken(each, 1),
+        }
+    }
+
+    /// Two distinct in-range values of `ty`.
+    fn two_values(ty: &FieldType) -> (Value, Value) {
+        match *ty {
+            FieldType::Int(min, _) => (Value::U64(min), Value::U64(min + 1)),
+            FieldType::Unit => (Value::F64(0.25), Value::F64(0.75)),
+            FieldType::Id(_, ids) => {
+                let ids = ids();
+                (Value::String(ids[0].into()), Value::String(ids[1].into()))
+            }
+            FieldType::Text => (
+                Value::String(TWO_BRANCH[0].into()),
+                Value::String(TWO_BRANCH[1].into()),
+            ),
+            FieldType::Array(each) => {
+                let (a, b) = two_values(each);
+                (Value::Array(vec![a]), Value::Array(vec![b]))
+            }
+        }
+    }
+
+    /// Every row is read by its mode: two requests that differ in one
+    /// field's value alone have different addresses.
+    #[test]
+    fn every_field_reaches_the_canonical_form() {
+        for mode in &MODES {
+            for field in mode.all_fields() {
+                let hash = |value: Value| {
+                    let mut body = vec![("kind".to_string(), Value::String(mode.kind.into()))];
+                    let required = match mode.kind {
+                        "experiment" => Some(("experiments", "fig2")),
+                        "partition" => Some(("timelines", TWO_BRANCH[0])),
+                        _ => None,
+                    };
+                    if let Some((key, item)) = required.filter(|(key, _)| *key != field.name) {
+                        let item = Value::Array(vec![Value::String(item.into())]);
+                        body.push((key.into(), item));
+                    }
+                    body.push((field.name.into(), value));
+                    let body = Value::Object(body);
+                    let request = JobRequest::from_json(&body);
+                    request
+                        .unwrap_or_else(|e| panic!("{body:?}: {e}"))
+                        .request_hash()
+                };
+                let (a, b) = two_values(&field.ty);
+                assert_ne!(hash(a), hash(b), "`{}` of {}", field.name, mode.kind);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+        #[test]
+        fn table_requests_parse_in_any_order_and_reject_one_bad_field(seed in any::<u64>()) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            let fields = arbitrary_request(&mut rng);
+            let parse = |fields: &[(String, Value)]| JobRequest::from_json(&Value::Object(fields.to_vec()));
+            let request = parse(&fields).map_err(|e| format!("{fields:?}: {e}"))?;
+
+            let mut shuffled = fields.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let reordered = parse(&shuffled).map_err(|e| format!("{shuffled:?}: {e}"))?;
+            prop_assert_eq!(&reordered, &request);
+            prop_assert_eq!(reordered.request_hash(), request.request_hash());
+
+            // Break one field: out of range, wrong type, unknown name or
+            // repeated key. The rejection names it.
+            let victim = rng.below(fields.len() as u64) as usize;
+            let name = fields[victim].0.clone();
+            let ty = mode(request.kind()).and_then(|m| m.field(&name)).map(|f| f.ty);
+            for corruption in 0..4 {
+                let mut bad = fields.clone();
+                let named = match (corruption, ty) {
+                    (0 | 1, Some(ty)) => {
+                        bad[victim].1 = broken(&ty, corruption);
+                        name.clone()
+                    }
+                    (0 | 1, None) => continue, // `kind` has no row
+                    (2, _) => {
+                        bad.insert(victim, ("bogus_field".into(), Value::U64(1)));
+                        "bogus_field".into()
+                    }
+                    _ => {
+                        bad.insert(victim, fields[victim].clone());
+                        name.clone()
+                    }
+                };
+                match parse(&bad) {
+                    Ok(_) => prop_assert!(false, "accepted {bad:?}"),
+                    Err(e) => prop_assert!(e.0.contains(&format!("`{named}`")), "{bad:?}: {e}"),
+                }
+            }
+        }
     }
 }

@@ -224,11 +224,6 @@ impl Span {
             start_us: 0,
         }
     }
-
-    /// True when this span will record an event on drop.
-    pub fn is_recording(&self) -> bool {
-        self.tracer.is_some()
-    }
 }
 
 impl Drop for Span {
@@ -380,8 +375,12 @@ mod tests {
 
     #[test]
     fn disabled_span_records_nothing() {
-        let s = Span::disabled();
-        assert!(!s.is_recording());
-        drop(s);
+        let t = leaked();
+        let live = t.start_span("stage", "live".into());
+        drop(Span::disabled());
+        assert!(t.is_empty());
+        // Nor does it unwind the nesting depth of the spans around it.
+        drop(live);
+        assert_eq!(t.events()[0].args, vec![("depth".to_string(), 1.0)]);
     }
 }

@@ -146,11 +146,6 @@ impl SafetyMonitor {
         }
     }
 
-    /// Number of views (including retired ones).
-    pub fn num_views(&self) -> usize {
-        self.finalized.len()
-    }
-
     /// Registers a new view starting from `checkpoint` (a forked branch
     /// inherits its parent's finalized checkpoint) and returns its view
     /// index.
@@ -389,7 +384,6 @@ mod tests {
         m.observe_finalized(0, Checkpoint::new(Epoch::new(1), r(1)));
         let v = m.add_view(Checkpoint::new(Epoch::new(1), r(1)));
         assert_eq!(v, 1);
-        assert_eq!(m.num_views(), 2);
         // the new view finalizing further down the same chain is fine
         m.observe_block(r(2), r(1), Slot::new(2));
         m.observe_finalized(1, Checkpoint::new(Epoch::new(2), r(2)));
