@@ -17,10 +17,7 @@
 //! writes the document to a file instead of stdout, `--stats-out`
 //! (search and chaos) the work counters, `--metrics-out` / `--trace-out`
 //! the observability artifacts. `serve` runs the resident service
-//! ([`ethpos_server`]), and `--regen-golden <dir>` rewrites the
-//! golden-snapshot corpus under `<dir>` (normally `tests/golden`,
-//! including the chaos replay corpus under `<dir>/chaos`) after an
-//! intentional behaviour change.
+//! ([`ethpos_server`]).
 
 #![warn(missing_docs)]
 
@@ -41,7 +38,6 @@ USAGE:
     ethpos-cli partition [--timeline SPEC]... [OPTIONS]
     ethpos-cli chaos [--budget N] [--seed S] [OPTIONS]
     ethpos-cli serve [--addr A] [--cache-dir D] [--threads N]
-    ethpos-cli --regen-golden <dir>
     ethpos-cli --list
 
 ARGS:
@@ -82,9 +78,6 @@ OPTIONS — the CLI's own; none changes a byte of a run's document:
                             port 0 picks a free port]
     --cache-dir <DIR>       (serve) artifact cache directory
                             [default: .ethpos-cache]
-    --regen-golden <dir>    Rewrite the golden-snapshot corpus fixtures
-                            (the five paper scenarios plus the chaos
-                            replay corpus under <dir>/chaos) into <dir>
     --list                  List experiment ids with their paper reference
     -h, --help              Show this help
 
@@ -104,7 +97,15 @@ pub fn usage() -> String {
             let (value, mut help) = (metavar(&field.ty), field.help.to_string());
             let spelling = match field.ty {
                 _ if field.name == "experiments" => {
-                    help = format!("{help}; one of {}", value.replace('|', ", "));
+                    // On the command line these words name the subcommands.
+                    let (shadowed, ids): (Vec<&str>, Vec<&str>) =
+                        value.split('|').partition(|id| SUBCOMMANDS.contains(id));
+                    help = format!(
+                        "{help}; one of {}; the {} smoke experiments run under `all` or in \
+                         a POST body",
+                        ids.join(", "),
+                        shadowed.join(" and ")
+                    );
                     "EXPERIMENT...".to_string()
                 }
                 _ if field.name == "timelines" => format!("--timeline <{value}>..."),
@@ -199,11 +200,6 @@ pub enum Cli {
         /// cores).
         threads: usize,
     },
-    /// Rewrite the golden-snapshot corpus (`--regen-golden <dir>`).
-    RegenGolden {
-        /// Destination directory (normally `tests/golden`).
-        dir: String,
-    },
     /// Print the experiment table (`--list`).
     List,
     /// Print [`usage`] (`--help`).
@@ -220,7 +216,7 @@ pub enum CliError {
 /// The CLI's own flags: the repeatable `timeline` and `grid`, which
 /// build request arrays, and the invocation's own. Every other flag
 /// names a request field ([`request_field`]).
-const CLI_FLAGS: [&str; 11] = [
+const CLI_FLAGS: [&str; 10] = [
     "timeline",
     "grid",
     "threads",
@@ -231,7 +227,6 @@ const CLI_FLAGS: [&str; 11] = [
     "trace-out",
     "addr",
     "cache-dir",
-    "regen-golden",
 ];
 
 const SUBCOMMANDS: [&str; 5] = ["sweep", "search", "partition", "chaos", "serve"];
@@ -261,8 +256,7 @@ fn one_point_axis(kind: &str, name: &str) -> bool {
 /// `experiments`), each request flag sets its field and
 /// [`JobRequest::from_json`] decides what the mode accepts. The CLI adds
 /// `"format": "text"` unless `--format` is given, and checks only what a
-/// request cannot know: where the outputs go, `serve`'s own flags and
-/// `--regen-golden`.
+/// request cannot know: where the outputs go and `serve`'s own flags.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, CliError> {
     let usage = |msg: String| Err(CliError::Usage(msg));
     let mut words = Vec::new();
@@ -320,12 +314,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, CliErr
         })?;
     if kind != "serve" && (last("addr").is_some() || last("cache-dir").is_some()) {
         return usage("--addr and --cache-dir are only valid with the `serve` subcommand".into());
-    }
-    if let Some(dir) = last("regen-golden") {
-        if !subcommands.is_empty() || !experiments.is_empty() {
-            return usage("--regen-golden stands alone (it rewrites the fixture corpus)".into());
-        }
-        return Ok(Cli::RegenGolden { dir });
     }
     if kind == "serve" {
         if let Some(id) = experiments.first() {
@@ -505,16 +493,12 @@ pub fn run(cli: &Cli) -> RunArtifacts {
             }
             return document(out);
         }
-        // The binary routes these two through `ethpos_server` and
-        // [`regen_golden`] (so a failure exits non-zero); these arms keep
+        // The binary routes this through `ethpos_server`; the arm keeps
         // `run` total for library callers.
         Cli::Serve { addr, .. } => {
             return document(format!(
                 "serve is a resident mode: run the `ethpos-cli` binary ({addr})\n"
             ))
-        }
-        Cli::RegenGolden { dir } => {
-            return document(regen_golden(dir).unwrap_or_else(|err| format!("error: {err}\n")))
         }
     };
     if obs.metrics_out.is_some() {
@@ -548,24 +532,6 @@ pub fn run(cli: &Cli) -> RunArtifacts {
     }
 }
 
-/// Rewrites the golden-snapshot corpus into `dir` and returns the
-/// confirmation message (one line per fixture).
-///
-/// # Errors
-///
-/// Returns a rendered error when the corpus cannot be written — the
-/// binary prints it to stderr and exits non-zero, so a scripted
-/// `--regen-golden && git diff` cannot silently keep stale fixtures.
-pub fn regen_golden(dir: &str) -> Result<String, String> {
-    match ethpos_core::golden::regenerate(std::path::Path::new(dir)) {
-        Ok(written) => Ok(written
-            .into_iter()
-            .map(|file| format!("regenerated {dir}/{file}\n"))
-            .collect()),
-        Err(err) => Err(format!("cannot write the golden corpus to `{dir}`: {err}")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,16 +556,36 @@ mod tests {
 
     #[test]
     fn every_id_parses_to_its_experiment() {
+        // The ids `--help` lists for EXPERIMENT, read off the rendered text.
+        let help = usage();
+        let (_, block) = help
+            .split_once("    EXPERIMENT...")
+            .expect("--help lists EXPERIMENT");
+        let block = block.split("\n    --").next().unwrap_or_default();
+        let block = block.split_whitespace().collect::<Vec<_>>().join(" ");
+        let (_, listed) = block.split_once("one of ").expect("--help lists the ids");
+        let listed: Vec<&str> = listed
+            .split(';')
+            .next()
+            .unwrap_or_default()
+            .split(", ")
+            .collect();
+        for id in &listed {
+            assert!(
+                *id == "all" || Experiment::from_id(id).is_some(),
+                "--help lists `{id}`"
+            );
+        }
         for e in Experiment::all() {
-            if e == Experiment::PartitionTimelines {
-                // The word `partition` is the full-size subcommand; the
+            if !listed.contains(&e.id()) {
+                // A word that is a subcommand on the command line; its
                 // smoke experiment still runs through `all`.
-                assert!(matches!(job(&["partition"]), JobRequest::Partition { .. }));
-                continue;
-            }
-            if e == Experiment::ChaosCampaign {
-                // Same shadowing for `chaos`.
-                assert!(matches!(job(&["chaos"]), JobRequest::Chaos { .. }));
+                let request = job(&[e.id()]);
+                let shadowed = matches!(
+                    request,
+                    JobRequest::Partition { .. } | JobRequest::Chaos { .. }
+                );
+                assert!(shadowed, "--help leaves out `{}`", e.id());
                 continue;
             }
             match parse_args(args(&[e.id()])) {
@@ -1149,8 +1135,6 @@ mod tests {
             &["fig2", "--timeline", "three-branch"],
             &["sweep", "--strategy", "rotate"],
             &["search", "--timeline", "three-branch"],
-            &["--regen-golden", "dir", "fig2"],
-            &["partition", "--regen-golden", "dir"],
             // the paper's two-branch machine cannot observe k ≠ 2
             &[
                 "partition",
@@ -1216,34 +1200,6 @@ mod tests {
             Some("three-branch")
         );
         assert!(rows[0].get("conflict_epoch").is_some());
-    }
-
-    #[test]
-    fn regen_golden_writes_the_paper_and_chaos_fixtures() {
-        let dir = std::env::temp_dir().join(format!("ethpos-golden-{}", std::process::id()));
-        let cli = parse_args(args(&["--regen-golden", dir.to_str().unwrap()])).unwrap();
-        assert_eq!(
-            cli,
-            Cli::RegenGolden {
-                dir: dir.to_str().unwrap().into()
-            }
-        );
-        let message = run(&cli).document;
-        // five paper scenarios + the three chaos replay fixtures
-        assert_eq!(message.lines().count(), 8, "{message}");
-        for scenario in ethpos_core::golden::scenarios() {
-            let path = dir.join(scenario.file_name());
-            assert!(path.exists(), "{path:?} missing");
-        }
-        for name in [
-            "expected_attack_exemplar.json",
-            "shrunk_conflict_floor.json",
-            "shrunk_liveness_grace.json",
-        ] {
-            let path = dir.join("chaos").join(name);
-            assert!(path.exists(), "{path:?} missing");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1313,7 +1269,6 @@ mod tests {
             &["chaos", "--max-period", "2"],
             &["chaos", "--timeline", "three-branch"],
             &["chaos", "--strategy", "rotate"],
-            &["chaos", "--regen-golden", "dir"],
         ] {
             assert!(
                 matches!(parse_args(args(bad)), Err(CliError::Usage(_))),
@@ -1694,7 +1649,6 @@ mod tests {
         "--trace-out",
         "--addr",
         "--cache-dir",
-        "--regen-golden",
         "--bogus",
         "-x",
     ];

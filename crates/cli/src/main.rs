@@ -37,22 +37,10 @@
 
 use std::process::ExitCode;
 
-use ethpos_cli::{parse_args, regen_golden, run, usage, Cli, CliError};
+use ethpos_cli::{parse_args, run, usage, Cli, CliError};
 
 fn main() -> ExitCode {
     match parse_args(std::env::args().skip(1)) {
-        // Fixture regeneration is a write with its own failure mode: a
-        // bad destination must exit non-zero, never report success.
-        Ok(Cli::RegenGolden { dir }) => match regen_golden(&dir) {
-            Ok(message) => {
-                print!("{message}");
-                ExitCode::SUCCESS
-            }
-            Err(err) => {
-                eprintln!("error: {err}");
-                ExitCode::FAILURE
-            }
-        },
         // `serve` never returns on success: bind, announce the resolved
         // address (tests and scripts parse it, so it goes to stdout and
         // is flushed before blocking), then serve forever.

@@ -51,10 +51,10 @@ use serde::{Deserialize, Serialize};
 use ethpos_search::{Genome, ParamSchedule};
 use ethpos_sim::partition::{CompiledTimeline, MarkingPlan};
 use ethpos_sim::{
-    sample_timeline, two_branch_only, ChunkPool, ChurnStats, ForkStats, PartitionConfig,
-    PartitionOutcome, PartitionSim, PartitionTimeline, TimelineAction,
+    run_partition, sample_timeline, two_branch_only, ChunkPool, ChurnStats, ForkStats,
+    PartitionConfig, PartitionOutcome, PartitionTimeline, TimelineAction,
 };
-use ethpos_state::{BackendKind, CohortState, DenseState};
+use ethpos_state::BackendKind;
 use ethpos_stats::SeedSequence;
 use ethpos_types::ChainConfig;
 use ethpos_validator::ByzantineSchedule;
@@ -601,20 +601,11 @@ pub fn run_case(case: &ChaosCase, backend: BackendKind) -> PartitionOutcome {
 
 /// [`run_case`] plus the run's [`ForkStats`] (the `Split` activity of
 /// the copy-on-write state layer) and [`ChurnStats`] (the count-level
-/// churn draws). The outcome is identical — [`PartitionSim::run`] *is*
-/// step-to-exhaustion plus finish.
+/// churn draws), through [`run_partition`] on one thread.
 pub fn run_case_with_stats(
     case: &ChaosCase,
     backend: BackendKind,
 ) -> (PartitionOutcome, ForkStats, ChurnStats) {
-    fn drive<B: ethpos_state::backend::StateBackend>(
-        mut sim: PartitionSim<B>,
-    ) -> (PartitionOutcome, ForkStats, ChurnStats) {
-        while sim.step() {}
-        let fork = sim.fork_stats();
-        let churn = sim.churn_stats();
-        (sim.finish(), fork, churn)
-    }
     let byzantine = byzantine_count(case);
     let config = PartitionConfig {
         chain: ChainConfig::paper(),
@@ -627,14 +618,8 @@ pub fn run_case_with_stats(
         stop_on_finalization: false,
         record_every: u64::MAX,
     };
-    let schedule = case.adversary.build();
-    let result = match backend {
-        BackendKind::Dense => PartitionSim::<DenseState>::with_backend(config, schedule).map(drive),
-        BackendKind::Cohort => {
-            PartitionSim::<CohortState>::with_backend(config, schedule).map(drive)
-        }
-    };
-    result.unwrap_or_else(|err| panic!("chaos case {}: {err}", case.index))
+    run_partition(backend, config, case.adversary.build(), 1)
+        .unwrap_or_else(|err| panic!("chaos case {}: {err}", case.index))
 }
 
 /// The Byzantine registry size of a case: `round(β₀·n)`.

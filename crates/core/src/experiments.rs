@@ -698,9 +698,10 @@ fn chaos_smoke(mc: &McConfig) -> ExperimentOutput {
 pub mod simulated {
     use super::*;
     use ethpos_sim::{
-        run_single_branch_on, Behavior, ChunkPool, PartitionConfig, PartitionSim, PartitionTimeline,
+        run_partition, run_single_branch_on, Behavior, ChunkPool, PartitionConfig,
+        PartitionTimeline,
     };
-    use ethpos_state::{CohortState, DenseState, StateBackend};
+    use ethpos_state::{CohortState, DenseState};
     use ethpos_validator::{ByzantineSchedule, DualActive, SemiActive};
 
     /// The Figure 2 population mix at registry size `n`: one tenth
@@ -758,29 +759,6 @@ pub mod simulated {
         }
     }
 
-    fn two_branch_outcome<B: StateBackend>(
-        beta0: f64,
-        p0: f64,
-        n: usize,
-        slashable: bool,
-        max_epochs: u64,
-    ) -> Option<u64> {
-        let byz = (beta0 * n as f64).round() as usize;
-        let cfg = PartitionConfig {
-            record_every: u64::MAX,
-            ..PartitionConfig::paper(n, byz, PartitionTimeline::two_branch(p0), max_epochs)
-        };
-        let schedule: Box<dyn ByzantineSchedule> = if slashable {
-            Box::new(DualActive)
-        } else {
-            Box::new(SemiActive::new())
-        };
-        PartitionSim::<B>::with_backend(cfg, schedule)
-            .expect("the two-branch timeline compiles")
-            .run()
-            .conflicting_finalization_epoch
-    }
-
     /// One Table 2/3 row measured on the two-branch simulator, on the
     /// chosen backend.
     ///
@@ -794,14 +772,20 @@ pub mod simulated {
         max_epochs: u64,
         backend: BackendKind,
     ) -> Option<u64> {
-        match backend {
-            BackendKind::Dense => {
-                two_branch_outcome::<DenseState>(beta0, p0, n, slashable, max_epochs)
-            }
-            BackendKind::Cohort => {
-                two_branch_outcome::<CohortState>(beta0, p0, n, slashable, max_epochs)
-            }
-        }
+        let _span = ethpos_obs::span("sim", "partition run");
+        let byz = (beta0 * n as f64).round() as usize;
+        let cfg = PartitionConfig {
+            record_every: u64::MAX,
+            ..PartitionConfig::paper(n, byz, PartitionTimeline::two_branch(p0), max_epochs)
+        };
+        let schedule: Box<dyn ByzantineSchedule> = if slashable {
+            Box::new(DualActive)
+        } else {
+            Box::new(SemiActive::new())
+        };
+        let (outcome, ..) =
+            run_partition(backend, cfg, schedule, 1).expect("the two-branch timeline compiles");
+        outcome.conflicting_finalization_epoch
     }
 
     /// Table 2 cross-check (Eq. 9 vs the discrete protocol) at registry

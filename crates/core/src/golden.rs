@@ -11,9 +11,10 @@
 //! numbers.
 //!
 //! Regenerate after an intentional behaviour change with
-//! `ethpos-cli --regen-golden tests/golden` (or `REGEN_GOLDEN=1 cargo
-//! test --test golden_snapshots`), then review the diff like any other
-//! code change.
+//! `REGEN_GOLDEN=1 cargo test --test golden_snapshots --test chaos_corpus
+//! --test churn_law_pins` (it rewrites these fixtures, the chaos
+//! replay corpus and the churn-law pins), then review the diff like any
+//! other code change.
 
 use serde::Serialize;
 
@@ -252,30 +253,6 @@ pub fn scenarios() -> Vec<GoldenScenario> {
             record_every: 100,
         },
     ]
-}
-
-/// Writes every fixture into `dir` (the `--regen-golden` path of the
-/// CLI): the five paper scenarios plus the chaos replay corpus under
-/// `dir/chaos/`. Returns the file names written.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn regenerate(dir: &std::path::Path) -> std::io::Result<Vec<String>> {
-    std::fs::create_dir_all(dir)?;
-    let mut written = Vec::new();
-    for scenario in scenarios() {
-        let path = dir.join(scenario.file_name());
-        std::fs::write(&path, scenario.render())?;
-        written.push(scenario.file_name());
-    }
-    let chaos_dir = dir.join("chaos");
-    std::fs::create_dir_all(&chaos_dir)?;
-    for (name, document) in crate::chaos::corpus::builtin_fixtures() {
-        std::fs::write(chaos_dir.join(name), document)?;
-        written.push(format!("chaos/{name}"));
-    }
-    Ok(written)
 }
 
 #[cfg(test)]

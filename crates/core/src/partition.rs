@@ -27,10 +27,10 @@
 use serde::Serialize;
 
 use ethpos_sim::{
-    ChunkPool, ChurnStats, ForkStats, PartitionConfig, PartitionOutcome, PartitionSim,
+    run_partition, ChunkPool, ChurnStats, ForkStats, PartitionConfig, PartitionOutcome,
     PartitionTimeline, TimelineError,
 };
-use ethpos_state::{BackendKind, CohortState, DenseState};
+use ethpos_state::BackendKind;
 use ethpos_types::ChainConfig;
 use ethpos_validator::{ByzantineSchedule, DualActive, RoundRobin, SemiActive, ThresholdSeeker};
 
@@ -383,11 +383,8 @@ pub fn run_scenario(
 }
 
 /// [`run_scenario`] plus the run's [`ForkStats`] and [`ChurnStats`],
-/// with the simulator advancing its branches on up to `threads` threads
-/// (see [`PartitionSim::set_threads`]). The outcome is identical —
-/// [`PartitionSim::run`] *is* step-to-exhaustion plus finish, and the
-/// thread count never changes it. Nothing is published to the global
-/// registry here; batch owners aggregate and publish once.
+/// through [`run_partition`] with its branches advancing on up to
+/// `threads` threads. The thread count never changes the outcome.
 ///
 /// # Panics
 ///
@@ -399,16 +396,6 @@ pub fn run_scenario_with_stats(
     seed: u64,
     threads: usize,
 ) -> (PartitionOutcome, ForkStats, ChurnStats) {
-    fn drive<B: ethpos_state::backend::StateBackend>(
-        mut sim: PartitionSim<B>,
-        threads: usize,
-    ) -> (PartitionOutcome, ForkStats, ChurnStats) {
-        sim.set_threads(threads);
-        while sim.step() {}
-        let fork = sim.fork_stats();
-        let churn = sim.churn_stats();
-        (sim.finish(), fork, churn)
-    }
     let _span = ethpos_obs::span_with("partition", || format!("scenario {}", scenario.name));
     let byzantine = (scenario.beta0 * n as f64).round() as usize;
     let config = PartitionConfig {
@@ -422,14 +409,8 @@ pub fn run_scenario_with_stats(
         stop_on_finalization: false,
         record_every: u64::MAX,
     };
-    let schedule = scenario.strategy.build();
-    let result = match backend {
-        BackendKind::Dense => PartitionSim::<DenseState>::with_backend(config, schedule)
-            .map(|sim| drive(sim, threads)),
-        BackendKind::Cohort => PartitionSim::<CohortState>::with_backend(config, schedule)
-            .map(|sim| drive(sim, threads)),
-    };
-    result.unwrap_or_else(|err| panic!("scenario `{}`: {err}", scenario.name))
+    run_partition(backend, config, scenario.strategy.build(), threads)
+        .unwrap_or_else(|err| panic!("scenario `{}`: {err}", scenario.name))
 }
 
 /// One scenario's report row.

@@ -109,25 +109,7 @@ pub fn inactive_stake(t: f64) -> f64 {
 /// arithmetic in ETH floats, no effective-balance staircase): used in
 /// tests to bound the ODE approximation error.
 pub fn discrete_stake_trajectory(behavior: StakeBehavior, epochs: u64) -> Vec<f64> {
-    let mut s = STAKE_0;
-    let mut score: f64 = 0.0;
-    let mut out = Vec::with_capacity(epochs as usize + 1);
-    out.push(s);
-    for e in 0..epochs {
-        let active = match behavior {
-            StakeBehavior::Active => true,
-            StakeBehavior::SemiActive => e % 2 == 0,
-            StakeBehavior::Inactive => false,
-        };
-        if active {
-            score = (score - 1.0).max(0.0);
-        } else {
-            score += 4.0;
-        }
-        s -= score * s / LEAK_DENOMINATOR;
-        out.push(s);
-    }
-    out
+    discrete_stake_trajectory_with(behavior, epochs, PenaltySemantics::Paper)
 }
 
 /// Which inactivity-penalty semantics a trajectory uses (see

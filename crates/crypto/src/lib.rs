@@ -5,8 +5,7 @@
 //! cryptography, and the simulators build no blocks or signatures. What
 //! they do need is a deterministic 256-bit hash: [`hash`] (and the
 //! word-level [`hash_u64`]) built from four independently keyed
-//! SipHash-2-4 lanes, used for genesis and synthetic checkpoint roots and
-//! for the proposer lottery's randomness.
+//! SipHash-2-4 lanes, used for genesis and synthetic checkpoint roots.
 //!
 //! The substitution for SHA-256 is documented in `ARCHITECTURE.md`,
 //! "Deliberate simplifications".

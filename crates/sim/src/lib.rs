@@ -44,9 +44,9 @@ pub mod walk_mc;
 pub use kernel::BranchEpochStats;
 pub use monitor::SafetyMonitor;
 pub use partition::{
-    BranchOutcome, ChurnStats, EpochRecord, ForkStats, PartitionConfig, PartitionEpochRecord,
-    PartitionOutcome, PartitionSim, PartitionTimeline, SafetyViolation, TimelineAction,
-    TimelineError, TimelineEvent, TwoBranchOutcome,
+    run_partition, BranchOutcome, ChurnStats, EpochRecord, ForkStats, PartitionConfig,
+    PartitionEpochRecord, PartitionOutcome, PartitionSim, PartitionTimeline, SafetyViolation,
+    TimelineAction, TimelineError, TimelineEvent, TwoBranchOutcome,
 };
 pub use pool::ChunkPool;
 pub use single_branch::{run_single_branch_on, Behavior, ClassTrajectory};

@@ -208,11 +208,6 @@ impl SafetyMonitor {
     pub fn violation(&self) -> Option<(usize, usize, Checkpoint, Checkpoint)> {
         self.violation
     }
-
-    /// True if Safety has been violated.
-    pub fn is_violated(&self) -> bool {
-        self.violation.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -265,7 +260,7 @@ mod tests {
         assert!(!m.tree.is_descendant(&a, &b));
         m.observe_finalized(0, Checkpoint::new(Epoch::new(1), a));
         m.observe_finalized(1, Checkpoint::new(Epoch::new(1), b));
-        assert!(m.is_violated(), "same-prefix siblings conflict");
+        assert!(m.violation().is_some(), "same-prefix siblings conflict");
     }
 
     #[test]
@@ -314,7 +309,7 @@ mod tests {
         m.observe_block(r(2), r(1), Slot::new(2));
         m.observe_finalized(0, Checkpoint::new(Epoch::new(1), r(1)));
         m.observe_finalized(1, Checkpoint::new(Epoch::new(2), r(2)));
-        assert!(!m.is_violated());
+        assert!(m.violation().is_none());
     }
 
     #[test]
@@ -323,9 +318,9 @@ mod tests {
         m.observe_block(r(1), r(0), Slot::new(1));
         m.observe_block(r(2), r(0), Slot::new(1)); // fork
         m.observe_finalized(0, Checkpoint::new(Epoch::new(1), r(1)));
-        assert!(!m.is_violated());
+        assert!(m.violation().is_none());
         m.observe_finalized(1, Checkpoint::new(Epoch::new(1), r(2)));
-        assert!(m.is_violated());
+        assert!(m.violation().is_some());
         let (a, b, ca, cb) = m.violation().unwrap();
         assert_eq!((a, b), (0, 1));
         assert_eq!(ca.root, r(1));
@@ -340,9 +335,12 @@ mod tests {
         m.observe_block(r(1), r(0), Slot::new(1));
         m.observe_block(r(2), r(0), Slot::new(1)); // fork
         m.observe_finalized(1, Checkpoint::new(Epoch::new(1), r(1)));
-        assert!(!m.is_violated(), "one finalization is not a conflict");
+        assert!(
+            m.violation().is_none(),
+            "one finalization is not a conflict"
+        );
         m.observe_finalized(2, Checkpoint::new(Epoch::new(1), r(2)));
-        assert!(m.is_violated());
+        assert!(m.violation().is_some());
         let (a, b, _, _) = m.violation().unwrap();
         assert_eq!((a, b), (1, 2));
     }
@@ -354,10 +352,10 @@ mod tests {
         // genesis checkpoint — genesis is a prefix of every chain.
         let mut m = SafetyMonitor::new(r(0), 2);
         m.observe_finalized(0, Checkpoint::new(Epoch::new(3), r(77)));
-        assert!(!m.is_violated());
+        assert!(m.violation().is_none());
         // ...but a second unknown-root finalization does conflict.
         m.observe_finalized(1, Checkpoint::new(Epoch::new(3), r(88)));
-        assert!(m.is_violated());
+        assert!(m.violation().is_some());
     }
 
     #[test]
@@ -370,9 +368,9 @@ mod tests {
         m.observe_block(r(2), r(0), Slot::new(1));
         m.observe_block(r(3), r(1), Slot::new(2));
         m.observe_finalized(1, Checkpoint::new(Epoch::new(1), r(2)));
-        assert!(!m.is_violated());
+        assert!(m.violation().is_none());
         m.observe_finalized(0, Checkpoint::new(Epoch::new(2), r(3)));
-        assert!(m.is_violated());
+        assert!(m.violation().is_some());
         let (a, b, _, _) = m.violation().unwrap();
         assert_eq!((a, b), (0, 1));
     }
@@ -387,11 +385,11 @@ mod tests {
         // the new view finalizing further down the same chain is fine
         m.observe_block(r(2), r(1), Slot::new(2));
         m.observe_finalized(1, Checkpoint::new(Epoch::new(2), r(2)));
-        assert!(!m.is_violated());
+        assert!(m.violation().is_none());
         // a fork from the shared prefix is not
         m.observe_block(r(9), r(1), Slot::new(2));
         m.observe_finalized(0, Checkpoint::new(Epoch::new(2), r(9)));
-        assert!(m.is_violated());
+        assert!(m.violation().is_some());
     }
 
     #[test]
@@ -413,6 +411,6 @@ mod tests {
         let mut m = SafetyMonitor::new(r(0), 3);
         m.observe_finalized(0, Checkpoint::genesis(r(0)));
         m.observe_finalized(2, Checkpoint::genesis(r(0)));
-        assert!(!m.is_violated());
+        assert!(m.violation().is_none());
     }
 }

@@ -43,7 +43,7 @@
 use std::collections::BTreeMap;
 
 use ethpos_state::backend::{synthetic_branch_root, StateBackend};
-use ethpos_state::DenseState;
+use ethpos_state::{BackendKind, CohortState, DenseState};
 use ethpos_stats::seeded_rng;
 use ethpos_types::{BranchId, ChainConfig, Root, Slot};
 use ethpos_validator::{BranchStatus, ByzantineSchedule};
@@ -598,6 +598,53 @@ impl<B: StateBackend> PartitionSim<B> {
         while self.step() {}
         self.finish()
     }
+}
+
+/// Runs a timeline to its end on the chosen backend and returns the
+/// outcome with the run's [`ForkStats`] and [`ChurnStats`]. The live
+/// branches of an epoch advance on up to `threads` threads (see
+/// [`PartitionSim::set_threads`]), which never changes a result. Nothing
+/// is published to the global registry: batch owners aggregate the
+/// counters and publish once.
+///
+/// # Errors
+///
+/// Returns a [`TimelineError`] when the timeline does not compile.
+///
+/// # Panics
+///
+/// Panics if `byzantine > n` or `record_every == 0`.
+//
+// `#[inline]` lets each calling crate compile the two monomorphized
+// step loops itself. Compiled once in this crate instead, the 10⁶
+// partition presets of the `paper_1m` benchmark workload ran ≈ 7 %
+// slower on a 2-vCPU x86-64 container, from the same source.
+#[inline]
+pub fn run_partition(
+    backend: BackendKind,
+    config: PartitionConfig,
+    schedule: Box<dyn ByzantineSchedule>,
+    threads: usize,
+) -> Result<(PartitionOutcome, ForkStats, ChurnStats), TimelineError> {
+    fn to_end<B: StateBackend>(
+        mut sim: PartitionSim<B>,
+        threads: usize,
+    ) -> (PartitionOutcome, ForkStats, ChurnStats) {
+        sim.set_threads(threads);
+        while sim.step() {}
+        let (fork, churn) = (sim.fork_stats(), sim.churn_stats());
+        (sim.finish(), fork, churn)
+    }
+    Ok(match backend {
+        BackendKind::Dense => to_end(
+            PartitionSim::<DenseState>::with_backend(config, schedule)?,
+            threads,
+        ),
+        BackendKind::Cohort => to_end(
+            PartitionSim::<CohortState>::with_backend(config, schedule)?,
+            threads,
+        ),
+    })
 }
 
 #[cfg(test)]

@@ -45,11 +45,6 @@ impl Validator {
         self.activation_epoch <= epoch && epoch < self.exit_epoch
     }
 
-    /// True if the validator can still be slashed at `epoch`.
-    pub fn is_slashable_at(&self, epoch: Epoch) -> bool {
-        !self.slashed && self.activation_epoch <= epoch && epoch < self.withdrawable_epoch
-    }
-
     /// True if the validator has exited (at any epoch ≤ `epoch`).
     pub fn has_exited_by(&self, epoch: Epoch) -> bool {
         self.exit_epoch <= epoch
@@ -79,16 +74,6 @@ mod tests {
         assert!(val.is_active_at(Epoch::new(4)));
         assert!(!val.is_active_at(Epoch::new(5)));
         assert!(val.has_exited_by(Epoch::new(5)));
-    }
-
-    #[test]
-    fn slashable_window() {
-        let mut val = v();
-        val.withdrawable_epoch = Epoch::new(100);
-        assert!(val.is_slashable_at(Epoch::new(50)));
-        assert!(!val.is_slashable_at(Epoch::new(100)));
-        val.slashed = true;
-        assert!(!val.is_slashable_at(Epoch::new(50)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Seeded random number generation.
 //!
-//! Every stochastic component of the workspace (proposer lotteries,
-//! Monte-Carlo walks) takes an explicit seed so experiments reproduce
+//! Every stochastic component of the workspace (Monte-Carlo walks,
+//! churn draws) takes an explicit seed so experiments reproduce
 //! bit-for-bit.
 
 use rand::rngs::StdRng;

@@ -92,23 +92,6 @@ impl Summary {
     }
 }
 
-/// Returns the `q`-quantile (0 ≤ q ≤ 1) of a slice, interpolating linearly;
-/// the slice is sorted in place.
-///
-/// # Panics
-///
-/// Panics on an empty slice or `q` outside `[0, 1]`.
-pub fn quantile_mut(samples: &mut [f64], q: f64) -> f64 {
-    assert!(!samples.is_empty(), "quantile of empty slice");
-    assert!((0.0..=1.0).contains(&q), "q must be in [0,1]");
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in samples"));
-    let idx = q * (samples.len() - 1) as f64;
-    let lo = idx.floor() as usize;
-    let hi = idx.ceil() as usize;
-    let frac = idx - lo as f64;
-    samples[lo] * (1.0 - frac) + samples[hi] * frac
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,15 +137,6 @@ mod tests {
         assert_eq!(left.count(), whole.count());
         assert!((left.mean() - whole.mean()).abs() < 1e-10);
         assert!((left.variance() - whole.variance()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn quantiles() {
-        let mut v = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(quantile_mut(&mut v, 0.0), 1.0);
-        assert_eq!(quantile_mut(&mut v, 0.5), 3.0);
-        assert_eq!(quantile_mut(&mut v, 1.0), 5.0);
-        assert_eq!(quantile_mut(&mut v, 0.25), 2.0);
     }
 
     proptest! {

@@ -72,12 +72,6 @@ impl Gwei {
         Gwei(self.0 / divisor)
     }
 
-    /// `self * numerator / denominator` computed in `u128` to avoid
-    /// overflow, truncating like the spec.
-    pub const fn mul_div(self, numerator: u64, denominator: u64) -> Gwei {
-        Gwei((self.0 as u128 * numerator as u128 / denominator as u128) as u64)
-    }
-
     /// Returns the smaller of two balances.
     pub const fn min(self, other: Gwei) -> Gwei {
         if self.0 <= other.0 {
@@ -168,20 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_div_no_overflow() {
-        // 32 ETH * large score / 2^26 must not overflow u64 intermediates.
-        let b = Gwei::from_eth_u64(32);
-        let penalty = b.mul_div(u64::MAX / 2, u64::MAX);
-        assert!(penalty.as_u64() <= b.as_u64());
-    }
-
-    #[test]
-    fn mul_div_truncates_like_spec() {
-        assert_eq!(Gwei::new(10).mul_div(1, 3), Gwei::new(3));
-        assert_eq!(Gwei::new(10).mul_div(2, 3), Gwei::new(6));
-    }
-
-    #[test]
     fn sum_and_minmax() {
         let total: Gwei = [Gwei::new(1), Gwei::new(2), Gwei::new(3)].into_iter().sum();
         assert_eq!(total, Gwei::new(6));
@@ -206,14 +186,6 @@ mod tests {
         fn prop_sub_never_underflows(a in 0u64..u64::MAX / 2, b in 0u64..u64::MAX / 2) {
             let r = Gwei::new(a) - Gwei::new(b);
             prop_assert!(r.as_u64() <= a);
-        }
-
-        #[test]
-        fn prop_mul_div_bounded(bal in 0u64..64_000_000_000u64, num in 0u64..1_000_000u64) {
-            // numerator <= denominator implies result <= balance
-            let denom = 1_000_000u64;
-            let r = Gwei::new(bal).mul_div(num, denom);
-            prop_assert!(r.as_u64() <= bal);
         }
 
         #[test]

@@ -15,7 +15,6 @@
 //! | [`DualActive`] | §5.2.1 | active on **every** branch every epoch (slashable double votes) | fastest conflicting finalization |
 //! | [`SemiActive`] | §5.2.2 | alternate two branches; dwell two epochs per branch once ⅔ is reachable | conflicting finalization without slashing |
 //! | [`ThresholdSeeker`] | §5.2.3 | rotate forever, refuse to finalize | Byzantine proportion exceeds ⅓ |
-//! | [`Bouncing`] | §5.3 | rotate after GST, withholding votes to keep honest validators bouncing | probabilistic breach of the ⅓ threshold |
 //! | [`RoundRobin`] | beyond the paper | the k-branch generalization of semi-active: rotate over all live branches, dwell on each once **all** can reach ⅔ | conflicting finalization across > 2 branches |
 //!
 //! [`SemiActive`] keeps the paper's exact two-branch state machine (its
@@ -23,9 +22,7 @@
 //! [`RoundRobin`] with a dwell of 2 collapses to the same machine when
 //! exactly two branches are live, which the property tests assert.
 
-use ethpos_types::{BranchId, Epoch, ValidatorIndex};
-
-use crate::duties::ProposerLottery;
+use ethpos_types::BranchId;
 
 /// Per-branch observation handed to a strategy at each epoch: everything
 /// the coordinated adversary can compute from that branch's state.
@@ -50,23 +47,6 @@ pub struct BranchStatus {
 }
 
 impl BranchStatus {
-    /// The active-stake ratio this branch would see **if** the Byzantine
-    /// validators attest on it this epoch.
-    pub fn ratio_with_byzantine(&self) -> f64 {
-        if self.total_active_stake == 0 {
-            return 0.0;
-        }
-        (self.honest_active_stake + self.byzantine_stake) as f64 / self.total_active_stake as f64
-    }
-
-    /// The active-stake ratio without Byzantine help.
-    pub fn ratio_honest_only(&self) -> f64 {
-        if self.total_active_stake == 0 {
-            return 0.0;
-        }
-        self.honest_active_stake as f64 / self.total_active_stake as f64
-    }
-
     /// True if Byzantine participation would push this branch to the ⅔
     /// justification threshold.
     pub fn two_thirds_reachable(&self) -> bool {
@@ -469,76 +449,6 @@ impl ByzantineSchedule for RoundRobin {
     }
 }
 
-// ─── §5.3: probabilistic bouncing ───────────────────────────────────────
-
-/// The probabilistic bouncing attack under the inactivity leak: Byzantine
-/// validators rotate over the branches, releasing withheld votes so
-/// honest validators keep bouncing between chains. The attack continues
-/// at each epoch only if some Byzantine proposer lands in the first `j`
-/// slots (paper §5.3).
-#[derive(Debug, Clone)]
-pub struct Bouncing {
-    lottery: ProposerLottery,
-    byzantine_threshold: u64,
-    j: u64,
-    slots_per_epoch: u64,
-    /// Epoch at which the attack died (no Byzantine proposer in the first
-    /// `j` slots), if it has.
-    pub failed_at: Option<u64>,
-}
-
-impl Bouncing {
-    /// Creates the strategy. Validators `0..byzantine_threshold` are the
-    /// Byzantine set (the simulators use this convention).
-    pub fn new(seed: u64, n: u64, byzantine_threshold: u64, j: u64, slots_per_epoch: u64) -> Self {
-        Bouncing {
-            lottery: ProposerLottery::new(seed, n),
-            byzantine_threshold,
-            j,
-            slots_per_epoch,
-            failed_at: None,
-        }
-    }
-
-    /// True if the attack can continue at `epoch`: a Byzantine proposer
-    /// occupies one of the first `j` slots.
-    pub fn continues_at(&self, epoch: Epoch) -> bool {
-        self.lottery
-            .any_proposer_in_first_slots(epoch, self.j, self.slots_per_epoch, |v| {
-                self.is_byzantine(v)
-            })
-    }
-
-    /// Whether `v` belongs to the Byzantine set.
-    pub fn is_byzantine(&self, v: ValidatorIndex) -> bool {
-        v.as_u64() < self.byzantine_threshold
-    }
-
-    /// The proposer lottery in use.
-    pub fn lottery(&self) -> &ProposerLottery {
-        &self.lottery
-    }
-}
-
-impl ByzantineSchedule for Bouncing {
-    fn participate(&mut self, status: &[BranchStatus]) -> BranchChoice {
-        let e = status[0].epoch;
-        if self.failed_at.is_none() && !self.continues_at(Epoch::new(e)) {
-            self.failed_at = Some(e);
-        }
-        if self.failed_at.is_some() {
-            // Attack over: converge on the first branch (honest
-            // validators follow).
-            return BranchChoice::only(0);
-        }
-        BranchChoice::only(e as usize % status.len())
-    }
-
-    fn name(&self) -> &'static str {
-        "probabilistic bouncing"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -760,36 +670,5 @@ mod tests {
         let mut st = near(14, &[1, 2]);
         st[1].finalized_epoch = 11; // branch 2, finalized before the heal
         assert_eq!(s.participate(&st), [true, false], "dwell must stay on 1");
-    }
-
-    #[test]
-    fn bouncing_fails_without_byzantine_proposer() {
-        // Zero Byzantine validators: the attack dies at epoch 0.
-        let mut s = Bouncing::new(1, 100, 0, 8, 32);
-        let st = [status(0, 50, 0, 100), status(0, 50, 0, 100)];
-        s.participate(&st);
-        assert_eq!(s.failed_at, Some(0));
-    }
-
-    #[test]
-    fn bouncing_with_all_byzantine_never_fails() {
-        let mut s = Bouncing::new(1, 100, 100, 8, 32);
-        for e in 0..50u64 {
-            let st = [status(e, 0, 100, 100), status(e, 0, 100, 100)];
-            s.participate(&st);
-        }
-        assert_eq!(s.failed_at, None);
-    }
-
-    #[test]
-    fn bouncing_continuation_rate_tracks_beta() {
-        let s = Bouncing::new(9, 300, 100, 8, 32);
-        let epochs = 3000u64;
-        let hits = (0..epochs)
-            .filter(|&e| s.continues_at(Epoch::new(e)))
-            .count();
-        let rate = hits as f64 / epochs as f64;
-        let expected = 1.0 - (2.0f64 / 3.0).powi(8);
-        assert!((rate - expected).abs() < 0.03, "rate {rate} vs {expected}");
     }
 }

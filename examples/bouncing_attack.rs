@@ -4,8 +4,7 @@
 //! Prints the attack's viability window (Eq. 14), its continuation
 //! probability, the analytic probability of breaching the ⅓ threshold
 //! (Eq. 24 / Fig. 10), and cross-checks with the per-validator Monte
-//! Carlo. Also demonstrates the proposer-lottery continuation condition
-//! on the simulated duty schedule.
+//! Carlo.
 //!
 //! ```bash
 //! cargo run --release --example bouncing_attack -- 0.333
@@ -13,9 +12,6 @@
 
 use ethpos::core::scenarios::bouncing::{continuation_log_prob, viability_window, BouncingLaw};
 use ethpos::sim::{run_bouncing_walks, BouncingWalkConfig};
-use ethpos::types::Epoch;
-use ethpos::validator::byzantine::Bouncing;
-use ethpos::validator::ByzantineSchedule;
 
 fn main() {
     let beta0: f64 = std::env::args()
@@ -57,24 +53,4 @@ fn main() {
             s.byzantine_stake,
         );
     }
-
-    // Proposer-lottery continuation on the duty schedule.
-    let n = 3000u64;
-    let byz_count = (beta0 * n as f64).round() as u64;
-    let strategy = Bouncing::new(2024, n, byz_count, 8, 32);
-    let mut alive = 0u64;
-    for e in 0..10_000u64 {
-        if !strategy.continues_at(Epoch::new(e)) {
-            break;
-        }
-        alive += 1;
-    }
-    println!(
-        "\nproposer-lottery check ({n} validators, {byz_count} Byzantine, seed 2024):\n\
-         the attack survives {alive} consecutive epochs before the first epoch\n\
-         whose first 8 slots have no Byzantine proposer\n\
-         (expected ≈ 1/(1-β0)^8 − 1 ≈ {:.0} epochs on average)",
-        1.0 / (1.0 - beta0).powi(8) - 1.0
-    );
-    println!("strategy: {}", strategy.name());
 }

@@ -11,8 +11,7 @@
 //! * [`crypto`] — the simulated 256-bit hash (SipHash lanes);
 //! * [`stats`] — erf, normal/log-normal laws, root finding, quadrature;
 //! * [`state`] — the beacon state transition with the inactivity leak;
-//! * [`validator`] — Byzantine participation schedules and the proposer
-//!   lottery;
+//! * [`validator`] — Byzantine participation schedules;
 //! * [`sim`] — the epoch-level k-branch partition engine, single-branch
 //!   trajectories and the §5.3 Monte-Carlo walks;
 //! * [`core`] — the paper's analytical model and the five attack

@@ -12,12 +12,11 @@
 //! [`ethpos::core::chaos::corpus::builtin_fixtures`]: one
 //! expected-attack exemplar pinned under the real oracle, plus two
 //! injected-bug reproducers that exercise the full find→shrink→emit
-//! path. After an **intentional** behaviour change, regenerate with
-//! either
+//! path. After an **intentional** behaviour change, regenerate every
+//! fixture set with
 //!
 //! ```bash
-//! cargo run --release -p ethpos-cli -- --regen-golden tests/golden
-//! REGEN_GOLDEN=1 cargo test --test chaos_corpus
+//! REGEN_GOLDEN=1 cargo test --test golden_snapshots --test chaos_corpus --test churn_law_pins
 //! ```
 //!
 //! and review the fixture diff like any other code change.
@@ -87,15 +86,16 @@ fn builtin_fixtures_match_the_committed_corpus() {
         let path = dir.join(name);
         let pinned = std::fs::read_to_string(&path).unwrap_or_else(|e| {
             panic!(
-                "cannot read {path:?}: {e}\n(run `ethpos-cli --regen-golden tests/golden` \
-                 or `REGEN_GOLDEN=1 cargo test --test chaos_corpus` to create it)"
+                "cannot read {path:?}: {e}\n(run `REGEN_GOLDEN=1 cargo test --test \
+                 golden_snapshots --test chaos_corpus --test churn_law_pins` to create it)"
             )
         });
         assert!(
             &pinned == rendered,
             "{name} drifted from the pinned fixture.\n\
              If the behaviour change is intentional, regenerate with\n\
-             `cargo run --release -p ethpos-cli -- --regen-golden tests/golden`\n\
+             `REGEN_GOLDEN=1 cargo test --test golden_snapshots --test chaos_corpus \
+             --test churn_law_pins`\n\
              and review the diff.\n\
              first divergence at byte {}",
             pinned

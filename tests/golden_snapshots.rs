@@ -9,11 +9,11 @@
 //! that produced this corpus) is proven byte-exact against pinned
 //! *state*, not just summary numbers.
 //!
-//! After an **intentional** behaviour change, regenerate with either
+//! After an **intentional** behaviour change, regenerate every fixture
+//! set with
 //!
 //! ```bash
-//! cargo run --release -p ethpos-cli -- --regen-golden tests/golden
-//! REGEN_GOLDEN=1 cargo test --test golden_snapshots
+//! REGEN_GOLDEN=1 cargo test --test golden_snapshots --test chaos_corpus --test churn_law_pins
 //! ```
 //!
 //! and review the fixture diff like any other code change.
@@ -39,15 +39,16 @@ fn check_or_regen(file_name: &str, rendered: &str) {
     }
     let pinned = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
-            "cannot read {path:?}: {e}\n(run `ethpos-cli --regen-golden tests/golden` \
-             or `REGEN_GOLDEN=1 cargo test --test golden_snapshots` to create it)"
+            "cannot read {path:?}: {e}\n(run `REGEN_GOLDEN=1 cargo test --test golden_snapshots \
+             --test chaos_corpus --test churn_law_pins` to create it)"
         )
     });
     assert!(
         pinned == rendered,
         "{file_name} drifted from the pinned fixture.\n\
          If the behaviour change is intentional, regenerate with\n\
-         `cargo run --release -p ethpos-cli -- --regen-golden tests/golden`\n\
+         `REGEN_GOLDEN=1 cargo test --test golden_snapshots --test chaos_corpus \
+         --test churn_law_pins`\n\
          and review the diff.\n\
          first divergence at byte {}",
         pinned

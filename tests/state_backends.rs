@@ -133,8 +133,9 @@ fn safety_monitor_observes_cohort_branches() {
             monitor.observe_backend(b, state);
         }
     }
-    assert!(monitor.is_violated(), "conflicting finalization missed");
-    let (a, b, ca, cb) = monitor.violation().unwrap();
+    let (a, b, ca, cb) = monitor
+        .violation()
+        .expect("conflicting finalization missed");
     assert_eq!((a, b), (0, 1));
     assert_ne!(ca.root, cb.root);
 }
