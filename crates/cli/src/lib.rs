@@ -487,10 +487,22 @@ pub fn run(cli: &Cli) -> RunArtifacts {
         } => (request, stats_out, obs),
         Cli::Help => return document(usage() + "\n"),
         Cli::List => {
-            let mut out = String::from("id       paper reference\n");
+            // On the command line the subcommand words shadow their ids.
+            let mut out = String::from("id         paper reference\n");
+            let mut shadowed = Vec::new();
             for e in Experiment::all() {
-                out.push_str(&format!("{:<8} {}\n", e.id(), e.title()));
+                let mut id = e.id().to_string();
+                if SUBCOMMANDS.contains(&e.id()) {
+                    shadowed.push(e.id());
+                    id.push('*');
+                }
+                out.push_str(&format!("{id:<10} {}\n", e.title()));
             }
+            out.push_str(&format!(
+                "\n* {} are subcommands; their smoke experiments run under `all` or in a \
+                 POST body\n",
+                shadowed.join(" and ")
+            ));
             return document(out);
         }
         // The binary routes this through `ethpos_server`; the arm keeps

@@ -4,6 +4,10 @@
 
 use std::process::{Command, Output};
 
+use ethpos_cli::{parse_args, Cli};
+use ethpos_core::experiments::Experiment;
+use ethpos_core::JobRequest;
+
 fn ethpos_cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ethpos-cli"))
         .args(args)
@@ -59,6 +63,25 @@ fn list_names_every_experiment() {
         "fig2", "fig3", "fig6", "fig7", "fig8", "fig9", "fig10", "table1", "table2", "table3",
     ] {
         assert!(text.contains(id), "`{id}` missing from --list:\n{text}");
+    }
+    // The table's rows: an unmarked id runs as one experiment, an id
+    // marked `*` is a subcommand word on the command line.
+    let rows = text.lines().skip(1).take_while(|line| !line.is_empty());
+    for id in rows.map(|row| row.split_whitespace().next().unwrap()) {
+        let (word, marked) = match id.strip_suffix('*') {
+            Some(word) => (word, true),
+            None => (id, false),
+        };
+        let Ok(Cli::Job { request, .. }) = parse_args([word.to_string()]) else {
+            panic!("--list offers `{id}`, which does not parse to a job");
+        };
+        match *request {
+            JobRequest::Run { experiments, .. } if !marked => {
+                assert_eq!(experiments, [Experiment::from_id(word).unwrap()], "`{id}`");
+            }
+            request if marked => assert_eq!(request.kind(), word, "`{id}` is no subcommand"),
+            request => panic!("--list offers `{id}`, a `{}` request", request.kind()),
+        }
     }
 }
 

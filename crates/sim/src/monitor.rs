@@ -24,7 +24,7 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use ethpos_state::backend::StateBackend;
-use ethpos_types::{Checkpoint, Epoch, Root, Slot};
+use ethpos_types::{Checkpoint, Epoch, Root};
 
 /// A root as a table key: hashed by its leading 8 bytes, compared on all
 /// 32.
@@ -154,11 +154,9 @@ impl SafetyMonitor {
         self.finalized.len() - 1
     }
 
-    /// Registers a block observed anywhere in the system (`slot` is
-    /// retained for interface stability; ancestry only needs the parent
-    /// link).
-    pub fn observe_block(&mut self, root: Root, parent: Root, slot: Slot) {
-        let _ = slot;
+    /// Registers a block observed anywhere in the system by its parent
+    /// link, all that ancestry needs.
+    pub fn observe_block(&mut self, root: Root, parent: Root) {
         self.tree.insert(root, Some(parent));
     }
 
@@ -251,9 +249,9 @@ mod tests {
         // The table hashes the prefix only; equality is the whole root.
         let (a, b) = (prefixed(7, 1), prefixed(7, 2));
         let mut m = SafetyMonitor::new(r(0), 2);
-        m.observe_block(a, r(0), Slot::new(1));
-        m.observe_block(b, r(0), Slot::new(1)); // a fork, not a duplicate
-        m.observe_block(prefixed(9, 1), b, Slot::new(2));
+        m.observe_block(a, r(0));
+        m.observe_block(b, r(0)); // a fork, not a duplicate
+        m.observe_block(prefixed(9, 1), b);
         assert_eq!(m.tree.parents.len(), 4);
         assert!(m.tree.is_descendant(&b, &prefixed(9, 1)));
         assert!(!m.tree.is_descendant(&a, &prefixed(9, 1)));
@@ -305,8 +303,8 @@ mod tests {
     #[test]
     fn same_chain_finalizations_are_compatible() {
         let mut m = SafetyMonitor::new(r(0), 2);
-        m.observe_block(r(1), r(0), Slot::new(1));
-        m.observe_block(r(2), r(1), Slot::new(2));
+        m.observe_block(r(1), r(0));
+        m.observe_block(r(2), r(1));
         m.observe_finalized(0, Checkpoint::new(Epoch::new(1), r(1)));
         m.observe_finalized(1, Checkpoint::new(Epoch::new(2), r(2)));
         assert!(m.violation().is_none());
@@ -315,8 +313,8 @@ mod tests {
     #[test]
     fn forked_finalizations_violate_safety() {
         let mut m = SafetyMonitor::new(r(0), 2);
-        m.observe_block(r(1), r(0), Slot::new(1));
-        m.observe_block(r(2), r(0), Slot::new(1)); // fork
+        m.observe_block(r(1), r(0));
+        m.observe_block(r(2), r(0)); // fork
         m.observe_finalized(0, Checkpoint::new(Epoch::new(1), r(1)));
         assert!(m.violation().is_none());
         m.observe_finalized(1, Checkpoint::new(Epoch::new(1), r(2)));
@@ -332,8 +330,8 @@ mod tests {
         // Regression for the two-branch era: a conflict between views 1
         // and 2 must be detected even while view 0 sits at genesis.
         let mut m = SafetyMonitor::new(r(0), 3);
-        m.observe_block(r(1), r(0), Slot::new(1));
-        m.observe_block(r(2), r(0), Slot::new(1)); // fork
+        m.observe_block(r(1), r(0));
+        m.observe_block(r(2), r(0)); // fork
         m.observe_finalized(1, Checkpoint::new(Epoch::new(1), r(1)));
         assert!(
             m.violation().is_none(),
@@ -364,9 +362,9 @@ mod tests {
         // (no further observations). A later incompatible finalization
         // on view 0 must still be a violation.
         let mut m = SafetyMonitor::new(r(0), 2);
-        m.observe_block(r(1), r(0), Slot::new(1));
-        m.observe_block(r(2), r(0), Slot::new(1));
-        m.observe_block(r(3), r(1), Slot::new(2));
+        m.observe_block(r(1), r(0));
+        m.observe_block(r(2), r(0));
+        m.observe_block(r(3), r(1));
         m.observe_finalized(1, Checkpoint::new(Epoch::new(1), r(2)));
         assert!(m.violation().is_none());
         m.observe_finalized(0, Checkpoint::new(Epoch::new(2), r(3)));
@@ -378,16 +376,16 @@ mod tests {
     #[test]
     fn added_views_inherit_their_fork_checkpoint() {
         let mut m = SafetyMonitor::new(r(0), 1);
-        m.observe_block(r(1), r(0), Slot::new(1));
+        m.observe_block(r(1), r(0));
         m.observe_finalized(0, Checkpoint::new(Epoch::new(1), r(1)));
         let v = m.add_view(Checkpoint::new(Epoch::new(1), r(1)));
         assert_eq!(v, 1);
         // the new view finalizing further down the same chain is fine
-        m.observe_block(r(2), r(1), Slot::new(2));
+        m.observe_block(r(2), r(1));
         m.observe_finalized(1, Checkpoint::new(Epoch::new(2), r(2)));
         assert!(m.violation().is_none());
         // a fork from the shared prefix is not
-        m.observe_block(r(9), r(1), Slot::new(2));
+        m.observe_block(r(9), r(1));
         m.observe_finalized(0, Checkpoint::new(Epoch::new(2), r(9)));
         assert!(m.violation().is_some());
     }
@@ -395,13 +393,13 @@ mod tests {
     #[test]
     fn violation_is_sticky() {
         let mut m = SafetyMonitor::new(r(0), 2);
-        m.observe_block(r(1), r(0), Slot::new(1));
-        m.observe_block(r(2), r(0), Slot::new(1));
+        m.observe_block(r(1), r(0));
+        m.observe_block(r(2), r(0));
         m.observe_finalized(0, Checkpoint::new(Epoch::new(1), r(1)));
         m.observe_finalized(1, Checkpoint::new(Epoch::new(1), r(2)));
         let first = m.violation();
         // further (compatible) updates do not clear it
-        m.observe_block(r(3), r(1), Slot::new(2));
+        m.observe_block(r(3), r(1));
         m.observe_finalized(0, Checkpoint::new(Epoch::new(2), r(3)));
         assert_eq!(m.violation(), first);
     }

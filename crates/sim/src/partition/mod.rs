@@ -45,7 +45,7 @@ use std::collections::BTreeMap;
 use ethpos_state::backend::{synthetic_branch_root, StateBackend};
 use ethpos_state::{BackendKind, CohortState, DenseState};
 use ethpos_stats::seeded_rng;
-use ethpos_types::{BranchId, ChainConfig, Root, Slot};
+use ethpos_types::{BranchId, ChainConfig, Root};
 use ethpos_validator::{BranchStatus, ByzantineSchedule};
 
 use crate::kernel::{self, BranchEpochStats, BranchFold, BYZANTINE_CLASS};
@@ -504,8 +504,7 @@ impl<B: StateBackend> PartitionSim<B> {
             stats.push(stat);
             byzantine_active.push(choice.get(position));
             let parent = self.tips.insert(*b, root).expect("live branch has a tip");
-            let slot = Slot::new((epoch + 1) * self.config.chain.slots_per_epoch);
-            self.monitor.observe_block(root, parent, slot);
+            self.monitor.observe_block(root, parent);
             self.monitor.observe_backend(b.as_usize(), state);
         }
         self.outcome.epochs_run = epoch + 1;

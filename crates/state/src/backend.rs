@@ -299,9 +299,11 @@ pub trait StateBackend: Sized + Clone + Send {
     /// for differential testing. Count draws preserve each branch's
     /// marginal law but not a per-member joint coupling across branches.
     ///
-    /// The canonical cohort order is sorted [`MemberState`] order, which
-    /// both cohort backends share — so the exact and reference cohort
-    /// backends consume identical draw streams and stay byte-equal.
+    /// The canonical cohort order is sorted [`MemberState`] order. The
+    /// equivalence tests hold [`CohortState`](crate::CohortState)'s churn
+    /// bytes against a dense backend that groups a class's equal active
+    /// members in that order and draws once per group: the same draw
+    /// stream.
     ///
     /// The sampler is a type parameter so the count law inlines into the
     /// marking pass (a churned branch-epoch draws once per cohort).

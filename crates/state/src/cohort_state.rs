@@ -12,8 +12,8 @@
 //! [`BeaconState`](crate::BeaconState). The compression is exact, not an
 //! approximation: driven through the same schedule, the two backends
 //! produce equal [`StateSnapshot`]s after every epoch (property-tested in
-//! `tests/backend_equivalence.rs`, including against the retained
-//! clone-based [`ReferenceCohortState`](crate::ReferenceCohortState)).
+//! `tests/backend_equivalence.rs`, where the dense backend is also the
+//! byte oracle for count-level churn marking).
 //!
 //! Cohorts **split** when a subgroup diverges — the only divergence
 //! source is participation sampling ([`StateBackend::mark_class_counted`]
@@ -1162,39 +1162,6 @@ mod tests {
             flags.set(index);
         }
         flags
-    }
-
-    #[test]
-    fn counted_marking_over_non_nested_flags_falls_back_to_canonicalize() {
-        // Two cohorts equal up to `current_flags` — {target} < {source,
-        // head} — marked with {head}: the unions swap order ({target,
-        // head} > {source, head}), so the sort-free push order breaks and
-        // the chunk must be re-canonicalized. The clone-based reference
-        // backend, which sorts unconditionally, is the oracle.
-        let classes = [full(12)];
-        let mut cohort = CohortState::from_classes(ChainConfig::minimal(), &classes);
-        let mut reference =
-            crate::ReferenceCohortState::from_classes(ChainConfig::minimal(), &classes);
-        let target = flag_set(&[TIMELY_TARGET_FLAG_INDEX]);
-        let source_head = flag_set(&[TIMELY_SOURCE_FLAG_INDEX, TIMELY_HEAD_FLAG_INDEX]);
-        let head = flag_set(&[TIMELY_HEAD_FLAG_INDEX]);
-        // {∅: 12} → {∅: 6, target: 6} → {target: 6, source+head: 6} → split
-        // both by 3 under {head}.
-        let script: [(ParticipationFlags, &[u64]); 3] =
-            [(target, &[6]), (source_head, &[6, 0]), (head, &[3, 3])];
-        for (flags, draws) in script {
-            let mut a = draws.iter().copied();
-            let mut b = draws.iter().copied();
-            cohort.mark_class_counted(0, flags, &mut |_| a.next().unwrap());
-            reference.mark_class_counted(0, flags, &mut |_| b.next().unwrap());
-        }
-        let runs = &cohort.snapshot().classes[0];
-        let current: Vec<_> = runs.iter().map(|(m, c)| (m.current_flags, *c)).collect();
-        assert_eq!(
-            current,
-            vec![(target, 3), (source_head, 6), (target.union(head), 3)]
-        );
-        assert_eq!(cohort.snapshot(), reference.snapshot());
     }
 
     #[test]

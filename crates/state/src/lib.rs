@@ -47,7 +47,6 @@ pub mod cohort_state;
 pub mod epoch;
 pub(crate) mod epoch_metrics;
 pub mod participation;
-pub mod reference;
 pub mod rewards;
 pub mod slashings;
 pub mod validator;
@@ -59,5 +58,4 @@ pub use backend::{
 pub use beacon_state::BeaconState;
 pub use cohort_state::CohortState;
 pub use participation::ParticipationFlags;
-pub use reference::ReferenceCohortState;
 pub use validator::{Validator, FAR_FUTURE_EPOCH};

@@ -7,13 +7,24 @@
 //! [`DenseState`] and [`CohortState`] in lockstep, asserting equal
 //! [`StateSnapshot`]s after **every** epoch — including across ejection
 //! boundaries and justification/finalization flips.
+//!
+//! Dense is the one oracle. For count-level churn marking it is wrapped in
+//! [`GroupedDense`], which draws once per group of equal members in the
+//! canonical cohort order instead of once per member, so the cohort
+//! backend's churn runs are held to it byte for byte, not only in law.
 
 use proptest::prelude::*;
 
 use ethpos_sim::{PartitionConfig, PartitionSim, PartitionTimeline};
 use ethpos_state::backend::{ClassSpec, StateBackend};
-use ethpos_state::{CohortState, DenseState, ParticipationFlags, ReferenceCohortState};
-use ethpos_types::{BranchId, ChainConfig, Gwei, Root};
+use ethpos_state::participation::{
+    TIMELY_HEAD_FLAG_INDEX, TIMELY_SOURCE_FLAG_INDEX, TIMELY_TARGET_FLAG_INDEX,
+};
+use ethpos_state::{
+    BranchObservation, ClassStats, CohortState, DenseState, Fragmentation, MemberState,
+    ParticipationFlags, StateSnapshot,
+};
+use ethpos_types::{BranchId, ChainConfig, Checkpoint, Epoch, Gwei, Root, ValidatorIndex};
 use ethpos_validator::{BranchChoice, BranchStatus, ByzantineSchedule, DualActive};
 
 /// Builds the two backends from the same class specs.
@@ -66,12 +77,12 @@ proptest! {
     }
 
     /// Checkpoint roots: every epoch either names a fresh root or carries
-    /// the last one (`None`). `CohortState` and the dense backend keep a
-    /// two-root window where the reference backend keeps the whole log;
-    /// the justified and finalized checkpoints — epoch
-    /// *and* root — must agree after every epoch. Stakes 3 : 1 : 2 make
-    /// the ⅔ target come and go with the schedules, so justification
-    /// skips epochs and finalization stalls and resumes.
+    /// the last one (`None`). Both backends keep only a two-root window,
+    /// so the test keeps the whole log itself: after every epoch each
+    /// backend's current-justified and finalized roots must be the log's
+    /// entry at that checkpoint's epoch. Stakes 3 : 1 : 2 make the ⅔
+    /// target come and go with the schedules, so justification skips
+    /// epochs and finalization stalls and resumes.
     #[test]
     fn checkpoint_roots_match_the_root_logs(
         named in any::<u64>(),
@@ -82,22 +93,29 @@ proptest! {
         let classes: Vec<ClassSpec> =
             [3, 1, 2].iter().map(|&count| ClassSpec::full_stake(count, &config)).collect();
         let (mut dense, mut cohort) = pair(&config, &classes);
-        let mut reference = ReferenceCohortState::from_classes(config.clone(), &classes);
+        // The root of each epoch (index = epoch), genesis first.
+        let mut roots = vec![dense.finalized_checkpoint().root];
         for epoch in 0..48u64 {
             for (c, schedule) in schedules.iter().enumerate() {
                 if schedule >> epoch & 1 == 1 {
                     dense.mark_class(c, ParticipationFlags::all());
                     cohort.mark_class(c, ParticipationFlags::all());
-                    reference.mark_class(c, ParticipationFlags::all());
                 }
             }
             let root = (named >> epoch & 1 == 1).then(|| Root::from_u64(1000 + epoch));
             dense.advance_epoch(root);
             cohort.advance_epoch(root);
-            reference.advance_epoch(root);
-            let snapshot = cohort.snapshot();
-            prop_assert_eq!(&snapshot, &reference.snapshot(), "reference, epoch {}", epoch);
-            prop_assert_eq!(&snapshot, &dense.snapshot(), "dense, epoch {}", epoch);
+            roots.push(root.unwrap_or(roots[epoch as usize]));
+            prop_assert_eq!(dense.snapshot(), cohort.snapshot(), "epoch {}", epoch);
+            let checkpoints = [
+                ("dense", dense.current_justified_checkpoint(), dense.finalized_checkpoint()),
+                ("cohort", cohort.current_justified_checkpoint(), cohort.finalized_checkpoint()),
+            ];
+            for (backend, justified, finalized) in checkpoints {
+                for Checkpoint { epoch: at, root } in [justified, finalized] {
+                    prop_assert_eq!(root, roots[at.as_u64() as usize], "{} epoch {}", backend, epoch);
+                }
+            }
         }
     }
 
@@ -243,13 +261,12 @@ fn decode_timeline(w: (u8, u8, u8), three_way: bool, op2: u8, e1: u64) -> Partit
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The partition engine is **bit-identical** across all three
-    /// backends on random timelines: random k ≤ 4 splits/heals, random
-    /// Byzantine schedules, snapshot equality on every live branch after
-    /// every epoch — including across the fork clones (the cohort
-    /// backend's copy-on-write `Arc` sharing) and heal retirements. The
-    /// clone-based [`ReferenceCohortState`] rides along as the
-    /// structural-sharing-free oracle.
+    /// The partition engine is **bit-identical** across both backends
+    /// on random timelines: random k ≤ 4 splits/heals, random Byzantine
+    /// schedules, snapshot equality on every live branch after every
+    /// epoch — including across the fork clones (the cohort backend's
+    /// copy-on-write `Arc` sharing, which the dense backend's deep copies
+    /// do not have) and heal retirements.
     #[test]
     fn partition_timelines_agree_across_backends(
         w in (any::<u8>(), any::<u8>(), any::<u8>()),
@@ -277,31 +294,16 @@ proptest! {
         let mut cohort =
             PartitionSim::<CohortState>::with_backend(config(), Box::new(BitSchedule(schedule_word)))
                 .expect("valid by construction");
-        let mut reference = PartitionSim::<ReferenceCohortState>::with_backend(
-            config(),
-            Box::new(BitSchedule(schedule_word)),
-        )
-        .expect("valid by construction");
         loop {
             let more_dense = dense.step();
             let more_cohort = cohort.step();
-            let more_reference = reference.step();
             prop_assert_eq!(more_dense, more_cohort);
-            prop_assert_eq!(more_dense, more_reference);
             prop_assert_eq!(dense.live_branches(), cohort.live_branches());
-            prop_assert_eq!(dense.live_branches(), reference.live_branches());
             for branch in dense.live_branches() {
                 prop_assert_eq!(
                     dense.branch(branch).snapshot(),
                     cohort.branch(branch).snapshot(),
                     "cohort branch {} at epoch {}",
-                    branch,
-                    dense.current_epoch()
-                );
-                prop_assert_eq!(
-                    dense.branch(branch).snapshot(),
-                    reference.branch(branch).snapshot(),
-                    "reference branch {} at epoch {}",
                     branch,
                     dense.current_epoch()
                 );
@@ -312,10 +314,8 @@ proptest! {
         }
         let dense_out = dense.finish();
         let cohort_out = cohort.finish();
-        let reference_out = reference.finish();
         let dense_json = serde_json::to_string(&dense_out).unwrap();
         prop_assert_eq!(&dense_json, &serde_json::to_string(&cohort_out).unwrap());
-        prop_assert_eq!(&dense_json, &serde_json::to_string(&reference_out).unwrap());
     }
 }
 
@@ -356,19 +356,140 @@ fn mid_run_ejection_is_bit_identical() {
     );
 }
 
-/// The exact and reference cohort backends walk cohorts in the same
-/// canonical (sorted `MemberState`) order, so feeding each a
-/// `Binomial(count, p)` count stream off identically-seeded RNGs must
-/// keep them **byte-identical** even as churn fragments the cohort
-/// structure over a leak. (The dense backend is only equal in law here:
-/// it consumes one singleton draw per member, a different stream.)
+/// [`DenseState`] with the cohort backend's count-level marking: the
+/// byte oracle for churn. Dense's own `mark_class_counted` draws
+/// `sample(1)` per member, which equals [`CohortState`] in law only. This
+/// sorts the class's members by `(MemberState, index)` — the canonical
+/// cohort order — calls `sample` once per group of equal active members,
+/// and marks the first `k` of each group through
+/// [`DenseState::mark_class_sampled`]. Every other method delegates, so
+/// the epoch transition stays the per-validator `BeaconState`'s.
+#[derive(Debug, Clone)]
+struct GroupedDense(DenseState);
+
+/// Member `i`'s full state, as [`DenseState`] snapshots it.
+fn member(dense: &DenseState, i: usize) -> MemberState {
+    let state = dense.beacon_state();
+    let (v, index) = (&state.validators()[i], ValidatorIndex::from(i));
+    MemberState {
+        balance: state.balances()[i],
+        effective_balance: v.effective_balance,
+        inactivity_score: state.inactivity_scores()[i],
+        slashed: v.slashed,
+        activation_epoch: v.activation_epoch,
+        exit_epoch: v.exit_epoch,
+        withdrawable_epoch: v.withdrawable_epoch,
+        previous_flags: state.previous_participation(index),
+        current_flags: state.current_participation(index),
+    }
+}
+
+impl StateBackend for GroupedDense {
+    fn from_classes(config: ChainConfig, classes: &[ClassSpec]) -> Self {
+        GroupedDense(DenseState::from_classes(config, classes))
+    }
+
+    fn config(&self) -> &ChainConfig {
+        self.0.config()
+    }
+
+    fn current_epoch(&self) -> Epoch {
+        self.0.current_epoch()
+    }
+
+    fn current_justified_checkpoint(&self) -> Checkpoint {
+        self.0.current_justified_checkpoint()
+    }
+
+    fn finalized_checkpoint(&self) -> Checkpoint {
+        self.0.finalized_checkpoint()
+    }
+
+    fn total_active_balance(&self) -> Gwei {
+        self.0.total_active_balance()
+    }
+
+    fn current_target_balance(&self) -> Gwei {
+        self.0.current_target_balance()
+    }
+
+    fn num_classes(&self) -> usize {
+        self.0.num_classes()
+    }
+
+    fn class_stats(&self, class: usize) -> ClassStats {
+        self.0.class_stats(class)
+    }
+
+    fn observe(&self, class: usize) -> BranchObservation {
+        self.0.observe(class)
+    }
+
+    fn class_floor(&self, class: usize) -> Option<MemberState> {
+        self.0.class_floor(class)
+    }
+
+    fn mark_class(&mut self, class: usize, flags: ParticipationFlags) {
+        self.0.mark_class(class, flags);
+    }
+
+    fn mark_class_counted(
+        &mut self,
+        class: usize,
+        flags: ParticipationFlags,
+        sample: &mut impl FnMut(u64) -> u64,
+    ) {
+        let (range, epoch) = (self.0.class_range(class), self.0.current_epoch());
+        let mut members: Vec<(MemberState, usize)> =
+            range.clone().map(|i| (member(&self.0, i), i)).collect();
+        members.sort_unstable();
+        let mut marked = vec![false; range.len()];
+        for group in members.chunk_by(|a, b| a.0 == b.0) {
+            if !group[0].0.is_active_at(epoch) {
+                continue;
+            }
+            let k = sample(group.len() as u64).min(group.len() as u64) as usize;
+            for &(_, i) in &group[..k] {
+                marked[i - range.start] = true;
+            }
+        }
+        let mut marked = marked.into_iter();
+        self.0
+            .mark_class_sampled(class, flags, &mut || marked.next().unwrap_or(false));
+    }
+
+    fn advance_epoch(&mut self, next_checkpoint_root: Option<Root>) {
+        self.0.advance_epoch(next_checkpoint_root);
+    }
+
+    fn class_balance(&self, class: usize) -> Gwei {
+        self.0.class_balance(class)
+    }
+
+    fn snapshot(&self) -> StateSnapshot {
+        self.0.snapshot()
+    }
+
+    fn shared_chunks_with(&self, other: &Self) -> usize {
+        self.0.shared_chunks_with(&other.0)
+    }
+
+    fn fragmentation(&self) -> Option<Fragmentation> {
+        self.0.fragmentation()
+    }
+}
+
+/// Feeds [`CohortState`] and [`GroupedDense`] a `Binomial(count, p)`
+/// count stream off identically-seeded RNGs. Both draw once per cohort
+/// in canonical order, so they must stay **byte-identical** even as
+/// churn fragments the cohort structure over a leak.
 ///
 /// Returns the largest per-class cohort count the run reached.
 fn assert_counted_churn_matches_reference(classes: &[ClassSpec], epochs: u64, seed: u64) -> u64 {
     use ethpos_stats::{seeded_rng, Binomial};
     let config = ChainConfig::paper();
     let mut cohort = CohortState::from_classes(config.clone(), classes);
-    let mut reference = ReferenceCohortState::from_classes(config, classes);
+    let mut reference = GroupedDense::from_classes(config, classes);
     let mut rng_a = seeded_rng(seed);
     let mut rng_b = seeded_rng(seed);
     let mut peak = 0;
@@ -415,10 +536,10 @@ fn counted_churn_keeps_cohort_and_reference_byte_identical() {
         let peak = assert_counted_churn_matches_reference(&classes, 48, seed);
         assert!(peak > 3, "churn should fragment cohorts");
     }
-    // Past 256 cohorts in one class the exact backend re-sorts through
-    // radix keys applied in place, where the reference still comparison-
-    // sorts whole runs: 72 epochs at a size that crosses that threshold
-    // early and stays across it.
+    // Past 256 cohorts in one class the cohort backend re-sorts through
+    // radix keys applied in place, where the reference comparison-sorts
+    // members: 72 epochs at a size that crosses that threshold early and
+    // stays across it.
     for seed in [3, 4] {
         let classes = [
             ClassSpec::full_stake(300, &config),
@@ -501,12 +622,12 @@ fn sampled_split_at_the_hysteresis_edge_ejects_only_the_idle_half() {
 }
 
 /// A two-branch churn partition (the §5.3 bouncing regime) drives the
-/// exact and the clone-based reference cohort backends through the
-/// partition engine's count-level draw path: both walk cohorts in
-/// canonical order, so they consume the same `PreparedBinomial` count
-/// stream and agree byte for byte, epoch by epoch and in the final
-/// report. The honest class fragments past the 256-cohort key-sort
-/// threshold, so the exact backend's radix re-sort is on the checked path.
+/// cohort backend and [`GroupedDense`] through the partition engine's
+/// count-level draw path: both draw per cohort in canonical order, so
+/// they consume the same `PreparedBinomial` count stream and agree byte
+/// for byte, epoch by epoch and in the final report. The honest class
+/// fragments past the 256-cohort key-sort threshold, so the cohort
+/// backend's radix re-sort is on the checked path.
 #[test]
 fn churn_partition_keeps_cohort_and_reference_byte_identical() {
     let n = 600;
@@ -518,9 +639,8 @@ fn churn_partition_keeps_cohort_and_reference_byte_identical() {
     };
     let mut cohort = PartitionSim::<CohortState>::with_backend(config(), Box::new(DualActive))
         .expect("valid by construction");
-    let mut reference =
-        PartitionSim::<ReferenceCohortState>::with_backend(config(), Box::new(DualActive))
-            .expect("valid by construction");
+    let mut reference = PartitionSim::<GroupedDense>::with_backend(config(), Box::new(DualActive))
+        .expect("valid by construction");
     let mut peak = 0;
     loop {
         let more = cohort.step();
@@ -545,4 +665,44 @@ fn churn_partition_keeps_cohort_and_reference_byte_identical() {
         serde_json::to_string(&cohort.finish()).unwrap(),
         serde_json::to_string(&reference.finish()).unwrap()
     );
+}
+
+fn flag_set(indices: &[u8]) -> ParticipationFlags {
+    let mut flags = ParticipationFlags::EMPTY;
+    for &index in indices {
+        flags.set(index);
+    }
+    flags
+}
+
+#[test]
+fn counted_marking_over_non_nested_flags_falls_back_to_canonicalize() {
+    // Two cohorts equal up to `current_flags` — {target} < {source,
+    // head} — marked with {head}: the unions swap order ({target,
+    // head} > {source, head}), so the sort-free push order breaks and
+    // the chunk must be re-canonicalized. The grouped dense reference,
+    // which sorts members unconditionally, is the oracle.
+    let classes = [ClassSpec::full_stake(12, &ChainConfig::minimal())];
+    let mut cohort = CohortState::from_classes(ChainConfig::minimal(), &classes);
+    let mut reference = GroupedDense::from_classes(ChainConfig::minimal(), &classes);
+    let target = flag_set(&[TIMELY_TARGET_FLAG_INDEX]);
+    let source_head = flag_set(&[TIMELY_SOURCE_FLAG_INDEX, TIMELY_HEAD_FLAG_INDEX]);
+    let head = flag_set(&[TIMELY_HEAD_FLAG_INDEX]);
+    // {∅: 12} → {∅: 6, target: 6} → {target: 6, source+head: 6} → split
+    // both by 3 under {head}.
+    let script: [(ParticipationFlags, &[u64]); 3] =
+        [(target, &[6]), (source_head, &[6, 0]), (head, &[3, 3])];
+    for (flags, draws) in script {
+        let mut a = draws.iter().copied();
+        let mut b = draws.iter().copied();
+        cohort.mark_class_counted(0, flags, &mut |_| a.next().unwrap());
+        reference.mark_class_counted(0, flags, &mut |_| b.next().unwrap());
+    }
+    let runs = &cohort.snapshot().classes[0];
+    let current: Vec<_> = runs.iter().map(|(m, c)| (m.current_flags, *c)).collect();
+    assert_eq!(
+        current,
+        vec![(target, 3), (source_head, 6), (target.union(head), 3)]
+    );
+    assert_eq!(cohort.snapshot(), reference.snapshot());
 }
