@@ -15,9 +15,9 @@
 //!
 //! The CLI itself decides only where the outputs go: `--out <path>`
 //! writes the document to a file instead of stdout, `--stats-out`
-//! (search and chaos) the work counters, `--metrics-out` / `--trace-out`
-//! the observability artifacts. `serve` runs the resident service
-//! ([`ethpos_server`]).
+//! (search, partition and chaos) the work counters, `--metrics-out` /
+//! `--trace-out` the observability artifacts. `serve` runs the resident
+//! service ([`ethpos_server`]).
 
 #![warn(missing_docs)]
 
@@ -61,15 +61,12 @@ ARGS:
 
 OPTIONS — the CLI's own; none changes a byte of a run's document:
     --out <path>            Write the document to a file instead of stdout
-    --stats-out <path>      (search, chaos) also write the run's work
-                            counters (prefix-memo hits, fork depths, churn
-                            draws) as JSON
+    --stats-out <path>      (search, partition, chaos) also write the
+                            run's work counters (prefix-memo hits, fork
+                            depths, churn draws) as JSON
     --metrics-out <path>    Record metrics (pool throughput, epoch stage
-                            timings, cohort gauges, work counters) and
-                            write their exposition after the run
-    --metrics-format <prom|json>
-                            Exposition format of --metrics-out: Prometheus
-                            text or a JSON snapshot [default: prom]
+                            timings, cohort gauges) and write their
+                            Prometheus text exposition after the run
     --trace-out <path>      Record spans and write a Chrome trace-event
                             JSON (chrome://tracing, Perfetto) after the run
     --threads <N>           Worker threads, 0 = all hardware threads
@@ -146,28 +143,16 @@ fn metavar(ty: &FieldType) -> String {
     }
 }
 
-/// Exposition format selected with `--metrics-format`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MetricsFormat {
-    /// Prometheus text exposition (`# HELP` / `# TYPE` / samples).
-    #[default]
-    Prometheus,
-    /// The registry's JSON snapshot.
-    Json,
-}
-
-/// The observability outputs of one invocation — `--metrics-out`,
-/// `--metrics-format` and `--trace-out`, valid in every run mode.
+/// The observability outputs of one invocation — `--metrics-out` and
+/// `--trace-out`, valid in every run mode.
 /// Recording is **off** unless the corresponding output is requested,
 /// and by the workspace's determinism model turning it on never changes
 /// a byte of the main document (or of `--stats-out`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ObsOutputs {
-    /// `--metrics-out` destination; the metrics registry records iff
-    /// this is set.
+    /// `--metrics-out` destination for the Prometheus text exposition;
+    /// the metrics registry records iff this is set.
     pub metrics_out: Option<String>,
-    /// `--metrics-format` [default: prom].
-    pub metrics_format: MetricsFormat,
     /// `--trace-out` destination; span tracing records iff this is set.
     pub trace_out: Option<String>,
 }
@@ -184,8 +169,8 @@ pub enum Cli {
         request: Box<JobRequest>,
         /// `--out` destination (stdout when absent).
         out: Option<String>,
-        /// `--stats-out` destination for the work counters (search and
-        /// chaos; never part of the document).
+        /// `--stats-out` destination for the work counters (search,
+        /// partition and chaos; never part of the document).
         stats_out: Option<String>,
         /// Metrics/trace outputs (`--metrics-out`, `--trace-out`).
         obs: ObsOutputs,
@@ -216,14 +201,13 @@ pub enum CliError {
 /// The CLI's own flags: the repeatable `timeline` and `grid`, which
 /// build request arrays, and the invocation's own. Every other flag
 /// names a request field ([`request_field`]).
-const CLI_FLAGS: [&str; 10] = [
+const CLI_FLAGS: [&str; 9] = [
     "timeline",
     "grid",
     "threads",
     "out",
     "stats-out",
     "metrics-out",
-    "metrics-format",
     "trace-out",
     "addr",
     "cache-dir",
@@ -342,20 +326,11 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, CliErr
             threads: threads.unwrap_or(defaults.threads),
         });
     }
-    if last("stats-out").is_some() && !matches!(kind, "search" | "chaos") {
-        return usage("--stats-out is only valid with the `search` and `chaos` subcommands".into());
-    }
-    let metrics_format = match last("metrics-format").as_deref() {
-        None | Some("prom") => MetricsFormat::Prometheus,
-        Some("json") => MetricsFormat::Json,
-        Some(other) => {
-            return usage(format!(
-                "unknown metrics format `{other}` (expected `prom` or `json`)"
-            ))
-        }
-    };
-    if last("metrics-format").is_some() && last("metrics-out").is_none() {
-        return usage("--metrics-format needs --metrics-out <path>".into());
+    if last("stats-out").is_some() && !matches!(kind, "search" | "partition" | "chaos") {
+        return usage(
+            "--stats-out is only valid with the `search`, `partition` and `chaos` subcommands"
+                .into(),
+        );
     }
 
     let mut fields = vec![
@@ -417,7 +392,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, CliErr
         stats_out: last("stats-out"),
         obs: ObsOutputs {
             metrics_out: last("metrics-out"),
-            metrics_format,
             trace_out: last("trace-out"),
         },
     })
@@ -445,7 +419,7 @@ fn typed(value: &str) -> Value {
 }
 
 /// A side-channel artifact: destination path and rendered contents
-/// (work counters, Prometheus text, JSON snapshot or Chrome trace JSON).
+/// (work counters, Prometheus text or Chrome trace JSON).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Artifact {
     /// Destination path.
@@ -461,8 +435,8 @@ pub struct Artifact {
 pub struct RunArtifacts {
     /// The main document (what stdout or `--out` receives).
     pub document: String,
-    /// `--stats-out` (search, chaos), `--metrics-out` and `--trace-out`,
-    /// in that order, each present only when requested.
+    /// `--stats-out` (search, partition, chaos), `--metrics-out` and
+    /// `--trace-out`, in that order, each present only when requested.
     pub side_channels: Vec<Artifact>,
 }
 
@@ -520,16 +494,11 @@ pub fn run(cli: &Cli) -> RunArtifacts {
         ethpos_obs::set_trace_enabled(true);
     }
     let output = request.execute();
-    // Partition jobs carry stats too, but `parse_args` rejects
-    // `--stats-out` for them, so only search and chaos get here.
     let stats = stats_out.clone().zip(output.stats);
     let metrics = obs
         .metrics_out
         .clone()
-        .map(|path| match obs.metrics_format {
-            MetricsFormat::Prometheus => (path, ethpos_obs::global().render_prometheus()),
-            MetricsFormat::Json => (path, ethpos_obs::global().render_json()),
-        });
+        .map(|path| (path, ethpos_obs::global().render_prometheus()));
     let trace = obs
         .trace_out
         .clone()
@@ -971,6 +940,26 @@ mod tests {
     }
 
     #[test]
+    fn stats_out_is_valid_only_for_modes_with_work_counters() {
+        for mode in ["search", "partition", "chaos"] {
+            let parsed = parse_args(args(&[mode, "--stats-out", "s.json"]));
+            let Ok(Cli::Job { stats_out, .. }) = parsed else {
+                panic!("{mode}: {parsed:?}");
+            };
+            assert_eq!(stats_out.as_deref(), Some("s.json"));
+        }
+        for mode in ["fig2", "sweep"] {
+            assert!(
+                matches!(
+                    parse_args(args(&[mode, "--stats-out", "s.json"])),
+                    Err(CliError::Usage(_))
+                ),
+                "{mode} accepted --stats-out"
+            );
+        }
+    }
+
+    #[test]
     fn obs_flags_are_captured_in_every_run_mode() {
         let obs = |argv: Vec<String>| match parse_args(argv) {
             Ok(Cli::Job { obs, .. }) => obs,
@@ -984,21 +973,13 @@ mod tests {
             &["chaos"],
         ] {
             let mut argv = args(mode);
-            argv.extend(args(&[
-                "--metrics-out",
-                "m.prom",
-                "--metrics-format=json",
-                "--trace-out",
-                "t.json",
-            ]));
+            argv.extend(args(&["--metrics-out", "m.prom", "--trace-out", "t.json"]));
             let obs = obs(argv);
             assert_eq!(obs.metrics_out.as_deref(), Some("m.prom"));
-            assert_eq!(obs.metrics_format, MetricsFormat::Json);
             assert_eq!(obs.trace_out.as_deref(), Some("t.json"));
         }
-        // defaults: everything off, Prometheus exposition
+        // defaults: everything off
         let fig2 = obs(args(&["fig2", "--metrics-out", "m.prom"]));
-        assert_eq!(fig2.metrics_format, MetricsFormat::Prometheus);
         assert_eq!(fig2.trace_out, None);
         assert!(fig2.metrics_out.is_some());
         // trace alone is fine too
@@ -1009,13 +990,8 @@ mod tests {
     #[test]
     fn obs_flag_misuse_is_a_usage_error() {
         for bad in [
-            // a format with nowhere to go
-            &["fig2", "--metrics-format", "prom"] as &[&str],
-            &["chaos", "--metrics-format=json"],
-            // unknown exposition format
-            &["fig2", "--metrics-out", "m", "--metrics-format", "yaml"],
             // missing values
-            &["fig2", "--metrics-out"],
+            &["fig2", "--metrics-out"] as &[&str],
             &["fig2", "--trace-out"],
         ] {
             assert!(
@@ -1657,7 +1633,6 @@ mod tests {
         "--out",
         "--stats-out",
         "--metrics-out",
-        "--metrics-format",
         "--trace-out",
         "--addr",
         "--cache-dir",

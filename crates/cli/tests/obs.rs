@@ -2,8 +2,8 @@
 //! enabling `--metrics-out` / `--trace-out` must never change a byte of
 //! any pinned document (reports, frontiers, stats artifacts), at any
 //! `--threads` value — instrumentation is observation-only. Also checks
-//! the artifacts themselves: valid Prometheus exposition, a valid JSON
-//! snapshot, and a loadable Chrome trace with the expected series.
+//! the artifacts themselves: a Prometheus exposition and a loadable
+//! Chrome trace with the expected series.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -40,18 +40,28 @@ fn take(path: &PathBuf) -> String {
 
 const PARTITION_SMALL: &[&str] = &["partition", "--validators", "3000", "--format", "json"];
 
-/// The tentpole acceptance property: the partition report is
+/// The partition report and its `--stats-out` work counters are
 /// byte-identical with instrumentation off, with metrics + tracing on,
 /// and across `--threads` — while the artifacts carry the key series.
 #[test]
 fn partition_report_is_byte_identical_with_instrumentation_on() {
-    let plain = stdout_bytes(&[PARTITION_SMALL, &["--threads", "1"]].concat());
+    let stats_path = temp("partition.stats.json");
+    let stats_arg: &[&str] = &["--stats-out", stats_path.to_str().unwrap()];
+    let plain = stdout_bytes(&[PARTITION_SMALL, stats_arg, &["--threads", "1"]].concat());
+    let plain_stats = take(&stats_path);
+    let stats: serde_json::Value = serde_json::from_str(&plain_stats).expect("valid stats JSON");
+    let forks = stats.get("fork").and_then(|f| f.get("forks"));
+    assert!(
+        forks.and_then(|v| v.as_u64()).is_some_and(|n| n >= 1),
+        "no fork counted: {plain_stats}"
+    );
     let metrics_path = temp("partition.prom");
     let trace_path = temp("partition.trace.json");
     for threads in ["1", "8"] {
         let instrumented = stdout_bytes(
             &[
                 PARTITION_SMALL,
+                stats_arg,
                 &[
                     "--threads",
                     threads,
@@ -66,6 +76,11 @@ fn partition_report_is_byte_identical_with_instrumentation_on() {
         assert_eq!(
             instrumented, plain,
             "instrumentation changed the report at --threads {threads}"
+        );
+        assert_eq!(
+            take(&stats_path),
+            plain_stats,
+            "instrumentation changed --stats-out at --threads {threads}"
         );
         let prom = take(&metrics_path);
         // Chunk-pool throughput: two scenario tasks ran to completion.
@@ -86,8 +101,6 @@ fn partition_report_is_byte_identical_with_instrumentation_on() {
         assert!(prom.contains("# TYPE ethpos_cohorts gauge"), "{prom}");
         assert!(prom.contains("ethpos_cohorts{branch=\"0\"}"), "{prom}");
         assert!(prom.contains("ethpos_max_cohorts_per_class{"), "{prom}");
-        // End-of-run publication of the deterministic fork counters.
-        assert!(prom.contains("ethpos_forks_total"), "{prom}");
         let trace = take(&trace_path);
         let value: serde_json::Value = serde_json::from_str(&trace).expect("valid trace JSON");
         let events = value
@@ -115,47 +128,8 @@ fn partition_report_is_byte_identical_with_instrumentation_on() {
     }
 }
 
-/// The JSON exposition is a valid snapshot of the same registry.
-#[test]
-fn metrics_json_snapshot_is_valid() {
-    let metrics_path = temp("partition.metrics.json");
-    stdout_bytes(
-        &[
-            PARTITION_SMALL,
-            &[
-                "--threads",
-                "2",
-                "--metrics-out",
-                metrics_path.to_str().unwrap(),
-                "--metrics-format",
-                "json",
-            ],
-        ]
-        .concat(),
-    );
-    let snapshot = take(&metrics_path);
-    let value: serde_json::Value = serde_json::from_str(&snapshot).expect("valid metrics JSON");
-    let metrics = value
-        .get("metrics")
-        .and_then(|v| v.as_array())
-        .expect("metrics array");
-    let names: Vec<&str> = metrics
-        .iter()
-        .filter_map(|m| m.get("name").and_then(|v| v.as_str()))
-        .collect();
-    for expected in [
-        "ethpos_chunk_pool_tasks_completed_total",
-        "ethpos_epoch_stage_seconds",
-        "ethpos_cohorts",
-        "ethpos_churn_draws_total",
-    ] {
-        assert!(names.contains(&expected), "missing {expected}: {names:?}");
-    }
-}
-
 /// The search frontier **and** its `--stats-out` artifact are
-/// byte-identical with metrics enabled — the registry is a rendered
-/// view of the same deterministic counters, not a second collector.
+/// byte-identical with metrics enabled.
 #[test]
 fn search_stats_artifact_is_byte_identical_with_metrics_on() {
     let search: &[&str] = &[
@@ -200,20 +174,12 @@ fn search_stats_artifact_is_byte_identical_with_metrics_on() {
             plain_stats,
             "metrics changed --stats-out"
         );
-        let prom = take(&metrics_path);
-        assert!(
-            prom.contains("ethpos_search_evaluations_total 16"),
-            "{prom}"
-        );
-        assert!(
-            prom.contains("ethpos_search_checkpoint_hits_total"),
-            "{prom}"
-        );
+        take(&metrics_path);
     }
 }
 
 /// Same wall for a chaos campaign: report and stats bytes survive
-/// instrumentation, and the campaign publishes its verdict counters.
+/// instrumentation.
 #[test]
 fn chaos_report_is_byte_identical_with_instrumentation_on() {
     let chaos: &[&str] = &[
@@ -257,12 +223,7 @@ fn chaos_report_is_byte_identical_with_instrumentation_on() {
             plain_stats,
             "metrics changed --stats-out"
         );
-        let prom = take(&metrics_path);
-        assert!(prom.contains("ethpos_chaos_cases_total 3"), "{prom}");
-        assert!(
-            prom.contains("ethpos_chaos_verdicts_total{verdict="),
-            "{prom}"
-        );
+        take(&metrics_path);
         let trace = take(&trace_path);
         let value: serde_json::Value = serde_json::from_str(&trace).expect("valid trace JSON");
         let events = value.get("traceEvents").and_then(|v| v.as_array()).unwrap();
@@ -271,70 +232,6 @@ fn chaos_report_is_byte_identical_with_instrumentation_on() {
                 .iter()
                 .any(|e| { e.get("cat").and_then(|v| v.as_str()) == Some("chaos") }),
             "no chaos span"
-        );
-    }
-}
-
-/// The registry is a *view* of the deterministic stats, never a second
-/// collector: after a chaos campaign whose cross-checks re-run sims on
-/// the dense backend (budget ≥ the every-16 cross-check cadence, so at
-/// least two replays happen), the published fork/churn totals must equal
-/// the byte-pinned `--stats-out` aggregate exactly. Per-run publication
-/// inside `PartitionSim::finish` — the bug this pins — counted every
-/// replay twice.
-#[test]
-fn chaos_registry_totals_equal_the_stats_artifact() {
-    let stats_path = temp("chaos-regress.stats.json");
-    let metrics_path = temp("chaos-regress.prom");
-    stdout_bytes(&[
-        "chaos",
-        "--budget",
-        "20",
-        "--seed",
-        "9",
-        "--validators",
-        "4096",
-        "--epochs",
-        "256",
-        "--format",
-        "json",
-        "--stats-out",
-        stats_path.to_str().unwrap(),
-        "--metrics-out",
-        metrics_path.to_str().unwrap(),
-    ]);
-    let stats: serde_json::Value =
-        serde_json::from_str(&take(&stats_path)).expect("valid stats JSON");
-    let stat = |group: &str, field: &str| {
-        stats
-            .get(group)
-            .and_then(|g| g.get(field))
-            .and_then(|v| v.as_u64())
-            .unwrap_or_else(|| panic!("missing {group}.{field}: {stats:?}"))
-    };
-    // The campaign must actually have cross-checked (the re-run path
-    // under test) — budget 20 crosses the default every-16 cadence at
-    // least once, and one dense replay is enough to inflate the old
-    // per-run publication.
-    let prom = take(&metrics_path);
-    let sample = |name: &str| {
-        prom.lines()
-            .find_map(|l| l.strip_prefix(&format!("{name} ")))
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or_else(|| panic!("missing sample {name}:\n{prom}"))
-    };
-    assert!(sample("ethpos_chaos_crosschecked_total") >= 1, "{prom}");
-    for (metric, group, field) in [
-        ("ethpos_forks_total", "fork", "forks"),
-        ("ethpos_fork_epoch_sum_total", "fork", "fork_epoch_sum"),
-        ("ethpos_fork_shared_chunks_total", "fork", "shared_chunks"),
-        ("ethpos_churn_draws_total", "churn", "draws"),
-        ("ethpos_churn_members_total", "churn", "members"),
-    ] {
-        assert_eq!(
-            sample(metric),
-            stat(group, field),
-            "{metric} diverged from the stats artifact:\n{prom}"
         );
     }
 }
@@ -357,14 +254,4 @@ fn experiment_json_is_byte_identical_with_instrumentation_on() {
     assert_eq!(instrumented, plain, "instrumentation changed table2");
     take(&metrics_path);
     take(&trace_path);
-}
-
-/// `--metrics-format` without `--metrics-out` is a usage error at the
-/// process boundary.
-#[test]
-fn metrics_format_without_destination_fails() {
-    let out = ethpos_cli(&["table1", "--metrics-format", "prom"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("--metrics-format needs"), "stderr: {err}");
 }

@@ -454,46 +454,6 @@ impl ChaosSpec {
             violations.push(shrink_violation(self, &cases[row.case.index as usize], row));
         }
         let counts = Counts::tally(&rows);
-        if ethpos_obs::metrics_enabled() {
-            // Publication, not collection: the deterministic report and
-            // stats stay the sources of truth; the registry view is
-            // rendered from them once per campaign. Fork and churn
-            // counters are published here from the campaign aggregate —
-            // never per sim run — so shrinker replays and dense
-            // cross-check re-runs cannot inflate the registry relative
-            // to the byte-pinned `--stats-out` artifact.
-            let registry = ethpos_obs::global();
-            stats.fork.publish(registry);
-            stats.churn.publish(registry);
-            registry
-                .counter(
-                    "ethpos_chaos_cases_total",
-                    "Cases the chaos campaign ran.",
-                    &[],
-                )
-                .add(self.budget);
-            for (verdict, value) in [
-                ("healthy", counts.healthy),
-                ("expected-conflict", counts.expected_conflict),
-                ("expected-stall", counts.expected_stall),
-                ("unexpected", counts.unexpected),
-            ] {
-                registry
-                    .counter(
-                        "ethpos_chaos_verdicts_total",
-                        "Chaos-oracle verdicts by class.",
-                        &[("verdict", verdict)],
-                    )
-                    .add(value);
-            }
-            registry
-                .counter(
-                    "ethpos_chaos_crosschecked_total",
-                    "Cases that went through the dense/cohort cross-check.",
-                    &[],
-                )
-                .add(counts.crosschecked);
-        }
         let report = ChaosReport {
             budget: self.budget,
             seed: self.seed,

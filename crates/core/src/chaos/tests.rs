@@ -326,6 +326,28 @@ fn cost_ordered_campaign_equals_index_order_evaluation() {
     }
 }
 
+/// A campaign's work counters are its sampled cases' runs and nothing
+/// else: the cross-check replicas (budget 20 crosses the every-16
+/// cadence, so at least one runs) never enter [`ChaosStats`].
+#[test]
+fn campaign_stats_count_only_the_sampled_runs() {
+    let spec = ChaosSpec {
+        budget: 20,
+        ..ledger_spec(9, 2_000, 2)
+    };
+    let (report, stats) = spec.run_with_stats();
+    assert!(report.counts.crosschecked >= 1, "no cross-check ran");
+    let (mut fork, mut churn) = (ForkStats::default(), ChurnStats::default());
+    for index in 0..spec.budget {
+        let (_, f, c) = run_case_with_stats(&sample_case(&spec, index), spec.backend);
+        fork.absorb(&f);
+        churn.absorb(&c);
+    }
+    assert!(fork.forks > 0, "no case forked");
+    assert_eq!(stats.fork, fork);
+    assert_eq!(stats.churn, churn);
+}
+
 /// The cost model against the work the benchmark's four campaigns really
 /// do, counted (never timed): every churn case is claimed before every
 /// churn-free one, and the case with the most work — churn count draws

@@ -300,15 +300,10 @@ impl PartitionSpec {
 
     /// [`PartitionSpec::run`] plus the batch's aggregated
     /// [`PartitionStats`] fork and churn-draw counters. The report is
-    /// unchanged — the stats are the side channel the experiment
-    /// service attaches to partition jobs (report JSON is byte-pinned
-    /// by the golden corpus and must not grow fields).
-    ///
-    /// Fork/churn publication into the global registry happens here,
-    /// **once per batch** from the aggregate — never inside individual
-    /// sim runs — so drivers that re-run sims (chaos cross-checks,
-    /// shrinker replays) cannot inflate the registry relative to the
-    /// deterministic stats.
+    /// unchanged — the stats are the side channel `--stats-out` writes
+    /// and the experiment service attaches to partition jobs (report
+    /// JSON is byte-pinned by the golden corpus and must not grow
+    /// fields).
     pub fn run_with_stats(&self) -> (PartitionReport, PartitionStats) {
         let _span = ethpos_obs::span("partition", "partition batch");
         let pool = ChunkPool::new(self.threads);
@@ -332,11 +327,6 @@ impl PartitionSpec {
                 row
             })
             .collect();
-        if ethpos_obs::metrics_enabled() {
-            let registry = ethpos_obs::global();
-            stats.fork.publish(registry);
-            stats.churn.publish(registry);
-        }
         let report = PartitionReport {
             n: self.n,
             backend: self.backend,
@@ -357,7 +347,8 @@ fn sim_threads(pool_threads: usize, scenarios: usize) -> usize {
 /// Batch-level work counters of one partition run: every scenario's
 /// [`ForkStats`] and [`ChurnStats`], summed. Deliberately **not** part
 /// of [`PartitionReport`] — report JSON is byte-pinned by the golden
-/// corpus; these travel as the job-stats side channel instead.
+/// corpus; these travel as the job-stats side channel instead
+/// (`ethpos-cli partition --stats-out`, the server's job `stats`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct PartitionStats {
     /// Scenarios the batch ran.

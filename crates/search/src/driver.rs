@@ -148,14 +148,10 @@ impl SearchSpec {
             self.beta0
         );
         let _span = ethpos_obs::span("search", "search run");
-        let result = match self.backend {
+        match self.backend {
             BackendKind::Dense => self.run_typed::<DenseState>(),
             BackendKind::Cohort => self.run_typed::<CohortState>(),
-        };
-        if ethpos_obs::metrics_enabled() {
-            result.1.publish(ethpos_obs::global());
         }
-        result
     }
 
     /// The search loop, monomorphized over the state backend so the

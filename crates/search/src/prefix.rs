@@ -119,33 +119,6 @@ impl SearchStats {
         }
         (self.reconstructed + self.checkpoint_hits) as f64 / self.evaluations as f64
     }
-
-    /// Renders the counters into `registry` — the end-of-run
-    /// publication path. The struct itself stays the deterministic
-    /// `--stats-out` source; the registry view is additive across runs.
-    pub fn publish(&self, registry: &ethpos_obs::Registry) {
-        for (name, help, value) in [
-            (
-                "ethpos_search_evaluations_total",
-                "Candidate evaluations requested of the prefix memo.",
-                self.evaluations,
-            ),
-            (
-                "ethpos_search_checkpoint_records_total",
-                "Evaluations that built their pair checkpoint from stream \
-                 snapshots.",
-                self.checkpoint_records,
-            ),
-            (
-                "ethpos_search_checkpoint_hits_total",
-                "Evaluations continued from a cached pair checkpoint \
-                 (cache hits).",
-                self.checkpoint_hits,
-            ),
-        ] {
-            registry.counter(name, help, &[]).add(value);
-        }
-    }
 }
 
 /// Per-epoch observables of one stream that its running [`BranchFold`]

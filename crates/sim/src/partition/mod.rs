@@ -329,13 +329,6 @@ impl<B: StateBackend> PartitionSim<B> {
                     .set(frag.cohorts as f64);
                 registry
                     .gauge(
-                        "ethpos_cohort_classes",
-                        "Exchangeability classes in the branch's state.",
-                        &labels,
-                    )
-                    .set(frag.classes as f64);
-                registry
-                    .gauge(
                         "ethpos_max_cohorts_per_class",
                         "Run peak of the largest per-class cohort count — \
                          the churn fragmentation floor in the making.",
@@ -559,12 +552,6 @@ impl<B: StateBackend> PartitionSim<B> {
 
     /// Finalizes the run: captures the surviving branches' closing
     /// balances and returns the outcome.
-    /// Fork/churn counters are **not** published to the global registry
-    /// here: campaign drivers re-run sims (chaos cross-checks, shrinker
-    /// replays), so per-run publication would inflate the registry
-    /// relative to the byte-pinned `--stats-out` totals. Callers that
-    /// own a campaign read [`Self::fork_stats`] / [`Self::churn_stats`]
-    /// before `finish` and publish exactly once per batch.
     pub fn finish(mut self) -> PartitionOutcome {
         self.record_fragmentation();
         for (b, state) in &self.branches {
@@ -602,9 +589,7 @@ impl<B: StateBackend> PartitionSim<B> {
 /// Runs a timeline to its end on the chosen backend and returns the
 /// outcome with the run's [`ForkStats`] and [`ChurnStats`]. The live
 /// branches of an epoch advance on up to `threads` threads (see
-/// [`PartitionSim::set_threads`]), which never changes a result. Nothing
-/// is published to the global registry: batch owners aggregate the
-/// counters and publish once.
+/// [`PartitionSim::set_threads`]), which never changes a result.
 ///
 /// # Errors
 ///

@@ -104,35 +104,6 @@ impl ForkStats {
         self.max_fork_epoch = self.max_fork_epoch.max(other.max_fork_epoch);
         self.shared_chunks += other.shared_chunks;
     }
-
-    /// Renders the counters into `registry` — the end-of-run
-    /// publication path. The struct itself stays the deterministic
-    /// `--stats-out` source; the registry view is additive across runs.
-    pub fn publish(&self, registry: &ethpos_obs::Registry) {
-        registry
-            .counter(
-                "ethpos_forks_total",
-                "Child branches created by Split timeline events.",
-                &[],
-            )
-            .add(self.forks);
-        registry
-            .counter(
-                "ethpos_fork_epoch_sum_total",
-                "Sum of the epochs at which forks happened (with \
-                 ethpos_forks_total this gives the mean fork depth).",
-                &[],
-            )
-            .add(self.fork_epoch_sum);
-        registry
-            .counter(
-                "ethpos_fork_shared_chunks_total",
-                "Storage chunks freshly forked children physically shared \
-                 with their parents at fork time (copy-on-write sharing).",
-                &[],
-            )
-            .add(self.shared_chunks);
-    }
 }
 
 /// Counters describing the count-level churn sampling of one run — the
@@ -159,28 +130,6 @@ impl ChurnStats {
     pub fn absorb(&mut self, other: &ChurnStats) {
         self.draws += other.draws;
         self.members += other.members;
-    }
-
-    /// Renders the counters into `registry` — the end-of-run
-    /// publication path. The struct itself stays the deterministic
-    /// `--stats-out` source; the registry view is additive across runs.
-    pub fn publish(&self, registry: &ethpos_obs::Registry) {
-        registry
-            .counter(
-                "ethpos_churn_draws_total",
-                "Per-cohort binomial count draws performed by the churn \
-                 marking stage.",
-                &[],
-            )
-            .add(self.draws);
-        registry
-            .counter(
-                "ethpos_churn_members_total",
-                "Members covered by the binomial draws (the Bernoulli \
-                 draws the per-validator path would have made).",
-                &[],
-            )
-            .add(self.members);
     }
 }
 

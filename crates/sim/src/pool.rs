@@ -141,11 +141,12 @@ impl ChunkPool {
             let (tx, rx) = mpsc::channel::<(usize, T)>();
             let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
             std::thread::scope(|scope| {
+                let mut handles = Vec::with_capacity(workers);
                 for _ in 0..workers {
                     let tx = tx.clone();
                     let next = &next;
                     let run_one = &run_one;
-                    scope.spawn(move || loop {
+                    handles.push(scope.spawn(move || loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= tasks {
                             break;
@@ -153,11 +154,18 @@ impl ChunkPool {
                         // A send only fails if the receiver is gone, and the
                         // receiver outlives the scope.
                         let _ = tx.send((i, run_one(i)));
-                    });
+                    }));
                 }
                 drop(tx);
                 for (i, value) in rx {
                     slots[i] = Some(value);
+                }
+                // Re-raise a task's own panic: left to the scope, it would
+                // surface as the generic "a scoped thread panicked".
+                for handle in handles {
+                    handle
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
                 }
             });
             slots
@@ -311,6 +319,15 @@ mod tests {
         let on_caller =
             ChunkPool::new(2).map_mut(&mut items, |_, _| std::thread::current().id() == caller);
         assert_eq!(on_caller, [true, true, false, false]);
+    }
+
+    #[test]
+    #[should_panic(expected = "task 3")]
+    fn map_propagates_a_worker_panic() {
+        ChunkPool::new(2).map(4, |i| {
+            assert_ne!(i, 3, "task {i}");
+            i
+        });
     }
 
     #[test]
