@@ -518,7 +518,7 @@ mod tests {
     use super::*;
     use ethpos_core::experiments::McConfig;
     use ethpos_core::partition::{PartitionSpec, StrategyKind};
-    use ethpos_core::stake_model::PenaltySemantics;
+    use ethpos_core::PenaltySemantics;
     use ethpos_core::{BackendKind, ChaosSpec, DocumentFormat};
     use ethpos_search::{Objective, SearchSpec};
     use proptest::prelude::*;

@@ -17,6 +17,9 @@
 //! violation, then shrunk end-to-end — exercising the full
 //! find→shrink→emit path) and one expected-attack exemplar pinned under
 //! the real oracle.
+//!
+//! No run mode calls this module: it is `pub` for the `chaos_corpus`
+//! integration test, its one caller.
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;

@@ -49,15 +49,14 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use ethpos_search::{Genome, ParamSchedule};
-use ethpos_sim::partition::{CompiledTimeline, MarkingPlan};
 use ethpos_sim::{
-    run_partition, sample_timeline, two_branch_only, ChunkPool, ChurnStats, ForkStats,
-    PartitionConfig, PartitionOutcome, PartitionTimeline, TimelineAction,
+    run_partition, sample_timeline, two_branch_only, ByzantineSchedule, ChunkPool, ChurnStats,
+    CompiledTimeline, ForkStats, MarkingPlan, PartitionConfig, PartitionOutcome, PartitionTimeline,
+    TimelineAction,
 };
 use ethpos_state::BackendKind;
 use ethpos_stats::SeedSequence;
 use ethpos_types::ChainConfig;
-use ethpos_validator::ByzantineSchedule;
 
 use crate::partition::StrategyKind;
 use crate::report::Table;

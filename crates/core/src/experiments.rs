@@ -701,8 +701,8 @@ pub mod simulated {
         run_partition, run_single_branch_on, Behavior, ChunkPool, PartitionConfig,
         PartitionTimeline,
     };
+    use ethpos_sim::{ByzantineSchedule, DualActive, SemiActive};
     use ethpos_state::{CohortState, DenseState};
-    use ethpos_validator::{ByzantineSchedule, DualActive, SemiActive};
 
     /// The Figure 2 population mix at registry size `n`: one tenth
     /// always-active, one tenth semi-active, the rest inactive (the same

@@ -15,12 +15,14 @@
 //! --test churn_law_pins` (it rewrites these fixtures, the chaos
 //! replay corpus and the churn-law pins), then review the diff like any
 //! other code change.
+//!
+//! No run mode calls this module: it is `pub` for `golden_snapshots.rs`,
+//! its one caller.
 
 use serde::Serialize;
 
 use ethpos_sim::{PartitionConfig, PartitionSim, PartitionTimeline, TwoBranchOutcome};
-use ethpos_state::backend::{StateBackend, StateSnapshot};
-use ethpos_state::{BackendKind, CohortState, DenseState};
+use ethpos_state::{BackendKind, CohortState, DenseState, StateBackend, StateSnapshot};
 use ethpos_types::BranchId;
 
 use crate::partition::StrategyKind;
@@ -130,7 +132,7 @@ impl GoldenScenario {
     /// churn scenario consumes its draw stream in backend order (one
     /// draw per member on the dense backend, one count per cohort on the
     /// cohort backend), so only its dense rendering is pinned (see
-    /// `ethpos_state::backend::StateBackend::mark_class_counted`).
+    /// `ethpos_state::StateBackend::mark_class_counted`).
     pub fn backend_agnostic(&self) -> bool {
         !self.churn
     }
@@ -160,7 +162,7 @@ struct FixtureSnapshot {
     current_justified: ethpos_types::Checkpoint,
     finalized: ethpos_types::Checkpoint,
     slashings_rle: Vec<(u64, u64)>,
-    classes: Vec<Vec<(ethpos_state::backend::MemberState, u64)>>,
+    classes: Vec<Vec<(ethpos_state::MemberState, u64)>>,
 }
 
 impl From<StateSnapshot> for FixtureSnapshot {

@@ -15,9 +15,9 @@
 //! | [`scenarios::threshold`] | §5.2.3 | Byzantine proportion > ⅓ (Fig. 7) |
 //! | [`scenarios::bouncing`] | §5.3 | probabilistic breach of ⅓ (Figs. 9–10) |
 //!
-//! [`stake_model`] holds the §4.3 continuous stake functions, and
+//! [`StakeBehavior`] holds the §4.3 continuous stake functions, and
 //! [`experiments`] exposes a typed registry that regenerates **every**
-//! table and figure of the paper's evaluation. [`sweep`] generalizes the
+//! table and figure of the paper's evaluation. [`SweepSpec`] generalizes the
 //! hard-coded paper parameters into grids (`β₀ × p0 × walkers ×
 //! semantics × validators`) evaluated on the deterministic thread pool.
 //! [`partition`] opens the scenario families the paper cannot express —
@@ -39,24 +39,23 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod chaos;
 pub mod experiments;
 pub mod golden;
 pub mod partition;
-pub mod report;
+mod report;
 pub mod request;
 pub mod scenarios;
-pub mod stake_model;
-pub mod sweep;
+mod stake_model;
+mod sweep;
 
-pub use chaos::{ChaosReport, ChaosSpec, ChaosStats};
+pub use chaos::ChaosSpec;
 pub use ethpos_state::BackendKind;
-pub use experiments::{
-    run_experiment, run_experiment_with, Experiment, ExperimentOutput, McConfig,
-};
-pub use partition::{
-    PartitionReport, PartitionScenario, PartitionSpec, PartitionStats, StrategyKind,
-};
+pub use experiments::{run_experiment, run_experiment_with, Experiment, McConfig};
+pub use partition::{PartitionSpec, StrategyKind};
+pub use report::{Series, Table};
 pub use request::{DocumentFormat, JobOutput, JobRequest, RequestError, ARTIFACT_SALT};
+pub use stake_model::{PenaltySemantics, StakeBehavior};
 pub use sweep::{SweepResult, SweepRow, SweepSpec};

@@ -27,12 +27,12 @@
 use serde::Serialize;
 
 use ethpos_sim::{
-    run_partition, ChunkPool, ChurnStats, ForkStats, PartitionConfig, PartitionOutcome,
-    PartitionTimeline, TimelineError,
+    run_partition, ByzantineSchedule, ChunkPool, ChurnStats, DualActive, ForkStats,
+    PartitionConfig, PartitionOutcome, PartitionTimeline, RoundRobin, SemiActive, ThresholdSeeker,
+    TimelineError,
 };
 use ethpos_state::BackendKind;
 use ethpos_types::ChainConfig;
-use ethpos_validator::{ByzantineSchedule, DualActive, RoundRobin, SemiActive, ThresholdSeeker};
 
 use crate::report::Table;
 

@@ -34,11 +34,11 @@
 use serde::Serialize;
 use serde_json::Value;
 
+use crate::chaos::{ChaosReport, ChaosSpec};
 use crate::experiments::{run_experiment_with, Experiment, ExperimentOutput, McConfig};
 use crate::partition::{self, PartitionReport, PartitionSpec, StrategyKind};
 use crate::stake_model::PenaltySemantics;
 use crate::sweep::{SweepResult, SweepSpec};
-use crate::{ChaosReport, ChaosSpec};
 use ethpos_search::{Frontier, Objective, SearchSpec};
 use ethpos_state::BackendKind;
 
@@ -340,7 +340,7 @@ pub enum JobRequest {
         /// Document format.
         format: DocumentFormat,
     },
-    /// `kind: "sweep"` — a parameter grid ([`crate::sweep`]).
+    /// `kind: "sweep"` — a parameter grid ([`SweepSpec`]).
     Sweep {
         /// The grid.
         spec: SweepSpec,

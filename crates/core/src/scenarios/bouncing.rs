@@ -95,14 +95,6 @@ impl BouncingLaw {
         }
     }
 
-    /// Eq. 16: the Gaussian density of the inactivity score `I` at epoch
-    /// `t` (the convolution of the paper's two random walks).
-    pub fn score_density(&self, score: f64, t: f64) -> f64 {
-        assert!(t > 0.0);
-        let var = 4.0 * self.d * t;
-        ((-(score - self.v * t).powi(2)) / var).exp() / (core::f64::consts::PI * var).sqrt()
-    }
-
     /// Eq. 19: the (uncensored) CDF of the stake `s` at epoch `t`:
     ///
     /// ```text
@@ -251,19 +243,6 @@ pub fn score_transition_two_epochs(p0: f64) -> [(i64, f64); 3] {
     [(8, cross), (3, same), (-2, cross)]
 }
 
-/// The two-branch refinement the paper sketches at the end of §5.3: a
-/// validator active on branch A at some epoch is *inactive on branch B*,
-/// so the two per-branch probabilities are anti-correlated and the breach
-/// probability "can be doubled for each curve" — P[breach on A **or** B]
-/// ≈ 2·P[breach on A] while the single-branch probability is small.
-///
-/// Returns `(p_single, p_either_upper)` at epoch `t`: the Eq. 24
-/// single-branch probability and its union upper bound `min(1, 2p)`.
-pub fn prob_exceed_third_either_branch(law: &BouncingLaw, beta0: f64, t: f64) -> (f64, f64) {
-    let p = law.prob_exceed_third(beta0, t);
-    (p, (2.0 * p).min(1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,12 +349,20 @@ mod tests {
         );
     }
 
+    /// Eq. 16: the Gaussian density of the inactivity score `I` at epoch
+    /// `t` (the convolution of the paper's two random walks).
+    fn score_density(law: &BouncingLaw, score: f64, t: f64) -> f64 {
+        assert!(t > 0.0);
+        let var = 4.0 * law.d * t;
+        ((-(score - law.v * t).powi(2)) / var).exp() / (core::f64::consts::PI * var).sqrt()
+    }
+
     #[test]
     fn score_density_is_normalized() {
         let law = BouncingLaw::new(0.5);
         let t = 1000.0;
         let integral =
-            ethpos_stats::integrate_simpson(|x| law.score_density(x, t), -2000.0, 6000.0, 8000);
+            ethpos_stats::integrate_simpson(|x| score_density(&law, x, t), -2000.0, 6000.0, 8000);
         assert!((integral - 1.0).abs() < 1e-6, "∫φ = {integral}");
     }
 
@@ -408,15 +395,6 @@ mod tests {
             let mean: f64 = d.iter().map(|(dx, p)| *dx as f64 * p).sum();
             assert!((mean - 3.0).abs() < 1e-12, "p0 = {p0}: mean = {mean}");
         }
-    }
-
-    #[test]
-    fn either_branch_doubles_small_probabilities() {
-        let law = BouncingLaw::new(0.5);
-        let (p, either) = prob_exceed_third_either_branch(&law, 0.33, 4000.0);
-        assert!((either - 2.0 * p).abs() < 1e-12);
-        let (_, capped) = prob_exceed_third_either_branch(&law, 1.0 / 3.0, 4000.0);
-        assert!(capped > 0.999); // 2 × 0.5, capped at 1
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::stake_model::PAPER_EJECT_INACTIVE;
 
 /// Eq. 5: ratio of active validators' stake on a branch where a
 /// proportion `p0` of (honest) validators is active, at epoch `t`, with
-/// ejection of the inactive cohort at [`PAPER_EJECT_INACTIVE`].
+/// ejection of the inactive cohort at the paper's epoch 4685.
 pub fn active_ratio(p0: f64, t: f64) -> f64 {
     assert!((0.0..=1.0).contains(&p0), "p0 must be in [0,1]");
     if t >= PAPER_EJECT_INACTIVE {

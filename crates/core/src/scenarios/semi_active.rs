@@ -83,51 +83,51 @@ pub fn table3() -> Vec<Table3Row> {
         .collect()
 }
 
-/// Eq. 10 under **spec** penalty semantics: the Byzantine (semi-active)
-/// stake decays like `e^(−3t²/2²⁹)` instead of the paper's
-/// `e^(−3t²/2²⁸)` (EXPERIMENTS.md finding 1), making their help last
-/// longer and conflicting finalization slightly faster.
-pub fn active_ratio_spec(p0: f64, beta0: f64, t: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p0));
-    assert!((0.0..1.0).contains(&beta0));
-    if t >= PAPER_EJECT_INACTIVE {
-        return 1.0;
-    }
-    let byz = beta0 * crate::stake_model::semi_active_stake_spec(t) / STAKE_0;
-    let honest_inactive = (1.0 - p0) * (1.0 - beta0) * inactive_stake(t) / STAKE_0;
-    let active = p0 * (1.0 - beta0) + byz;
-    active / (active + honest_inactive)
-}
-
-/// The ⅔ threshold epoch under spec penalty semantics.
-pub fn two_thirds_epoch_spec(p0: f64, beta0: f64) -> f64 {
-    let f = |t: f64| active_ratio_spec(p0, beta0, t) - 2.0 / 3.0;
-    if f(0.0) >= 0.0 {
-        return 0.0;
-    }
-    if f(PAPER_EJECT_INACTIVE - 1e-9) < 0.0 {
-        return PAPER_EJECT_INACTIVE;
-    }
-    brent(f, 0.0, PAPER_EJECT_INACTIVE, 1e-9).expect("bracketed root")
-}
-
-/// Table 3 under both penalty semantics, for the ablation study.
-pub fn table3_semantics_ablation() -> Vec<(f64, u64, u64)> {
-    [0.0, 0.1, 0.15, 0.2, 0.33]
-        .into_iter()
-        .map(|beta0| {
-            (
-                beta0,
-                conflicting_finalization_epoch(0.5, beta0).ceil() as u64,
-                two_thirds_epoch_spec(0.5, beta0).ceil() as u64,
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Eq. 10 under **spec** penalty semantics: the Byzantine (semi-active)
+    /// stake decays like `e^(−3t²/2²⁹)` instead of the paper's
+    /// `e^(−3t²/2²⁸)` (EXPERIMENTS.md finding 1), making their help last
+    /// longer and conflicting finalization slightly faster.
+    fn active_ratio_spec(p0: f64, beta0: f64, t: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&p0));
+        assert!((0.0..1.0).contains(&beta0));
+        if t >= PAPER_EJECT_INACTIVE {
+            return 1.0;
+        }
+        let byz = beta0 * crate::stake_model::tests::semi_active_stake_spec(t) / STAKE_0;
+        let honest_inactive = (1.0 - p0) * (1.0 - beta0) * inactive_stake(t) / STAKE_0;
+        let active = p0 * (1.0 - beta0) + byz;
+        active / (active + honest_inactive)
+    }
+
+    /// The ⅔ threshold epoch under spec penalty semantics.
+    fn two_thirds_epoch_spec(p0: f64, beta0: f64) -> f64 {
+        let f = |t: f64| active_ratio_spec(p0, beta0, t) - 2.0 / 3.0;
+        if f(0.0) >= 0.0 {
+            return 0.0;
+        }
+        if f(PAPER_EJECT_INACTIVE - 1e-9) < 0.0 {
+            return PAPER_EJECT_INACTIVE;
+        }
+        brent(f, 0.0, PAPER_EJECT_INACTIVE, 1e-9).expect("bracketed root")
+    }
+
+    /// Table 3 under both penalty semantics, for the ablation study.
+    fn table3_semantics_ablation() -> Vec<(f64, u64, u64)> {
+        [0.0, 0.1, 0.15, 0.2, 0.33]
+            .into_iter()
+            .map(|beta0| {
+                (
+                    beta0,
+                    conflicting_finalization_epoch(0.5, beta0).ceil() as u64,
+                    two_thirds_epoch_spec(0.5, beta0).ceil() as u64,
+                )
+            })
+            .collect()
+    }
 
     /// Pins the paper's own numerical example: t = 555.65 for β₀ = 0.33.
     #[test]

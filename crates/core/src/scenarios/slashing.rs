@@ -71,78 +71,78 @@ pub fn table2() -> Vec<Table2Row> {
         .collect()
 }
 
-/// The post-GST aftermath of the slashable strategy (paper §5.2.1: *"they
-/// will get ejected from the set of validators once communication is
-/// restored and evidence of their slashable offense is included in a
-/// block"*).
-#[derive(Debug, Clone, Serialize)]
-pub struct SlashingAftermath {
-    /// Number of Byzantine validators slashed.
-    pub slashed: usize,
-    /// Total immediate penalty collected (Gwei): `eff/32` each.
-    pub immediate_penalty_gwei: u64,
-    /// Total correlation penalty collected at the halfway window (Gwei).
-    pub correlation_penalty_gwei: u64,
-    /// Remaining average Byzantine balance after both penalties (ETH).
-    pub remaining_balance_eth: f64,
-    /// Whether every slashed validator exited the active set.
-    pub all_exited: bool,
-}
-
-/// Simulates the aftermath: once the partition heals, equivocation
-/// evidence slashes every Byzantine validator; the immediate `eff/32`
-/// penalty applies at inclusion and the correlation penalty at the
-/// halfway point of the withdrawability delay. With β₀ of the stake
-/// slashed in one window, the correlation penalty is
-/// `min(3·β₀, 1)·eff` — a full wipe-out for β₀ ≥ ⅓.
-pub fn slashing_aftermath(n: usize, byzantine: usize) -> SlashingAftermath {
-    use ethpos_state::BeaconState;
-    use ethpos_types::{ChainConfig, Epoch, ValidatorIndex};
-
-    let config = ChainConfig::paper();
-    let vector = config.epochs_per_slashings_vector;
-    let mut state = BeaconState::genesis(config, n);
-
-    let mut immediate = 0u64;
-    for i in 0..byzantine {
-        immediate += state.slash_validator(ValidatorIndex::from(i)).as_u64();
-    }
-    let before: u64 = (0..byzantine)
-        .map(|i| state.balance(ValidatorIndex::from(i)).as_u64())
-        .sum();
-
-    // Advance to just past the correlation window (epoch + vector/2 ==
-    // withdrawable), keeping the healthy (honest) chain finalizing so no
-    // new leak starts: mark every honest validator timely each epoch.
-    use ethpos_state::participation::TIMELY_TARGET_FLAG_INDEX;
-    let mut flags = ethpos_state::ParticipationFlags::EMPTY;
-    flags.set(TIMELY_TARGET_FLAG_INDEX);
-    let target = Epoch::new(vector / 2 + 1);
-    while state.current_epoch() < target {
-        for i in byzantine..n {
-            state.merge_current_participation(ValidatorIndex::from(i), flags);
-        }
-        state.advance_epoch(None);
-    }
-
-    let after: u64 = (0..byzantine)
-        .map(|i| state.balance(ValidatorIndex::from(i)).as_u64())
-        .sum();
-    let all_exited =
-        (0..byzantine).all(|i| state.validators()[i].has_exited_by(state.current_epoch()));
-
-    SlashingAftermath {
-        slashed: byzantine,
-        immediate_penalty_gwei: immediate,
-        correlation_penalty_gwei: before - after,
-        remaining_balance_eth: after as f64 / 1e9 / byzantine.max(1) as f64,
-        all_exited,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The post-GST aftermath of the slashable strategy (paper §5.2.1: *"they
+    /// will get ejected from the set of validators once communication is
+    /// restored and evidence of their slashable offense is included in a
+    /// block"*).
+    #[derive(Debug)]
+    struct SlashingAftermath {
+        /// Number of Byzantine validators slashed.
+        slashed: usize,
+        /// Total immediate penalty collected (Gwei): `eff/32` each.
+        immediate_penalty_gwei: u64,
+        /// Total correlation penalty collected at the halfway window (Gwei).
+        correlation_penalty_gwei: u64,
+        /// Remaining average Byzantine balance after both penalties (ETH).
+        remaining_balance_eth: f64,
+        /// Whether every slashed validator exited the active set.
+        all_exited: bool,
+    }
+
+    /// Simulates the aftermath: once the partition heals, equivocation
+    /// evidence slashes every Byzantine validator; the immediate `eff/32`
+    /// penalty applies at inclusion and the correlation penalty at the
+    /// halfway point of the withdrawability delay. With β₀ of the stake
+    /// slashed in one window, the correlation penalty is
+    /// `min(3·β₀, 1)·eff` — a full wipe-out for β₀ ≥ ⅓.
+    fn slashing_aftermath(n: usize, byzantine: usize) -> SlashingAftermath {
+        use ethpos_state::BeaconState;
+        use ethpos_types::{ChainConfig, Epoch, ValidatorIndex};
+
+        let config = ChainConfig::paper();
+        let vector = config.epochs_per_slashings_vector;
+        let mut state = BeaconState::genesis(config, n);
+
+        let mut immediate = 0u64;
+        for i in 0..byzantine {
+            immediate += state.slash_validator(ValidatorIndex::from(i)).as_u64();
+        }
+        let before: u64 = (0..byzantine)
+            .map(|i| state.balance(ValidatorIndex::from(i)).as_u64())
+            .sum();
+
+        // Advance to just past the correlation window (epoch + vector/2 ==
+        // withdrawable), keeping the healthy (honest) chain finalizing so no
+        // new leak starts: mark every honest validator timely each epoch.
+        use ethpos_state::participation::TIMELY_TARGET_FLAG_INDEX;
+        let mut flags = ethpos_state::ParticipationFlags::EMPTY;
+        flags.set(TIMELY_TARGET_FLAG_INDEX);
+        let target = Epoch::new(vector / 2 + 1);
+        while state.current_epoch() < target {
+            for i in byzantine..n {
+                state.merge_current_participation(ValidatorIndex::from(i), flags);
+            }
+            state.advance_epoch(None);
+        }
+
+        let after: u64 = (0..byzantine)
+            .map(|i| state.balance(ValidatorIndex::from(i)).as_u64())
+            .sum();
+        let all_exited =
+            (0..byzantine).all(|i| state.validators()[i].has_exited_by(state.current_epoch()));
+
+        SlashingAftermath {
+            slashed: byzantine,
+            immediate_penalty_gwei: immediate,
+            correlation_penalty_gwei: before - after,
+            remaining_balance_eth: after as f64 / 1e9 / byzantine.max(1) as f64,
+            all_exited,
+        }
+    }
 
     /// Pins every row of the paper's Table 2.
     #[test]

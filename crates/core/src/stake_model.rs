@@ -20,21 +20,14 @@
 use serde::Serialize;
 
 /// Initial stake (ETH).
-pub const STAKE_0: f64 = 32.0;
+pub(crate) const STAKE_0: f64 = 32.0;
 
 /// Ejection threshold on the actual balance (ETH): effective balance
 /// reaches 16 ETH when the balance drops below 16 + 1 − 0.25.
-pub const EJECTION_STAKE: f64 = 16.75;
-
-/// The denominator of the per-epoch inactivity penalty, `2²⁶`.
-pub const LEAK_DENOMINATOR: f64 = 67_108_864.0;
+pub(crate) const EJECTION_STAKE: f64 = 16.75;
 
 /// Paper's ejection epoch for always-inactive validators (Fig. 2).
-pub const PAPER_EJECT_INACTIVE: f64 = 4685.0;
-
-/// Paper's ejection epoch for semi-active validators (Fig. 2; §5.3 uses
-/// 7653 for the attack's Byzantine validators).
-pub const PAPER_EJECT_SEMI_ACTIVE: f64 = 7652.0;
+pub(crate) const PAPER_EJECT_INACTIVE: f64 = 4685.0;
 
 /// Validator behaviour classes of §4.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -82,8 +75,7 @@ impl StakeBehavior {
     /// threshold (`None` for active validators).
     ///
     /// These are the *self-consistent* roots of the closed forms (4660.6
-    /// and 7610.7); the paper's rounded constants are
-    /// [`PAPER_EJECT_INACTIVE`] / [`PAPER_EJECT_SEMI_ACTIVE`].
+    /// and 7610.7); the paper's rounded constants are 4685 and 7652.
     pub fn ejection_epoch(self) -> Option<f64> {
         let log_ratio = (STAKE_0 / EJECTION_STAKE).ln();
         match self {
@@ -96,20 +88,13 @@ impl StakeBehavior {
 
 /// Stake of a semi-active validator at epoch `t` (ETH) — shorthand used
 /// throughout §5.
-pub fn semi_active_stake(t: f64) -> f64 {
+pub(crate) fn semi_active_stake(t: f64) -> f64 {
     StakeBehavior::SemiActive.stake(t)
 }
 
 /// Stake of an inactive validator at epoch `t` (ETH).
-pub fn inactive_stake(t: f64) -> f64 {
+pub(crate) fn inactive_stake(t: f64) -> f64 {
     StakeBehavior::Inactive.stake(t)
-}
-
-/// Discrete reference implementation of the §4 update rule (spec
-/// arithmetic in ETH floats, no effective-balance staircase): used in
-/// tests to bound the ODE approximation error.
-pub fn discrete_stake_trajectory(behavior: StakeBehavior, epochs: u64) -> Vec<f64> {
-    discrete_stake_trajectory_with(behavior, epochs, PenaltySemantics::Paper)
 }
 
 /// Which inactivity-penalty semantics a trajectory uses (see
@@ -129,7 +114,7 @@ impl PenaltySemantics {
     /// axis.
     ///
     /// ```
-    /// use ethpos_core::stake_model::PenaltySemantics;
+    /// use ethpos_core::PenaltySemantics;
     ///
     /// assert_eq!(PenaltySemantics::Paper.id(), "paper");
     /// assert_eq!(PenaltySemantics::from_id("spec"), Some(PenaltySemantics::Spec));
@@ -160,56 +145,70 @@ impl Serialize for PenaltySemantics {
     }
 }
 
-/// [`discrete_stake_trajectory`] with explicit penalty semantics
-/// (paper Eq. 2 vs Bellatrix `get_inactivity_penalty_deltas`).
-pub fn discrete_stake_trajectory_with(
-    behavior: StakeBehavior,
-    epochs: u64,
-    semantics: PenaltySemantics,
-) -> Vec<f64> {
-    let mut s = STAKE_0;
-    let mut score: f64 = 0.0;
-    let mut out = Vec::with_capacity(epochs as usize + 1);
-    out.push(s);
-    for e in 0..epochs {
-        let active = match behavior {
-            StakeBehavior::Active => true,
-            StakeBehavior::SemiActive => e % 2 == 0,
-            StakeBehavior::Inactive => false,
-        };
-        if active {
-            score = (score - 1.0).max(0.0);
-        } else {
-            score += 4.0;
-        }
-        let pays = match semantics {
-            PenaltySemantics::Paper => true,
-            PenaltySemantics::Spec => !active,
-        };
-        if pays {
-            s -= score * s / LEAK_DENOMINATOR;
-        }
-        out.push(s);
-    }
-    out
-}
-
-/// The spec-faithful semi-active stake: the penalty lands only on the
-/// inactive epochs, halving the decay exponent relative to the paper:
-/// `s(t) ≈ s₀·e^(−3t²/2²⁹)` (see EXPERIMENTS.md, finding 1).
-pub fn semi_active_stake_spec(t: f64) -> f64 {
-    STAKE_0 * (-3.0 * t * t / 2f64.powi(29)).exp()
-}
-
-/// Spec-faithful semi-active ejection epoch (`≈ 10 764`, vs the paper's
-/// 7652).
-pub fn semi_active_ejection_epoch_spec() -> f64 {
-    (2f64.powi(29) * (STAKE_0 / EJECTION_STAKE).ln() / 3.0).sqrt()
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The denominator of the per-epoch inactivity penalty, `2²⁶`.
+    const LEAK_DENOMINATOR: f64 = 67_108_864.0;
+
+    /// Paper's ejection epoch for semi-active validators (Fig. 2; §5.3 uses
+    /// 7653 for the attack's Byzantine validators).
+    const PAPER_EJECT_SEMI_ACTIVE: f64 = 7652.0;
+
+    /// Discrete reference implementation of the §4 update rule (spec
+    /// arithmetic in ETH floats, no effective-balance staircase): used in
+    /// tests to bound the ODE approximation error.
+    fn discrete_stake_trajectory(behavior: StakeBehavior, epochs: u64) -> Vec<f64> {
+        discrete_stake_trajectory_with(behavior, epochs, PenaltySemantics::Paper)
+    }
+
+    /// [`discrete_stake_trajectory`] with explicit penalty semantics
+    /// (paper Eq. 2 vs Bellatrix `get_inactivity_penalty_deltas`).
+    fn discrete_stake_trajectory_with(
+        behavior: StakeBehavior,
+        epochs: u64,
+        semantics: PenaltySemantics,
+    ) -> Vec<f64> {
+        let mut s = STAKE_0;
+        let mut score: f64 = 0.0;
+        let mut out = Vec::with_capacity(epochs as usize + 1);
+        out.push(s);
+        for e in 0..epochs {
+            let active = match behavior {
+                StakeBehavior::Active => true,
+                StakeBehavior::SemiActive => e % 2 == 0,
+                StakeBehavior::Inactive => false,
+            };
+            if active {
+                score = (score - 1.0).max(0.0);
+            } else {
+                score += 4.0;
+            }
+            let pays = match semantics {
+                PenaltySemantics::Paper => true,
+                PenaltySemantics::Spec => !active,
+            };
+            if pays {
+                s -= score * s / LEAK_DENOMINATOR;
+            }
+            out.push(s);
+        }
+        out
+    }
+
+    /// The spec-faithful semi-active stake: the penalty lands only on the
+    /// inactive epochs, halving the decay exponent relative to the paper:
+    /// `s(t) ≈ s₀·e^(−3t²/2²⁹)` (see EXPERIMENTS.md, finding 1).
+    pub(crate) fn semi_active_stake_spec(t: f64) -> f64 {
+        STAKE_0 * (-3.0 * t * t / 2f64.powi(29)).exp()
+    }
+
+    /// Spec-faithful semi-active ejection epoch (`≈ 10 764`, vs the paper's
+    /// 7652).
+    fn semi_active_ejection_epoch_spec() -> f64 {
+        (2f64.powi(29) * (STAKE_0 / EJECTION_STAKE).ln() / 3.0).sqrt()
+    }
 
     #[test]
     fn active_stake_is_constant() {

@@ -46,7 +46,7 @@ use crate::stake_model::PenaltySemantics;
 /// # Example
 ///
 /// ```
-/// use ethpos_core::sweep::SweepSpec;
+/// use ethpos_core::SweepSpec;
 ///
 /// let spec = SweepSpec {
 ///     beta0: vec![0.3, 0.333],

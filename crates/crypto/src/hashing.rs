@@ -33,7 +33,7 @@ const LANE_KEYS: [(u64, u64); 4] = [
 ///
 /// let mut h = Hasher::new();
 /// h.update(b"hello");
-/// h.update_u64(42);
+/// h.update(&42u64.to_le_bytes());
 /// let root = h.finalize();
 /// assert!(!root.is_zero());
 /// ```
@@ -51,11 +51,6 @@ impl Hasher {
     /// Appends bytes to the input.
     pub fn update(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Appends a little-endian `u64` to the input.
-    pub fn update_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Produces the 256-bit digest.
@@ -85,8 +80,8 @@ pub fn hash(bytes: &[u8]) -> Root {
 /// Hashes a sequence of `u64` words — convenient for hashing structured
 /// fixed-size records.
 ///
-/// Equal to feeding the words to a [`Hasher`] through
-/// [`Hasher::update_u64`], without the byte buffer: a little-endian `u64`
+/// Equal to feeding the words' little-endian bytes to a [`Hasher`],
+/// without the byte buffer: a little-endian `u64`
 /// *is* one SipHash message block, so each word goes straight into the
 /// four lanes, side by side, and the final block is the byte length
 /// alone. This is the per-branch, per-epoch root of the epoch-level
@@ -165,7 +160,7 @@ impl SipLane {
 
 /// SipHash-2-4 with the given 128-bit key, per the reference
 /// specification (Aumasson & Bernstein).
-pub fn siphash24(k0: u64, k1: u64, data: &[u8]) -> u64 {
+pub(crate) fn siphash24(k0: u64, k1: u64, data: &[u8]) -> u64 {
     let mut lane = SipLane::new(k0, k1);
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
@@ -225,7 +220,7 @@ mod tests {
                 .collect();
             let mut buffered = Hasher::new();
             for w in &words {
-                buffered.update_u64(*w);
+                buffered.update(&w.to_le_bytes());
             }
             assert_eq!(hash_u64(&words), buffered.finalize(), "{n} words");
         }

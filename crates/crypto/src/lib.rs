@@ -12,7 +12,8 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod hashing;
+mod hashing;
 
 pub use hashing::{hash, hash_u64, Hasher};

@@ -12,14 +12,14 @@
 //!
 //! Two halves:
 //!
-//! * [`metrics`] — atomic counters, gauges and histograms with static
+//! * Metrics — atomic counters, gauges and histograms with static
 //!   label sets, collected in a [`Registry`]. A process-global default
 //!   registry ([`global`]) serves the CLI; per-run registries
 //!   ([`Registry::new`]) are plain values every exposition function
 //!   accepts, so tests and the future experiment service can inject
 //!   their own. Exposition is Prometheus text ([`Registry::render_prometheus`])
 //!   or a JSON snapshot ([`Registry::render_json`]).
-//! * [`trace`] — RAII hierarchical spans (experiment → stage →
+//! * Tracing — RAII hierarchical spans (experiment → stage →
 //!   epoch-chunk) with monotonic wall-clock timings, recorded into a
 //!   bounded ring buffer and exported in the Chrome trace-event format
 //!   ([`Tracer::export_chrome_json`], loadable in `chrome://tracing` /
@@ -37,7 +37,7 @@
 //! # Example
 //!
 //! ```
-//! use ethpos_obs::metrics::Registry;
+//! use ethpos_obs::Registry;
 //!
 //! let registry = Registry::new();
 //! let hits = registry.counter("cache_hits_total", "Cache hits.", &[("tier", "l1")]);
@@ -48,9 +48,10 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod metrics;
-pub mod trace;
+mod metrics;
+mod trace;
 
 pub use metrics::{exponential_buckets, Counter, Gauge, Histogram, Registry};
 pub use trace::{Span, TraceEvent, Tracer};

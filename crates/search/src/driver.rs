@@ -12,8 +12,7 @@
 use std::collections::BTreeMap;
 
 use ethpos_sim::ChunkPool;
-use ethpos_state::backend::StateBackend;
-use ethpos_state::{BackendKind, CohortState, DenseState};
+use ethpos_state::{BackendKind, CohortState, DenseState, StateBackend};
 use ethpos_stats::SeedSequence;
 
 use crate::frontier::{fitness_cmp, Frontier, FrontierMeta};
@@ -60,7 +59,7 @@ pub struct SearchSpec {
     /// Maximum number of unique candidate evaluations.
     pub budget: usize,
     /// Period bound of the exhaustive grid (mutations may go finer, up
-    /// to [`crate::genome::MAX_MUTATION_PERIOD`]).
+    /// to a period of 6).
     pub max_period: u8,
     /// Offspring per (1+λ) generation.
     pub lambda: usize,
@@ -137,7 +136,7 @@ impl SearchSpec {
     }
 
     /// [`SearchSpec::run`] plus the [`SearchStats`] work counters of the
-    /// prefix memo the search ran on (see [`crate::prefix`]). The
+    /// prefix memo the search ran on (see [`PrefixMemo`]). The
     /// frontier is byte-identical to evaluating every candidate from
     /// genesis; the stats are the observability side channel.
     pub fn run_with_stats(&self) -> (Frontier, SearchStats) {
@@ -227,7 +226,7 @@ impl SearchSpec {
 }
 
 /// The archive's fittest genome (see
-/// [`fitness_cmp`](crate::frontier::fitness_cmp)).
+/// [`fitness_cmp`]).
 fn best_of(archive: &BTreeMap<Genome, Evaluation>) -> Genome {
     archive
         .values()

@@ -20,14 +20,14 @@
 
 use serde::Serialize;
 
-use ethpos_validator::{BranchChoice, BranchStatus, ByzantineSchedule};
+use ethpos_sim::{BranchChoice, BranchStatus, ByzantineSchedule};
 
 /// Largest duty period a mutation may reach (the exhaustive grid usually
 /// stays coarser; see [`Genome::grid`]).
-pub const MAX_MUTATION_PERIOD: u8 = 6;
+pub(crate) const MAX_MUTATION_PERIOD: u8 = 6;
 
 /// Largest dwell length a mutation may reach.
-pub const MAX_DWELL: u8 = 4;
+pub(crate) const MAX_DWELL: u8 = 4;
 
 /// One branch's duty cycle: active at epoch `e` iff
 /// `(e + phase) % period < on`.
@@ -113,7 +113,7 @@ impl DutyGene {
 
 /// A point of the strategy space: one duty gene per branch plus the
 /// feedback rule (`dwell == 0` disables it; `dwell ≥ 1` switches to a
-/// [`SemiActive`](ethpos_validator::SemiActive)-style dwell of that many
+/// [`SemiActive`](ethpos_sim::SemiActive)-style dwell of that many
 /// epochs per branch once both branches can reach ⅔ with Byzantine help).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Genome {
@@ -144,7 +144,7 @@ impl Genome {
     };
 
     /// Canonical form (see [`DutyGene::canonical`]; the dwell is clamped
-    /// to [`MAX_DWELL`]).
+    /// to 4).
     pub fn canonical(self) -> Genome {
         Genome {
             duty: self.duty.map(DutyGene::canonical),
@@ -252,6 +252,8 @@ impl Genome {
     /// True if the duty cycles ever attest both branches in the same
     /// epoch — a statically detectable slashable double vote. (The dwell
     /// feedback only ever votes one branch, so it cannot add overlap.)
+    /// No run mode calls it: it is the oracle of the replay property
+    /// test in `tests/properties.rs`.
     pub fn statically_slashable(&self) -> bool {
         let lcm = {
             let (a, b) = (
@@ -321,7 +323,7 @@ enum DwellState {
 /// ⅔ with Byzantine help, then dwells `dwell` consecutive epochs on
 /// branch 0 (waiting for it to finalize), then on branch 1, then resumes
 /// the duty cycles — for the [`Genome::SEMI_ACTIVE`] corner this is
-/// step-for-step the paper's [`SemiActive`](ethpos_validator::SemiActive)
+/// step-for-step the paper's [`SemiActive`](ethpos_sim::SemiActive)
 /// state machine.
 #[derive(Debug, Clone)]
 pub struct ParamSchedule {
@@ -336,11 +338,6 @@ impl ParamSchedule {
             genome,
             state: DwellState::Free,
         }
-    }
-
-    /// The genome being executed.
-    pub fn genome(&self) -> Genome {
-        self.genome
     }
 
     fn duty(&self, epoch: u64) -> BranchChoice {
@@ -543,7 +540,7 @@ mod tests {
 
     #[test]
     fn dual_active_corner_matches_paper_impl() {
-        use ethpos_validator::DualActive;
+        use ethpos_sim::DualActive;
         let mut ours = ParamSchedule::new(Genome::DUAL_ACTIVE);
         let mut paper = DualActive;
         for e in 0..50 {
@@ -554,7 +551,7 @@ mod tests {
 
     #[test]
     fn threshold_seeker_corner_matches_paper_impl() {
-        use ethpos_validator::ThresholdSeeker;
+        use ethpos_sim::ThresholdSeeker;
         let mut ours = ParamSchedule::new(Genome::THRESHOLD_SEEKER);
         let mut paper = ThresholdSeeker::new();
         for e in 0..50 {
@@ -565,7 +562,7 @@ mod tests {
 
     #[test]
     fn semi_active_corner_matches_paper_impl_through_the_dwell() {
-        use ethpos_validator::SemiActive;
+        use ethpos_sim::SemiActive;
         let mut ours = ParamSchedule::new(Genome::SEMI_ACTIVE);
         let mut paper = SemiActive::new();
         // far from threshold: alternate

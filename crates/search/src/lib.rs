@@ -48,12 +48,13 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod driver;
-pub mod frontier;
-pub mod genome;
-pub mod objective;
-pub mod prefix;
+mod driver;
+mod frontier;
+mod genome;
+mod objective;
+mod prefix;
 
 pub use driver::SearchSpec;
 pub use frontier::Frontier;

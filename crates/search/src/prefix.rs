@@ -58,10 +58,9 @@ use std::sync::Mutex;
 use serde::Serialize;
 
 use ethpos_sim::kernel::{self, BranchEpochStats, BranchFold, BYZANTINE_CLASS};
-use ethpos_sim::{ChunkPool, PartitionConfig, TwoBranchOutcome};
-use ethpos_state::backend::StateBackend;
+use ethpos_sim::{ByzantineSchedule, ChunkPool, PartitionConfig, TwoBranchOutcome};
+use ethpos_state::StateBackend;
 use ethpos_types::{BranchId, Root};
-use ethpos_validator::ByzantineSchedule;
 
 use crate::genome::{DutyGene, Genome, ParamSchedule};
 use crate::objective::{initial_byzantine_gwei, score, sim_config, EvalParams, Evaluation};

@@ -12,8 +12,7 @@
 
 use proptest::prelude::*;
 
-use ethpos_search::prefix::PrefixMemo;
-use ethpos_search::{evaluate, DutyGene, EvalParams, Genome, Objective};
+use ethpos_search::{evaluate, DutyGene, EvalParams, Genome, Objective, PrefixMemo};
 use ethpos_sim::ChunkPool;
 use ethpos_state::{BackendKind, CohortState, DenseState};
 

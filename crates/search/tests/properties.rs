@@ -6,10 +6,10 @@
 use proptest::prelude::*;
 
 use ethpos_search::{DutyGene, Genome, ParamSchedule};
-use ethpos_types::BranchId;
-use ethpos_validator::{
+use ethpos_sim::{
     BranchChoice, BranchStatus, ByzantineSchedule, DualActive, SemiActive, ThresholdSeeker,
 };
+use ethpos_types::BranchId;
 
 /// Decodes raw words into a plausible status stream (epochs increasing;
 /// stakes, justification and finality derived from the words so both

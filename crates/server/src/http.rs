@@ -14,11 +14,11 @@ use std::io::{self, BufRead, BufReader, Read};
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Hard cap on a request body. Requests are small spec JSON; a megabyte
 /// is already generous.
-pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// Uppercase method (`GET`, `POST`, …).
     pub method: String,
     /// The request target (path + optional query), as sent.
@@ -29,7 +29,7 @@ pub struct Request {
 
 /// Why a connection's bytes never became a [`Request`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HttpError {
+pub(crate) enum HttpError {
     /// Malformed request line, header, or framing — answer 400.
     Malformed(String),
     /// Body (declared or actual) above [`MAX_BODY_BYTES`] — answer 413.
@@ -77,7 +77,7 @@ fn io_error(error: io::Error) -> HttpError {
 ///
 /// Returns an [`HttpError`] on malformed framing, an oversized head or
 /// body, a non-UTF-8 head or body, or a socket failure.
-pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
+pub(crate) fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
     let mut head = Vec::new();
     loop {
@@ -139,7 +139,7 @@ pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
 }
 
 /// A complete `Connection: close` response, head then body.
-pub fn response_bytes(status: u16, content_type: &str, body: &str) -> Vec<u8> {
+pub(crate) fn response_bytes(status: u16, content_type: &str, body: &str) -> Vec<u8> {
     let reason = match status {
         200 => "OK",
         202 => "Accepted",

@@ -22,11 +22,11 @@ use ethpos_core::{JobOutput, JobRequest};
 use crate::cache::ArtifactCache;
 
 /// Job identifier, monotonically assigned from 1.
-pub type JobId = u64;
+pub(crate) type JobId = u64;
 
 /// Lifecycle of a submitted job.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobStatus {
+pub(crate) enum JobStatus {
     /// Waiting for the runner.
     Queued,
     /// Executing now.
@@ -39,7 +39,7 @@ pub enum JobStatus {
 
 impl JobStatus {
     /// Wire id for the status endpoint.
-    pub fn id(&self) -> &'static str {
+    pub(crate) fn id(&self) -> &'static str {
         match self {
             JobStatus::Queued => "queued",
             JobStatus::Running => "running",
@@ -51,7 +51,7 @@ impl JobStatus {
 
 /// What the status endpoint knows about one job.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobSnapshot {
+pub(crate) struct JobSnapshot {
     /// The job id.
     pub id: JobId,
     /// Request kind (`experiment`, `sweep`, …).
@@ -64,7 +64,7 @@ pub struct JobSnapshot {
 
 /// Outcome of a submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SubmitOutcome {
+pub(crate) enum SubmitOutcome {
     /// A fresh job was enqueued.
     Queued(JobId),
     /// An identical request is already queued or running; this is its
@@ -84,7 +84,7 @@ struct Table {
 
 /// The shared queue: submissions from connection threads, consumption
 /// by the runner.
-pub struct JobQueue {
+pub(crate) struct JobQueue {
     table: Mutex<Table>,
     ready: Condvar,
     depth: usize,
@@ -100,7 +100,7 @@ impl std::fmt::Debug for JobQueue {
 
 impl JobQueue {
     /// A queue admitting at most `depth` waiting jobs.
-    pub fn new(depth: usize) -> Arc<JobQueue> {
+    pub(crate) fn new(depth: usize) -> Arc<JobQueue> {
         Arc::new(JobQueue {
             table: Mutex::new(Table {
                 next_id: 1,
@@ -121,7 +121,7 @@ impl JobQueue {
     }
 
     /// Submits a request under its hash, coalescing duplicates.
-    pub fn submit(&self, request: JobRequest, hash: String) -> SubmitOutcome {
+    pub(crate) fn submit(&self, request: JobRequest, hash: String) -> SubmitOutcome {
         let mut table = self.lock();
         if let Some(&id) = table.in_flight.get(&hash) {
             return SubmitOutcome::Coalesced(id);
@@ -147,13 +147,8 @@ impl JobQueue {
     }
 
     /// Looks a job up for the status endpoint.
-    pub fn snapshot(&self, id: JobId) -> Option<JobSnapshot> {
+    pub(crate) fn snapshot(&self, id: JobId) -> Option<JobSnapshot> {
         self.lock().records.get(&id).cloned()
-    }
-
-    /// How many jobs are waiting (not counting the running one).
-    pub fn queued(&self) -> usize {
-        self.lock().queue.len()
     }
 
     /// Blocks until a job is available and claims it.
@@ -185,11 +180,11 @@ impl JobQueue {
 
 /// How the runner turns a request into output. Production is
 /// [`JobRequest::execute`]; tests inject failures here.
-pub type Executor = Box<dyn Fn(&JobRequest) -> JobOutput + Send>;
+pub(crate) type Executor = Box<dyn Fn(&JobRequest) -> JobOutput + Send>;
 
 /// Spawns the runner thread: claim → execute (panic-fenced) → commit →
 /// publish. `threads` is the worker budget handed to every job.
-pub fn spawn_runner(
+pub(crate) fn spawn_runner(
     queue: Arc<JobQueue>,
     cache: ArtifactCache,
     threads: usize,
@@ -233,7 +228,7 @@ pub fn spawn_runner(
 }
 
 /// The production executor.
-pub fn default_executor() -> Executor {
+pub(crate) fn default_executor() -> Executor {
     Box::new(|request| request.execute())
 }
 
@@ -294,7 +289,7 @@ mod tests {
             queue.submit(first, first_hash),
             SubmitOutcome::Coalesced(id)
         );
-        assert_eq!(queue.queued(), 1);
+        assert_eq!(queue.lock().queue.len(), 1);
         let (second, second_hash) = tiny_request(2);
         assert!(matches!(
             queue.submit(second, second_hash),

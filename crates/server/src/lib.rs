@@ -10,20 +10,20 @@
 //!   request into the same spec types the CLI builds, and hashes it
 //!   (salted by [`ethpos_core::ARTIFACT_SALT`]) into an artifact
 //!   address;
-//! * [`cache::ArtifactCache`] stores executed documents under that
+//! * [`ArtifactCache`] stores executed documents under that
 //!   address — a hit is returned byte-identical without simulating
 //!   anything, across restarts, forever (version bumps change the salt,
 //!   not the entries);
-//! * [`jobs::JobQueue`] serializes misses behind a single runner
+//! * the job queue serializes misses behind a single runner
 //!   (each job parallelizes internally), coalescing concurrent
 //!   identical submissions into one execution;
-//! * [`server::Server`] is the HTTP face: submit, poll, fetch,
+//! * [`Server`] is the HTTP face: submit, poll, fetch,
 //!   `GET /metrics` (a live scrape of the `ethpos_obs` registry) and
 //!   `GET /healthz`. Started via `ethpos-cli serve`.
 //!
 //! Like the rest of the workspace the crate uses no external
 //! dependencies (the build environment has no crates.io access — see
-//! `vendor/README.md`): the HTTP layer ([`http`]) implements just the
+//! `vendor/README.md`): the HTTP layer implements just the
 //! `Connection: close` subset the service needs.
 //!
 //! # Quickstart
@@ -40,14 +40,14 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod cache;
-pub mod http;
-pub mod jobs;
-pub mod server;
+mod cache;
+mod http;
+mod jobs;
+mod server;
 
 pub use cache::ArtifactCache;
-pub use jobs::{JobId, JobQueue, JobSnapshot, JobStatus, SubmitOutcome};
 pub use server::{Server, ServerConfig};
 
 #[cfg(test)]

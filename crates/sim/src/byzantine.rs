@@ -62,7 +62,7 @@ impl BranchStatus {
 /// scenarios is simply branch `i`).
 ///
 /// ```
-/// use ethpos_validator::BranchChoice;
+/// use ethpos_sim::BranchChoice;
 ///
 /// let choice = BranchChoice::only(1);
 /// assert!(!choice.get(0));

@@ -27,11 +27,10 @@
 
 use serde::Serialize;
 
-use ethpos_state::backend::StateBackend;
-use ethpos_state::ParticipationFlags;
+use crate::byzantine::BranchStatus;
+use ethpos_state::{ParticipationFlags, StateBackend};
 use ethpos_stats::PreparedBinomial;
 use ethpos_types::{BranchId, Root};
-use ethpos_validator::BranchStatus;
 
 /// Class index of the Byzantine cohort in every engine's class layout
 /// (the honest classes follow it).
@@ -168,7 +167,7 @@ impl BranchFold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ethpos_state::backend::ClassSpec;
+    use ethpos_state::ClassSpec;
     use ethpos_state::DenseState;
     use ethpos_types::{ChainConfig, Gwei};
 

@@ -23,7 +23,7 @@
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-use ethpos_state::backend::StateBackend;
+use ethpos_state::StateBackend;
 use ethpos_types::{Checkpoint, Epoch, Root};
 
 /// A root as a table key: hashed by its leading 8 bytes, compared on all

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use ethpos_state::backend::{ClassSpec, StateBackend};
+use ethpos_state::{ClassSpec, StateBackend};
 use ethpos_stats::PreparedBinomial;
 use ethpos_types::{BranchId, ChainConfig};
 
@@ -29,7 +29,7 @@ struct RawStep {
 
 /// A structural operation the engine applies when a step begins.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StepOp {
+pub(crate) enum StepOp {
     /// Clone `parent`'s state into each of `children` (a chain fork).
     Fork {
         /// The branch being split (keeps running).
@@ -142,10 +142,10 @@ impl Compiler {
                 id
             }))
             .collect();
-        if self.next_id as usize > ethpos_validator::BranchChoice::MAX_BRANCHES {
+        if self.next_id as usize > crate::byzantine::BranchChoice::MAX_BRANCHES {
             return Err(TimelineError::new(format!(
                 "split@{epoch}: more than {} branches",
-                ethpos_validator::BranchChoice::MAX_BRANCHES
+                crate::byzantine::BranchChoice::MAX_BRANCHES
             )));
         }
         if churn {

@@ -42,11 +42,10 @@
 
 use std::collections::BTreeMap;
 
-use ethpos_state::backend::{synthetic_branch_root, StateBackend};
-use ethpos_state::{BackendKind, CohortState, DenseState};
+use crate::byzantine::{BranchStatus, ByzantineSchedule};
+use ethpos_state::{synthetic_branch_root, BackendKind, CohortState, DenseState, StateBackend};
 use ethpos_stats::seeded_rng;
 use ethpos_types::{BranchId, ChainConfig, Root};
-use ethpos_validator::{BranchStatus, ByzantineSchedule};
 
 use crate::kernel::{self, BranchEpochStats, BranchFold, BYZANTINE_CLASS};
 use crate::monitor::SafetyMonitor;
@@ -56,7 +55,8 @@ mod compile;
 mod outcome;
 mod timeline;
 
-pub use compile::{ChurnPlan, CompiledStep, CompiledTimeline, MarkingPlan, StepOp};
+pub(crate) use compile::StepOp;
+pub use compile::{ChurnPlan, CompiledStep, CompiledTimeline, MarkingPlan};
 pub use outcome::{
     BranchOutcome, ChurnStats, EpochRecord, ForkStats, PartitionEpochRecord, PartitionOutcome,
     SafetyViolation, TwoBranchOutcome,
@@ -144,7 +144,7 @@ struct BranchMeta {
 /// ```
 /// use ethpos_sim::{PartitionConfig, PartitionSim, PartitionTimeline};
 /// use ethpos_types::BranchId;
-/// use ethpos_validator::DualActive;
+/// use ethpos_sim::DualActive;
 ///
 /// let timeline = PartitionTimeline::new()
 ///     .split(0, BranchId::GENESIS, &[0.2, 0.4, 0.4]);
@@ -634,10 +634,10 @@ pub fn run_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ethpos_state::backend::StateSnapshot;
+    use crate::byzantine::{BranchChoice, DualActive, RoundRobin, ThresholdSeeker};
     use ethpos_state::CohortState;
+    use ethpos_state::StateSnapshot;
     use ethpos_types::Gwei;
-    use ethpos_validator::{BranchChoice, DualActive, RoundRobin, ThresholdSeeker};
 
     use super::compile::marginal_probabilities;
 

@@ -171,7 +171,7 @@ impl PartitionOutcome {
     ///
     /// ```
     /// use ethpos_sim::{PartitionConfig, PartitionSim, PartitionTimeline};
-    /// use ethpos_validator::DualActive;
+    /// use ethpos_sim::DualActive;
     ///
     /// // §5.2.1 at β₀ = ⅓: immediate conflicting finalization.
     /// let cfg = PartitionConfig::paper(120, 40, PartitionTimeline::two_branch(0.5), 50);
@@ -279,12 +279,12 @@ impl TwoBranchOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{PartitionConfig, PartitionSim, PartitionTimeline};
-    use ethpos_state::backend::StateBackend;
-    use ethpos_state::{CohortState, DenseState};
-    use ethpos_validator::{
+    use crate::byzantine::{
         BranchChoice, BranchStatus, ByzantineSchedule, DualActive, SemiActive, ThresholdSeeker,
     };
+    use crate::partition::{PartitionConfig, PartitionSim, PartitionTimeline};
+    use ethpos_state::StateBackend;
+    use ethpos_state::{CohortState, DenseState};
 
     /// The paper's fixed split `p0 / 1 − p0` at epoch 0.
     fn paper(n: usize, byzantine: usize, p0: f64, epochs: u64) -> PartitionConfig {

@@ -21,8 +21,7 @@
 //! free function rather than a `PartitionSim` constructor: folding it in
 //! would make the runner branch on its caller.
 
-use ethpos_state::backend::{ClassSpec, StateBackend};
-use ethpos_state::ParticipationFlags;
+use ethpos_state::{ClassSpec, ParticipationFlags, StateBackend};
 use ethpos_types::ChainConfig;
 
 /// Per-epoch participation behaviour of a validator class (paper §4.3).

@@ -14,7 +14,7 @@
 //! *actual* balance drops below `EJECTION_BALANCE + hysteresis margin`
 //! = 16 + (1 − 0.25) = 16.75 ETH, and that spec-accurate value is what
 //! the paper's own ejection epochs (4685 / 7652) are computed from. See
-//! `ethpos_core::stake_model::EJECTION_STAKE` and `PAPER.md`.
+//! `EJECTION_STAKE` in `ethpos_core`'s stake model and `PAPER.md`.
 //!
 //! The Byzantine stake follows the deterministic semi-active trajectory.
 //! The estimator of paper Eq. 24 is the fraction of walkers whose stake
@@ -62,7 +62,7 @@ use crate::pool::ChunkPool;
 
 /// Number of walkers per work-unit chunk. Fixed (never derived from the
 /// thread count) so that sharding cannot change results.
-pub const WALKER_CHUNK: usize = 1024;
+pub(crate) const WALKER_CHUNK: usize = 1024;
 
 /// Walker count of chunk `chunk` out of `walkers` total: every chunk
 /// holds [`WALKER_CHUNK`] walkers except a short final remainder. All

@@ -6,11 +6,11 @@
 
 use proptest::prelude::*;
 
-use ethpos_types::BranchId;
-use ethpos_validator::{
+use ethpos_sim::{
     BranchChoice, BranchStatus, ByzantineSchedule, DualActive, RoundRobin, SemiActive,
     ThresholdSeeker,
 };
+use ethpos_types::BranchId;
 
 /// Decodes a raw tuple stream into a plausible per-epoch status
 /// sequence: epochs strictly increasing, stakes bounded, per-branch

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use ethpos_sim::partition::{CompiledTimeline, PartitionTimeline};
+use ethpos_sim::{CompiledTimeline, PartitionTimeline};
 use ethpos_types::BranchId;
 
 /// Builds a random-but-valid timeline from raw words: an initial 2- or

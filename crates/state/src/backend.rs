@@ -125,7 +125,7 @@ pub struct MemberState {
     pub slashed: bool,
     /// First epoch of activity.
     pub activation_epoch: Epoch,
-    /// Exit epoch ([`crate::FAR_FUTURE_EPOCH`] if none scheduled).
+    /// Exit epoch (`FAR_FUTURE_EPOCH` if none scheduled).
     pub exit_epoch: Epoch,
     /// Withdrawable epoch.
     pub withdrawable_epoch: Epoch,
@@ -181,23 +181,8 @@ pub struct StateSnapshot {
 pub struct Fragmentation {
     /// Total cohorts across all classes.
     pub cohorts: u64,
-    /// Behaviour classes (the fragmentation-free floor: one cohort per
-    /// class).
-    pub classes: u64,
     /// Cohorts of the most fragmented class.
     pub max_cohorts_per_class: u64,
-}
-
-impl Fragmentation {
-    /// Cohorts per class — 1.0 when compression is perfect, approaching
-    /// members-per-class when fully fragmented.
-    pub fn ratio(&self) -> f64 {
-        if self.classes == 0 {
-            0.0
-        } else {
-            self.cohorts as f64 / self.classes as f64
-        }
-    }
 }
 
 /// The synthetic root labelling checkpoint `epoch` on branch
@@ -368,7 +353,8 @@ pub struct DenseState {
 }
 
 impl DenseState {
-    /// Read access to the wrapped [`BeaconState`].
+    /// Read access to the wrapped [`BeaconState`]. Public only for the
+    /// `GroupedDense` test wrapper in `tests/backend_equivalence.rs`.
     pub fn beacon_state(&self) -> &BeaconState {
         &self.state
     }
@@ -381,7 +367,8 @@ impl DenseState {
     /// Per-member marking, the oracle the equivalence tests hold
     /// count-level marking against: `draw` is called once per member of
     /// `class` in index order (exited members included), and the active
-    /// members whose draw returns `true` get `flags`.
+    /// members whose draw returns `true` get `flags`. Public only for the
+    /// `GroupedDense` test wrapper in `tests/backend_equivalence.rs`.
     pub fn mark_class_sampled(
         &mut self,
         class: usize,

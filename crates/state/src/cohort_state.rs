@@ -337,7 +337,7 @@ struct EpochAggregates {
 /// A million validators cost the same as ten when they share behaviour:
 ///
 /// ```
-/// use ethpos_state::backend::{ClassSpec, StateBackend};
+/// use ethpos_state::{ClassSpec, StateBackend};
 /// use ethpos_state::{CohortState, ParticipationFlags};
 /// use ethpos_types::ChainConfig;
 ///
@@ -383,11 +383,6 @@ impl CohortState {
     /// Number of distinct cohorts currently tracked.
     pub fn num_cohorts(&self) -> usize {
         self.chunks.iter().map(|c| c.len()).sum()
-    }
-
-    /// Current slot (always an epoch start).
-    pub fn slot(&self) -> Slot {
-        self.slot
     }
 
     /// Previous epoch (genesis-floored).
@@ -977,7 +972,6 @@ impl StateBackend for CohortState {
     fn fragmentation(&self) -> Option<Fragmentation> {
         Some(Fragmentation {
             cohorts: self.num_cohorts() as u64,
-            classes: self.num_classes as u64,
             max_cohorts_per_class: self.chunks.iter().map(|c| c.len()).max().unwrap_or(0) as u64,
         })
     }

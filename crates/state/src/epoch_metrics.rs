@@ -50,7 +50,7 @@ pub(crate) struct StageTimer {
 
 impl StageTimer {
     /// Closes the current stage under `stage` and starts the next.
-    pub fn stage(&mut self, stage: &'static str) {
+    pub(crate) fn stage(&mut self, stage: &'static str) {
         let now = Instant::now();
         let elapsed = now - self.last;
         self.last = now;

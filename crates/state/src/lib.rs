@@ -16,7 +16,7 @@
 //!   updates (ejection at 16 ETH effective balance), correlation slashing
 //!   penalties, and effective-balance hysteresis;
 //! * slashing (`slash_validator`: the immediate penalty and exit);
-//! * the [`backend`] abstraction over the epoch-transition surface, with
+//! * the [`StateBackend`] abstraction over the epoch-transition surface, with
 //!   the dense per-validator reference ([`DenseState`]) and the exact
 //!   cohort-compressed representation ([`CohortState`]) that makes
 //!   million-validator simulations O(#cohorts) per epoch.
@@ -40,22 +40,23 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod backend;
-pub mod beacon_state;
-pub mod cohort_state;
-pub mod epoch;
-pub(crate) mod epoch_metrics;
+mod backend;
+mod beacon_state;
+mod cohort_state;
+mod epoch;
+mod epoch_metrics;
 pub mod participation;
-pub mod rewards;
-pub mod slashings;
-pub mod validator;
+mod rewards;
+mod slashings;
+mod validator;
 
 pub use backend::{
-    BackendKind, BranchObservation, ClassSpec, ClassStats, DenseState, Fragmentation, MemberState,
-    StateBackend, StateSnapshot,
+    synthetic_branch_root, BackendKind, BranchObservation, ClassSpec, ClassStats, DenseState,
+    Fragmentation, MemberState, StateBackend, StateSnapshot,
 };
 pub use beacon_state::BeaconState;
 pub use cohort_state::CohortState;
 pub use participation::ParticipationFlags;
-pub use validator::{Validator, FAR_FUTURE_EPOCH};
+pub use validator::Validator;

@@ -25,7 +25,7 @@ use crate::participation::{
 /// monotonically to the same floor, so this one starts at
 /// `2^⌈bits(n)/2⌉` — a handful of divisions instead of one per two bits
 /// of `n`, once per state and epoch on the compressed backend.
-pub fn integer_sqrt(n: u64) -> u64 {
+pub(crate) fn integer_sqrt(n: u64) -> u64 {
     if n == 0 {
         return 0;
     }
@@ -46,15 +46,6 @@ impl BeaconState {
         let factor = self.config().base_reward_factor;
         let sqrt_total = integer_sqrt(self.total_active_balance().as_u64());
         Gwei::new(increment * factor / sqrt_total.max(1))
-    }
-
-    /// Spec `get_base_reward` for one validator.
-    pub fn base_reward(&self, index: ValidatorIndex) -> Gwei {
-        let increments = self.validators()[index.as_usize()]
-            .effective_balance
-            .as_u64()
-            / self.config().effective_balance_increment.as_u64();
-        Gwei::new(increments * self.base_reward_per_increment().as_u64())
     }
 
     /// Spec `process_rewards_and_penalties`: applies attestation-flag
@@ -174,6 +165,14 @@ mod tests {
     use crate::participation::ParticipationFlags;
     use ethpos_types::{ChainConfig, Epoch};
 
+    /// Spec `get_base_reward` for one validator: the per-validator
+    /// oracle of the flag deltas `attestation_deltas` computes in bulk.
+    fn base_reward(s: &BeaconState, index: ValidatorIndex) -> Gwei {
+        let increments = s.validators()[index.as_usize()].effective_balance.as_u64()
+            / s.config().effective_balance_increment.as_u64();
+        Gwei::new(increments * s.base_reward_per_increment().as_u64())
+    }
+
     fn state(n: usize) -> BeaconState {
         BeaconState::genesis(ChainConfig::minimal(), n)
     }
@@ -239,8 +238,8 @@ mod tests {
     fn base_reward_scales_with_effective_balance() {
         let mut s = state(16);
         s.validators_mut()[0].effective_balance = Gwei::from_eth_u64(16);
-        let full = s.base_reward(ValidatorIndex::new(1));
-        let half = s.base_reward(ValidatorIndex::new(0));
+        let full = base_reward(&s, ValidatorIndex::new(1));
+        let half = base_reward(&s, ValidatorIndex::new(0));
         assert_eq!(half.as_u64() * 2, full.as_u64());
     }
 
@@ -310,7 +309,7 @@ mod tests {
         assert!(score > 0);
         let eff = s.validators()[0].effective_balance;
         let before = s.balance(idx);
-        let base = s.base_reward(idx).as_u64();
+        let base = base_reward(&s, idx).as_u64();
         let flat = base * 14 / 64 + base * 26 / 64; // source + target penalties
         s.advance_epoch(None);
         // score has grown by 4 during the epoch we just processed

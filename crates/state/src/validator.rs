@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use ethpos_types::{Epoch, Gwei};
 
 /// Sentinel for "no scheduled epoch" (spec `FAR_FUTURE_EPOCH`).
-pub const FAR_FUTURE_EPOCH: Epoch = Epoch::new(u64::MAX);
+pub(crate) const FAR_FUTURE_EPOCH: Epoch = Epoch::new(u64::MAX);
 
 /// One entry of the validator registry.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -19,7 +19,7 @@ pub struct Validator {
     pub slashed: bool,
     /// First epoch of activity.
     pub activation_epoch: Epoch,
-    /// Epoch at which the validator exits (or [`FAR_FUTURE_EPOCH`]).
+    /// Epoch at which the validator exits (or `FAR_FUTURE_EPOCH`).
     pub exit_epoch: Epoch,
     /// Epoch after which the stake is withdrawable (used by the
     /// correlation-slashing penalty window).

@@ -15,17 +15,18 @@
 
 use proptest::prelude::*;
 
-use ethpos_sim::{PartitionConfig, PartitionSim, PartitionTimeline};
-use ethpos_state::backend::{ClassSpec, StateBackend};
+use ethpos_sim::{
+    BranchChoice, BranchStatus, ByzantineSchedule, DualActive, PartitionConfig, PartitionSim,
+    PartitionTimeline,
+};
 use ethpos_state::participation::{
     TIMELY_HEAD_FLAG_INDEX, TIMELY_SOURCE_FLAG_INDEX, TIMELY_TARGET_FLAG_INDEX,
 };
 use ethpos_state::{
-    BranchObservation, ClassStats, CohortState, DenseState, Fragmentation, MemberState,
-    ParticipationFlags, StateSnapshot,
+    BranchObservation, ClassSpec, ClassStats, CohortState, DenseState, Fragmentation, MemberState,
+    ParticipationFlags, StateBackend, StateSnapshot,
 };
 use ethpos_types::{BranchId, ChainConfig, Checkpoint, Epoch, Gwei, Root, ValidatorIndex};
-use ethpos_validator::{BranchChoice, BranchStatus, ByzantineSchedule, DualActive};
 
 /// Builds the two backends from the same class specs.
 fn pair(config: &ChainConfig, classes: &[ClassSpec]) -> (DenseState, CohortState) {

@@ -1,9 +1,9 @@
-//! Exact binomial and multinomial count sampling.
+//! Exact binomial count sampling.
 //!
 //! The cohort-compressed state backend marks a churned class by drawing
 //! *how many* of a cohort's `c` identical members attest on a branch —
 //! a `Binomial(c, p)` count — instead of `c` per-member Bernoulli draws
-//! (`ethpos_state::backend::StateBackend::mark_class_counted`). These
+//! (`ethpos_state::StateBackend::mark_class_counted`). These
 //! samplers are **exact**: the returned counts follow the true discrete
 //! law, not a normal or Poisson approximation, so count-level marking is
 //! distributionally indistinguishable from the per-member reference path
@@ -23,11 +23,6 @@
 //! Edge cases (`p ∈ {0, 1}`, `n = 0`) return the degenerate count
 //! without consuming randomness, so callers may stream draws off a
 //! shared `StdRng` without perturbing sibling draws.
-//!
-//! A k-way churn draw for one cohort is a [`Multinomial`]: a chain of
-//! conditional binomials `N_j ~ Binomial(n − N_0 − … − N_{j−1},
-//! w_j / (w_j + … + w_{k−1}))` whose joint law is exactly
-//! `Multinomial(n, w/Σw)`.
 
 use rand::Rng;
 
@@ -370,102 +365,6 @@ fn stirling_tail(x: f64) -> f64 {
     (13860.0 - (462.0 - (132.0 - (99.0 - 140.0 / x2) / x2) / x2) / x2) / x / 166320.0
 }
 
-/// Sequential conditional probabilities of a weighted k-way draw:
-/// position `j` is taken with probability `w_j / (w_j + … + w_{k−1})`
-/// given positions `0..j` were refused; the last position absorbs the
-/// rest.
-///
-/// Computed so the two-branch case is bit-exact: for weights
-/// `[p0, 1 − p0]` the tail sum is exactly `1.0` (IEEE-754: the rounding
-/// error of `1 − p0` is under half an ulp of 1), so the first
-/// conditional probability is exactly `p0`.
-pub fn conditional_probabilities(weights: &[f64]) -> Vec<f64> {
-    let mut tails = vec![0.0; weights.len()];
-    let mut tail = 0.0;
-    for (j, w) in weights.iter().enumerate().rev() {
-        tail += w;
-        tails[j] = tail;
-    }
-    weights
-        .iter()
-        .enumerate()
-        .map(|(j, w)| {
-            if j + 1 == weights.len() {
-                1.0
-            } else {
-                w / tails[j]
-            }
-        })
-        .collect()
-}
-
-/// An exact multinomial law `Multinomial(n, w/Σw)`, sampled as a chain
-/// of conditional binomials.
-///
-/// # Example
-///
-/// ```
-/// use ethpos_stats::{seeded_rng, Multinomial};
-///
-/// let mut rng = seeded_rng(3);
-/// let d = Multinomial::new(&[0.2, 0.3, 0.5]);
-/// let counts = d.sample(1000, &mut rng);
-/// assert_eq!(counts.len(), 3);
-/// assert_eq!(counts.iter().sum::<u64>(), 1000);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Multinomial {
-    /// The conditional-binomial chain (see
-    /// [`conditional_probabilities`]).
-    cond: Vec<f64>,
-}
-
-impl Multinomial {
-    /// Creates a multinomial law over `weights` (normalized internally).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty, any weight is negative or
-    /// non-finite, or all weights are zero.
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "multinomial needs at least one weight");
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "multinomial weights must be finite and non-negative, got {weights:?}"
-        );
-        assert!(
-            weights.iter().sum::<f64>() > 0.0,
-            "multinomial weights must not all be zero"
-        );
-        Multinomial {
-            cond: conditional_probabilities(weights),
-        }
-    }
-
-    /// Number of categories.
-    pub fn k(&self) -> usize {
-        self.cond.len()
-    }
-
-    /// Draws exact category counts summing to `n`: the conditional
-    /// chain `N_j ~ Binomial(n − Σ_{i<j} N_i, cond_j)` with the last
-    /// category absorbing the remainder.
-    pub fn sample<R: Rng + ?Sized>(&self, n: u64, rng: &mut R) -> Vec<u64> {
-        let k = self.cond.len();
-        let mut counts = Vec::with_capacity(k);
-        let mut remaining = n;
-        for &c in &self.cond[..k - 1] {
-            // Conditional probabilities can graze 1.0 from below only by
-            // rounding; clamp so `Binomial::new` stays in range.
-            let d = Binomial::new(remaining, c.min(1.0)).sample(rng);
-            counts.push(d);
-            remaining -= d;
-        }
-        counts.push(remaining);
-        counts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,63 +641,5 @@ mod tests {
                 "{label} sampler: chi2 = {chi2} over {dof} cells"
             );
         }
-    }
-
-    #[test]
-    fn multinomial_counts_partition_n() {
-        let seq = SeedSequence::new(13);
-        let d = Multinomial::new(&[0.08, 1.02, 0.4, 0.5]);
-        for i in 0..200 {
-            let mut rng = seq.child_rng(i);
-            let counts = d.sample(10_000, &mut rng);
-            assert_eq!(counts.len(), 4);
-            assert_eq!(counts.iter().sum::<u64>(), 10_000);
-        }
-    }
-
-    #[test]
-    fn multinomial_category_means_follow_the_weights() {
-        let weights = [0.2, 0.3, 0.5];
-        let d = Multinomial::new(&weights);
-        let mut rng = seeded_rng(21);
-        let n = 1000u64;
-        let draws = 20_000usize;
-        let mut sums = [0.0f64; 3];
-        for _ in 0..draws {
-            for (s, c) in sums.iter_mut().zip(d.sample(n, &mut rng)) {
-                *s += c as f64;
-            }
-        }
-        for (j, w) in weights.iter().enumerate() {
-            let mean = sums[j] / draws as f64;
-            let expect = n as f64 * w;
-            assert!(
-                (mean / expect - 1.0).abs() < 0.01,
-                "category {j}: mean {mean} vs {expect}"
-            );
-        }
-    }
-
-    #[test]
-    fn multinomial_two_way_first_conditional_is_exact() {
-        // The two-branch bit-exactness contract: [p0, 1 − p0] must give
-        // the chain [p0, 1.0] with no rounding.
-        for p0 in [0.1, 0.25, 0.3333333333333333, 0.5, 0.75] {
-            let cond = conditional_probabilities(&[p0, 1.0 - p0]);
-            assert_eq!(cond, vec![p0, 1.0]);
-        }
-    }
-
-    #[test]
-    fn multinomial_degenerate_categories() {
-        let mut rng = seeded_rng(2);
-        // A zero weight gets zero mass; a lone category takes all.
-        let counts = Multinomial::new(&[0.0, 1.0]).sample(50, &mut rng);
-        assert_eq!(counts, vec![0, 50]);
-        assert_eq!(Multinomial::new(&[3.0]).sample(9, &mut rng), vec![9]);
-        assert_eq!(
-            Multinomial::new(&[0.5, 0.5]).sample(0, &mut rng),
-            vec![0, 0]
-        );
     }
 }

@@ -1,4 +1,4 @@
-//! Gauss error function and normal CDF/PDF.
+//! Gauss error function.
 //!
 //! `erf` is required by the paper's Eq. 19 (the CDF of the log-normal
 //! stake law under the probabilistic bouncing attack). The implementation
@@ -6,10 +6,8 @@
 //! Recipes §6.2), whose relative error is below `1.2 × 10⁻⁷` everywhere —
 //! far below every tolerance used in the reproduction.
 
-use core::f64::consts::SQRT_2;
-
 /// Complementary error function `erfc(x) = 1 − erf(x)`.
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     let z = x.abs();
     let t = 2.0 / (2.0 + z);
     let ty = 4.0 * t - 2.0;
@@ -67,19 +65,10 @@ pub fn erf(x: f64) -> f64 {
     1.0 - erfc(x)
 }
 
-/// Standard normal cumulative distribution function Φ(x).
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * erfc(-x / SQRT_2)
-}
-
-/// Standard normal probability density function φ(x).
-pub fn normal_pdf(x: f64) -> f64 {
-    (-0.5 * x * x).exp() / (2.0 * core::f64::consts::PI).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use core::f64::consts::SQRT_2;
     use proptest::prelude::*;
 
     /// Reference values computed with mpmath at 50 digits.
@@ -111,18 +100,15 @@ mod tests {
     }
 
     #[test]
-    fn normal_cdf_key_points() {
-        assert!((normal_cdf(0.0) - 0.5).abs() < 1e-12);
-        assert!((normal_cdf(1.959_963_984_540_054) - 0.975).abs() < 1e-7);
-        assert!((normal_cdf(-1.959_963_984_540_054) - 0.025).abs() < 1e-7);
-        assert!(normal_cdf(8.0) > 0.999_999_99);
-        assert!(normal_cdf(-8.0) < 1e-8);
-    }
-
-    #[test]
-    fn normal_pdf_is_symmetric_and_normalized_at_zero() {
-        assert!((normal_pdf(0.0) - 0.398_942_280_401_432_7).abs() < 1e-12);
-        assert!((normal_pdf(1.3) - normal_pdf(-1.3)).abs() < 1e-15);
+    fn erfc_key_points() {
+        // Φ(x) = erfc(−x/√2)/2 at its 0.5, 0.975/0.025 and ±8σ points.
+        let z975 = 1.959_963_984_540_054 / SQRT_2;
+        assert!((erfc(0.0) - 1.0).abs() < 2e-12);
+        assert!((erf(z975) - 0.95).abs() < 2e-7);
+        assert!((erfc(z975) - 0.05).abs() < 2e-7);
+        assert!((erfc(-z975) - 1.95).abs() < 2e-7);
+        assert!(erfc(-8.0 / SQRT_2) > 1.999_999_98);
+        assert!(erfc(8.0 / SQRT_2) < 2e-8);
     }
 
     proptest! {
@@ -137,9 +123,9 @@ mod tests {
         }
 
         #[test]
-        fn prop_cdf_in_unit_interval(x in -40.0f64..40.0) {
-            let p = normal_cdf(x);
-            prop_assert!((0.0..=1.0).contains(&p));
+        fn prop_erfc_in_range(x in -40.0f64..40.0) {
+            let c = erfc(-x / SQRT_2);
+            prop_assert!((0.0..=2.0).contains(&c));
         }
     }
 }

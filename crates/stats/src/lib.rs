@@ -1,27 +1,25 @@
 //! Self-contained numerics used by the paper's analytical model.
 //!
-//! The paper's §5.3 analysis needs the Gauss error function, normal and
-//! log-normal laws, and numerical root finding for Eq. 10; this crate
-//! provides them without external math dependencies, plus quadrature and
-//! online summary statistics for the Monte-Carlo cross-checks.
+//! The paper's §5.3 analysis needs the Gauss error function and numerical
+//! root finding for Eq. 10; this crate provides them without external
+//! math dependencies, plus Simpson quadrature, the exact binomial count
+//! sampler behind churn marking, and the counter-based seed streams that
+//! make every Monte Carlo thread-count invariant.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod binomial;
-pub mod distributions;
-pub mod erf;
-pub mod quadrature;
-pub mod rng;
-pub mod rootfind;
-pub mod seedseq;
-pub mod summary;
+mod binomial;
+mod erf;
+mod quadrature;
+mod rng;
+mod rootfind;
+mod seedseq;
 
-pub use binomial::{conditional_probabilities, Binomial, Multinomial, PreparedBinomial};
-pub use distributions::{LogNormal, Normal};
-pub use erf::{erf, erfc, normal_cdf, normal_pdf};
+pub use binomial::{Binomial, PreparedBinomial};
+pub use erf::erf;
 pub use quadrature::integrate_simpson;
 pub use rng::seeded_rng;
-pub use rootfind::{bisect, brent, RootError};
+pub use rootfind::{brent, RootError};
 pub use seedseq::SeedSequence;
-pub use summary::Summary;

@@ -1,4 +1,4 @@
-//! Scalar root finding: bisection and Brent's method.
+//! Scalar root finding: Brent's method.
 //!
 //! Used to solve the paper's Eq. 10 (semi-active conflicting-finalization
 //! epoch), which has no closed form.
@@ -24,49 +24,6 @@ impl fmt::Display for RootError {
 }
 
 impl std::error::Error for RootError {}
-
-/// Finds a root of `f` in `[lo, hi]` by bisection to absolute tolerance
-/// `tol` on the abscissa.
-///
-/// # Errors
-///
-/// Returns [`RootError::NotBracketed`] if `f(lo)·f(hi) > 0`.
-pub fn bisect<F: Fn(f64) -> f64>(
-    f: F,
-    mut lo: f64,
-    mut hi: f64,
-    tol: f64,
-) -> Result<f64, RootError> {
-    let flo = f(lo);
-    let fhi = f(hi);
-    if flo == 0.0 {
-        return Ok(lo);
-    }
-    if fhi == 0.0 {
-        return Ok(hi);
-    }
-    if flo.signum() == fhi.signum() {
-        return Err(RootError::NotBracketed);
-    }
-    let mut flo = flo;
-    for _ in 0..20_000 {
-        let mid = 0.5 * (lo + hi);
-        if hi - lo < tol {
-            return Ok(mid);
-        }
-        let fmid = f(mid);
-        if fmid == 0.0 {
-            return Ok(mid);
-        }
-        if fmid.signum() == flo.signum() {
-            lo = mid;
-            flo = fmid;
-        } else {
-            hi = mid;
-        }
-    }
-    Err(RootError::NoConvergence)
-}
 
 /// Finds a root of `f` in `[lo, hi]` by Brent's method (inverse quadratic
 /// interpolation with bisection fallback), to absolute tolerance `tol`.
@@ -160,6 +117,45 @@ pub fn brent<F: Fn(f64) -> f64>(f: F, lo: f64, hi: f64, tol: f64) -> Result<f64,
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Bisection, the oracle [`brent`] is checked against: a root of `f`
+    /// in `[lo, hi]` to absolute tolerance `tol` on the abscissa.
+    fn bisect<F: Fn(f64) -> f64>(
+        f: F,
+        mut lo: f64,
+        mut hi: f64,
+        tol: f64,
+    ) -> Result<f64, RootError> {
+        let flo = f(lo);
+        let fhi = f(hi);
+        if flo == 0.0 {
+            return Ok(lo);
+        }
+        if fhi == 0.0 {
+            return Ok(hi);
+        }
+        if flo.signum() == fhi.signum() {
+            return Err(RootError::NotBracketed);
+        }
+        let mut flo = flo;
+        for _ in 0..20_000 {
+            let mid = 0.5 * (lo + hi);
+            if hi - lo < tol {
+                return Ok(mid);
+            }
+            let fmid = f(mid);
+            if fmid == 0.0 {
+                return Ok(mid);
+            }
+            if fmid.signum() == flo.signum() {
+                lo = mid;
+                flo = fmid;
+            } else {
+                hi = mid;
+            }
+        }
+        Err(RootError::NoConvergence)
+    }
 
     #[test]
     fn bisect_finds_sqrt2() {

@@ -92,11 +92,6 @@ impl SeedSequence {
     pub fn child_rng(&self, index: u64) -> StdRng {
         StdRng::seed_from_u64(self.child_seed(index))
     }
-
-    /// An RNG for this sequence's own key (the "trunk" stream).
-    pub fn rng(&self) -> StdRng {
-        StdRng::seed_from_u64(self.key)
-    }
 }
 
 #[cfg(test)]

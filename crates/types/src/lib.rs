@@ -23,14 +23,15 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod branch;
-pub mod checkpoint;
-pub mod config;
-pub mod root;
-pub mod time;
-pub mod units;
-pub mod validator;
+mod branch;
+mod checkpoint;
+mod config;
+mod root;
+mod time;
+mod units;
+mod validator;
 
 pub use branch::BranchId;
 pub use checkpoint::Checkpoint;
@@ -39,14 +40,3 @@ pub use root::Root;
 pub use time::{Epoch, Slot};
 pub use units::Gwei;
 pub use validator::ValidatorIndex;
-
-/// Convenient glob-import of the most frequently used types.
-pub mod prelude {
-    pub use crate::branch::BranchId;
-    pub use crate::checkpoint::Checkpoint;
-    pub use crate::config::ChainConfig;
-    pub use crate::root::Root;
-    pub use crate::time::{Epoch, Slot};
-    pub use crate::units::Gwei;
-    pub use crate::validator::ValidatorIndex;
-}

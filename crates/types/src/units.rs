@@ -11,7 +11,7 @@ use core::ops::{Add, AddAssign, Sub, SubAssign};
 use serde::{Deserialize, Serialize};
 
 /// Number of Gwei in one ETH.
-pub const GWEI_PER_ETH: u64 = 1_000_000_000;
+pub(crate) const GWEI_PER_ETH: u64 = 1_000_000_000;
 
 /// A balance in Gwei (10⁻⁹ ETH).
 ///

@@ -11,8 +11,7 @@
 //! ```
 
 use ethpos::core::scenarios::honest;
-use ethpos::sim::{PartitionConfig, PartitionSim, PartitionTimeline};
-use ethpos::validator::DualActive;
+use ethpos::sim::{DualActive, PartitionConfig, PartitionSim, PartitionTimeline};
 
 fn main() {
     let p0: f64 = std::env::args()

@@ -11,14 +11,13 @@
 use ethpos::core::experiments::simulated::conflicting_finalization_on;
 use ethpos::core::experiments::{run_experiment, Experiment};
 use ethpos::core::scenarios::{bouncing, semi_active, slashing, threshold};
-use ethpos::core::stake_model::StakeBehavior;
+use ethpos::core::StakeBehavior;
 use ethpos::sim::{
     run_bouncing_walks, run_single_branch_on, Behavior, BouncingWalkConfig, PartitionConfig,
-    PartitionSim, PartitionTimeline,
+    PartitionSim, PartitionTimeline, ThresholdSeeker,
 };
 use ethpos::state::{BackendKind, DenseState};
 use ethpos::types::ChainConfig;
-use ethpos::validator::ThresholdSeeker;
 
 fn main() {
     let json_dir = {

@@ -10,8 +10,7 @@
 //! ```
 
 use ethpos::core::scenarios::threshold;
-use ethpos::sim::{PartitionConfig, PartitionSim, PartitionTimeline};
-use ethpos::validator::ThresholdSeeker;
+use ethpos::sim::{PartitionConfig, PartitionSim, PartitionTimeline, ThresholdSeeker};
 
 fn main() {
     let beta0: f64 = std::env::args()

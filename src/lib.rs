@@ -9,11 +9,12 @@
 //! * [`types`] — slots, epochs, Gwei, roots, checkpoints, branch ids,
 //!   configs;
 //! * [`crypto`] — the simulated 256-bit hash (SipHash lanes);
-//! * [`stats`] — erf, normal/log-normal laws, root finding, quadrature;
+//! * [`stats`] — erf, root finding, quadrature, exact binomial draws and
+//!   seed streams;
 //! * [`state`] — the beacon state transition with the inactivity leak;
-//! * [`validator`] — Byzantine participation schedules;
-//! * [`sim`] — the epoch-level k-branch partition engine, single-branch
-//!   trajectories and the §5.3 Monte-Carlo walks;
+//! * [`sim`] — the Byzantine participation schedules, the epoch-level
+//!   k-branch partition engine, single-branch trajectories and the §5.3
+//!   Monte-Carlo walks;
 //! * [`core`] — the paper's analytical model and the five attack
 //!   scenarios, plus the experiment registry regenerating every table and
 //!   figure;
@@ -47,4 +48,3 @@ pub use ethpos_sim as sim;
 pub use ethpos_state as state;
 pub use ethpos_stats as stats;
 pub use ethpos_types as types;
-pub use ethpos_validator as validator;

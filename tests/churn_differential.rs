@@ -10,11 +10,9 @@
 //! case set identically on both backends.
 
 use ethpos::core::chaos::ChaosSpec;
-use ethpos::sim::{PartitionConfig, PartitionSim, PartitionTimeline};
-use ethpos::state::backend::StateBackend;
-use ethpos::state::BackendKind;
+use ethpos::sim::{DualActive, PartitionConfig, PartitionSim, PartitionTimeline};
+use ethpos::state::{BackendKind, StateBackend};
 use ethpos::types::BranchId;
-use ethpos::validator::DualActive;
 
 /// Probe epochs of the trajectory comparison (the horizon is 64; the
 /// step loop reports completed epochs, so probes stay strictly below).

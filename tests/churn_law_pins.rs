@@ -21,8 +21,7 @@ use ethpos::core::partition::StrategyKind;
 use ethpos::core::JobRequest;
 use ethpos::crypto::hash;
 use ethpos::sim::{PartitionConfig, PartitionSim, PartitionTimeline};
-use ethpos::state::backend::StateBackend;
-use ethpos::state::CohortState;
+use ethpos::state::{CohortState, StateBackend};
 
 const VALIDATORS: usize = 20_000;
 const BYZANTINE: usize = 4_000; // β₀ = 0.2

@@ -1,14 +1,13 @@
 //! Cross-validation of the epoch-level engine against the paper's
 //! analytic model on overlapping scenarios.
 
-use ethpos::core::stake_model::StakeBehavior;
+use ethpos::core::StakeBehavior;
 use ethpos::sim::{
-    run_single_branch_on, Behavior, ClassTrajectory, PartitionConfig, PartitionSim,
+    run_single_branch_on, Behavior, ClassTrajectory, DualActive, PartitionConfig, PartitionSim,
     PartitionTimeline,
 };
 use ethpos::state::DenseState;
 use ethpos::types::{BranchId, ChainConfig};
-use ethpos::validator::DualActive;
 
 /// One validator per behaviour (plus inactive filler keeping the branch
 /// from finalizing), per-validator on the dense backend.

@@ -1,9 +1,8 @@
 //! End-to-end: a healthy (unpartitioned) network finalizes steadily on the
 //! epoch-level engine, and the run is deterministic.
 
-use ethpos::sim::{PartitionConfig, PartitionOutcome, PartitionSim, PartitionTimeline};
+use ethpos::sim::{DualActive, PartitionConfig, PartitionOutcome, PartitionSim, PartitionTimeline};
 use ethpos::types::ChainConfig;
-use ethpos::validator::DualActive;
 
 /// `n` honest validators on one branch for `epochs` epochs, every epoch
 /// recorded.

@@ -1,9 +1,8 @@
 //! §5.1 end-to-end: a long partition ends in conflicting finalization —
 //! the paper's headline Safety violation.
 
-use ethpos::sim::{PartitionConfig, PartitionOutcome, PartitionSim, PartitionTimeline};
+use ethpos::sim::{DualActive, PartitionConfig, PartitionOutcome, PartitionSim, PartitionTimeline};
 use ethpos::types::BranchId;
-use ethpos::validator::DualActive;
 
 /// The honest-only two-branch run at split `p0`, recording every
 /// `record_every` epochs.

@@ -7,10 +7,9 @@ use ethpos::core::partition::{
     heal_resplit, run_scenario, three_branch, PartitionSpec, StrategyKind,
 };
 use ethpos::core::BackendKind;
-use ethpos::sim::{PartitionConfig, PartitionSim, PartitionTimeline};
+use ethpos::sim::{DualActive, PartitionConfig, PartitionSim, PartitionTimeline};
 use ethpos::state::CohortState;
 use ethpos::types::BranchId;
-use ethpos::validator::DualActive;
 
 fn b(i: u32) -> BranchId {
     BranchId::new(i)

@@ -2,8 +2,10 @@
 //! simulators matches the outcome the paper attributes to it.
 
 use ethpos::core::scenarios::{Outcome, Scenario};
-use ethpos::sim::{PartitionConfig, PartitionSim, PartitionTimeline, TwoBranchOutcome};
-use ethpos::validator::{ByzantineSchedule, DualActive, SemiActive, ThresholdSeeker};
+use ethpos::sim::{
+    ByzantineSchedule, DualActive, PartitionConfig, PartitionSim, PartitionTimeline, SemiActive,
+    ThresholdSeeker, TwoBranchOutcome,
+};
 
 fn paper_cfg(n: usize, byz: usize, epochs: u64) -> PartitionConfig {
     PartitionConfig {

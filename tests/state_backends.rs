@@ -12,12 +12,11 @@
 use ethpos::core::experiments::{run_experiment_with, simulated, Experiment, McConfig};
 use ethpos::core::BackendKind;
 use ethpos::sim::{
-    run_single_branch_on, PartitionConfig, PartitionSim, PartitionTimeline, SafetyMonitor,
+    run_single_branch_on, DualActive, PartitionConfig, PartitionSim, PartitionTimeline,
+    SafetyMonitor,
 };
-use ethpos::state::backend::StateBackend;
-use ethpos::state::CohortState;
+use ethpos::state::{CohortState, StateBackend};
 use ethpos::types::ChainConfig;
-use ethpos::validator::DualActive;
 
 /// Figure 2 at the paper's Ethereum-scale population: one million
 /// validators (100k active / 100k semi-active / 800k inactive) to epoch
@@ -114,8 +113,8 @@ fn immediate_conflict_at_one_million_validators() {
 /// synthetic checkpoints trip the Property-4 violation.
 #[test]
 fn safety_monitor_observes_cohort_branches() {
-    use ethpos::state::backend::synthetic_branch_root;
-    use ethpos::state::backend::ClassSpec;
+    use ethpos::state::synthetic_branch_root;
+    use ethpos::state::ClassSpec;
     use ethpos::state::ParticipationFlags;
 
     let config = ChainConfig::paper();

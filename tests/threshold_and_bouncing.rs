@@ -4,9 +4,8 @@
 use ethpos::core::scenarios::{bouncing, threshold};
 use ethpos::sim::{
     run_bouncing_walks, BouncingWalkConfig, PartitionConfig, PartitionSim, PartitionTimeline,
-    TwoBranchOutcome,
+    ThresholdSeeker, TwoBranchOutcome,
 };
-use ethpos::validator::ThresholdSeeker;
 
 /// A ThresholdSeeker run of `config`, in the two-branch shape.
 fn threshold_seeker(config: PartitionConfig) -> TwoBranchOutcome {
