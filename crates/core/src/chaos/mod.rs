@@ -478,8 +478,7 @@ pub struct ChaosStats {
     /// Cases the campaign ran (`budget`).
     pub cases: u64,
     /// Their aggregated [`ForkStats`]: fork counts, depths, and the
-    /// copy-on-write chunks forked children physically shared with
-    /// their parents.
+    /// copy-on-write chunks forked children shared with their parents.
     pub fork: ForkStats,
     /// Their aggregated [`ChurnStats`]: per-cohort binomial count draws
     /// and the members those draws covered (`members / draws` is the

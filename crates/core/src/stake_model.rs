@@ -41,15 +41,6 @@ pub enum StakeBehavior {
 }
 
 impl StakeBehavior {
-    /// Continuous inactivity score `I(t)` for this behaviour.
-    pub fn inactivity_score(self, t: f64) -> f64 {
-        match self {
-            StakeBehavior::Active => 0.0,
-            StakeBehavior::SemiActive => 1.5 * t,
-            StakeBehavior::Inactive => 4.0 * t,
-        }
-    }
-
     /// Continuous stake `s(t)` in ETH (paper §4.3), **without** ejection
     /// censoring.
     pub fn stake(self, t: f64) -> f64 {
@@ -251,12 +242,6 @@ pub(crate) mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn semi_active_scores_average_three_halves() {
-        assert_eq!(StakeBehavior::SemiActive.inactivity_score(1000.0), 1500.0);
-        assert_eq!(StakeBehavior::Inactive.inactivity_score(1000.0), 4000.0);
     }
 
     #[test]

@@ -319,11 +319,6 @@ impl Registry {
         )
     }
 
-    /// True when no metric family has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.lock_families().is_empty()
-    }
-
     /// Renders the registry in the Prometheus text exposition format
     /// (`# HELP` / `# TYPE` headers, one sample per line, histograms as
     /// cumulative `_bucket{le=...}` plus `_sum` / `_count`).
@@ -630,7 +625,7 @@ mod tests {
     /// histogram bucketing inside the get-or-create closure) poisons
     /// the mutex. A resident process scrapes `/metrics` long after any
     /// individual worker dies, so the registry must recover: later
-    /// registrations, renders, and `is_empty` all keep working.
+    /// registrations and renders keep working.
     #[test]
     fn registry_survives_a_poisoning_panic() {
         let r = Registry::new();
@@ -644,7 +639,6 @@ mod tests {
         assert!(panicked.is_err(), "bad bucketing must still panic");
         r.counter("post_total", "Registered after the panic.", &[])
             .add(2);
-        assert!(!r.is_empty());
         let text = r.render_prometheus();
         assert!(text.contains("pre_total 1"), "{text}");
         assert!(text.contains("post_total 2"), "{text}");

@@ -137,31 +137,9 @@ impl Tracer {
         }
     }
 
-    /// Number of events currently buffered.
-    pub fn len(&self) -> usize {
-        self.lock_events().len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Events dropped because the buffer was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Clears the buffer (tests; a long-lived server would export then
-    /// clear between runs).
-    pub fn clear(&self) {
-        self.lock_events().clear();
-        self.dropped.store(0, Ordering::Relaxed);
-    }
-
-    /// A snapshot of the buffered events.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.lock_events().clone()
     }
 
     /// Exports the buffer as Chrome trace JSON: one `traceEvents` array
@@ -281,6 +259,19 @@ fn fmt_json_f64(v: f64) -> String {
 mod tests {
     use super::*;
 
+    /// What the tests read of the buffer.
+    impl Tracer {
+        /// Number of events currently buffered.
+        pub(crate) fn len(&self) -> usize {
+            self.lock_events().len()
+        }
+
+        /// A snapshot of the buffered events.
+        pub(crate) fn events(&self) -> Vec<TraceEvent> {
+            self.lock_events().clone()
+        }
+    }
+
     fn leaked() -> &'static Tracer {
         Box::leak(Box::new(Tracer::new()))
     }
@@ -368,9 +359,6 @@ mod tests {
         }
         assert_eq!(t.len(), Tracer::CAPACITY);
         assert_eq!(t.dropped(), 5);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 0);
     }
 
     #[test]
@@ -378,7 +366,7 @@ mod tests {
         let t = leaked();
         let live = t.start_span("stage", "live".into());
         drop(Span::disabled());
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         // Nor does it unwind the nesting depth of the spans around it.
         drop(live);
         assert_eq!(t.events()[0].args, vec![("depth".to_string(), 1.0)]);

@@ -572,13 +572,21 @@ mod tests {
         }
         // both reachable from epoch 9: dwell on 0, see it finalize at 11,
         // dwell on 1, see it finalize, done — then alternate forever
+        let mut choices = Vec::new();
         for e in 9..30u64 {
             let mut st = [status(0, e, 50, 20, 100), status(1, e, 48, 20, 100)];
             st[0].finalized_epoch = if e >= 12 { 10 } else { 0 };
             st[1].finalized_epoch = if e >= 16 { 14 } else { 0 };
-            assert_eq!(ours.participate(&st), paper.participate(&st), "epoch {e}");
+            let theirs = paper.participate(&st);
+            assert_eq!(ours.participate(&st), theirs, "epoch {e}");
+            choices.push(theirs);
         }
-        assert!(paper.is_done());
+        // The paper's machine dwelt (a choice repeats), then finished and
+        // went back to alternating.
+        assert!(choices.windows(2).any(|w| w[0] == w[1]));
+        assert!(choices[choices.len() - 8..]
+            .windows(2)
+            .all(|w| w[0] != w[1]));
     }
 
     #[test]

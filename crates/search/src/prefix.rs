@@ -109,17 +109,6 @@ pub struct SearchStats {
     pub pair_epochs: u64,
 }
 
-impl SearchStats {
-    /// Fraction of evaluations answered without building a pair
-    /// checkpoint (`0.0` when nothing was evaluated).
-    pub fn memoized_fraction(&self) -> f64 {
-        if self.evaluations == 0 {
-            return 0.0;
-        }
-        (self.reconstructed + self.checkpoint_hits) as f64 / self.evaluations as f64
-    }
-}
-
 /// Per-epoch observables of one stream that its running [`BranchFold`]
 /// does not keep — what trigger detection and cutting the fold at any
 /// epoch read.
@@ -1105,15 +1094,5 @@ mod tests {
         let memo = &mut PrefixMemo::<CohortState>::new(&p);
         let evaluations = memo.evaluate_batch(&ChunkPool::new(1), &[Genome::SEMI_ACTIVE]);
         assert_eq!(evaluations[0].byzantine_exit_epoch, [None; 2]);
-    }
-
-    #[test]
-    fn stats_fraction_and_fork_depth_accumulate() {
-        let mut stats = SearchStats::default();
-        assert_eq!(stats.memoized_fraction(), 0.0);
-        stats.evaluations = 8;
-        stats.reconstructed = 4;
-        stats.checkpoint_hits = 2;
-        assert_eq!(stats.memoized_fraction(), 0.75);
     }
 }

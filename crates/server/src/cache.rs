@@ -58,11 +58,6 @@ impl ArtifactCache {
         Ok(ArtifactCache { root })
     }
 
-    /// The cache root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn entry_paths(&self, hash: &str) -> Option<(PathBuf, PathBuf, PathBuf)> {
         if !valid_hash(hash) {
             return None;

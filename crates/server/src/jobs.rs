@@ -245,6 +245,7 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::time::{Duration, Instant};
 
     fn tiny_request(seed: u64) -> (JobRequest, String) {
@@ -254,10 +255,11 @@ mod tests {
         (request, hash)
     }
 
-    fn temp_cache(tag: &str) -> ArtifactCache {
+    /// A fresh cache and its root, for the test to remove.
+    fn temp_cache(tag: &str) -> (ArtifactCache, PathBuf) {
         let root = std::env::temp_dir().join(format!("ethpos-jobs-{}-{tag}", std::process::id()));
         std::fs::remove_dir_all(&root).ok();
-        ArtifactCache::open(root).expect("open cache")
+        (ArtifactCache::open(&root).expect("open cache"), root)
     }
 
     fn wait_until(queue: &JobQueue, id: JobId, want: &str) -> JobSnapshot {
@@ -302,7 +304,7 @@ mod tests {
     #[test]
     fn runner_executes_commits_and_clears_coalescing() {
         let queue = JobQueue::new(8);
-        let cache = temp_cache("runner");
+        let (cache, root) = temp_cache("runner");
         let _runner = spawn_runner(
             Arc::clone(&queue),
             cache.clone(),
@@ -329,13 +331,13 @@ mod tests {
             queue.submit(request, hash),
             SubmitOutcome::Queued(_)
         ));
-        std::fs::remove_dir_all(cache.root()).ok();
+        std::fs::remove_dir_all(root).ok();
     }
 
     #[test]
     fn panicking_job_reports_error_and_runner_survives() {
         let queue = JobQueue::new(8);
-        let cache = temp_cache("panic");
+        let (cache, root) = temp_cache("panic");
         let _runner = spawn_runner(
             Arc::clone(&queue),
             cache.clone(),
@@ -366,6 +368,6 @@ mod tests {
             other => panic!("{other:?}"),
         };
         wait_until(&queue, id, "done");
-        std::fs::remove_dir_all(cache.root()).ok();
+        std::fs::remove_dir_all(root).ok();
     }
 }

@@ -222,11 +222,6 @@ impl SemiActive {
             phase: SemiActivePhase::Alternate,
         }
     }
-
-    /// True once both branches have been finalized by the dwell phases.
-    pub fn is_done(&self) -> bool {
-        self.phase == SemiActivePhase::Done
-    }
 }
 
 impl Default for SemiActive {
@@ -382,11 +377,6 @@ impl RoundRobin {
             phase: RoundRobinPhase::Rotate,
         }
     }
-
-    /// True once the dwell pass finalized every branch.
-    pub fn is_done(&self) -> bool {
-        self.phase == RoundRobinPhase::Done
-    }
 }
 
 impl ByzantineSchedule for RoundRobin {
@@ -531,7 +521,7 @@ mod tests {
         st[0].finalized_epoch = 10;
         st[1].finalized_epoch = 12;
         let _ = s.participate(&st);
-        assert!(s.is_done());
+        assert_eq!(s.phase, SemiActivePhase::Done);
     }
 
     #[test]
@@ -612,7 +602,7 @@ mod tests {
         st[1].finalized_epoch = 8;
         st[2].finalized_epoch = 10;
         let _ = s.participate(&st);
-        assert!(s.is_done());
+        assert_eq!(s.phase, RoundRobinPhase::Done);
         // done: back to rotation
         assert_eq!(s.participate(&near(13)), BranchChoice::only(13 % 3));
     }

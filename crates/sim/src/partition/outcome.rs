@@ -90,8 +90,8 @@ pub struct ForkStats {
     pub fork_epoch_sum: u64,
     /// Deepest epoch at which a fork happened.
     pub max_fork_epoch: u64,
-    /// Storage chunks each freshly forked child physically shared with
-    /// its parent at fork time, summed over forks (0 on the dense
+    /// Storage chunks each freshly forked child shared with its parent
+    /// at fork time, summed over forks (0 on the dense
     /// backend; positive iff copy-on-write sharing is engaged).
     pub shared_chunks: u64,
 }

@@ -321,9 +321,10 @@ pub trait StateBackend: Sized + Clone + Send {
     /// Renders the canonical equivalence snapshot.
     fn snapshot(&self) -> StateSnapshot;
 
-    /// Number of storage chunks this backend physically shares (same
-    /// allocation) with `other` — nonzero only for copy-on-write
-    /// representations forked from a common ancestor. Purely
+    /// Number of storage chunks this backend shares with `other` (the
+    /// same allocation, or for a chunk small enough to hold inline, the
+    /// same contents) — nonzero only for copy-on-write representations
+    /// forked from a common ancestor. Purely
     /// observational: used by fork-sharing diagnostics and the aliasing
     /// tests; the dense backend (and any other deep-copying backend)
     /// reports `0`.

@@ -63,11 +63,18 @@
 //! checkpoints and every gene-stream extension — is O(#classes), whatever
 //! the population and however long the run:
 //!
-//! * each class chunk is an `Arc<Vec<(MemberState, u64)>>`; a mutation
-//!   unshares only the touched class's chunk (`Arc::make_mut`: a copy if
-//!   a fork still holds it, in place otherwise), and an epoch step that
-//!   leaves a chunk bit-identical (e.g. a fully-exited class) writes
-//!   nothing, so sibling branches go on sharing it;
+//! * a class of several cohorts keeps its chunk in an
+//!   `Arc<Vec<(MemberState, u64)>>`; a mutation unshares only the touched
+//!   class's chunk (`Arc::make_mut`: a copy if a fork still holds it, in
+//!   place otherwise), and an epoch step that leaves a chunk
+//!   bit-identical (e.g. a fully-exited class) writes nothing, so sibling
+//!   branches go on sharing it;
+//! * a class of exactly one cohort — every class of a compact run —
+//!   holds that `(MemberState, u64)` inline: a fork copies it, and the
+//!   epoch's marks and member updates are plain writes with no allocation
+//!   and no reference count to touch. Counted marking that splits it
+//!   moves it behind an `Arc`; a merge back to one cohort moves it
+//!   inline again;
 //! * there is no per-epoch log: justification names only the previous
 //!   and the current epoch's checkpoint roots, so the state carries that
 //!   two-root window inline and nothing grows with the epoch count;
@@ -75,7 +82,8 @@
 //!   `Arc::make_mut` only when a value actually changes (the all-zero
 //!   ring that every run in this repo carries is never copied).
 //!
-//! [`CohortState::shared_chunks`] makes the sharing observable, and the
+//! [`CohortState::shared_chunks`] makes the sharing observable (an inline
+//! cohort counts as shared while both forks hold the same one), and the
 //! aliasing unit tests below pin that post-fork mutations never leak into
 //! a sibling.
 
@@ -98,9 +106,58 @@ use crate::validator::FAR_FUTURE_EPOCH;
 /// One cohort: a member state and how many members share it.
 type Run = (MemberState, u64);
 
-/// One class's cohorts: sorted, run-length-merged `(state, count)` runs
-/// behind shared storage.
-type Chunk = Arc<Vec<Run>>;
+/// One class's cohorts: sorted, run-length-merged `(state, count)` runs.
+///
+/// A class of exactly one cohort — every class of a compact run — holds
+/// its run inline: no allocation, no reference count, and an epoch's
+/// writes to it are plain stores. Every other class keeps its runs
+/// behind shared storage, copied on write. A chunk holds one run exactly
+/// when it is [`One`](Chunk::One): every write keeps that so, and two
+/// chunks compare by their runs whichever variant holds them.
+#[derive(Debug, Clone)]
+enum Chunk {
+    One(Run),
+    Many(Arc<Vec<Run>>),
+}
+
+impl Chunk {
+    /// The chunk holding `runs`, already canonical.
+    fn from_vec(runs: Vec<Run>) -> Chunk {
+        match runs[..] {
+            [run] => Chunk::One(run),
+            _ => Chunk::Many(Arc::new(runs)),
+        }
+    }
+
+    /// True if a fork of one state still shares this chunk with `other`:
+    /// the same allocation for [`Many`](Chunk::Many), the same run for
+    /// [`One`](Chunk::One) (an inline run is copied at the fork and
+    /// unshared by the first write that changes it).
+    fn is_shared_with(&self, other: &Chunk) -> bool {
+        match (self, other) {
+            (Chunk::One(a), Chunk::One(b)) => a == b,
+            (Chunk::Many(a), Chunk::Many(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
+impl std::ops::Deref for Chunk {
+    type Target = [Run];
+
+    fn deref(&self) -> &[Run] {
+        match self {
+            Chunk::One(run) => std::slice::from_ref(run),
+            Chunk::Many(runs) => runs,
+        }
+    }
+}
+
+impl PartialEq for Chunk {
+    fn eq(&self, other: &Chunk) -> bool {
+        **self == **other
+    }
+}
 
 /// Chunks shorter than this are sorted by comparison: the radix passes'
 /// fixed histogram cost only pays off on longer ones.
@@ -273,38 +330,51 @@ fn canonicalize(runs: &mut Vec<Run>, scratch: &mut SortScratch) {
     canonicalize_loaded(runs, scratch);
 }
 
-/// Maps every run of `chunk` through `f` and re-canonicalizes it, inside
-/// its own allocation when no fork shares it. If `f` fixes every state
-/// the chunk is not written at all, and the existing `Arc` (and any
-/// sharing with sibling branches) is kept.
+/// Maps every run of `chunk` through `f` and re-canonicalizes it. An
+/// inline run is overwritten in place. Runs behind an `Arc` are written
+/// only if `f` changes one of them, in place when no fork shares them
+/// and into a copy otherwise; if `f` fixes every state the `Arc`, and
+/// any sharing with sibling branches, is kept.
 fn transform_chunk(
     chunk: &mut Chunk,
     scratch: &mut SortScratch,
     mut f: impl FnMut(&MemberState) -> MemberState,
 ) {
+    let shared = match chunk {
+        Chunk::One((m, _)) => {
+            *m = f(m);
+            return;
+        }
+        Chunk::Many(shared) => shared,
+    };
     // `f` runs once per run: the search hands over the state it stepped.
-    let Some((first, stepped)) = chunk.iter().enumerate().find_map(|(i, (m, _))| {
+    let Some((first, stepped)) = shared.iter().enumerate().find_map(|(i, (m, _))| {
         let stepped = f(m);
         (stepped != *m).then_some((i, stepped))
     }) else {
         return;
     };
-    let runs = Arc::make_mut(chunk);
+    let runs = Arc::make_mut(shared);
     runs[first].0 = stepped;
-    if !SortScratch::takes(runs.len()) {
+    if SortScratch::takes(runs.len()) {
+        // The map pass hands the keyed sort the balances it holds anyway.
+        scratch.load(runs.iter_mut().enumerate().map(|(i, run)| {
+            if i > first {
+                run.0 = f(&run.0);
+            }
+            run.0.balance
+        }));
+        canonicalize_loaded(runs, scratch);
+    } else {
         for run in &mut runs[first + 1..] {
             run.0 = f(&run.0);
         }
-        return canonicalize_by_comparison(runs);
+        canonicalize_by_comparison(runs);
     }
-    // The map pass hands the keyed sort the balances it holds anyway.
-    scratch.load(runs.iter_mut().enumerate().map(|(i, run)| {
-        if i > first {
-            run.0 = f(&run.0);
-        }
-        run.0.balance
-    }));
-    canonicalize_loaded(runs, scratch);
+    // Canonicalizing merged the class down to one cohort.
+    if let [run] = runs[..] {
+        *chunk = Chunk::One(run);
+    }
 }
 
 /// The participation flags in reward-weight order.
@@ -401,14 +471,18 @@ impl CohortState {
         self.finality_delay() > self.config.min_epochs_to_inactivity_penalty
     }
 
-    /// Number of class chunks physically shared (same allocation) with
-    /// `other` — nonzero exactly when copy-on-write sharing is engaged
-    /// between two forks of the same state.
+    /// Number of class chunks shared with `other` — nonzero exactly when
+    /// copy-on-write sharing is engaged between two forks of the same
+    /// state. A class of several cohorts counts when both sides hold the
+    /// same allocation; a one-cohort class is held inline, copied at the
+    /// fork, and counts while both sides hold the same cohort. Right at a
+    /// fork every chunk counts either way, which is when the partition
+    /// engine reads this into its fork statistics.
     pub fn shared_chunks(&self, other: &CohortState) -> usize {
         self.chunks
             .iter()
             .zip(&other.chunks)
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .filter(|(a, b)| a.is_shared_with(b))
             .count()
     }
 
@@ -737,7 +811,7 @@ impl StateBackend for CohortState {
             .iter()
             .map(|spec| {
                 if spec.count == 0 {
-                    return Arc::new(Vec::new());
+                    return Chunk::Many(Arc::new(Vec::new()));
                 }
                 let member = MemberState {
                     balance: spec.balance,
@@ -750,7 +824,7 @@ impl StateBackend for CohortState {
                     previous_flags: ParticipationFlags::EMPTY,
                     current_flags: ParticipationFlags::EMPTY,
                 };
-                Arc::new(vec![(member, spec.count)])
+                Chunk::One((member, spec.count))
             })
             .collect();
         let genesis_checkpoint = Checkpoint::genesis(genesis_root);
@@ -933,7 +1007,7 @@ impl StateBackend for CohortState {
         if !unflagged {
             canonicalize(&mut next, &mut SortScratch::default());
         }
-        *chunk = Arc::new(next);
+        *chunk = Chunk::from_vec(next);
     }
 
     fn advance_epoch(&mut self, next_checkpoint_root: Option<Root>) {
@@ -952,7 +1026,7 @@ impl StateBackend for CohortState {
             current_justified: self.current_justified,
             finalized: self.finalized,
             slashings: (*self.slashings).clone(),
-            classes: self.chunks.iter().map(|c| (**c).clone()).collect(),
+            classes: self.chunks.iter().map(|c| c.to_vec()).collect(),
         }
     }
 
@@ -1340,7 +1414,7 @@ mod tests {
         // A step that fixes scores below `first_changed` and bumps the
         // rest by 10 (order-preserving, so the outcome is easy to state).
         for first_changed in 0..=6u64 {
-            let mut chunk: Chunk = Arc::new(runs.clone());
+            let mut chunk = Chunk::from_vec(runs.clone());
             let shared = chunk.clone();
             let mut seen = Vec::new();
             transform_chunk(&mut chunk, &mut SortScratch::default(), |m| {
@@ -1361,8 +1435,94 @@ mod tests {
                 .collect();
             assert_eq!(scores, expected);
             // Nothing changed ⇒ nothing written: still the shared allocation.
-            assert_eq!(Arc::ptr_eq(&chunk, &shared), first_changed == 6);
+            assert_eq!(chunk.is_shared_with(&shared), first_changed == 6);
         }
+    }
+
+    // ── chunk representation ────────────────────────────────────────────
+
+    /// Every chunk holds one run exactly when it is inline.
+    fn assert_one_iff_single_run(state: &CohortState) {
+        for (class, chunk) in state.chunks.iter().enumerate() {
+            assert_eq!(
+                matches!(chunk, Chunk::One(_)),
+                chunk.len() == 1,
+                "class {class}: {chunk:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn paper_schedule_keeps_every_class_inline() {
+        // Fig. 2's mix at n = 10⁶: active, semi-active and inactive
+        // classes, deep into the leak.
+        let config = ChainConfig::paper();
+        let classes = [
+            ClassSpec::full_stake(600_000, &config),
+            ClassSpec::full_stake(200_000, &config),
+            ClassSpec::full_stake(200_000, &config),
+        ];
+        let mut state = CohortState::from_classes(config, &classes);
+        for epoch in 0..100 {
+            state.mark_class(0, ParticipationFlags::all());
+            if epoch % 2 == 0 {
+                state.mark_class(1, ParticipationFlags::all());
+            }
+            state.advance_epoch(None);
+            assert!(
+                state.chunks.iter().all(|c| matches!(c, Chunk::One(_))),
+                "epoch {epoch}"
+            );
+        }
+        assert!(state.is_in_inactivity_leak());
+        assert_eq!(state.num_cohorts(), 3);
+    }
+
+    #[test]
+    fn split_class_goes_inline_again_when_it_merges() {
+        let classes = [full(10), full(6)];
+        let never_split = {
+            let mut state = CohortState::from_classes(ChainConfig::minimal(), &classes);
+            state.mark_class(0, ParticipationFlags::all());
+            state
+        };
+        // Merged by the member map: a whole-class mark after a split.
+        let mut by_map = CohortState::from_classes(ChainConfig::minimal(), &classes);
+        by_map.mark_class_counted(0, ParticipationFlags::all(), &mut |_| 4);
+        assert!(matches!(&by_map.chunks[0], Chunk::Many(runs) if runs.len() == 2));
+        assert_one_iff_single_run(&by_map);
+        let mut by_count = by_map.clone();
+        by_map.mark_class(0, ParticipationFlags::all());
+        assert!(matches!(by_map.chunks[0], Chunk::One(_)));
+        assert_eq!(by_map, never_split);
+        // Merged by counted marking: the rest of the class drawn.
+        by_count.mark_class_counted(0, ParticipationFlags::all(), &mut |count| count);
+        assert!(matches!(by_count.chunks[0], Chunk::One(_)));
+        assert_eq!(by_count, never_split);
+        // And the merged states step on as the never-split one does.
+        let mut never_split = never_split;
+        for state in [&mut by_map, &mut by_count, &mut never_split] {
+            state.advance_epoch(None);
+            assert_one_iff_single_run(state);
+        }
+        assert_eq!(by_map, never_split);
+        assert_eq!(by_count, never_split);
+    }
+
+    #[test]
+    fn fork_shares_both_variants_until_one_inline_class_changes() {
+        let classes = [full(10), full(6), full(4)];
+        let mut parent = CohortState::from_classes(ChainConfig::minimal(), &classes);
+        parent.mark_class_counted(0, ParticipationFlags::all(), &mut |_| 4);
+        assert!(matches!(parent.chunks[0], Chunk::Many(_)));
+        assert!(matches!(parent.chunks[1], Chunk::One(_)));
+        let mut fork = parent.clone();
+        assert_eq!(parent.shared_chunks(&fork), 3);
+        fork.mark_class(1, ParticipationFlags::all());
+        assert_eq!(parent.shared_chunks(&fork), 2);
+        // Rewriting an inline run with its own value leaves it shared.
+        fork.mark_class(2, ParticipationFlags::EMPTY);
+        assert_eq!(parent.shared_chunks(&fork), 2);
     }
 
     #[test]

@@ -69,16 +69,6 @@ impl Binomial {
         Binomial { n, p }
     }
 
-    /// Mean `n·p`.
-    pub fn mean(&self) -> f64 {
-        self.n as f64 * self.p
-    }
-
-    /// Variance `n·p·(1−p)`.
-    pub fn variance(&self) -> f64 {
-        self.n as f64 * self.p * (1.0 - self.p)
-    }
-
     /// Draws one exact count.
     ///
     /// Degenerate parameters (`n = 0`, `p ∈ {0, 1}`) return without
@@ -583,18 +573,17 @@ mod tests {
             }
             let mean = sum / draws as f64;
             let var = sumsq / draws as f64 - mean * mean;
-            let sd = d.variance().sqrt();
+            // The law's moments, `n·p` and `n·p·(1−p)`.
+            let (law_mean, law_variance) = (n as f64 * p, n as f64 * p * (1.0 - p));
             // Mean of `draws` samples has sd σ/√draws; allow 5 of those.
-            let mean_tol = 5.0 * sd / (draws as f64).sqrt();
+            let mean_tol = 5.0 * law_variance.sqrt() / (draws as f64).sqrt();
             assert!(
-                (mean - d.mean()).abs() < mean_tol,
-                "n={n} p={p}: mean {mean} vs {} (tol {mean_tol})",
-                d.mean()
+                (mean - law_mean).abs() < mean_tol,
+                "n={n} p={p}: mean {mean} vs {law_mean} (tol {mean_tol})"
             );
             assert!(
-                (var / d.variance() - 1.0).abs() < 0.1,
-                "n={n} p={p}: var {var} vs {}",
-                d.variance()
+                (var / law_variance - 1.0).abs() < 0.1,
+                "n={n} p={p}: var {var} vs {law_variance}"
             );
         }
     }
