@@ -6,13 +6,13 @@
 //! replaces SHA-256 from the real protocol; see `ARCHITECTURE.md`,
 //! "Deliberate simplifications".
 //!
-//! Two entry shapes, one digest: bytes go through the buffering
-//! [`Hasher`] (one [`siphash24`] pass per lane), while [`hash_u64`] — the
-//! synthetic checkpoint root every epoch-level branch takes every epoch —
-//! compresses its words into the four lanes directly. SipHash reads its
-//! input as little-endian 8-byte blocks, so a `u64` word is exactly the
-//! block its `to_le_bytes` would have produced and the two paths agree
-//! bit for bit (tested in both build profiles).
+//! Two entry shapes, one digest, one pass: [`hash`] reads its bytes as
+//! little-endian 8-byte blocks straight from the caller's slice, and
+//! [`hash_u64`] takes those blocks as words. Either way each block goes
+//! into the four lanes side by side, and the final block carries the
+//! byte length. A `u64` word is exactly the block its `to_le_bytes`
+//! would have produced, so the two agree bit for bit (tested in both
+//! build profiles).
 
 use ethpos_types::Root;
 
@@ -24,82 +24,71 @@ const LANE_KEYS: [(u64, u64); 4] = [
     (0xc0ac_29b7_c97c_50dd, 0x3f84_d5b5_b547_0917),
 ];
 
-/// Incremental 256-bit hasher (four SipHash-2-4 lanes).
+/// Hashes a byte slice to a 256-bit root.
 ///
 /// # Example
 ///
 /// ```
-/// use ethpos_crypto::Hasher;
+/// use ethpos_crypto::{hash, hash_u64};
 ///
-/// let mut h = Hasher::new();
-/// h.update(b"hello");
-/// h.update(&42u64.to_le_bytes());
-/// let root = h.finalize();
+/// let root = hash(&42u64.to_le_bytes());
 /// assert!(!root.is_zero());
+/// assert_eq!(root, hash_u64(&[42]));
 /// ```
-#[derive(Debug, Clone)]
-pub struct Hasher {
-    buf: Vec<u8>,
-}
-
-impl Hasher {
-    /// Creates an empty hasher.
-    pub fn new() -> Self {
-        Hasher { buf: Vec::new() }
-    }
-
-    /// Appends bytes to the input.
-    pub fn update(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Produces the 256-bit digest.
-    pub fn finalize(&self) -> Root {
-        let mut out = [0u8; 32];
-        for (i, (k0, k1)) in LANE_KEYS.iter().enumerate() {
-            let lane = siphash24(*k0, *k1, &self.buf);
-            out[i * 8..(i + 1) * 8].copy_from_slice(&lane.to_le_bytes());
-        }
-        Root::new(out)
-    }
-}
-
-impl Default for Hasher {
-    fn default() -> Self {
-        Hasher::new()
-    }
-}
-
-/// Hashes a byte slice to a 256-bit root.
 pub fn hash(bytes: &[u8]) -> Root {
-    let mut h = Hasher::new();
-    h.update(bytes);
-    h.finalize()
+    let mut lanes = Lanes::new();
+    let mut blocks = bytes.chunks_exact(8);
+    for block in &mut blocks {
+        lanes.absorb(u64::from_le_bytes(block.try_into().expect("8-byte block")));
+    }
+    // SipHash's final block: the remaining bytes, and `byte length mod
+    // 256` in its top byte.
+    let rest = blocks.remainder();
+    let mut last = [0u8; 8];
+    last[..rest.len()].copy_from_slice(rest);
+    last[7] = bytes.len() as u8;
+    lanes.absorb(u64::from_le_bytes(last));
+    lanes.finish()
 }
 
 /// Hashes a sequence of `u64` words — convenient for hashing structured
 /// fixed-size records.
 ///
-/// Equal to feeding the words' little-endian bytes to a [`Hasher`],
-/// without the byte buffer: a little-endian `u64`
-/// *is* one SipHash message block, so each word goes straight into the
-/// four lanes, side by side, and the final block is the byte length
-/// alone. This is the per-branch, per-epoch root of the epoch-level
-/// simulators, so it must not allocate.
+/// Equal to [`hash`] of the words' little-endian bytes: a little-endian
+/// `u64` *is* one SipHash message block, so each word goes straight
+/// into the lanes, and the final block is the byte length alone.
 pub fn hash_u64(words: &[u64]) -> Root {
-    let mut lanes = LANE_KEYS.map(|(k0, k1)| SipLane::new(k0, k1));
-    // SipHash's final block carries `byte length mod 256` in its top byte.
-    let length_block = (words.len() as u64 * 8) << 56;
-    for &block in words.iter().chain([&length_block]) {
-        for lane in &mut lanes {
+    let mut lanes = Lanes::new();
+    for &word in words {
+        lanes.absorb(word);
+    }
+    lanes.absorb((words.len() as u64 * 8) << 56);
+    lanes.finish()
+}
+
+/// The four keyed lanes, fed the same message blocks side by side.
+struct Lanes([SipLane; 4]);
+
+impl Lanes {
+    fn new() -> Self {
+        Lanes(LANE_KEYS.map(|(k0, k1)| SipLane::new(k0, k1)))
+    }
+
+    #[inline(always)]
+    fn absorb(&mut self, block: u64) {
+        for lane in &mut self.0 {
             lane.absorb(block);
         }
     }
-    let mut out = [0u8; 32];
-    for (lane, bytes) in lanes.into_iter().zip(out.chunks_exact_mut(8)) {
-        bytes.copy_from_slice(&lane.finish().to_le_bytes());
+
+    /// The digest: lane `i`'s output in bytes `8i..8i + 8`.
+    fn finish(self) -> Root {
+        let mut out = [0u8; 32];
+        for (lane, bytes) in self.0.into_iter().zip(out.chunks_exact_mut(8)) {
+            bytes.copy_from_slice(&lane.finish().to_le_bytes());
+        }
+        Root::new(out)
     }
-    Root::new(out)
 }
 
 /// The four-word state of one SipHash-2-4 lane.
@@ -158,28 +147,38 @@ impl SipLane {
     }
 }
 
-/// SipHash-2-4 with the given 128-bit key, per the reference
-/// specification (Aumasson & Bernstein).
-pub(crate) fn siphash24(k0: u64, k1: u64, data: &[u8]) -> u64 {
-    let mut lane = SipLane::new(k0, k1);
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        lane.absorb(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-    }
-    // final block: remaining bytes plus length in the top byte
-    let rem = chunks.remainder();
-    let mut last = [0u8; 8];
-    last[..rem.len()].copy_from_slice(rem);
-    last[7] = (data.len() & 0xff) as u8;
-    lane.absorb(u64::from_le_bytes(last));
-    lane.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::HashSet;
+
+    /// SipHash-2-4 with the given 128-bit key over `data`, one lane on
+    /// its own, per the reference specification (Aumasson & Bernstein):
+    /// the oracle the four-lane digest is held against.
+    fn siphash24(k0: u64, k1: u64, data: &[u8]) -> u64 {
+        let mut lane = SipLane::new(k0, k1);
+        let mut chunks = data.chunks_exact(8);
+        for chunk in &mut chunks {
+            lane.absorb(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        // final block: remaining bytes plus length in the top byte
+        let rem = chunks.remainder();
+        let mut last = [0u8; 8];
+        last[..rem.len()].copy_from_slice(rem);
+        last[7] = (data.len() & 0xff) as u8;
+        lane.absorb(u64::from_le_bytes(last));
+        lane.finish()
+    }
+
+    /// The four lanes of `data`'s digest, each its own `siphash24` pass.
+    fn per_lane(data: &[u8]) -> Root {
+        let mut out = [0u8; 32];
+        for (lane, (k0, k1)) in LANE_KEYS.into_iter().enumerate() {
+            out[lane * 8..][..8].copy_from_slice(&siphash24(k0, k1, data).to_le_bytes());
+        }
+        Root::new(out)
+    }
 
     /// Reference test vector from the SipHash paper (Appendix A):
     /// key = 00 01 … 0f, input = 00 01 … 0e, output = 0xa129ca6149be45e5.
@@ -210,36 +209,27 @@ mod tests {
         }
     }
 
-    /// `hash_u64` feeds words to the lanes directly; the byte hasher is
-    /// its oracle. 32 words are 256 bytes, where the length byte wraps.
+    /// `hash_u64` feeds words to the lanes; `hash` of their bytes is its
+    /// oracle. 32 words are 256 bytes, where the length byte wraps.
     #[test]
     fn hash_u64_equals_the_byte_path() {
         for n in 0..40u64 {
             let words: Vec<u64> = (0..n)
                 .map(|i| (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ n)
                 .collect();
-            let mut buffered = Hasher::new();
-            for w in &words {
-                buffered.update(&w.to_le_bytes());
-            }
-            assert_eq!(hash_u64(&words), buffered.finalize(), "{n} words");
+            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            assert_eq!(hash_u64(&words), hash(&bytes), "{n} words");
         }
     }
 
-    /// The digest is the four keyed lanes, each the reference-vector-tested
-    /// `siphash24`, at every remainder length and past the 64-byte mark.
+    /// The one-pass digest is the four keyed lanes, each the
+    /// reference-vector-tested `siphash24`, at every length through the
+    /// 64-byte mark (every remainder of a block, eight times over).
     #[test]
     fn hash_is_the_four_siphash24_lanes() {
-        for n in 0..70usize {
+        for n in 0..=64usize {
             let data: Vec<u8> = (0..n).map(|i| (i * 37 + 11) as u8).collect();
-            let root = hash(&data);
-            for (lane, (k0, k1)) in LANE_KEYS.into_iter().enumerate() {
-                assert_eq!(
-                    root.as_bytes()[lane * 8..][..8],
-                    siphash24(k0, k1, &data).to_le_bytes(),
-                    "{n} bytes, lane {lane}"
-                );
-            }
+            assert_eq!(hash(&data), per_lane(&data), "{n} bytes");
         }
     }
 
@@ -254,6 +244,14 @@ mod tests {
         #[test]
         fn prop_deterministic(data in proptest::collection::vec(any::<u8>(), 0..256)) {
             prop_assert_eq!(hash(&data), hash(&data));
+        }
+
+        /// Past 64 bytes, and past 256 where the length byte wraps.
+        #[test]
+        fn prop_hash_is_the_four_siphash24_lanes(
+            data in proptest::collection::vec(any::<u8>(), 65..1100),
+        ) {
+            prop_assert_eq!(hash(&data), per_lane(&data));
         }
 
         #[test]

@@ -16,4 +16,4 @@
 
 mod hashing;
 
-pub use hashing::{hash, hash_u64, Hasher};
+pub use hashing::{hash, hash_u64};

@@ -59,7 +59,7 @@ use serde::Serialize;
 
 use ethpos_sim::kernel::{self, BranchEpochStats, BranchFold, BYZANTINE_CLASS};
 use ethpos_sim::{ByzantineSchedule, ChunkPool, PartitionConfig, TwoBranchOutcome};
-use ethpos_state::StateBackend;
+use ethpos_state::{RootLabel, StateBackend};
 use ethpos_types::{BranchId, Root};
 
 use crate::genome::{DutyGene, Genome, ParamSchedule};
@@ -125,8 +125,8 @@ struct EpochRec {
 
 /// The memo's checkpoint root for the advance of `epoch` — the label of
 /// epoch `epoch + 1`'s checkpoint.
-fn label(epoch: u64) -> Root {
-    Root::from_u64(epoch + 1)
+fn label(epoch: u64) -> RootLabel {
+    Root::from_u64(epoch + 1).into()
 }
 
 /// One pure-duty epoch of a single branch state — the only way a gene

@@ -16,8 +16,9 @@
 //!   schedule.
 //!
 //! The caller owns every buffer and the checkpoint root of each advance
-//! (the partition engine hashes branch-distinct roots, the memo labels
-//! epochs).
+//! (the partition engine names each branch's block by branch and epoch,
+//! which the state hashes only if justification needs it; the memo
+//! labels epochs).
 //!
 //! [`observe`] takes the caller's draws, so an engine calls it for its
 //! branches one at a time, in a fixed order. [`advance`] draws nothing
@@ -28,9 +29,9 @@
 use serde::Serialize;
 
 use crate::byzantine::BranchStatus;
-use ethpos_state::{ParticipationFlags, StateBackend};
+use ethpos_state::{ParticipationFlags, RootLabel, StateBackend};
 use ethpos_stats::PreparedBinomial;
-use ethpos_types::{BranchId, Root};
+use ethpos_types::BranchId;
 
 /// Class index of the Byzantine cohort in every engine's class layout
 /// (the honest classes follow it).
@@ -105,7 +106,7 @@ pub fn advance<B: StateBackend>(
     status: &BranchStatus,
     ejected: (u64, u64),
     byzantine: bool,
-    root: Root,
+    root: RootLabel,
 ) -> BranchEpochStats {
     if byzantine {
         state.mark_class(BYZANTINE_CLASS, ParticipationFlags::all());
@@ -169,7 +170,7 @@ mod tests {
     use super::*;
     use ethpos_state::ClassSpec;
     use ethpos_state::DenseState;
-    use ethpos_types::{ChainConfig, Gwei};
+    use ethpos_types::{ChainConfig, Gwei, Root};
 
     /// A genesis state with the Byzantine class (class 0) and one honest
     /// class (class 1) of the given sizes.
@@ -191,7 +192,7 @@ mod tests {
             &status,
             ejected,
             byzantine,
-            Root::from_u64(epoch + 1),
+            Root::from_u64(epoch + 1).into(),
         );
         (status, stats)
     }
@@ -211,7 +212,7 @@ mod tests {
                 justified_epoch: 0,
                 finalized_epoch: 0,
             };
-            let stats = advance(&mut state, &status, (0, 0), false, Root::from_u64(8));
+            let stats = advance(&mut state, &status, (0, 0), false, Root::from_u64(8).into());
             let mut fold = BranchFold::default();
             fold.push(7, &stats, &state);
             assert_eq!(
@@ -286,7 +287,7 @@ mod tests {
                 &status,
                 ejected,
                 false,
-                Root::from_u64(epoch + 1),
+                Root::from_u64(epoch + 1).into(),
             );
             fold.push(epoch, &stats, &state);
             let byzantine = state.class_stats(BYZANTINE_CLASS);

@@ -43,9 +43,9 @@
 use std::collections::BTreeMap;
 
 use crate::byzantine::{BranchStatus, ByzantineSchedule};
-use ethpos_state::{synthetic_branch_root, BackendKind, CohortState, DenseState, StateBackend};
+use ethpos_state::{BackendKind, CohortState, DenseState, RootLabel, StateBackend};
 use ethpos_stats::seeded_rng;
-use ethpos_types::{BranchId, ChainConfig, Root};
+use ethpos_types::{BranchId, ChainConfig};
 
 use crate::kernel::{self, BranchEpochStats, BranchFold, BYZANTINE_CLASS};
 use crate::monitor::SafetyMonitor;
@@ -161,7 +161,6 @@ pub struct PartitionSim<B: StateBackend = DenseState> {
     rng: rand::rngs::StdRng,
     branches: BTreeMap<BranchId, B>,
     monitor: SafetyMonitor,
-    tips: BTreeMap<BranchId, Root>,
     plan: MarkingPlan,
     step_idx: usize,
     epoch: u64,
@@ -245,7 +244,6 @@ impl<B: StateBackend> PartitionSim<B> {
             schedule,
             branches: BTreeMap::from([(BranchId::GENESIS, genesis)]),
             monitor: SafetyMonitor::new(genesis_root, 1),
-            tips: BTreeMap::from([(BranchId::GENESIS, genesis_root)]),
             plan: MarkingPlan::default(),
             step_idx: 0,
             epoch: 0,
@@ -358,7 +356,6 @@ impl<B: StateBackend> PartitionSim<B> {
                     StepOp::Fork { parent, children } => {
                         let base = self.branches.get(parent).expect("parent is live").clone();
                         let fork_checkpoint = base.finalized_checkpoint();
-                        let tip = self.tips[parent];
                         for &child in children {
                             let state = base.clone();
                             self.fork_stats.forks += 1;
@@ -367,8 +364,11 @@ impl<B: StateBackend> PartitionSim<B> {
                                 self.fork_stats.max_fork_epoch.max(self.epoch);
                             self.fork_stats.shared_chunks += base.shared_chunks_with(&state) as u64;
                             self.branches.insert(child, state);
-                            self.tips.insert(child, tip);
-                            let view = self.monitor.add_view(fork_checkpoint);
+                            let view = self.monitor.add_view(
+                                parent.as_usize(),
+                                self.epoch,
+                                fork_checkpoint,
+                            );
                             debug_assert_eq!(view, child.as_usize());
                             debug_assert_eq!(self.meta.len(), child.as_usize());
                             self.meta.push(BranchMeta {
@@ -380,7 +380,6 @@ impl<B: StateBackend> PartitionSim<B> {
                     StepOp::Retire { merged, .. } => {
                         for &b in merged {
                             let state = self.branches.remove(&b).expect("merged branch is live");
-                            self.tips.remove(&b);
                             let meta = &mut self.meta[b.as_usize()];
                             meta.healed_at_epoch = Some(self.epoch);
                             meta.final_finalized_epoch =
@@ -449,8 +448,8 @@ impl<B: StateBackend> PartitionSim<B> {
         let choice = self.schedule.participate(statuses);
 
         // 3a. Per live branch: `kernel::advance` — the Byzantine mark
-        //     and the epoch transition under the branch's own synthetic
-        //     checkpoint root. An advance reads only its own branch and
+        //     and the epoch transition under the label of the branch's
+        //     own block, `(branch, epoch + 1)`. An advance reads only its own branch and
         //     what steps 1 and 2 left at its position, and draws nothing,
         //     so once the live branches are fragmented enough to pay for a
         //     thread (`heavy`) the advances run concurrently, each in its
@@ -469,10 +468,12 @@ impl<B: StateBackend> PartitionSim<B> {
             let _span = heavy.then(|| {
                 ethpos_obs::span_with("sim", || format!("advance branch {}", status.branch))
             });
-            let root = synthetic_branch_root(status.branch.as_u64(), epoch + 1);
+            let root = RootLabel::Branch {
+                id: status.branch.as_u64(),
+                epoch: epoch + 1,
+            };
             let byzantine = choice.get(position);
-            let stats = kernel::advance(state, status, ejected[position], byzantine, root);
-            (stats, root)
+            kernel::advance(state, status, ejected[position], byzantine, root)
         };
         let advanced = if heavy && self.pool.threads() > 1 {
             let mut lanes: Vec<&mut B> = branches.values_mut().collect();
@@ -484,20 +485,19 @@ impl<B: StateBackend> PartitionSim<B> {
 
         // 3b. Per live branch, in id order once every advance is done (a
         //     serial advance runs here, right before its own fold): fold
-        //     the branch outcome, and feed the safety monitor the new
-        //     block and the branch's finalized checkpoint (checked against
-        //     every branch pair — healed branches included).
+        //     the branch outcome, and feed the safety monitor the branch's
+        //     finalized checkpoint (checked against every branch pair —
+        //     healed branches included). The monitor knows each branch's
+        //     lineage from its fork, so it needs no block.
         for (position, (b, _)) in plan.pinned.iter().enumerate() {
             let state = branches.get_mut(b).expect("live branch");
-            let (stat, root) = match advanced.get(position) {
+            let stat = match advanced.get(position) {
                 Some(&done) => done,
                 None => advance(position, state),
             };
             self.meta[b.as_usize()].fold.push(epoch, &stat, state);
             stats.push(stat);
             byzantine_active.push(choice.get(position));
-            let parent = self.tips.insert(*b, root).expect("live branch has a tip");
-            self.monitor.observe_block(root, parent);
             self.monitor.observe_backend(b.as_usize(), state);
         }
         self.outcome.epochs_run = epoch + 1;
@@ -994,14 +994,7 @@ mod tests {
                 })
                 .sum();
             concurrent += u64::from(live.len() > 1 && cohorts >= PARALLEL_ADVANCE_COHORTS);
-            let more = sim.step();
-            // Every new block carries its own branch's root, also where
-            // ids and positions part.
-            for (id, tip) in &sim.tips {
-                let root = synthetic_branch_root(id.as_u64(), sim.current_epoch());
-                assert_eq!(*tip, root, "branch {id}");
-            }
-            if !more {
+            if !sim.step() {
                 break;
             }
         }
@@ -1139,5 +1132,227 @@ mod tests {
             "3-way conflict near the ejection epoch, got {t}"
         );
         assert!(out.violation.is_some());
+    }
+
+    /// A fresh schedule for a strategy id (`ethpos_core`'s
+    /// `StrategyKind` ids).
+    fn strategy(id: &str) -> Box<dyn ByzantineSchedule> {
+        match id {
+            "dual-active" => Box::new(DualActive),
+            "semi-active" => Box::new(crate::byzantine::SemiActive::new()),
+            "threshold-seeker" => Box::new(ThresholdSeeker::new()),
+            "rotate" => Box::new(RoundRobin::new(0)),
+            "rotate-dwell" => Box::new(RoundRobin::new(2)),
+            other => panic!("unknown strategy {other}"),
+        }
+    }
+
+    /// A violation as `(view_a, view_b, checkpoint_a, checkpoint_b)` and
+    /// the epoch it was first seen at.
+    type Seen = (
+        Option<(
+            usize,
+            usize,
+            ethpos_types::Checkpoint,
+            ethpos_types::Checkpoint,
+        )>,
+        Option<u64>,
+    );
+
+    /// Runs `config` to its end on the cohort backend beside the
+    /// hash-tree oracle, which is fed what the engine fed its monitor
+    /// before the monitor read lineages: after each epoch, every live
+    /// branch's block `(b, e + 1)` under that branch's tip, where a child
+    /// inherits its parent's tip and finalized checkpoint at the fork.
+    /// Every epoch, each live branch's justified root must be a block on
+    /// its own chain: the branch labelled its blocks by its id, also
+    /// where ids and positions part. Returns what the engine saw, then
+    /// what the oracle saw.
+    fn engine_and_oracle(config: PartitionConfig, schedule: &str) -> [Seen; 2] {
+        use crate::monitor::tests::HashTreeMonitor;
+        use ethpos_state::synthetic_branch_root;
+
+        let mut sim = PartitionSim::<CohortState>::with_backend(config, strategy(schedule))
+            .expect("timeline compiles");
+        let genesis = sim.branch(BranchId::GENESIS).finalized_checkpoint();
+        let mut oracle = HashTreeMonitor::new(genesis.root, 1);
+        let mut tips = BTreeMap::from([(BranchId::GENESIS, genesis.root)]);
+        let mut finalized = BTreeMap::from([(BranchId::GENESIS, genesis)]);
+        let mut oracle_epoch = None;
+        loop {
+            let epoch = sim.current_epoch();
+            for step in sim.compiled.steps.iter().filter(|s| s.epoch == epoch) {
+                for op in &step.ops {
+                    match op {
+                        StepOp::Fork { parent, children } => {
+                            for &child in children {
+                                tips.insert(child, tips[parent]);
+                                finalized.insert(child, finalized[parent]);
+                                let view = oracle.add_view(finalized[parent]);
+                                assert_eq!(view, child.as_usize());
+                            }
+                        }
+                        StepOp::Retire { merged, .. } => {
+                            for b in merged {
+                                tips.remove(b);
+                            }
+                        }
+                    }
+                }
+            }
+            let more = sim.step();
+            if sim.current_epoch() == epoch {
+                break; // the run had already ended
+            }
+            for (b, tip) in tips.iter_mut() {
+                let root = synthetic_branch_root(b.as_u64(), epoch + 1);
+                oracle.observe_block(root, *tip);
+                *tip = root;
+                let state = sim.branch(*b);
+                let justified = state.current_justified_checkpoint().root;
+                assert!(
+                    oracle.is_on_chain(&justified, tip),
+                    "branch {b} epoch {epoch}"
+                );
+                finalized.insert(*b, state.finalized_checkpoint());
+                oracle.observe_finalized(b.as_usize(), state.finalized_checkpoint());
+            }
+            if oracle_epoch.is_none() && oracle.violation().is_some() {
+                oracle_epoch = Some(epoch);
+            }
+            if !more {
+                break;
+            }
+        }
+        let out = sim.finish();
+        let engine = out.violation.map(|v| {
+            let (a, b) = (v.branch_a.as_usize(), v.branch_b.as_usize());
+            (a, b, v.checkpoint_a, v.checkpoint_b)
+        });
+        [
+            (engine, out.conflicting_finalization_epoch),
+            (oracle.violation(), oracle_epoch),
+        ]
+    }
+
+    /// The lineage monitor convicts exactly where the hash-tree oracle
+    /// does — the same branch pair, both checkpoints, the same epoch —
+    /// over the partition presets at n = 10⁶, the chaos corpus cases,
+    /// hand-made split / heal / re-split timelines and seeded sampled
+    /// ones.
+    #[test]
+    fn lineage_monitor_convicts_where_the_hash_tree_does() {
+        let genesis = BranchId::GENESIS;
+        let mut runs: Vec<(String, PartitionConfig, String)> = Vec::new();
+        // The presets (`ethpos_core::partition::preset_scenarios`).
+        let presets = [
+            (
+                PartitionTimeline::new().split(0, genesis, &[0.34, 0.33, 0.33]),
+                "rotate-dwell",
+                0.33,
+                6000,
+            ),
+            (
+                PartitionTimeline::new()
+                    .split(0, genesis, &[0.5, 0.5])
+                    .heal(300, genesis, &[b(1)])
+                    .split(400, genesis, &[0.5, 0.5]),
+                "dual-active",
+                0.3,
+                2600,
+            ),
+        ];
+        for (timeline, schedule, beta0, epochs) in presets {
+            let n = 1_000_000;
+            let byzantine = (beta0 * n as f64).round() as usize;
+            let config = PartitionConfig {
+                record_every: u64::MAX,
+                ..PartitionConfig::paper(n, byzantine, timeline, epochs)
+            };
+            runs.push((format!("preset {schedule}"), config, schedule.into()));
+        }
+        // The chaos corpus: every case and every original it was shrunk
+        // from.
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/chaos");
+        let mut fixtures: Vec<_> = std::fs::read_dir(corpus)
+            .expect("chaos corpus")
+            .map(|entry| entry.expect("corpus entry").path())
+            .collect();
+        fixtures.sort();
+        for path in fixtures {
+            let text = std::fs::read_to_string(&path).expect("fixture");
+            let fixture: serde_json::Value = serde_json::from_str(&text).expect("fixture JSON");
+            for key in ["case", "original"] {
+                // A case shrunk from nothing has a null original.
+                let Some(case) = fixture.get(key).filter(|case| case.get("n").is_some()) else {
+                    continue;
+                };
+                let field = |name: &str| case.get(name).expect(name);
+                let n = field("n").as_u64().unwrap() as usize;
+                let beta0 = field("beta0").as_f64().unwrap();
+                let timeline = PartitionTimeline::parse(field("timeline").as_str().unwrap())
+                    .expect("corpus timeline");
+                let config = PartitionConfig {
+                    seed: field("engine_seed").as_u64().unwrap(),
+                    record_every: u64::MAX,
+                    ..PartitionConfig::paper(
+                        n,
+                        (beta0 * n as f64).round() as usize,
+                        timeline,
+                        field("max_epochs").as_u64().unwrap(),
+                    )
+                };
+                let adversary = field("adversary").as_str().unwrap();
+                let schedule = adversary.strip_prefix("strategy:").expect("a strategy");
+                runs.push((format!("{path:?} {key}"), config, schedule.into()));
+            }
+        }
+        // Hand-made timelines: splits, heals and re-splits, forks of
+        // forks in one epoch, and a heal into a younger branch.
+        let made = [
+            "split@0:0=0.5,0.5; heal@300:0<-1; split@400:0=0.5,0.5",
+            "split@0:0=0.4,0.6; split@0:1=0.5,0.5; heal@200:1<-2; split@260:1=0.5,0.5",
+            "split@0:0=0.75,0.25; heal@12:1<-0",
+            "split@5:0=0.3,0.3,0.4; heal@90:2<-0+1; split@120:2=0.5,0.5; split@121:3=0.5,0.5",
+        ];
+        for (i, spec) in made.into_iter().enumerate() {
+            for (schedule, beta0) in [("dual-active", 0.3), ("rotate-dwell", 0.33)] {
+                let timeline = PartitionTimeline::parse(spec).expect(spec);
+                let config = PartitionConfig {
+                    seed: i as u64,
+                    record_every: u64::MAX,
+                    ..PartitionConfig::paper(3000, (beta0 * 3000.0) as usize, timeline, 4000)
+                };
+                runs.push((format!("{spec} {schedule}"), config, schedule.into()));
+            }
+        }
+        // Seeded sampled timelines, as the chaos campaign draws them.
+        for seed in 0..16u64 {
+            let mut rng = seeded_rng(seed);
+            let timeline = crate::sample_timeline(&mut rng, 1024);
+            let (schedule, beta0) = [
+                ("dual-active", 0.4),
+                ("rotate", 0.36),
+                ("rotate-dwell", 0.33),
+                ("threshold-seeker", 0.3),
+            ][seed as usize % 4];
+            let config = PartitionConfig {
+                seed,
+                record_every: u64::MAX,
+                ..PartitionConfig::paper(2048, (beta0 * 2048.0) as usize, timeline, 1024)
+            };
+            runs.push((
+                format!("sampled {seed} {schedule}"),
+                config,
+                schedule.into(),
+            ));
+        }
+        let mut convicted = 0;
+        for (name, config, schedule) in runs {
+            let [engine, oracle] = engine_and_oracle(config, &schedule);
+            assert_eq!(engine, oracle, "{name}");
+            convicted += usize::from(engine.0.is_some());
+        }
+        assert!(convicted >= 8, "only {convicted} runs convicted");
     }
 }

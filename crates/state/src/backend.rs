@@ -22,6 +22,13 @@
 //! class, and two backends driven by the same schedule must produce equal
 //! snapshots after every epoch (enforced by the `backend_equivalence`
 //! property tests).
+//!
+//! Checkpoint roots enter a state through
+//! [`advance_epoch`](StateBackend::advance_epoch) as a [`RootLabel`]: a
+//! given [`Root`], or the structural name `(branch, epoch)` of a block
+//! the epoch-level engines never build. Both backends keep labels in
+//! their two-epoch root window and hash one
+//! ([`synthetic_branch_root`]) only when justification names it, once.
 
 use serde::Serialize;
 
@@ -185,12 +192,63 @@ pub struct Fragmentation {
     pub max_cohorts_per_class: u64,
 }
 
-/// The synthetic root labelling checkpoint `epoch` on branch
-/// `branch_id` — what an epoch-level engine passes to
-/// [`advance_epoch`](StateBackend::advance_epoch), since it builds no
-/// blocks.
+/// The synthetic root of branch `branch_id`'s block at `epoch`, the
+/// block an epoch-level engine never builds (see [`RootLabel::Branch`]).
 pub fn synthetic_branch_root(branch_id: u64, epoch: u64) -> Root {
     hash_u64(&[0x6272_616e_6368, branch_id, epoch]) // "branch"
+}
+
+/// The checkpoint root of an epoch, as
+/// [`advance_epoch`](StateBackend::advance_epoch) takes it: a root the
+/// caller has, or the structural name of a branch's block.
+///
+/// A branch label is hashed ([`synthetic_branch_root`]) the first time
+/// justification names it, and the state keeps the result in its
+/// two-epoch window, so no label is hashed twice; a leaking branch
+/// justifies nothing and hashes nothing. Equality compares the roots
+/// the labels name, so whether a label has been resolved yet never
+/// shows in a state comparison.
+#[derive(Debug, Clone, Copy, Eq)]
+pub enum RootLabel {
+    /// A given root.
+    Root(Root),
+    /// Branch `id`'s block at `epoch`.
+    Branch {
+        /// The branch id.
+        id: u64,
+        /// The block's epoch.
+        epoch: u64,
+    },
+}
+
+impl RootLabel {
+    /// The root this label names.
+    pub fn root(self) -> Root {
+        match self {
+            RootLabel::Root(root) => root,
+            RootLabel::Branch { id, epoch } => synthetic_branch_root(id, epoch),
+        }
+    }
+
+    /// The root this label names, kept in place of the label so that it
+    /// is hashed once.
+    pub(crate) fn resolve(&mut self) -> Root {
+        let root = self.root();
+        *self = RootLabel::Root(root);
+        root
+    }
+}
+
+impl From<Root> for RootLabel {
+    fn from(root: Root) -> Self {
+        RootLabel::Root(root)
+    }
+}
+
+impl PartialEq for RootLabel {
+    fn eq(&self, other: &Self) -> bool {
+        self.root() == other.root()
+    }
 }
 
 /// The epoch-transition surface shared by the dense and cohort state
@@ -303,7 +361,13 @@ pub trait StateBackend: Sized + Clone + Send {
     /// the next epoch, recording `next_checkpoint_root` as the new
     /// epoch's checkpoint root (carrying the previous root forward when
     /// `None`, like missed-slot semantics).
-    fn advance_epoch(&mut self, next_checkpoint_root: Option<Root>);
+    ///
+    /// The root is a [`RootLabel`]: an engine that builds no blocks
+    /// passes [`RootLabel::Branch`], and the state hashes it only if
+    /// justification names that epoch's checkpoint. Every checkpoint the
+    /// state reports carries the resolved root, the same 32 bytes an
+    /// eagerly hashed root would have given.
+    fn advance_epoch(&mut self, next_checkpoint_root: Option<RootLabel>);
 
     /// Sum of **actual** balances over every member of `class` (active
     /// and exited alike) — the quantity the simulators report as a
@@ -493,7 +557,7 @@ impl StateBackend for DenseState {
         }
     }
 
-    fn advance_epoch(&mut self, next_checkpoint_root: Option<Root>) {
+    fn advance_epoch(&mut self, next_checkpoint_root: Option<RootLabel>) {
         self.state.advance_epoch(next_checkpoint_root);
     }
 
@@ -614,12 +678,12 @@ mod tests {
     fn advance_epoch_records_checkpoint_root() {
         let mut dense = DenseState::from_classes(ChainConfig::minimal(), &classes(&[4]));
         let root = Root::from_u64(77);
-        dense.advance_epoch(Some(root));
+        dense.advance_epoch(Some(root.into()));
         assert_eq!(dense.current_epoch(), Epoch::new(1));
-        assert_eq!(dense.beacon_state().epoch_roots()[1], root);
+        assert_eq!(dense.beacon_state().epoch_roots()[1], root.into());
         // None carries the previous root forward (missed-slot semantics).
         dense.advance_epoch(None);
-        assert_eq!(dense.beacon_state().epoch_roots(), [root; 2]);
+        assert_eq!(dense.beacon_state().epoch_roots(), [root.into(); 2]);
     }
 
     #[test]

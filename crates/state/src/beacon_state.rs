@@ -1,10 +1,9 @@
 //! The [`BeaconState`] container and its balance/registry helpers.
 
-use serde::{Deserialize, Serialize};
-
 use ethpos_crypto::hash_u64;
-use ethpos_types::{ChainConfig, Checkpoint, Epoch, Gwei, Root, Slot, ValidatorIndex};
+use ethpos_types::{ChainConfig, Checkpoint, Epoch, Gwei, Slot, ValidatorIndex};
 
+use crate::backend::RootLabel;
 use crate::participation::ParticipationFlags;
 use crate::validator::Validator;
 
@@ -14,7 +13,7 @@ use crate::validator::Validator;
 /// Field layout follows the consensus spec (Altair/Bellatrix); fields that
 /// play no role in the paper's analysis (randao mixes, historical
 /// summaries, execution payload headers, …) are omitted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BeaconState {
     config: ChainConfig,
     /// First slot of the current epoch: the state moves one whole epoch
@@ -36,8 +35,9 @@ pub struct BeaconState {
     /// Ring buffer of slashed effective balance per epoch.
     slashings: Vec<Gwei>,
     /// Checkpoint roots at the start of the previous and the current
-    /// epoch — all of the root history justification reads.
-    epoch_roots: [Root; 2],
+    /// epoch — all of the root history justification reads. A label is
+    /// resolved in place when justification names it.
+    epoch_roots: [RootLabel; 2],
 }
 
 impl BeaconState {
@@ -80,7 +80,7 @@ impl BeaconState {
             current_justified_checkpoint: genesis_checkpoint,
             finalized_checkpoint: genesis_checkpoint,
             slashings,
-            epoch_roots: [genesis_root; 2],
+            epoch_roots: [RootLabel::Root(genesis_root); 2],
         }
     }
 
@@ -236,8 +236,9 @@ impl BeaconState {
 
     /// Checkpoint roots of the previous and the current epoch, in that
     /// order (spec `get_block_root` for the two epochs justification
-    /// reads). Both are the genesis root at genesis.
-    pub fn epoch_roots(&self) -> [Root; 2] {
+    /// reads), as the labels they were given or the roots justification
+    /// resolved them to. Both are the genesis root at genesis.
+    pub fn epoch_roots(&self) -> [RootLabel; 2] {
         self.epoch_roots
     }
 
@@ -262,7 +263,7 @@ impl BeaconState {
     /// epoch, recording `next_checkpoint_root` as that epoch's checkpoint
     /// root. `None` carries the current root forward, as an epoch of
     /// missed slots would.
-    pub fn advance_epoch(&mut self, next_checkpoint_root: Option<Root>) {
+    pub fn advance_epoch(&mut self, next_checkpoint_root: Option<RootLabel>) {
         self.process_epoch();
         self.slot = (self.current_epoch() + 1).start_slot(self.config.slots_per_epoch);
         let carried = self.epoch_roots[1];
@@ -295,12 +296,14 @@ impl BeaconState {
         &mut Checkpoint,
         &mut Checkpoint,
         &mut Checkpoint,
+        &mut [RootLabel; 2],
     ) {
         (
             &mut self.justification_bits,
             &mut self.previous_justified_checkpoint,
             &mut self.current_justified_checkpoint,
             &mut self.finalized_checkpoint,
+            &mut self.epoch_roots,
         )
     }
 
@@ -316,6 +319,7 @@ impl BeaconState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ethpos_types::Root;
 
     fn state(n: usize) -> BeaconState {
         BeaconState::genesis(ChainConfig::minimal(), n)
@@ -336,20 +340,20 @@ mod tests {
     fn advance_epoch_keeps_a_two_root_window() {
         let mut s = state(4);
         let genesis = s.finalized_checkpoint().root;
-        assert_eq!(s.epoch_roots(), [genesis; 2]);
+        assert_eq!(s.epoch_roots(), [genesis.into(); 2]);
         let spe = s.config().slots_per_epoch;
         // `Some` installs the next epoch's root.
         let r1 = Root::from_u64(1);
-        s.advance_epoch(Some(r1));
+        s.advance_epoch(Some(r1.into()));
         assert_eq!(s.slot(), Epoch::new(1).start_slot(spe));
-        assert_eq!(s.epoch_roots(), [genesis, r1]);
+        assert_eq!(s.epoch_roots(), [genesis.into(), r1.into()]);
         // `None` carries the current root, not the genesis root.
         s.advance_epoch(None);
         assert_eq!(s.slot(), Epoch::new(2).start_slot(spe));
-        assert_eq!(s.epoch_roots(), [r1, r1]);
+        assert_eq!(s.epoch_roots(), [r1.into(); 2]);
         let r3 = Root::from_u64(3);
-        s.advance_epoch(Some(r3));
-        assert_eq!(s.epoch_roots(), [r1, r3]);
+        s.advance_epoch(Some(r3.into()));
+        assert_eq!(s.epoch_roots(), [r1.into(), r3.into()]);
 
         // Justification reads the window. Everyone votes in epoch 3, so
         // its pass justifies epoch 3 under the current root …
@@ -357,12 +361,12 @@ mod tests {
             s.merge_current_participation(ValidatorIndex::new(i), ParticipationFlags::all());
         }
         let r4 = Root::from_u64(4);
-        s.advance_epoch(Some(r4));
+        s.advance_epoch(Some(r4.into()));
         let justified = Checkpoint::new(Epoch::new(3), r3);
         assert_eq!(s.current_justified_checkpoint(), justified);
         // … and the epoch-4 pass re-justifies epoch 3 from the previous
         // epoch's votes, under the previous root (r3, not the current r4).
-        assert_eq!(s.epoch_roots(), [r3, r4]);
+        assert_eq!(s.epoch_roots(), [r3.into(), r4.into()]);
         s.advance_epoch(None);
         assert_eq!(s.justification_bits()[..2], [false, true]);
         assert_eq!(s.current_justified_checkpoint(), justified);

@@ -77,7 +77,9 @@
 //!   inline again;
 //! * there is no per-epoch log: justification names only the previous
 //!   and the current epoch's checkpoint roots, so the state carries that
-//!   two-root window inline and nothing grows with the epoch count;
+//!   two-root window inline and nothing grows with the epoch count. The
+//!   window holds [`RootLabel`]s, so a branch's synthetic root is hashed
+//!   only if justification names it;
 //! * the slashings ring buffer is an `Arc<Vec<Gwei>>` mutated through
 //!   `Arc::make_mut` only when a value actually changes (the all-zero
 //!   ring that every run in this repo carries is never copied).
@@ -90,10 +92,10 @@
 use std::sync::Arc;
 
 use ethpos_crypto::hash_u64;
-use ethpos_types::{ChainConfig, Checkpoint, Epoch, Gwei, Root, Slot};
+use ethpos_types::{ChainConfig, Checkpoint, Epoch, Gwei, Slot};
 
 use crate::backend::{
-    BranchObservation, ClassSpec, ClassStats, Fragmentation, MemberState, StateBackend,
+    BranchObservation, ClassSpec, ClassStats, Fragmentation, MemberState, RootLabel, StateBackend,
     StateSnapshot,
 };
 use crate::epoch_metrics::stage_timer;
@@ -445,8 +447,9 @@ pub struct CohortState {
     /// counts.
     slashings_sum: Gwei,
     /// Checkpoint roots at the start of the previous and the current
-    /// epoch — all of the root history justification reads.
-    epoch_roots: [Root; 2],
+    /// epoch — all of the root history justification reads. A label is
+    /// resolved in place when justification names it.
+    epoch_roots: [RootLabel; 2],
 }
 
 impl CohortState {
@@ -592,7 +595,6 @@ impl CohortState {
         let total = aggregates.total_active;
         let previous_target = aggregates.previous_target;
         let current_target = aggregates.current_target;
-        let [prev_root, curr_root] = self.epoch_roots;
 
         let old_previous_justified = self.previous_justified;
         let old_current_justified = self.current_justified;
@@ -603,11 +605,11 @@ impl CohortState {
         self.justification_bits[0] = false;
 
         if previous_target.as_u64() * 3 >= total.as_u64() * 2 {
-            self.current_justified = Checkpoint::new(previous_epoch, prev_root);
+            self.current_justified = Checkpoint::new(previous_epoch, self.epoch_roots[0].resolve());
             self.justification_bits[1] = true;
         }
         if current_target.as_u64() * 3 >= total.as_u64() * 2 {
-            self.current_justified = Checkpoint::new(current_epoch, curr_root);
+            self.current_justified = Checkpoint::new(current_epoch, self.epoch_roots[1].resolve());
             self.justification_bits[0] = true;
         }
 
@@ -738,9 +740,11 @@ impl CohortState {
                         m.slashed || !m.previous_flags.has(TIMELY_TARGET_FLAG_INDEX)
                     };
                     if pays_inactivity {
-                        let penalty_numerator =
-                            m.effective_balance.as_u64() as u128 * m.inactivity_score as u128;
-                        penalty += (penalty_numerator / leak_denominator as u128) as u64;
+                        penalty += inactivity_penalty(
+                            m.effective_balance.as_u64(),
+                            m.inactivity_score,
+                            leak_denominator,
+                        );
                     }
                     // Mirror dense order: increase_balance then saturating
                     // decrease_balance.
@@ -803,6 +807,17 @@ impl CohortState {
     }
 }
 
+/// The inactivity penalty `effective · score / denominator` (paper
+/// Eq. 2), with the spec's exact quotient. At paper scale the product
+/// fits in a `u64` (32 ETH in Gwei times any score below ≈ 5.7·10⁸), so
+/// it divides there; a wider product takes the `u128` division.
+fn inactivity_penalty(effective: u64, score: u64, denominator: u64) -> u64 {
+    match effective.checked_mul(score) {
+        Some(product) => product / denominator,
+        None => (u128::from(effective) * u128::from(score) / u128::from(denominator)) as u64,
+    }
+}
+
 impl StateBackend for CohortState {
     fn from_classes(config: ChainConfig, classes: &[ClassSpec]) -> Self {
         let total: u64 = classes.iter().map(|c| c.count).sum();
@@ -842,7 +857,7 @@ impl StateBackend for CohortState {
             previous_justified: genesis_checkpoint,
             current_justified: genesis_checkpoint,
             finalized: genesis_checkpoint,
-            epoch_roots: [genesis_root; 2],
+            epoch_roots: [RootLabel::Root(genesis_root); 2],
         }
     }
 
@@ -1010,7 +1025,7 @@ impl StateBackend for CohortState {
         *chunk = Chunk::from_vec(next);
     }
 
-    fn advance_epoch(&mut self, next_checkpoint_root: Option<Root>) {
+    fn advance_epoch(&mut self, next_checkpoint_root: Option<RootLabel>) {
         self.process_epoch();
         let spe = self.config.slots_per_epoch;
         self.slot = (self.current_epoch() + 1).start_slot(spe);
@@ -1553,6 +1568,77 @@ mod tests {
         merged
     }
 
+    /// A leaking branch justifies nothing, so the branch labels it is
+    /// fed stay unhashed in both backends' windows. A run fed labels
+    /// equals one fed the roots hashed up front, snapshot for snapshot
+    /// and state for state, at every epoch: through the leak and
+    /// through the justifications that end it.
+    #[test]
+    fn labels_stay_unresolved_in_a_leak_and_match_eager_roots() {
+        use crate::backend::synthetic_branch_root;
+        let config = ChainConfig::paper();
+        let classes = [
+            ClassSpec::full_stake(60, &config),
+            ClassSpec::full_stake(40, &config),
+        ];
+        let label = |epoch| RootLabel::Branch { id: 3, epoch };
+        let eager = |epoch| Some(RootLabel::Root(synthetic_branch_root(3, epoch)));
+        let mut lazy_dense = DenseState::from_classes(config.clone(), &classes);
+        let mut lazy_cohort = CohortState::from_classes(config, &classes);
+        let (mut eager_dense, mut eager_cohort) = (lazy_dense.clone(), lazy_cohort.clone());
+        let unresolved = |roots: [RootLabel; 2]| {
+            roots
+                .iter()
+                .all(|root| matches!(root, RootLabel::Branch { .. }))
+        };
+        for epoch in 0..130u64 {
+            // Class 0 alone holds 60 % of the stake; from epoch 110 on
+            // both classes attest and the chain justifies again.
+            let attesting = if epoch < 110 { 1 } else { 2 };
+            for class in 0..attesting {
+                lazy_dense.mark_class(class, ParticipationFlags::all());
+                eager_dense.mark_class(class, ParticipationFlags::all());
+                lazy_cohort.mark_class(class, ParticipationFlags::all());
+                eager_cohort.mark_class(class, ParticipationFlags::all());
+            }
+            lazy_dense.advance_epoch(Some(label(epoch + 1)));
+            eager_dense.advance_epoch(eager(epoch + 1));
+            lazy_cohort.advance_epoch(Some(label(epoch + 1)));
+            eager_cohort.advance_epoch(eager(epoch + 1));
+            let snapshot = eager_cohort.snapshot();
+            assert_eq!(lazy_cohort.snapshot(), snapshot, "epoch {epoch}");
+            assert_eq!(lazy_dense.snapshot(), snapshot, "epoch {epoch}");
+            assert_eq!(eager_dense.snapshot(), snapshot, "epoch {epoch}");
+            assert_eq!(lazy_cohort, eager_cohort, "epoch {epoch}");
+            assert_eq!(
+                lazy_dense.beacon_state(),
+                eager_dense.beacon_state(),
+                "epoch {epoch}"
+            );
+            if lazy_cohort.finality_delay() == 100 {
+                assert!(lazy_cohort.is_in_inactivity_leak());
+                assert!(unresolved(lazy_cohort.epoch_roots), "epoch {epoch}");
+                assert!(
+                    unresolved(lazy_dense.beacon_state().epoch_roots()),
+                    "epoch {epoch}"
+                );
+            }
+        }
+        assert!(!lazy_cohort.is_in_inactivity_leak());
+        let finalized = lazy_cohort.finalized_checkpoint();
+        assert!(finalized.epoch > Epoch::new(110));
+        let root = synthetic_branch_root(3, finalized.epoch.as_u64());
+        assert_eq!(finalized.root, root);
+        // Justification resolved the label it named last, in place: the
+        // previous epoch's, which the window still holds.
+        let justified = lazy_cohort.current_justified;
+        assert_eq!(justified.epoch, lazy_cohort.previous_epoch());
+        assert!(matches!(
+            lazy_cohort.epoch_roots,
+            [RootLabel::Root(root), RootLabel::Branch { .. }] if root == justified.root
+        ));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
@@ -1610,6 +1696,29 @@ mod tests {
                 [tied(0, 16), tied(1, 10), tied(2, 4), tied(3, 33)]
             );
             proptest::prop_assert_eq!(runs, expected);
+        }
+
+        /// Either side of the point where `effective · score` outgrows a
+        /// `u64`, the penalty is the quotient of the `u128` product, at
+        /// the paper's leak denominator and at arbitrary ones.
+        #[test]
+        fn inactivity_penalty_is_the_wide_quotient(
+            effective in 1u64..u64::MAX,
+            nudge in 0u64..7,
+            denominator in 1u64..u64::MAX,
+            paper in proptest::any::<bool>(),
+        ) {
+            let denominator = if paper {
+                ChainConfig::paper().inactivity_penalty_denominator()
+            } else {
+                denominator
+            };
+            let score = (u64::MAX / effective).saturating_add(nudge).saturating_sub(3);
+            let wide = u128::from(effective) * u128::from(score) / u128::from(denominator);
+            proptest::prop_assert_eq!(
+                inactivity_penalty(effective, score, denominator),
+                wide as u64
+            );
         }
     }
 }

@@ -91,9 +91,7 @@ impl BeaconState {
         let total = self.total_active_balance();
         let previous_target = self.unslashed_participating_target_balance(previous_epoch);
         let current_target = self.unslashed_participating_target_balance(current_epoch);
-        let [prev_root, curr_root] = self.epoch_roots();
-
-        let (bits, previous_justified, current_justified, finalized) =
+        let (bits, previous_justified, current_justified, finalized, roots) =
             self.justification_state_mut();
 
         let old_previous_justified = *previous_justified;
@@ -105,11 +103,11 @@ impl BeaconState {
         bits[0] = false;
 
         if previous_target.as_u64() * 3 >= total.as_u64() * 2 {
-            *current_justified = Checkpoint::new(previous_epoch, prev_root);
+            *current_justified = Checkpoint::new(previous_epoch, roots[0].resolve());
             bits[1] = true;
         }
         if current_target.as_u64() * 3 >= total.as_u64() * 2 {
-            *current_justified = Checkpoint::new(current_epoch, curr_root);
+            *current_justified = Checkpoint::new(current_epoch, roots[1].resolve());
             bits[0] = true;
         }
 

@@ -54,7 +54,7 @@ mod validator;
 
 pub use backend::{
     synthetic_branch_root, BackendKind, BranchObservation, ClassSpec, ClassStats, DenseState,
-    Fragmentation, MemberState, StateBackend, StateSnapshot,
+    Fragmentation, MemberState, RootLabel, StateBackend, StateSnapshot,
 };
 pub use beacon_state::BeaconState;
 pub use cohort_state::CohortState;

@@ -24,7 +24,7 @@ use ethpos_state::participation::{
 };
 use ethpos_state::{
     BranchObservation, ClassSpec, ClassStats, CohortState, DenseState, Fragmentation, MemberState,
-    ParticipationFlags, StateBackend, StateSnapshot,
+    ParticipationFlags, RootLabel, StateBackend, StateSnapshot,
 };
 use ethpos_types::{BranchId, ChainConfig, Checkpoint, Epoch, Gwei, Root, ValidatorIndex};
 
@@ -77,8 +77,9 @@ proptest! {
         }
     }
 
-    /// Checkpoint roots: every epoch either names a fresh root or carries
-    /// the last one (`None`). Both backends keep only a two-root window,
+    /// Checkpoint roots: every epoch either names a fresh root — a given
+    /// one, or every third epoch a branch label — or carries the last
+    /// one (`None`). Both backends keep only a two-root window,
     /// so the test keeps the whole log itself: after every epoch each
     /// backend's current-justified and finalized roots must be the log's
     /// entry at that checkpoint's epoch. Stakes 3 : 1 : 2 make the ⅔
@@ -103,10 +104,13 @@ proptest! {
                     cohort.mark_class(c, ParticipationFlags::all());
                 }
             }
-            let root = (named >> epoch & 1 == 1).then(|| Root::from_u64(1000 + epoch));
+            let root = (named >> epoch & 1 == 1).then(|| match epoch % 3 {
+                0 => RootLabel::Branch { id: 7, epoch: epoch + 1 },
+                _ => Root::from_u64(1000 + epoch).into(),
+            });
             dense.advance_epoch(root);
             cohort.advance_epoch(root);
-            roots.push(root.unwrap_or(roots[epoch as usize]));
+            roots.push(root.map_or(roots[epoch as usize], RootLabel::root));
             prop_assert_eq!(dense.snapshot(), cohort.snapshot(), "epoch {}", epoch);
             let checkpoints = [
                 ("dense", dense.current_justified_checkpoint(), dense.finalized_checkpoint()),
@@ -459,7 +463,7 @@ impl StateBackend for GroupedDense {
             .mark_class_sampled(class, flags, &mut || marked.next().unwrap_or(false));
     }
 
-    fn advance_epoch(&mut self, next_checkpoint_root: Option<Root>) {
+    fn advance_epoch(&mut self, next_checkpoint_root: Option<RootLabel>) {
         self.0.advance_epoch(next_checkpoint_root);
     }
 

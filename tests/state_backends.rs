@@ -113,9 +113,9 @@ fn immediate_conflict_at_one_million_validators() {
 /// synthetic checkpoints trip the Property-4 violation.
 #[test]
 fn safety_monitor_observes_cohort_branches() {
-    use ethpos::state::synthetic_branch_root;
     use ethpos::state::ClassSpec;
     use ethpos::state::ParticipationFlags;
+    use ethpos::state::RootLabel;
 
     let config = ChainConfig::paper();
     let classes = [ClassSpec::full_stake(1_000_000, &config)];
@@ -128,7 +128,10 @@ fn safety_monitor_observes_cohort_branches() {
     for epoch in 0..8u64 {
         for (b, state) in branches.iter_mut().enumerate() {
             state.mark_class(0, ParticipationFlags::all());
-            state.advance_epoch(Some(synthetic_branch_root(b as u64, epoch + 1)));
+            state.advance_epoch(Some(RootLabel::Branch {
+                id: b as u64,
+                epoch: epoch + 1,
+            }));
             monitor.observe_backend(b, state);
         }
     }
