@@ -202,6 +202,14 @@ impl Span {
             start_us: 0,
         }
     }
+
+    /// Renames a recording span to `name()`, for a scope whose extent is
+    /// known only once it has run; a disabled span builds no name.
+    pub fn rename(&mut self, name: impl FnOnce() -> String) {
+        if self.tracer.is_some() {
+            self.name = name();
+        }
+    }
 }
 
 impl Drop for Span {

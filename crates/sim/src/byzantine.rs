@@ -164,8 +164,47 @@ pub trait ByzantineSchedule: core::fmt::Debug + Send + Sync {
     /// attest at this epoch.
     fn participate(&mut self, status: &[BranchStatus]) -> BranchChoice;
 
+    /// Does what [`participate`](ByzantineSchedule::participate) would at
+    /// this epoch and, when it returns a [`Cadence`], promises its choice
+    /// at every later epoch whose statuses equal these but for `epoch`:
+    /// there, `participate` returns the cadence's choice and leaves the
+    /// schedule as it is. `None` (the default) promises nothing and does
+    /// nothing; the caller then calls `participate`.
+    fn steady(&mut self, _status: &[BranchStatus]) -> Option<Cadence> {
+        None
+    }
+
     /// Strategy name for reports.
     fn name(&self) -> &'static str;
+}
+
+/// A choice that is a function of the epoch alone: what a schedule
+/// decides while the statuses it reads stand still (see
+/// [`ByzantineSchedule::steady`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cadence {
+    /// The same choice every epoch.
+    Fixed(BranchChoice),
+    /// Only the branch at position `epoch % k` of `k` live branches.
+    Rotate(usize),
+}
+
+impl Cadence {
+    /// The choice at `epoch`.
+    pub fn choice(self, epoch: u64) -> BranchChoice {
+        match self {
+            Cadence::Fixed(choice) => choice,
+            Cadence::Rotate(k) => BranchChoice::only((epoch % k as u64) as usize),
+        }
+    }
+
+    /// Double-vote epochs among `epochs` consecutive ones.
+    pub fn double_votes(self, epochs: u64) -> u64 {
+        match self {
+            Cadence::Fixed(choice) if choice.is_double_vote() => epochs,
+            _ => 0,
+        }
+    }
 }
 
 // ─── §5.2.1: slashable dual voting ──────────────────────────────────────
@@ -179,6 +218,10 @@ pub struct DualActive;
 impl ByzantineSchedule for DualActive {
     fn participate(&mut self, status: &[BranchStatus]) -> BranchChoice {
         BranchChoice::all(status.len())
+    }
+
+    fn steady(&mut self, status: &[BranchStatus]) -> Option<Cadence> {
+        Some(Cadence::Fixed(BranchChoice::all(status.len())))
     }
 
     fn name(&self) -> &'static str {
@@ -282,6 +325,18 @@ impl ByzantineSchedule for SemiActive {
         }
     }
 
+    fn steady(&mut self, status: &[BranchStatus]) -> Option<Cadence> {
+        let alternating = status.len() == 2
+            && match self.phase {
+                SemiActivePhase::Alternate => {
+                    !status.iter().all(BranchStatus::two_thirds_reachable)
+                }
+                SemiActivePhase::Done => true,
+                SemiActivePhase::DwellFirst { .. } | SemiActivePhase::DwellSecond { .. } => false,
+            };
+        alternating.then_some(Cadence::Rotate(2))
+    }
+
     fn name(&self) -> &'static str {
         "semi-active (non-slashable)"
     }
@@ -328,6 +383,11 @@ impl ByzantineSchedule for ThresholdSeeker {
         }
         let e = status[0].epoch;
         BranchChoice::only(e as usize % status.len())
+    }
+
+    fn steady(&mut self, status: &[BranchStatus]) -> Option<Cadence> {
+        self.participate(status);
+        Some(Cadence::Rotate(status.len()))
     }
 
     fn name(&self) -> &'static str {
@@ -432,6 +492,16 @@ impl ByzantineSchedule for RoundRobin {
             }
             RoundRobinPhase::Done => rotate,
         }
+    }
+
+    fn steady(&mut self, status: &[BranchStatus]) -> Option<Cadence> {
+        let rotating = match self.phase {
+            _ if self.dwell == 0 => true,
+            RoundRobinPhase::Rotate => !status.iter().all(BranchStatus::two_thirds_reachable),
+            RoundRobinPhase::Done => true,
+            RoundRobinPhase::Dwell { .. } => false,
+        };
+        rotating.then_some(Cadence::Rotate(status.len()))
     }
 
     fn name(&self) -> &'static str {

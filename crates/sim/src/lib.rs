@@ -54,7 +54,7 @@ mod timeline_sample;
 mod walk_mc;
 
 pub use byzantine::{
-    BranchChoice, BranchStatus, ByzantineSchedule, DualActive, RoundRobin, SemiActive,
+    BranchChoice, BranchStatus, ByzantineSchedule, Cadence, DualActive, RoundRobin, SemiActive,
     ThresholdSeeker,
 };
 pub use monitor::SafetyMonitor;

@@ -42,7 +42,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::byzantine::{BranchStatus, ByzantineSchedule};
+use crate::byzantine::{BranchStatus, ByzantineSchedule, Cadence};
 use ethpos_state::{BackendKind, CohortState, DenseState, RootLabel, StateBackend};
 use ethpos_stats::seeded_rng;
 use ethpos_types::{BranchId, ChainConfig};
@@ -171,6 +171,9 @@ pub struct PartitionSim<B: StateBackend = DenseState> {
     churn_stats: ChurnStats,
     scratch: StepScratch,
     pool: ChunkPool,
+    /// The branch whose event ended the last leap: the next leap runs it
+    /// first (see [`leap_branches`]).
+    pacer: BranchId,
 }
 
 /// The working buffers of one [`PartitionSim::step`], an entry per live
@@ -254,6 +257,7 @@ impl<B: StateBackend> PartitionSim<B> {
             churn_stats: ChurnStats::default(),
             scratch: StepScratch::default(),
             pool: ChunkPool::new(1),
+            pacer: BranchId::GENESIS,
         })
     }
 
@@ -395,17 +399,41 @@ impl<B: StateBackend> PartitionSim<B> {
         }
     }
 
-    /// Simulates one epoch (applying any timeline events scheduled for
-    /// it first). Returns `false` once the run is over — the horizon was
-    /// reached or a stop condition fired.
+    /// The most epochs a step from `epoch` may cover: up to the next
+    /// timeline op, the next record point and the horizon, each excluded.
+    fn interval_bound(&self, epoch: u64) -> u64 {
+        let next_op = self.compiled.steps.get(self.step_idx);
+        let every = self.config.record_every;
+        let next_record = (epoch / every + 1).saturating_mul(every);
+        next_op
+            .map_or(u64::MAX, |step| step.epoch)
+            .min(next_record)
+            .min(self.config.max_epochs)
+            - epoch
+    }
+
+    /// Simulates the next epoch, or the quiet interval that starts there,
+    /// applying any timeline events scheduled for its first epoch first.
+    /// Returns `false` once the run is over — the horizon was reached or a
+    /// stop condition fired.
+    ///
+    /// A step covers an interval when the plan churns nothing and the
+    /// schedule names a [`Cadence`](crate::Cadence) for the statuses it
+    /// sees ([`ByzantineSchedule::steady`]). Every live branch then
+    /// advances as far as epoch-by-epoch stepping would go by the first
+    /// [event](StateBackend::advance_steady) on any branch, that epoch
+    /// included, and never past the next timeline op, the next record
+    /// point or the horizon. The statuses are fixed in between, so the
+    /// outcome is the one single epochs give.
     pub fn step(&mut self) -> bool {
         if self.finished || self.epoch >= self.config.max_epochs {
             self.finished = true;
             return false;
         }
-        let _span = ethpos_obs::span_with("sim", || format!("epoch {}", self.epoch));
+        let mut span = ethpos_obs::span_with("sim", || format!("epoch {}", self.epoch));
         self.apply_ops();
         let epoch = self.epoch;
+        let bound = self.interval_bound(epoch);
 
         // 1. Per live branch in id order: `kernel::observe` — pinned
         //    classes whole, churned classes by per-cohort binomial count
@@ -444,8 +472,18 @@ impl<B: StateBackend> PartitionSim<B> {
             ejected.push(exited);
         }
 
-        // 2. Adversary decision over every live branch.
-        let choice = self.schedule.participate(statuses);
+        // 2. Adversary decision over every live branch: a cadence on a
+        //    churn-free plan, which lets the step leap (see above).
+        let cadence = if plan.churn_groups().is_empty() {
+            self.schedule.steady(statuses)
+        } else {
+            None
+        };
+        let choice = match cadence {
+            Some(cadence) => cadence.choice(epoch),
+            None => self.schedule.participate(statuses),
+        };
+        let leap = cadence.filter(|_| bound > 1);
 
         // 3a. Per live branch: `kernel::advance` — the Byzantine mark
         //     and the epoch transition under the label of the branch's
@@ -475,38 +513,83 @@ impl<B: StateBackend> PartitionSim<B> {
             let byzantine = choice.get(position);
             kernel::advance(state, status, ejected[position], byzantine, root)
         };
-        let advanced = if heavy && self.pool.threads() > 1 {
-            let mut lanes: Vec<&mut B> = branches.values_mut().collect();
-            self.pool
-                .map_mut(&mut lanes, |position, state| advance(position, state))
-        } else {
-            Vec::new()
+        //     A leap instead folds each branch's first epoch up front,
+        //     from the statuses and the state it starts from (nothing
+        //     moves before its last epoch), then advances the branches
+        //     through the interval one after another.
+        let mut advanced = Vec::new();
+        let mut first_folds = Vec::new();
+        let epochs = match leap {
+            Some(cadence) => {
+                for (position, (b, _)) in plan.pinned.iter().enumerate() {
+                    let status = &statuses[position];
+                    let checkpoints = (status.justified_epoch, status.finalized_epoch);
+                    let first = kernel::epoch_stats(
+                        status,
+                        ejected[position],
+                        choice.get(position),
+                        checkpoints,
+                    );
+                    let mut fold = self.meta[b.as_usize()].fold;
+                    fold.push(epoch, &first, &branches[b]);
+                    first_folds.push((first, fold));
+                }
+                leap_branches(branches, plan, cadence, bound, &mut self.pacer)
+            }
+            None => {
+                if heavy && self.pool.threads() > 1 {
+                    let mut lanes: Vec<&mut B> = branches.values_mut().collect();
+                    advanced = self
+                        .pool
+                        .map_mut(&mut lanes, |position, state| advance(position, state));
+                }
+                1
+            }
         };
+        let last = epoch + epochs - 1;
+        if epochs > 1 {
+            span.rename(|| format!("epochs {epoch}..={last}"));
+        }
 
         // 3b. Per live branch, in id order once every advance is done (a
         //     serial advance runs here, right before its own fold): fold
-        //     the branch outcome, and feed the safety monitor the branch's
-        //     finalized checkpoint (checked against every branch pair —
-        //     healed branches included). The monitor knows each branch's
-        //     lineage from its fork, so it needs no block.
+        //     the branch outcome (a leap's last epoch onto its first), and
+        //     feed the safety monitor the branch's finalized checkpoint
+        //     (checked against every branch pair — healed branches
+        //     included). The monitor knows each branch's lineage from its
+        //     fork, so it needs no block.
         for (position, (b, _)) in plan.pinned.iter().enumerate() {
             let state = branches.get_mut(b).expect("live branch");
-            let stat = match advanced.get(position) {
-                Some(&done) => done,
-                None => advance(position, state),
+            let stat = match (leap, advanced.get(position)) {
+                (Some(cadence), _) => kernel::epoch_stats(
+                    &statuses[position],
+                    ejected[position],
+                    cadence.choice(last).get(position),
+                    kernel::checkpoint_epochs(state),
+                ),
+                (None, Some(&done)) => done,
+                (None, None) => advance(position, state),
             };
-            self.meta[b.as_usize()].fold.push(epoch, &stat, state);
-            stats.push(stat);
+            let fold = &mut self.meta[b.as_usize()].fold;
+            match first_folds.get(position) {
+                Some(&(first, first_fold)) if epochs > 1 => {
+                    *fold = first_fold;
+                    stats.push(first);
+                }
+                _ => stats.push(stat),
+            }
+            fold.push(last, &stat, state);
             byzantine_active.push(choice.get(position));
             self.monitor.observe_backend(b.as_usize(), state);
         }
-        self.outcome.epochs_run = epoch + 1;
-        if choice.is_double_vote() {
-            self.outcome.double_vote_epochs += 1;
-        }
+        self.outcome.epochs_run = last + 1;
+        self.outcome.double_vote_epochs += match leap {
+            Some(cadence) => cadence.double_votes(epochs),
+            None => u64::from(choice.is_double_vote()),
+        };
         if self.outcome.conflicting_finalization_epoch.is_none() {
             if let Some((a, b, ca, cb)) = self.monitor.violation() {
-                self.outcome.conflicting_finalization_epoch = Some(epoch);
+                self.outcome.conflicting_finalization_epoch = Some(last);
                 self.outcome.violation = Some(SafetyViolation {
                     branch_a: BranchId::new(a as u32),
                     branch_b: BranchId::new(b as u32),
@@ -526,8 +609,9 @@ impl<B: StateBackend> PartitionSim<B> {
             });
         }
 
-        // Fragmentation sample (observability only; every 64 epochs).
-        if epoch.is_multiple_of(64) {
+        // Fragmentation sample (observability only; every 64 epochs, and
+        // once for a leap over a multiple of 64).
+        if epoch.div_ceil(64) * 64 <= last {
             self.record_fragmentation();
         }
 
@@ -543,7 +627,7 @@ impl<B: StateBackend> PartitionSim<B> {
         {
             self.finished = true;
         }
-        self.epoch += 1;
+        self.epoch = last + 1;
         if self.epoch >= self.config.max_epochs {
             self.finished = true;
         }
@@ -584,6 +668,63 @@ impl<B: StateBackend> PartitionSim<B> {
         while self.step() {}
         self.finish()
     }
+}
+
+/// Advances every live branch through one quiet interval of at most
+/// `bound` epochs and returns its length: as far as epoch-by-epoch
+/// stepping goes by the first event on any branch, that epoch included.
+///
+/// The branches advance one after another, each at most as far as the
+/// ones before it got, starting with the branch whose event ended the
+/// last interval (`pacer`). A branch that got further than a later one
+/// is re-run from its copy-on-write clone: all advance the same epochs.
+fn leap_branches<B: StateBackend>(
+    branches: &mut BTreeMap<BranchId, B>,
+    plan: &MarkingPlan,
+    cadence: Cadence,
+    mut bound: u64,
+    pacer: &mut BranchId,
+) -> u64 {
+    let advance = |position: usize, state: &mut B, bound: u64| {
+        let (id, pinned) = &plan.pinned[position];
+        state.advance_steady(
+            |epoch, class| {
+                pinned.contains(&class)
+                    || (class == BYZANTINE_CLASS && cadence.choice(epoch).get(position))
+            },
+            |state| {
+                let epoch = state.current_epoch().as_u64() + 1;
+                Some(RootLabel::Branch {
+                    id: id.as_u64(),
+                    epoch,
+                })
+            },
+            bound,
+        )
+    };
+    let mut lanes: Vec<&mut B> = branches.values_mut().collect();
+    let first = plan
+        .pinned
+        .iter()
+        .position(|(id, _)| id == pacer)
+        .unwrap_or(0);
+    let mut starts = Vec::new();
+    for (i, position) in (first..lanes.len()).chain(0..first).enumerate() {
+        let start = (i + 1 < lanes.len()).then(|| lanes[position].clone());
+        let taken = advance(position, lanes[position], bound);
+        if taken < bound {
+            bound = taken;
+            *pacer = plan.pinned[position].0;
+        }
+        starts.extend(start.map(|start| (position, start, taken)));
+    }
+    for (position, start, taken) in starts {
+        if taken > bound {
+            *lanes[position] = start;
+            advance(position, lanes[position], bound);
+        }
+    }
+    bound
 }
 
 /// Runs a timeline to its end on the chosen backend and returns the
@@ -1161,10 +1302,12 @@ mod tests {
 
     /// Runs `config` to its end on the cohort backend beside the
     /// hash-tree oracle, which is fed what the engine fed its monitor
-    /// before the monitor read lineages: after each epoch, every live
-    /// branch's block `(b, e + 1)` under that branch's tip, where a child
-    /// inherits its parent's tip and finalized checkpoint at the fork.
-    /// Every epoch, each live branch's justified root must be a block on
+    /// before the monitor read lineages: after each step, for every epoch
+    /// `e` it covered, every live branch's block `(b, e + 1)` under that
+    /// branch's tip, where a child inherits its parent's tip and
+    /// finalized checkpoint at the fork. After every step (a leap moves
+    /// no checkpoint before its last epoch), each live branch's justified
+    /// root must be a block on
     /// its own chain: the branch labelled its blocks by its id, also
     /// where ids and positions part. Returns what the engine saw, then
     /// what the oracle saw.
@@ -1201,13 +1344,19 @@ mod tests {
                 }
             }
             let more = sim.step();
-            if sim.current_epoch() == epoch {
+            let Some(last) = sim
+                .current_epoch()
+                .checked_sub(1)
+                .filter(|&last| last >= epoch)
+            else {
                 break; // the run had already ended
-            }
+            };
             for (b, tip) in tips.iter_mut() {
-                let root = synthetic_branch_root(b.as_u64(), epoch + 1);
-                oracle.observe_block(root, *tip);
-                *tip = root;
+                for e in epoch..=last {
+                    let root = synthetic_branch_root(b.as_u64(), e + 1);
+                    oracle.observe_block(root, *tip);
+                    *tip = root;
+                }
                 let state = sim.branch(*b);
                 let justified = state.current_justified_checkpoint().root;
                 assert!(
@@ -1218,7 +1367,7 @@ mod tests {
                 oracle.observe_finalized(b.as_usize(), state.finalized_checkpoint());
             }
             if oracle_epoch.is_none() && oracle.violation().is_some() {
-                oracle_epoch = Some(epoch);
+                oracle_epoch = Some(last);
             }
             if !more {
                 break;

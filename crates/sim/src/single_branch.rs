@@ -12,8 +12,10 @@
 //! epoch, which is what lets the Figure 2 cross-check run at the paper's
 //! true million-validator population.
 //!
-//! Its loop marks the classes a fixed behaviour schedule says attest and
-//! advances with `advance_epoch(None)`: there is no adversary deciding
+//! Its loop hands the classes a fixed behaviour schedule says attest to
+//! [`StateBackend::advance_steady`], one quiet interval per call (the
+//! compact cohort path), recording every epoch from the callback that
+//! names the epoch's root (`None`): there is no adversary deciding
 //! from an observed status and no checkpoint root to choose, so it is
 //! the one epoch loop that does not go through the per-branch
 //! [`kernel`](crate::kernel). It also records per-class trajectories,
@@ -21,7 +23,7 @@
 //! free function rather than a `PartitionSim` constructor: folding it in
 //! would make the runner branch on its caller.
 
-use ethpos_state::{ClassSpec, ParticipationFlags, StateBackend};
+use ethpos_state::{ClassSpec, StateBackend};
 use ethpos_types::ChainConfig;
 
 /// Per-epoch participation behaviour of a validator class (paper §4.3).
@@ -96,7 +98,6 @@ pub fn run_single_branch_on<B: StateBackend>(
         .map(|&(_, count)| ClassSpec::full_stake(count, &config))
         .collect();
     let mut state = B::from_classes(config, &specs);
-    let all_flags = ParticipationFlags::all();
 
     let mut trajectories: Vec<ClassTrajectory> = classes
         .iter()
@@ -122,14 +123,16 @@ pub fn run_single_branch_on<B: StateBackend>(
         }
     };
 
-    for epoch in 0..epochs {
-        record(&state, &mut trajectories, epoch);
-        for (c, &(behavior, _)) in classes.iter().enumerate() {
-            if behavior.participates(epoch) {
-                state.mark_class(c, all_flags);
-            }
-        }
-        state.advance_epoch(None);
+    let mut epoch = 0;
+    while epoch < epochs {
+        epoch += state.advance_steady(
+            |epoch, c| classes[c].0.participates(epoch),
+            |state| {
+                record(state, &mut trajectories, state.current_epoch().as_u64());
+                None
+            },
+            epochs - epoch,
+        );
     }
     record(&state, &mut trajectories, epochs);
     trajectories

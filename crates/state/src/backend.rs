@@ -369,6 +369,34 @@ pub trait StateBackend: Sized + Clone + Send {
     /// eagerly hashed root would have given.
     fn advance_epoch(&mut self, next_checkpoint_root: Option<RootLabel>);
 
+    /// Advances through the **quiet interval** that starts at the current
+    /// epoch: each epoch, asks `labels` for the checkpoint root (handing
+    /// it the state as the epoch begins), marks every active member of
+    /// each class `c` with `marks(epoch, c)` with all flags, and runs
+    /// [`advance_epoch`](StateBackend::advance_epoch). Returns the number
+    /// of epochs advanced: `max_epochs`, or fewer when an epoch was an
+    /// **event**, which is then the last one advanced.
+    ///
+    /// An event is an epoch whose transition changes the justified or the
+    /// finalized checkpoint or any class's [`ClassStats`] (an exit, or an
+    /// active member's effective-balance stair). Between events every
+    /// status the partition engine reads is fixed, so it can hand a whole
+    /// interval to one call. The definition is on the state, not on the
+    /// backend: driven alike, two backends stop at the same epoch.
+    ///
+    /// The default is the per-epoch loop above. A backend may override it
+    /// with a faster path through the same arithmetic.
+    fn advance_steady(
+        &mut self,
+        marks: impl Fn(u64, usize) -> bool,
+        labels: impl FnMut(&Self) -> Option<RootLabel>,
+        max_epochs: u64,
+    ) -> u64 {
+        advance_until_event(self, marks, labels, max_epochs, |state, label| {
+            state.advance_epoch(label)
+        })
+    }
+
     /// Sum of **actual** balances over every member of `class` (active
     /// and exited alike) — the quantity the simulators report as a
     /// branch's final Byzantine balance. The default renders a snapshot;
@@ -406,6 +434,39 @@ pub trait StateBackend: Sized + Clone + Send {
     fn fragmentation(&self) -> Option<Fragmentation> {
         None
     }
+}
+
+/// The loop of [`StateBackend::advance_steady`], with `advance` as the
+/// epoch transition: the default passes `advance_epoch`, a fast path its
+/// own transition through the same arithmetic, so the two stop at the
+/// same event by construction.
+pub(crate) fn advance_until_event<B: StateBackend>(
+    state: &mut B,
+    marks: impl Fn(u64, usize) -> bool,
+    mut labels: impl FnMut(&B) -> Option<RootLabel>,
+    max_epochs: u64,
+    mut advance: impl FnMut(&mut B, Option<RootLabel>),
+) -> u64 {
+    let checkpoints = |s: &B| (s.current_justified_checkpoint(), s.finalized_checkpoint());
+    let quiet = checkpoints(state);
+    let classes: Vec<ClassStats> = (0..state.num_classes())
+        .map(|c| state.class_stats(c))
+        .collect();
+    for taken in 1..=max_epochs {
+        let epoch = state.current_epoch().as_u64();
+        let label = labels(state);
+        for class in 0..classes.len() {
+            if marks(epoch, class) {
+                state.mark_class(class, ParticipationFlags::all());
+            }
+        }
+        advance(state, label);
+        let moved = (0..classes.len()).any(|c| state.class_stats(c) != classes[c]);
+        if moved || checkpoints(state) != quiet {
+            return taken;
+        }
+    }
+    max_epochs
 }
 
 /// The dense reference backend: a spec-shaped [`BeaconState`] plus the

@@ -92,11 +92,11 @@
 use std::sync::Arc;
 
 use ethpos_crypto::hash_u64;
-use ethpos_types::{ChainConfig, Checkpoint, Epoch, Gwei, Slot};
+use ethpos_types::{ChainConfig, Checkpoint, Epoch, Gwei};
 
 use crate::backend::{
-    BranchObservation, ClassSpec, ClassStats, Fragmentation, MemberState, RootLabel, StateBackend,
-    StateSnapshot,
+    advance_until_event, BranchObservation, ClassSpec, ClassStats, Fragmentation, MemberState,
+    RootLabel, StateBackend, StateSnapshot,
 };
 use crate::epoch_metrics::stage_timer;
 use crate::participation::{
@@ -388,6 +388,7 @@ const FLAG_INDICES: [u8; 3] = [
 
 /// The global sums of one epoch transition (see
 /// [`CohortState::epoch_aggregates`]).
+#[derive(Debug, PartialEq)]
 struct EpochAggregates {
     /// Spec `get_total_active_balance` (increment-floored).
     total_active: Gwei,
@@ -429,7 +430,8 @@ struct EpochAggregates {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CohortState {
     config: ChainConfig,
-    slot: Slot,
+    /// The current epoch; the state always sits at its first slot.
+    epoch: Epoch,
     num_classes: usize,
     /// One chunk per class (index = class), each sorted and run-length
     /// merged under the canonical [`MemberState`] ordering.
@@ -507,25 +509,36 @@ impl CohortState {
     /// member-local step preserves these sums (see below), so one walk
     /// serves the whole epoch.
     fn epoch_aggregates(&self) -> EpochAggregates {
+        let increment = self.config.effective_balance_increment.as_u64();
+        // Effective balances sit on a staircase a sorted chunk climbs
+        // slowly, so one remembered quotient replaces nearly every
+        // `effective / increment` division.
+        let mut last_effective = (u64::MAX, 0);
+        let runs = self.chunks.iter().flat_map(|chunk| chunk.iter());
+        self.sum_aggregates(runs.map(|(m, count)| {
+            let effective = m.effective_balance.as_u64();
+            if effective != last_effective.0 {
+                last_effective = (effective, effective / increment);
+            }
+            (m, count * effective, count * last_effective.1)
+        }))
+    }
+
+    /// The epoch's sums over `runs`: each cohort's member state with its
+    /// stake and its effective-balance increments (both times its count).
+    fn sum_aggregates<'a>(
+        &self,
+        runs: impl Iterator<Item = (&'a MemberState, u64, u64)>,
+    ) -> EpochAggregates {
         let current_epoch = self.current_epoch();
         let previous_epoch = self.previous_epoch();
-        let increment = self.config.effective_balance_increment.as_u64();
         let mut total_active = 0u64;
         let mut previous_target = 0u64;
         let mut current_target = 0u64;
         let mut participating_increments = [0u64; 3];
         // Under churn the flags are coin flips, so the sums select with
-        // 0/1 factors instead of branches; effective balances sit on a
-        // staircase a sorted chunk climbs slowly, so one remembered
-        // quotient replaces nearly every `effective / increment` division.
-        let mut last_effective = (u64::MAX, 0);
-        for (m, count) in self.chunks.iter().flat_map(|chunk| chunk.iter()) {
-            let effective = m.effective_balance.as_u64();
-            if effective != last_effective.0 {
-                last_effective = (effective, effective / increment);
-            }
-            let stake = count * effective;
-            let increments = count * last_effective.1;
+        // 0/1 factors instead of branches.
+        for (m, stake, increments) in runs {
             let active = m.is_active_at(current_epoch);
             let voted = !m.slashed & m.is_active_at(previous_epoch);
             total_active += stake * u64::from(active);
@@ -557,7 +570,14 @@ impl CohortState {
     // *at* `current`), so all aggregates can be computed up front and
     // the per-member updates composed in spec order.
 
-    fn process_epoch(&mut self) {
+    /// One epoch transition, with `member_updates` as its fused
+    /// member-local steps, entering the next epoch under `root`.
+    fn process_epoch(
+        &mut self,
+        root: Option<RootLabel>,
+        aggregates: impl FnOnce(&Self) -> EpochAggregates,
+        member_updates: impl FnOnce(&mut Self, &EpochAggregates),
+    ) {
         // Per-stage wall-clock timing, **sampled every 64th epoch**:
         // this is the workspace's hottest loop (~0.5 µs per epoch on
         // compressed states, so one timed epoch costs nearly as much as
@@ -566,23 +586,18 @@ impl CohortState {
         // histograms stay representative (epoch 0 is always sampled).
         // Timing is observation-only — the transition is the same on both
         // paths.
-        let timer = stage_timer("cohort", self.current_epoch().as_u64() & 63 == 0);
-        let aggregates = self.epoch_aggregates();
-        match timer {
-            Some(mut t) => {
-                self.process_justification_and_finalization(&aggregates);
-                t.stage("justification");
-                self.process_member_updates(&aggregates);
-                t.stage("member_updates");
-                self.process_slashings_reset();
-                t.stage("slashings_reset");
-            }
-            None => {
-                self.process_justification_and_finalization(&aggregates);
-                self.process_member_updates(&aggregates);
-                self.process_slashings_reset();
-            }
-        }
+        let mut timer = stage_timer("cohort", self.current_epoch().as_u64() & 63 == 0);
+        let mut stage = |name| timer.as_mut().map(|t| t.stage(name));
+        let aggregates = aggregates(self);
+        self.process_justification_and_finalization(&aggregates);
+        stage("justification");
+        member_updates(self, &aggregates);
+        stage("member_updates");
+        self.process_slashings_reset();
+        stage("slashings_reset");
+        self.epoch = self.epoch + 1;
+        let carried = self.epoch_roots[1];
+        self.epoch_roots = [carried, root.unwrap_or(carried)];
     }
 
     fn process_justification_and_finalization(&mut self, aggregates: &EpochAggregates) {
@@ -633,167 +648,20 @@ impl CohortState {
     /// registry, slashings, effective balance, flag rotation), fused into
     /// one chunk rebuild per class.
     fn process_member_updates(&mut self, aggregates: &EpochAggregates) {
-        let current_epoch = self.current_epoch();
-        let previous_epoch = self.previous_epoch();
-
-        // Genesis gating, per the spec: no inactivity or reward settling
-        // for the epoch before genesis.
-        let settle_previous = current_epoch != Epoch::GENESIS;
-
-        // ── inactivity aggregates ──
-        let bias = self.config.inactivity_score_bias;
-        let recovery = self.config.inactivity_score_recovery_rate;
-        let in_leak = self.is_in_inactivity_leak();
-
-        // ── reward & penalty aggregates (all invariant under the
-        //    score-only inactivity writes) ──
-        let total_active = aggregates.total_active.as_u64();
-        let increment = self.config.effective_balance_increment.as_u64();
-        let total_increments = (total_active / increment).max(1);
-        let base_per_increment = {
-            let factor = self.config.base_reward_factor;
-            increment * factor / integer_sqrt(total_active).max(1)
-        };
-        let denominator = self.config.weight_denominator;
-        let leak_denominator = self.config.inactivity_penalty_denominator();
-        let paper_semantics = self.config.paper_inactivity_penalties;
-        let weights = [
-            self.config.timely_source_weight,
-            self.config.timely_target_weight,
-            self.config.timely_head_weight,
-        ];
-        let participating_increments = aggregates.participating_increments;
-
-        // ── registry aggregates ──
-        let ejection_balance = self.config.ejection_balance;
-        let exit_epoch = current_epoch + 1;
-
-        // ── slashing aggregates (the ring is untouched by member steps,
-        //    and the total active balance is invariant as argued above) ──
-        let vector = self.config.epochs_per_slashings_vector;
-        let slashings_sum: u64 = self.slashings_sum.as_u64();
-        let adjusted = slashings_sum
-            .saturating_mul(self.config.proportional_slashing_multiplier)
-            .min(total_active);
-
-        // ── effective-balance hysteresis aggregates ──
-        let hysteresis_increment = self
-            .config
-            .effective_balance_increment
-            .integer_div(self.config.hysteresis_quotient);
-        let downward =
-            Gwei::new(hysteresis_increment.as_u64() * self.config.hysteresis_downward_multiplier);
-        let upward =
-            Gwei::new(hysteresis_increment.as_u64() * self.config.hysteresis_upward_multiplier);
-        let max_effective = self.config.max_effective_balance;
-
-        // Effective balances sit on a staircase a sorted chunk climbs
-        // slowly, so the base reward and the two flag penalties it fixes
-        // are remembered from one member to the next (as the aggregate
-        // walk remembers its quotient).
-        let mut last_effective = (u64::MAX, 0, [0; 2]);
-        let mut step = |m: &MemberState| {
-            let mut m = *m;
-            if settle_previous {
-                let eligible = m.is_active_at(previous_epoch)
-                    || (m.slashed && previous_epoch + 1 < m.withdrawable_epoch);
-                if eligible {
-                    // Inactivity-score update (paper Eq. 1).
-                    let timely = !m.slashed && m.previous_flags.has_timely_target();
-                    let mut score = m.inactivity_score;
-                    if timely {
-                        score -= score.min(1);
-                    } else {
-                        score += bias;
-                    }
-                    if !in_leak {
-                        score -= score.min(recovery);
-                    }
-                    m.inactivity_score = score;
-
-                    // Rewards & penalties, reading the just-updated score.
-                    let effective = m.effective_balance.as_u64();
-                    if effective != last_effective.0 {
-                        let base_reward = effective / increment * base_per_increment;
-                        let penalties = [0, 1].map(|k| base_reward * weights[k] / denominator);
-                        last_effective = (effective, base_reward, penalties);
-                    }
-                    let (_, base_reward, flag_penalties) = last_effective;
-                    let mut reward = 0u64;
-                    let mut penalty = 0u64;
-                    for (k, flag) in FLAG_INDICES.into_iter().enumerate() {
-                        let participated = !m.slashed && m.previous_flags.has(flag);
-                        if participated {
-                            if !in_leak {
-                                let numerator =
-                                    base_reward * weights[k] * participating_increments[k];
-                                reward += numerator / (total_increments * denominator);
-                            }
-                            // In a leak: no reward (paper §4).
-                        } else if flag != TIMELY_HEAD_FLAG_INDEX {
-                            penalty += flag_penalties[k];
-                        }
-                    }
-                    let pays_inactivity = if paper_semantics {
-                        m.slashed || m.inactivity_score > 0
-                    } else {
-                        m.slashed || !m.previous_flags.has(TIMELY_TARGET_FLAG_INDEX)
-                    };
-                    if pays_inactivity {
-                        penalty += inactivity_penalty(
-                            m.effective_balance.as_u64(),
-                            m.inactivity_score,
-                            leak_denominator,
-                        );
-                    }
-                    // Mirror dense order: increase_balance then saturating
-                    // decrease_balance.
-                    m.balance = (m.balance + Gwei::new(reward)).saturating_sub(Gwei::new(penalty));
-                }
-            }
-
-            // Registry: ejection at the 16-ETH effective-balance floor.
-            if m.is_active_at(current_epoch)
-                && m.effective_balance <= ejection_balance
-                && m.exit_epoch == FAR_FUTURE_EPOCH
-            {
-                m.exit_epoch = exit_epoch;
-                if m.withdrawable_epoch == FAR_FUTURE_EPOCH {
-                    m.withdrawable_epoch = exit_epoch + 256;
-                }
-            }
-
-            // Correlation slashing penalty (spec `process_slashings`),
-            // reading the post-registry withdrawable epoch.
-            if adjusted != 0 && m.slashed && current_epoch + vector / 2 == m.withdrawable_epoch {
-                let penalty_numerator =
-                    (m.effective_balance.as_u64() / increment) as u128 * adjusted as u128;
-                let penalty = (penalty_numerator / total_active as u128) as u64 * increment;
-                m.balance = m.balance.saturating_sub(Gwei::new(penalty));
-            }
-
-            // Effective-balance hysteresis, reading the settled balance.
-            if m.balance + downward < m.effective_balance
-                || m.effective_balance + upward < m.balance
-            {
-                // `ChainConfig::snapped_effective_balance`, inlined on the
-                // captured constants.
-                let bal = m.balance.as_u64();
-                m.effective_balance = Gwei::new(bal - bal % increment).min(max_effective);
-            }
-
-            // Participation-flag rotation.
-            m.previous_flags = m.current_flags;
-            m.current_flags = ParticipationFlags::EMPTY;
-            m
-        };
+        let mut step = MemberStep::new(self, aggregates.total_active);
+        step.enter(self, aggregates);
+        let mut memo = NO_MEMO;
         let mut scratch = SortScratch::default();
         for chunk in &mut self.chunks {
-            transform_chunk(chunk, &mut scratch, &mut step);
+            transform_chunk(chunk, &mut scratch, |m| step.apply(m, &mut memo));
         }
     }
 
     fn process_slashings_reset(&mut self) {
+        // An empty ring has nothing to reset.
+        if self.slashings_sum == Gwei::ZERO {
+            return;
+        }
         let next = self.current_epoch() + 1;
         let len = self.config.epochs_per_slashings_vector;
         let idx = (next.as_u64() % len) as usize;
@@ -805,6 +673,283 @@ impl CohortState {
             Arc::make_mut(&mut self.slashings)[idx] = Gwei::ZERO;
         }
     }
+
+    /// [`StateBackend::advance_steady`] on a compact state: every class
+    /// one inline cohort, the slashings ring empty.
+    ///
+    /// Between events each cohort's stake and increments are fixed where
+    /// the sums read them (a class is summed only while active, and an
+    /// active class's effective balance moves only at an event), and so
+    /// is the total active balance. So these and the member step's
+    /// constants, its `integer_sqrt` among them, are built once per
+    /// interval, and every class keeps its own base-reward memo. A class's
+    /// [`ClassStats`] move exactly when its step sets an exit or moves the
+    /// effective balance of a member that stays active, so the step's own
+    /// writes tell the event (debug builds check this against the stats).
+    fn advance_compact(
+        &mut self,
+        marks: impl Fn(u64, usize) -> bool,
+        mut labels: impl FnMut(&Self) -> Option<RootLabel>,
+        max_epochs: u64,
+    ) -> u64 {
+        let increment = self.config.effective_balance_increment.as_u64();
+        let weights: Vec<(u64, u64)> = (self.chunks.iter())
+            .map(|chunk| match chunk.first() {
+                Some((m, count)) => {
+                    let effective = m.effective_balance.as_u64();
+                    (count * effective, count * (effective / increment))
+                }
+                None => (0, 0),
+            })
+            .collect();
+        let mut memos = vec![NO_MEMO; self.chunks.len()];
+        let mut step = MemberStep::new(self, self.total_active_balance());
+        let checkpoints = |state: &Self| (state.current_justified, state.finalized);
+        let quiet = checkpoints(self);
+        #[cfg(debug_assertions)]
+        let class_stats = |state: &Self| {
+            (0..state.num_classes)
+                .map(|c| state.class_stats(c))
+                .collect::<Vec<_>>()
+        };
+        for taken in 1..=max_epochs {
+            let epoch = self.epoch;
+            let root = labels(self);
+            for (class, chunk) in self.chunks.iter_mut().enumerate() {
+                if let Chunk::One((m, _)) = chunk {
+                    if marks(epoch.as_u64(), class) && m.is_active_at(epoch) {
+                        m.current_flags = m.current_flags.union(ParticipationFlags::all());
+                    }
+                }
+            }
+            #[cfg(debug_assertions)]
+            let before = class_stats(self);
+            let mut moved = false;
+            let aggregates = |state: &Self| {
+                let runs = state.chunks.iter().zip(&weights);
+                let aggregates =
+                    state.sum_aggregates(runs.filter_map(|(chunk, &(stake, incs))| {
+                        chunk.first().map(|(m, _)| (m, stake, incs))
+                    }));
+                debug_assert_eq!(aggregates, state.epoch_aggregates());
+                aggregates
+            };
+            self.process_epoch(root, aggregates, |state, aggregates| {
+                step.enter(state, aggregates);
+                for (chunk, memo) in state.chunks.iter_mut().zip(&mut memos) {
+                    if let Chunk::One((m, _)) = chunk {
+                        let next = step.apply(m, memo);
+                        moved |= next.exit_epoch != m.exit_epoch
+                            || (next.effective_balance != m.effective_balance
+                                && next.is_active_at(epoch + 1));
+                        *m = next;
+                    }
+                }
+            });
+            #[cfg(debug_assertions)]
+            assert_eq!(class_stats(self) != before, moved, "event at {epoch}");
+            if moved || checkpoints(self) != quiet {
+                return taken;
+            }
+        }
+        max_epochs
+    }
+}
+
+/// The base reward and the two flag penalties of the effective balance
+/// they were computed for.
+type Memo = (u64, u64, [u64; 2]);
+
+/// A memo no effective balance matches.
+const NO_MEMO: Memo = (u64::MAX, 0, [0; 2]);
+
+/// The shared member step: the six member-local epoch steps on one
+/// member state, with the constants they read. The constants fixed by
+/// the configuration, the total active balance and the slashings ring
+/// are set by [`new`](MemberStep::new); the epoch's own inputs by
+/// [`enter`](MemberStep::enter). Every global aggregate a step reads is
+/// invariant under the member writes of the steps before it (see
+/// above), so the steps compose per member in spec order.
+struct MemberStep {
+    // ── the epoch's own inputs ──
+    current_epoch: Epoch,
+    previous_epoch: Epoch,
+    /// Genesis gating, per the spec: no inactivity or reward settling for
+    /// the epoch before genesis.
+    settle_previous: bool,
+    in_leak: bool,
+    participating_increments: [u64; 3],
+    // ── fixed by the configuration ──
+    bias: u64,
+    recovery: u64,
+    increment: u64,
+    denominator: u64,
+    leak_denominator: u64,
+    paper_semantics: bool,
+    weights: [u64; 3],
+    ejection_balance: Gwei,
+    vector: u64,
+    downward: Gwei,
+    upward: Gwei,
+    max_effective: Gwei,
+    // ── fixed by the total active balance and the slashings ring ──
+    total_active: u64,
+    total_increments: u64,
+    base_per_increment: u64,
+    adjusted: u64,
+}
+
+impl MemberStep {
+    /// The step's constants at total active balance `total_active`.
+    fn new(state: &CohortState, total_active: Gwei) -> Self {
+        let config = &state.config;
+        let total_active = total_active.as_u64();
+        let increment = config.effective_balance_increment.as_u64();
+        let hysteresis_increment = increment / config.hysteresis_quotient;
+        MemberStep {
+            current_epoch: Epoch::GENESIS,
+            previous_epoch: Epoch::GENESIS,
+            settle_previous: false,
+            in_leak: false,
+            participating_increments: [0; 3],
+            bias: config.inactivity_score_bias,
+            recovery: config.inactivity_score_recovery_rate,
+            increment,
+            denominator: config.weight_denominator,
+            leak_denominator: config.inactivity_penalty_denominator(),
+            paper_semantics: config.paper_inactivity_penalties,
+            weights: [
+                config.timely_source_weight,
+                config.timely_target_weight,
+                config.timely_head_weight,
+            ],
+            ejection_balance: config.ejection_balance,
+            vector: config.epochs_per_slashings_vector,
+            downward: Gwei::new(hysteresis_increment * config.hysteresis_downward_multiplier),
+            upward: Gwei::new(hysteresis_increment * config.hysteresis_upward_multiplier),
+            max_effective: config.max_effective_balance,
+            total_active,
+            total_increments: (total_active / increment).max(1),
+            base_per_increment: increment * config.base_reward_factor
+                / integer_sqrt(total_active).max(1),
+            // The ring is untouched by member steps, and the total active
+            // balance is invariant as argued above.
+            adjusted: state
+                .slashings_sum
+                .as_u64()
+                .saturating_mul(config.proportional_slashing_multiplier)
+                .min(total_active),
+        }
+    }
+
+    /// Sets the inputs of `state`'s current epoch.
+    fn enter(&mut self, state: &CohortState, aggregates: &EpochAggregates) {
+        self.current_epoch = state.current_epoch();
+        self.previous_epoch = state.previous_epoch();
+        self.settle_previous = self.current_epoch != Epoch::GENESIS;
+        self.in_leak = state.is_in_inactivity_leak();
+        self.participating_increments = aggregates.participating_increments;
+    }
+
+    /// One member's epoch. Effective balances sit on a staircase a sorted
+    /// chunk climbs slowly, so the base reward and the two flag penalties
+    /// it fixes are remembered in `memo` from one member to the next (as
+    /// the aggregate walk remembers its quotient).
+    #[inline]
+    fn apply(&self, m: &MemberState, memo: &mut Memo) -> MemberState {
+        let mut m = *m;
+        let previous_epoch = self.previous_epoch;
+        let eligible = m.is_active_at(previous_epoch)
+            || (m.slashed && previous_epoch + 1 < m.withdrawable_epoch);
+        if self.settle_previous && eligible {
+            // Inactivity-score update (paper Eq. 1).
+            let timely = !m.slashed && m.previous_flags.has_timely_target();
+            let mut score = m.inactivity_score;
+            if timely {
+                score -= score.min(1);
+            } else {
+                score += self.bias;
+            }
+            if !self.in_leak {
+                score -= score.min(self.recovery);
+            }
+            m.inactivity_score = score;
+
+            // Rewards & penalties, reading the just-updated score.
+            let effective = m.effective_balance.as_u64();
+            if effective != memo.0 {
+                let base_reward = effective / self.increment * self.base_per_increment;
+                let penalties = [0, 1].map(|k| base_reward * self.weights[k] / self.denominator);
+                *memo = (effective, base_reward, penalties);
+            }
+            let (_, base_reward, flag_penalties) = *memo;
+            let mut reward = 0u64;
+            let mut penalty = 0u64;
+            for (k, flag) in FLAG_INDICES.into_iter().enumerate() {
+                let participated = !m.slashed && m.previous_flags.has(flag);
+                if participated {
+                    if !self.in_leak {
+                        let numerator =
+                            base_reward * self.weights[k] * self.participating_increments[k];
+                        reward += numerator / (self.total_increments * self.denominator);
+                    }
+                    // In a leak: no reward (paper §4).
+                } else if flag != TIMELY_HEAD_FLAG_INDEX {
+                    penalty += flag_penalties[k];
+                }
+            }
+            let pays_inactivity = if self.paper_semantics {
+                m.slashed || m.inactivity_score > 0
+            } else {
+                m.slashed || !m.previous_flags.has(TIMELY_TARGET_FLAG_INDEX)
+            };
+            if pays_inactivity {
+                penalty += inactivity_penalty(effective, m.inactivity_score, self.leak_denominator);
+            }
+            // Mirror dense order: increase_balance then saturating
+            // decrease_balance.
+            m.balance = (m.balance + Gwei::new(reward)).saturating_sub(Gwei::new(penalty));
+        }
+
+        // Registry: ejection at the 16-ETH effective-balance floor.
+        let exit_epoch = self.current_epoch + 1;
+        if m.is_active_at(self.current_epoch)
+            && m.effective_balance <= self.ejection_balance
+            && m.exit_epoch == FAR_FUTURE_EPOCH
+        {
+            m.exit_epoch = exit_epoch;
+            if m.withdrawable_epoch == FAR_FUTURE_EPOCH {
+                m.withdrawable_epoch = exit_epoch + 256;
+            }
+        }
+
+        // Correlation slashing penalty (spec `process_slashings`), reading
+        // the post-registry withdrawable epoch.
+        if self.adjusted != 0
+            && m.slashed
+            && self.current_epoch + self.vector / 2 == m.withdrawable_epoch
+        {
+            let increment = self.increment;
+            let penalty_numerator =
+                (m.effective_balance.as_u64() / increment) as u128 * self.adjusted as u128;
+            let penalty = (penalty_numerator / self.total_active as u128) as u64 * increment;
+            m.balance = m.balance.saturating_sub(Gwei::new(penalty));
+        }
+
+        // Effective-balance hysteresis, reading the settled balance.
+        if m.balance + self.downward < m.effective_balance
+            || m.effective_balance + self.upward < m.balance
+        {
+            // `ChainConfig::snapped_effective_balance`, on the constants.
+            let bal = m.balance.as_u64();
+            m.effective_balance = Gwei::new(bal - bal % self.increment).min(self.max_effective);
+        }
+
+        // Participation-flag rotation.
+        m.previous_flags = m.current_flags;
+        m.current_flags = ParticipationFlags::EMPTY;
+        m
+    }
 }
 
 /// The inactivity penalty `effective · score / denominator` (paper
@@ -813,6 +958,8 @@ impl CohortState {
 /// it divides there; a wider product takes the `u128` division.
 fn inactivity_penalty(effective: u64, score: u64, denominator: u64) -> u64 {
     match effective.checked_mul(score) {
+        // 2²⁶ in both shipped configurations: a shift, not a division.
+        Some(product) if denominator.is_power_of_two() => product >> denominator.trailing_zeros(),
         Some(product) => product / denominator,
         None => (u128::from(effective) * u128::from(score) / u128::from(denominator)) as u64,
     }
@@ -850,7 +997,7 @@ impl StateBackend for CohortState {
             ]),
             slashings_sum: Gwei::ZERO,
             config,
-            slot: Slot::GENESIS,
+            epoch: Epoch::GENESIS,
             num_classes: classes.len(),
             chunks,
             justification_bits: [false; 4],
@@ -866,7 +1013,7 @@ impl StateBackend for CohortState {
     }
 
     fn current_epoch(&self) -> Epoch {
-        self.slot.epoch(self.config.slots_per_epoch)
+        self.epoch
     }
 
     fn current_justified_checkpoint(&self) -> Checkpoint {
@@ -1026,16 +1173,34 @@ impl StateBackend for CohortState {
     }
 
     fn advance_epoch(&mut self, next_checkpoint_root: Option<RootLabel>) {
-        self.process_epoch();
-        let spe = self.config.slots_per_epoch;
-        self.slot = (self.current_epoch() + 1).start_slot(spe);
-        let carried = self.epoch_roots[1];
-        self.epoch_roots = [carried, next_checkpoint_root.unwrap_or(carried)];
+        self.process_epoch(
+            next_checkpoint_root,
+            Self::epoch_aggregates,
+            Self::process_member_updates,
+        );
+    }
+
+    fn advance_steady(
+        &mut self,
+        marks: impl Fn(u64, usize) -> bool,
+        labels: impl FnMut(&Self) -> Option<RootLabel>,
+        max_epochs: u64,
+    ) -> u64 {
+        let compact = self.slashings_sum == Gwei::ZERO
+            && self
+                .chunks
+                .iter()
+                .all(|c| matches!(c, Chunk::One(_)) || c.is_empty());
+        if compact {
+            self.advance_compact(marks, labels, max_epochs)
+        } else {
+            advance_until_event(self, marks, labels, max_epochs, Self::advance_epoch)
+        }
     }
 
     fn snapshot(&self) -> StateSnapshot {
         StateSnapshot {
-            slot: self.slot,
+            slot: self.epoch.start_slot(self.config.slots_per_epoch),
             justification_bits: self.justification_bits,
             previous_justified: self.previous_justified,
             current_justified: self.current_justified,
