@@ -162,3 +162,62 @@ proptest! {
         }
     }
 }
+
+/// Fresh instances of the five schedules that name a cadence.
+fn steady_schedules() -> Vec<Box<dyn ByzantineSchedule>> {
+    vec![
+        Box::new(DualActive),
+        Box::new(SemiActive::new()),
+        Box::new(RoundRobin::new(0)),
+        Box::new(RoundRobin::new(2)),
+        Box::new(ThresholdSeeker::new()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The `steady` contract: driven through random statuses, whenever a
+    /// schedule names a cadence, `participate` on the same statuses at
+    /// the next three periods' epochs returns exactly the cadence's
+    /// choices and leaves the schedule's `Debug` rendering unchanged; and
+    /// before any dwell, statuses at which every branch reaches ⅔ give
+    /// `None` for the two dwell machines.
+    #[test]
+    fn steady_cadences_are_what_participate_does(
+        raw in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..48),
+        jump in 1u64..1000,
+    ) {
+        let statuses = decode_statuses(&raw);
+        for mut schedule in steady_schedules() {
+            for status in &statuses {
+                let mut probe = status.to_vec();
+                let Some(cadence) = schedule.steady(&probe) else {
+                    schedule.participate(status);
+                    continue;
+                };
+                let rendered = format!("{schedule:?}");
+                let period = match cadence {
+                    ethpos_sim::Cadence::Fixed(_) => 1,
+                    ethpos_sim::Cadence::Rotate(k) => k as u64,
+                };
+                for offset in 1..=3 * period {
+                    let epoch = status[0].epoch + jump + offset;
+                    for s in &mut probe {
+                        s.epoch = epoch;
+                    }
+                    prop_assert_eq!(schedule.participate(&probe), cadence.choice(epoch));
+                    prop_assert_eq!(format!("{schedule:?}"), rendered.clone());
+                }
+            }
+        }
+        for index in [1, 3] {
+            let mut fresh = steady_schedules().swap_remove(index);
+            let mut reachable = statuses[0];
+            for s in &mut reachable {
+                s.byzantine_stake = s.total_active_stake;
+            }
+            prop_assert!(fresh.steady(&reachable).is_none());
+        }
+    }
+}
