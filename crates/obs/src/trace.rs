@@ -203,8 +203,7 @@ impl Span {
         }
     }
 
-    /// Renames a recording span to `name()`, for a scope whose extent is
-    /// known only once it has run; a disabled span builds no name.
+    /// Renames a recording span to `name()`; a disabled one builds none.
     pub fn rename(&mut self, name: impl FnOnce() -> String) {
         if self.tracer.is_some() {
             self.name = name();

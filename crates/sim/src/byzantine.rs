@@ -197,14 +197,6 @@ impl Cadence {
             Cadence::Rotate(k) => BranchChoice::only((epoch % k as u64) as usize),
         }
     }
-
-    /// Double-vote epochs among `epochs` consecutive ones.
-    pub fn double_votes(self, epochs: u64) -> u64 {
-        match self {
-            Cadence::Fixed(choice) if choice.is_double_vote() => epochs,
-            _ => 0,
-        }
-    }
 }
 
 // ─── §5.2.1: slashable dual voting ──────────────────────────────────────
@@ -326,15 +318,12 @@ impl ByzantineSchedule for SemiActive {
     }
 
     fn steady(&mut self, status: &[BranchStatus]) -> Option<Cadence> {
-        let alternating = status.len() == 2
-            && match self.phase {
-                SemiActivePhase::Alternate => {
-                    !status.iter().all(BranchStatus::two_thirds_reachable)
-                }
-                SemiActivePhase::Done => true,
-                SemiActivePhase::DwellFirst { .. } | SemiActivePhase::DwellSecond { .. } => false,
-            };
-        alternating.then_some(Cadence::Rotate(2))
+        let alternating = match self.phase {
+            SemiActivePhase::Alternate => !status.iter().all(BranchStatus::two_thirds_reachable),
+            SemiActivePhase::Done => true,
+            SemiActivePhase::DwellFirst { .. } | SemiActivePhase::DwellSecond { .. } => false,
+        };
+        (alternating && status.len() == 2).then_some(Cadence::Rotate(2))
     }
 
     fn name(&self) -> &'static str {

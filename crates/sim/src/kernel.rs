@@ -112,25 +112,16 @@ pub fn advance<B: StateBackend>(
         state.mark_class(BYZANTINE_CLASS, ParticipationFlags::all());
     }
     state.advance_epoch(Some(root));
-    epoch_stats(status, ejected, byzantine, checkpoint_epochs(state))
-}
-
-/// The justified and finalized epochs of `state`.
-pub(crate) fn checkpoint_epochs<B: StateBackend>(state: &B) -> (u64, u64) {
-    (
-        state.current_justified_checkpoint().epoch.as_u64(),
-        state.finalized_checkpoint().epoch.as_u64(),
-    )
+    epoch_stats(status, ejected, byzantine, state)
 }
 
 /// An epoch's stats from what [`observe`] returned, whether the
-/// Byzantine class attested, and the justified and finalized epochs
-/// after the transition.
-pub(crate) fn epoch_stats(
+/// Byzantine class attested, and `state`'s checkpoints.
+pub(crate) fn epoch_stats<B: StateBackend>(
     status: &BranchStatus,
     ejected: (u64, u64),
     byzantine: bool,
-    (justified_epoch, finalized_epoch): (u64, u64),
+    state: &B,
 ) -> BranchEpochStats {
     // The total is floored at one increment; the `max` only keeps a
     // hand-made zero total from dividing by zero (its stakes are zero).
@@ -140,8 +131,8 @@ pub(crate) fn epoch_stats(
     BranchEpochStats {
         active_ratio: share(status.honest_active_stake + byzantine_attesting),
         byzantine_proportion: share(status.byzantine_stake),
-        justified_epoch,
-        finalized_epoch,
+        justified_epoch: state.current_justified_checkpoint().epoch.as_u64(),
+        finalized_epoch: state.finalized_checkpoint().epoch.as_u64(),
         total_active_stake: total,
         ejected_honest: ejected.0 as usize,
         ejected_byzantine: ejected.1 as usize,

@@ -42,7 +42,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::byzantine::{BranchStatus, ByzantineSchedule, Cadence};
+use crate::byzantine::{BranchStatus, ByzantineSchedule};
 use ethpos_state::{BackendKind, CohortState, DenseState, RootLabel, StateBackend};
 use ethpos_stats::seeded_rng;
 use ethpos_types::{BranchId, ChainConfig};
@@ -171,9 +171,6 @@ pub struct PartitionSim<B: StateBackend = DenseState> {
     churn_stats: ChurnStats,
     scratch: StepScratch,
     pool: ChunkPool,
-    /// The branch whose event ended the last leap: the next leap runs it
-    /// first (see [`leap_branches`]).
-    pacer: BranchId,
 }
 
 /// The working buffers of one [`PartitionSim::step`], an entry per live
@@ -257,7 +254,6 @@ impl<B: StateBackend> PartitionSim<B> {
             churn_stats: ChurnStats::default(),
             scratch: StepScratch::default(),
             pool: ChunkPool::new(1),
-            pacer: BranchId::GENESIS,
         })
     }
 
@@ -399,32 +395,17 @@ impl<B: StateBackend> PartitionSim<B> {
         }
     }
 
-    /// The most epochs a step from `epoch` may cover: up to the next
-    /// timeline op, the next record point and the horizon, each excluded.
-    fn interval_bound(&self, epoch: u64) -> u64 {
-        let next_op = self.compiled.steps.get(self.step_idx);
-        let every = self.config.record_every;
-        let next_record = (epoch / every + 1).saturating_mul(every);
-        next_op
-            .map_or(u64::MAX, |step| step.epoch)
-            .min(next_record)
-            .min(self.config.max_epochs)
-            - epoch
-    }
-
     /// Simulates the next epoch, or the quiet interval that starts there,
     /// applying any timeline events scheduled for its first epoch first.
     /// Returns `false` once the run is over — the horizon was reached or a
     /// stop condition fired.
     ///
     /// A step covers an interval when the plan churns nothing and the
-    /// schedule names a [`Cadence`](crate::Cadence) for the statuses it
-    /// sees ([`ByzantineSchedule::steady`]). Every live branch then
-    /// advances as far as epoch-by-epoch stepping would go by the first
-    /// [event](StateBackend::advance_steady) on any branch, that epoch
-    /// included, and never past the next timeline op, the next record
-    /// point or the horizon. The statuses are fixed in between, so the
-    /// outcome is the one single epochs give.
+    /// schedule names a [`Cadence`](crate::Cadence)
+    /// ([`ByzantineSchedule::steady`]): every live branch advances through
+    /// the first [event](StateBackend::advance_steady) on any branch, and
+    /// the statuses are fixed until then, so the outcome is the one single
+    /// epochs give.
     pub fn step(&mut self) -> bool {
         if self.finished || self.epoch >= self.config.max_epochs {
             self.finished = true;
@@ -433,7 +414,13 @@ impl<B: StateBackend> PartitionSim<B> {
         let mut span = ethpos_obs::span_with("sim", || format!("epoch {}", self.epoch));
         self.apply_ops();
         let epoch = self.epoch;
-        let bound = self.interval_bound(epoch);
+        // A step stops short of the next timeline op, record and horizon.
+        let next_op = self.compiled.steps.get(self.step_idx);
+        let next_record = (epoch / self.config.record_every + 1) * self.config.record_every;
+        let bound = (next_op.map_or(u64::MAX, |step| step.epoch))
+            .min(next_record)
+            .min(self.config.max_epochs)
+            - epoch;
 
         // 1. Per live branch in id order: `kernel::observe` — pinned
         //    classes whole, churned classes by per-cohort binomial count
@@ -483,7 +470,6 @@ impl<B: StateBackend> PartitionSim<B> {
             Some(cadence) => cadence.choice(epoch),
             None => self.schedule.participate(statuses),
         };
-        let leap = cadence.filter(|_| bound > 1);
 
         // 3a. Per live branch: `kernel::advance` — the Byzantine mark
         //     and the epoch transition under the label of the branch's
@@ -501,6 +487,7 @@ impl<B: StateBackend> PartitionSim<B> {
                 .map(|state| state.fragmentation().map_or(n, |f| f.cohorts))
                 .sum::<u64>()
                 >= PARALLEL_ADVANCE_COHORTS;
+        let parallel = heavy && self.pool.threads() > 1;
         let advance = |position: usize, state: &mut B| {
             let status = &statuses[position];
             let _span = heavy.then(|| {
@@ -513,31 +500,34 @@ impl<B: StateBackend> PartitionSim<B> {
             let byzantine = choice.get(position);
             kernel::advance(state, status, ejected[position], byzantine, root)
         };
-        //     A leap instead folds each branch's first epoch up front,
-        //     from the statuses and the state it starts from (nothing
-        //     moves before its last epoch), then advances the branches
-        //     through the interval one after another.
+        //     A leap (no threads to gain by stepping) instead folds each
+        //     branch's first epoch from the state it starts from (nothing
+        //     moves before the last), then advances the branches together.
+        let leap = cadence.filter(|_| bound > 1 && !parallel);
         let mut advanced = Vec::new();
-        let mut first_folds = Vec::new();
         let epochs = match leap {
             Some(cadence) => {
                 for (position, (b, _)) in plan.pinned.iter().enumerate() {
-                    let status = &statuses[position];
-                    let checkpoints = (status.justified_epoch, status.finalized_epoch);
-                    let first = kernel::epoch_stats(
-                        status,
-                        ejected[position],
-                        choice.get(position),
-                        checkpoints,
-                    );
-                    let mut fold = self.meta[b.as_usize()].fold;
-                    fold.push(epoch, &first, &branches[b]);
-                    first_folds.push((first, fold));
+                    let (status, state, attests) =
+                        (&statuses[position], &branches[b], choice.get(position));
+                    let first = kernel::epoch_stats(status, ejected[position], attests, state);
+                    self.meta[b.as_usize()].fold.push(epoch, &first, state);
+                    stats.push(first);
                 }
-                leap_branches(branches, plan, cadence, bound, &mut self.pacer)
+                let mut lanes: Vec<&mut B> = branches.values_mut().collect();
+                let marks = |position: usize, epoch, class| {
+                    plan.pinned[position].1.contains(&class)
+                        || (class == BYZANTINE_CLASS && cadence.choice(epoch).get(position))
+                };
+                let labels = |position: usize, state: &B| {
+                    let id = plan.pinned[position].0.as_u64();
+                    let epoch = state.current_epoch().as_u64() + 1;
+                    Some(RootLabel::Branch { id, epoch })
+                };
+                B::advance_steady(&mut lanes, marks, labels, bound)
             }
             None => {
-                if heavy && self.pool.threads() > 1 {
+                if parallel {
                     let mut lanes: Vec<&mut B> = branches.values_mut().collect();
                     advanced = self
                         .pool
@@ -553,40 +543,34 @@ impl<B: StateBackend> PartitionSim<B> {
 
         // 3b. Per live branch, in id order once every advance is done (a
         //     serial advance runs here, right before its own fold): fold
-        //     the branch outcome (a leap's last epoch onto its first), and
-        //     feed the safety monitor the branch's finalized checkpoint
-        //     (checked against every branch pair — healed branches
-        //     included). The monitor knows each branch's lineage from its
-        //     fork, so it needs no block.
+        //     the branch outcome (a leap's last epoch), and feed the safety
+        //     monitor the branch's finalized checkpoint (checked against
+        //     every branch pair — healed branches included). The monitor
+        //     knows each branch's lineage from its fork, so it needs no
+        //     block.
         for (position, (b, _)) in plan.pinned.iter().enumerate() {
             let state = branches.get_mut(b).expect("live branch");
             let stat = match (leap, advanced.get(position)) {
-                (Some(cadence), _) => kernel::epoch_stats(
-                    &statuses[position],
-                    ejected[position],
-                    cadence.choice(last).get(position),
-                    kernel::checkpoint_epochs(state),
-                ),
+                (Some(cadence), _) => {
+                    let byzantine = cadence.choice(last).get(position);
+                    kernel::epoch_stats(&statuses[position], ejected[position], byzantine, state)
+                }
                 (None, Some(&done)) => done,
                 (None, None) => advance(position, state),
             };
-            let fold = &mut self.meta[b.as_usize()].fold;
-            match first_folds.get(position) {
-                Some(&(first, first_fold)) if epochs > 1 => {
-                    *fold = first_fold;
-                    stats.push(first);
-                }
-                _ => stats.push(stat),
+            self.meta[b.as_usize()].fold.push(last, &stat, state);
+            match stats.get_mut(position) {
+                Some(first) if epochs == 1 => *first = stat,
+                Some(_) => {}
+                None => stats.push(stat),
             }
-            fold.push(last, &stat, state);
             byzantine_active.push(choice.get(position));
             self.monitor.observe_backend(b.as_usize(), state);
         }
         self.outcome.epochs_run = last + 1;
-        self.outcome.double_vote_epochs += match leap {
-            Some(cadence) => cadence.double_votes(epochs),
-            None => u64::from(choice.is_double_vote()),
-        };
+        // A rotation names one branch an epoch, so only a fixed choice
+        // double-votes, every epoch of its interval.
+        self.outcome.double_vote_epochs += epochs * u64::from(choice.is_double_vote());
         if self.outcome.conflicting_finalization_epoch.is_none() {
             if let Some((a, b, ca, cb)) = self.monitor.violation() {
                 self.outcome.conflicting_finalization_epoch = Some(last);
@@ -668,63 +652,6 @@ impl<B: StateBackend> PartitionSim<B> {
         while self.step() {}
         self.finish()
     }
-}
-
-/// Advances every live branch through one quiet interval of at most
-/// `bound` epochs and returns its length: as far as epoch-by-epoch
-/// stepping goes by the first event on any branch, that epoch included.
-///
-/// The branches advance one after another, each at most as far as the
-/// ones before it got, starting with the branch whose event ended the
-/// last interval (`pacer`). A branch that got further than a later one
-/// is re-run from its copy-on-write clone: all advance the same epochs.
-fn leap_branches<B: StateBackend>(
-    branches: &mut BTreeMap<BranchId, B>,
-    plan: &MarkingPlan,
-    cadence: Cadence,
-    mut bound: u64,
-    pacer: &mut BranchId,
-) -> u64 {
-    let advance = |position: usize, state: &mut B, bound: u64| {
-        let (id, pinned) = &plan.pinned[position];
-        state.advance_steady(
-            |epoch, class| {
-                pinned.contains(&class)
-                    || (class == BYZANTINE_CLASS && cadence.choice(epoch).get(position))
-            },
-            |state| {
-                let epoch = state.current_epoch().as_u64() + 1;
-                Some(RootLabel::Branch {
-                    id: id.as_u64(),
-                    epoch,
-                })
-            },
-            bound,
-        )
-    };
-    let mut lanes: Vec<&mut B> = branches.values_mut().collect();
-    let first = plan
-        .pinned
-        .iter()
-        .position(|(id, _)| id == pacer)
-        .unwrap_or(0);
-    let mut starts = Vec::new();
-    for (i, position) in (first..lanes.len()).chain(0..first).enumerate() {
-        let start = (i + 1 < lanes.len()).then(|| lanes[position].clone());
-        let taken = advance(position, lanes[position], bound);
-        if taken < bound {
-            bound = taken;
-            *pacer = plan.pinned[position].0;
-        }
-        starts.extend(start.map(|start| (position, start, taken)));
-    }
-    for (position, start, taken) in starts {
-        if taken > bound {
-            *lanes[position] = start;
-            advance(position, lanes[position], bound);
-        }
-    }
-    bound
 }
 
 /// Runs a timeline to its end on the chosen backend and returns the

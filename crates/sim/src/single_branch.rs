@@ -125,9 +125,10 @@ pub fn run_single_branch_on<B: StateBackend>(
 
     let mut epoch = 0;
     while epoch < epochs {
-        epoch += state.advance_steady(
-            |epoch, c| classes[c].0.participates(epoch),
-            |state| {
+        epoch += B::advance_steady(
+            &mut [&mut state],
+            |_, epoch, c| classes[c].0.participates(epoch),
+            |_, state| {
                 record(state, &mut trajectories, state.current_epoch().as_u64());
                 None
             },

@@ -254,14 +254,14 @@ impl PartialEq for RootLabel {
 /// The epoch-transition surface shared by the dense and cohort state
 /// representations.
 ///
-/// The contract is what the per-branch epoch kernel
-/// (`ethpos_sim::kernel`, which every epoch-level engine composes) does
-/// with a branch: mark the classes that attest this epoch (behind the
-/// scenes this sets Altair participation flags on every *active*
-/// member), read the adversary's view with
-/// [`observe`](StateBackend::observe), then
-/// [`advance_epoch`](StateBackend::advance_epoch) to run the full spec
-/// epoch processing and enter the next epoch.
+/// The contract is what the per-branch epoch kernel (`ethpos_sim::kernel`)
+/// does with a branch: mark the classes that attest this epoch (setting
+/// Altair participation flags on every *active* member), read the
+/// adversary's view with [`observe`](StateBackend::observe), then
+/// [`advance_epoch`](StateBackend::advance_epoch) through the full spec
+/// epoch processing. Where the view stands still, an engine hands a quiet
+/// interval of all its branches to
+/// [`advance_steady`](StateBackend::advance_steady) instead.
 ///
 /// Backends are `Clone` so a partition `Split` can fork a branch: the
 /// child branch starts from a bit-identical copy of the parent's state.
@@ -369,32 +369,28 @@ pub trait StateBackend: Sized + Clone + Send {
     /// eagerly hashed root would have given.
     fn advance_epoch(&mut self, next_checkpoint_root: Option<RootLabel>);
 
-    /// Advances through the **quiet interval** that starts at the current
-    /// epoch: each epoch, asks `labels` for the checkpoint root (handing
-    /// it the state as the epoch begins), marks every active member of
-    /// each class `c` with `marks(epoch, c)` with all flags, and runs
-    /// [`advance_epoch`](StateBackend::advance_epoch). Returns the number
-    /// of epochs advanced: `max_epochs`, or fewer when an epoch was an
-    /// **event**, which is then the last one advanced.
+    /// Advances `lanes` together through the **quiet interval** that
+    /// starts at their current epoch. Each epoch, each lane `i` in turn
+    /// asks `labels(i, state)` for its checkpoint root (the state as the
+    /// epoch begins), marks every active member of each class `c` with
+    /// `marks(i, epoch, c)` with all flags and runs
+    /// [`advance_epoch`](StateBackend::advance_epoch). Returns the epochs
+    /// every lane advanced: `max_epochs`, or fewer when an epoch was an
+    /// **event** on some lane, which is then the last one.
     ///
-    /// An event is an epoch whose transition changes the justified or the
-    /// finalized checkpoint or any class's [`ClassStats`] (an exit, or an
-    /// active member's effective-balance stair). Between events every
-    /// status the partition engine reads is fixed, so it can hand a whole
-    /// interval to one call. The definition is on the state, not on the
-    /// backend: driven alike, two backends stop at the same epoch.
-    ///
-    /// The default is the per-epoch loop above. A backend may override it
-    /// with a faster path through the same arithmetic.
+    /// An event is a transition that moves the justified or the finalized
+    /// checkpoint or any class's [`ClassStats`] (an exit, or an active
+    /// member's effective-balance stair); between events every status the
+    /// partition engine reads is fixed. Events are defined on the state, so
+    /// two backends driven alike stop at the same epoch. The default is
+    /// this loop; a backend may override it through the same arithmetic.
     fn advance_steady(
-        &mut self,
-        marks: impl Fn(u64, usize) -> bool,
-        labels: impl FnMut(&Self) -> Option<RootLabel>,
+        lanes: &mut [&mut Self],
+        marks: impl Fn(usize, u64, usize) -> bool,
+        labels: impl FnMut(usize, &Self) -> Option<RootLabel>,
         max_epochs: u64,
     ) -> u64 {
-        advance_until_event(self, marks, labels, max_epochs, |state, label| {
-            state.advance_epoch(label)
-        })
+        advance_until_event(lanes, marks, labels, max_epochs)
     }
 
     /// Sum of **actual** balances over every member of `class` (active
@@ -436,33 +432,37 @@ pub trait StateBackend: Sized + Clone + Send {
     }
 }
 
-/// The loop of [`StateBackend::advance_steady`], with `advance` as the
-/// epoch transition: the default passes `advance_epoch`, a fast path its
-/// own transition through the same arithmetic, so the two stop at the
-/// same event by construction.
+/// The default [`StateBackend::advance_steady`], which a fast path
+/// falls back to.
 pub(crate) fn advance_until_event<B: StateBackend>(
-    state: &mut B,
-    marks: impl Fn(u64, usize) -> bool,
-    mut labels: impl FnMut(&B) -> Option<RootLabel>,
+    lanes: &mut [&mut B],
+    marks: impl Fn(usize, u64, usize) -> bool,
+    mut labels: impl FnMut(usize, &B) -> Option<RootLabel>,
     max_epochs: u64,
-    mut advance: impl FnMut(&mut B, Option<RootLabel>),
 ) -> u64 {
-    let checkpoints = |s: &B| (s.current_justified_checkpoint(), s.finalized_checkpoint());
-    let quiet = checkpoints(state);
-    let classes: Vec<ClassStats> = (0..state.num_classes())
-        .map(|c| state.class_stats(c))
-        .collect();
+    let quiet = |s: &B| {
+        let classes: Vec<ClassStats> = (0..s.num_classes()).map(|c| s.class_stats(c)).collect();
+        (
+            s.current_justified_checkpoint(),
+            s.finalized_checkpoint(),
+            classes,
+        )
+    };
+    let before: Vec<_> = lanes.iter().map(|state| quiet(state)).collect();
     for taken in 1..=max_epochs {
-        let epoch = state.current_epoch().as_u64();
-        let label = labels(state);
-        for class in 0..classes.len() {
-            if marks(epoch, class) {
-                state.mark_class(class, ParticipationFlags::all());
+        let mut event = false;
+        for (lane, state) in lanes.iter_mut().enumerate() {
+            let epoch = state.current_epoch().as_u64();
+            let label = labels(lane, state);
+            for class in 0..state.num_classes() {
+                if marks(lane, epoch, class) {
+                    state.mark_class(class, ParticipationFlags::all());
+                }
             }
+            state.advance_epoch(label);
+            event |= quiet(state) != before[lane];
         }
-        advance(state, label);
-        let moved = (0..classes.len()).any(|c| state.class_stats(c) != classes[c]);
-        if moved || checkpoints(state) != quiet {
+        if event {
             return taken;
         }
     }

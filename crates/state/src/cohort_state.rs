@@ -26,35 +26,33 @@
 //!
 //! # What one epoch costs
 //!
+//! A compact state (every class one inline cohort, the slashings ring
+//! empty: every churn-free run) crosses a quiet interval on the fast path
+//! of [`StateBackend::advance_steady`]: the interval's constants are
+//! built once, and an epoch is a sum over the classes, the justification
+//! rules and the shared member step per class, with no chunk rebuild.
+//!
 //! Under §5.3 churn in a leak every hit/miss history leaks to its own
 //! balance and a class fragments toward one cohort per member; the epoch
-//! is then linear in the cohort count `k`, not `k log k`, and rewrites
-//! the 64-byte runs of a fragmented chunk three times — mark, map,
-//! gather — around one aggregate walk (`epoch_aggregates`: every global
-//! sum justification and the member updates read) and the
-//! radix passes over 8-byte keys:
+//! is then linear in the cohort count `k` and rewrites the 64-byte runs
+//! of a fragmented chunk three times around one aggregate walk
+//! (`epoch_aggregates`) and the radix passes over 8-byte keys:
 //!
 //! * **mark** (`mark_class_counted`): one pass, no comparison. A marked
 //!   state differs from its unmarked twin only in `current_flags`, the
-//!   last field of the ordering, so in a chunk whose runs all carry empty
-//!   current flags — all the partition engine ever marks — emitting
-//!   `(unmarked, marked)` per cohort keeps the chunk sorted with nothing
-//!   to merge. A chunk is rewritten only if some drawn member actually
-//!   changed. `canonicalize` still runs on the result when the pass saw
-//!   a run already carrying flags this epoch (unions of non-nested flag
-//!   sets can tie or swap order);
-//! * **map**: the six fused member-local steps, in place when no fork
-//!   shares the chunk; a chunk the step fixes is not written and stays
-//!   shared. The map is not monotone (penalties depend on scores), so the
-//!   pass also hands the balances it produces to the keyed sort, which
-//!   turns them into `(balance offset, index)` keys and orders those by
-//!   LSD radix. A chunk whose balances come out strictly increasing is
-//!   done there; one under 256 runs (every compact one), or with balances
+//!   last field of the ordering, so emitting `(unmarked, marked)` per
+//!   cohort of a chunk with empty current flags (all the partition engine
+//!   ever marks) keeps it sorted; a chunk is rewritten only if a drawn
+//!   member changed, and re-canonicalized if a run already carried flags;
+//! * **map**: the member step, in place when no fork shares the chunk; a
+//!   chunk the step fixes is not written and stays shared. The map is not
+//!   monotone, so it hands the balances it produces to the keyed sort,
+//!   which orders `(balance offset, index)` keys by LSD radix; strictly
+//!   increasing balances are done there, and a chunk under 256 runs, or
 //!   spread over more than 2⁴⁰ Gwei, is sorted by comparison instead;
-//! * **gather**: the runs are written in key order into one output
-//!   buffer, with the nine-field comparison and the merge confined to
-//!   groups of equal balance — the only place two runs can tie or merge —
-//!   and the buffer is swapped for the chunk's own.
+//! * **gather**: the runs are written in key order into one buffer, the
+//!   comparison and the merge confined to groups of equal balance (the
+//!   only place two runs can tie), and the buffer replaces the chunk.
 //!
 //! # Copy-on-write forking
 //!
@@ -674,81 +672,74 @@ impl CohortState {
         }
     }
 
-    /// [`StateBackend::advance_steady`] on a compact state: every class
-    /// one inline cohort, the slashings ring empty.
-    ///
-    /// Between events each cohort's stake and increments are fixed where
-    /// the sums read them (a class is summed only while active, and an
-    /// active class's effective balance moves only at an event), and so
-    /// is the total active balance. So these and the member step's
-    /// constants, its `integer_sqrt` among them, are built once per
-    /// interval, and every class keeps its own base-reward memo. A class's
-    /// [`ClassStats`] move exactly when its step sets an exit or moves the
-    /// effective balance of a member that stays active, so the step's own
-    /// writes tell the event (debug builds check this against the stats).
+    /// [`StateBackend::advance_steady`] on compact lanes: every class one
+    /// inline cohort, the slashings ring empty. Between events the cohorts'
+    /// stakes and increments (where the sums read them) and the total
+    /// active balance are fixed, so they and the member step's constants,
+    /// its `integer_sqrt` among them, are built once per lane and interval;
+    /// each class keeps its own base-reward memo. A class's [`ClassStats`]
+    /// move exactly when its step sets an exit or moves an active member's
+    /// effective balance, so the step's own writes tell the event.
     fn advance_compact(
-        &mut self,
-        marks: impl Fn(u64, usize) -> bool,
-        mut labels: impl FnMut(&Self) -> Option<RootLabel>,
+        lanes: &mut [&mut Self],
+        marks: impl Fn(usize, u64, usize) -> bool,
+        mut labels: impl FnMut(usize, &Self) -> Option<RootLabel>,
         max_epochs: u64,
     ) -> u64 {
-        let increment = self.config.effective_balance_increment.as_u64();
-        let weights: Vec<(u64, u64)> = (self.chunks.iter())
-            .map(|chunk| match chunk.first() {
-                Some((m, count)) => {
-                    let effective = m.effective_balance.as_u64();
-                    (count * effective, count * (effective / increment))
-                }
-                None => (0, 0),
-            })
-            .collect();
-        let mut memos = vec![NO_MEMO; self.chunks.len()];
-        let mut step = MemberStep::new(self, self.total_active_balance());
-        let checkpoints = |state: &Self| (state.current_justified, state.finalized);
-        let quiet = checkpoints(self);
-        #[cfg(debug_assertions)]
-        let class_stats = |state: &Self| {
-            (0..state.num_classes)
-                .map(|c| state.class_stats(c))
-                .collect::<Vec<_>>()
+        let interval = |state: &Self| {
+            let increment = state.config.effective_balance_increment.as_u64();
+            let weights: Vec<(u64, u64)> = (state.chunks.iter())
+                .map(|chunk| {
+                    chunk.first().map_or((0, 0), |(m, count)| {
+                        let effective = m.effective_balance.as_u64();
+                        (count * effective, count * (effective / increment))
+                    })
+                })
+                .collect();
+            let step = MemberStep::new(state, state.total_active_balance());
+            let quiet = (state.current_justified, state.finalized);
+            (weights, vec![NO_MEMO; state.chunks.len()], step, quiet)
         };
+        let mut intervals: Vec<_> = lanes.iter().map(|state| interval(state)).collect();
         for taken in 1..=max_epochs {
-            let epoch = self.epoch;
-            let root = labels(self);
-            for (class, chunk) in self.chunks.iter_mut().enumerate() {
-                if let Chunk::One((m, _)) = chunk {
-                    if marks(epoch.as_u64(), class) && m.is_active_at(epoch) {
-                        m.current_flags = m.current_flags.union(ParticipationFlags::all());
-                    }
-                }
-            }
-            #[cfg(debug_assertions)]
-            let before = class_stats(self);
-            let mut moved = false;
-            let aggregates = |state: &Self| {
-                let runs = state.chunks.iter().zip(&weights);
-                let aggregates =
-                    state.sum_aggregates(runs.filter_map(|(chunk, &(stake, incs))| {
-                        chunk.first().map(|(m, _)| (m, stake, incs))
-                    }));
-                debug_assert_eq!(aggregates, state.epoch_aggregates());
-                aggregates
-            };
-            self.process_epoch(root, aggregates, |state, aggregates| {
-                step.enter(state, aggregates);
-                for (chunk, memo) in state.chunks.iter_mut().zip(&mut memos) {
+            let mut event = false;
+            for (lane, (state, (weights, memos, step, quiet))) in
+                lanes.iter_mut().zip(&mut intervals).enumerate()
+            {
+                let epoch = state.epoch;
+                let root = labels(lane, state);
+                for (class, chunk) in state.chunks.iter_mut().enumerate() {
                     if let Chunk::One((m, _)) = chunk {
-                        let next = step.apply(m, memo);
-                        moved |= next.exit_epoch != m.exit_epoch
-                            || (next.effective_balance != m.effective_balance
-                                && next.is_active_at(epoch + 1));
-                        *m = next;
+                        if marks(lane, epoch.as_u64(), class) && m.is_active_at(epoch) {
+                            m.current_flags = m.current_flags.union(ParticipationFlags::all());
+                        }
                     }
                 }
-            });
-            #[cfg(debug_assertions)]
-            assert_eq!(class_stats(self) != before, moved, "event at {epoch}");
-            if moved || checkpoints(self) != quiet {
+                let mut moved = false;
+                let aggregates = |state: &Self| {
+                    let runs = state.chunks.iter().zip(weights.iter());
+                    let aggregates =
+                        state.sum_aggregates(runs.filter_map(|(chunk, &(stake, incs))| {
+                            chunk.first().map(|(m, _)| (m, stake, incs))
+                        }));
+                    debug_assert_eq!(aggregates, state.epoch_aggregates());
+                    aggregates
+                };
+                state.process_epoch(root, aggregates, |state, aggregates| {
+                    step.enter(state, aggregates);
+                    for (chunk, memo) in state.chunks.iter_mut().zip(memos.iter_mut()) {
+                        if let Chunk::One((m, _)) = chunk {
+                            let next = step.apply(m, memo);
+                            moved |= next.exit_epoch != m.exit_epoch
+                                || (next.effective_balance != m.effective_balance
+                                    && next.is_active_at(epoch + 1));
+                            *m = next;
+                        }
+                    }
+                });
+                event |= moved || (state.current_justified, state.finalized) != *quiet;
+            }
+            if event {
                 return taken;
             }
         }
@@ -763,35 +754,23 @@ type Memo = (u64, u64, [u64; 2]);
 /// A memo no effective balance matches.
 const NO_MEMO: Memo = (u64::MAX, 0, [0; 2]);
 
-/// The shared member step: the six member-local epoch steps on one
-/// member state, with the constants they read. The constants fixed by
-/// the configuration, the total active balance and the slashings ring
-/// are set by [`new`](MemberStep::new); the epoch's own inputs by
-/// [`enter`](MemberStep::enter). Every global aggregate a step reads is
-/// invariant under the member writes of the steps before it (see
-/// above), so the steps compose per member in spec order.
+/// The six member-local epoch steps on one member state, shared by both
+/// paths, with the constants they read: [`new`](MemberStep::new) sets
+/// those of the configuration, the total active balance and the
+/// slashings ring, [`enter`](MemberStep::enter) the epoch's own. Each
+/// global aggregate a step reads is invariant under the member writes of
+/// the steps before it (see above), so they compose in spec order.
 struct MemberStep {
+    config: ChainConfig,
     // ── the epoch's own inputs ──
     current_epoch: Epoch,
-    previous_epoch: Epoch,
-    /// Genesis gating, per the spec: no inactivity or reward settling for
-    /// the epoch before genesis.
-    settle_previous: bool,
     in_leak: bool,
     participating_increments: [u64; 3],
-    // ── fixed by the configuration ──
-    bias: u64,
-    recovery: u64,
-    increment: u64,
-    denominator: u64,
-    leak_denominator: u64,
-    paper_semantics: bool,
+    // ── derived from the configuration ──
     weights: [u64; 3],
-    ejection_balance: Gwei,
-    vector: u64,
+    leak_denominator: u64,
     downward: Gwei,
     upward: Gwei,
-    max_effective: Gwei,
     // ── fixed by the total active balance and the slashings ring ──
     total_active: u64,
     total_increments: u64,
@@ -808,26 +787,16 @@ impl MemberStep {
         let hysteresis_increment = increment / config.hysteresis_quotient;
         MemberStep {
             current_epoch: Epoch::GENESIS,
-            previous_epoch: Epoch::GENESIS,
-            settle_previous: false,
             in_leak: false,
             participating_increments: [0; 3],
-            bias: config.inactivity_score_bias,
-            recovery: config.inactivity_score_recovery_rate,
-            increment,
-            denominator: config.weight_denominator,
-            leak_denominator: config.inactivity_penalty_denominator(),
-            paper_semantics: config.paper_inactivity_penalties,
             weights: [
                 config.timely_source_weight,
                 config.timely_target_weight,
                 config.timely_head_weight,
             ],
-            ejection_balance: config.ejection_balance,
-            vector: config.epochs_per_slashings_vector,
+            leak_denominator: config.inactivity_penalty_denominator(),
             downward: Gwei::new(hysteresis_increment * config.hysteresis_downward_multiplier),
             upward: Gwei::new(hysteresis_increment * config.hysteresis_upward_multiplier),
-            max_effective: config.max_effective_balance,
             total_active,
             total_increments: (total_active / increment).max(1),
             base_per_increment: increment * config.base_reward_factor
@@ -839,14 +808,13 @@ impl MemberStep {
                 .as_u64()
                 .saturating_mul(config.proportional_slashing_multiplier)
                 .min(total_active),
+            config: config.clone(),
         }
     }
 
     /// Sets the inputs of `state`'s current epoch.
     fn enter(&mut self, state: &CohortState, aggregates: &EpochAggregates) {
         self.current_epoch = state.current_epoch();
-        self.previous_epoch = state.previous_epoch();
-        self.settle_previous = self.current_epoch != Epoch::GENESIS;
         self.in_leak = state.is_in_inactivity_leak();
         self.participating_increments = aggregates.participating_increments;
     }
@@ -858,28 +826,32 @@ impl MemberStep {
     #[inline]
     fn apply(&self, m: &MemberState, memo: &mut Memo) -> MemberState {
         let mut m = *m;
-        let previous_epoch = self.previous_epoch;
+        let increment = self.config.effective_balance_increment.as_u64();
+        let previous_epoch = self.current_epoch.prev();
         let eligible = m.is_active_at(previous_epoch)
             || (m.slashed && previous_epoch + 1 < m.withdrawable_epoch);
-        if self.settle_previous && eligible {
+        // Genesis gating, per the spec: no inactivity or reward settling
+        // for the epoch before genesis.
+        if self.current_epoch != Epoch::GENESIS && eligible {
             // Inactivity-score update (paper Eq. 1).
             let timely = !m.slashed && m.previous_flags.has_timely_target();
             let mut score = m.inactivity_score;
             if timely {
                 score -= score.min(1);
             } else {
-                score += self.bias;
+                score += self.config.inactivity_score_bias;
             }
             if !self.in_leak {
-                score -= score.min(self.recovery);
+                score -= score.min(self.config.inactivity_score_recovery_rate);
             }
             m.inactivity_score = score;
 
             // Rewards & penalties, reading the just-updated score.
             let effective = m.effective_balance.as_u64();
             if effective != memo.0 {
-                let base_reward = effective / self.increment * self.base_per_increment;
-                let penalties = [0, 1].map(|k| base_reward * self.weights[k] / self.denominator);
+                let base_reward = effective / increment * self.base_per_increment;
+                let denominator = self.config.weight_denominator;
+                let penalties = [0, 1].map(|k| base_reward * self.weights[k] / denominator);
                 *memo = (effective, base_reward, penalties);
             }
             let (_, base_reward, flag_penalties) = *memo;
@@ -891,14 +863,15 @@ impl MemberStep {
                     if !self.in_leak {
                         let numerator =
                             base_reward * self.weights[k] * self.participating_increments[k];
-                        reward += numerator / (self.total_increments * self.denominator);
+                        reward +=
+                            numerator / (self.total_increments * self.config.weight_denominator);
                     }
                     // In a leak: no reward (paper §4).
                 } else if flag != TIMELY_HEAD_FLAG_INDEX {
                     penalty += flag_penalties[k];
                 }
             }
-            let pays_inactivity = if self.paper_semantics {
+            let pays_inactivity = if self.config.paper_inactivity_penalties {
                 m.slashed || m.inactivity_score > 0
             } else {
                 m.slashed || !m.previous_flags.has(TIMELY_TARGET_FLAG_INDEX)
@@ -914,7 +887,7 @@ impl MemberStep {
         // Registry: ejection at the 16-ETH effective-balance floor.
         let exit_epoch = self.current_epoch + 1;
         if m.is_active_at(self.current_epoch)
-            && m.effective_balance <= self.ejection_balance
+            && m.effective_balance <= self.config.ejection_balance
             && m.exit_epoch == FAR_FUTURE_EPOCH
         {
             m.exit_epoch = exit_epoch;
@@ -927,9 +900,9 @@ impl MemberStep {
         // the post-registry withdrawable epoch.
         if self.adjusted != 0
             && m.slashed
-            && self.current_epoch + self.vector / 2 == m.withdrawable_epoch
+            && self.current_epoch + self.config.epochs_per_slashings_vector / 2
+                == m.withdrawable_epoch
         {
-            let increment = self.increment;
             let penalty_numerator =
                 (m.effective_balance.as_u64() / increment) as u128 * self.adjusted as u128;
             let penalty = (penalty_numerator / self.total_active as u128) as u64 * increment;
@@ -942,7 +915,8 @@ impl MemberStep {
         {
             // `ChainConfig::snapped_effective_balance`, on the constants.
             let bal = m.balance.as_u64();
-            m.effective_balance = Gwei::new(bal - bal % self.increment).min(self.max_effective);
+            m.effective_balance =
+                Gwei::new(bal - bal % increment).min(self.config.max_effective_balance);
         }
 
         // Participation-flag rotation.
@@ -1181,20 +1155,19 @@ impl StateBackend for CohortState {
     }
 
     fn advance_steady(
-        &mut self,
-        marks: impl Fn(u64, usize) -> bool,
-        labels: impl FnMut(&Self) -> Option<RootLabel>,
+        lanes: &mut [&mut Self],
+        marks: impl Fn(usize, u64, usize) -> bool,
+        labels: impl FnMut(usize, &Self) -> Option<RootLabel>,
         max_epochs: u64,
     ) -> u64 {
-        let compact = self.slashings_sum == Gwei::ZERO
-            && self
-                .chunks
-                .iter()
-                .all(|c| matches!(c, Chunk::One(_)) || c.is_empty());
-        if compact {
-            self.advance_compact(marks, labels, max_epochs)
+        let compact = |state: &Self| {
+            state.slashings_sum == Gwei::ZERO
+                && (state.chunks.iter()).all(|c| matches!(c, Chunk::One(_)) || c.is_empty())
+        };
+        if lanes.iter().all(|state| compact(state)) {
+            Self::advance_compact(lanes, marks, labels, max_epochs)
         } else {
-            advance_until_event(self, marks, labels, max_epochs, Self::advance_epoch)
+            advance_until_event(lanes, marks, labels, max_epochs)
         }
     }
 
@@ -1235,9 +1208,53 @@ impl StateBackend for CohortState {
 mod tests {
     use super::*;
     use crate::backend::DenseState;
+    use ethpos_types::ValidatorIndex;
 
     fn full(count: u64) -> ClassSpec {
         ClassSpec::full_stake(count, &ChainConfig::minimal())
+    }
+
+    /// The compact path's effective-balance hysteresis one Gwei either
+    /// side of both bounds, against the spec's per-validator epoch: a
+    /// 30-ETH effective balance under a balance set at each edge.
+    #[test]
+    fn compact_hysteresis_matches_the_spec_at_its_edges() {
+        let config = ChainConfig::paper();
+        let increment = config.effective_balance_increment.as_u64();
+        let quarter = increment / config.hysteresis_quotient;
+        let down = quarter * config.hysteresis_downward_multiplier;
+        let up = quarter * config.hysteresis_upward_multiplier;
+        let effective = 30 * increment;
+        let edges = [down + 1, down, down - 1].map(|d| effective - d);
+        for balance in edges
+            .into_iter()
+            .chain([up - 1, up, up + 1].map(|u| effective + u))
+        {
+            let mut cohort = CohortState::from_classes(config.clone(), &[full(3)]);
+            let Chunk::One((m, _)) = &mut cohort.chunks[0] else {
+                panic!("one inline cohort");
+            };
+            (m.balance, m.effective_balance) = (Gwei::new(balance), Gwei::new(effective));
+            let mut spec = crate::BeaconState::genesis(config.clone(), 3);
+            for i in 0..3usize {
+                spec.validators_mut()[i].effective_balance = Gwei::new(effective);
+                let excess = spec.balances()[i] - Gwei::new(balance);
+                spec.decrease_balance(ValidatorIndex::from(i), excess);
+            }
+            for epoch in 0..3 {
+                CohortState::advance_steady(&mut [&mut cohort], |_, _, _| true, |_, _| None, 1);
+                for i in 0..3usize {
+                    let flags = ParticipationFlags::all();
+                    spec.merge_current_participation(ValidatorIndex::from(i), flags);
+                }
+                spec.advance_epoch(None);
+                let m = cohort.class_floor(0).expect("non-empty");
+                let v = &spec.validators()[0];
+                let context = format!("balance {balance} at epoch {epoch}");
+                assert_eq!(m.effective_balance, v.effective_balance, "{context}");
+                assert_eq!(m.balance, spec.balances()[0], "{context}");
+            }
+        }
     }
 
     /// Drives a dense and a cohort backend through the same schedule and

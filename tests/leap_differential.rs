@@ -14,7 +14,7 @@ use ethpos::core::partition::preset_scenarios;
 use ethpos::core::StrategyKind;
 use ethpos::sim::{
     run_single_branch_on, BranchChoice, BranchStatus, ByzantineSchedule, PartitionConfig,
-    PartitionSim, PartitionTimeline,
+    PartitionOutcome, PartitionSim, PartitionTimeline,
 };
 use ethpos::state::{
     BranchObservation, ClassSpec, ClassStats, CohortState, DenseState, Fragmentation, MemberState,
@@ -113,23 +113,24 @@ fn sim<B: StateBackend>(
 /// Runs `config` on the leaping cohort engine, on [`PerEpoch`], on the
 /// [`OneEpoch`] engine and (if `dense`) on [`DenseState`], comparing
 /// every live branch's snapshot at each of the leaping engine's step
-/// boundaries and the outcomes' JSON at the end. Returns the leaping
-/// engine's step count and the epochs it ran.
+/// boundaries and the outcomes' JSON at the end. Returns the first and
+/// last epoch of each of the leaping engine's steps, and its outcome.
 fn differential(
     name: &str,
     config: &PartitionConfig,
     schedule: &dyn Fn() -> Box<dyn ByzantineSchedule>,
     dense: bool,
-) -> (u64, u64) {
+) -> (Vec<(u64, u64)>, PartitionOutcome) {
     let mut leap = sim::<CohortState>(config, schedule());
     let mut per_epoch = sim::<PerEpoch>(config, schedule());
     let mut one_epoch = sim::<CohortState>(config, Box::new(OneEpoch(schedule())));
     let mut dense = dense.then(|| sim::<DenseState>(config, schedule()));
-    let mut steps = 0;
+    let mut steps = Vec::new();
     loop {
+        let first = leap.current_epoch();
         let more = leap.step();
-        steps += 1;
         let epoch = leap.current_epoch();
+        steps.push((first, epoch - 1));
         assert_eq!(per_epoch.step(), more, "{name} at {epoch}");
         assert_eq!(
             per_epoch.current_epoch(),
@@ -167,23 +168,23 @@ fn differential(
             break;
         }
     }
-    let json = |outcome| serde_json::to_string(&outcome).expect("serializable");
-    let leap_epochs = leap.current_epoch();
-    let outcome = json(leap.finish());
+    let json = |outcome: &PartitionOutcome| serde_json::to_string(outcome).expect("serializable");
+    let leap_outcome = leap.finish();
+    let outcome = json(&leap_outcome);
     assert_eq!(
-        json(per_epoch.finish()),
+        json(&per_epoch.finish()),
         outcome,
         "{name}: per-epoch outcome"
     );
     assert_eq!(
-        json(one_epoch.finish()),
+        json(&one_epoch.finish()),
         outcome,
         "{name}: one-epoch outcome"
     );
     if let Some(dense) = dense {
-        assert_eq!(json(dense.finish()), outcome, "{name}: dense outcome");
+        assert_eq!(json(&dense.finish()), outcome, "{name}: dense outcome");
     }
-    (steps, leap_epochs)
+    (steps, leap_outcome)
 }
 
 /// The partition presets' configuration at `n` validators.
@@ -234,10 +235,12 @@ fn presets_leap_as_single_epochs_step() {
         differential(&name, &config, &|| strategy.build(), true);
     }
     let (name, config, strategy) = presets(1_000_000).swap_remove(0);
-    let (steps, epochs) = differential(&name, &config, &|| strategy.build(), false);
+    let (steps, outcome) = differential(&name, &config, &|| strategy.build(), false);
+    let epochs = outcome.epochs_run;
     assert!(
-        steps * 4 < epochs,
-        "{name}: {steps} steps for {epochs} epochs"
+        steps.len() as u64 * 4 < epochs,
+        "{name}: {} steps for {epochs} epochs",
+        steps.len()
     );
 }
 
@@ -266,6 +269,52 @@ fn compact_workloads_take_under_a_thousand_steps() {
     }
     assert_eq!(epochs, 15_811);
     assert!(steps < 1_000, "{steps} steps");
+}
+
+/// Runs in which every branch finalizes and loses its whole Byzantine
+/// class, on strategies that name a cadence throughout. Both fold events
+/// must match the one-epoch engine's. Each lands on a one-epoch step: an
+/// exit follows the effective-balance stair of the epoch before, and a
+/// first finalization the justification of the epoch before (or of the
+/// same one), both events that end the step before it.
+#[test]
+fn fold_events_match_the_one_epoch_engine() {
+    let cases = [
+        (StrategyKind::ThresholdSeeker, 0.33, 0.5),
+        (StrategyKind::ThresholdSeeker, 0.36, 0.6),
+        (StrategyKind::Rotate, 0.33, 0.5),
+    ];
+    for (strategy, beta0, p0) in cases {
+        let n = 60;
+        let config = PartitionConfig {
+            stop_on_conflict: false,
+            record_every: u64::MAX,
+            ..PartitionConfig::paper(
+                n,
+                (beta0 * n as f64).round() as usize,
+                PartitionTimeline::two_branch(p0),
+                8200,
+            )
+        };
+        let name = format!("{strategy:?} β0 {beta0} p0 {p0}");
+        let (steps, outcome) = differential(&name, &config, &|| strategy.build(), true);
+        let events: Vec<u64> = (outcome.branches.iter())
+            .flat_map(|b| [b.first_finalization_epoch, b.byzantine_exit_epoch])
+            .collect::<Option<_>>()
+            .unwrap_or_else(|| {
+                panic!("{name}: a branch kept its Byzantine class or never finalized")
+            });
+        for event in events {
+            let step = steps
+                .iter()
+                .find(|&&(first, last)| first <= event && event <= last);
+            assert_eq!(
+                step,
+                Some(&(event, event)),
+                "{name}: the step of epoch {event}"
+            );
+        }
+    }
 }
 
 /// Sixteen churn-free chaos cases with a hand-written strategy.
@@ -304,28 +353,23 @@ fn pinned_chaos_cases_leap_as_single_epochs_step() {
 fn fig2_intervals(config: &ChainConfig, n: u64, epochs: u64, dense: bool) -> u64 {
     let classes = fig2_classes(n as usize);
     let specs = classes.map(|(_, count)| ClassSpec::full_stake(count, config));
-    let marks = |epoch, class: usize| classes[class].0.participates(epoch);
+    let marks = |_, epoch, class: usize| classes[class].0.participates(epoch);
     let mut leap = CohortState::from_classes(config.clone(), &specs);
     let mut per_epoch = PerEpoch::from_classes(config.clone(), &specs);
     let mut dense = dense.then(|| DenseState::from_classes(config.clone(), &specs));
     let mut intervals = 0;
     while leap.current_epoch().as_u64() < epochs {
         let left = epochs - leap.current_epoch().as_u64();
-        let taken = leap.advance_steady(marks, |_| None, left);
+        let taken = CohortState::advance_steady(&mut [&mut leap], marks, |_, _| None, left);
         intervals += 1;
         let epoch = leap.current_epoch();
-        assert_eq!(
-            per_epoch.advance_steady(marks, |_| None, left),
-            taken,
-            "at {epoch}"
-        );
+        let per_epoch_taken =
+            PerEpoch::advance_steady(&mut [&mut per_epoch], marks, |_, _| None, left);
+        assert_eq!(per_epoch_taken, taken, "at {epoch}");
         assert_eq!(per_epoch.snapshot(), leap.snapshot(), "n {n} at {epoch}");
         if let Some(dense) = &mut dense {
-            assert_eq!(
-                dense.advance_steady(marks, |_| None, left),
-                taken,
-                "at {epoch}"
-            );
+            let dense_taken = DenseState::advance_steady(&mut [dense], marks, |_, _| None, left);
+            assert_eq!(dense_taken, taken, "at {epoch}");
             assert_eq!(dense.snapshot(), leap.snapshot(), "n {n} at {epoch}, dense");
         }
     }
