@@ -932,8 +932,6 @@ impl MemberStep {
 /// it divides there; a wider product takes the `u128` division.
 fn inactivity_penalty(effective: u64, score: u64, denominator: u64) -> u64 {
     match effective.checked_mul(score) {
-        // 2²⁶ in both shipped configurations: a shift, not a division.
-        Some(product) if denominator.is_power_of_two() => product >> denominator.trailing_zeros(),
         Some(product) => product / denominator,
         None => (u128::from(effective) * u128::from(score) / u128::from(denominator)) as u64,
     }
